@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check chaos chaos-cluster chaos-overload bench \
+.PHONY: all build vet test check kernels-portable chaos chaos-cluster chaos-overload bench \
         bench-decode bench-decode-short bench-spec bench-spec-short figures \
         scorecard examples trace-demo memdemo stream-demo cluster-demo \
         cache-demo overload-demo clean
@@ -22,6 +22,15 @@ test:
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# The packed GEMM has an amd64 SIMD micro-kernel and a portable Go loop.
+# Keep the second from rotting on hosts that never select it: run the
+# kernels tests with the micro-kernel off, and build + vet (asmdecl
+# included) for an architecture that has none.
+kernels-portable:
+	$(GO) test -count=1 ./internal/kernels/ -args -generic
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/kernels/
 
 # Chaos drills: fault injection, lane supervision, degraded-mode serving
 # and KV memory-pressure governance (TestChaosMemPressure) under
@@ -200,8 +209,10 @@ overload-demo:
 bench: bench-decode
 	$(GO) test -bench=. -benchmem ./...
 
-# Prefill/decode tok/s at several batch sizes, fused vs per-sequence
-# baseline, plus the decode-shape kernel sweep. Writes BENCH_decode.json.
+# This host's measured roofline (STREAM triad GB/s, mul+add GFLOP/s), the
+# decode-shape kernel sweep against it (per-seq loop | packed Go loop |
+# packed SIMD + pool, GFLOP/s and GB/s each), and tiny-engine decode tok/s
+# fused vs per-sequence baseline. Writes BENCH_decode.json.
 bench-decode:
 	$(GO) run ./cmd/gemmbench -decode -json BENCH_decode.json
 

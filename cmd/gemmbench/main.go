@@ -5,12 +5,15 @@
 // paper measures across ISAs: tiled/parallel kernels pull ahead as
 // matrices grow.
 //
-// With -decode it instead sweeps decode shapes (M = batch ∈ {1,4,8,16,32}),
-// contrasting the legacy per-sequence GEMV loop against the fused batch
-// GEMM over packed weights, and runs the tiny functional engine end to end
-// (fused decode vs the per-sequence baseline) — the software analog of the
-// paper's throughput-vs-batch curves. -json writes the results to a file
-// (the perf-trajectory artifact `make bench` stores as BENCH_decode.json).
+// With -decode it instead measures this host's roofline (a STREAM-triad
+// GB/s and a mul+add GFLOP/s ceiling) and sweeps decode shapes (M = batch
+// ∈ {1,4,8,16,32}) against it: the legacy per-sequence GEMV loop, the
+// packed GEMM on the portable Go loop, and the packed GEMM as shipped
+// (SIMD micro-kernel + pool), each as achieved GFLOP/s and GB/s. It then
+// runs the tiny functional engine end to end (fused decode vs the
+// per-sequence baseline) — the software analog of the paper's
+// throughput-vs-batch curves. -json writes the results to a file (the
+// perf-trajectory artifact `make bench` stores as BENCH_decode.json).
 //
 // Usage:
 //
@@ -112,160 +115,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-// kernelPoint is one decode-shape kernel measurement: M rows × [k,n]
-// weight, per-sequence loop vs fused batch GEMM.
-type kernelPoint struct {
-	Tier          string  `json:"tier"`
-	M             int     `json:"m"`
-	K             int     `json:"k"`
-	N             int     `json:"n"`
-	PerSeqGFLOPs  float64 `json:"perseq_gflops"`
-	FusedGFLOPs   float64 `json:"fused_gflops"`
-	Speedup       float64 `json:"speedup"`
-	PerSeqSeconds float64 `json:"perseq_seconds"`
-	FusedSeconds  float64 `json:"fused_seconds"`
-}
-
-// enginePoint is one end-to-end tiny-engine measurement at a batch size.
-type enginePoint struct {
-	Family          string  `json:"family"`
-	Kernel          string  `json:"kernel"`
-	Batch           int     `json:"batch"`
-	PromptLen       int     `json:"prompt_len"`
-	NewTokens       int     `json:"new_tokens"`
-	FusedDecodeTokS float64 `json:"fused_decode_toks"`
-	BaseDecodeTokS  float64 `json:"baseline_decode_toks"`
-	DecodeSpeedup   float64 `json:"decode_speedup"`
-	FusedPrefillS   float64 `json:"fused_prefill_seconds"`
-	BasePrefillS    float64 `json:"baseline_prefill_seconds"`
-}
-
-// benchReport is the BENCH_decode.json schema.
-type benchReport struct {
-	GOMAXPROCS  int           `json:"gomaxprocs"`
-	Short       bool          `json:"short"`
-	KernelSweep []kernelPoint `json:"kernel_sweep"`
-	EngineSweep []enginePoint `json:"engine_sweep"`
-}
-
-func runDecode(jsonPath string, short bool) error {
-	batches := []int{1, 4, 8, 16, 32}
-	k, n := 256, 1024
-	reps := 5
-	newTokens := 24
-	if short {
-		batches = []int{1, 8}
-		k, n = 128, 512
-		reps = 2
-		newTokens = 8
-	}
-	rep := benchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Short: short}
-
-	fmt.Printf("decode-shape kernel sweep  (weight %dx%d, best of %d reps)\n", k, n, reps)
-	fmt.Printf("%-14s %6s  %14s  %14s  %8s\n", "tier", "M", "perseq GFLOP/s", "fused GFLOP/s", "speedup")
-	rng := rand.New(rand.NewSource(1))
-	b := randMat(rng, k*n)
-	pool := kernels.NewPool(0)
-	defer pool.Close()
-	for _, tierName := range []string{"tile-bf16", "blocked-fp32"} {
-		var pb *kernels.PackedB
-		var perSeq func(m int, a, c []float32)
-		if tierName == "tile-bf16" {
-			pb = kernels.PackBBF16(k, n, b)
-			perSeq = func(m int, a, c []float32) {
-				for i := 0; i < m; i++ {
-					kernels.GemmTileBF16(1, n, k, a[i*k:(i+1)*k], b, c[i*n:(i+1)*n])
-				}
-			}
-		} else {
-			pb = kernels.PackB(k, n, b)
-			perSeq = func(m int, a, c []float32) {
-				for i := 0; i < m; i++ {
-					kernels.GemmBlocked(1, n, k, a[i*k:(i+1)*k], b, c[i*n:(i+1)*n])
-				}
-			}
-		}
-		var job kernels.PackedJob
-		for _, m := range batches {
-			a, c := randMat(rng, m*k), make([]float32, m*n)
-			flops := 2 * float64(m) * float64(n) * float64(k)
-			ps := bestOf(reps, func() { perSeq(m, a, c) })
-			fs := bestOf(reps, func() { kernels.GemmPackedPooled(pool, &job, m, a, pb, c) })
-			pt := kernelPoint{
-				Tier: tierName, M: m, K: k, N: n,
-				PerSeqGFLOPs: flops / ps / 1e9, FusedGFLOPs: flops / fs / 1e9,
-				Speedup: ps / fs, PerSeqSeconds: ps, FusedSeconds: fs,
-			}
-			rep.KernelSweep = append(rep.KernelSweep, pt)
-			fmt.Printf("%-14s %6d  %14.2f  %14.2f  %7.2fx\n",
-				tierName, m, pt.PerSeqGFLOPs, pt.FusedGFLOPs, pt.Speedup)
-		}
-	}
-
-	fmt.Printf("\ntiny-engine decode throughput  (prompt 8, %d new tokens)\n", newTokens)
-	fmt.Printf("%-8s %-20s %6s  %12s  %12s  %8s\n",
-		"family", "kernel", "batch", "fused tok/s", "perseq tok/s", "speedup")
-	families := []model.Family{model.LLaMA2}
-	if !short {
-		families = append(families, model.OPT)
-	}
-	for _, fam := range families {
-		kern := engine.KernelTileBF16
-		w, err := engine.NewWeights(model.Tiny(fam), 42, tensor.BF16)
-		if err != nil {
-			return err
-		}
-		fused, err := engine.New(w, engine.Options{Kernel: kern})
-		if err != nil {
-			return err
-		}
-		base, err := engine.New(w, engine.Options{Kernel: kern, DisablePacking: true})
-		if err != nil {
-			return err
-		}
-		famName := "opt"
-		if fam == model.LLaMA2 {
-			famName = "llama"
-		}
-		for _, batch := range batches {
-			prompts := make([][]int, batch)
-			for i := range prompts {
-				prompts[i] = workload.NewGenerator(int64(i+1)).Prompt(8, w.Config.Vocab)
-			}
-			fTokS, fPre, err := decodeTokS(fused, prompts, newTokens, reps)
-			if err != nil {
-				return err
-			}
-			bTokS, bPre, err := decodeTokS(base, prompts, newTokens, reps)
-			if err != nil {
-				return err
-			}
-			pt := enginePoint{
-				Family: famName, Kernel: kern.String(), Batch: batch,
-				PromptLen: 8, NewTokens: newTokens,
-				FusedDecodeTokS: fTokS, BaseDecodeTokS: bTokS,
-				DecodeSpeedup: fTokS / bTokS,
-				FusedPrefillS: fPre, BasePrefillS: bPre,
-			}
-			rep.EngineSweep = append(rep.EngineSweep, pt)
-			fmt.Printf("%-8s %-20s %6d  %12.1f  %12.1f  %7.2fx\n",
-				famName, pt.Kernel, batch, fTokS, bTokS, pt.DecodeSpeedup)
-		}
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-	return nil
 }
 
 // specPoint is one speculative-vs-baseline measurement: b prompts decoded
@@ -598,24 +447,6 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// decodeTokS measures decode tokens/second (and prefill seconds) for one
-// engine over `reps` Generate runs, keeping the best decode rate.
-func decodeTokS(e *engine.Engine, prompts [][]int, maxNew, reps int) (tokS, prefill float64, err error) {
-	for r := 0; r < reps; r++ {
-		_, st, gerr := e.Generate(prompts, maxNew)
-		if gerr != nil {
-			return 0, 0, gerr
-		}
-		if st.DecodeSeconds > 0 {
-			if rate := float64(len(prompts)*(maxNew-1)) / st.DecodeSeconds; rate > tokS {
-				tokS = rate
-				prefill = st.PrefillSeconds
-			}
-		}
-	}
-	return tokS, prefill, nil
 }
 
 func bestOf(reps int, f func()) float64 {

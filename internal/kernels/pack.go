@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -32,34 +34,67 @@ const PanelCols = TileRows
 type PackedB struct {
 	K, N int
 	BF16 bool
-	data []float32
+	data []float32 // FP32 pack
+	// bf is a BF16 pack: the pre-rounded values kept as their upper 16
+	// bits (widening back is exact), halving the bytes a GEMV streams. A
+	// panel row is bf16Words words; word j holds column j in its low half
+	// and column j+bf16Words in its high half, so a kernel widens both with
+	// one shift and one mask — a whole row per vector pair.
+	bf []uint32
+	// finite records, for a BF16 pack, that no value is ±Inf or NaN. The
+	// av == 0 skip only changes a result when it avoids 0·Inf or 0·NaN;
+	// over finite weights the skipped product is ±0 and the accumulator,
+	// which starts at +0 and so is never −0, absorbs it unchanged — which
+	// is what lets the SIMD kernels run BF16 packs without the branch.
+	finite bool
 }
+
+// bf16Words is the length of a 16-bit panel row in 32-bit words.
+const bf16Words = PanelCols / 2
 
 // Panels returns the number of column panels.
 func (pb *PackedB) Panels() int { return (pb.N + PanelCols - 1) / PanelCols }
 
 // Bytes returns the packed storage footprint.
-func (pb *PackedB) Bytes() int64 { return int64(len(pb.data)) * 4 }
+func (pb *PackedB) Bytes() int64 { return int64(len(pb.data))*4 + int64(len(pb.bf))*4 }
 
-func packInto(k, n int, at func(p, j int) float32, round bool) *PackedB {
+// packInto packs the k×n matrix whose element (p, j) is b[p*rowStep+j*colStep].
+func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB {
 	panels := (n + PanelCols - 1) / PanelCols
-	data := make([]float32, panels*k*PanelCols)
+	pb := &PackedB{K: k, N: n, BF16: round, finite: true}
+	if round {
+		pb.bf = make([]uint32, panels*k*bf16Words)
+	} else {
+		pb.data = make([]float32, panels*k*PanelCols)
+	}
 	for pn := 0; pn < panels; pn++ {
 		j0 := pn * PanelCols
 		w := min(PanelCols, n-j0)
-		dst := data[pn*k*PanelCols:]
 		for p := 0; p < k; p++ {
-			row := dst[p*PanelCols:]
-			for j := 0; j < w; j++ {
-				v := at(p, j0+j)
-				if round {
-					v = tensor.RoundBF16(v)
+			src := b[p*rowStep+j0*colStep:]
+			row := pn*k + p
+			if round {
+				dst := pb.bf[row*bf16Words : (row+1)*bf16Words]
+				for j := 0; j < w; j++ {
+					h := tensor.ToBF16(src[j*colStep])
+					if h&0x7f80 == 0x7f80 { // ±Inf or NaN
+						pb.finite = false
+					}
+					if j < bf16Words {
+						dst[j] = uint32(h)
+					} else {
+						dst[j-bf16Words] |= uint32(h) << 16
+					}
 				}
-				row[j] = v
+			} else {
+				dst := pb.data[row*PanelCols : (row+1)*PanelCols]
+				for j := 0; j < w; j++ {
+					dst[j] = src[j*colStep]
+				}
 			}
 		}
 	}
-	return &PackedB{K: k, N: n, BF16: round, data: data}
+	return pb
 }
 
 // PackB packs row-major B (k×n) into the panel layout, FP32 values.
@@ -67,7 +102,7 @@ func PackB(k, n int, b []float32) *PackedB {
 	if len(b) < k*n {
 		panic(fmt.Sprintf("kernels: PackB %dx%d: slice too short (%d)", k, n, len(b)))
 	}
-	return packInto(k, n, func(p, j int) float32 { return b[p*n+j] }, false)
+	return packInto(k, n, b, n, 1, false)
 }
 
 // PackBBF16 packs B pre-rounded to bfloat16, the load-time conversion an
@@ -76,7 +111,7 @@ func PackBBF16(k, n int, b []float32) *PackedB {
 	if len(b) < k*n {
 		panic(fmt.Sprintf("kernels: PackBBF16 %dx%d: slice too short (%d)", k, n, len(b)))
 	}
-	return packInto(k, n, func(p, j int) float32 { return b[p*n+j] }, true)
+	return packInto(k, n, b, n, 1, true)
 }
 
 // PackBTrans packs B given as its transpose: bT is row-major n×k (each row
@@ -86,7 +121,7 @@ func PackBTrans(k, n int, bT []float32) *PackedB {
 	if len(bT) < k*n {
 		panic(fmt.Sprintf("kernels: PackBTrans %dx%d: slice too short (%d)", k, n, len(bT)))
 	}
-	return packInto(k, n, func(p, j int) float32 { return bT[j*k+p] }, false)
+	return packInto(k, n, bT, 1, k, false)
 }
 
 // gemmPackedPanels computes C rows [i0,i1) × column panels [pn0,pn1) for
@@ -95,25 +130,35 @@ func PackBTrans(k, n int, bT []float32) *PackedB {
 // to GemmTileBF16 for a BF16 pack (same rounding, same zero-skip, same
 // accumulation order). For BF16 packs, a must already be bf16-rounded.
 func gemmPackedPanels(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) {
+	if simdLevel == "" || !gemmPanelsSIMD(i0, i1, pn0, pn1, a, pb, c) {
+		gemmPackedPanelsGo(i0, i1, pn0, pn1, a, pb, c)
+	}
+}
+
+// gemmPackedPanelsGo is gemmPackedPanels in portable Go: the fallback on
+// hosts without a SIMD micro-kernel, and the oracle the micro-kernel is
+// tested against.
+func gemmPackedPanelsGo(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) {
 	k, n := pb.K, pb.N
 	for pn := pn0; pn < pn1; pn++ {
 		j0 := pn * PanelCols
 		w := min(PanelCols, n-j0)
-		panel := pb.data[pn*k*PanelCols : (pn+1)*k*PanelCols]
 		for i := i0; i < i1; i++ {
 			arow := a[i*k : i*k+k]
 			var acc [PanelCols]float32
 			if pb.BF16 {
+				panel := pb.bf[pn*k*bf16Words : (pn+1)*k*bf16Words]
 				for p, av := range arow {
 					if av == 0 {
 						continue
 					}
-					prow := panel[p*PanelCols : p*PanelCols+PanelCols]
-					for j := range acc {
-						acc[j] += av * prow[j]
+					for j, word := range panel[p*bf16Words : (p+1)*bf16Words] {
+						acc[j] += av * math.Float32frombits(word<<16)
+						acc[j+bf16Words] += av * math.Float32frombits(word&^0xffff)
 					}
 				}
 			} else {
+				panel := pb.data[pn*k*PanelCols : (pn+1)*k*PanelCols]
 				for p, av := range arow {
 					prow := panel[p*PanelCols : p*PanelCols+PanelCols]
 					for j := range acc {
@@ -136,17 +181,54 @@ func checkPackedDims(m int, a []float32, pb *PackedB, c []float32) {
 // GemmPacked computes C = A·B (A row-major m×K, C m×N) over a packed B.
 // FP32 packs match GemmNaive bit for bit; BF16 packs match GemmTileBF16
 // bit for bit. This is the serial reference entry point — the hot path
-// uses GemmPackedPooled, which reuses scratch and splits over a Pool.
+// uses GemmPackedPooled, which splits over a Pool. Neither allocates in
+// steady state: the bf16-rounded activation copy lives on the stack when
+// it is small (a decode GEMV) and in recycled scratch otherwise.
 func GemmPacked(m int, a []float32, pb *PackedB, c []float32) {
+	gemmPackedSerial(m, a, pb, c, false)
+}
+
+// GemmPackedGeneric is GemmPacked on the portable Go loop whatever the
+// host supports: the oracle the SIMD micro-kernel is tested against, and
+// the scalar baseline BENCH_decode.json keeps beside every SIMD row.
+func GemmPackedGeneric(m int, a []float32, pb *PackedB, c []float32) {
+	gemmPackedSerial(m, a, pb, c, true)
+}
+
+func gemmPackedSerial(m int, a []float32, pb *PackedB, c []float32, generic bool) {
 	checkPackedDims(m, a, pb, c)
 	if pb.BF16 {
-		ar := make([]float32, m*pb.K)
-		for i, v := range a[:m*pb.K] {
-			ar[i] = tensor.RoundBF16(v)
+		var stack [1024]float32
+		need := m * pb.K
+		if need <= len(stack) {
+			a = roundBF16Into(stack[:need], a)
+		} else {
+			buf := roundScratch.Get().(*[]float32)
+			defer roundScratch.Put(buf)
+			if cap(*buf) < need {
+				*buf = make([]float32, need)
+			}
+			a = roundBF16Into((*buf)[:need], a)
 		}
-		a = ar
 	}
-	gemmPackedPanels(0, m, 0, pb.Panels(), a, pb, c)
+	if generic {
+		gemmPackedPanelsGo(0, m, 0, pb.Panels(), a, pb, c)
+	} else {
+		gemmPackedPanels(0, m, 0, pb.Panels(), a, pb, c)
+	}
+}
+
+// roundScratch recycles GemmPacked's rounded-activation copies that do not
+// fit its stack buffer.
+var roundScratch = sync.Pool{New: func() any { return new([]float32) }}
+
+// roundBF16Into writes src rounded to bfloat16 into dst (len(dst) values)
+// and returns dst.
+func roundBF16Into(dst, src []float32) []float32 {
+	for i, v := range src[:len(dst)] {
+		dst[i] = tensor.RoundBF16(v)
+	}
+	return dst
 }
 
 // GemvPacked computes y = x·B for a single activation row — the decode
@@ -190,11 +272,23 @@ func (j *PackedJob) RunPart(part, parts int) {
 	}
 }
 
+// minSplitMACs is the least work (multiply-adds) GemmPackedPooled hands to
+// the pool. Waking a parked worker costs several microseconds; below about
+// 50 µs of vector work — a d=256 decode GEMV is a third of that — the
+// caller finishes sooner alone.
+const minSplitMACs = 1 << 20
+
+// rowBlock is the micro-kernel's register block: four activation rows
+// share each panel load.
+const rowBlock = 4
+
 // GemmPackedPooled computes C = A·B over a packed B, splitting the work
-// across the pool: by rows when M ≥ workers (prefill), by column panels
-// when M < workers (decode), so a batch=1 GEMV still uses every core.
-// A nil pool runs inline. Results are bit-identical to GemmPacked for any
-// worker count — each output element's accumulation order is fixed.
+// across the pool: by rows when every worker gets at least one full
+// register block of them (prefill), by column panels otherwise (decode),
+// so a batch=1 GEMV of a large matrix still uses every core. A nil pool,
+// or a GEMM too small to be worth a wake-up, runs inline. Results are
+// bit-identical to GemmPacked for any worker count — each output
+// element's accumulation order is fixed.
 func GemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c []float32) {
 	checkPackedDims(m, a, pb, c)
 	if pb.BF16 {
@@ -203,19 +297,16 @@ func GemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c 
 			j.ar = make([]float32, need)
 		}
 		j.ar = j.ar[:need]
-		for i, v := range a[:need] {
-			j.ar[i] = tensor.RoundBF16(v)
-		}
-		a = j.ar
+		a = roundBF16Into(j.ar, a)
 	}
 	workers := p.Workers()
 	panels := pb.Panels()
-	if workers <= 1 {
+	if workers <= 1 || m*pb.K*panels*PanelCols < minSplitMACs {
 		gemmPackedPanels(0, m, 0, panels, a, pb, c)
 		return
 	}
 	j.m, j.a, j.pb, j.c = m, a, pb, c
-	if m >= workers {
+	if m >= rowBlock*workers {
 		j.byRows = true
 		j.rowsPer = (m + workers - 1) / workers
 		p.Run(j, workers)

@@ -1,10 +1,12 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -171,33 +173,47 @@ func TestGemmTileBF16ParallelSmallMMatchesSerial(t *testing.T) {
 
 func TestPoolSharedByConcurrentCallers(t *testing.T) {
 	// Two (or more) engines share one pool in the gateway; concurrent Run
-	// calls must interleave safely. Run under -race in CI.
+	// calls must interleave safely. Run under -race in CI. More callers
+	// than workers and GEMMs above minSplitMACs, so every caller both
+	// queues parts and — once its own part 0 is done — drains parts that
+	// belong to the others.
 	p := NewPool(4)
 	defer p.Close()
 	r := rand.New(rand.NewSource(18))
-	k, n := 64, 97
+	k, n := 256, 1031
 	b := randMat(r, k*n)
 	pb := PackBBF16(k, n, b)
 
-	const callers = 4
+	const callers, rows = 6, 16
 	var wg sync.WaitGroup
 	errs := make(chan string, callers)
 	for g := 0; g < callers; g++ {
-		a := randMat(r, 8*k)
-		want := make([]float32, 8*n)
-		GemmPacked(8, a, pb, want)
+		a := randMat(r, rows*k)
+		want := make([]float32, rows*n)
+		GemmPacked(rows, a, pb, want)
 		wg.Add(1)
 		go func(a, want []float32) {
 			defer wg.Done()
 			var job PackedJob
-			got := make([]float32, 8*n)
+			var ran countTask
+			got := make([]float32, rows*n)
 			for iter := 0; iter < 50; iter++ {
-				for _, m := range []int{1, 3, 8} {
+				for _, m := range []int{1, 5, rows} { // inline, panel split, row split
+					for i := range got[:m*n] {
+						got[i] = 0
+					}
 					GemmPackedPooled(p, &job, m, a, pb, got)
+					if i, ok := bitsEqual(want[:m*n], got[:m*n]); !ok {
+						errs <- fmt.Sprintf("shared-pool result differs at index %d (m=%d)", i, m)
+						return
+					}
 				}
-				GemmPackedPooled(p, &job, 8, a, pb, got)
-				if i, ok := bitsEqual(want, got); !ok {
-					errs <- "shared-pool result differs at index " + string(rune('0'+i))
+				// Run returns only when every part of this call has run,
+				// whoever ran it.
+				ran.n.Store(0)
+				p.Run(&ran, 9)
+				if got := ran.n.Load(); got != 9 {
+					errs <- fmt.Sprintf("Run returned with %d of 9 parts done", got)
 					return
 				}
 			}
@@ -209,6 +225,11 @@ func TestPoolSharedByConcurrentCallers(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// countTask counts the parts that have finished.
+type countTask struct{ n atomic.Int32 }
+
+func (c *countTask) RunPart(part, parts int) { c.n.Add(1) }
 
 func TestPoolRunCountsParts(t *testing.T) {
 	p := NewPool(3)

@@ -105,7 +105,8 @@ func (p *Pool) Workers() int {
 // Run executes t.RunPart(i, parts) for every i in [0, parts), blocking
 // until all parts complete. The calling goroutine executes part 0 itself
 // (and any part that cannot be enqueued without blocking), so a saturated
-// pool degrades to inline execution instead of stalling.
+// pool degrades to inline execution instead of stalling, and then helps
+// drain the queue before it waits.
 func (p *Pool) Run(t Task, parts int) {
 	if parts <= 0 {
 		return
@@ -127,6 +128,18 @@ func (p *Pool) Run(t Task, parts int) {
 		}
 	}
 	inv.runPart(0)
+	// While parts of this call are outstanding, run whatever is queued —
+	// usually those very parts, which a sleeping worker has not picked up
+	// yet — and park only once the queue is empty.
+drain:
+	for inv.pending.Load() > 0 {
+		select {
+		case it := <-p.work:
+			it.inv.runPart(it.part)
+		default:
+			break drain
+		}
+	}
 	<-inv.fin
 	inv.task = nil
 	p.free <- inv
