@@ -23,10 +23,12 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# The packed GEMM has an amd64 SIMD micro-kernel and a portable Go loop.
-# Keep the second from rotting on hosts that never select it: run the
-# kernels tests with the micro-kernel off, and build + vet (asmdecl
-# included) for an architecture that has none.
+# The packed GEMM and the vector ops around it (attention score and
+# weighted-V, ReLU, adds, bf16 rounding) have amd64 SIMD routines and
+# portable Go loops. Keep the second from rotting on hosts that never
+# select it: run the kernels tests — the op differentials included — with
+# the routines off, and build + vet (asmdecl included) for an architecture
+# that has none (every .s symbol needs its !amd64 stub).
 kernels-portable:
 	$(GO) test -count=1 ./internal/kernels/ -args -generic
 	GOARCH=arm64 $(GO) build ./...
@@ -211,12 +213,15 @@ bench: bench-decode
 
 # This host's measured roofline (STREAM triad GB/s, mul+add GFLOP/s), the
 # decode-shape kernel sweep against it (per-seq loop | packed Go loop |
-# packed SIMD + pool, GFLOP/s and GB/s each), and tiny-engine decode tok/s
-# fused vs per-sequence baseline. Writes BENCH_decode.json.
+# packed SIMD + pool, GFLOP/s and GB/s each), the vector op sweep (Go loop
+# | SIMD), the operator-class breakdown of a decode step and of a prefill,
+# and tiny-engine decode tok/s fused vs per-sequence baseline. Writes
+# BENCH_decode.json; fails if a SIMD op is slower than its Go loop.
 bench-decode:
 	$(GO) run ./cmd/gemmbench -decode -json BENCH_decode.json
 
-# CI-sized variant: smaller shapes, fewer reps, still writes the artifact.
+# CI-sized variant: smaller shapes, fewer reps, still writes the artifact
+# and still fails on a SIMD op slower than its Go loop.
 bench-decode-short:
 	$(GO) run ./cmd/gemmbench -decode -short -json BENCH_decode.json
 

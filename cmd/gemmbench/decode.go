@@ -91,7 +91,10 @@ type benchReport struct {
 	Host        hostBlock     `json:"host"`
 	Short       bool          `json:"short"`
 	KernelSweep []kernelPoint `json:"kernel_sweep"`
-	EngineSweep []enginePoint `json:"engine_sweep"`
+	// OpSweep and StepBreakdown cover the non-GEMM half of a step (ops.go).
+	OpSweep       []opPoint       `json:"op_sweep"`
+	StepBreakdown []stepBreakdown `json:"step_breakdown"`
+	EngineSweep   []enginePoint   `json:"engine_sweep"`
 }
 
 // onThreads runs f on `threads` goroutines at once and returns the wall
@@ -212,7 +215,14 @@ func runDecode(jsonPath string, short bool) error {
 		reps = 5
 		newTokens = 8
 	}
-	rep := benchReport{Host: measureHost(short), Short: short}
+	// The step breakdown goes first, while the heap is as small and settled
+	// as a serving loop's: timed after the sweeps' hundred-megabyte operands
+	// have come and gone, the same engine prefill reads a third slower.
+	steps, err := stepBreakdowns(reps)
+	if err != nil {
+		return err
+	}
+	rep := benchReport{Host: measureHost(short), Short: short, StepBreakdown: steps}
 	h := rep.Host
 	fmt.Printf("host  %s/%s  GOMAXPROCS=%d  triad %.1f GB/s (1 thread %.1f)  mul+add %.1f GFLOP/s (1 thread %.1f, Go loop %.1f)\n\n",
 		h.GOARCH, h.SIMD, h.GOMAXPROCS, h.TriadGBs, h.TriadGBs1, h.MulAddGFLOPs, h.MulAddGFLOPs1, h.MulAddScalarGFLOPs1)
@@ -266,6 +276,9 @@ func runDecode(jsonPath string, short bool) error {
 			}
 		}
 	}
+
+	fmt.Printf("\nvector op sweep  (median of %d reps; per call: Go loop | as shipped)\n", reps)
+	rep.OpSweep = opSweep(h, reps)
 
 	fmt.Printf("\ntiny-engine decode throughput  (prompt 8, %d new tokens, median of %d reps)\n", newTokens, reps)
 	fmt.Printf("%-8s %-20s %6s  %12s  %12s  %8s\n",
@@ -327,6 +340,16 @@ func runDecode(jsonPath string, short bool) error {
 			return err
 		}
 		fmt.Printf("\nwrote %s\n", jsonPath)
+	}
+	// A vector routine that loses to the loop it replaces is a regression,
+	// whatever the sweep's noise: fail the run (CI runs the -short one).
+	if h.SIMD != "generic" {
+		for _, p := range rep.OpSweep {
+			if p.SIMD.Seconds > p.GoLoop.Seconds {
+				return fmt.Errorf("op sweep: %s %s is slower as shipped (%.2f us) than its Go loop (%.2f us)",
+					p.Op, p.Shape, p.SIMD.Seconds*1e6, p.GoLoop.Seconds*1e6)
+			}
+		}
 	}
 	return nil
 }

@@ -9,11 +9,15 @@
 // GB/s and a mul+add GFLOP/s ceiling) and sweeps decode shapes (M = batch
 // ∈ {1,4,8,16,32}) against it: the legacy per-sequence GEMV loop, the
 // packed GEMM on the portable Go loop, and the packed GEMM as shipped
-// (SIMD micro-kernel + pool), each as achieved GFLOP/s and GB/s. It then
-// runs the tiny functional engine end to end (fused decode vs the
-// per-sequence baseline) — the software analog of the paper's
-// throughput-vs-batch curves. -json writes the results to a file (the
-// perf-trajectory artifact `make bench` stores as BENCH_decode.json).
+// (SIMD micro-kernel + pool), each as achieved GFLOP/s and GB/s. It also
+// sweeps the vector ops around the GEMMs (attention score and weighted-V,
+// ReLU, bias add, bf16 rounding: Go loop vs SIMD, failing if a SIMD
+// routine loses), breaks a batch-1 decode step and a 4×32 prefill of the
+// benchmark's model down by operator class, and runs the tiny functional
+// engine end to end (fused decode vs the per-sequence baseline) — the
+// software analog of the paper's throughput-vs-batch curves. -json writes
+// the results to a file (the perf-trajectory artifact `make bench` stores
+// as BENCH_decode.json).
 //
 // Usage:
 //

@@ -2,99 +2,100 @@ package engine
 
 import (
 	"repro/internal/kernels"
+	"repro/internal/model"
 )
 
-// arena is per-Session scratch for the fused batch decode path. Every
-// buffer is grow-only and reused across decode steps, so steady-state
-// decode performs zero per-token heap allocations — the paper's decode
-// phase is memory-bandwidth-bound, and allocator traffic plus GC pressure
-// on top of it is pure overhead. The arena also owns the reusable packed
-// GEMM dispatch state (job) and the attention fan-out descriptor (attn),
-// keeping pool dispatch allocation-free too.
+// arena is the scratch of the forward pass, one per Session. Every buffer
+// is grow-only and reused across calls, so a warm prefill or decode step
+// performs no per-layer heap allocation — the paper's decode phase is
+// memory-bandwidth-bound, and allocator traffic plus GC pressure on top of
+// it is pure overhead. The arena also owns the reusable packed-GEMM
+// dispatch state (job, with its bf16 rounding buffer) and the attention
+// fan-out descriptor (attn), keeping pool dispatch allocation-free too.
 type arena struct {
-	x      []float32 // [batch, d] residual stream
-	h      []float32 // [batch, d] normed hidden
-	q      []float32 // [batch, d] query projection
-	k      []float32 // [batch, kvDim]
-	v      []float32 // [batch, kvDim]
-	att    []float32 // [batch, d] attention output
-	proj   []float32 // [batch, d] output projection
-	up     []float32 // [batch, dff]
-	gate   []float32 // [batch, dff]
-	logits []float32 // [batch, vocab] — the reused logits view DecodeStep returns
-	scores []float32 // [batch, ctxCap] attention score scratch
-	accs   []float64 // [batch, headDim] flash-attention accumulators
-	xq     []int8    // [max(d,dff)] per-row int8 activation scratch
+	x      []float32 // [rows, d] residual stream
+	h      []float32 // [rows, d] normed hidden
+	q      []float32 // [rows, d] query projection
+	k      []float32 // [rows, kvDim]
+	v      []float32 // [rows, kvDim]
+	att    []float32 // [rows, d] attention output
+	proj   []float32 // [rows, d] output projection
+	up     []float32 // [rows, dff]
+	gate   []float32 // [rows, dff], LLaMA-2 only
+	logits []float32 // [batch, vocab] — never [rows, vocab]: multi-row passes ask row by row
+	scores []float32 // [workers, ctxCap] attention score scratch, one strip per pool part
+	accs   []float64 // [workers, headDim] flash-attention accumulators
+	xq     []int8    // [seqRows, max(d,dff)] one sequence's int8 activations
 	next   []int     // [batch] sampled tokens, reused view
 
-	batch  int
-	ctxCap int
+	rows, batch, seqRows, ctxCap int
 
 	job  kernels.PackedJob
 	attn attnJob
 }
 
-// ensure sizes the arena for a batch of the given size attending over at
-// most ctxCap positions. Sizing scores to the KV cache *capacity* (not the
-// current context) means no buffer grows as decode advances.
-func (ar *arena) ensure(e *Engine, batch, ctxCap int) {
-	if batch <= ar.batch && ctxCap <= ar.ctxCap {
-		return
-	}
-	if batch < ar.batch {
-		batch = ar.batch
-	}
-	if ctxCap < ar.ctxCap {
-		ctxCap = ar.ctxCap
-	}
+// ensure sizes the arena for a forward pass over `batch` sequences of
+// seqRows rows each, attending over at most ctxCap positions. Sizing
+// scores to the KV cache *capacity* (not the current context) means no
+// buffer grows as decode advances.
+func (ar *arena) ensure(e *Engine, batch, seqRows, ctxCap int) {
 	d, kvDim, dff := e.cfg.DModel, e.cfg.KVDim(), e.cfg.DFF
-	ar.x = make([]float32, batch*d)
-	ar.h = make([]float32, batch*d)
-	ar.q = make([]float32, batch*d)
-	ar.k = make([]float32, batch*kvDim)
-	ar.v = make([]float32, batch*kvDim)
-	ar.att = make([]float32, batch*d)
-	ar.proj = make([]float32, batch*d)
-	ar.up = make([]float32, batch*dff)
-	ar.gate = make([]float32, batch*dff)
-	ar.logits = make([]float32, batch*e.cfg.Vocab)
-	ar.scores = make([]float32, batch*ctxCap)
-	ar.accs = make([]float64, batch*e.cfg.HeadDim())
-	n := d
-	if dff > n {
-		n = dff
+	if rows := batch * seqRows; rows > ar.rows {
+		ar.rows = rows
+		ar.x = make([]float32, rows*d)
+		ar.h = make([]float32, rows*d)
+		ar.q = make([]float32, rows*d)
+		ar.k = make([]float32, rows*kvDim)
+		ar.v = make([]float32, rows*kvDim)
+		ar.att = make([]float32, rows*d)
+		ar.proj = make([]float32, rows*d)
+		ar.up = make([]float32, rows*dff)
+		if e.cfg.Family == model.LLaMA2 {
+			ar.gate = make([]float32, rows*dff)
+		}
 	}
-	ar.xq = make([]int8, n)
-	ar.next = make([]int, batch)
-	ar.batch, ar.ctxCap = batch, ctxCap
+	if batch > ar.batch {
+		ar.batch = batch
+		ar.logits = make([]float32, batch*e.cfg.Vocab)
+		ar.next = make([]int, batch)
+	}
+	if seqRows > ar.seqRows && e.opts.Kernel == KernelInt8 {
+		ar.seqRows = seqRows
+		ar.xq = make([]int8, seqRows*max(d, dff))
+	}
+	if ctxCap > ar.ctxCap {
+		ar.ctxCap = ctxCap
+		workers := e.pool.Workers()
+		ar.scores = make([]float32, workers*ctxCap)
+		ar.accs = make([]float64, workers*e.cfg.HeadDim())
+	}
 }
 
-// attnJob fans causal attention for one decode step out over the worker
-// pool: the batched linear layers run as fused GEMMs, but attention stays
-// per-KV-cache (each sequence reads its own cache), so the B independent
-// single-row attentions are the natural parallel unit.
+// attnJob fans one layer's causal attention out over the worker pool. The
+// linear layers run as fused GEMMs, but attention reads each sequence's
+// own KV cache, so the B·rows independent (sequence, row) attentions are
+// the natural parallel unit. Part p takes pairs p, p+parts, …: a row's
+// cost grows with its position, and striding spreads that evenly.
 type attnJob struct {
-	e      *Engine
-	caches []KVStore
-	layer  int
-	pos    int
-	q      []float32 // [batch, d]
-	att    []float32 // [batch, d]
-	scores []float32 // [batch, ctxCap]
-	accs   []float64 // [batch, headDim]
-	ctxCap int
+	e        *Engine
+	ar       *arena
+	caches   []KVStore
+	layer    int
+	rows     int // per sequence
+	startPos int
 }
 
-// RunPart implements kernels.Task: part b computes attention for sequence b.
-func (j *attnJob) RunPart(b, parts int) {
-	e := j.e
-	d := e.cfg.DModel
-	qrow := j.q[b*d : (b+1)*d]
-	arow := j.att[b*d : (b+1)*d]
-	if e.opts.FlashAttention {
-		hd := e.cfg.HeadDim()
-		e.flashRow(j.caches[b], j.layer, j.pos, qrow, arow, j.accs[b*hd:(b+1)*hd])
-	} else {
-		e.attnRow(j.caches[b], j.layer, j.pos, qrow, arow, j.scores[b*j.ctxCap:(b+1)*j.ctxCap])
+// RunPart implements kernels.Task.
+func (j *attnJob) RunPart(part, parts int) {
+	e, ar := j.e, j.ar
+	d, hd := e.cfg.DModel, e.cfg.HeadDim()
+	for r := part; r < len(j.caches)*j.rows; r += parts {
+		cache, pos := j.caches[r/j.rows], j.startPos+r%j.rows
+		q, att := ar.q[r*d:(r+1)*d], ar.att[r*d:(r+1)*d]
+		if e.opts.FlashAttention {
+			e.flashRow(cache, j.layer, pos, q, att, ar.accs[part*hd:(part+1)*hd])
+		} else {
+			e.attnRow(cache, j.layer, pos, q, att, ar.scores[part*ar.ctxCap:(part+1)*ar.ctxCap])
+		}
 	}
 }

@@ -72,15 +72,13 @@ func (e *Engine) BeamSearch(prompt []int, maxNew, width int) ([]BeamResult, erro
 
 	// Prefill once; all beams share the prompt prefix by cloning.
 	root := NewKVCache(e.cfg.Layers, e.cfg.KVDim(), maxSeq)
-	x := make([]float32, len(prompt)*d)
-	for i, tok := range prompt {
-		e.embed(tok, i, x[i*d:(i+1)*d])
-	}
-	e.forwardSeq(root, x, len(prompt), 0)
+	var ar arena
+	e.forwardTokens(&ar, []KVStore{root}, prompt, 0)
 	root.ExtendTo(len(prompt))
-	lps := logSoftmax(e.logits(x[(len(prompt)-1)*d:]))
+	lps := logSoftmax(e.rowLogits(&ar, len(prompt)-1))
 
 	beams := seedBeams(root, len(prompt), lps, width)
+	ar.ensure(e, width, 1, maxSeq)
 	for step := 1; step < maxNew; step++ {
 		type expansion struct {
 			parent  int
@@ -88,16 +86,22 @@ func (e *Engine) BeamSearch(prompt []int, maxNew, width int) ([]BeamResult, erro
 			logProb float64
 			lps     []float64 // filled after forward
 		}
-		// Advance every beam one step and collect its token distribution.
+		// Advance every beam one step — the beams move in lockstep, so
+		// this is one fused pass — and collect its token distribution.
+		caches := make([]KVStore, len(beams))
+		for i := range beams {
+			caches[i] = beams[i].cache
+			e.embed(beams[i].last, beams[i].pos, ar.x[i*d:(i+1)*d])
+		}
+		e.forward(&ar, caches, 1, beams[0].pos)
+		copy(ar.h[:len(beams)*d], ar.x[:len(beams)*d])
+		logits := e.logits(&ar, len(beams))
 		dists := make([][]float64, len(beams))
 		for i := range beams {
 			bm := &beams[i]
-			xv := make([]float32, d)
-			e.embed(bm.last, bm.pos, xv)
-			e.forwardSeq(bm.cache, xv, 1, bm.pos)
 			bm.cache.ExtendTo(bm.pos + 1)
 			bm.pos++
-			dists[i] = logSoftmax(e.logits(xv))
+			dists[i] = logSoftmax(logits[i*e.cfg.Vocab : (i+1)*e.cfg.Vocab])
 		}
 		// Gather the top `width` continuations of each beam, then keep the
 		// global top `width`.

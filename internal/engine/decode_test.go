@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -41,24 +43,151 @@ func generateTokens(t *testing.T, e *Engine, batch, promptLen, maxNew int) [][]i
 	return out
 }
 
-// TestFusedDecodeMatchesPerSeq is the tentpole invariant: the fused
-// batched decode path (packed weights, arena scratch, pooled attention)
-// must emit exactly the same tokens as the legacy per-sequence loop, for
-// every kernel tier, both model families, and several batch sizes.
+// passTrace is what one prefill + a few decode steps leave behind for one
+// sequence: the logits after the prefill and after the last step, and the
+// sampled ids. Two ways of running the same sequence must agree on every
+// bit of it.
+type passTrace struct {
+	prefill, last []float32
+	tokens        []int
+}
+
+// tracePass fills s with fill, decodes `steps` more tokens, and returns
+// one trace per sequence.
+func tracePass(t *testing.T, e *Engine, s *Session, steps int, fill func() ([]int, error)) []passTrace {
+	t.Helper()
+	vocab := e.cfg.Vocab
+	toks, err := fill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := make([]passTrace, s.Batch())
+	for b := range tr {
+		tr[b].prefill = append([]float32(nil), s.ar.logits[b*vocab:(b+1)*vocab]...)
+		tr[b].tokens = []int{toks[b]}
+	}
+	for i := 0; i < steps; i++ {
+		if toks, err = e.DecodeStep(s, toks); err != nil {
+			t.Fatal(err)
+		}
+		for b := range tr {
+			tr[b].tokens = append(tr[b].tokens, toks[b])
+		}
+	}
+	for b := range tr {
+		// A DisablePacking decode step leaves only its last sequence's
+		// logits behind.
+		if !e.opts.DisablePacking || len(tr) == 1 {
+			tr[b].last = append([]float32(nil), s.ar.logits[b*vocab:(b+1)*vocab]...)
+		}
+	}
+	return tr
+}
+
+func (a passTrace) diff(b passTrace) string {
+	for i := range a.tokens {
+		if a.tokens[i] != b.tokens[i] {
+			return fmt.Sprintf("token %d is %d, want %d", i, b.tokens[i], a.tokens[i])
+		}
+	}
+	for name, pair := range map[string][2][]float32{"prefill": {a.prefill, b.prefill}, "last-step": {a.last, b.last}} {
+		if pair[0] == nil || pair[1] == nil {
+			continue
+		}
+		for i := range pair[0] {
+			if math.Float32bits(pair[0][i]) != math.Float32bits(pair[1][i]) {
+				return fmt.Sprintf("%s logit %d is %x, want %x", name, i,
+					math.Float32bits(pair[1][i]), math.Float32bits(pair[0][i]))
+			}
+		}
+	}
+	return ""
+}
+
+// TestFusedDecodeMatchesPerSeq is the tentpole invariant, over kernel tier
+// × family × dense/paged × standard/flash attention: however a sequence is
+// run — alone on the unpacked per-sequence baseline, stacked with B−1
+// others in one fused forward pass, prefilled in chunks, or resumed behind
+// an adopted prefix — it produces the same logits bits and the same
+// tokens, for B ∈ {1,3,4} × prompt rows ∈ {1,5,32}. (The INT8 tier keeps
+// one activation scale per sequence's row block, so a chunked or resumed
+// prefill is a different quantization there; it is held to fused ==
+// per-sequence only.)
 func TestFusedDecodeMatchesPerSeq(t *testing.T) {
-	kernelsUnder := []Kernel{KernelBlocked, KernelParallel, KernelTileBF16, KernelTileBF16Parallel, KernelInt8}
+	const steps, maxSeq = 3, 36
+	shapes := [][2]int{{1, 1}, {1, 5}, {1, 32}, {3, 1}, {3, 5}, {3, 32}, {4, 1}, {4, 5}, {4, 32}}
+	if testing.Short() {
+		shapes = [][2]int{{1, 32}, {3, 1}, {4, 5}}
+	}
+	tiers := []Kernel{KernelBlocked, KernelParallel, KernelTileBF16, KernelTileBF16Parallel, KernelInt8}
 	for _, f := range []model.Family{model.OPT, model.LLaMA2} {
-		for _, k := range kernelsUnder {
-			for _, batch := range []int{1, 3, 8} {
-				fused := tinyEngineOpts(t, f, Options{Kernel: k, Workers: 2})
-				legacy := tinyEngineOpts(t, f, Options{Kernel: k, Workers: 2, DisablePacking: true})
-				got := generateTokens(t, fused, batch, 6, 10)
-				want := generateTokens(t, legacy, batch, 6, 10)
-				for b := range want {
-					for i := range want[b] {
-						if got[b][i] != want[b][i] {
-							t.Fatalf("%s/%s batch=%d: fused decode diverged at seq %d tok %d (%d vs %d)",
-								f, k, batch, b, i, got[b][i], want[b][i])
+		for _, k := range tiers {
+			for _, flash := range []bool{false, true} {
+				fused := tinyEngineOpts(t, f, Options{Kernel: k, Workers: 2, FlashAttention: flash})
+				legacy := tinyEngineOpts(t, f, Options{Kernel: k, Workers: 2, FlashAttention: flash, DisablePacking: true})
+				// The reference: sequence b of a rows-token batch, alone on the
+				// unpacked baseline over a dense cache. Batches of any size
+				// draw their prompts from the same four.
+				type key struct{ rows, b int }
+				want := map[key]passTrace{}
+				promptOf := func(rows, b int) []int { return prompt(fused, rows, int64(100+b)) }
+				for _, shape := range shapes {
+					for b := 0; b < shape[0]; b++ {
+						if _, ok := want[key{shape[1], b}]; !ok {
+							s := legacy.NewSession(1, maxSeq)
+							want[key{shape[1], b}] = tracePass(t, legacy, s, steps, func() ([]int, error) {
+								return legacy.Prefill(s, [][]int{promptOf(shape[1], b)})
+							})[0]
+						}
+					}
+				}
+				for _, paged := range []bool{false, true} {
+					session := func(e *Engine, batch int) *Session {
+						if paged {
+							return e.NewPagedSession(batch, maxSeq, 5) // blocks off the vector width
+						}
+						return e.NewSession(batch, maxSeq)
+					}
+					for _, shape := range shapes {
+						B, rows := shape[0], shape[1]
+						prompts := make([][]int, B)
+						for b := range prompts {
+							prompts[b] = promptOf(rows, b)
+						}
+						check := func(how string, e *Engine, s *Session, fill func() ([]int, error)) {
+							t.Helper()
+							for b, got := range tracePass(t, e, s, steps, fill) {
+								if d := want[key{rows, b}].diff(got); d != "" {
+									t.Fatalf("%s/%s paged=%v flash=%v B=%d rows=%d: %s, seq %d: %s",
+										f, k, paged, flash, B, rows, how, b, d)
+								}
+							}
+						}
+						s := session(fused, B)
+						check("fused", fused, s, func() ([]int, error) { return fused.Prefill(s, prompts) })
+						if rows < 32 { // the unpacked kernels are slow; short prompts cover the batch loop
+							s = session(legacy, B)
+							check("unpacked batch", legacy, s, func() ([]int, error) { return legacy.Prefill(s, prompts) })
+						}
+						if k == KernelInt8 {
+							continue
+						}
+						s = session(fused, B)
+						check("chunked", fused, s, func() ([]int, error) { return fused.PrefillChunked(s, prompts, 3, nil) })
+						if paged && rows > 1 {
+							parent := session(fused, B)
+							prefixes := make([][]int, B)
+							for b := range prefixes {
+								prefixes[b] = prompts[b][:rows/2]
+							}
+							if _, err := fused.Prefill(parent, prefixes); err != nil {
+								t.Fatal(err)
+							}
+							s, err := fused.ForkPagedSession(parent, rows/2)
+							if err != nil {
+								t.Fatal(err)
+							}
+							check("resumed", fused, s, func() ([]int, error) { return fused.PrefillResume(s, prompts) })
 						}
 					}
 				}
@@ -145,6 +274,57 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("%s/%s: DecodeStep allocated %v times per step, want 0", f, k, allocs)
+			}
+		}
+	}
+}
+
+// TestPrefillAllocsDoNotScaleWithDepth extends the guard to prefill: a
+// session's first pass sizes its caches and arena, and after that nothing
+// is allocated per layer or per linear — no rounding buffer, no score
+// strip, no scratch matrix — so a model three times as deep allocates
+// exactly as often; and a multi-row pass on the warm session allocates
+// only its result.
+func TestPrefillAllocsDoNotScaleWithDepth(t *testing.T) {
+	for _, k := range []Kernel{KernelBlocked, KernelTileBF16, KernelTileBF16Parallel, KernelInt8} {
+		for _, flash := range []bool{false, true} {
+			var allocs [2]float64
+			for i, layers := range []int{2, 6} {
+				cfg := model.Tiny(model.OPT)
+				cfg.Layers = layers
+				w, err := NewWeights(cfg, 42, tensor.FP32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.QuantizeAll()
+				e, err := New(w, Options{Kernel: k, Workers: 2, FlashAttention: flash})
+				if err != nil {
+					t.Fatal(err)
+				}
+				prompts := [][]int{prompt(e, 12, 1), prompt(e, 12, 2), prompt(e, 12, 3)}
+				var s *Session
+				allocs[i] = testing.AllocsPerRun(5, func() {
+					s = e.NewSession(len(prompts), 32)
+					if _, err := e.Prefill(s, prompts); err != nil {
+						t.Fatal(err)
+					}
+				})
+				s1 := e.NewSession(1, 32)
+				if _, err := e.Prefill(s1, prompts[:1]); err != nil {
+					t.Fatal(err)
+				}
+				verify := testing.AllocsPerRun(5, func() {
+					if _, err := e.VerifyRows(s1, prompts[1][:8]); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if verify != 1 {
+					t.Errorf("%s flash=%v: warm VerifyRows allocated %v times, want 1 (its result)", k, flash, verify)
+				}
+			}
+			if allocs[0] != allocs[1] || allocs[0] > 40 {
+				t.Errorf("%s flash=%v: session + prefill allocated %v times at 2 layers, %v at 6; want equal and small",
+					k, flash, allocs[0], allocs[1])
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/kernels"
@@ -16,35 +15,6 @@ var (
 	errMaxNew    = errors.New("engine: maxNew must be positive")
 	errNoPrompts = errors.New("engine: no prompts")
 )
-
-// forEachSeq runs f for every sequence index, in parallel when the engine
-// is configured for sequence parallelism. It returns the first error.
-func (e *Engine) forEachSeq(n int, f func(b int) error) error {
-	if !e.opts.SeqParallel || n <= 1 {
-		for b := 0; b < n; b++ {
-			if err := f(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for b := 0; b < n; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			errs[b] = f(b)
-		}(b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // lapTimer measures consecutive phase durations.
 type lapTimer struct{ last time.Time }
@@ -64,10 +34,6 @@ type Options struct {
 	Kernel Kernel
 	// Workers bounds goroutines for the parallel kernels (0 = GOMAXPROCS).
 	Workers int
-	// SeqParallel runs the independent sequences of a batch on separate
-	// goroutines (sampling stays serialized, so outputs are identical to
-	// serial execution).
-	SeqParallel bool
 	// FlashAttention switches attention to the single-pass online-softmax
 	// formulation (numerically equivalent; one KV stream per query).
 	FlashAttention bool
@@ -77,9 +43,10 @@ type Options struct {
 	// e.g. all gateway lanes — share a single set of workers instead of
 	// oversubscribing the machine.
 	Pool *kernels.Pool
-	// DisablePacking turns off packed weight shadows and the fused batch
-	// decode path, keeping the legacy per-sequence loop and unpacked
-	// kernels. It exists as the honest A/B baseline for benchmarks.
+	// DisablePacking turns off packed weight shadows and fused batch
+	// decode: linears run the unpacked kernels and a decode step runs the
+	// forward pass once per sequence, re-streaming every weight B times.
+	// It exists as the honest A/B baseline for benchmarks.
 	DisablePacking bool
 	// Hooks receive phase-completion callbacks from forward passes, so
 	// callers (tracing, profiling) can attribute measured engine time
@@ -141,7 +108,7 @@ func (e *Engine) Config() model.Config { return e.cfg }
 type Session struct {
 	caches []KVStore
 	pos    int   // committed tokens per sequence
-	ar     arena // reused scratch for the fused decode path
+	ar     arena // reused scratch for every forward pass on this session
 }
 
 // NewSession allocates dense KV caches for a batch of sequences.
@@ -185,39 +152,43 @@ func (s *Session) KVBytes() int64 {
 	return b
 }
 
-// linear computes out = x·W (+bias) for m rows using the configured
-// kernel. x is [m, l.In] row-major; out must hold m*l.Out values. When the
-// weight has a packed shadow for the active tier it is consumed instead of
-// the unpacked kernel — numerically bit-identical, but the per-call weight
-// conversion and strided streaming disappear.
-func (e *Engine) linear(m int, x []float32, l *Linear, out []float32) {
+// linear computes out = x·W (+bias) for the m rows of x ([m, l.In]
+// row-major; out holds m·l.Out values) on the configured kernel tier. A
+// packed shadow of the weight is consumed when the tier has one — bit-
+// identical to the unpacked kernel, minus the per-call weight conversion
+// and strided streaming. Scratch comes from the arena, so no tier
+// allocates. The INT8 tiers quantize activations with one scale per
+// sequence's block of seqRows rows (one row in decode, the chunk in
+// prefill), so a sequence's numbers do not depend on what it is batched
+// with.
+func (e *Engine) linear(ar *arena, m, seqRows int, x []float32, l *Linear, out []float32) {
 	if pl := e.lutOf(l); pl != nil {
 		kernels.GemmLUT(m, x, pl, out)
-		e.addBias(m, l, out)
-		return
+	} else if e.opts.Kernel == KernelInt8 && l.Q != nil {
+		xq := ar.xq[:seqRows*l.In]
+		for r := 0; r < m; r += seqRows {
+			xs := tensor.QuantizeInt8Into(xq, x[r*l.In:(r+seqRows)*l.In])
+			kernels.GemmInt8(seqRows, l.Out, l.In, xq, xs, l.Q, l.QScale, out[r*l.Out:(r+seqRows)*l.Out])
+		}
+	} else if pb := e.packOf(l); pb != nil {
+		kernels.GemmPackedPooled(e.pool, &ar.job, m, x, pb, out)
+	} else {
+		switch e.opts.Kernel {
+		case KernelParallel:
+			kernels.GemmParallel(m, l.Out, l.In, x, l.W, out, e.opts.Workers)
+		case KernelTileBF16:
+			kernels.GemmTileBF16(m, l.Out, l.In, x, l.W, out)
+		case KernelTileBF16Parallel:
+			kernels.GemmTileBF16Parallel(m, l.Out, l.In, x, l.W, out, e.opts.Workers)
+		default:
+			kernels.GemmBlocked(m, l.Out, l.In, x, l.W, out)
+		}
 	}
-	if pb := e.packOf(l); pb != nil {
-		var j kernels.PackedJob
-		kernels.GemmPackedPooled(e.pool, &j, m, x, pb, out)
-		e.addBias(m, l, out)
-		return
+	if l.Bias != nil {
+		for i := 0; i < m; i++ {
+			kernels.AddBias(out[i*l.Out:(i+1)*l.Out], l.Bias)
+		}
 	}
-	switch e.opts.Kernel {
-	case KernelBlocked:
-		kernels.GemmBlocked(m, l.Out, l.In, x, l.W, out)
-	case KernelParallel:
-		kernels.GemmParallel(m, l.Out, l.In, x, l.W, out, e.opts.Workers)
-	case KernelTileBF16:
-		kernels.GemmTileBF16(m, l.Out, l.In, x, l.W, out)
-	case KernelTileBF16Parallel:
-		kernels.GemmTileBF16Parallel(m, l.Out, l.In, x, l.W, out, e.opts.Workers)
-	case KernelInt8:
-		xq, xs := tensor.QuantizeInt8(x[:m*l.In])
-		kernels.GemmInt8(m, l.Out, l.In, xq, xs, l.Q, l.QScale, out)
-	default:
-		kernels.GemmBlocked(m, l.Out, l.In, x, l.W, out)
-	}
-	e.addBias(m, l, out)
 }
 
 // packOf returns l's packed shadow for the active kernel tier, or nil when
@@ -238,54 +209,19 @@ func (e *Engine) lutOf(l *Linear) *kernels.PackedLUT {
 	return l.plut
 }
 
-func (e *Engine) addBias(m int, l *Linear, out []float32) {
-	if l.Bias == nil {
-		return
-	}
+// normRows normalizes each of the m rows of x in place.
+func (e *Engine) normRows(m int, x, gain, bias []float32) {
+	d := e.cfg.DModel
 	for i := 0; i < m; i++ {
-		kernels.AddBias(out[i*l.Out:(i+1)*l.Out], l.Bias)
-	}
-}
-
-// linBatch is the fused-decode variant of linear: the batch's hidden rows
-// multiply the weight in ONE GEMM call (scratch served from the arena, so
-// steady state allocates nothing). The INT8 tier quantizes activations
-// per row — each sequence keeps its own scale, exactly as the legacy
-// per-sequence loop did, so fused and per-seq decode stay bit-identical.
-func (e *Engine) linBatch(ar *arena, m int, x []float32, l *Linear, out []float32) {
-	if pl := e.lutOf(l); pl != nil {
-		// Row-independent lookups: fused and per-seq LUT decode agree bit
-		// for bit, like every other tier.
-		kernels.GemmLUT(m, x, pl, out)
-		e.addBias(m, l, out)
-		return
-	}
-	if e.opts.Kernel == KernelInt8 && l.Q != nil {
-		for i := 0; i < m; i++ {
-			xq := ar.xq[:l.In]
-			xs := tensor.QuantizeInt8Into(xq, x[i*l.In:(i+1)*l.In])
-			kernels.GemmInt8(1, l.Out, l.In, xq, xs, l.Q, l.QScale, out[i*l.Out:(i+1)*l.Out])
+		if e.cfg.Family == model.OPT {
+			kernels.LayerNorm(x[i*d:(i+1)*d], gain, bias, 1e-5)
+		} else {
+			kernels.RMSNorm(x[i*d:(i+1)*d], gain, 1e-5)
 		}
-		e.addBias(m, l, out)
-		return
-	}
-	if pb := e.packOf(l); pb != nil {
-		kernels.GemmPackedPooled(e.pool, &ar.job, m, x, pb, out)
-		e.addBias(m, l, out)
-		return
-	}
-	e.linear(m, x, l, out)
-}
-
-func (e *Engine) norm(x, gain, bias []float32) {
-	if e.cfg.Family == model.OPT {
-		kernels.LayerNorm(x, gain, bias, 1e-5)
-	} else {
-		kernels.RMSNorm(x, gain, 1e-5)
 	}
 }
 
-// embed writes the embedding of token at position pos into dst.
+// embed writes the embedding of token at position pos into dst (d values).
 func (e *Engine) embed(token, pos int, dst []float32) {
 	d := e.cfg.DModel
 	copy(dst, e.w.TokenEmb[token*d:(token+1)*d])
@@ -294,290 +230,148 @@ func (e *Engine) embed(token, pos int, dst []float32) {
 	}
 }
 
-// attention computes causal multi-head attention for rows x[q..] of one
-// sequence. q/k/v are [rows, ·] projections for positions startPos..; the
-// KV cache must already contain k/v for all attended positions. Output is
-// written to att [rows, d].
-func (e *Engine) attention(cache KVStore, layer, rows, startPos int, q, att []float32) {
-	d := e.cfg.DModel
-	maxCtx := startPos + rows
-	scores := make([]float32, maxCtx)
-	for i := 0; i < rows; i++ {
-		e.attnRow(cache, layer, startPos+i, q[i*d:(i+1)*d], att[i*d:(i+1)*d], scores)
-	}
-}
-
 // attnRow computes causal attention for the single query row q at position
 // pos (attending to cache positions 0..pos), writing the result to att.
-// scores is caller-provided scratch of at least pos+1 values, so the fused
-// decode path can serve it from the session arena.
+// scores is scratch of at least pos+1 values. Keys and values are read in
+// the cache's contiguous runs.
 func (e *Engine) attnRow(cache KVStore, layer, pos int, q, att, scores []float32) {
-	hd := e.cfg.HeadDim()
+	hd, kvDim := e.cfg.HeadDim(), e.cfg.KVDim()
 	groups := e.cfg.Heads / e.cfg.KVHeads
 	scale := float32(1 / math.Sqrt(float64(hd)))
 
-	ctx := pos + 1 // causal: attend to positions < ctx
+	sc := scores[:pos+1] // causal: attend to positions ≤ pos
 	for h := 0; h < e.cfg.Heads; h++ {
-		kvh := h / groups
+		off := h / groups * hd
 		qv := q[h*hd : (h+1)*hd]
-		sc := scores[:ctx]
-		for t := 0; t < ctx; t++ {
-			kr := cache.RowK(layer, t)
-			sc[t] = kernels.Dot(qv, kr[kvh*hd:kvh*hd+hd]) * scale
+		for t := 0; t < len(sc); {
+			k, _ := cache.Run(layer, t)
+			n := min(len(k)/kvDim, len(sc)-t)
+			kernels.DotRows(qv, k[off:], kvDim, n, scale, sc[t:])
+			t += n
 		}
 		kernels.Softmax(sc)
 		out := att[h*hd : (h+1)*hd]
 		for j := range out {
 			out[j] = 0
 		}
-		for t := 0; t < ctx; t++ {
-			w := sc[t]
-			vr := cache.RowV(layer, t)
-			vv := vr[kvh*hd : kvh*hd+hd]
-			for j := range out {
-				out[j] += w * vv[j]
-			}
+		for t := 0; t < len(sc); {
+			_, v := cache.Run(layer, t)
+			n := min(len(v)/kvDim, len(sc)-t)
+			kernels.AccumRows(out, sc[t:t+n], v[off:], kvDim)
+			t += n
 		}
 	}
 }
 
-// forwardSeq runs all decoder blocks over rows tokens of one sequence
-// starting at startPos, filling the KV cache, and returns the hidden
-// states [rows, d]. x is modified in place.
-func (e *Engine) forwardSeq(cache KVStore, x []float32, rows, startPos int) []float32 {
-	d, kvDim, dff := e.cfg.DModel, e.cfg.KVDim(), e.cfg.DFF
-	hd := e.cfg.HeadDim()
-	h := make([]float32, rows*d)
-	q := make([]float32, rows*d)
-	k := make([]float32, rows*kvDim)
-	v := make([]float32, rows*kvDim)
-	att := make([]float32, rows*d)
-	proj := make([]float32, rows*d)
-	up := make([]float32, rows*dff)
-	gate := make([]float32, rows*dff)
+// forward runs all decoder blocks over `rows` new tokens, at positions
+// startPos.., of each of the B = len(caches) sequences, filling their KV
+// caches (positions are written, not committed). It is the engine's one
+// forward pass: prefill (rows = the prompt or a chunk of it), speculative
+// verification and eval (B = 1), and decode (rows = 1) differ only in
+// shape. ar.x holds the embeddings on entry and the final hidden states on
+// return, [B·rows, d] with sequence b's rows at b·rows..; the arena must
+// have been sized by ensure(e, B, rows, ·).
+//
+// The B·rows hidden rows are stacked into one activation matrix so every
+// linear layer runs ONCE per layer as a single GEMM (the weights stream
+// from memory once per layer instead of once per sequence — the paper's
+// arithmetic-intensity lever); attention reads each sequence's own cache
+// and fans the (sequence, row) pairs out over the worker pool. All scratch
+// comes from the arena: a warm forward pass performs no heap allocation.
+// Results are bit-identical for any batching of the same sequences.
+func (e *Engine) forward(ar *arena, caches []KVStore, rows, startPos int) {
+	d, kvDim, dff, hd := e.cfg.DModel, e.cfg.KVDim(), e.cfg.DFF, e.cfg.HeadDim()
+	m := len(caches) * rows
+	x, h := ar.x[:m*d], ar.h[:m*d]
 
 	for layer := range e.w.Layers {
 		lw := &e.w.Layers[layer]
 		// Attention block.
 		copy(h, x)
-		for i := 0; i < rows; i++ {
-			e.norm(h[i*d:(i+1)*d], lw.AttnNormGain, lw.AttnNormBias)
-		}
-		e.linear(rows, h, &lw.Wq, q)
-		e.linear(rows, h, &lw.Wk, k)
-		e.linear(rows, h, &lw.Wv, v)
-		if e.cfg.Family == model.LLaMA2 {
-			for i := 0; i < rows; i++ {
-				pos := startPos + i
+		e.normRows(m, h, lw.AttnNormGain, lw.AttnNormBias)
+		e.linear(ar, m, rows, h, &lw.Wq, ar.q)
+		e.linear(ar, m, rows, h, &lw.Wk, ar.k)
+		e.linear(ar, m, rows, h, &lw.Wv, ar.v)
+		for r := 0; r < m; r++ {
+			pos := startPos + r%rows
+			if e.cfg.Family == model.LLaMA2 {
 				for head := 0; head < e.cfg.Heads; head++ {
-					kernels.RoPE(q[i*d+head*hd:i*d+(head+1)*hd], pos, hd)
+					kernels.RoPE(ar.q[r*d+head*hd:r*d+(head+1)*hd], pos, hd)
 				}
 				for head := 0; head < e.cfg.KVHeads; head++ {
-					kernels.RoPE(k[i*kvDim+head*hd:i*kvDim+(head+1)*hd], pos, hd)
+					kernels.RoPE(ar.k[r*kvDim+head*hd:r*kvDim+(head+1)*hd], pos, hd)
 				}
 			}
+			caches[r/rows].Put(layer, pos, ar.k[r*kvDim:(r+1)*kvDim], ar.v[r*kvDim:(r+1)*kvDim])
 		}
-		for i := 0; i < rows; i++ {
-			cache.Put(layer, startPos+i, k[i*kvDim:(i+1)*kvDim], v[i*kvDim:(i+1)*kvDim])
-		}
-		if e.opts.FlashAttention {
-			e.flashAttention(cache, layer, rows, startPos, q, att)
-		} else {
-			e.attention(cache, layer, rows, startPos, q, att)
-		}
-		e.linear(rows, att, &lw.Wo, proj)
-		kernels.Add(x[:rows*d], proj[:rows*d])
+		ar.attn = attnJob{e: e, ar: ar, caches: caches, layer: layer, rows: rows, startPos: startPos}
+		e.pool.Run(&ar.attn, min(m, e.pool.Workers()))
+		e.linear(ar, m, rows, ar.att, &lw.Wo, ar.proj)
+		kernels.Add(x, ar.proj[:m*d])
 
 		// Feed-forward block.
 		copy(h, x)
-		for i := 0; i < rows; i++ {
-			e.norm(h[i*d:(i+1)*d], lw.FFNNormGain, lw.FFNNormBias)
-		}
+		e.normRows(m, h, lw.FFNNormGain, lw.FFNNormBias)
 		if e.cfg.Family == model.LLaMA2 {
-			e.linear(rows, h, &lw.WGate, gate)
-			kernels.SiLU(gate[:rows*dff])
-			e.linear(rows, h, &lw.W1, up)
-			for i := range gate[:rows*dff] {
+			gate, up := ar.gate[:m*dff], ar.up[:m*dff]
+			e.linear(ar, m, rows, h, &lw.WGate, gate)
+			kernels.SiLU(gate)
+			e.linear(ar, m, rows, h, &lw.W1, up)
+			for i := range gate {
 				gate[i] *= up[i]
 			}
-			e.linear(rows, gate, &lw.W2, proj)
+			e.linear(ar, m, rows, gate, &lw.W2, ar.proj)
 		} else {
-			e.linear(rows, h, &lw.W1, up)
-			kernels.ReLU(up[:rows*dff])
-			e.linear(rows, up, &lw.W2, proj)
+			e.linear(ar, m, rows, h, &lw.W1, ar.up)
+			kernels.ReLU(ar.up[:m*dff])
+			e.linear(ar, m, rows, ar.up, &lw.W2, ar.proj)
 		}
-		kernels.Add(x[:rows*d], proj[:rows*d])
-	}
-	return x
-}
-
-// forwardBatch runs all decoder blocks over one token per sequence for a
-// batch of B sequences at the same position — the fused decode step. The
-// per-sequence hidden states are stacked into one M=B activation matrix so
-// every linear layer runs ONCE per layer as a batched GEMM (the weights
-// stream from memory once per layer instead of once per sequence — the
-// paper's arithmetic-intensity lever); attention stays per-KV-cache but
-// fans out over the worker pool. All scratch comes from the arena:
-// steady-state decode performs zero heap allocations. Outputs are
-// bit-identical to B independent forwardSeq calls.
-func (e *Engine) forwardBatch(s *Session, x []float32, B, pos int) {
-	ar := &s.ar
-	d, kvDim, dff := e.cfg.DModel, e.cfg.KVDim(), e.cfg.DFF
-	hd := e.cfg.HeadDim()
-
-	for layer := range e.w.Layers {
-		lw := &e.w.Layers[layer]
-		// Attention block.
-		copy(ar.h[:B*d], x[:B*d])
-		for i := 0; i < B; i++ {
-			e.norm(ar.h[i*d:(i+1)*d], lw.AttnNormGain, lw.AttnNormBias)
-		}
-		e.linBatch(ar, B, ar.h, &lw.Wq, ar.q)
-		e.linBatch(ar, B, ar.h, &lw.Wk, ar.k)
-		e.linBatch(ar, B, ar.h, &lw.Wv, ar.v)
-		if e.cfg.Family == model.LLaMA2 {
-			for i := 0; i < B; i++ {
-				for head := 0; head < e.cfg.Heads; head++ {
-					kernels.RoPE(ar.q[i*d+head*hd:i*d+(head+1)*hd], pos, hd)
-				}
-				for head := 0; head < e.cfg.KVHeads; head++ {
-					kernels.RoPE(ar.k[i*kvDim+head*hd:i*kvDim+(head+1)*hd], pos, hd)
-				}
-			}
-		}
-		for b := 0; b < B; b++ {
-			s.caches[b].Put(layer, pos, ar.k[b*kvDim:(b+1)*kvDim], ar.v[b*kvDim:(b+1)*kvDim])
-		}
-		ar.attn = attnJob{
-			e: e, caches: s.caches, layer: layer, pos: pos,
-			q: ar.q, att: ar.att, scores: ar.scores, accs: ar.accs,
-			ctxCap: ar.ctxCap,
-		}
-		e.pool.Run(&ar.attn, B)
-		e.linBatch(ar, B, ar.att, &lw.Wo, ar.proj)
-		kernels.Add(x[:B*d], ar.proj[:B*d])
-
-		// Feed-forward block.
-		copy(ar.h[:B*d], x[:B*d])
-		for i := 0; i < B; i++ {
-			e.norm(ar.h[i*d:(i+1)*d], lw.FFNNormGain, lw.FFNNormBias)
-		}
-		if e.cfg.Family == model.LLaMA2 {
-			e.linBatch(ar, B, ar.h, &lw.WGate, ar.gate)
-			kernels.SiLU(ar.gate[:B*dff])
-			e.linBatch(ar, B, ar.h, &lw.W1, ar.up)
-			for i := range ar.gate[:B*dff] {
-				ar.gate[i] *= ar.up[i]
-			}
-			e.linBatch(ar, B, ar.gate, &lw.W2, ar.proj)
-		} else {
-			e.linBatch(ar, B, ar.h, &lw.W1, ar.up)
-			kernels.ReLU(ar.up[:B*dff])
-			e.linBatch(ar, B, ar.up, &lw.W2, ar.proj)
-		}
-		kernels.Add(x[:B*d], ar.proj[:B*d])
+		kernels.Add(x, ar.proj[:m*d])
 	}
 }
 
-// logits computes the vocabulary logits for one hidden state (the final
-// norm is applied to a copy).
-func (e *Engine) logits(hidden []float32) []float32 {
+// logits computes the vocabulary logits of the m hidden states in
+// ar.h[:m·d] (which the final norm overwrites) into the arena's reused
+// logits buffer and returns them, [m, vocab]. m never exceeds the batch
+// the arena was sized for: multi-row passes (verification, eval) ask row
+// by row.
+func (e *Engine) logits(ar *arena, m int) []float32 {
 	d := e.cfg.DModel
-	h := append([]float32(nil), hidden[:d]...)
-	e.norm(h, e.w.FinalNormGain, e.w.FinalNormBias)
-	out := make([]float32, e.cfg.Vocab)
-	if e.cfg.Family == model.OPT {
-		// Tied head: logits = TokenEmb · h.
-		if th := e.tiedHeadPack(); th != nil {
-			var j kernels.PackedJob
-			kernels.GemmPackedPooled(e.pool, &j, 1, h, th, out)
-		} else {
-			kernels.GemmTransB(1, e.cfg.Vocab, d, h, e.w.TokenEmb, out)
-		}
-	} else {
-		e.linear(1, h, &e.w.LMHead, out)
+	h, out := ar.h[:m*d], ar.logits[:m*e.cfg.Vocab]
+	e.normRows(m, h, e.w.FinalNormGain, e.w.FinalNormBias)
+	switch {
+	case e.cfg.Family != model.OPT:
+		e.linear(ar, m, 1, h, &e.w.LMHead, out)
+	case e.opts.DisablePacking:
+		kernels.GemmTransB(m, e.cfg.Vocab, d, h, e.w.TokenEmb, out)
+	default: // tied head: logits = TokenEmb · h
+		kernels.GemmPackedPooled(e.pool, &ar.job, m, h, e.w.tiedHead, out)
 	}
 	return out
 }
 
-func (e *Engine) tiedHeadPack() *kernels.PackedB {
-	if e.opts.DisablePacking {
-		return nil
+// forwardTokens runs toks, at positions startPos.., through the network
+// for the one sequence whose cache is caches[0], sizing the arena first.
+func (e *Engine) forwardTokens(ar *arena, caches []KVStore, toks []int, startPos int) {
+	d := e.cfg.DModel
+	ar.ensure(e, 1, len(toks), caches[0].Cap())
+	for i, tok := range toks {
+		e.embed(tok, startPos+i, ar.x[i*d:(i+1)*d])
 	}
-	return e.w.tiedHead
+	e.forward(ar, caches[:1], len(toks), startPos)
 }
 
-// logitsBatch computes logits for the batch's final hidden states into the
-// arena's reused logits buffer (no per-token vocab-sized allocation — the
-// fix for Engine.logits allocating per sequence per token). hidden rows
-// are copied into ar.h before the final norm; results land in ar.logits.
-func (e *Engine) logitsBatch(ar *arena, m int, hidden []float32) {
+// rowLogits returns the logits of hidden row i of ar.x.
+func (e *Engine) rowLogits(ar *arena, i int) []float32 {
 	d := e.cfg.DModel
-	copy(ar.h[:m*d], hidden[:m*d])
-	for i := 0; i < m; i++ {
-		e.norm(ar.h[i*d:(i+1)*d], e.w.FinalNormGain, e.w.FinalNormBias)
-	}
-	if e.cfg.Family == model.OPT {
-		if th := e.tiedHeadPack(); th != nil {
-			kernels.GemmPackedPooled(e.pool, &ar.job, m, ar.h, th, ar.logits)
-		} else {
-			kernels.GemmTransB(m, e.cfg.Vocab, d, ar.h, e.w.TokenEmb, ar.logits)
-		}
-	} else {
-		e.linBatch(ar, m, ar.h, &e.w.LMHead, ar.logits)
-	}
+	copy(ar.h[:d], ar.x[i*d:(i+1)*d])
+	return e.logits(ar, 1)
 }
 
 // Prefill processes the prompts of a batch (all of equal length) and
 // returns the greedy first output token of each sequence.
 func (e *Engine) Prefill(s *Session, prompts [][]int) ([]int, error) {
-	return e.prefillSample(s, prompts, nil)
-}
-
-func (e *Engine) prefillSample(s *Session, prompts [][]int, sampler *Sampler) ([]int, error) {
-	if len(prompts) != s.Batch() {
-		return nil, fmt.Errorf("engine: %d prompts for batch %d", len(prompts), s.Batch())
-	}
-	if s.pos != 0 {
-		return nil, fmt.Errorf("engine: session already prefilled")
-	}
-	rows := len(prompts[0])
-	if rows == 0 {
-		return nil, fmt.Errorf("engine: empty prompt")
-	}
-	d := e.cfg.DModel
-	for _, prompt := range prompts {
-		if len(prompt) != rows {
-			return nil, fmt.Errorf("engine: ragged prompts (%d vs %d); pad the batch", len(prompt), rows)
-		}
-		if err := e.checkTokens(prompt); err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	logits := make([][]float32, len(prompts))
-	err := e.forEachSeq(len(prompts), func(b int) error {
-		x := make([]float32, rows*d)
-		for i, tok := range prompts[b] {
-			e.embed(tok, i, x[i*d:(i+1)*d])
-		}
-		e.forwardSeq(s.caches[b], x, rows, 0)
-		s.caches[b].ExtendTo(rows)
-		logits[b] = e.logits(x[(rows-1)*d:])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	next := make([]int, len(prompts))
-	for b := range next {
-		next[b] = sampler.Sample(logits[b])
-	}
-	s.pos = rows
-	if h := e.opts.Hooks.OnPrefill; h != nil {
-		h(len(prompts), rows, time.Since(start))
-	}
-	return next, nil
+	return e.prefillSample(s, prompts, 0, nil)
 }
 
 // PrefillChunked processes the prompts in chunks of at most `chunk`
@@ -588,46 +382,67 @@ func (e *Engine) PrefillChunked(s *Session, prompts [][]int, chunk int, sampler 
 	if chunk <= 0 {
 		return nil, fmt.Errorf("engine: non-positive prefill chunk %d", chunk)
 	}
-	if len(prompts) != s.Batch() {
-		return nil, fmt.Errorf("engine: %d prompts for batch %d", len(prompts), s.Batch())
-	}
+	return e.prefillSample(s, prompts, chunk, sampler)
+}
+
+// prefillSample prefills a fresh session, chunk positions at a time (0 =
+// all at once).
+func (e *Engine) prefillSample(s *Session, prompts [][]int, chunk int, sampler *Sampler) ([]int, error) {
 	if s.pos != 0 {
 		return nil, fmt.Errorf("engine: session already prefilled")
+	}
+	return e.prefillFrom(s, prompts, chunk, sampler)
+}
+
+// prefillFrom runs the prompt positions the session has not committed yet
+// (all of them, or the tail behind an adopted prefix) through the network,
+// the whole batch per forward pass, at most chunk positions at a time
+// (0 = all at once), and samples each sequence's first output token.
+func (e *Engine) prefillFrom(s *Session, prompts [][]int, chunk int, sampler *Sampler) ([]int, error) {
+	if len(prompts) != s.Batch() {
+		return nil, fmt.Errorf("engine: %d prompts for batch %d", len(prompts), s.Batch())
 	}
 	rows := len(prompts[0])
 	if rows == 0 {
 		return nil, fmt.Errorf("engine: empty prompt")
 	}
-	d := e.cfg.DModel
-	start := time.Now()
-	next := make([]int, len(prompts))
-	for b, prompt := range prompts {
+	for _, prompt := range prompts {
 		if len(prompt) != rows {
 			return nil, fmt.Errorf("engine: ragged prompts (%d vs %d); pad the batch", len(prompt), rows)
 		}
 		if err := e.checkTokens(prompt); err != nil {
 			return nil, err
 		}
-		var lastHidden []float32
-		for start := 0; start < rows; start += chunk {
-			end := start + chunk
-			if end > rows {
-				end = rows
-			}
-			n := end - start
-			x := make([]float32, n*d)
-			for i := 0; i < n; i++ {
-				e.embed(prompt[start+i], start+i, x[i*d:(i+1)*d])
-			}
-			e.forwardSeq(s.caches[b], x, n, start)
-			s.caches[b].ExtendTo(end)
-			lastHidden = x[(n-1)*d:]
-		}
-		next[b] = sampler.Sample(e.logits(lastHidden))
 	}
-	s.pos = rows
+	start := time.Now()
+	from := s.pos
+	if chunk <= 0 || chunk > rows-from {
+		chunk = rows - from
+	}
+	B, d := len(prompts), e.cfg.DModel
+	ar := &s.ar
+	ar.ensure(e, B, chunk, s.caches[0].Cap())
+	n := chunk
+	for lo := from; lo < rows; lo += n {
+		n = min(chunk, rows-lo)
+		for b, prompt := range prompts {
+			for i, tok := range prompt[lo : lo+n] {
+				e.embed(tok, lo+i, ar.x[(b*n+i)*d:(b*n+i+1)*d])
+			}
+		}
+		e.forward(ar, s.caches, n, lo)
+		s.Commit(lo + n)
+	}
+	for b := 0; b < B; b++ { // each sequence's last hidden row
+		copy(ar.h[b*d:(b+1)*d], ar.x[(b*n+n-1)*d:(b*n+n)*d])
+	}
+	logits := e.logits(ar, B)
+	next := make([]int, B)
+	for b := range next {
+		next[b] = sampler.Sample(logits[b*e.cfg.Vocab : (b+1)*e.cfg.Vocab])
+	}
 	if h := e.opts.Hooks.OnPrefill; h != nil {
-		h(len(prompts), rows, time.Since(start))
+		h(B, rows-from, time.Since(start))
 	}
 	return next, nil
 }
@@ -648,62 +463,34 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 	if err := e.checkTokens(tokens); err != nil {
 		return nil, err
 	}
-	if e.opts.DisablePacking {
-		return e.decodePerSeq(s, tokens, sampler)
-	}
 	start := time.Now()
-	B, d := len(tokens), e.cfg.DModel
+	B, d, vocab := len(tokens), e.cfg.DModel, e.cfg.Vocab
 	ar := &s.ar
-	ar.ensure(e, B, s.caches[0].Cap())
-	for b, tok := range tokens {
-		e.embed(tok, s.pos, ar.x[b*d:(b+1)*d])
+	ar.ensure(e, B, 1, s.caches[0].Cap())
+	// One fused pass over the batch — or, as the DisablePacking baseline,
+	// one pass per sequence.
+	group := B
+	if e.opts.DisablePacking {
+		group = 1
 	}
-	e.forwardBatch(s, ar.x, B, s.pos)
-	for b := 0; b < B; b++ {
-		s.caches[b].ExtendTo(s.pos + 1)
-	}
-	e.logitsBatch(ar, B, ar.x)
-	vocab := e.cfg.Vocab
-	for b := 0; b < B; b++ {
-		ar.next[b] = sampler.Sample(ar.logits[b*vocab : (b+1)*vocab])
+	for b0 := 0; b0 < B; b0 += group {
+		for i, tok := range tokens[b0 : b0+group] {
+			e.embed(tok, s.pos, ar.x[i*d:(i+1)*d])
+		}
+		e.forward(ar, s.caches[b0:b0+group], 1, s.pos)
+		copy(ar.h[:group*d], ar.x[:group*d])
+		logits := e.logits(ar, group)
+		for i := 0; i < group; i++ {
+			ar.next[b0+i] = sampler.Sample(logits[i*vocab : (i+1)*vocab])
+		}
 	}
 	if h := e.opts.Hooks.OnDecodeStep; h != nil {
 		h(B, s.pos, time.Since(start))
 	}
-	s.pos++
+	s.Commit(s.pos + 1)
 	// ar.next is a reused view, valid until the next decode step; callers
 	// needing to retain it copy (Generate appends element-wise).
 	return ar.next[:B], nil
-}
-
-// decodePerSeq is the legacy decode: each sequence runs an independent
-// rows=1 forward pass, re-streaming every weight matrix B times per token
-// and allocating scratch per pass. Kept (behind Options.DisablePacking) as
-// the measured baseline the fused path is benchmarked against.
-func (e *Engine) decodePerSeq(s *Session, tokens []int, sampler *Sampler) ([]int, error) {
-	start := time.Now()
-	d := e.cfg.DModel
-	logits := make([][]float32, len(tokens))
-	err := e.forEachSeq(len(tokens), func(b int) error {
-		x := make([]float32, d)
-		e.embed(tokens[b], s.pos, x)
-		e.forwardSeq(s.caches[b], x, 1, s.pos)
-		s.caches[b].ExtendTo(s.pos + 1)
-		logits[b] = e.logits(x)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	next := make([]int, len(tokens))
-	for b := range next {
-		next[b] = sampler.Sample(logits[b])
-	}
-	if h := e.opts.Hooks.OnDecodeStep; h != nil {
-		h(len(tokens), s.pos, time.Since(start))
-	}
-	s.pos++
-	return next, nil
 }
 
 func (e *Engine) checkTokens(toks []int) error {

@@ -29,17 +29,13 @@ func (e *Engine) Perplexity(seq []int) (EvalResult, error) {
 	if err := e.checkTokens(seq); err != nil {
 		return EvalResult{}, err
 	}
-	d := e.cfg.DModel
-	cache := NewKVCache(e.cfg.Layers, e.cfg.KVDim(), len(seq))
-	x := make([]float32, len(seq)*d)
-	for i, tok := range seq {
-		e.embed(tok, i, x[i*d:(i+1)*d])
-	}
-	e.forwardSeq(cache, x, len(seq), 0)
+	s := e.NewSession(1, len(seq))
+	ar := &s.ar
+	e.forwardTokens(ar, s.caches, seq, 0)
 
 	res := EvalResult{Tokens: len(seq) - 1, WorstTokenLP: 0}
 	for i := 0; i+1 < len(seq); i++ {
-		lps := logSoftmax(e.logits(x[i*d : (i+1)*d]))
+		lps := logSoftmax(e.rowLogits(ar, i))
 		lp := lps[seq[i+1]]
 		res.TotalLogProb += lp
 		if lp < res.WorstTokenLP {

@@ -18,28 +18,17 @@ import (
 // Attention with IO-Awareness" (the single-pass online softmax of
 // Milakov & Gimelshein).
 
-// flashAttention computes causal multi-head attention for `rows` query
-// rows starting at startPos, equivalent to Engine.attention but with the
-// streaming formulation.
-func (e *Engine) flashAttention(cache KVStore, layer, rows, startPos int, q, att []float32) {
-	d := e.cfg.DModel
-	acc := make([]float64, e.cfg.HeadDim())
-	for i := 0; i < rows; i++ {
-		e.flashRow(cache, layer, startPos+i, q[i*d:(i+1)*d], att[i*d:(i+1)*d], acc)
-	}
-}
-
 // flashRow is the single-query-row streaming attention at position pos.
 // acc is caller-provided headDim scratch (the online-softmax value
-// accumulator), so the fused decode path can serve it from the arena.
+// accumulator), served from the arena.
 func (e *Engine) flashRow(cache KVStore, layer, pos int, q, att []float32, acc []float64) {
-	hd := e.cfg.HeadDim()
+	hd, kvDim := e.cfg.HeadDim(), e.cfg.KVDim()
 	groups := e.cfg.Heads / e.cfg.KVHeads
 	scale := 1 / math.Sqrt(float64(hd))
 
 	ctx := pos + 1
 	for h := 0; h < e.cfg.Heads; h++ {
-		kvh := h / groups
+		off := h / groups * hd
 		qv := q[h*hd : (h+1)*hd]
 
 		// Online softmax state: running max m, denominator l, and the
@@ -49,28 +38,33 @@ func (e *Engine) flashRow(cache KVStore, layer, pos int, q, att []float32, acc [
 		for j := range acc {
 			acc[j] = 0
 		}
-		for t := 0; t < ctx; t++ {
-			kr := cache.RowK(layer, t)
-			var s float64
-			for j := 0; j < hd; j++ {
-				s += float64(qv[j]) * float64(kr[kvh*hd+j])
-			}
-			s *= scale
-			if s > m {
-				// Rescale previous accumulation to the new maximum.
-				corr := math.Exp(m - s)
-				l *= corr
-				for j := range acc {
-					acc[j] *= corr
+		for t := 0; t < ctx; {
+			kRun, vRun := cache.Run(layer, t)
+			n := min(len(kRun)/kvDim, ctx-t)
+			for i := 0; i < n; i++ {
+				kr := kRun[i*kvDim+off : i*kvDim+off+hd]
+				var s float64
+				for j, qj := range qv {
+					s += float64(qj) * float64(kr[j])
 				}
-				m = s
+				s *= scale
+				if s > m {
+					// Rescale previous accumulation to the new maximum.
+					corr := math.Exp(m - s)
+					l *= corr
+					for j := range acc {
+						acc[j] *= corr
+					}
+					m = s
+				}
+				w := math.Exp(s - m)
+				l += w
+				vr := vRun[i*kvDim+off : i*kvDim+off+hd]
+				for j, vj := range vr {
+					acc[j] += w * float64(vj)
+				}
 			}
-			w := math.Exp(s - m)
-			l += w
-			vr := cache.RowV(layer, t)
-			for j := 0; j < hd; j++ {
-				acc[j] += w * float64(vr[kvh*hd+j])
-			}
+			t += n
 		}
 		out := att[h*hd : (h+1)*hd]
 		inv := 1 / l

@@ -51,14 +51,7 @@ func TestFlashLogitsClose(t *testing.T) {
 	p := prompt(std, 12, 92)
 
 	hidden := func(e *Engine) []float32 {
-		s := e.NewSession(1, 32)
-		d := cfg.DModel
-		x := make([]float32, len(p)*d)
-		for i, tok := range p {
-			e.embed(tok, i, x[i*d:(i+1)*d])
-		}
-		e.forwardSeq(s.caches[0], x, len(p), 0)
-		return x[(len(p)-1)*d:]
+		return hiddenStates(e, p)[(len(p)-1)*cfg.DModel:]
 	}
 	a, b := hidden(std), hidden(flash)
 	for i := range a {

@@ -8,10 +8,7 @@ package engine
 // tail — causal attention makes the combination bit-identical to a cold
 // prefill of the whole prompt.
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // ForkPagedSession returns a new session whose KV caches alias the first
 // prefix positions of src copy-on-write (whole blocks shared, the
@@ -47,47 +44,11 @@ func (e *Engine) PrefillResume(s *Session, prompts [][]int) ([]int, error) {
 	if len(prompts) != s.Batch() {
 		return nil, fmt.Errorf("engine: %d prompts for batch %d", len(prompts), s.Batch())
 	}
-	rows := len(prompts[0])
 	if s.pos <= 0 {
 		return nil, fmt.Errorf("engine: PrefillResume on an unfilled session; use Prefill")
 	}
-	if s.pos >= rows {
+	if rows := len(prompts[0]); s.pos >= rows {
 		return nil, fmt.Errorf("engine: nothing to resume (%d committed of %d prompt positions)", s.pos, rows)
 	}
-	d := e.cfg.DModel
-	for _, prompt := range prompts {
-		if len(prompt) != rows {
-			return nil, fmt.Errorf("engine: ragged prompts (%d vs %d); pad the batch", len(prompt), rows)
-		}
-		if err := e.checkTokens(prompt); err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	from := s.pos
-	n := rows - from
-	logits := make([][]float32, len(prompts))
-	err := e.forEachSeq(len(prompts), func(b int) error {
-		x := make([]float32, n*d)
-		for i := 0; i < n; i++ {
-			e.embed(prompts[b][from+i], from+i, x[i*d:(i+1)*d])
-		}
-		e.forwardSeq(s.caches[b], x, n, from)
-		s.caches[b].ExtendTo(rows)
-		logits[b] = e.logits(x[(n-1)*d:])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sampler *Sampler
-	next := make([]int, len(prompts))
-	for b := range next {
-		next[b] = sampler.Sample(logits[b])
-	}
-	s.pos = rows
-	if h := e.opts.Hooks.OnPrefill; h != nil {
-		h(len(prompts), n, time.Since(start))
-	}
-	return next, nil
+	return e.prefillFrom(s, prompts, 0, nil)
 }

@@ -130,10 +130,10 @@ func TestAdoptPrefixCopyOnWrite(t *testing.T) {
 		t.Fatalf("shared=%d owned=%d, want %d and %d",
 			c.SharedBlocks(), c.AllocatedBlocks(), 2*layers, layers)
 	}
-	if &c.RowK(0, 3)[0] != &src.RowK(0, 3)[0] {
+	if &rowK(c, 0, 3)[0] != &rowK(src, 0, 3)[0] {
 		t.Error("whole prefix block not aliased")
 	}
-	if &c.RowK(0, 17)[0] == &src.RowK(0, 17)[0] {
+	if &rowK(c, 0, 17)[0] == &rowK(src, 0, 17)[0] {
 		t.Error("boundary block aliased, want an eager copy")
 	}
 
@@ -142,10 +142,10 @@ func TestAdoptPrefixCopyOnWrite(t *testing.T) {
 	if c.SharedBlocks() != 2*layers-1 {
 		t.Errorf("shared count %d after copy-on-write, want %d", c.SharedBlocks(), 2*layers-1)
 	}
-	if got := src.RowK(0, 2)[0]; got != 2 {
+	if got := rowK(src, 0, 2)[0]; got != 2 {
 		t.Errorf("parent row mutated through the fork: %v", got)
 	}
-	if got := c.RowK(0, 2)[0]; got != 99 {
+	if got := rowK(c, 0, 2)[0]; got != 99 {
 		t.Errorf("fork write lost: %v", got)
 	}
 

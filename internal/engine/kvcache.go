@@ -16,11 +16,14 @@ type KVStore interface {
 	// Len returns the number of committed positions; Cap the maximum.
 	Len() int
 	Cap() int
-	// RowK and RowV return one position's key/value vector. Rows written
-	// by Put are readable even before ExtendTo commits them (speculative
-	// verification depends on this).
-	RowK(layer, pos int) []float32
-	RowV(layer, pos int) []float32
+	// Run returns the key and value rows of one layer from position pos to
+	// the end of the contiguous storage that holds pos — the rest of a
+	// dense cache, the rest of a paged block — row-major [n, kvDim], n ≥ 1.
+	// Attention walks a context run by run instead of row by row. Rows
+	// written by Put are readable even before ExtendTo commits them
+	// (speculative verification depends on this); rows never written are
+	// garbage the caller must not read.
+	Run(layer, pos int) (k, v []float32)
 	// Bytes returns the store's current memory footprint.
 	Bytes() int64
 }
@@ -95,16 +98,11 @@ func (c *KVCache) Values(layer int) []float32 {
 	return c.v[off : off+c.n*c.kvDim]
 }
 
-// RowK returns the key vector at one position (sharing storage).
-func (c *KVCache) RowK(layer, pos int) []float32 {
-	off := (layer*c.maxSeq + pos) * c.kvDim
-	return c.k[off : off+c.kvDim]
-}
-
-// RowV returns the value vector at one position (sharing storage).
-func (c *KVCache) RowV(layer, pos int) []float32 {
-	off := (layer*c.maxSeq + pos) * c.kvDim
-	return c.v[off : off+c.kvDim]
+// Run returns the layer's key and value rows from pos to the cache's
+// capacity (sharing storage).
+func (c *KVCache) Run(layer, pos int) (k, v []float32) {
+	lo, hi := (layer*c.maxSeq+pos)*c.kvDim, (layer+1)*c.maxSeq*c.kvDim
+	return c.k[lo:hi], c.v[lo:hi]
 }
 
 // KeysAt returns the keys of a layer up to n positions regardless of the

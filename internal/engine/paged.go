@@ -100,27 +100,17 @@ func (c *PagedKVCache) Put(layer, pos int, key, value []float32) {
 	copy(c.v[layer][b][off:off+c.kvDim], value)
 }
 
-// RowK returns the key vector at one position. The block must have been
-// written (reading an untouched block panics, catching misuse early).
-func (c *PagedKVCache) RowK(layer, pos int) []float32 {
+// Run returns the key and value rows from pos to the end of its block.
+// The block must have been written (reading an untouched block panics,
+// catching misuse early).
+func (c *PagedKVCache) Run(layer, pos int) (k, v []float32) {
 	c.check(layer, pos)
-	b := c.k[layer][pos/c.blockSize]
-	if b == nil {
+	b := pos / c.blockSize
+	if c.k[layer][b] == nil {
 		panic(fmt.Sprintf("engine: read of unwritten kv block at layer %d pos %d", layer, pos))
 	}
 	off := (pos % c.blockSize) * c.kvDim
-	return b[off : off+c.kvDim]
-}
-
-// RowV returns the value vector at one position.
-func (c *PagedKVCache) RowV(layer, pos int) []float32 {
-	c.check(layer, pos)
-	b := c.v[layer][pos/c.blockSize]
-	if b == nil {
-		panic(fmt.Sprintf("engine: read of unwritten kv block at layer %d pos %d", layer, pos))
-	}
-	off := (pos % c.blockSize) * c.kvDim
-	return b[off : off+c.kvDim]
+	return c.k[layer][b][off:], c.v[layer][b][off:]
 }
 
 // ExtendTo commits positions up to n (exclusive).

@@ -113,9 +113,15 @@ func TestPagedTruncateFreesBlocks(t *testing.T) {
 		t.Error("length wrong after truncate")
 	}
 	// Surviving data intact.
-	if c.RowK(0, 8)[0] != 1 {
+	if rowK(c, 0, 8)[0] != 1 {
 		t.Error("surviving block corrupted")
 	}
+}
+
+// rowK returns the key row at one position.
+func rowK(c KVStore, layer, pos int) []float32 {
+	k, _ := c.Run(layer, pos)
+	return k
 }
 
 func TestPagedPanics(t *testing.T) {
@@ -132,7 +138,7 @@ func TestPagedPanics(t *testing.T) {
 	mustPanic("bad dim", func() { c.Put(0, 0, []float32{1}, []float32{1, 2}) })
 	mustPanic("bad layer", func() { c.Put(1, 0, []float32{1, 2}, []float32{1, 2}) })
 	mustPanic("bad pos", func() { c.Put(0, 8, []float32{1, 2}, []float32{1, 2}) })
-	mustPanic("unwritten read", func() { c.RowK(0, 0) })
+	mustPanic("unwritten read", func() { c.Run(0, 0) })
 	mustPanic("bad extend", func() { c.ExtendTo(9) })
 	c.Put(0, 0, []float32{1, 2}, []float32{3, 4})
 	c.ExtendTo(1)
@@ -145,8 +151,10 @@ func TestPagedRoundTripProperty(t *testing.T) {
 		c := NewPagedKVCache(3, 2, 16, 4)
 		layer, pos := int(layerRaw%3), int(posRaw%16)
 		c.Put(layer, pos, []float32{a, b}, []float32{b, a})
-		k, v := c.RowK(layer, pos), c.RowV(layer, pos)
-		return k[0] == a && k[1] == b && v[0] == b && v[1] == a
+		k, v := c.Run(layer, pos)
+		run := c.blockSize - pos%c.blockSize // rows to the end of the block
+		return len(k) == 2*run && len(v) == 2*run &&
+			k[0] == a && k[1] == b && v[0] == b && v[1] == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

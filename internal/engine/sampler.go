@@ -123,13 +123,7 @@ func (e *Engine) GenerateWith(prompts [][]int, opts GenerateOptions) ([][]int, S
 	s := e.NewSession(len(prompts), len(prompts[0])+opts.MaxNew)
 
 	timer := newTimer()
-	var toks []int
-	var err error
-	if opts.PrefillChunk > 0 {
-		toks, err = e.PrefillChunked(s, prompts, opts.PrefillChunk, opts.Sampler)
-	} else {
-		toks, err = e.prefillSample(s, prompts, opts.Sampler)
-	}
+	toks, err := e.prefillSample(s, prompts, opts.PrefillChunk, opts.Sampler)
 	if err != nil {
 		return nil, Stats{}, err
 	}

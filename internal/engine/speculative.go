@@ -173,16 +173,10 @@ func (e *Engine) VerifyRows(s *Session, toks []int) ([]int, error) {
 	if err := e.checkTokens(toks); err != nil {
 		return nil, err
 	}
-	d := e.cfg.DModel
-	rows := len(toks)
-	x := make([]float32, rows*d)
-	for i, tok := range toks {
-		e.embed(tok, s.pos+i, x[i*d:(i+1)*d])
-	}
-	e.forwardSeq(s.caches[0], x, rows, s.pos)
-	next := make([]int, rows)
-	for i := 0; i < rows; i++ {
-		next[i] = kernels.Argmax(e.logits(x[i*d : (i+1)*d]))
+	e.forwardTokens(&s.ar, s.caches, toks, s.pos)
+	next := make([]int, len(toks))
+	for i := range next {
+		next[i] = kernels.Argmax(e.rowLogits(&s.ar, i))
 	}
 	return next, nil
 }

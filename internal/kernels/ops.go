@@ -60,15 +60,6 @@ func RMSNorm(x, gain []float32, eps float32) {
 	}
 }
 
-// ReLU applies max(0, x) in place (OPT FFN activation).
-func ReLU(x []float32) {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
-	}
-}
-
 // SiLU applies x·sigmoid(x) in place (LLaMA-2 FFN activation).
 func SiLU(x []float32) {
 	for i, v := range x {
@@ -82,20 +73,6 @@ func GELU(x []float32) {
 	for i, v := range x {
 		t := float64(c) * float64(v+0.044715*v*v*v)
 		x[i] = 0.5 * v * (1 + float32(math.Tanh(t)))
-	}
-}
-
-// AddBias adds bias elementwise to x in place.
-func AddBias(x, bias []float32) {
-	for i := range x {
-		x[i] += bias[i]
-	}
-}
-
-// Add accumulates src into dst in place (residual connections).
-func Add(dst, src []float32) {
-	for i := range dst {
-		dst[i] += src[i]
 	}
 }
 

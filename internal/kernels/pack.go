@@ -28,24 +28,28 @@ import (
 const PanelCols = TileRows
 
 // PackedB is a weight matrix repacked into column panels (see package
-// comment above). BF16 marks that values were rounded to bfloat16 at pack
-// time; kernels consuming a BF16 pack round their activation operand to
-// match AMX TMUL numerics.
+// comment above). BF16 selects the numerics: the values were rounded to
+// bfloat16 at pack time, and kernels consuming the pack round their
+// activation operand too (and skip zero activations), matching AMX TMUL.
+// How the values are stored is a separate matter, decided by the data:
+// exactly one of data and bf is set.
 type PackedB struct {
 	K, N int
 	BF16 bool
-	data []float32 // FP32 pack
-	// bf is a BF16 pack: the pre-rounded values kept as their upper 16
-	// bits (widening back is exact), halving the bytes a GEMV streams. A
-	// panel row is bf16Words words; word j holds column j in its low half
-	// and column j+bf16Words in its high half, so a kernel widens both with
+	data []float32 // 32-bit storage
+	// bf is 16-bit storage, used whenever every value is a bfloat16 — a
+	// BF16 pack always, an FP32 pack when its weights happen to be (a
+	// checkpoint kept in BF16): the values kept as their upper 16 bits
+	// (widening back is exact), halving the bytes a GEMV streams. A panel
+	// row is bf16Words words; word j holds column j in its low half and
+	// column j+bf16Words in its high half, so a kernel widens both with
 	// one shift and one mask — a whole row per vector pair.
 	bf []uint32
-	// finite records, for a BF16 pack, that no value is ±Inf or NaN. The
-	// av == 0 skip only changes a result when it avoids 0·Inf or 0·NaN;
-	// over finite weights the skipped product is ±0 and the accumulator,
-	// which starts at +0 and so is never −0, absorbs it unchanged — which
-	// is what lets the SIMD kernels run BF16 packs without the branch.
+	// finite records that no value in bf is ±Inf or NaN. The BF16 av == 0
+	// skip only changes a result when it avoids 0·Inf or 0·NaN; over
+	// finite weights the skipped product is ±0 and the accumulator, which
+	// starts at +0 and so is never −0, absorbs it unchanged — which is
+	// what lets the SIMD kernels run BF16 packs without the branch.
 	finite bool
 }
 
@@ -58,11 +62,28 @@ func (pb *PackedB) Panels() int { return (pb.N + PanelCols - 1) / PanelCols }
 // Bytes returns the packed storage footprint.
 func (pb *PackedB) Bytes() int64 { return int64(len(pb.data))*4 + int64(len(pb.bf))*4 }
 
-// packInto packs the k×n matrix whose element (p, j) is b[p*rowStep+j*colStep].
+// allBF16 reports whether every value survives a round trip through
+// tensor.ToBF16 bit for bit: its low 16 bits are zero (rounding then adds
+// nothing that carries) and, if it is a NaN, it is already quiet. Weights
+// that are not bfloat16 stop the scan within a few values.
+func allBF16(b []float32) bool {
+	for _, v := range b {
+		bits := math.Float32bits(v)
+		if bits&0xffff != 0 || (v != v && bits&0x400000 == 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// packInto packs the k×n matrix whose element (p, j) is b[p*rowStep+j*colStep]
+// (all of b[:k*n], in some order). round selects BF16 numerics; storage is
+// 16-bit when the values allow it.
 func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB {
 	panels := (n + PanelCols - 1) / PanelCols
 	pb := &PackedB{K: k, N: n, BF16: round, finite: true}
-	if round {
+	narrow := round || allBF16(b[:k*n])
+	if narrow {
 		pb.bf = make([]uint32, panels*k*bf16Words)
 	} else {
 		pb.data = make([]float32, panels*k*PanelCols)
@@ -73,17 +94,20 @@ func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB 
 		for p := 0; p < k; p++ {
 			src := b[p*rowStep+j0*colStep:]
 			row := pn*k + p
-			if round {
+			if narrow {
 				dst := pb.bf[row*bf16Words : (row+1)*bf16Words]
 				for j := 0; j < w; j++ {
-					h := tensor.ToBF16(src[j*colStep])
+					h := math.Float32bits(src[j*colStep]) >> 16 // exact when !round
+					if round {
+						h = uint32(tensor.ToBF16(src[j*colStep]))
+					}
 					if h&0x7f80 == 0x7f80 { // ±Inf or NaN
 						pb.finite = false
 					}
 					if j < bf16Words {
-						dst[j] = uint32(h)
+						dst[j] = h
 					} else {
-						dst[j-bf16Words] |= uint32(h) << 16
+						dst[j-bf16Words] |= h << 16
 					}
 				}
 			} else {
@@ -97,7 +121,7 @@ func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB 
 	return pb
 }
 
-// PackB packs row-major B (k×n) into the panel layout, FP32 values.
+// PackB packs row-major B (k×n) into the panel layout, FP32 numerics.
 func PackB(k, n int, b []float32) *PackedB {
 	if len(b) < k*n {
 		panic(fmt.Sprintf("kernels: PackB %dx%d: slice too short (%d)", k, n, len(b)))
@@ -146,10 +170,10 @@ func gemmPackedPanelsGo(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []floa
 		for i := i0; i < i1; i++ {
 			arow := a[i*k : i*k+k]
 			var acc [PanelCols]float32
-			if pb.BF16 {
+			if pb.bf != nil {
 				panel := pb.bf[pn*k*bf16Words : (pn+1)*k*bf16Words]
 				for p, av := range arow {
-					if av == 0 {
+					if av == 0 && pb.BF16 {
 						continue
 					}
 					for j, word := range panel[p*bf16Words : (p+1)*bf16Words] {
@@ -201,14 +225,14 @@ func gemmPackedSerial(m int, a []float32, pb *PackedB, c []float32, generic bool
 		var stack [1024]float32
 		need := m * pb.K
 		if need <= len(stack) {
-			a = roundBF16Into(stack[:need], a)
+			a = RoundBF16Into(stack[:need], a)
 		} else {
 			buf := roundScratch.Get().(*[]float32)
 			defer roundScratch.Put(buf)
 			if cap(*buf) < need {
 				*buf = make([]float32, need)
 			}
-			a = roundBF16Into((*buf)[:need], a)
+			a = RoundBF16Into((*buf)[:need], a)
 		}
 	}
 	if generic {
@@ -221,15 +245,6 @@ func gemmPackedSerial(m int, a []float32, pb *PackedB, c []float32, generic bool
 // roundScratch recycles GemmPacked's rounded-activation copies that do not
 // fit its stack buffer.
 var roundScratch = sync.Pool{New: func() any { return new([]float32) }}
-
-// roundBF16Into writes src rounded to bfloat16 into dst (len(dst) values)
-// and returns dst.
-func roundBF16Into(dst, src []float32) []float32 {
-	for i, v := range src[:len(dst)] {
-		dst[i] = tensor.RoundBF16(v)
-	}
-	return dst
-}
 
 // GemvPacked computes y = x·B for a single activation row — the decode
 // GEMV shape the paper identifies as memory-bound.
@@ -297,7 +312,7 @@ func GemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c 
 			j.ar = make([]float32, need)
 		}
 		j.ar = j.ar[:need]
-		a = roundBF16Into(j.ar, a)
+		a = RoundBF16Into(j.ar, a)
 	}
 	workers := p.Workers()
 	panels := pb.Panels()

@@ -276,12 +276,19 @@ func TestGemmPackedPooledZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestPackedBBytesAndPanels(t *testing.T) {
-	pb := PackB(10, 33, make([]float32, 10*33))
+	b := make([]float32, 10*33)
+	b[7] = 1.1 // not a bfloat16: 32-bit storage
+	pb := PackB(10, 33, b)
 	if got, want := pb.Panels(), 3; got != want {
 		t.Errorf("Panels() = %d, want %d", got, want)
 	}
 	if got, want := pb.Bytes(), int64(3*10*PanelCols*4); got != want {
 		t.Errorf("Bytes() = %d, want %d", got, want)
+	}
+	// Storage follows the data: all-bfloat16 values take 16 bits each.
+	b[7] = 1.5
+	if got, want := PackB(10, 33, b).Bytes(), int64(3*10*PanelCols*2); got != want {
+		t.Errorf("Bytes() of bfloat16-representable weights = %d, want %d", got, want)
 	}
 	if runtime.GOMAXPROCS(0) < 1 {
 		t.Fatal("impossible")

@@ -31,7 +31,7 @@ func MulAddPeak(iters int, simd bool) (flops int64) {
 		a[i] = float32(i%7) - 3
 	}
 	for i := range b {
-		b[i] = 1.0 / (1 << 20)
+		b[i] = (1 + 1.0/(1<<20)) / (1 << 20) // not a bfloat16: the pack keeps 32-bit storage
 	}
 	pb := PackB(k, PanelCols, b)
 	var c [PanelCols]float32

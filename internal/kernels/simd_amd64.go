@@ -79,15 +79,16 @@ func gemmPanelsSIMD(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32)
 		j0 := pn * PanelCols
 		copy(c[i*n+j0:i*n+min(j0+PanelCols, n)], acc[q*PanelCols:(q+1)*PanelCols])
 	}
+	narrow := pb.bf != nil
 	stride := k * PanelCols
-	if pb.BF16 {
+	if narrow {
 		stride = k * bf16Words
 	}
 	if i1-i0 == 1 {
 		arow := &a[i0*k]
 		for pn, last := pn0, pn1-1; pn < pn1; pn += 4 {
 			p0, p1, p2, p3 := pn*stride, min(pn+1, last)*stride, min(pn+2, last)*stride, min(pn+3, last)*stride
-			if pb.BF16 {
+			if narrow {
 				gemv4BF16(arow, k, &pb.bf[p0], &pb.bf[p1], &pb.bf[p2], &pb.bf[p3], &acc)
 			} else {
 				gemv4F32(arow, k, &pb.data[p0], &pb.data[p1], &pb.data[p2], &pb.data[p3], &acc)
@@ -101,7 +102,7 @@ func gemmPanelsSIMD(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32)
 	for pn := pn0; pn < pn1; pn++ {
 		for i, last := i0, i1-1; i < i1; i += rowBlock {
 			a0, a1, a2, a3 := &a[i*k], &a[min(i+1, last)*k], &a[min(i+2, last)*k], &a[min(i+3, last)*k]
-			if pb.BF16 {
+			if narrow {
 				gemm4BF16(a0, a1, a2, a3, k, &pb.bf[pn*stride], &acc)
 			} else {
 				gemm4F32(a0, a1, a2, a3, k, &pb.data[pn*stride], &acc)
