@@ -206,24 +206,26 @@ overload-demo:
 	exit $$st
 
 # One benchmark per paper table/figure plus kernel/engine/ablation benches,
-# then the decode-batching sweep (per-seq GEMV loop vs fused batch GEMM),
-# which seeds the perf trajectory artifact BENCH_decode.json.
+# then the decode sweep, which rewrites the perf trajectory artifact
+# BENCH_decode.json.
 bench: bench-decode
 	$(GO) test -bench=. -benchmem ./...
 
 # This host's measured roofline (STREAM triad GB/s, mul+add GFLOP/s), the
-# decode-shape kernel sweep against it (per-seq loop | packed Go loop |
-# packed SIMD + pool, GFLOP/s and GB/s each), the vector op sweep (Go loop
-# | SIMD), the operator-class breakdown of a decode step and of a prefill,
-# and tiny-engine decode tok/s fused vs per-sequence baseline. Writes
-# BENCH_decode.json; fails if a SIMD op is slower than its Go loop.
+# decode-shape kernel sweep against it (packed Go loop | packed SIMD +
+# pool, GFLOP/s and GB/s each), the vector op sweep (Go loop | SIMD), the
+# operator-class breakdown of a decode step and of a prefill, and
+# tiny-engine decode tok/s by batch. Writes BENCH_decode.json; fails if a
+# SIMD op is slower than its Go loop.
 bench-decode:
 	$(GO) run ./cmd/gemmbench -decode -json BENCH_decode.json
 
-# CI-sized variant: smaller shapes, fewer reps, still writes the artifact
-# and still fails on a SIMD op slower than its Go loop.
+# CI-sized variant: smaller shapes, fewer reps, still fails on a SIMD op
+# slower than its Go loop. Its JSON goes under the gitignored .bench_build/
+# so the committed full-size artifact is not overwritten.
 bench-decode-short:
-	$(GO) run ./cmd/gemmbench -decode -short -json BENCH_decode.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/gemmbench -decode -short -json .bench_build/BENCH_decode.json
 
 # Speculative decoding sweep: measured draft+verify vs fused greedy
 # baseline across kernel tiers and acceptance rates (bit-identity asserted
@@ -233,9 +235,10 @@ bench-spec:
 	$(GO) run ./cmd/gemmbench -spec -json BENCH_specdec.json
 
 # CI-sized variant: one kernel tier, one acceptance rate, same modeled
-# sweep and the same >= 1.5x tile-tier self-check.
+# sweep and the same >= 1.5x tile-tier self-check; JSON under .bench_build/.
 bench-spec-short:
-	$(GO) run ./cmd/gemmbench -spec -short -json BENCH_specdec.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/gemmbench -spec -short -json .bench_build/BENCH_specdec.json
 
 # Regenerate every table and figure of the evaluation as text.
 figures:

@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/quant"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/workload"
@@ -100,53 +99,6 @@ func BenchmarkCacheBlockedGemm(b *testing.B) {
 	b.ReportMetric(r*100, "l1_miss_pct")
 }
 
-// --- quantization kernels ----------------------------------------------------
-
-func BenchmarkQuantGemvInt4(b *testing.B) {
-	const m, k = 256, 256
-	w := make([]float32, m*k)
-	for i := range w {
-		w[i] = float32(i%17) * 0.01
-	}
-	g, err := quant.QuantizeInt4(w, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float32, k)
-	y := make([]float32, m)
-	for i := range x {
-		x[i] = 0.5
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := quant.GemvInt4(m, k, g, x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(g.Bytes()), "weight_bytes")
-}
-
-func BenchmarkQuantGemvInt8(b *testing.B) {
-	const m, k = 256, 256
-	w := make([]float32, m*k)
-	for i := range w {
-		w[i] = float32(i%17) * 0.01
-	}
-	g, err := quant.QuantizeInt8(w, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float32, k)
-	y := make([]float32, m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := quant.GemvInt8(m, k, g, x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(g.Bytes()), "weight_bytes")
-}
-
 // --- extension ablations -------------------------------------------------------
 
 func benchAblation(b *testing.B, key string, row, col int, metric string) {
@@ -231,14 +183,14 @@ func benchEngineSession(b *testing.B, paged bool) {
 func BenchmarkEngineDenseSession(b *testing.B) { benchEngineSession(b, false) }
 func BenchmarkEnginePagedSession(b *testing.B) { benchEngineSession(b, true) }
 
-// --- flash vs standard attention ---------------------------------------------------
+// --- attention over a longer context -----------------------------------------------
 
-func benchEngineAttention(b *testing.B, flash bool) {
+func BenchmarkEngineStandardAttention(b *testing.B) {
 	w, err := engine.NewWeights(model.Tiny(model.LLaMA2), 42, tensor.BF16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.New(w, engine.Options{Kernel: engine.KernelBlocked, FlashAttention: flash})
+	e, err := engine.New(w, engine.Options{Kernel: engine.KernelBlocked})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -250,9 +202,6 @@ func benchEngineAttention(b *testing.B, flash bool) {
 		}
 	}
 }
-
-func BenchmarkEngineStandardAttention(b *testing.B) { benchEngineAttention(b, false) }
-func BenchmarkEngineFlashAttention(b *testing.B)    { benchEngineAttention(b, true) }
 
 // --- chunked-prefill serving --------------------------------------------------------
 

@@ -290,24 +290,8 @@ func BenchmarkGemmNaive128(b *testing.B) {
 	benchGemm(b, 128, func(n int, a, bm, c []float32) { kernels.GemmNaive(n, n, n, a, bm, c) })
 }
 
-func BenchmarkGemmBlocked128(b *testing.B) {
-	benchGemm(b, 128, func(n int, a, bm, c []float32) { kernels.GemmBlocked(n, n, n, a, bm, c) })
-}
-
-func BenchmarkGemmBlocked512(b *testing.B) {
-	benchGemm(b, 512, func(n int, a, bm, c []float32) { kernels.GemmBlocked(n, n, n, a, bm, c) })
-}
-
-func BenchmarkGemmParallel512(b *testing.B) {
-	benchGemm(b, 512, func(n int, a, bm, c []float32) { kernels.GemmParallel(n, n, n, a, bm, c, 0) })
-}
-
 func BenchmarkGemmTileBF16x128(b *testing.B) {
 	benchGemm(b, 128, func(n int, a, bm, c []float32) { kernels.GemmTileBF16(n, n, n, a, bm, c) })
-}
-
-func BenchmarkGemmTileBF16Parallel512(b *testing.B) {
-	benchGemm(b, 512, func(n int, a, bm, c []float32) { kernels.GemmTileBF16Parallel(n, n, n, a, bm, c, 0) })
 }
 
 func BenchmarkGemmInt8x128(b *testing.B) {

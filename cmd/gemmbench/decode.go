@@ -33,7 +33,7 @@ type hostBlock struct {
 	MulAddGFLOPs1 float64 `json:"muladd_gflops_1thread"`
 	MulAddGFLOPs  float64 `json:"muladd_gflops"`
 	// The same ceiling for the portable Go loop (one thread): what the
-	// perseq and packed_scalar columns can reach at best.
+	// packed_scalar column can reach at best.
 	MulAddScalarGFLOPs1 float64 `json:"muladd_scalar_gflops_1thread"`
 }
 
@@ -53,8 +53,8 @@ type kernelRate struct {
 }
 
 // kernelPoint is one decode-shape GEMM, M rows × a [k,n] weight, computed
-// three ways. PackedScalar → Packed is the before/after pair of the SIMD
-// micro-kernel; PerSeq is the legacy unpacked per-sequence loop.
+// two ways: PackedScalar → Packed is the before/after pair of the SIMD
+// micro-kernel.
 type kernelPoint struct {
 	Tier         string     `json:"tier"`
 	M            int        `json:"m"`
@@ -62,28 +62,23 @@ type kernelPoint struct {
 	N            int        `json:"n"`
 	WeightMB     float64    `json:"weight_mb"` // packed bytes streamed per call
 	Reps         int        `json:"reps"`
-	PerSeq       kernelRate `json:"perseq"`        // unpacked scalar kernel, one row at a time
 	PackedScalar kernelRate `json:"packed_scalar"` // packed, portable Go loop, serial
 	Packed       kernelRate `json:"packed"`        // packed as shipped: micro-kernel + pool
-	// Speedup is perseq / packed; SIMDSpeedup is packed_scalar / packed.
-	Speedup     float64 `json:"speedup"`
+	// SIMDSpeedup is packed_scalar / packed.
 	SIMDSpeedup float64 `json:"simd_speedup"`
 }
 
 // enginePoint is one end-to-end tiny-engine measurement at a batch size
 // (median of the repetitions).
 type enginePoint struct {
-	Family          string  `json:"family"`
-	Kernel          string  `json:"kernel"`
-	Batch           int     `json:"batch"`
-	PromptLen       int     `json:"prompt_len"`
-	NewTokens       int     `json:"new_tokens"`
-	Reps            int     `json:"reps"`
-	FusedDecodeTokS float64 `json:"fused_decode_toks"`
-	BaseDecodeTokS  float64 `json:"baseline_decode_toks"`
-	DecodeSpeedup   float64 `json:"decode_speedup"`
-	FusedPrefillS   float64 `json:"fused_prefill_seconds"`
-	BasePrefillS    float64 `json:"baseline_prefill_seconds"`
+	Family     string  `json:"family"`
+	Kernel     string  `json:"kernel"`
+	Batch      int     `json:"batch"`
+	PromptLen  int     `json:"prompt_len"`
+	NewTokens  int     `json:"new_tokens"`
+	Reps       int     `json:"reps"`
+	DecodeTokS float64 `json:"fused_decode_toks"`
+	PrefillS   float64 `json:"fused_prefill_seconds"`
 }
 
 // benchReport is the BENCH_decode.json schema.
@@ -228,8 +223,8 @@ func runDecode(jsonPath string, short bool) error {
 		h.GOARCH, h.SIMD, h.GOMAXPROCS, h.TriadGBs, h.TriadGBs1, h.MulAddGFLOPs, h.MulAddGFLOPs1, h.MulAddScalarGFLOPs1)
 
 	fmt.Printf("decode-shape kernel sweep  (median of %d reps; GFLOP/s | GB/s)\n", reps)
-	fmt.Printf("%-13s %-10s %3s  %15s  %15s  %15s  %7s  %7s\n",
-		"tier", "k×n", "M", "perseq", "packed scalar", "packed", "vs seq", "vs scal")
+	fmt.Printf("%-13s %-10s %3s  %15s  %15s  %7s\n",
+		"tier", "k×n", "M", "packed scalar", "packed", "vs scal")
 	rng := rand.New(rand.NewSource(1))
 	pool := kernels.NewPool(0)
 	defer pool.Close()
@@ -237,42 +232,25 @@ func runDecode(jsonPath string, short bool) error {
 		k, n := sh.k, sh.n
 		b := randMat(rng, k*n)
 		for _, tierName := range []string{"tile-bf16", "blocked-fp32"} {
-			var pb *kernels.PackedB
-			var perSeq func(m int, a, c []float32)
-			unpackedBytes := float64(4 * k * n)
+			pb := kernels.PackB(k, n, b)
 			if tierName == "tile-bf16" {
 				pb = kernels.PackBBF16(k, n, b)
-				perSeq = func(m int, a, c []float32) {
-					for i := 0; i < m; i++ {
-						kernels.GemmTileBF16(1, n, k, a[i*k:(i+1)*k], b, c[i*n:(i+1)*n])
-					}
-				}
-			} else {
-				pb = kernels.PackB(k, n, b)
-				perSeq = func(m int, a, c []float32) {
-					for i := 0; i < m; i++ {
-						kernels.GemmBlocked(1, n, k, a[i*k:(i+1)*k], b, c[i*n:(i+1)*n])
-					}
-				}
 			}
 			var job kernels.PackedJob
 			for _, m := range batches {
 				a, c := randMat(rng, m*k), make([]float32, m*n)
 				flops := 2 * float64(m) * float64(n) * float64(k)
-				io := float64(4 * m * (k + n)) // activations in, outputs out
+				bytes := float64(pb.Bytes()) + float64(4*m*(k+n)) // weights + activations in, outputs out
 				pt := kernelPoint{Tier: tierName, M: m, K: k, N: n, Reps: reps,
 					WeightMB: float64(pb.Bytes()) / (1 << 20)}
-				// The per-sequence loop re-reads the unpacked FP32 weight for every row.
-				pt.PerSeq = h.rate(timeReps(reps, func() { perSeq(m, a, c) }), flops, float64(m)*unpackedBytes+io)
-				pt.PackedScalar = h.rate(timeReps(reps, func() { kernels.GemmPackedGeneric(m, a, pb, c) }), flops, float64(pb.Bytes())+io)
-				pt.Packed = h.rate(timeReps(reps, func() { kernels.GemmPackedPooled(pool, &job, m, a, pb, c) }), flops, float64(pb.Bytes())+io)
-				pt.Speedup = pt.PerSeq.Seconds / pt.Packed.Seconds
+				pt.PackedScalar = h.rate(timeReps(reps, func() { kernels.GemmPackedGeneric(m, a, pb, c) }), flops, bytes)
+				pt.Packed = h.rate(timeReps(reps, func() { kernels.GemmPackedPooled(pool, &job, m, a, pb, c) }), flops, bytes)
 				pt.SIMDSpeedup = pt.PackedScalar.Seconds / pt.Packed.Seconds
 				rep.KernelSweep = append(rep.KernelSweep, pt)
 				cell := func(r kernelRate) string { return fmt.Sprintf("%6.2f | %6.2f", r.GFLOPs, r.GBs) }
-				fmt.Printf("%-13s %-10s %3d  %15s  %15s  %15s  %6.1fx  %6.1fx\n",
+				fmt.Printf("%-13s %-10s %3d  %15s  %15s  %6.1fx\n",
 					tierName, fmt.Sprintf("%d×%d", k, n), m,
-					cell(pt.PerSeq), cell(pt.PackedScalar), cell(pt.Packed), pt.Speedup, pt.SIMDSpeedup)
+					cell(pt.PackedScalar), cell(pt.Packed), pt.SIMDSpeedup)
 			}
 		}
 	}
@@ -281,8 +259,7 @@ func runDecode(jsonPath string, short bool) error {
 	rep.OpSweep = opSweep(h, reps)
 
 	fmt.Printf("\ntiny-engine decode throughput  (prompt 8, %d new tokens, median of %d reps)\n", newTokens, reps)
-	fmt.Printf("%-8s %-20s %6s  %12s  %12s  %8s\n",
-		"family", "kernel", "batch", "fused tok/s", "perseq tok/s", "speedup")
+	fmt.Printf("%-8s %-20s %6s  %12s  %12s\n", "family", "kernel", "batch", "decode tok/s", "prefill ms")
 	families := []model.Family{model.LLaMA2}
 	if !short {
 		families = append(families, model.OPT)
@@ -293,11 +270,7 @@ func runDecode(jsonPath string, short bool) error {
 		if err != nil {
 			return err
 		}
-		fused, err := engine.New(w, engine.Options{Kernel: kern})
-		if err != nil {
-			return err
-		}
-		base, err := engine.New(w, engine.Options{Kernel: kern, DisablePacking: true})
+		eng, err := engine.New(w, engine.Options{Kernel: kern})
 		if err != nil {
 			return err
 		}
@@ -310,24 +283,14 @@ func runDecode(jsonPath string, short bool) error {
 			for i := range prompts {
 				prompts[i] = workload.NewGenerator(int64(i+1)).Prompt(8, w.Config.Vocab)
 			}
-			fTokS, fPre, err := decodeTokS(fused, prompts, newTokens, reps)
+			tokS, pre, err := decodeTokS(eng, prompts, newTokens, reps)
 			if err != nil {
 				return err
 			}
-			bTokS, bPre, err := decodeTokS(base, prompts, newTokens, reps)
-			if err != nil {
-				return err
-			}
-			pt := enginePoint{
-				Family: famName, Kernel: kern.String(), Batch: batch,
-				PromptLen: 8, NewTokens: newTokens, Reps: reps,
-				FusedDecodeTokS: fTokS, BaseDecodeTokS: bTokS,
-				DecodeSpeedup: fTokS / bTokS,
-				FusedPrefillS: fPre, BasePrefillS: bPre,
-			}
+			pt := enginePoint{Family: famName, Kernel: kern.String(), Batch: batch,
+				PromptLen: 8, NewTokens: newTokens, Reps: reps, DecodeTokS: tokS, PrefillS: pre}
 			rep.EngineSweep = append(rep.EngineSweep, pt)
-			fmt.Printf("%-8s %-20s %6d  %12.1f  %12.1f  %7.2fx\n",
-				famName, pt.Kernel, batch, fTokS, bTokS, pt.DecodeSpeedup)
+			fmt.Printf("%-8s %-20s %6d  %12.1f  %12.3f\n", famName, pt.Kernel, batch, tokS, pre*1e3)
 		}
 	}
 

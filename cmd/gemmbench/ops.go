@@ -72,7 +72,7 @@ type classTime struct {
 // stepBreakdown decomposes one engine step into operator classes, each
 // class's operators replayed alone at the step's shapes over the step's
 // working set (every layer's own weights and KV rows, so a class streams
-// what the step streams). go_loop is the parent commit's way: Go-loop ops
+// what the step streams). go_loop is the way before PR 15: Go-loop ops
 // and one GEMM per sequence; simd is the shipped way. MeasuredMs is the
 // real engine's step; SumMs/MeasuredMs says how much of it the replay
 // accounts for.
@@ -266,7 +266,7 @@ func (s *stepReplay) resetUps() {
 }
 
 // linear runs the step's GEMMs: stacked into one M = B·rows call per
-// Linear, or (the parent's prefill) one call per sequence.
+// Linear, or (the prefill before PR 15) one call per sequence.
 func (s *stepReplay) linear(fused bool) {
 	m, calls := s.B*s.rows, 1
 	if !fused {

@@ -1,10 +1,10 @@
 package cachesim
 
-// Address-trace generators for the GEMM loop nests of package kernels.
-// Matrices are laid out contiguously: A at 0, B after A, C after B, four
-// bytes per float32 element. The generators visit the same element order
-// the corresponding kernels touch, so the simulated miss counts reflect
-// the kernels' actual locality.
+// Address-trace generators for two GEMM loop nests: the naive triple loop
+// (kernels.GemmNaive) and a cache-blocked one. Matrices are laid out
+// contiguously: A at 0, B after A, C after B, four bytes per float32
+// element. The generators visit the element order the loop nest touches,
+// so the simulated miss counts reflect its locality.
 
 const elemBytes = 4
 
@@ -30,7 +30,7 @@ func TraceGemmNaive(m, n, k int, visit func(addr uint64)) {
 	}
 }
 
-// Blocked-trace tile sizes mirror kernels.GemmBlocked.
+// Blocked-trace tile sizes: an MC×KC panel of A that stays L2-resident.
 const (
 	traceBlockM = 64
 	traceBlockN = 256

@@ -124,8 +124,7 @@ func TinyEngine(family string, kernel engine.Kernel) (*engine.Engine, error) {
 }
 
 // TinyEngineWith is TinyEngine with full Options control — callers can
-// share a kernels.Pool across engines (gateway lanes), disable weight
-// packing for baseline measurements, or attach hooks.
+// share a kernels.Pool across engines (gateway lanes) or attach hooks.
 func TinyEngineWith(family string, opts engine.Options) (*engine.Engine, error) {
 	var f model.Family
 	switch family {
@@ -140,7 +139,7 @@ func TinyEngineWith(family string, opts engine.Options) (*engine.Engine, error) 
 	if err != nil {
 		return nil, err
 	}
-	if opts.Kernel == engine.KernelInt8 || opts.Kernel == engine.KernelLUT {
+	if opts.Kernel == engine.KernelInt8 {
 		w.QuantizeAll()
 	}
 	return engine.New(w, opts)
@@ -167,7 +166,7 @@ func TinyDraftEngineWith(family string, opts engine.Options) (*engine.Engine, er
 	if err != nil {
 		return nil, err
 	}
-	if opts.Kernel == engine.KernelInt8 || opts.Kernel == engine.KernelLUT {
+	if opts.Kernel == engine.KernelInt8 {
 		w.QuantizeAll()
 	}
 	return engine.New(w, opts)

@@ -24,7 +24,6 @@ type arena struct {
 	gate   []float32 // [rows, dff], LLaMA-2 only
 	logits []float32 // [batch, vocab] — never [rows, vocab]: multi-row passes ask row by row
 	scores []float32 // [workers, ctxCap] attention score scratch, one strip per pool part
-	accs   []float64 // [workers, headDim] flash-attention accumulators
 	xq     []int8    // [seqRows, max(d,dff)] one sequence's int8 activations
 	next   []int     // [batch] sampled tokens, reused view
 
@@ -65,9 +64,7 @@ func (ar *arena) ensure(e *Engine, batch, seqRows, ctxCap int) {
 	}
 	if ctxCap > ar.ctxCap {
 		ar.ctxCap = ctxCap
-		workers := e.pool.Workers()
-		ar.scores = make([]float32, workers*ctxCap)
-		ar.accs = make([]float64, workers*e.cfg.HeadDim())
+		ar.scores = make([]float32, e.pool.Workers()*ctxCap)
 	}
 }
 
@@ -88,14 +85,10 @@ type attnJob struct {
 // RunPart implements kernels.Task.
 func (j *attnJob) RunPart(part, parts int) {
 	e, ar := j.e, j.ar
-	d, hd := e.cfg.DModel, e.cfg.HeadDim()
+	d := e.cfg.DModel
 	for r := part; r < len(j.caches)*j.rows; r += parts {
 		cache, pos := j.caches[r/j.rows], j.startPos+r%j.rows
-		q, att := ar.q[r*d:(r+1)*d], ar.att[r*d:(r+1)*d]
-		if e.opts.FlashAttention {
-			e.flashRow(cache, j.layer, pos, q, att, ar.accs[part*hd:(part+1)*hd])
-		} else {
-			e.attnRow(cache, j.layer, pos, q, att, ar.scores[part*ar.ctxCap:(part+1)*ar.ctxCap])
-		}
+		e.attnRow(cache, j.layer, pos, ar.q[r*d:(r+1)*d], ar.att[r*d:(r+1)*d],
+			ar.scores[part*ar.ctxCap:(part+1)*ar.ctxCap])
 	}
 }

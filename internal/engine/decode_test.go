@@ -12,7 +12,7 @@ import (
 )
 
 // tinyEngineOpts builds an engine over Tiny weights with full Options
-// control (tinyEngine fixes Workers=2 and default packing).
+// control.
 func tinyEngineOpts(t *testing.T, f model.Family, opts Options) *Engine {
 	t.Helper()
 	cfg := model.Tiny(f)
@@ -28,6 +28,15 @@ func tinyEngineOpts(t *testing.T, f model.Family, opts Options) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// sessionOf returns a dense session, or a paged one with blocks of `block`
+// positions.
+func sessionOf(e *Engine, paged bool, batch, maxSeq, block int) *Session {
+	if paged {
+		return e.NewPagedSession(batch, maxSeq, block)
+	}
+	return e.NewSession(batch, maxSeq)
 }
 
 func generateTokens(t *testing.T, e *Engine, batch, promptLen, maxNew int) [][]int {
@@ -75,11 +84,7 @@ func tracePass(t *testing.T, e *Engine, s *Session, steps int, fill func() ([]in
 		}
 	}
 	for b := range tr {
-		// A DisablePacking decode step leaves only its last sequence's
-		// logits behind.
-		if !e.opts.DisablePacking || len(tr) == 1 {
-			tr[b].last = append([]float32(nil), s.ar.logits[b*vocab:(b+1)*vocab]...)
-		}
+		tr[b].last = append([]float32(nil), s.ar.logits[b*vocab:(b+1)*vocab]...)
 	}
 	return tr
 }
@@ -91,9 +96,6 @@ func (a passTrace) diff(b passTrace) string {
 		}
 	}
 	for name, pair := range map[string][2][]float32{"prefill": {a.prefill, b.prefill}, "last-step": {a.last, b.last}} {
-		if pair[0] == nil || pair[1] == nil {
-			continue
-		}
 		for i := range pair[0] {
 			if math.Float32bits(pair[0][i]) != math.Float32bits(pair[1][i]) {
 				return fmt.Sprintf("%s logit %d is %x, want %x", name, i,
@@ -104,109 +106,82 @@ func (a passTrace) diff(b passTrace) string {
 	return ""
 }
 
-// TestFusedDecodeMatchesPerSeq is the tentpole invariant, over kernel tier
-// × family × dense/paged × standard/flash attention: however a sequence is
-// run — alone on the unpacked per-sequence baseline, stacked with B−1
-// others in one fused forward pass, prefilled in chunks, or resumed behind
-// an adopted prefix — it produces the same logits bits and the same
-// tokens, for B ∈ {1,3,4} × prompt rows ∈ {1,5,32}. (The INT8 tier keeps
-// one activation scale per sequence's row block, so a chunked or resumed
-// prefill is a different quantization there; it is held to fused ==
-// per-sequence only.)
+// TestFusedDecodeMatchesPerSeq is the engine-level invariant, over kernel
+// tier × family × dense/paged: however a sequence is run — alone, stacked
+// with B−1 others in one fused forward pass, prefilled in chunks, or
+// resumed behind an adopted prefix — it produces the same logits bits and
+// the same tokens, for B ∈ {1,3,4} × prompt rows ∈ {1,5,32}. The reference
+// is the same engine running the sequence by itself (B = 1, dense cache,
+// one prefill pass); what those bits are is pinned by the kernel oracles
+// (kernels/pack_test.go) and testdata/golden_tokens.json. (The INT8 tier
+// keeps one activation scale per sequence's row block, so a chunked or
+// resumed prefill is a different quantization there; it is held to fused
+// == per-sequence only.)
 func TestFusedDecodeMatchesPerSeq(t *testing.T) {
 	const steps, maxSeq = 3, 36
 	shapes := [][2]int{{1, 1}, {1, 5}, {1, 32}, {3, 1}, {3, 5}, {3, 32}, {4, 1}, {4, 5}, {4, 32}}
 	if testing.Short() {
 		shapes = [][2]int{{1, 32}, {3, 1}, {4, 5}}
 	}
-	tiers := []Kernel{KernelBlocked, KernelParallel, KernelTileBF16, KernelTileBF16Parallel, KernelInt8}
 	for _, f := range []model.Family{model.OPT, model.LLaMA2} {
-		for _, k := range tiers {
-			for _, flash := range []bool{false, true} {
-				fused := tinyEngineOpts(t, f, Options{Kernel: k, Workers: 2, FlashAttention: flash})
-				legacy := tinyEngineOpts(t, f, Options{Kernel: k, Workers: 2, FlashAttention: flash, DisablePacking: true})
-				// The reference: sequence b of a rows-token batch, alone on the
-				// unpacked baseline over a dense cache. Batches of any size
-				// draw their prompts from the same four.
-				type key struct{ rows, b int }
-				want := map[key]passTrace{}
-				promptOf := func(rows, b int) []int { return prompt(fused, rows, int64(100+b)) }
-				for _, shape := range shapes {
-					for b := 0; b < shape[0]; b++ {
-						if _, ok := want[key{shape[1], b}]; !ok {
-							s := legacy.NewSession(1, maxSeq)
-							want[key{shape[1], b}] = tracePass(t, legacy, s, steps, func() ([]int, error) {
-								return legacy.Prefill(s, [][]int{promptOf(shape[1], b)})
-							})[0]
-						}
-					}
+		for _, k := range allKernelTiers {
+			e := tinyEngineOpts(t, f, Options{Kernel: k})
+			// Batches of any size draw their prompts from the same four.
+			promptOf := func(rows, b int) []int { return prompt(e, rows, int64(100+b)) }
+			type key struct{ rows, b int }
+			refs := map[key]passTrace{}
+			want := func(rows, b int) passTrace {
+				ref, ok := refs[key{rows, b}]
+				if !ok {
+					s := e.NewSession(1, maxSeq)
+					ref = tracePass(t, e, s, steps, func() ([]int, error) {
+						return e.Prefill(s, [][]int{promptOf(rows, b)})
+					})[0]
+					refs[key{rows, b}] = ref
 				}
-				for _, paged := range []bool{false, true} {
-					session := func(e *Engine, batch int) *Session {
-						if paged {
-							return e.NewPagedSession(batch, maxSeq, 5) // blocks off the vector width
-						}
-						return e.NewSession(batch, maxSeq)
-					}
-					for _, shape := range shapes {
-						B, rows := shape[0], shape[1]
-						prompts := make([][]int, B)
-						for b := range prompts {
-							prompts[b] = promptOf(rows, b)
-						}
-						check := func(how string, e *Engine, s *Session, fill func() ([]int, error)) {
-							t.Helper()
-							for b, got := range tracePass(t, e, s, steps, fill) {
-								if d := want[key{rows, b}].diff(got); d != "" {
-									t.Fatalf("%s/%s paged=%v flash=%v B=%d rows=%d: %s, seq %d: %s",
-										f, k, paged, flash, B, rows, how, b, d)
-								}
-							}
-						}
-						s := session(fused, B)
-						check("fused", fused, s, func() ([]int, error) { return fused.Prefill(s, prompts) })
-						if rows < 32 { // the unpacked kernels are slow; short prompts cover the batch loop
-							s = session(legacy, B)
-							check("unpacked batch", legacy, s, func() ([]int, error) { return legacy.Prefill(s, prompts) })
-						}
-						if k == KernelInt8 {
-							continue
-						}
-						s = session(fused, B)
-						check("chunked", fused, s, func() ([]int, error) { return fused.PrefillChunked(s, prompts, 3, nil) })
-						if paged && rows > 1 {
-							parent := session(fused, B)
-							prefixes := make([][]int, B)
-							for b := range prefixes {
-								prefixes[b] = prompts[b][:rows/2]
-							}
-							if _, err := fused.Prefill(parent, prefixes); err != nil {
-								t.Fatal(err)
-							}
-							s, err := fused.ForkPagedSession(parent, rows/2)
-							if err != nil {
-								t.Fatal(err)
-							}
-							check("resumed", fused, s, func() ([]int, error) { return fused.PrefillResume(s, prompts) })
-						}
-					}
-				}
+				return ref
 			}
-		}
-	}
-}
-
-// TestFusedDecodeFlashAttention covers the pooled flash-attention row path.
-func TestFusedDecodeFlashAttention(t *testing.T) {
-	for _, f := range []model.Family{model.OPT, model.LLaMA2} {
-		fused := tinyEngineOpts(t, f, Options{Kernel: KernelTileBF16, FlashAttention: true})
-		legacy := tinyEngineOpts(t, f, Options{Kernel: KernelTileBF16, FlashAttention: true, DisablePacking: true})
-		got := generateTokens(t, fused, 4, 5, 8)
-		want := generateTokens(t, legacy, 4, 5, 8)
-		for b := range want {
-			for i := range want[b] {
-				if got[b][i] != want[b][i] {
-					t.Fatalf("%s flash: fused decode diverged at seq %d tok %d", f, b, i)
+			for _, paged := range []bool{false, true} {
+				session := func(batch int) *Session {
+					return sessionOf(e, paged, batch, maxSeq, 5) // blocks off the vector width
+				}
+				for _, shape := range shapes {
+					B, rows := shape[0], shape[1]
+					prompts := make([][]int, B)
+					for b := range prompts {
+						prompts[b] = promptOf(rows, b)
+					}
+					check := func(how string, s *Session, fill func() ([]int, error)) {
+						t.Helper()
+						for b, got := range tracePass(t, e, s, steps, fill) {
+							if d := want(rows, b).diff(got); d != "" {
+								t.Fatalf("%s/%s paged=%v B=%d rows=%d: %s, seq %d: %s",
+									f, k, paged, B, rows, how, b, d)
+							}
+						}
+					}
+					s := session(B)
+					check("fused", s, func() ([]int, error) { return e.Prefill(s, prompts) })
+					if k == KernelInt8 {
+						continue
+					}
+					s = session(B)
+					check("chunked", s, func() ([]int, error) { return e.PrefillChunked(s, prompts, 3, nil) })
+					if paged && rows > 1 {
+						parent := session(B)
+						prefixes := make([][]int, B)
+						for b := range prefixes {
+							prefixes[b] = prompts[b][:rows/2]
+						}
+						if _, err := e.Prefill(parent, prefixes); err != nil {
+							t.Fatal(err)
+						}
+						s, err := e.ForkPagedSession(parent, rows/2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check("resumed", s, func() ([]int, error) { return e.PrefillResume(s, prompts) })
+					}
 				}
 			}
 		}
@@ -246,34 +221,38 @@ func TestFusedDecodePagedSession(t *testing.T) {
 // TestDecodeStepZeroAlloc is the acceptance criterion: once the arena is
 // warm, a steady-state fused decode step performs ZERO heap allocations —
 // including the logits, which are served from the arena as a reused view.
+// A paged session allocates when a step opens a new block and at no other
+// time; its blocks here are wide enough that no measured step does.
 func TestDecodeStepZeroAlloc(t *testing.T) {
-	for _, k := range []Kernel{KernelBlocked, KernelTileBF16, KernelTileBF16Parallel, KernelInt8} {
+	for _, k := range allKernelTiers {
 		for _, f := range []model.Family{model.OPT, model.LLaMA2} {
-			e := tinyEngineOpts(t, f, Options{Kernel: k, Workers: 2})
-			s := e.NewSession(4, e.Config().MaxSeq)
-			prompts := make([][]int, 4)
-			for b := range prompts {
-				prompts[b] = prompt(e, 4, int64(b+1))
-			}
-			toks, err := e.Prefill(s, prompts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// One step warms the arena; AllocsPerRun then runs 1 warmup +
-			// 20 measured steps, all within MaxSeq.
-			toks, err = e.DecodeStep(s, toks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				var derr error
-				toks, derr = e.DecodeStep(s, toks)
-				if derr != nil {
-					t.Fatal(derr)
+			for _, paged := range []bool{false, true} {
+				e := tinyEngineOpts(t, f, Options{Kernel: k})
+				s := sessionOf(e, paged, 4, e.Config().MaxSeq, 32)
+				prompts := make([][]int, 4)
+				for b := range prompts {
+					prompts[b] = prompt(e, 4, int64(b+1))
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s/%s: DecodeStep allocated %v times per step, want 0", f, k, allocs)
+				toks, err := e.Prefill(s, prompts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One step warms the arena; AllocsPerRun then runs 1 warmup +
+				// 20 measured steps, all within the first 32 positions.
+				toks, err = e.DecodeStep(s, toks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				allocs := testing.AllocsPerRun(20, func() {
+					var derr error
+					toks, derr = e.DecodeStep(s, toks)
+					if derr != nil {
+						t.Fatal(derr)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s/%s paged=%v: DecodeStep allocated %v times per step, want 0", f, k, paged, allocs)
+				}
 			}
 		}
 	}
@@ -282,12 +261,14 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 // TestPrefillAllocsDoNotScaleWithDepth extends the guard to prefill: a
 // session's first pass sizes its caches and arena, and after that nothing
 // is allocated per layer or per linear — no rounding buffer, no score
-// strip, no scratch matrix — so a model three times as deep allocates
-// exactly as often; and a multi-row pass on the warm session allocates
-// only its result.
+// strip, no scratch matrix — so, the KV store's own allocations aside (a
+// paged cache has tables and blocks per layer), a model three times as
+// deep allocates exactly as often; and a multi-row pass on the warm
+// session allocates only its result.
 func TestPrefillAllocsDoNotScaleWithDepth(t *testing.T) {
-	for _, k := range []Kernel{KernelBlocked, KernelTileBF16, KernelTileBF16Parallel, KernelInt8} {
-		for _, flash := range []bool{false, true} {
+	const maxSeq, block = 32, 16
+	for _, k := range allKernelTiers {
+		for _, paged := range []bool{false, true} {
 			var allocs [2]float64
 			for i, layers := range []int{2, 6} {
 				cfg := model.Tiny(model.OPT)
@@ -297,19 +278,28 @@ func TestPrefillAllocsDoNotScaleWithDepth(t *testing.T) {
 					t.Fatal(err)
 				}
 				w.QuantizeAll()
-				e, err := New(w, Options{Kernel: k, Workers: 2, FlashAttention: flash})
+				e, err := New(w, Options{Kernel: k})
 				if err != nil {
 					t.Fatal(err)
 				}
+				session := func(batch int) *Session { return sessionOf(e, paged, batch, maxSeq, block) }
 				prompts := [][]int{prompt(e, 12, 1), prompt(e, 12, 2), prompt(e, 12, 3)}
-				var s *Session
 				allocs[i] = testing.AllocsPerRun(5, func() {
-					s = e.NewSession(len(prompts), 32)
-					if _, err := e.Prefill(s, prompts); err != nil {
+					if _, err := e.Prefill(session(len(prompts)), prompts); err != nil {
 						t.Fatal(err)
 					}
 				})
-				s1 := e.NewSession(1, 32)
+				// What the session and its KV stores allocate by themselves:
+				// the prompt touches each layer's first block only.
+				row := make([]float32, cfg.KVDim())
+				allocs[i] -= testing.AllocsPerRun(5, func() {
+					for _, c := range session(len(prompts)).caches {
+						for l := 0; l < layers; l++ {
+							c.Put(l, 0, row, row)
+						}
+					}
+				})
+				s1 := session(1)
 				if _, err := e.Prefill(s1, prompts[:1]); err != nil {
 					t.Fatal(err)
 				}
@@ -319,12 +309,12 @@ func TestPrefillAllocsDoNotScaleWithDepth(t *testing.T) {
 					}
 				})
 				if verify != 1 {
-					t.Errorf("%s flash=%v: warm VerifyRows allocated %v times, want 1 (its result)", k, flash, verify)
+					t.Errorf("%s paged=%v: warm VerifyRows allocated %v times, want 1 (its result)", k, paged, verify)
 				}
 			}
 			if allocs[0] != allocs[1] || allocs[0] > 40 {
-				t.Errorf("%s flash=%v: session + prefill allocated %v times at 2 layers, %v at 6; want equal and small",
-					k, flash, allocs[0], allocs[1])
+				t.Errorf("%s paged=%v: prefill allocated %v times at 2 layers, %v at 6; want equal and small",
+					k, paged, allocs[0], allocs[1])
 			}
 		}
 	}

@@ -32,22 +32,12 @@ func (t *lapTimer) lap() float64 {
 type Options struct {
 	// Kernel selects the GEMM tier for linear layers.
 	Kernel Kernel
-	// Workers bounds goroutines for the parallel kernels (0 = GOMAXPROCS).
-	Workers int
-	// FlashAttention switches attention to the single-pass online-softmax
-	// formulation (numerically equivalent; one KV stream per query).
-	FlashAttention bool
 	// Pool is the persistent worker pool used by the packed kernels and
-	// batched attention. Nil creates a private pool for the parallel kernel
-	// tiers (serial tiers stay serial); passing one lets several engines —
-	// e.g. all gateway lanes — share a single set of workers instead of
-	// oversubscribing the machine.
+	// batched attention. Nil creates a private pool of GOMAXPROCS workers
+	// for the parallel kernel tiers (serial tiers stay serial); passing one
+	// lets several engines — e.g. all gateway lanes — share a single set of
+	// workers instead of oversubscribing the machine.
 	Pool *kernels.Pool
-	// DisablePacking turns off packed weight shadows and fused batch
-	// decode: linears run the unpacked kernels and a decode step runs the
-	// forward pass once per sequence, re-streaming every weight B times.
-	// It exists as the honest A/B baseline for benchmarks.
-	DisablePacking bool
 	// Hooks receive phase-completion callbacks from forward passes, so
 	// callers (tracing, profiling) can attribute measured engine time
 	// without wrapping every call site. Nil hooks are skipped.
@@ -77,26 +67,21 @@ type Engine struct {
 }
 
 // New returns an engine over the given weights. The INT8 kernel requires
-// quantized shadows (Weights.QuantizeAll). Unless opts.DisablePacking is
-// set, weights are panel-packed once here (shared Weights pack once) and
-// a persistent worker pool is attached for the parallel kernel tiers.
+// quantized shadows (Weights.QuantizeAll). The weights are panel-packed
+// once here (shared Weights pack once) and a persistent worker pool is
+// attached for the parallel kernel tiers.
 func New(w *Weights, opts Options) (*Engine, error) {
 	if w == nil {
 		return nil, fmt.Errorf("engine: nil weights")
 	}
-	if (opts.Kernel == KernelInt8 || opts.Kernel == KernelLUT) && w.Layers[0].Wq.Q == nil {
+	if opts.Kernel == KernelInt8 && w.Layers[0].Wq.Q == nil {
 		return nil, fmt.Errorf("engine: %s kernel requires quantized weights (call QuantizeAll)", opts.Kernel)
-	}
-	if opts.Kernel == KernelLUT && opts.DisablePacking {
-		return nil, fmt.Errorf("engine: lut-gemv kernel requires packing (codebooks are built at pack time)")
 	}
 	pool := opts.Pool
 	if pool == nil && (opts.Kernel == KernelParallel || opts.Kernel == KernelTileBF16Parallel) {
-		pool = kernels.NewPool(opts.Workers)
+		pool = kernels.NewPool(0)
 	}
-	if !opts.DisablePacking {
-		w.ensurePacked(opts.Kernel)
-	}
+	w.ensurePacked(opts.Kernel)
 	return &Engine{cfg: w.Config, w: w, opts: opts, pool: pool}, nil
 }
 
@@ -153,60 +138,28 @@ func (s *Session) KVBytes() int64 {
 }
 
 // linear computes out = x·W (+bias) for the m rows of x ([m, l.In]
-// row-major; out holds m·l.Out values) on the configured kernel tier. A
-// packed shadow of the weight is consumed when the tier has one — bit-
-// identical to the unpacked kernel, minus the per-call weight conversion
-// and strided streaming. Scratch comes from the arena, so no tier
-// allocates. The INT8 tiers quantize activations with one scale per
+// row-major; out holds m·l.Out values) on the configured kernel tier: the
+// packed GEMM over the tier's FP32 or BF16 pack, or the INT8 kernel over
+// the quantized shadow. Scratch comes from the arena, so no tier
+// allocates. The INT8 tier quantizes activations with one scale per
 // sequence's block of seqRows rows (one row in decode, the chunk in
 // prefill), so a sequence's numbers do not depend on what it is batched
 // with.
 func (e *Engine) linear(ar *arena, m, seqRows int, x []float32, l *Linear, out []float32) {
-	if pl := e.lutOf(l); pl != nil {
-		kernels.GemmLUT(m, x, pl, out)
-	} else if e.opts.Kernel == KernelInt8 && l.Q != nil {
+	if e.opts.Kernel == KernelInt8 {
 		xq := ar.xq[:seqRows*l.In]
 		for r := 0; r < m; r += seqRows {
 			xs := tensor.QuantizeInt8Into(xq, x[r*l.In:(r+seqRows)*l.In])
 			kernels.GemmInt8(seqRows, l.Out, l.In, xq, xs, l.Q, l.QScale, out[r*l.Out:(r+seqRows)*l.Out])
 		}
-	} else if pb := e.packOf(l); pb != nil {
-		kernels.GemmPackedPooled(e.pool, &ar.job, m, x, pb, out)
 	} else {
-		switch e.opts.Kernel {
-		case KernelParallel:
-			kernels.GemmParallel(m, l.Out, l.In, x, l.W, out, e.opts.Workers)
-		case KernelTileBF16:
-			kernels.GemmTileBF16(m, l.Out, l.In, x, l.W, out)
-		case KernelTileBF16Parallel:
-			kernels.GemmTileBF16Parallel(m, l.Out, l.In, x, l.W, out, e.opts.Workers)
-		default:
-			kernels.GemmBlocked(m, l.Out, l.In, x, l.W, out)
-		}
+		kernels.GemmPackedPooled(e.pool, &ar.job, m, x, l.packFor(e.opts.Kernel), out)
 	}
 	if l.Bias != nil {
 		for i := 0; i < m; i++ {
 			kernels.AddBias(out[i*l.Out:(i+1)*l.Out], l.Bias)
 		}
 	}
-}
-
-// packOf returns l's packed shadow for the active kernel tier, or nil when
-// packing is disabled or the tier has none.
-func (e *Engine) packOf(l *Linear) *kernels.PackedB {
-	if e.opts.DisablePacking {
-		return nil
-	}
-	return l.packFor(e.opts.Kernel)
-}
-
-// lutOf returns l's codebook pack when the LUT tier is active and the
-// layer has one (the logits head deliberately has none — it stays exact).
-func (e *Engine) lutOf(l *Linear) *kernels.PackedLUT {
-	if e.opts.Kernel != KernelLUT || e.opts.DisablePacking {
-		return nil
-	}
-	return l.plut
 }
 
 // normRows normalizes each of the m rows of x in place.
@@ -339,13 +292,10 @@ func (e *Engine) logits(ar *arena, m int) []float32 {
 	d := e.cfg.DModel
 	h, out := ar.h[:m*d], ar.logits[:m*e.cfg.Vocab]
 	e.normRows(m, h, e.w.FinalNormGain, e.w.FinalNormBias)
-	switch {
-	case e.cfg.Family != model.OPT:
-		e.linear(ar, m, 1, h, &e.w.LMHead, out)
-	case e.opts.DisablePacking:
-		kernels.GemmTransB(m, e.cfg.Vocab, d, h, e.w.TokenEmb, out)
-	default: // tied head: logits = TokenEmb · h
+	if e.cfg.Family == model.OPT { // tied head: logits = TokenEmb · h
 		kernels.GemmPackedPooled(e.pool, &ar.job, m, h, e.w.tiedHead, out)
+	} else {
+		e.linear(ar, m, 1, h, &e.w.LMHead, out)
 	}
 	return out
 }
@@ -414,6 +364,9 @@ func (e *Engine) prefillFrom(s *Session, prompts [][]int, chunk int, sampler *Sa
 			return nil, err
 		}
 	}
+	if err := s.checkContext(rows); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	from := s.pos
 	if chunk <= 0 || chunk > rows-from {
@@ -463,26 +416,21 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 	if err := e.checkTokens(tokens); err != nil {
 		return nil, err
 	}
+	if err := s.checkContext(s.pos + 1); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	B, d, vocab := len(tokens), e.cfg.DModel, e.cfg.Vocab
 	ar := &s.ar
 	ar.ensure(e, B, 1, s.caches[0].Cap())
-	// One fused pass over the batch — or, as the DisablePacking baseline,
-	// one pass per sequence.
-	group := B
-	if e.opts.DisablePacking {
-		group = 1
+	for b, tok := range tokens {
+		e.embed(tok, s.pos, ar.x[b*d:(b+1)*d])
 	}
-	for b0 := 0; b0 < B; b0 += group {
-		for i, tok := range tokens[b0 : b0+group] {
-			e.embed(tok, s.pos, ar.x[i*d:(i+1)*d])
-		}
-		e.forward(ar, s.caches[b0:b0+group], 1, s.pos)
-		copy(ar.h[:group*d], ar.x[:group*d])
-		logits := e.logits(ar, group)
-		for i := 0; i < group; i++ {
-			ar.next[b0+i] = sampler.Sample(logits[i*vocab : (i+1)*vocab])
-		}
+	e.forward(ar, s.caches, 1, s.pos)
+	copy(ar.h[:B*d], ar.x[:B*d])
+	logits := e.logits(ar, B)
+	for b := range tokens {
+		ar.next[b] = sampler.Sample(logits[b*vocab : (b+1)*vocab])
 	}
 	if h := e.opts.Hooks.OnDecodeStep; h != nil {
 		h(B, s.pos, time.Since(start))
@@ -491,6 +439,15 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 	// ar.next is a reused view, valid until the next decode step; callers
 	// needing to retain it copy (Generate appends element-wise).
 	return ar.next[:B], nil
+}
+
+// checkContext rejects a pass that would leave the session holding ctx
+// tokens per sequence when its KV caches were sized for fewer.
+func (s *Session) checkContext(ctx int) error {
+	if c := s.caches[0].Cap(); ctx > c {
+		return fmt.Errorf("engine: context %d exceeds capacity %d", ctx, c)
+	}
+	return nil
 }
 
 func (e *Engine) checkTokens(toks []int) error {

@@ -11,27 +11,7 @@ import (
 
 func tinyEngine(t *testing.T, f model.Family, k Kernel) *Engine {
 	t.Helper()
-	cfg := model.Tiny(f)
-	w, err := NewWeights(cfg, 42, tensor.FP32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k == KernelInt8 {
-		w.QuantizeAll()
-	}
-	e, err := New(w, Options{Kernel: k, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
-// hiddenStates runs p through the forward pass on a fresh dense session and
-// returns the final hidden states [len(p), d] (a view of its arena).
-func hiddenStates(e *Engine, p []int) []float32 {
-	s := e.NewSession(1, 0)
-	e.forwardTokens(&s.ar, s.caches, p, 0)
-	return s.ar.x[:len(p)*e.cfg.DModel]
+	return tinyEngineOpts(t, f, Options{Kernel: k})
 }
 
 func prompt(e *Engine, n int, seed int64) []int {
@@ -259,6 +239,36 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if _, err := New(nil, Options{}); err == nil {
 		t.Error("nil weights must fail")
+	}
+
+	// A context past the session's capacity is an error before any state
+	// is touched, in prefill and in decode.
+	maxSeq := e.Config().MaxSeq
+	if _, _, err := e.Generate([][]int{make([]int, maxSeq-2)}, 8); err == nil {
+		t.Error("generating past the context capacity must fail")
+	}
+	s = e.NewSession(1, 8)
+	if _, err := e.Prefill(s, [][]int{make([]int, 9)}); err == nil {
+		t.Error("prefill longer than the session capacity must fail")
+	}
+	if _, err := e.PrefillChunked(s, [][]int{make([]int, 9)}, 4, nil); err == nil {
+		t.Error("chunked prefill longer than the session capacity must fail")
+	}
+	if s.Pos() != 0 || s.caches[0].Len() != 0 {
+		t.Errorf("rejected prefill moved the session to %d (cache %d)", s.Pos(), s.caches[0].Len())
+	}
+	toks, err := e.Prefill(s, [][]int{make([]int, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks, err = e.DecodeStep(s, toks); err != nil { // position 7: the last that fits
+		t.Fatal(err)
+	}
+	if _, err := e.DecodeStep(s, toks); err == nil {
+		t.Error("decode past the session capacity must fail")
+	}
+	if s.Pos() != 8 || s.caches[0].Len() != 8 {
+		t.Errorf("rejected decode moved the session to %d (cache %d)", s.Pos(), s.caches[0].Len())
 	}
 }
 

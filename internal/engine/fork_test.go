@@ -39,8 +39,7 @@ func TestForkedPrefixBitIdenticalAcrossKernels(t *testing.T) {
 		prefixLen = 20
 		steps     = 8
 	)
-	for _, k := range []Kernel{KernelBlocked, KernelParallel, KernelTileBF16,
-		KernelTileBF16Parallel, KernelInt8} {
+	for _, k := range allKernelTiers {
 		t.Run(k.String(), func(t *testing.T) {
 			e := tinyEngine(t, model.LLaMA2, k)
 			p := prompt(e, promptLen, 11)

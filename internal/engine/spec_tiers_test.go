@@ -1,12 +1,10 @@
 package engine
 
 // spec_tiers_test.go asserts speculative decoding's defining invariant on
-// every kernel tier and attention/session variant: greedy output through
-// the draft+verify path is bit-identical to the same engine's own greedy
-// generation. The lut-gemv tier is approximate relative to the exact
-// tiers (bounded error, asserted in kernels/lut_test.go), but speculation
-// on it must still match *its own* greedy decode bit for bit — the
-// verification pass and the plain decode path run the same kernels.
+// every kernel tier and session variant: greedy output through the
+// draft+verify path is bit-identical to the same engine's own greedy
+// generation — the verification pass and the plain decode path run the
+// same kernels.
 
 import (
 	"fmt"
@@ -16,8 +14,10 @@ import (
 	"repro/internal/tensor"
 )
 
+// allKernelTiers is the tier axis of every configuration-matrix test in
+// this package.
 var allKernelTiers = []Kernel{KernelBlocked, KernelParallel, KernelTileBF16,
-	KernelTileBF16Parallel, KernelInt8, KernelLUT}
+	KernelTileBF16Parallel, KernelInt8}
 
 func TestSpeculativeBitIdenticalOnAllTiers(t *testing.T) {
 	cfg := model.Tiny(model.OPT)
@@ -25,7 +25,7 @@ func TestSpeculativeBitIdenticalOnAllTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw.QuantizeAll() // int8 and lut-gemv tiers need the INT8 shadow
+	tw.QuantizeAll() // the int8 tier needs the INT8 shadow
 	dcfg := cfg
 	dcfg.Layers = 1
 	dw, err := NewWeights(dcfg, 7, tensor.BF16)
@@ -36,43 +36,39 @@ func TestSpeculativeBitIdenticalOnAllTiers(t *testing.T) {
 
 	const maxNew, lookahead = 12, 3
 	for _, kern := range allKernelTiers {
-		for _, flash := range []bool{false, true} {
-			for _, paged := range []bool{false, true} {
-				name := fmt.Sprintf("%s/flash=%v/paged=%v", kern, flash, paged)
-				t.Run(name, func(t *testing.T) {
-					opts := Options{Kernel: kern, FlashAttention: flash}
-					target, err := New(tw, opts)
-					if err != nil {
-						t.Fatal(err)
+		for _, paged := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/paged=%v", kern, paged), func(t *testing.T) {
+				target, err := New(tw, Options{Kernel: kern})
+				if err != nil {
+					t.Fatal(err)
+				}
+				draft, err := New(dw, Options{Kernel: kern})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := prompt(target, 10, 41)
+				want, _, err := target.Generate([][]int{p}, maxNew)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, st, err := SpeculativeGenerateOpts(target, draft, p, maxNew,
+					SpecOptions{Lookahead: lookahead, Paged: paged, BlockSize: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != maxNew {
+					t.Fatalf("got %d tokens, want %d", len(got), maxNew)
+				}
+				for i := range want[0] {
+					if got[i] != want[0][i] {
+						t.Fatalf("diverged from greedy at token %d (%d vs %d), stats %+v",
+							i, got[i], want[0][i], st)
 					}
-					draft, err := New(dw, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p := prompt(target, 10, 41)
-					want, _, err := target.Generate([][]int{p}, maxNew)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, st, err := SpeculativeGenerateOpts(target, draft, p, maxNew,
-						SpecOptions{Lookahead: lookahead, Paged: paged, BlockSize: 8})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != maxNew {
-						t.Fatalf("got %d tokens, want %d", len(got), maxNew)
-					}
-					for i := range want[0] {
-						if got[i] != want[0][i] {
-							t.Fatalf("diverged from greedy at token %d (%d vs %d), stats %+v",
-								i, got[i], want[0][i], st)
-						}
-					}
-					if st.Proposed <= 0 || st.TargetPasses <= 0 {
-						t.Errorf("degenerate stats %+v", st)
-					}
-				})
-			}
+				}
+				if st.Proposed <= 0 || st.TargetPasses <= 0 {
+					t.Errorf("degenerate stats %+v", st)
+				}
+			})
 		}
 	}
 }

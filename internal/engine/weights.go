@@ -4,7 +4,11 @@
 // the architectural variants of both model families the paper evaluates
 // (OPT: LayerNorm/ReLU/learned positions/biases; LLaMA-2: RMSNorm/SwiGLU/
 // RoPE/grouped-query attention) and the numeric paths of the studied
-// hardware (FP32 reference, AMX-style BF16 tiles, INT8).
+// hardware (FP32 reference, AMX-style BF16 tiles, INT8). Every entry point
+// — prefill (whole, chunked or resumed), decode, speculative verification,
+// eval, beam search — is the same forward pass, with one linear path per
+// numeric path (the packed GEMM, or the INT8 kernel) and one attention
+// path (softmax over the KV cache's contiguous runs).
 //
 // The engine is the laptop-scale substitute for running IPEX on Xeon
 // silicon: it exercises the same dataflow the performance model prices.
@@ -21,25 +25,26 @@ import (
 	"repro/internal/tensor"
 )
 
-// Kernel selects the GEMM implementation for the linear layers.
+// Kernel selects the numeric path of the linear layers (FP32, AMX-style
+// BF16, INT8) and, for the packed-GEMM paths, whether an engine built
+// without Options.Pool gets a private worker pool. The names are those of
+// the kernels each tier first ran on.
 type Kernel int
 
 const (
-	// KernelBlocked uses the cache-blocked FP32 GEMM (AVX-512 analog).
+	// KernelBlocked runs the packed GEMM with FP32 numerics (AVX-512
+	// analog), serial unless a Pool is passed.
 	KernelBlocked Kernel = iota
-	// KernelParallel uses the multi-goroutine blocked GEMM.
+	// KernelParallel is KernelBlocked split over a worker pool.
 	KernelParallel
-	// KernelTileBF16 uses the AMX-emulating BF16 tile GEMM.
+	// KernelTileBF16 runs the packed GEMM with AMX TMUL numerics (weights
+	// and activations rounded to BF16, FP32 accumulate), serial unless a
+	// Pool is passed.
 	KernelTileBF16
-	// KernelTileBF16Parallel uses the parallel AMX-emulating GEMM.
+	// KernelTileBF16Parallel is KernelTileBF16 split over a worker pool.
 	KernelTileBF16Parallel
 	// KernelInt8 uses INT8 weights with VNNI-style int32 accumulation.
 	KernelInt8
-	// KernelLUT uses NoMAD/SAIL-style lookup-table GEMV over codebook-
-	// quantized weights, built on the INT8 path (the codebooks quantize
-	// the dequantized INT8 shadow). Approximate: outputs are bounded-error
-	// rather than bit-identical to FP32; the logits head stays exact.
-	KernelLUT
 )
 
 // String returns the kernel name.
@@ -55,8 +60,6 @@ func (k Kernel) String() string {
 		return "parallel-tile-bf16"
 	case KernelInt8:
 		return "int8"
-	case KernelLUT:
-		return "lut-gemv"
 	default:
 		return fmt.Sprintf("kernel(%d)", int(k))
 	}
@@ -74,9 +77,8 @@ type Linear struct {
 	Q       []int8    // int8 shadow, populated by Quantize
 	QScale  float32
 
-	pf32  *kernels.PackedB   // FP32 panel pack (blocked/parallel tiers)
-	pbf16 *kernels.PackedB   // BF16 pre-rounded panel pack (tile tiers)
-	plut  *kernels.PackedLUT // codebook pack (LUT tier, from the INT8 shadow)
+	pf32  *kernels.PackedB // FP32 panel pack (blocked/parallel tiers)
+	pbf16 *kernels.PackedB // BF16 pre-rounded panel pack (tile tiers)
 }
 
 // Quantize populates the INT8 shadow representation.
@@ -85,7 +87,7 @@ func (l *Linear) Quantize() {
 }
 
 // packFor returns the packed shadow matching the kernel tier's numerics,
-// or nil when the tier has none (INT8) or packing hasn't run.
+// or nil when the tier has none (INT8).
 func (l *Linear) packFor(k Kernel) *kernels.PackedB {
 	switch k {
 	case KernelTileBF16, KernelTileBF16Parallel:
@@ -144,17 +146,6 @@ func (w *Weights) ensurePacked(k Kernel) {
 			if l.pf32 == nil {
 				l.pf32 = kernels.PackB(l.In, l.Out, l.W)
 			}
-		case KernelLUT:
-			if l.plut == nil && l.Q != nil {
-				// The codebooks quantize the dequantized INT8 shadow, so
-				// the LUT tier sits on the INT8 path's numerics rather
-				// than introducing a third weight representation.
-				deq := make([]float32, l.In*l.Out)
-				for i, q := range l.Q {
-					deq[i] = float32(q) * l.QScale
-				}
-				l.plut = kernels.PackLUT(l.In, l.Out, deq)
-			}
 		}
 	}
 	for i := range w.Layers {
@@ -163,14 +154,10 @@ func (w *Weights) ensurePacked(k Kernel) {
 			pack(l)
 		}
 	}
-	if k != KernelLUT {
-		// The logits head stays exact on the LUT tier: argmax over ~vocab
-		// logits is the one place bounded error flips discrete outputs.
-		pack(&w.LMHead)
-	}
+	pack(&w.LMHead)
 	if w.Config.Family == model.OPT && w.tiedHead == nil {
-		// The tied head is computed in FP32 by every kernel tier
-		// (GemmTransB previously), so its pack is always FP32.
+		// The tied head is computed in FP32 by every kernel tier, so its
+		// pack is always FP32.
 		w.tiedHead = kernels.PackBTrans(w.Config.DModel, w.Config.Vocab, w.TokenEmb)
 	}
 }

@@ -1,8 +1,11 @@
 // Package kernels implements the compute kernels of the functional
-// inference engine: general matrix multiplication in several tiers (naive
-// reference, cache-blocked, parallel, an AMX-emulating BF16 tile kernel,
-// and an INT8 kernel with VNNI-style accumulate), plus the pointwise and
-// normalization operators of a decoder-only transformer.
+// inference engine. There is one linear path per numeric path: the
+// panel-packed GEMM (pack.go; an AVX2 micro-kernel on amd64, a Go loop
+// elsewhere, split over a persistent Pool) with FP32 or BF16 numerics, and
+// an INT8 kernel with VNNI-style int32 accumulate. GemmNaive and the serial
+// AMX-emulating GemmTileBF16 are the FP32 and BF16 oracles the packed
+// kernel is held to bit for bit. Around them sit the attention, pointwise
+// and normalization operators of a decoder-only transformer.
 //
 // All matrices are dense row-major float32 unless stated otherwise. The
 // reduced-precision kernels emulate hardware numerics faithfully: BF16
@@ -12,12 +15,6 @@ package kernels
 
 import "fmt"
 
-// Gemm computes C = A·B for row-major A (m×k), B (k×n), C (m×n) using the
-// cache-blocked kernel. It is the default single-threaded entry point.
-func Gemm(m, n, k int, a, b, c []float32) {
-	GemmBlocked(m, n, k, a, b, c)
-}
-
 func checkDims(m, n, k int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("kernels: gemm %dx%dx%d: slices too short (a=%d b=%d c=%d)",
@@ -25,8 +22,8 @@ func checkDims(m, n, k int, a, b, c []float32) {
 	}
 }
 
-// GemmNaive is the triple-loop reference implementation. Every other GEMM
-// tier is tested against it.
+// GemmNaive is the triple-loop FP32 reference implementation: the oracle
+// of the FP32 packed kernel.
 func GemmNaive(m, n, k int, a, b, c []float32) {
 	checkDims(m, n, k, a, b, c)
 	for i := 0; i < m; i++ {
@@ -38,98 +35,4 @@ func GemmNaive(m, n, k int, a, b, c []float32) {
 			c[i*n+j] = sum
 		}
 	}
-}
-
-// Block sizes for the cache-blocked kernel. MC×KC panels of A are sized to
-// stay L2-resident; the inner kernel walks B rows sequentially so hardware
-// prefetchers stream it from L3/memory.
-const (
-	blockM = 64
-	blockN = 256
-	blockK = 256
-)
-
-// GemmBlocked computes C = A·B with MC/NC/KC cache blocking and an
-// i-k-j inner ordering that keeps the B row and the C row hot while
-// vectorizing naturally.
-func GemmBlocked(m, n, k int, a, b, c []float32) {
-	checkDims(m, n, k, a, b, c)
-	gemmBlockedCols(m, n, k, a, b, c, 0, n)
-}
-
-// gemmBlockedCols is GemmBlocked restricted to output columns [jLo, jHi),
-// the unit of work for column-splitting small-M GEMMs across workers.
-// Accumulation order per output element is identical to the full kernel.
-func gemmBlockedCols(m, n, k int, a, b, c []float32, jLo, jHi int) {
-	for i := 0; i < m; i++ {
-		crow := c[i*n : (i+1)*n]
-		for j := jLo; j < jHi; j++ {
-			crow[j] = 0
-		}
-	}
-	for i0 := 0; i0 < m; i0 += blockM {
-		iMax := min(i0+blockM, m)
-		for p0 := 0; p0 < k; p0 += blockK {
-			pMax := min(p0+blockK, k)
-			for j0 := jLo; j0 < jHi; j0 += blockN {
-				jMax := min(j0+blockN, jHi)
-				for i := i0; i < iMax; i++ {
-					crow := c[i*n : (i+1)*n]
-					for p := p0; p < pMax; p++ {
-						av := a[i*k+p]
-						if av == 0 {
-							continue
-						}
-						brow := b[p*n : p*n+n]
-						for j := j0; j < jMax; j++ {
-							crow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// GemmTransB computes C = A·Bᵀ where bT is row-major n×k (i.e. B stored
-// transposed). This layout makes the inner loop a dot product of two
-// contiguous rows, which is how attention scores Q·Kᵀ are computed.
-func GemmTransB(m, n, k int, a, bT, c []float32) {
-	if len(a) < m*k || len(bT) < n*k || len(c) < m*n {
-		panic("kernels: GemmTransB: slices too short")
-	}
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			brow := bT[j*k : (j+1)*k]
-			var sum float32
-			for p := range arow {
-				sum += arow[p] * brow[p]
-			}
-			c[i*n+j] = sum
-		}
-	}
-}
-
-// Gemv computes y = A·x for row-major A (m×k). The decode phase of LLM
-// inference is dominated by this memory-bound shape (n=1 GEMM).
-func Gemv(m, k int, a, x, y []float32) {
-	if len(a) < m*k || len(x) < k || len(y) < m {
-		panic("kernels: Gemv: slices too short")
-	}
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		var sum float32
-		for p := 0; p < k; p++ {
-			sum += arow[p] * x[p]
-		}
-		y[i] = sum
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -40,36 +40,6 @@ var gemmShapes = []struct{ m, n, k int }{
 	{80, 48, 100},
 }
 
-func TestGemmBlockedMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, s := range gemmShapes {
-		a, b := randMat(r, s.m*s.k), randMat(r, s.k*s.n)
-		want := make([]float32, s.m*s.n)
-		got := make([]float32, s.m*s.n)
-		GemmNaive(s.m, s.n, s.k, a, b, want)
-		GemmBlocked(s.m, s.n, s.k, a, b, got)
-		if d := maxAbsDiff(want, got); d > 1e-4 {
-			t.Errorf("shape %+v: blocked diff %g", s, d)
-		}
-	}
-}
-
-func TestGemmParallelMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for _, s := range gemmShapes {
-		for _, workers := range []int{1, 2, 3, 8} {
-			a, b := randMat(r, s.m*s.k), randMat(r, s.k*s.n)
-			want := make([]float32, s.m*s.n)
-			got := make([]float32, s.m*s.n)
-			GemmNaive(s.m, s.n, s.k, a, b, want)
-			GemmParallel(s.m, s.n, s.k, a, b, got, workers)
-			if d := maxAbsDiff(want, got); d > 1e-4 {
-				t.Errorf("shape %+v workers %d: diff %g", s, workers, d)
-			}
-		}
-	}
-}
-
 func TestGemmTileBF16MatchesBF16Reference(t *testing.T) {
 	// The tile kernel must equal a naive GEMM over bf16-rounded inputs
 	// with FP32 accumulation (same accumulation order up to tiling; allow
@@ -92,54 +62,6 @@ func TestGemmTileBF16MatchesBF16Reference(t *testing.T) {
 		if d := maxAbsDiff(want, got); d > 1e-3*float64(s.k) {
 			t.Errorf("shape %+v: tile bf16 diff %g", s, d)
 		}
-	}
-}
-
-func TestGemmTileBF16ParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for _, s := range gemmShapes {
-		a, b := randMat(r, s.m*s.k), randMat(r, s.k*s.n)
-		want := make([]float32, s.m*s.n)
-		got := make([]float32, s.m*s.n)
-		GemmTileBF16(s.m, s.n, s.k, a, b, want)
-		GemmTileBF16Parallel(s.m, s.n, s.k, a, b, got, 4)
-		if d := maxAbsDiff(want, got); d != 0 {
-			t.Errorf("shape %+v: parallel tile kernel diverged by %g", s, d)
-		}
-	}
-}
-
-func TestGemmTransBMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for _, s := range gemmShapes {
-		a, b := randMat(r, s.m*s.k), randMat(r, s.k*s.n)
-		// Build Bᵀ.
-		bT := make([]float32, s.n*s.k)
-		for p := 0; p < s.k; p++ {
-			for j := 0; j < s.n; j++ {
-				bT[j*s.k+p] = b[p*s.n+j]
-			}
-		}
-		want := make([]float32, s.m*s.n)
-		got := make([]float32, s.m*s.n)
-		GemmNaive(s.m, s.n, s.k, a, b, want)
-		GemmTransB(s.m, s.n, s.k, a, bT, got)
-		if d := maxAbsDiff(want, got); d > 1e-4 {
-			t.Errorf("shape %+v: transB diff %g", s, d)
-		}
-	}
-}
-
-func TestGemvMatchesGemm(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	m, k := 37, 53
-	a, x := randMat(r, m*k), randMat(r, k)
-	want := make([]float32, m)
-	got := make([]float32, m)
-	GemmNaive(m, 1, k, a, x, want)
-	Gemv(m, k, a, x, got)
-	if d := maxAbsDiff(want, got); d > 1e-4 {
-		t.Errorf("gemv diff %g", d)
 	}
 }
 
@@ -174,8 +96,9 @@ func TestGemmLinearityProperty(t *testing.T) {
 		}
 		c1 := make([]float32, m*n)
 		c2 := make([]float32, m*n)
-		GemmBlocked(m, n, k, scaled, b, c1)
-		GemmBlocked(m, n, k, a, b, c2)
+		pb := PackB(k, n, b)
+		GemmPacked(m, scaled, pb, c1)
+		GemmPacked(m, a, pb, c2)
 		for i := range c2 {
 			c2[i] *= alpha
 		}
@@ -197,7 +120,7 @@ func TestGemmIdentityProperty(t *testing.T) {
 			id[i*n+i] = 1
 		}
 		c := make([]float32, n*n)
-		GemmBlocked(n, n, n, a, id, c)
+		GemmPacked(n, a, PackB(n, n, id), c)
 		if d := maxAbsDiff(a, c); d > 1e-5 {
 			t.Errorf("n=%d: A·I diff %g", n, d)
 		}
@@ -210,5 +133,5 @@ func TestGemmPanicsOnShortSlices(t *testing.T) {
 			t.Error("expected panic on short slice")
 		}
 	}()
-	Gemm(4, 4, 4, make([]float32, 15), make([]float32, 16), make([]float32, 16))
+	GemmNaive(4, 4, 4, make([]float32, 15), make([]float32, 16), make([]float32, 16))
 }

@@ -67,22 +67,6 @@ func SiLU(x []float32) {
 	}
 }
 
-// GELU applies the tanh-approximated Gaussian error linear unit in place.
-func GELU(x []float32) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range x {
-		t := float64(c) * float64(v+0.044715*v*v*v)
-		x[i] = 0.5 * v * (1 + float32(math.Tanh(t)))
-	}
-}
-
-// Scale multiplies x by s in place.
-func Scale(x []float32, s float32) {
-	for i := range x {
-		x[i] *= s
-	}
-}
-
 // RoPE applies rotary position embedding in place to a head vector of even
 // dimension headDim at sequence position pos, using the standard base-10000
 // frequencies (LLaMA-2 attention).

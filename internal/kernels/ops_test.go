@@ -129,15 +129,6 @@ func TestActivations(t *testing.T) {
 	if math.Abs(float64(silu[4]-2/(1+float32(math.Exp(-2))))) > 1e-5 {
 		t.Errorf("silu(2) = %v", silu[4])
 	}
-
-	gelu := append([]float32(nil), x...)
-	GELU(gelu)
-	if gelu[2] != 0 {
-		t.Errorf("gelu(0) = %v", gelu[2])
-	}
-	if math.Abs(float64(gelu[4]-1.9545977)) > 1e-3 {
-		t.Errorf("gelu(2) = %v", gelu[4])
-	}
 }
 
 func TestRoPEPreservesNorm(t *testing.T) {
@@ -185,10 +176,6 @@ func TestAddBiasAddScale(t *testing.T) {
 	Add(x, []float32{1, 1})
 	if x[0] != 12 || x[1] != 23 {
 		t.Errorf("Add: %v", x)
-	}
-	Scale(x, 2)
-	if x[0] != 24 || x[1] != 46 {
-		t.Errorf("Scale: %v", x)
 	}
 }
 

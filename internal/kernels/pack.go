@@ -21,8 +21,8 @@ import (
 //
 // Panels are PanelCols = TileRows wide so a packed panel column band is
 // exactly one AMX C-tile column, and the BF16 variant pre-rounds the
-// weights once at pack time — the per-call weight conversion that
-// dominates the unpacked tile kernel disappears from the hot path.
+// weights once at pack time, so no weight conversion is left on the hot
+// path.
 
 // PanelCols is the packed panel width in columns.
 const PanelCols = TileRows

@@ -133,44 +133,6 @@ func TestGemmPackedPooledMatchesSerialBitForBit(t *testing.T) {
 	}
 }
 
-func TestGemmParallelSmallMMatchesNaive(t *testing.T) {
-	// Regression for the small-M serialization bug: workers > m must split
-	// columns, and the result must still equal the serial kernel.
-	r := rand.New(rand.NewSource(16))
-	for _, s := range []struct{ m, n, k int }{
-		{1, 128, 96}, {1, 7, 5}, {2, 300, 64}, {3, 17, 33},
-	} {
-		for _, workers := range []int{2, 4, 16, 200} {
-			a, b := randMat(r, s.m*s.k), randMat(r, s.k*s.n)
-			want := make([]float32, s.m*s.n)
-			got := make([]float32, s.m*s.n)
-			GemmBlocked(s.m, s.n, s.k, a, b, want)
-			GemmParallel(s.m, s.n, s.k, a, b, got, workers)
-			if i, ok := bitsEqual(want, got); !ok {
-				t.Errorf("shape %+v workers=%d: column-split differs at %d", s, workers, i)
-			}
-		}
-	}
-}
-
-func TestGemmTileBF16ParallelSmallMMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	for _, s := range []struct{ m, n, k int }{
-		{1, 128, 96}, {1, 48, 32}, {4, 170, 64}, {15, 33, 17},
-	} {
-		for _, workers := range []int{2, 4, 16, 200} {
-			a, b := randMat(r, s.m*s.k), randMat(r, s.k*s.n)
-			want := make([]float32, s.m*s.n)
-			got := make([]float32, s.m*s.n)
-			GemmTileBF16(s.m, s.n, s.k, a, b, want)
-			GemmTileBF16Parallel(s.m, s.n, s.k, a, b, got, workers)
-			if i, ok := bitsEqual(want, got); !ok {
-				t.Errorf("shape %+v workers=%d: column-split tile differs at %d", s, workers, i)
-			}
-		}
-	}
-}
-
 func TestPoolSharedByConcurrentCallers(t *testing.T) {
 	// Two (or more) engines share one pool in the gateway; concurrent Run
 	// calls must interleave safely. Run under -race in CI. More callers

@@ -7,11 +7,10 @@ import (
 
 // Pool is a persistent worker pool for compute kernels. It is created once
 // (per engine, or shared by several engines) and reused for every GEMM and
-// attention dispatch, replacing the goroutine-per-call fan-out of the
-// legacy parallel kernels: decode issues hundreds of small GEMMs per
-// token, and re-spawning goroutines for each one costs more than the
-// kernel itself at decode shapes. Workers block on a channel between
-// dispatches, so an idle pool burns no CPU.
+// attention dispatch: decode issues hundreds of small GEMMs per token, and
+// spawning goroutines for each one would cost more than the kernel itself
+// at decode shapes. Workers block on a channel between dispatches, so an
+// idle pool burns no CPU.
 //
 // Run is safe for concurrent use from multiple goroutines (two engines can
 // share one pool); work items interleave in the queue and every caller

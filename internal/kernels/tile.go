@@ -1,8 +1,6 @@
 package kernels
 
-import (
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Intel AMX tile geometry (§II-D of the paper): a tile register is 16 rows
 // of 64 bytes. For BF16 that is 16×32 elements; TMUL TDPBF16PS multiplies
@@ -22,41 +20,19 @@ const (
 // 32×16 (B) tiles, and products are accumulated in FP32. The result is
 // bit-faithful to what an AMX kernel computing in BF16 would produce
 // (up to FP32 accumulation order within a tile column, which we fix as
-// ascending k).
+// ascending k). It is the serial oracle of the BF16 packed kernel, which
+// must match it bit for bit.
 func GemmTileBF16(m, n, k int, a, b, c []float32) {
 	checkDims(m, n, k, a, b, c)
 	// Pre-round both operands to bf16 once, as a real kernel would convert
 	// (or load pre-converted weights) before issuing TMUL.
 	ab := roundBF16Slice(a[:m*k])
 	bb := roundBF16Slice(b[:k*n])
-	tileBF16Core(m, n, k, ab, bb, c, 0, n)
-}
-
-func roundBF16Slice(src []float32) []float32 {
-	dst := make([]float32, len(src))
-	for i, v := range src {
-		dst[i] = tensor.RoundBF16(v)
-	}
-	return dst
-}
-
-// tileBF16Core runs the AMX tile loops over pre-rounded operands,
-// restricted to output columns [jLo, jHi). jLo must be a multiple of
-// TileRows so tile boundaries — and hence FP32 accumulation order — match
-// the full kernel exactly, making row- and column-banded parallel runs
-// bit-identical to the serial kernel.
-func tileBF16Core(m, n, k int, ab, bb, c []float32, jLo, jHi int) {
-	for i := 0; i < m; i++ {
-		crow := c[i*n : (i+1)*n]
-		for j := jLo; j < jHi; j++ {
-			crow[j] = 0
-		}
-	}
 	var acc [TileRows * TileRows]float32 // one 16×16 FP32 accumulator tile
 	for i0 := 0; i0 < m; i0 += TileRows {
 		iMax := min(i0+TileRows, m)
-		for j0 := jLo; j0 < jHi; j0 += TileRows {
-			jMax := min(j0+TileRows, jHi)
+		for j0 := 0; j0 < n; j0 += TileRows {
+			jMax := min(j0+TileRows, n)
 			for idx := range acc {
 				acc[idx] = 0
 			}
@@ -88,6 +64,14 @@ func tileBF16Core(m, n, k int, ab, bb, c []float32, jLo, jHi int) {
 			}
 		}
 	}
+}
+
+func roundBF16Slice(src []float32) []float32 {
+	dst := make([]float32, len(src))
+	for i, v := range src {
+		dst[i] = tensor.RoundBF16(v)
+	}
+	return dst
 }
 
 // GemmInt8 computes C = scaleA·scaleB·(Aq·Bq) emulating the AMX INT8 path
