@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check kernels-portable chaos chaos-cluster chaos-overload bench \
+.PHONY: all build vet test check bench-build kernels-portable chaos chaos-cluster chaos-overload bench \
         bench-decode bench-decode-short bench-spec bench-spec-short figures \
         scorecard examples trace-demo memdemo stream-demo cluster-demo \
         cache-demo overload-demo clean
@@ -18,10 +18,18 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full pre-merge gate: vet plus the test suite under the race detector.
-check:
+# Full pre-merge gate: vet plus the test suite under the race detector,
+# and the benchmark harness still building against the internal API.
+check: bench-build
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# bench/ is its own module, outside `./...`: vet it and run its short
+# tests so that an internal-API change which breaks the harness fails
+# the PR instead of the next benchmark run.
+bench-build:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short -count=1 ./...
 
 # The packed GEMM and the vector ops around it (attention score and
 # weighted-V, ReLU, adds, bf16 rounding) have amd64 SIMD routines and

@@ -212,7 +212,7 @@ func BenchmarkServeChunkedPrefill(b *testing.B) {
 	trace := gen.Trace(24)
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		srv := serve.ChunkedServer{Cost: cost, MaxBatch: 8, PrefillChunk: 64}
+		srv := serve.Server{Cost: cost, Policy: serve.Chunked, MaxBatch: 8, PrefillChunk: 64}
 		if _, err := srv.Run(trace); err != nil {
 			b.Fatal(err)
 		}

@@ -2,31 +2,24 @@
 // trace against a platform under a batching policy, reporting queueing
 // delay, TTFT/E2E (mean and p95), and sustained tokens/s.
 //
-// The default mode replays the trace through the discrete-event simulator
-// (deterministic, instant). With -gateway the same trace is driven through
-// the live concurrent serving gateway — real goroutines, admission
-// control, and the iteration-level scheduler — exercising the production
-// path instead of the event loop.
+// The trace is replayed through the discrete-event simulator
+// (deterministic, instant). Its iteration-level policies run the very
+// scheduler core the live gateway's lanes run (serve.Batch), so this is
+// the production scheduler under a virtual clock; llmperfd serves it.
 //
 // Usage:
 //
 //	serve -platform spr -model LLaMA2-13B -policy continuous -rate 2 -n 64
 //	serve -platform h100 -model OPT-66B -policy static -batch 16
-//	serve -platform spr -model OPT-13B -gateway -queue 64 -n 64
+//	serve -platform spr -model OPT-13B -policy chunked -n 64
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/gateway"
 	"repro/internal/hw"
 	"repro/internal/memsim"
 	"repro/internal/model"
@@ -34,18 +27,18 @@ import (
 	"repro/internal/workload"
 )
 
+// prefillChunk is the chunked policy's chunk size: the gateway's default.
+const prefillChunk = 64
+
 func main() {
 	platform := flag.String("platform", "spr", "spr | icl | a100 | h100")
 	modelName := flag.String("model", "LLaMA2-13B", "model preset")
-	policy := flag.String("policy", "continuous", "fcfs | static | continuous (gateway: continuous | chunked)")
+	policy := flag.String("policy", "continuous", "fcfs | static | continuous | chunked")
 	maxBatch := flag.Int("batch", 8, "maximum batch size")
 	wait := flag.Float64("wait", 0.25, "static batching fill timeout (s)")
 	rate := flag.Float64("rate", 1, "request arrival rate (req/s)")
 	n := flag.Int("n", 32, "number of requests")
 	seed := flag.Int64("seed", 1, "trace seed")
-	useGateway := flag.Bool("gateway", false, "drive the trace through the live concurrent gateway")
-	queue := flag.Int("queue", 256, "gateway admission queue bound")
-	timescale := flag.Float64("timescale", 0, "gateway: wall seconds per modeled second (0 = as fast as possible)")
 	flag.Parse()
 
 	m, err := model.ByName(*modelName)
@@ -71,11 +64,6 @@ func main() {
 	gen.ArrivalRate = *rate
 	trace := gen.Trace(*n)
 
-	if *useGateway {
-		runGateway(cost, trace, *platform, m.Name, *policy, *maxBatch, *queue, *rate, *timescale)
-		return
-	}
-
 	var pol serve.Policy
 	switch *policy {
 	case "fcfs":
@@ -84,10 +72,13 @@ func main() {
 		pol = serve.Static
 	case "continuous":
 		pol = serve.Continuous
+	case "chunked":
+		pol = serve.Chunked
 	default:
 		fatal(fmt.Errorf("unknown policy %q", *policy))
 	}
-	srv := serve.Server{Cost: cost, Policy: pol, MaxBatch: *maxBatch, BatchWait: *wait}
+	srv := serve.Server{Cost: cost, Policy: pol, MaxBatch: *maxBatch, BatchWait: *wait,
+		PrefillChunk: prefillChunk}
 	cs, err := srv.Run(trace)
 	if err != nil {
 		fatal(err)
@@ -100,94 +91,6 @@ func main() {
 	fmt.Printf("  E2E        : mean %.2fs   p95 %.2fs\n", sm.MeanE2E, sm.P95E2E)
 	fmt.Printf("  throughput : %.1f tokens/s (makespan %.1fs)\n",
 		sm.TokensPerSecond, sm.Makespan)
-}
-
-// runGateway replays the trace through the live concurrent gateway,
-// pacing arrivals by timescale (0 submits everything immediately), and
-// summarizes the modeled latencies the scheduler produced.
-func runGateway(cost serve.CostModel, trace []workload.Request,
-	platform, modelName, policy string, maxBatch, queue int, rate, timescale float64) {
-	var pol gateway.Policy
-	switch policy {
-	case "continuous":
-		pol = gateway.Continuous
-	case "chunked":
-		pol = gateway.Chunked
-	default:
-		fatal(fmt.Errorf("gateway mode supports policy continuous or chunked, not %q", policy))
-	}
-	gw := gateway.New(gateway.Config{
-		MaxQueue:  queue,
-		MaxBatch:  maxBatch,
-		Policy:    pol,
-		Timescale: timescale,
-	}, func(string) (serve.CostModel, error) { return cost, nil })
-
-	lane := platform + "/" + modelName
-	var (
-		mu       sync.Mutex
-		results  []gateway.Result
-		rejected int
-	)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, req := range trace {
-		wg.Add(1)
-		go func(req workload.Request) {
-			defer wg.Done()
-			if timescale > 0 {
-				time.Sleep(time.Duration(req.ArrivalSeconds * timescale * float64(time.Second)))
-			}
-			res, err := gw.Generate(context.Background(), gateway.Request{
-				Lane: lane, InputLen: req.InputLen, OutputLen: req.OutputLen})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rejected++
-				return
-			}
-			results = append(results, res)
-		}(req)
-	}
-	wg.Wait()
-	if err := gw.Shutdown(context.Background()); err != nil {
-		fatal(err)
-	}
-	wall := time.Since(start).Seconds()
-
-	fmt.Printf("gateway served %d/%d requests on %s, policy=%s, max batch %d, rate %.2f req/s (%d rejected)\n",
-		len(results), len(trace), lane, pol, maxBatch, rate, rejected)
-	if len(results) == 0 {
-		return
-	}
-	var queueWait, ttfts, e2es []float64
-	for _, r := range results {
-		queueWait = append(queueWait, r.QueueSeconds)
-		ttfts = append(ttfts, r.TTFTSeconds)
-		e2es = append(e2es, r.E2ESeconds)
-	}
-	fmt.Printf("  queue wait : mean %.4fs (wall)\n", mean(queueWait))
-	fmt.Printf("  TTFT       : mean %.2fs   p95 %.2fs (modeled)\n", mean(ttfts), percentile(ttfts, 0.95))
-	fmt.Printf("  E2E        : mean %.2fs   p95 %.2fs (modeled)\n", mean(e2es), percentile(e2es, 0.95))
-	fmt.Printf("  wall       : %.2fs scheduling %d requests\n", wall, len(results))
-}
-
-func mean(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func percentile(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	idx := int(math.Ceil(p*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
 }
 
 func fatal(err error) {

@@ -311,7 +311,7 @@ func ServeMemory() ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		srv := serve.MemoryAwareServer{Cost: cost, Pool: pool, MaxBatch: 16}
+		srv := serve.Server{Cost: cost, Policy: serve.Continuous, Pool: pool, MaxBatch: 16}
 		cs, err := srv.Run(trace)
 		if err != nil {
 			return nil, err

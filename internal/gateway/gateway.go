@@ -619,19 +619,11 @@ func (g *Gateway) Generate(ctx context.Context, req Request) (Result, error) {
 		g.log.Info("gateway: quarantine lifted", "lane", req.Lane)
 	}
 	if l == nil {
-		cost, err := g.resolve(req.Lane)
-		if err != nil {
+		var err error
+		if l, err = g.newLaneLocked(req.Lane); err != nil {
 			g.mu.Unlock()
 			return reject(err)
 		}
-		l = &lane{key: req.Lane, cost: cost}
-		if g.cfg.Fallback != nil {
-			if fb, err := g.cfg.Fallback(req.Lane); err == nil && fb != nil {
-				l.fallback = fb
-			}
-		}
-		g.initLaneSpec(l)
-		g.lanes[req.Lane] = l
 	}
 	// Adaptive concurrency limiter: the front door closes ahead of the
 	// KV watermark when observed TTFT busts per-class SLO targets, and
@@ -681,6 +673,31 @@ func (g *Gateway) Generate(ctx context.Context, req Request) (Result, error) {
 		req.Trace.SetError(ctx.Err())
 		return Result{}, ctx.Err()
 	}
+}
+
+// newLaneLocked resolves key's cost models and registers its lane, with
+// the scheduler core configured from the gateway's policy and the
+// governor's admission mode. Callers hold g.mu.
+func (g *Gateway) newLaneLocked(key string) (*lane, error) {
+	cost, err := g.resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	l := &lane{key: key, cost: cost, batch: serve.Batch[attempt]{
+		MaxBatch:   g.cfg.MaxBatch,
+		Optimistic: g.gov != nil && !g.gov.Conservative(),
+	}}
+	if g.cfg.Policy == Chunked {
+		l.batch.Chunk = g.cfg.PrefillChunk
+	}
+	if g.cfg.Fallback != nil {
+		if fb, err := g.cfg.Fallback(key); err == nil && fb != nil {
+			l.fallback = fb
+		}
+	}
+	g.initLaneSpec(l)
+	g.lanes[key] = l
+	return l, nil
 }
 
 // Do runs a unary job (e.g. a one-shot simulation) under the gateway's

@@ -1,11 +1,15 @@
 package gateway
 
-// lane.go is the per-lane scheduler: one goroutine per active lane runs
-// iteration-level batching over the lane's cost model, mirroring the
-// discrete-event policies in internal/serve but driven by live requests
-// arriving over real channels. The lane owns a virtual clock advanced by
-// each iteration's modeled cost; queue waits and wall times are measured
-// against the real clock.
+// lane.go is the live driver of the scheduler core (serve.Batch): one
+// goroutine per active lane admits queued jobs into the lane's batch, asks
+// the core for the iteration's shapes, prices them through the resilience
+// weave, advances the lane's virtual clock by the modeled cost and
+// commits — the loop the trace simulator in internal/serve runs over the
+// same core, here fed by live requests arriving over real channels. The
+// lane owns everything that is not scheduling: the class-ordered queue
+// (under g.mu), wall-clock spans and metrics, exactly-once emission,
+// prefix-cache attribution and pacing. Queue waits and wall times are
+// measured against the real clock.
 //
 // The scheduler runs under a supervisor (runLane): a panic anywhere in
 // the iteration loop fails only the in-flight requests with a typed
@@ -18,11 +22,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/govern"
 	"repro/internal/overload"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -47,9 +53,13 @@ type job struct {
 	// (the cap-batch-tokens rung); surfaced as finish_reason "brownout".
 	brownout bool
 
-	// Set at admission by the lane goroutine.
+	// Set at admission by the lane goroutine. A requeued job's modeled
+	// timeline does not restart (see serve.Plan.Victims): admitV is the
+	// lane clock at its FIRST admission and firstV the clock at its first
+	// DELIVERED token, while admitWall and batchAt follow the latest.
 	admitWall time.Time
 	admitV    float64
+	firstV    float64
 	batchAt   int
 	// requeues counts watchdog cancellations and KV preemptions that sent
 	// the job back to the queue.
@@ -84,18 +94,11 @@ type job struct {
 	specPasses   int
 }
 
-// seq is one in-flight sequence being decoded.
-type seq struct {
-	j         *job
-	ctxLen    int
-	remaining int
-	ttftV     float64
-	// prefillDone tracks chunked-prefill progress in tokens.
-	prefillDone int
-	// produced counts tokens produced by this execution attempt; it
-	// restarts at zero after a requeue while job.emitted does not, which
-	// is how recomputed tokens are deduplicated (stream.go).
-	produced int
+// attempt is the lane's per-execution-attempt state, hung off the
+// scheduler core's sequence; a requeue discards it with the sequence
+// while the job (and its emitted high-water mark) lives on.
+type attempt struct {
+	j *job
 	// degraded records that at least one of the sequence's iterations
 	// was priced by the fallback cost model.
 	degraded bool
@@ -104,11 +107,14 @@ type seq struct {
 	mark time.Time
 }
 
+// seq is one in-flight sequence of the lane's batch.
+type seq = serve.Seq[attempt]
+
 // lane is a batching stream for one (platform, model, config) key.
 type lane struct {
 	key      string
-	cost     costModel
-	fallback costModel // degraded-mode stand-in; nil when none exists
+	cost     serve.CostModel
+	fallback serve.CostModel // degraded-mode stand-in; nil when none exists
 
 	// queue, active and quarantinedUntil are guarded by the gateway
 	// mutex; the scheduler goroutine owns everything else.
@@ -116,9 +122,10 @@ type lane struct {
 	active           bool
 	quarantinedUntil time.Time
 
-	// Supervisor state, owned by the single runLane goroutine.
-	running  []*seq
-	pre      *seq // chunked-prefill slot
+	// Scheduler and supervisor state, owned by the single runLane
+	// goroutine. joined is this iteration's admissions (a reused buffer).
+	batch    serve.Batch[attempt]
+	joined   []*seq
 	br       breaker
 	crashes  []time.Time
 	restarts int
@@ -146,11 +153,17 @@ func (l *lane) enqueueLocked(j *job) {
 	l.queue[i] = j
 }
 
-// costModel is serve.CostModel, restated locally to keep the lane file
-// self-describing.
-type costModel interface {
-	PrefillCost(batch, inputLen int) (float64, error)
-	DecodeStepCost(batch, ctxLen int) (float64, error)
+// requeueLocked sends jobs whose execution attempt was cut short (a KV
+// preemption, a watchdog cancellation) back to the head of the queue to
+// recompute from prefill — behind jobs requeued before them, so the one
+// that has waited longest is readmitted first, as the simulator's trace
+// driver does. Callers hold g.mu.
+func (l *lane) requeueLocked(js ...*job) {
+	i := 0
+	for i < len(l.queue) && l.queue[i].requeues > 0 {
+		i++
+	}
+	l.queue = slices.Insert(l.queue, i, js...)
 }
 
 // runLane supervises the lane scheduler: it reruns laneSession until the
@@ -222,45 +235,37 @@ func (g *Gateway) laneSession(l *lane) (parked bool) {
 			g.gov.SetPressure(l.key, g.inj.Pressure(siteGovern, l.key))
 		}
 
-		// Admission: take waiting jobs into free slots, discarding any
-		// whose context died while queued. Each admitted job reserves its
-		// KV blocks first; a job the pool cannot hold right now stays
-		// queued (memBlocked) until blocks free up or pressure lifts.
+		// Admission: take waiting jobs into the slots the core reports free,
+		// discarding any whose context died while queued. Admit reserves
+		// each job's KV blocks first; a job the pool cannot hold right now
+		// stays queued (memBlocked) until blocks free up or pressure lifts.
 		g.mu.Lock()
 		l.queue = g.dropCanceledLocked(l.queue)
-		var admitted []*job
+		l.joined = l.joined[:0]
 		memBlocked := false
-		if g.cfg.Policy == Chunked {
-			if l.pre == nil && len(l.running) < g.cfg.MaxBatch && len(l.queue) > 0 {
-				if g.reserveAdmit(l.queue[0]) {
-					admitted = append(admitted, l.queue[0])
-					l.queue = l.queue[1:]
-				} else {
-					memBlocked = true
-				}
+		for len(l.queue) > 0 && l.batch.Slots() > 0 {
+			j := l.queue[0]
+			s := &seq{Job: attempt{j: j}, In: j.req.InputLen, Out: j.req.OutputLen,
+				Mem: g.claim(j)}
+			if l.batch.Admit(s) != nil {
+				memBlocked = true
+				break
 			}
-		} else {
-			free := g.cfg.MaxBatch - len(l.running)
-			for len(l.queue) > 0 && len(admitted) < free {
-				if !g.reserveAdmit(l.queue[0]) {
-					memBlocked = true
-					break
-				}
-				admitted = append(admitted, l.queue[0])
-				l.queue = l.queue[1:]
-			}
+			s.Cached = j.cached
+			l.joined = append(l.joined, s)
+			l.queue = l.queue[1:]
 		}
-		if len(admitted) == 0 && len(l.running) == 0 && l.pre == nil && len(l.queue) == 0 {
+		if l.batch.Len() == 0 && len(l.queue) == 0 {
 			l.active = false
 			l.restarts = 0
 			g.mu.Unlock()
 			return true
 		}
-		g.waiting -= len(admitted)
+		g.waiting -= len(l.joined)
 		g.noteSaturationLocked(time.Now())
 		g.mu.Unlock()
 
-		if len(admitted) == 0 && len(l.running) == 0 && l.pre == nil && memBlocked {
+		if l.batch.Len() == 0 && memBlocked {
 			// Everything is queued behind an exhausted (or pressure-shrunk)
 			// pool with nothing running to free blocks. Back off briefly
 			// instead of spinning; recovery comes from the pressure query
@@ -270,10 +275,15 @@ func (g *Gateway) laneSession(l *lane) (parked bool) {
 		}
 
 		now := time.Now()
-		for _, j := range admitted {
+		for _, s := range l.joined {
+			j := s.Job.j
 			g.m.queueDepth.Dec()
 			j.admitWall = now
-			j.admitV = l.vclock
+			if j.requeues == 0 { // first admission
+				j.admitV = l.vclock
+			}
+			j.batchAt = l.batch.Len()
+			s.Job.mark = now
 			if tr := j.req.Trace; tr != nil {
 				attrs := map[string]string{"lane": l.key}
 				if j.requeues > 0 {
@@ -281,19 +291,17 @@ func (g *Gateway) laneSession(l *lane) (parked bool) {
 				}
 				tr.Add(trace.SpanData{Name: trace.PhaseQueue,
 					Start: j.lastMark, End: now, Attrs: attrs})
+				s.Job.mark = time.Now()
+				tr.Add(trace.SpanData{Name: trace.PhaseBatch,
+					Start: now, End: s.Job.mark,
+					Attrs: map[string]string{"batch": strconv.Itoa(j.batchAt)}})
 			}
 			j.lastMark = now
 			g.m.queueWait.Observe(now.Sub(j.submitted).Seconds())
 			g.m.inflight.Inc()
 		}
 
-		var iterCost float64
-		var err error
-		if g.cfg.Policy == Chunked {
-			iterCost, err = g.chunkedIteration(l, admitted)
-		} else {
-			iterCost, err = g.continuousIteration(l, admitted)
-		}
+		iterCost, err := g.iterate(l)
 		if err != nil {
 			if errors.Is(err, ErrWatchdogTimeout) {
 				// The batch overran its deadline: cancel and requeue it
@@ -351,247 +359,120 @@ func (g *Gateway) dropCanceledLocked(queue []*job) []*job {
 	return kept
 }
 
-// continuousIteration runs one Orca-style iteration: a dedicated batched
-// prefill when requests were admitted, otherwise one decode step for the
-// whole running batch. Admitted jobs join l.running before pricing, so an
-// error or panic mid-iteration fails (or requeues) them uniformly.
-func (g *Gateway) continuousIteration(l *lane, admitted []*job) (float64, error) {
-	if len(admitted) > 0 {
-		iterStart := time.Now()
-		maxIn := 0
-		batch := len(l.running) + len(admitted)
-		start := len(l.running)
-		for _, j := range admitted {
-			// Cache-hit prompts only prefill their uncached suffix; the
-			// batched prefill is priced over the longest *effective*
-			// prompt, which is where the cache's compute saving lands.
-			if eff := j.req.InputLen - j.cached; eff > maxIn {
-				maxIn = eff
-			}
-			j.batchAt = batch
-			s := &seq{j: j, ctxLen: j.req.InputLen,
-				remaining: j.req.OutputLen - 1, mark: j.lastMark}
-			if tr := j.req.Trace; tr != nil {
-				tr.Add(trace.SpanData{Name: trace.PhaseBatch,
-					Start: s.mark, End: iterStart,
-					Attrs: map[string]string{"batch": strconv.Itoa(batch)}})
-				s.mark = iterStart
-			}
-			l.running = append(l.running, s)
+// iterate runs one iteration of the lane's batch: evict sequences whose
+// client went away, let the core plan (requeueing the victims it
+// preempted), price the planned shapes — a decode step or speculation
+// cycle for the running batch, a batched prefill or one prefill chunk for
+// the joining sequences — advance the virtual clock by the sum, commit,
+// and deliver what the commit produced. Joiners are in the batch from
+// admission on, so an error or panic mid-iteration fails (or requeues)
+// them with the rest. It returns the iteration's modeled cost.
+func (g *Gateway) iterate(l *lane) (float64, error) {
+	b := &l.batch
+	for _, s := range b.All() {
+		if j := s.Job.j; j.ctx.Err() != nil {
+			b.Remove(s)
+			j.lease.Release()
+			g.m.canceled.Inc()
+			g.m.inflight.Dec()
 		}
-		cost, info, err := g.priceIteration(l, true, len(admitted), maxIn)
-		if err != nil {
-			return 0, err
-		}
-		l.vclock += cost
-		now := time.Now()
-		cnt := iterCounters(l.running[start:], info, true, len(admitted), maxIn)
-		kept := l.running[:start]
-		for _, s := range l.running[start:] {
-			s.ttftV = l.vclock
-			s.degraded = s.degraded || info.degraded
-			g.iterSpans(s, trace.PhasePrefill, now, cost, info, cnt,
-				map[string]string{
-					"batch":     strconv.Itoa(len(admitted)),
-					"input_len": strconv.Itoa(maxIn),
-				})
-			g.noteCacheHit(s.j, info.model, len(admitted), iterStart)
-			g.donatePrefix(s.j)
-			g.emitToken(l, s, batch, info.degraded, now)
-			if s.remaining == 0 {
-				g.completeSeq(l, s)
-				continue
-			}
-			kept = append(kept, s)
-		}
-		l.running = kept
-		return cost, nil
 	}
-
-	l.running = g.evictCanceled(l.running)
-	g.growRunning(l)
-	if len(l.running) == 0 {
+	p := b.Next()
+	for _, v := range p.Victims {
+		g.preemptSeq(l, v)
+	}
+	if p.Empty() {
 		return 0, nil
 	}
-	maxCtx := 0
-	for _, s := range l.running {
-		if s.ctxLen > maxCtx {
-			maxCtx = s.ctxLen
-		}
-	}
-	batch := len(l.running)
-	if l.spec != nil {
-		if g.specSuspended(l, time.Now()) {
-			g.m.specSuspended.Inc()
-		} else if cost, ok, err := g.speculativeDecode(l, batch, maxCtx); ok || err != nil {
-			return cost, err
-		}
-	}
-	cost, info, err := g.priceIteration(l, false, batch, maxCtx)
-	if err != nil {
-		return 0, err
-	}
-	l.vclock += cost
-	now := time.Now()
-	cnt := iterCounters(l.running, info, false, batch, maxCtx)
-	g.m.batchSize.Observe(float64(batch))
-	kept := l.running[:0]
-	for _, s := range l.running {
-		s.ctxLen++
-		s.remaining--
-		s.degraded = s.degraded || info.degraded
-		g.iterSpans(s, trace.PhaseDecode, now, cost, info, cnt,
-			map[string]string{
-				"token": strconv.Itoa(s.j.req.OutputLen - s.remaining),
-				"batch": strconv.Itoa(batch),
-				"ctx":   strconv.Itoa(s.ctxLen),
-			})
-		g.emitToken(l, s, batch, info.degraded, now)
-		if s.remaining == 0 {
-			g.completeSeq(l, s)
-			continue
-		}
-		kept = append(kept, s)
-	}
-	l.running = kept
-	return cost, nil
-}
+	inflight, nd, np := b.Len(), len(p.Decode), len(p.Prefill)
 
-// chunkedIteration runs one Sarathi-style iteration: a decode step for
-// the running batch coalesced with one prefill chunk of the admitting
-// request.
-func (g *Gateway) chunkedIteration(l *lane, admitted []*job) (float64, error) {
-	if len(admitted) > 0 { // at most one under Chunked
-		j := admitted[0]
-		j.batchAt = len(l.running) + 1
-		// prefillDone starts at the cached prefix: those chunks are
-		// never priced, which is the chunked policy's cache saving.
-		l.pre = &seq{j: j, remaining: j.req.OutputLen - 1,
-			prefillDone: j.cached, mark: j.lastMark}
-		if tr := j.req.Trace; tr != nil {
-			now := time.Now()
-			tr.Add(trace.SpanData{Name: trace.PhaseBatch,
-				Start: l.pre.mark, End: now,
-				Attrs: map[string]string{"batch": strconv.Itoa(j.batchAt)}})
-			l.pre.mark = now
+	var iter, decCost, preCost float64
+	var dec, pre priceInfo
+	var counts []int // tokens per decoding sequence; nil means one each
+	if nd > 0 {
+		var err error
+		if decCost, dec, counts, err = g.priceDecode(l, p.Decode, p.DecodeCtx); err != nil {
+			return 0, err
 		}
+		iter += decCost
+		g.m.batchSize.Observe(float64(nd))
 	}
-	l.running = g.evictCanceled(l.running)
-	if l.pre != nil && l.pre.j.ctx.Err() != nil {
-		l.pre.j.lease.Release()
-		g.m.canceled.Inc()
-		g.m.inflight.Dec()
-		l.pre = nil
-	}
-	g.growRunning(l)
-	if l.pre == nil && len(l.running) == 0 {
-		return 0, nil
-	}
-
-	var iter, decodeCost float64
-	var decodeInfo priceInfo
-	var decodeCnt *trace.Counters
-	batch := len(l.running)
-	if batch > 0 {
-		maxCtx := 0
-		for _, s := range l.running {
-			if s.ctxLen > maxCtx {
-				maxCtx = s.ctxLen
-			}
-		}
-		d, info, err := g.priceIteration(l, false, batch, maxCtx)
+	if np > 0 {
+		var err error
+		preCost, pre, err = g.priceIteration(l, true, np, p.PrefillLen)
 		if err != nil {
 			return 0, err
 		}
-		iter += d
-		decodeCost, decodeInfo = d, info
-		decodeCnt = iterCounters(l.running, info, false, batch, maxCtx)
-		g.m.batchSize.Observe(float64(batch))
-	}
-	if l.pre != nil {
-		chunk := g.cfg.PrefillChunk
-		if rem := l.pre.j.req.InputLen - l.pre.prefillDone; chunk > rem {
-			chunk = rem
-		}
-		c, info, err := g.priceIteration(l, true, 1, chunk)
-		if err != nil {
-			return 0, err
-		}
-		iter += c
-		l.pre.prefillDone += chunk
-		l.pre.degraded = l.pre.degraded || info.degraded
-		var cnt *trace.Counters
-		if l.pre.j.req.Trace != nil {
-			cnt = counterAnalogs(info.model, true, 1, chunk)
-		}
-		g.iterSpans(l.pre, trace.PhasePrefill, time.Now(), c, info, cnt,
-			map[string]string{
-				"chunk": strconv.Itoa(chunk),
-				"done":  strconv.Itoa(l.pre.prefillDone),
-			})
+		iter += preCost
 	}
 	l.vclock += iter
-
+	b.Commit(p, counts)
 	now := time.Now()
-	kept := l.running[:0]
-	for _, s := range l.running {
-		s.ctxLen++
-		s.remaining--
-		s.degraded = s.degraded || decodeInfo.degraded
-		g.iterSpans(s, trace.PhaseDecode, now, decodeCost, decodeInfo, decodeCnt,
-			map[string]string{
-				"token": strconv.Itoa(s.j.req.OutputLen - s.remaining),
-				"batch": strconv.Itoa(batch),
-				"ctx":   strconv.Itoa(s.ctxLen),
-			})
-		g.emitToken(l, s, batch, decodeInfo.degraded, now)
-		if s.remaining == 0 {
+
+	var decCnt *trace.Counters // a speculation cycle is not a phase the models emulate
+	if counts == nil {
+		decCnt = iterCounters(p.Decode, dec, false, nd, p.DecodeCtx)
+	}
+	for i, s := range p.Decode {
+		n := 1
+		if counts != nil {
+			n = counts[i]
+		}
+		s.Job.degraded = s.Job.degraded || dec.degraded
+		if counts != nil && l.spec.proposed[i] > 0 {
+			g.noteSpeculated(l, s, i, now, decCost, dec)
+		} else if s.Job.j.req.Trace != nil {
+			g.iterSpans(s, trace.PhaseDecode, now, decCost, dec, decCnt,
+				map[string]string{
+					"token": strconv.Itoa(s.Produced()),
+					"batch": strconv.Itoa(nd),
+					"ctx":   strconv.Itoa(s.Ctx()),
+				})
+		}
+		g.emitTokens(l, s, n, nd, dec.degraded, now)
+		if s.Done() {
 			g.completeSeq(l, s)
+		}
+	}
+	if counts != nil {
+		g.noteCycle(l)
+	}
+
+	preCnt := iterCounters(p.Prefill, pre, true, np, p.PrefillLen)
+	for _, s := range p.Prefill {
+		s.Job.degraded = s.Job.degraded || pre.degraded
+		if s.Job.j.req.Trace != nil {
+			g.iterSpans(s, trace.PhasePrefill, now, preCost, pre, preCnt,
+				map[string]string{
+					"batch":     strconv.Itoa(np),
+					"input_len": strconv.Itoa(p.PrefillLen),
+					"done":      strconv.Itoa(s.Prefilled()),
+				})
+		}
+		if s.Prefilling() {
 			continue
 		}
-		kept = append(kept, s)
-	}
-	l.running = kept
-
-	if l.pre != nil && l.pre.prefillDone >= l.pre.j.req.InputLen {
-		g.noteCacheHit(l.pre.j, l.cost, 1, now)
-		g.donatePrefix(l.pre.j)
-		l.pre.ctxLen = l.pre.j.req.InputLen
-		l.pre.ttftV = l.vclock
-		g.emitToken(l, l.pre, len(l.running)+1, l.pre.degraded, now)
-		if l.pre.remaining == 0 {
-			g.completeSeq(l, l.pre)
-		} else {
-			l.running = append(l.running, l.pre)
+		// The prompt is in: the first token exists now. The cache saving
+		// is estimated on the model that priced this very iteration — the
+		// primary may be the reason the lane is degraded.
+		g.noteCacheHit(s.Job.j, pre.model, np, now)
+		g.donatePrefix(s.Job.j)
+		g.emitTokens(l, s, 1, inflight, s.Job.degraded, now)
+		if s.Done() {
+			g.completeSeq(l, s)
 		}
-		l.pre = nil
 	}
 	return iter, nil
 }
 
-// evictCanceled removes sequences whose request context died mid-flight.
-func (g *Gateway) evictCanceled(running []*seq) []*seq {
-	kept := running[:0]
-	for _, s := range running {
-		if s.j.ctx.Err() != nil {
-			s.j.lease.Release()
-			g.m.canceled.Inc()
-			g.m.inflight.Dec()
-			continue
-		}
-		kept = append(kept, s)
-	}
-	return kept
-}
-
 // completeSeq delivers a finished sequence's result and records metrics.
 func (g *Gateway) completeSeq(l *lane, s *seq) {
-	j := s.j
+	j := s.Job.j
 	e2e := l.vclock - j.admitV
-	ttft := s.ttftV - j.admitV
+	ttft := j.firstV - j.admitV
 	var tpot float64
 	if steps := j.req.OutputLen - 1; steps > 0 {
-		tpot = (l.vclock - s.ttftV) / float64(steps)
+		tpot = (l.vclock - j.firstV) / float64(steps)
 	}
 	res := Result{
 		Lane:             j.req.Lane,
@@ -604,7 +485,7 @@ func (g *Gateway) completeSeq(l *lane, s *seq) {
 		E2ESeconds:       e2e,
 		WallSeconds:      time.Since(j.submitted).Seconds(),
 		BatchAtAdmission: j.batchAt,
-		Degraded:         s.degraded,
+		Degraded:         s.Job.degraded,
 		TraceID:          j.req.Trace.ID(),
 	}
 	if e2e > 0 {
@@ -624,17 +505,12 @@ func (g *Gateway) completeSeq(l *lane, s *seq) {
 	g.m.e2e.Observe(e2e)
 	g.m.wall.Observe(res.WallSeconds)
 	g.m.completed.Inc()
-	if s.degraded {
+	if s.Job.degraded {
 		g.m.degraded.Inc()
 	}
 	g.m.inflight.Dec()
 	j.lease.Release()
 	j.done <- jobOutcome{res: res}
-}
-
-// failSeq reports an execution error for an in-flight sequence.
-func (g *Gateway) failSeq(s *seq, err error) {
-	g.failJob(s.j, err)
 }
 
 // failJob reports an execution error for a job that was already admitted.
@@ -653,7 +529,7 @@ func (g *Gateway) failJob(j *job, err error) {
 // durations sum to the request's gateway residence.
 func (g *Gateway) iterSpans(s *seq, phase string, end time.Time, cost float64,
 	info priceInfo, cnt *trace.Counters, attrs map[string]string) {
-	tr := s.j.req.Trace
+	tr := s.Job.j.req.Trace
 	if tr == nil {
 		return
 	}
@@ -665,8 +541,8 @@ func (g *Gateway) iterSpans(s *seq, phase string, end time.Time, cost float64,
 	tr.Add(trace.SpanData{Name: trace.PhasePricing,
 		Start: info.start, End: info.end, ModelSeconds: cost, Attrs: pattrs})
 	tr.Add(trace.SpanData{Name: phase,
-		Start: s.mark, End: end, ModelSeconds: cost, Attrs: attrs, Counters: cnt})
-	s.mark = end
+		Start: s.Job.mark, End: end, ModelSeconds: cost, Attrs: attrs, Counters: cnt})
+	s.Job.mark = end
 }
 
 // iterCounters derives the counter analogs for one priced iteration, once,
@@ -674,7 +550,7 @@ func (g *Gateway) iterSpans(s *seq, phase string, end time.Time, cost float64,
 // shares the cost model's pricing memo, so it never re-simulates.
 func iterCounters(parts []*seq, info priceInfo, prefill bool, batch, length int) *trace.Counters {
 	for _, s := range parts {
-		if s.j.req.Trace != nil {
+		if s.Job.j.req.Trace != nil {
 			return counterAnalogs(info.model, prefill, batch, length)
 		}
 	}

@@ -1,11 +1,14 @@
 package gateway
 
-// memory.go is the lane scheduler's side of KV-memory governance
-// (internal/govern): block reservation at admission, per-token growth
-// under optimistic admission, and preemption-by-recompute when the
-// lane's pool runs out — the live counterpart of serve/preempt.go's
-// runOptimistic. Everything here is a no-op when the gateway runs
-// without a governor (every lease is nil).
+// memory.go is the lane's side of KV-memory governance (internal/govern).
+// The scheduler core (serve.Batch) decides what to reserve at admission,
+// grows every running sequence per decode step under optimistic
+// admission and picks the victims when the lane's pool runs out; this
+// file hands it the job's lease as its memory seam — through the prefix
+// cache when the request is matchable — and does what a preemption means
+// for a live request: spans, the requeue budget, the queue. Everything
+// here is a no-op when the gateway runs without a governor (every lease
+// is nil).
 
 import (
 	"fmt"
@@ -13,25 +16,40 @@ import (
 	"time"
 
 	"repro/internal/govern"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
-// reserveAdmit reserves the KV blocks a job needs to enter execution:
-// its full context under conservative admission, its prompt under
-// optimistic admission. False means the pool cannot hold the job right
-// now and it must stay queued. Callers hold g.mu (the lease locks the
-// governor and pool below it; see the lock order in govern).
-func (g *Gateway) reserveAdmit(j *job) bool {
-	if j.lease == nil {
-		return true
-	}
-	tokens := g.gov.AdmitTokens(j.req.InputLen, j.req.OutputLen)
+// claim returns the memory seam the scheduler core reserves, grows and
+// releases a job's KV blocks through: nil without a governor, the job's
+// lease as it is, or — for a request the prefix cache can match — the
+// lease with its admission reservation routed through the cache. Called
+// under g.mu (the lease locks the governor and pool below it; see the
+// lock order in govern).
+func (g *Gateway) claim(j *job) serve.Memory {
 	j.cached = 0
-	if j.req.CacheDisabled || !g.gov.CacheEnabled() || len(j.req.Prefix) == 0 {
-		return j.lease.Reserve(tokens) == nil
+	if j.lease == nil {
+		return nil
 	}
+	if j.req.CacheDisabled || !g.gov.CacheEnabled() || len(j.req.Prefix) == 0 {
+		return j.lease
+	}
+	return prefixClaim{j.lease, g, j}
+}
+
+// prefixClaim is a lease whose admission reservation first adopts
+// whatever prefix of the prompt the lane's cache holds; j.cached reports
+// how many prompt tokens that covered.
+type prefixClaim struct {
+	*govern.Lease
+	g *Gateway
+	j *job
+}
+
+func (c prefixClaim) Reserve(tokens int) error {
+	g, j := c.g, c.j
 	start := time.Now()
-	cached, err := j.lease.ReserveWithPrefix(j.req.Prefix, tokens,
+	cached, err := c.ReserveWithPrefix(j.req.Prefix, tokens,
 		j.req.InputLen, j.req.MinPrefixTokens)
 	if tr := j.req.Trace; tr != nil {
 		attrs := map[string]string{"result": "miss"}
@@ -43,7 +61,7 @@ func (g *Gateway) reserveAdmit(j *job) bool {
 			Start: start, End: time.Now(), Attrs: attrs})
 	}
 	if err != nil {
-		return false
+		return err
 	}
 	j.cached = cached
 	if cached > 0 {
@@ -52,7 +70,7 @@ func (g *Gateway) reserveAdmit(j *job) bool {
 	} else {
 		g.m.cacheMisses.Inc()
 	}
-	return true
+	return nil
 }
 
 // noteCacheHit fixes a cache-hit job's prefill saving once its (possibly
@@ -60,7 +78,7 @@ func (g *Gateway) reserveAdmit(j *job) bool {
 // between prefilling the full prompt and the uncached suffix at the
 // iteration's batch size, recorded on the trace as a cache_hit marker
 // span and observed by the saved-seconds histogram. Misses are no-ops.
-func (g *Gateway) noteCacheHit(j *job, m costModel, batch int, at time.Time) {
+func (g *Gateway) noteCacheHit(j *job, m serve.CostModel, batch int, at time.Time) {
 	if j.cached <= 0 {
 		return
 	}
@@ -80,7 +98,7 @@ func (g *Gateway) noteCacheHit(j *job, m costModel, batch int, at time.Time) {
 // platform cost model's full-prompt prefill minus the uncached-suffix
 // prefill, at the iteration's batch size. Both calls ride the model's
 // pricing memo. Best-effort: a failing model yields 0, never an error.
-func estimateSaved(m costModel, batch, fullIn, cached int) float64 {
+func estimateSaved(m serve.CostModel, batch, fullIn, cached int) float64 {
 	if cached <= 0 || m == nil {
 		return 0
 	}
@@ -102,56 +120,22 @@ func (g *Gateway) donatePrefix(j *job) {
 	j.lease.DonatePrefix(j.req.Prefix)
 }
 
-// growRunning extends every running sequence's reservation by the one
-// token the upcoming decode step appends (optimistic admission only —
-// conservative reservations already cover the full context). When the
-// pool cannot supply a block, the youngest sequence — the last admitted,
-// which has the least progress to lose — is preempted back to the queue
-// and the remaining batch retries, exactly vLLM's recompute policy as
-// modeled by serve/preempt.go.
-func (g *Gateway) growRunning(l *lane) {
-	if g.gov == nil || g.gov.Conservative() || len(l.running) == 0 {
-		return
-	}
-	grew := make([]bool, len(l.running))
-	for len(l.running) > 0 {
-		ok := true
-		for i, s := range l.running {
-			if grew[i] {
-				continue
-			}
-			if err := s.j.lease.Grow(1); err != nil {
-				ok = false
-				break
-			}
-			grew[i] = true
-		}
-		if ok {
-			return
-		}
-		victim := l.running[len(l.running)-1]
-		l.running = l.running[:len(l.running)-1]
-		grew = grew[:len(l.running)]
-		g.preemptSeq(l, victim)
-	}
-}
-
-// preemptSeq evicts one sequence on KV exhaustion: its blocks return to
-// the pool, its execution so far tiles into a preempted span, and the job
-// goes back to the front of the queue to recompute from prefill — unless
-// its requeue budget is spent, in which case it fails with
-// govern.ErrKVExhausted (HTTP 503 + Retry-After).
+// preemptSeq handles one sequence the core evicted on KV exhaustion (its
+// blocks are already back in the pool): its execution so far tiles into a
+// preempted span, and the job goes back to the head of the queue to
+// recompute from prefill — unless its requeue budget is spent, in which
+// case it fails with govern.ErrKVExhausted (HTTP 503 + Retry-After).
 func (g *Gateway) preemptSeq(l *lane, s *seq) {
-	j := s.j
+	j := s.Job.j
 	now := time.Now()
 	if tr := j.req.Trace; tr != nil {
 		tr.Add(trace.SpanData{Name: trace.PhasePreempted,
-			Start: s.mark, End: now,
+			Start: s.Job.mark, End: now,
 			Attrs: map[string]string{"cause": "kv pool exhausted"}})
 	}
 	j.lease.Preempt()
 	if j.requeues >= g.cfg.MaxRequeues {
-		g.failSeq(s, fmt.Errorf("%w: lane %s", govern.ErrKVExhausted, l.key))
+		g.failJob(j, fmt.Errorf("%w: lane %s", govern.ErrKVExhausted, l.key))
 		return
 	}
 	j.requeues++
@@ -161,7 +145,7 @@ func (g *Gateway) preemptSeq(l *lane, s *seq) {
 	g.log.Warn("gateway: KV preemption",
 		"lane", l.key, "trace_id", j.req.Trace.ID(), "requeues", j.requeues)
 	g.mu.Lock()
-	l.queue = append([]*job{j}, l.queue...)
+	l.requeueLocked(j)
 	g.waiting++
 	g.mu.Unlock()
 	g.m.queueDepth.Inc()

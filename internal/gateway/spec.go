@@ -5,7 +5,8 @@ package gateway
 // implements serve.SpecCostModel gains a draft engine: each decode
 // iteration becomes one speculation cycle — k draft steps plus one fused
 // multi-row verification pass over the running batch — and every sequence
-// commits its accepted run plus the verification bonus token. The cycle
+// commits its accepted run plus the verification bonus token (the
+// scheduler core's Commit takes a token count per sequence). The cycle
 // is priced through the same watchdog/injection/breaker weave as a plain
 // decode step (pricedCall), so chaos faults, watchdog requeues, KV
 // preemption and degraded mode keep working; committed tokens flow
@@ -73,14 +74,22 @@ type laneSpec struct {
 	adapt *specdec.Adaptive
 	alpha float64
 	maxK  int
+
+	// The cycle being run, per decoding sequence (reused buffers): draft
+	// tokens proposed, those verification accepted, and the tokens the
+	// core commits — the accepted run plus the bonus token.
+	k                          int
+	proposed, accepted, counts []int
 }
 
 // initLaneSpec attaches speculative state to a newly created lane when
 // the gateway is configured for speculation and the lane's cost model can
 // price draft steps and verification passes. Lanes whose model cannot
-// simply decode plainly.
+// simply decode plainly, as do chunked-prefill lanes: a cycle of k draft
+// steps plus verification is exactly the long iteration chunking exists
+// to bound.
 func (g *Gateway) initLaneSpec(l *lane) {
-	if g.cfg.Spec == nil {
+	if g.cfg.Spec == nil || g.cfg.Policy == Chunked {
 		return
 	}
 	scm, ok := l.cost.(serve.SpecCostModel)
@@ -112,14 +121,30 @@ func (g *Gateway) specSuspended(l *lane, now time.Time) bool {
 	return !l.br.allowPrimary(now)
 }
 
-// speculativeDecode runs one speculation cycle for the lane's running
-// batch. It returns ok=false — without pricing anything — when no
+// priceDecode prices the running batch's step: one speculation cycle
+// when the lane speculates and nothing suspends it, else one plain decode
+// step. counts is the tokens each sequence commits — nil for one each.
+func (g *Gateway) priceDecode(l *lane, seqs []*seq, maxCtx int) (cost float64, info priceInfo, counts []int, err error) {
+	if l.spec != nil {
+		if g.specSuspended(l, time.Now()) {
+			g.m.specSuspended.Inc()
+		} else if cost, info, counts, err = g.speculate(l, seqs, maxCtx); counts != nil || err != nil {
+			return cost, info, counts, err
+		}
+	}
+	cost, info, err = g.priceIteration(l, false, len(seqs), maxCtx)
+	return cost, info, nil, err
+}
+
+// speculate plans and prices one speculation cycle for the decoding
+// sequences. It returns nil counts — without pricing anything — when no
 // sequence can usefully speculate this iteration (all disabled or on
-// their final token), letting the caller fall through to a plain decode
-// step. Sequences are assumed to have grown their leases by one token
-// already (growRunning); the extra proposal pages are claimed here and
-// are the first thing dropped under KV pressure.
-func (g *Gateway) speculativeDecode(l *lane, batch, maxCtx int) (cost float64, ok bool, err error) {
+// their final token), letting the caller price a plain decode step; and
+// nil counts with the fallback's plain-step price when the cycle was
+// priced degraded. The core has already grown every lease by one token
+// (serve.Batch.Next); the extra proposal pages are claimed here and are
+// the first thing dropped under KV pressure.
+func (g *Gateway) speculate(l *lane, seqs []*seq, maxCtx int) (float64, priceInfo, []int, error) {
 	sp := l.spec
 	k := sp.adapt.K()
 	if k > sp.maxK {
@@ -129,128 +154,106 @@ func (g *Gateway) speculativeDecode(l *lane, batch, maxCtx int) (cost float64, o
 	// Plan each sequence's proposal and sample its accepted run up front:
 	// acceptance drives KV growth, and the sampler must advance exactly
 	// once per participating sequence per cycle for reproducibility.
-	type plan struct {
-		proposed, accepted, committed int
-	}
-	plans := make([]plan, len(l.running))
-	cycleK := 0
-	for i, s := range l.running {
+	sp.k = 0
+	sp.proposed, sp.accepted, sp.counts = sp.proposed[:0], sp.accepted[:0], sp.counts[:0]
+	for _, s := range seqs {
+		j := s.Job.j
 		prop := k
-		if lim := s.j.req.SpecLookahead; lim > 0 && lim < prop {
+		if lim := j.req.SpecLookahead; lim > 0 && lim < prop {
 			prop = lim
 		}
-		if rem := s.remaining - 1; prop > rem {
+		if rem := s.Out - s.Produced() - 1; prop > rem {
 			prop = rem
 		}
-		if s.j.req.SpecDisabled || prop < 0 {
+		if j.req.SpecDisabled {
 			prop = 0
 		}
 		acc := 0
 		for acc < prop && sp.rng.Float64() < sp.alpha {
 			acc++
 		}
-		plans[i] = plan{proposed: prop, accepted: acc, committed: acc + 1}
-		if prop > cycleK {
-			cycleK = prop
+		// KV governance: the lease must also cover the accepted rows
+		// beyond the one token already granted. Draft state is the first
+		// casualty of memory pressure — a sequence whose extra pages don't
+		// fit falls back to a plain single-token commit (its sampled run is
+		// discarded with the pages) instead of anyone being preempted.
+		if acc > 0 && j.lease.Grow(acc) != nil {
+			acc = 0
 		}
+		sp.proposed = append(sp.proposed, prop)
+		sp.accepted = append(sp.accepted, acc)
+		sp.counts = append(sp.counts, acc+1)
+		sp.k = max(sp.k, prop)
 	}
-	if cycleK == 0 {
-		return 0, false, nil
+	if sp.k == 0 {
+		return 0, priceInfo{}, nil, nil
 	}
 
-	// KV governance: each sequence's lease must also cover the proposal
-	// rows beyond the one token growRunning already granted. Draft state
-	// is the first casualty of memory pressure — a sequence whose extra
-	// pages don't fit falls back to a plain single-token commit (its
-	// sampled run is discarded with the pages) instead of anyone being
-	// preempted.
-	for i, s := range l.running {
-		if extra := plans[i].committed - 1; extra > 0 {
-			if gerr := s.j.lease.Grow(extra); gerr != nil {
-				plans[i] = plan{proposed: plans[i].proposed, accepted: 0, committed: 1}
-			}
-		}
-	}
-
-	// Price the cycle — cycleK draft steps plus one fused verification
-	// pass over cycleK+1 rows — through the resilience weave. A fallback
-	// model cannot price a draft, so degraded pricing charges a plain
-	// decode step and the cycle commits one token per sequence.
+	// Price the cycle — k draft steps plus one fused verification pass
+	// over k+1 rows — through the resilience weave. A fallback model
+	// cannot price a draft, so degraded pricing charges a plain decode
+	// step and the cycle commits one token per sequence.
+	// The closures read locals only: a call the watchdog abandons keeps
+	// running after the lane has moved on to its next cycle.
+	batch, cycleK, cm := len(seqs), sp.k, sp.cm
 	var fallback func() (float64, error)
 	if l.fallback != nil {
 		fallback = func() (float64, error) { return l.fallback.DecodeStepCost(batch, maxCtx) }
 	}
 	cost, info, err := g.pricedCall(l, siteDecode, func() (float64, error) {
-		d, derr := sp.cm.DraftStepCost(batch, maxCtx)
+		d, derr := cm.DraftStepCost(batch, maxCtx)
 		if derr != nil {
 			return 0, derr
 		}
-		v, verr := sp.cm.VerifyCost(batch, maxCtx, cycleK+1)
+		v, verr := cm.VerifyCost(batch, maxCtx, cycleK+1)
 		if verr != nil {
 			return 0, verr
 		}
 		return float64(cycleK)*d + v, nil
 	}, fallback)
 	if err != nil {
-		return 0, true, err
+		return 0, info, nil, err
 	}
-	specOK := !info.degraded
-
-	l.vclock += cost
-	now := time.Now()
-	g.m.batchSize.Observe(float64(batch))
-	cycleProp, cycleAcc := 0, 0
-	kept := l.running[:0]
-	for i, s := range l.running {
-		p := plans[i]
-		if !specOK {
-			p = plan{committed: 1}
-		}
-		s.degraded = s.degraded || info.degraded
-		j := s.j
-		if specOK && p.proposed > 0 {
-			j.specProposed += p.proposed
-			j.specAccepted += p.accepted
-			j.specPasses++
-			cycleProp += p.proposed
-			cycleAcc += p.accepted
-			g.iterSpans(s, trace.PhaseSpeculative, now, cost, info, nil,
-				map[string]string{
-					"k":         strconv.Itoa(cycleK),
-					"proposed":  strconv.Itoa(p.proposed),
-					"accepted":  strconv.Itoa(p.accepted),
-					"committed": strconv.Itoa(p.committed),
-					"batch":     strconv.Itoa(batch),
-					"ctx":       strconv.Itoa(s.ctxLen + p.committed),
-				})
-		} else {
-			g.iterSpans(s, trace.PhaseDecode, now, cost, info, nil,
-				map[string]string{
-					"token": strconv.Itoa(s.j.req.OutputLen - s.remaining + 1),
-					"batch": strconv.Itoa(batch),
-					"ctx":   strconv.Itoa(s.ctxLen + 1),
-				})
-		}
-		for t := 0; t < p.committed; t++ {
-			s.ctxLen++
-			s.remaining--
-			g.emitToken(l, s, batch, info.degraded, now)
-		}
-		if s.remaining == 0 {
-			g.completeSeq(l, s)
-			continue
-		}
-		kept = append(kept, s)
-	}
-	l.running = kept
-
-	if specOK {
-		g.m.specCycles.Inc()
-		g.m.specProposed.Add(uint64(cycleProp))
-		g.m.specAccepted.Add(uint64(cycleAcc))
-		sp.adapt.Observe(cycleProp, cycleAcc)
-	} else {
+	if info.degraded {
 		g.m.specSuspended.Inc()
+		return cost, info, nil, nil
 	}
-	return cost, true, nil
+	return cost, info, sp.counts, nil
+}
+
+// noteSpeculated attributes a committed cycle to the i-th decoding
+// sequence: job-level counters (they survive requeues) and the
+// speculative span.
+func (g *Gateway) noteSpeculated(l *lane, s *seq, i int, now time.Time, cost float64, info priceInfo) {
+	sp, j := l.spec, s.Job.j
+	j.specProposed += sp.proposed[i]
+	j.specAccepted += sp.accepted[i]
+	j.specPasses++
+	if j.req.Trace == nil {
+		return
+	}
+	g.iterSpans(s, trace.PhaseSpeculative, now, cost, info, nil,
+		map[string]string{
+			"k":         strconv.Itoa(sp.k),
+			"proposed":  strconv.Itoa(sp.proposed[i]),
+			"accepted":  strconv.Itoa(sp.accepted[i]),
+			"committed": strconv.Itoa(sp.counts[i]),
+			"batch":     strconv.Itoa(len(sp.counts)),
+			"ctx":       strconv.Itoa(s.Ctx()),
+		})
+}
+
+// noteCycle records a committed cycle in the lane's metrics and feeds the
+// realized acceptance to the adaptive lookahead controller.
+func (g *Gateway) noteCycle(l *lane) {
+	sp := l.spec
+	prop, acc := 0, 0
+	for i := range sp.proposed {
+		prop += sp.proposed[i]
+		acc += sp.accepted[i]
+	}
+	g.m.specCycles.Inc()
+	g.m.specProposed.Add(uint64(prop))
+	g.m.specAccepted.Add(uint64(acc))
+	sp.adapt.Observe(prop, acc)
 }

@@ -3,7 +3,7 @@ package gateway
 // stream.go is the gateway's per-token delivery path. The lane scheduler
 // produces tokens at iteration granularity — the whole admitted batch gets
 // its first token when a prefill iteration completes, then one token per
-// decode iteration — and emitToken fans each one out to the request's
+// decode iteration — and emitTokens fans each one out to the request's
 // optional TokenSink, records the first_token trace span, and feeds the
 // wall-clock TTFT and inter-token-latency histograms. The paper's point
 // (§II-C) is that CPU decode is memory-bound per token, so user-perceived
@@ -14,7 +14,7 @@ package gateway
 // Emission is exactly-once per token index even though the scheduler may
 // recompute work: a watchdog requeue or KV preemption sends a job back to
 // the queue and replays its prefill and early decode steps, so the
-// per-attempt counter (seq.produced) is checked against the job's
+// per-attempt count (the core's Seq.Produced) is checked against the job's
 // high-water mark (job.emitted) and already-delivered indices are skipped.
 
 import (
@@ -50,41 +50,42 @@ type TokenEvent struct {
 // requeue or KV preemption are not re-delivered.
 type TokenSink func(TokenEvent)
 
-// emitToken delivers the token just produced for s (if not already
-// delivered by a pre-requeue attempt) and records first-token/ITL
+// emitTokens delivers the n tokens s's latest commit produced (skipping
+// any a pre-requeue attempt already delivered) and records first-token/ITL
 // observability. batch is the sequence count of the producing iteration.
-func (g *Gateway) emitToken(l *lane, s *seq, batch int, degraded bool, now time.Time) {
-	j := s.j
-	idx := s.produced
-	s.produced++
-	if idx < j.emitted {
-		return // recomputed after requeue/preemption: already delivered
-	}
-	j.emitted = idx + 1
-	if idx == 0 {
-		g.m.firstToken.Observe(now.Sub(j.submitted).Seconds())
-		g.ctl.Observe(j.class, now.Sub(j.submitted), now)
-		if tr := j.req.Trace; tr != nil {
-			tr.Add(trace.SpanData{Name: trace.PhaseFirstToken,
-				Start: j.submitted, End: now,
-				Attrs: map[string]string{"batch": strconv.Itoa(batch)}})
+func (g *Gateway) emitTokens(l *lane, s *seq, n, batch int, degraded bool, now time.Time) {
+	j := s.Job.j
+	for idx := s.Produced() - n; idx < s.Produced(); idx++ {
+		if idx < j.emitted {
+			continue // recomputed after requeue/preemption: already delivered
 		}
-	} else {
-		g.m.itl.Observe(now.Sub(j.lastToken).Seconds())
+		j.emitted = idx + 1
+		if idx == 0 {
+			j.firstV = l.vclock
+			g.m.firstToken.Observe(now.Sub(j.submitted).Seconds())
+			g.ctl.Observe(j.class, now.Sub(j.submitted), now)
+			if tr := j.req.Trace; tr != nil {
+				tr.Add(trace.SpanData{Name: trace.PhaseFirstToken,
+					Start: j.submitted, End: now,
+					Attrs: map[string]string{"batch": strconv.Itoa(batch)}})
+			}
+		} else {
+			g.m.itl.Observe(now.Sub(j.lastToken).Seconds())
+		}
+		j.lastToken = now
+		if j.req.Sink == nil {
+			continue
+		}
+		g.m.streamTokens.Inc()
+		j.req.Sink(TokenEvent{
+			Index:    idx,
+			Wall:     now,
+			VTime:    l.vclock,
+			Batch:    batch,
+			Degraded: degraded,
+			Final:    idx == j.req.OutputLen-1,
+		})
 	}
-	j.lastToken = now
-	if j.req.Sink == nil {
-		return
-	}
-	g.m.streamTokens.Inc()
-	j.req.Sink(TokenEvent{
-		Index:    idx,
-		Wall:     now,
-		VTime:    l.vclock,
-		Batch:    batch,
-		Degraded: degraded,
-		Final:    idx == j.req.OutputLen-1,
-	})
 }
 
 // abandonQueued removes a job whose context died while it was still

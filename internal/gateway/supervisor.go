@@ -128,7 +128,7 @@ type priceInfo struct {
 	degraded   bool
 	start, end time.Time
 	site       string
-	model      costModel
+	model      serve.CostModel
 }
 
 // priceIteration prices one prefill or decode call for the lane, weaving
@@ -215,7 +215,7 @@ func (g *Gateway) pricedCall(l *lane, site string, primary, fallback func() (flo
 // fraction, UPI utilization). Models that cannot emulate counters —
 // measured engines, GPU models — yield nil, and the span simply carries
 // timing only.
-func counterAnalogs(m costModel, prefill bool, batch, length int) *trace.Counters {
+func counterAnalogs(m serve.CostModel, prefill bool, batch, length int) *trace.Counters {
 	cm, ok := m.(serve.CounterModel)
 	if !ok {
 		return nil
@@ -289,64 +289,45 @@ func (g *Gateway) watchdogCall(l *lane, f func() (float64, error)) (float64, err
 // failInflight fails every in-flight sequence of the lane with err,
 // tagging each sequence's trace with the fault that killed it.
 func (g *Gateway) failInflight(l *lane, err error) {
-	n := len(l.running)
-	if l.pre != nil {
-		n++
-	}
-	if n == 0 {
+	seqs := l.batch.Drain()
+	if len(seqs) == 0 {
 		return
 	}
 	attrs := faultAttrs(err)
 	now := time.Now()
-	fail := func(s *seq) {
-		if tr := s.j.req.Trace; tr != nil {
+	for _, s := range seqs {
+		if tr := s.Job.j.req.Trace; tr != nil {
 			if attrs != nil {
 				tr.Event("fault", now, attrs)
 			}
 			tr.Event("failed", now, map[string]string{"err": err.Error()})
 		}
-		g.failSeq(s, err)
-	}
-	for _, s := range l.running {
-		fail(s)
-	}
-	l.running = nil
-	if l.pre != nil {
-		fail(l.pre)
-		l.pre = nil
+		g.failJob(s.Job.j, err)
 	}
 	g.log.Error("gateway: in-flight batch failed",
-		"lane", l.key, "requests", n, "err", err)
+		"lane", l.key, "requests", len(seqs), "err", err)
 }
 
-// requeueInflight pushes the lane's in-flight sequences back to the front
+// requeueInflight pushes the lane's in-flight sequences back to the head
 // of its queue after a watchdog cancellation, failing any job that has
-// exhausted its requeue budget. Requeued jobs restart from prefill.
+// exhausted its requeue budget. A requeued job restarts from prefill, so
+// draining the batch returned its KV reservation to the pool; the lease
+// (and its quota charge) survives for readmission.
 func (g *Gateway) requeueInflight(l *lane, cause error) {
-	seqs := l.running
-	if l.pre != nil {
-		seqs = append(seqs, l.pre)
-	}
-	l.running = nil
-	l.pre = nil
 	now := time.Now()
 	var requeue []*job
-	for _, s := range seqs {
-		j := s.j
-		// A requeued job restarts from prefill, so its KV reservation goes
-		// back to the pool now; the lease (and its quota charge) survives
-		// for readmission.
-		j.lease.ReleaseBlocks()
+	for _, s := range l.batch.Drain() {
+		j := s.Job.j
 		if tr := j.req.Trace; tr != nil {
 			// The cancelled iteration's wall time tiles into a stalled
 			// span, so the requeue round-trip stays visible and the
 			// trace's tiling spans still sum to the request's residence.
 			tr.Add(trace.SpanData{Name: trace.PhaseStalled,
-				Start: s.mark, End: now,
+				Start: s.Job.mark, End: now,
 				Attrs: map[string]string{"cause": cause.Error()}})
 		}
 		if j.requeues >= g.cfg.MaxRequeues {
-			g.failSeq(s, cause)
+			g.failJob(j, cause)
 			continue
 		}
 		j.requeues++
@@ -363,7 +344,7 @@ func (g *Gateway) requeueInflight(l *lane, cause error) {
 	g.log.Warn("gateway: watchdog requeue",
 		"lane", l.key, "requests", len(requeue), "cause", cause)
 	g.mu.Lock()
-	l.queue = append(requeue, l.queue...)
+	l.requeueLocked(requeue...)
 	g.waiting += len(requeue)
 	g.mu.Unlock()
 	g.m.queueDepth.Add(int64(len(requeue)))

@@ -5,8 +5,9 @@
 // discipline to the live serving path: every gateway lane owns a paged
 // kvpool.Pool sized from its platform's memory tiers, requests reserve
 // blocks at admission (conservative full-context or vLLM-style optimistic
-// prompt-only reservation, mirroring serve/preempt.go), and memory
-// exhaustion becomes a first-class, recoverable serving condition instead
+// prompt-only reservation — decided by the scheduler core, serve.Batch,
+// which both the simulator and the lanes run), and memory exhaustion
+// becomes a first-class, recoverable serving condition instead
 // of silent oversubscription:
 //
 //   - watermark load shedding: above HighWatermark of the effective pool
@@ -179,16 +180,6 @@ func (g *Governor) Mode() string {
 		return "conservative"
 	}
 	return "optimistic"
-}
-
-// AdmitTokens returns how many tokens a lane must reserve at admission
-// for a request: the full context under conservative mode, the prompt
-// only under optimistic mode.
-func (g *Governor) AdmitTokens(in, out int) int {
-	if g.Conservative() {
-		return in + out
-	}
-	return in
 }
 
 // sanitizeMetric maps a lane key onto a Prometheus-legal metric suffix:
@@ -550,10 +541,11 @@ func (g *Governor) FlushCache() int {
 }
 
 // Lease is one admitted request's claim on its lane's pool and its
-// client's quota. The gateway's lane scheduler drives it: Reserve at lane
-// admission, Grow per decoded token (optimistic mode), Preempt or
-// ReleaseBlocks when the sequence is evicted back to the queue, Release
-// exactly once when the request reaches any terminal outcome. All methods
+// client's quota. It is the scheduler core's memory seam (serve.Memory):
+// the core calls Reserve at lane admission, Grow per decoded token
+// (optimistic mode) and ReleaseBlocks when the sequence leaves the batch;
+// the gateway adds Preempt when that was an eviction and Release exactly
+// once when the request reaches any terminal outcome. All methods
 // are nil-safe and Release is idempotent, so every gateway exit path may
 // call it unconditionally.
 type Lease struct {
@@ -733,15 +725,21 @@ func (l *Lease) Held() bool {
 }
 
 // releaseBlocks frees the reservation, keeping the lease (and its quota
-// charge) alive for readmission.
+// charge) alive for readmission. Releasing nothing changes nothing in the
+// pool and skips the re-evaluation: the scheduler core releases a
+// sequence's blocks the moment it leaves the batch, so the gateway's own
+// Preempt / Release that follows usually finds them gone.
 func (l *Lease) releaseBlocks() {
 	l.mu.Lock()
-	if l.alloc != nil {
+	held := l.alloc != nil
+	if held {
 		_ = l.alloc.Free()
 		l.alloc = nil
 	}
 	l.mu.Unlock()
-	l.note()
+	if held {
+		l.note()
+	}
 }
 
 // ReleaseBlocks frees the reservation without a terminal outcome — the
@@ -779,7 +777,8 @@ func (l *Lease) Release() {
 		return
 	}
 	l.released = true
-	if l.alloc != nil {
+	held := l.alloc != nil
+	if held {
 		_ = l.alloc.Free()
 		l.alloc = nil
 	}
@@ -791,6 +790,8 @@ func (l *Lease) Release() {
 	} else {
 		delete(l.g.clients, l.client)
 	}
-	l.g.evalLocked(l.ls)
+	if held {
+		l.g.evalLocked(l.ls)
+	}
 	l.g.mu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/prefixcache"
+	"repro/internal/serve"
 	"repro/internal/tensor"
 )
 
@@ -168,15 +169,34 @@ func TestLeasePreemptReleasesBlocksKeepsQuota(t *testing.T) {
 	}
 }
 
+// TestAdmitTokensByMode: the scheduler core sizes the admission
+// reservation from the governor's mode and takes it through the lease —
+// the prompt only under optimistic mode, the full context under
+// conservative mode.
 func TestAdmitTokensByMode(t *testing.T) {
-	opt := New(Config{Specs: specFor(8, 16), Registry: metrics.NewRegistry()})
-	if got := opt.AdmitTokens(100, 28); got != 100 {
-		t.Errorf("optimistic AdmitTokens = %d, want prompt-only 100", got)
-	}
-	cons := New(Config{Specs: specFor(8, 16), Conservative: true,
-		Registry: metrics.NewRegistry()})
-	if got := cons.AdmitTokens(100, 28); got != 128 {
-		t.Errorf("conservative AdmitTokens = %d, want full context 128", got)
+	for _, tc := range []struct {
+		conservative bool
+		tokens       int
+	}{{false, 100}, {true, 128}} {
+		g := New(Config{Specs: specFor(8, 16), Conservative: tc.conservative,
+			Registry: metrics.NewRegistry()})
+		lease, err := g.Admit("l", "c", 100, 28)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := serve.Batch[struct{}]{MaxBatch: 1, Optimistic: !g.Conservative()}
+		if err := b.Admit(&serve.Seq[struct{}]{In: 100, Out: 28, Mem: lease}); err != nil {
+			t.Fatal(err)
+		}
+		st := g.Snapshot().Lanes[0]
+		if held, want := st.TotalBlocks-st.FreeBlocks, (tc.tokens+15)/16; held != want {
+			t.Errorf("%s admission holds %d blocks, want %d (%d tokens)",
+				g.Mode(), held, want, tc.tokens)
+		}
+		b.Drain()
+		if st := g.Snapshot().Lanes[0]; st.FreeBlocks != st.TotalBlocks {
+			t.Errorf("%s: drain left %d blocks held", g.Mode(), st.TotalBlocks-st.FreeBlocks)
+		}
 	}
 	var nilGov *Governor
 	if nilGov.Conservative() || nilGov.Shedding() {

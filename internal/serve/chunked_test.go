@@ -20,7 +20,7 @@ func chunkTrace() []workload.Request {
 }
 
 func TestChunkedServesEverything(t *testing.T) {
-	s := ChunkedServer{Cost: fixedCost{0.001, 0.02}, MaxBatch: 8, PrefillChunk: 128}
+	s := Server{Policy: Chunked, Cost: fixedCost{0.001, 0.02}, MaxBatch: 8, PrefillChunk: 128}
 	cs, err := s.Run(chunkTrace())
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestChunkedServesEverything(t *testing.T) {
 // monolithic prefill time of the long prompt.
 func TestChunkedBoundsStalls(t *testing.T) {
 	cost := fixedCost{0.001, 0.02}
-	s := ChunkedServer{Cost: cost, MaxBatch: 8, PrefillChunk: 128}
+	s := Server{Policy: Chunked, Cost: cost, MaxBatch: 8, PrefillChunk: 128}
 	if _, err := s.Run(chunkTrace()); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestChunkedBoundsStalls(t *testing.T) {
 			s.MaxIterationSeconds, monolithic)
 	}
 	// Smaller chunks bound stalls tighter.
-	s2 := ChunkedServer{Cost: cost, MaxBatch: 8, PrefillChunk: 32}
+	s2 := Server{Policy: Chunked, Cost: cost, MaxBatch: 8, PrefillChunk: 32}
 	if _, err := s2.Run(chunkTrace()); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestChunkedThroughputComparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked := ChunkedServer{Cost: cost, MaxBatch: 8, PrefillChunk: 128}
+	chunked := Server{Policy: Chunked, Cost: cost, MaxBatch: 8, PrefillChunk: 128}
 	cc, err := chunked.Run(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -86,15 +86,15 @@ func TestChunkedThroughputComparable(t *testing.T) {
 }
 
 func TestChunkedValidation(t *testing.T) {
-	s := ChunkedServer{MaxBatch: 4, PrefillChunk: 16}
+	s := Server{Policy: Chunked, MaxBatch: 4, PrefillChunk: 16}
 	if _, err := s.Run(nil); err == nil {
 		t.Error("nil cost must fail")
 	}
-	s = ChunkedServer{Cost: fixedCost{0.001, 0.02}, MaxBatch: 4}
+	s = Server{Policy: Chunked, Cost: fixedCost{0.001, 0.02}, MaxBatch: 4}
 	if _, err := s.Run(nil); err == nil {
 		t.Error("zero chunk must fail")
 	}
-	s = ChunkedServer{Cost: fixedCost{0.001, 0.02}, MaxBatch: 4, PrefillChunk: 16}
+	s = Server{Policy: Chunked, Cost: fixedCost{0.001, 0.02}, MaxBatch: 4, PrefillChunk: 16}
 	bad := []workload.Request{
 		{ID: 0, InputLen: 4, OutputLen: 4, ArrivalSeconds: 2},
 		{ID: 1, InputLen: 4, OutputLen: 4, ArrivalSeconds: 1},

@@ -103,7 +103,7 @@ func schedulerCases(t *testing.T) map[string]goldenCase {
 				got[fmt.Sprintf("trace%d/mb%d/%s", seed, mb, p)] = recordCase(s.Run(trace))
 			}
 			for _, chunk := range []int{16, 64} {
-				s := ChunkedServer{Cost: shapeCost{}, MaxBatch: mb, PrefillChunk: chunk}
+				s := Server{Cost: shapeCost{}, Policy: Chunked, MaxBatch: mb, PrefillChunk: chunk}
 				gc := recordCase(s.Run(trace))
 				gc.MaxIteration = bitsOf(s.MaxIterationSeconds)
 				got[fmt.Sprintf("trace%d/mb%d/chunk%d", seed, mb, chunk)] = gc
@@ -111,7 +111,7 @@ func schedulerCases(t *testing.T) map[string]goldenCase {
 		}
 		for _, blocks := range []int{24, 48, 96, 2000} {
 			for _, optimistic := range []bool{false, true} {
-				s := MemoryAwareServer{Cost: shapeCost{}, Pool: goldenPool(t, blocks),
+				s := Server{Cost: shapeCost{}, Policy: Continuous, Pool: goldenPool(t, blocks),
 					MaxBatch: 8, Optimistic: optimistic}
 				gc := recordCase(s.Run(trace))
 				if gc.Err == "" {

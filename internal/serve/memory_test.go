@@ -31,7 +31,7 @@ func memTrace(n int) []workload.Request {
 }
 
 func TestMemoryAwareServesEverything(t *testing.T) {
-	s := MemoryAwareServer{
+	s := Server{Policy: Continuous,
 		Cost: fixedCost{0.001, 0.02},
 		Pool: poolForSeqs(t, 8, 32, 16), MaxBatch: 8,
 	}
@@ -53,7 +53,7 @@ func TestMemoryAwareServesEverything(t *testing.T) {
 func TestKVBudgetLimitsConcurrency(t *testing.T) {
 	trace := memTrace(24)
 	runWith := func(pool *kvpool.Pool) Summary {
-		s := MemoryAwareServer{Cost: fixedCost{0.001, 0.02}, Pool: pool, MaxBatch: 8}
+		s := Server{Policy: Continuous, Cost: fixedCost{0.001, 0.02}, Pool: pool, MaxBatch: 8}
 		cs, err := s.Run(trace)
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestMemoryMatchesUnconstrainedWhenAmple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := MemoryAwareServer{Cost: fixedCost{0.001, 0.02},
+	mem := Server{Policy: Continuous, Cost: fixedCost{0.001, 0.02},
 		Pool: poolForSeqs(t, 64, 64, 16), MaxBatch: 4}
 	got, err := mem.Run(trace)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestMemoryMatchesUnconstrainedWhenAmple(t *testing.T) {
 }
 
 func TestImpossibleRequestErrors(t *testing.T) {
-	s := MemoryAwareServer{
+	s := Server{Policy: Continuous,
 		Cost: fixedCost{0.001, 0.02},
 		Pool: poolForSeqs(t, 1, 16, 4), MaxBatch: 4,
 	}
@@ -110,11 +110,11 @@ func TestImpossibleRequestErrors(t *testing.T) {
 }
 
 func TestMemoryAwareValidation(t *testing.T) {
-	s := MemoryAwareServer{}
+	s := Server{Policy: Continuous, Pool: poolForSeqs(t, 2, 32, 16)}
 	if _, err := s.Run(nil); err == nil {
 		t.Error("missing pool/cost must fail")
 	}
-	s = MemoryAwareServer{Cost: fixedCost{0.001, 0.02}, Pool: poolForSeqs(t, 2, 32, 16)}
+	s = Server{Policy: Continuous, Cost: fixedCost{0.001, 0.02}, Pool: poolForSeqs(t, 2, 32, 16)}
 	bad := []workload.Request{
 		{ID: 0, InputLen: 1, OutputLen: 1, ArrivalSeconds: 5},
 		{ID: 1, InputLen: 1, OutputLen: 1, ArrivalSeconds: 1},

@@ -8,9 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-func optServer(t *testing.T, poolSeqs int, optimistic bool) *MemoryAwareServer {
+func optServer(t *testing.T, poolSeqs int, optimistic bool) *Server {
 	t.Helper()
-	return &MemoryAwareServer{
+	return &Server{
+		Policy:     Continuous,
 		Cost:       fixedCost{0.001, 0.02},
 		Pool:       poolForSeqs(t, poolSeqs, 32, 16),
 		MaxBatch:   8,

@@ -1,11 +1,16 @@
-// Package serve is a discrete-event simulator of an LLM inference server
-// fed by a request trace. It implements the batching disciplines the
-// paper's context discusses (§II-C, §VII): first-come-first-served
-// single-request execution, static batching as in TorchServe/Triton, and
-// Orca-style continuous (iteration-level) batching, all priced by the
-// platform performance model. It turns the paper's per-point metrics into
-// serving-level ones: queueing delay, TTFT under load, tail latency, and
-// sustained tokens/s.
+// Package serve holds the iteration-level scheduler core (batch.go) that
+// forms batches both where serving is predicted and where it is done, and
+// the first of its two drivers: a discrete-event simulator of an LLM
+// inference server fed by a request trace (the other is the gateway's
+// live lane, internal/gateway). The simulator implements the batching
+// disciplines the paper's context discusses (§II-C, §VII):
+// first-come-first-served single-request execution, static batching as in
+// TorchServe/Triton, Orca-style continuous (iteration-level) batching and
+// Sarathi-style chunked prefill, optionally under a finite paged KV pool
+// (vLLM-style admission, conservative or optimistic with preemption by
+// recompute), all priced by the platform performance model. It turns the
+// paper's per-point metrics into serving-level ones: queueing delay, TTFT
+// under load, tail latency, and sustained tokens/s.
 package serve
 
 import (
@@ -13,6 +18,7 @@ import (
 	"sort"
 
 	"repro/internal/counters"
+	"repro/internal/kvpool"
 	"repro/internal/workload"
 )
 
@@ -42,7 +48,8 @@ type CounterModel interface {
 type Policy int
 
 const (
-	// FCFS runs one request at a time in arrival order.
+	// FCFS runs one request at a time in arrival order: continuous
+	// batching at a batch of one.
 	FCFS Policy = iota
 	// Static groups up to MaxBatch requests (waiting at most BatchWait
 	// after the first arrival), pads them to the longest prompt and
@@ -51,6 +58,16 @@ const (
 	// Continuous schedules at iteration granularity (Orca): sequences
 	// join mid-flight when slots free and leave the moment they finish.
 	Continuous
+	// Chunked is continuous batching with Sarathi-style chunked prefill
+	// (the paper's related work [2], [3]). Plain continuous batching runs
+	// an arriving request's whole prefill as one iteration, stalling every
+	// in-flight decode for the full prompt duration — the TTFT/TPOT
+	// interference Sarathi-Serve measures. Chunked splits each prefill
+	// into PrefillChunk-token pieces and coalesces one piece with the
+	// decode batch per iteration, bounding any single iteration (and so
+	// every in-flight request's inter-token stall) by roughly a chunk's
+	// worth of compute.
+	Chunked
 )
 
 // String returns the policy name.
@@ -62,6 +79,8 @@ func (p Policy) String() string {
 		return "static"
 	case Continuous:
 		return "continuous"
+	case Chunked:
+		return "chunked"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -75,6 +94,29 @@ type Server struct {
 	// BatchWait is the static policy's fill timeout: a partial batch
 	// launches this long after its first request arrived.
 	BatchWait float64
+	// PrefillChunk is the number of prompt tokens an admitting request
+	// processes per iteration under the Chunked policy.
+	PrefillChunk int
+	// Pool, when set, puts the iteration-level policies under a finite
+	// KV-cache budget managed by a paged allocator (vLLM-style): a request
+	// is admitted only when blocks for its full context are available, and
+	// its blocks return to the pool the moment it finishes. This couples
+	// the paper's two resource stories — the decode-bandwidth cost model
+	// and the Fig 7 KV-cache capacity pressure — into one scheduler.
+	Pool *kvpool.Pool
+	// Optimistic switches the Pool from conservative full-context
+	// reservation to vLLM-style optimistic admission: a request is
+	// admitted with blocks for its prompt only, decode iterations grow
+	// allocations token by token, and on exhaustion the youngest running
+	// sequence is preempted and recomputed later (vLLM's recompute
+	// policy). Preemptions waste work but pack the pool tighter.
+	Optimistic bool
+
+	// MaxIterationSeconds records the longest single iteration of the
+	// last Run — the worst inter-token stall in-flight decodes observed.
+	MaxIterationSeconds float64
+	// Preemptions counts sequences evicted by Run (informational).
+	Preemptions int
 }
 
 // Completion records one served request.
@@ -99,7 +141,8 @@ type Summary struct {
 }
 
 // Run serves the trace (which must be sorted by arrival time) and returns
-// per-request completions in arrival order.
+// per-request completions in arrival order. Under a Pool, a request whose
+// context can never fit produces an error (it would deadlock).
 func (s *Server) Run(trace []workload.Request) ([]Completion, error) {
 	if s.Cost == nil {
 		return nil, fmt.Errorf("serve: nil cost model")
@@ -112,45 +155,28 @@ func (s *Server) Run(trace []workload.Request) ([]Completion, error) {
 			return nil, fmt.Errorf("serve: trace not sorted by arrival at index %d", i)
 		}
 	}
+	b := Batch[simReq]{MaxBatch: s.MaxBatch, Optimistic: s.Optimistic}
 	switch s.Policy {
 	case FCFS:
-		return s.runFCFS(trace)
+		b.MaxBatch = 1
 	case Static:
+		if s.Pool != nil {
+			return nil, fmt.Errorf("serve: the static policy does not model a KV pool")
+		}
 		return s.runStatic(trace)
 	case Continuous:
-		return s.runContinuous(trace)
+	case Chunked:
+		if s.PrefillChunk < 1 {
+			return nil, fmt.Errorf("serve: chunked policy needs a positive PrefillChunk")
+		}
+		b.Chunk = s.PrefillChunk
 	default:
 		return nil, fmt.Errorf("serve: unknown policy %d", int(s.Policy))
 	}
-}
-
-func (s *Server) runFCFS(trace []workload.Request) ([]Completion, error) {
-	var clock float64
-	out := make([]Completion, 0, len(trace))
-	for _, r := range trace {
-		if r.ArrivalSeconds > clock {
-			clock = r.ArrivalSeconds
-		}
-		start := clock
-		pre, err := s.Cost.PrefillCost(1, r.InputLen)
-		if err != nil {
-			return nil, err
-		}
-		clock += pre
-		ttft := clock - r.ArrivalSeconds
-		for step := 1; step < r.OutputLen; step++ {
-			d, err := s.Cost.DecodeStepCost(1, r.InputLen+step)
-			if err != nil {
-				return nil, err
-			}
-			clock += d
-		}
-		out = append(out, Completion{
-			Request: r, QueueWait: start - r.ArrivalSeconds,
-			TTFT: ttft, E2E: clock - r.ArrivalSeconds, Finish: clock,
-		})
+	if s.Optimistic && s.Pool == nil {
+		return nil, fmt.Errorf("serve: optimistic admission needs a pool")
 	}
-	return out, nil
+	return s.runIterations(&b, trace)
 }
 
 func (s *Server) runStatic(trace []workload.Request) ([]Completion, error) {
@@ -190,7 +216,7 @@ func (s *Server) runStatic(trace []workload.Request) ([]Completion, error) {
 		t := launch + pre
 		ttftAbs := t
 		for step := 1; step < maxOut; step++ {
-			d, err := s.Cost.DecodeStepCost(n, maxIn+step)
+			d, err := s.Cost.DecodeStepCost(n, maxIn+step-1)
 			if err != nil {
 				return nil, err
 			}
@@ -211,101 +237,158 @@ func (s *Server) runStatic(trace []workload.Request) ([]Completion, error) {
 	return out, nil
 }
 
-// inflight is one sequence being decoded under continuous batching.
-type inflight struct {
-	req       workload.Request
-	ctx       int // tokens in the KV cache
-	remaining int // output tokens still to produce
-	ttftAbs   float64
-	startAbs  float64
+// simReq is one trace request's record across execution attempts: what
+// must survive a preemption rides here, handed from the preempted Seq to
+// the one that recomputes it.
+type simReq struct {
+	req   workload.Request
+	start float64 // clock at the latest admission
+	ttft  float64 // arrival → first token of the FIRST attempt
+	first bool    // ttft is set
 }
 
-func (s *Server) runContinuous(trace []workload.Request) ([]Completion, error) {
+// poolClaim adapts a kvpool.Sequence — one request's block table — to the
+// scheduler's Memory seam.
+type poolClaim struct {
+	pool *kvpool.Pool
+	seq  *kvpool.Sequence
+}
+
+func (c *poolClaim) Reserve(tokens int) error {
+	c.seq = c.pool.NewSequence()
+	return c.seq.Append(tokens)
+}
+
+func (c *poolClaim) Grow(n int) error { return c.seq.Append(n) }
+
+func (c *poolClaim) ReleaseBlocks() {
+	if c.seq != nil {
+		_ = c.seq.Free() // fails only on a double free, which the nil below excludes
+		c.seq = nil
+	}
+}
+
+// runIterations is the scheduler core's trace driver: it admits what has
+// arrived into free slots (preempted requests ahead of new arrivals),
+// prices the iteration the Batch plans, advances the virtual clock by it
+// and commits. Every iteration-level policy is this one loop; they differ
+// only in how the Batch is configured.
+func (s *Server) runIterations(b *Batch[simReq], trace []workload.Request) ([]Completion, error) {
+	s.MaxIterationSeconds, s.Preemptions = 0, 0
 	var clock float64
-	var running []inflight
+	var preempted []simReq // awaiting readmission
 	next := 0
 	out := make([]Completion, 0, len(trace))
+	finish := func(r *simReq) {
+		out = append(out, Completion{
+			Request:   r.req,
+			QueueWait: r.start - r.req.ArrivalSeconds,
+			TTFT:      r.ttft,
+			E2E:       clock - r.req.ArrivalSeconds,
+			Finish:    clock,
+		})
+	}
 
 	for len(out) < len(trace) {
-		// Admit waiting requests into free slots; each admission pays its
-		// prefill as an iteration of its own batch (chunked-prefill-free
-		// Orca: prefills run as dedicated iterations).
-		var admitted []workload.Request
-		for next < len(trace) && len(running)+len(admitted) < s.MaxBatch &&
-			trace[next].ArrivalSeconds <= clock {
-			admitted = append(admitted, trace[next])
-			next++
-		}
-		if len(admitted) > 0 {
-			maxIn := 0
-			for _, r := range admitted {
-				if r.InputLen > maxIn {
-					maxIn = r.InputLen
+	admit:
+		for b.Slots() > 0 {
+			var r simReq
+			switch {
+			case len(preempted) > 0:
+				r = preempted[0]
+			case next < len(trace) && trace[next].ArrivalSeconds <= clock:
+				r = simReq{req: trace[next]}
+			default:
+				break admit // nothing has arrived
+			}
+			r.start = clock
+			q := &Seq[simReq]{Job: r, In: r.req.InputLen, Out: r.req.OutputLen}
+			if s.Pool != nil {
+				q.Mem = &poolClaim{pool: s.Pool}
+			}
+			if err := b.Admit(q); err != nil {
+				if err != kvpool.ErrOutOfBlocks {
+					return nil, err
 				}
-			}
-			pre, err := s.Cost.PrefillCost(len(admitted), maxIn)
-			if err != nil {
-				return nil, err
-			}
-			start := clock
-			clock += pre
-			for _, r := range admitted {
-				fl := inflight{req: r, ctx: r.InputLen, remaining: r.OutputLen - 1,
-					ttftAbs: clock, startAbs: start}
-				if fl.remaining == 0 {
-					out = append(out, s.complete(fl, clock))
-					continue
+				if b.Len() > 0 {
+					break // wait for blocks to free
 				}
-				running = append(running, fl)
+				if s.Optimistic {
+					return nil, fmt.Errorf(
+						"serve: request %d prompt (%d tokens) can never fit the KV pool",
+						r.req.ID, r.req.InputLen)
+				}
+				return nil, fmt.Errorf(
+					"serve: request %d (ctx %d) can never fit the KV pool",
+					r.req.ID, r.req.InputLen+r.req.OutputLen)
 			}
-			continue
+			if len(preempted) > 0 {
+				preempted = preempted[1:]
+			} else {
+				next++
+			}
 		}
-		if len(running) == 0 {
+
+		p := b.Next()
+		if n := len(p.Victims); n > 0 && b.Len() == 0 {
+			// The oldest sequence had the pool to itself and still ran out
+			// of blocks: recomputing it could only end here again.
+			return nil, fmt.Errorf("serve: request %d cannot grow within the KV pool",
+				p.Victims[n-1].Job.req.ID)
+		}
+		for _, v := range p.Victims {
+			s.Preemptions++
+			preempted = append(preempted, v.Job)
+		}
+		if p.Empty() {
 			// Idle: jump to the next arrival.
 			if next >= len(trace) {
 				break
 			}
-			if trace[next].ArrivalSeconds > clock {
-				clock = trace[next].ArrivalSeconds
-			}
+			clock = max(clock, trace[next].ArrivalSeconds)
 			continue
 		}
-		// One decode iteration for every running sequence.
-		maxCtx := 0
-		for _, fl := range running {
-			if fl.ctx > maxCtx {
-				maxCtx = fl.ctx
+
+		var iter float64
+		if len(p.Decode) > 0 {
+			d, err := s.Cost.DecodeStepCost(len(p.Decode), p.DecodeCtx)
+			if err != nil {
+				return nil, err
+			}
+			iter += d
+		}
+		if len(p.Prefill) > 0 {
+			c, err := s.Cost.PrefillCost(len(p.Prefill), p.PrefillLen)
+			if err != nil {
+				return nil, err
+			}
+			iter += c
+		}
+		clock += iter
+		s.MaxIterationSeconds = max(s.MaxIterationSeconds, iter)
+		b.Commit(p, nil)
+
+		for _, q := range p.Decode {
+			if q.Done() {
+				finish(&q.Job)
 			}
 		}
-		d, err := s.Cost.DecodeStepCost(len(running), maxCtx)
-		if err != nil {
-			return nil, err
-		}
-		clock += d
-		kept := running[:0]
-		for _, fl := range running {
-			fl.ctx++
-			fl.remaining--
-			if fl.remaining == 0 {
-				out = append(out, s.complete(fl, clock))
+		for _, q := range p.Prefill {
+			if q.Prefilling() {
 				continue
 			}
-			kept = append(kept, fl)
+			// The first token exists now. A preempted request keeps the
+			// TTFT of its first attempt: the client received that token.
+			if r := &q.Job; !r.first {
+				r.ttft, r.first = clock-r.req.ArrivalSeconds, true
+			}
+			if q.Done() {
+				finish(&q.Job)
+			}
 		}
-		running = kept
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Request.ID < out[b].Request.ID })
+	sort.Slice(out, func(a, c int) bool { return out[a].Request.ID < out[c].Request.ID })
 	return out, nil
-}
-
-func (s *Server) complete(fl inflight, finish float64) Completion {
-	return Completion{
-		Request:   fl.req,
-		QueueWait: fl.startAbs - fl.req.ArrivalSeconds,
-		TTFT:      fl.ttftAbs - fl.req.ArrivalSeconds,
-		E2E:       finish - fl.req.ArrivalSeconds,
-		Finish:    finish,
-	}
 }
 
 // Summarize aggregates completions into serving metrics.

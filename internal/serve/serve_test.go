@@ -45,7 +45,7 @@ func testTrace(n int, rate float64, seed int64) []workload.Request {
 func run(t *testing.T, p Policy, trace []workload.Request, maxBatch int) ([]Completion, Summary) {
 	t.Helper()
 	s := Server{Cost: fixedCost{prefillPerToken: 0.001, decodeStep: 0.05},
-		Policy: p, MaxBatch: maxBatch, BatchWait: 0.5}
+		Policy: p, MaxBatch: maxBatch, BatchWait: 0.5, PrefillChunk: 64}
 	cs, err := s.Run(trace)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func run(t *testing.T, p Policy, trace []workload.Request, maxBatch int) ([]Comp
 
 func TestAllPoliciesServeEverything(t *testing.T) {
 	trace := testTrace(40, 5, 1)
-	for _, p := range []Policy{FCFS, Static, Continuous} {
+	for _, p := range []Policy{FCFS, Static, Continuous, Chunked} {
 		cs, _ := run(t, p, trace, 8)
 		if len(cs) != len(trace) {
 			t.Fatalf("%s: served %d of %d", p, len(cs), len(trace))
@@ -117,6 +117,32 @@ func TestLightLoadFCFSFine(t *testing.T) {
 	}
 }
 
+// TestFCFSIsContinuousAtBatchOne: FCFS is the shared iteration driver at
+// a batch of one, whatever MaxBatch says — bit for bit, under a cost model
+// that depends on the context length (decode step s is priced at context
+// InputLen + s − 1 by every policy). Static at a batch of one pads nothing
+// and must agree too.
+func TestFCFSIsContinuousAtBatchOne(t *testing.T) {
+	trace := goldenTrace(7)
+	runWith := func(p Policy, maxBatch int) []Completion {
+		s := Server{Cost: shapeCost{}, Policy: p, MaxBatch: maxBatch}
+		cs, err := s.Run(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	want := runWith(Continuous, 1)
+	for name, got := range map[string][]Completion{
+		"fcfs": runWith(FCFS, 8), "static/1": runWith(Static, 1)} {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s request %d: %+v, continuous at MaxBatch 1 gives %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestStaticBatchWaitBounds(t *testing.T) {
 	// Two requests arriving 0.1s apart with BatchWait 0.5 must share a
 	// batch; with BatchWait 0 they must not.
@@ -172,6 +198,16 @@ func TestRunValidation(t *testing.T) {
 	if _, err := s.Run(nil); err == nil {
 		t.Error("unknown policy must fail")
 	}
+	// A pool is only modeled by the iteration-level policies, and
+	// optimistic admission is a way of using one.
+	s = Server{Cost: fixedCost{0.001, 0.05}, Policy: Static, Pool: poolForSeqs(t, 2, 32, 16)}
+	if _, err := s.Run(nil); err == nil {
+		t.Error("static policy with a pool must fail")
+	}
+	s = Server{Cost: fixedCost{0.001, 0.05}, Policy: Continuous, Optimistic: true}
+	if _, err := s.Run(nil); err == nil {
+		t.Error("optimistic admission without a pool must fail")
+	}
 	// MaxBatch < 1 clamps rather than failing.
 	s = Server{Cost: fixedCost{0.001, 0.05}, Policy: FCFS, MaxBatch: 0}
 	if _, err := s.Run(testTrace(3, 1, 5)); err != nil {
@@ -187,7 +223,8 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if FCFS.String() != "fcfs" || Static.String() != "static" || Continuous.String() != "continuous" {
+	if FCFS.String() != "fcfs" || Static.String() != "static" ||
+		Continuous.String() != "continuous" || Chunked.String() != "chunked" {
 		t.Error("policy names wrong")
 	}
 }
