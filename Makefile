@@ -2,8 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build vet test check bench-build kernels-portable chaos chaos-cluster chaos-overload bench \
-        bench-decode bench-decode-short bench-spec bench-spec-short figures \
+.PHONY: all build vet fmt-check test check bench-build kernels-portable chaos chaos-cluster chaos-overload bench \
+        bench-decode bench-decode-short bench-spec bench-spec-short bench-serving bench-serving-short figures \
         scorecard examples trace-demo memdemo stream-demo cluster-demo \
         cache-demo overload-demo clean
 
@@ -15,12 +15,16 @@ build:
 vet:
 	$(GO) vet ./...
 
+# gofmt prints the files it would rewrite; any output fails.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
 # Full pre-merge gate: vet plus the test suite under the race detector,
 # and the benchmark harness still building against the internal API.
-check: bench-build
+check: bench-build fmt-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
@@ -247,6 +251,26 @@ bench-spec:
 bench-spec-short:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/gemmbench -spec -short -json .bench_build/BENCH_specdec.json
+
+# Serving-path layer baselines: one decode iteration of a live lane
+# (batch 1 and 8, traced and untraced), the API's feed -> SSE relay per
+# token, Tree.Stats and Lease.Grow with 2048 blocks cached, and one
+# 64-token trace added and finished. Rewrites the `after` rows of
+# BENCH_serving.json; the `before` rows are the parent commit's, taken by
+# piping the same `go test` run in a checkout of the parent into
+# `gemmbench -serving -before` (docs/performance.md).
+SERVING_BENCH = 'BenchmarkLaneIteration|BenchmarkStreamTokens|BenchmarkStats2k|BenchmarkGrow2k|BenchmarkAddFinish'
+SERVING_PKGS = ./internal/gateway ./internal/api ./internal/prefixcache ./internal/govern ./internal/trace
+bench-serving:
+	$(GO) test -run '^$$' -bench $(SERVING_BENCH) -benchmem -count 5 $(SERVING_PKGS) 2>/dev/null | \
+	    $(GO) run ./cmd/gemmbench -serving -json BENCH_serving.json
+
+# CI-sized variant: a fixed, small iteration count, one run each; JSON
+# under .bench_build/. Fails if a benchmark fails or none ran.
+bench-serving-short:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench $(SERVING_BENCH) -benchmem -benchtime 2000x $(SERVING_PKGS) 2>/dev/null | \
+	    $(GO) run ./cmd/gemmbench -serving -short -json .bench_build/BENCH_serving.json
 
 # Regenerate every table and figure of the evaluation as text.
 figures:

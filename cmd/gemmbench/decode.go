@@ -17,14 +17,24 @@ import (
 	"repro/internal/workload"
 )
 
-// hostBlock is the measured roofline of the machine the sweep ran on: the
-// two ceilings every kernel point is held against, on one thread and on
-// all GOMAXPROCS of them.
-type hostBlock struct {
+// hostID names the machine a BENCH_*.json artifact was taken on.
+type hostID struct {
 	GOARCH     string `json:"goarch"`
 	SIMD       string `json:"simd"` // kernels.SIMDLevel(): the packed-GEMM micro-kernel in use
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
+}
+
+func thisHost() hostID {
+	return hostID{GOARCH: runtime.GOARCH, SIMD: kernels.SIMDLevel(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+}
+
+// hostBlock is the measured roofline of the machine the sweep ran on: the
+// two ceilings every kernel point is held against, on one thread and on
+// all GOMAXPROCS of them.
+type hostBlock struct {
+	hostID
 	// STREAM triad a[i] = b[i] + s·c[i] over TriadMB of float32 (three
 	// arrays, well past L2), 12 bytes per element, best of 5 passes.
 	TriadMB       int     `json:"triad_working_set_mb"`
@@ -110,8 +120,7 @@ func onThreads(threads int, f func(thread int)) float64 {
 
 // measureHost takes the two roofline ceilings, on one thread and on all.
 func measureHost(short bool) hostBlock {
-	h := hostBlock{GOARCH: runtime.GOARCH, SIMD: kernels.SIMDLevel(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+	h := hostBlock{hostID: thisHost()}
 
 	elems := 8 << 20 // per array: 3 × 32 MiB
 	if short {

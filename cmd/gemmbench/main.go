@@ -18,12 +18,18 @@
 // paper's throughput-vs-batch curves. -json writes the results to a file
 // (the perf-trajectory artifact `make bench` stores as BENCH_decode.json).
 //
+// With -serving it measures nothing itself: it reads the `go test -bench`
+// output of the serving-path layer benchmarks on stdin and files it as the
+// after (or, with -before, the parent commit's before) rows of
+// BENCH_serving.json (`make bench-serving`).
+//
 // Usage:
 //
 //	gemmbench                        # default sizes 64..512
 //	gemmbench -sizes 128,256 -reps 5
 //	gemmbench -decode -json BENCH_decode.json
 //	gemmbench -decode -short         # CI-sized variant
+//	go test -run '^$' -bench ... -benchmem ./internal/... | gemmbench -serving -json BENCH_serving.json
 package main
 
 import (
@@ -67,7 +73,17 @@ func main() {
 	spec := flag.Bool("spec", false, "run the speculative-decoding sweep (draft+verify vs fused greedy baseline across kernel tiers and acceptance rates)")
 	jsonOut := flag.String("json", "", "write decode sweep results to this JSON file")
 	short := flag.Bool("short", false, "CI-sized decode sweep (smaller shapes, fewer reps)")
+	serving := flag.Bool("serving", false, "read `go test -bench` output of the serving-path layer benchmarks on stdin and write it as before/after rows")
+	before := flag.Bool("before", false, "with -serving: stdin is the parent commit's run (fills the before rows)")
 	flag.Parse()
+
+	if *serving {
+		if err := runServing(*jsonOut, *short, *before); err != nil {
+			fmt.Fprintln(os.Stderr, "gemmbench:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *decode {
 		if err := runDecode(*jsonOut, *short); err != nil {

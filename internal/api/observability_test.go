@@ -115,6 +115,22 @@ func TestTraceRecordHasPhaseSpansWithCounters(t *testing.T) {
 		if s.Counters != nil {
 			counters[s.Name] = true
 		}
+		// The per-token phases record their attributes typed; on the
+		// wire they are the same string-valued attrs object as ever.
+		var want []string
+		switch s.Name {
+		case trace.PhaseDecode:
+			want = []string{"token", "batch", "ctx"}
+		case trace.PhasePrefill:
+			want = []string{"batch", "input_len", "done"}
+		case trace.PhasePricing:
+			want = []string{"site"}
+		}
+		for _, k := range want {
+			if s.Attrs[k] == "" {
+				t.Errorf("%s span served without attrs[%q]: %v", s.Name, k, s.Attrs)
+			}
+		}
 	}
 	for _, want := range []string{trace.PhaseQueue, trace.PhaseBatch,
 		trace.PhasePrefill, trace.PhaseDecode, trace.PhasePricing} {

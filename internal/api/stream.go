@@ -16,6 +16,7 @@ package api
 // the same uniform envelope as a terminal event, without [DONE].
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -82,14 +83,21 @@ func negotiateStream(r *http.Request, stream bool) error {
 	return nil
 }
 
-// sse is a committed text/event-stream response.
+// sse is a committed text/event-stream response. Events are written to
+// the ResponseWriter as they are encoded and reach the client at the next
+// flush, so the chunks of one drained batch cost one flush between them;
+// each is still its own data: event.
 type sse struct {
-	w http.ResponseWriter
-	f http.Flusher
+	w       http.ResponseWriter
+	f       http.Flusher
+	line    bytes.Buffer  // the event being encoded; reused by the next
+	enc     *json.Encoder // encodes into line
+	pending bool          // something was written since the last flush
 }
 
-// startSSE writes the SSE headers and the 200 status line. After this
-// point the response cannot change status.
+// startSSE sets the SSE headers and commits the 200 status line. After
+// this point the response cannot change status. The headers leave with
+// the first flushed event: a stream is only ever started to send one.
 func startSSE(w http.ResponseWriter) (*sse, error) {
 	f, ok := w.(http.Flusher)
 	if !ok {
@@ -100,23 +108,37 @@ func startSSE(w http.ResponseWriter) (*sse, error) {
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
-	f.Flush()
-	return &sse{w: w, f: f}, nil
+	s := &sse{w: w, f: f}
+	s.enc = json.NewEncoder(&s.line)
+	return s, nil
 }
 
-// event writes one data: {...} chunk and flushes it to the client.
+// event writes one data: {...} chunk; it leaves at the next flush. A
+// write error means the client is gone; the serving loop learns that
+// from the request context, not from here.
 func (s *sse) event(v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
+	s.line.Reset()
+	s.line.WriteString("data: ")
+	if err := s.enc.Encode(v); err != nil { // Encode ends the line itself
 		return
 	}
-	fmt.Fprintf(s.w, "data: %s\n\n", b)
-	s.f.Flush()
+	s.line.WriteByte('\n')
+	_, _ = s.w.Write(s.line.Bytes())
+	s.pending = true
 }
 
 // done writes the data: [DONE] terminator.
 func (s *sse) done() {
-	io.WriteString(s.w, "data: [DONE]\n\n")
+	_, _ = io.WriteString(s.w, "data: [DONE]\n\n")
+	s.pending = true
+}
+
+// flush sends everything written since the last flush to the client.
+func (s *sse) flush() {
+	if !s.pending {
+		return
+	}
+	s.pending = false
 	s.f.Flush()
 }
 
@@ -131,6 +153,7 @@ func (s *sse) done() {
 type tokenFeed struct {
 	mu     sync.Mutex
 	events []gateway.TokenEvent
+	spare  []gateway.TokenEvent // the previously drained batch, reused next
 	notify chan struct{}
 }
 
@@ -149,11 +172,13 @@ func (f *tokenFeed) sink(ev gateway.TokenEvent) {
 	}
 }
 
-// drain returns the buffered events and resets the buffer.
+// drain returns the buffered events, valid until the next drain: the
+// feed alternates between two buffers instead of growing a new one per
+// batch.
 func (f *tokenFeed) drain() []gateway.TokenEvent {
 	f.mu.Lock()
 	evs := f.events
-	f.events = nil
+	f.events, f.spare = f.spare[:0], evs
 	f.mu.Unlock()
 	return evs
 }
@@ -333,10 +358,12 @@ func (s *Server) streamGeneration(ctx context.Context, w http.ResponseWriter, r 
 	}()
 
 	var stream *sse
-	// begin commits the 200 + SSE headers; flush relays buffered tokens.
-	// Both report false only when the ResponseWriter cannot stream at all,
-	// in which case the handler gives up (returning cancels r.Context(),
-	// which unwinds the gateway side).
+	// begin commits the 200 + SSE headers; relay writes the feed's tokens
+	// as chunks; whoever calls relay flushes once for everything it wrote,
+	// so a token is never held back for a later one and a burst of tokens
+	// costs one flush. Both report false only when the ResponseWriter
+	// cannot stream at all, in which case the handler gives up (returning
+	// cancels r.Context(), which unwinds the gateway side).
 	begin := func() bool {
 		if stream != nil {
 			return true
@@ -349,7 +376,7 @@ func (s *Server) streamGeneration(ctx context.Context, w http.ResponseWriter, r 
 		stream = st
 		return true
 	}
-	flush := func() bool {
+	relay := func() bool {
 		for _, ev := range feed.drain() {
 			if !begin() {
 				return false
@@ -360,7 +387,7 @@ func (s *Server) streamGeneration(ctx context.Context, w http.ResponseWriter, r 
 	}
 	finish := func(out outcome) {
 		if out.err != nil {
-			if !flush() {
+			if !relay() {
 				return
 			}
 			if stream == nil {
@@ -377,21 +404,26 @@ func (s *Server) streamGeneration(ctx context.Context, w http.ResponseWriter, r 
 				Error:   errorDetail{Code: code, Message: out.err.Error()},
 				TraceID: w.Header().Get("X-Trace-ID"),
 			})
+			stream.flush()
 			return
 		}
-		if !flush() || !begin() {
+		if !relay() || !begin() {
 			return
 		}
 		for _, chunk := range shape.terminal(out.res, opts.IncludeUsage) {
 			stream.event(chunk)
 		}
 		stream.done()
+		stream.flush()
 	}
 	for {
 		select {
 		case <-feed.notify:
-			if !flush() {
+			if !relay() {
 				return
+			}
+			if stream != nil {
+				stream.flush()
 			}
 		case out := <-done:
 			finish(out)

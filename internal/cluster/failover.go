@@ -112,9 +112,14 @@ func (r *Router) backoff(attempt int) time.Duration {
 // cross-attempt exactly-once guard extending PR 6's produced/emitted
 // split to the replica dimension.
 type attemptState struct {
+	// mu makes claiming an index and handing it to the caller's sink one
+	// step. Claiming alone is not enough: two live attempts could claim 5
+	// and 6 in order and then deliver 6 before 5. Sinks never block
+	// (gateway.TokenSink), so the hold is short.
+	mu sync.Mutex
 	// delivered is 1 + the highest token index handed to the caller's
-	// sink, monotone under CAS so a racing doomed attempt can never
-	// re-deliver or reorder.
+	// sink, written under mu so a racing doomed attempt can never
+	// re-deliver or reorder; atomic for the lock-free read in streamed.
 	delivered atomic.Int64
 	// finals counts Final-token deliveries; the chaos suite asserts it
 	// never exceeds one per request.
@@ -130,15 +135,12 @@ func (st *attemptState) wrapSink(sink gateway.TokenSink) gateway.TokenSink {
 		return nil
 	}
 	return func(ev gateway.TokenEvent) {
-		for {
-			cur := st.delivered.Load()
-			if int64(ev.Index) < cur {
-				return // replayed by a later attempt: already delivered
-			}
-			if st.delivered.CompareAndSwap(cur, int64(ev.Index)+1) {
-				break
-			}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if int64(ev.Index) < st.delivered.Load() {
+			return // replayed by a later attempt: already delivered
 		}
+		st.delivered.Store(int64(ev.Index) + 1)
 		if ev.Final {
 			st.finals.Add(1)
 		}

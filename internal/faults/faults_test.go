@@ -292,11 +292,11 @@ func TestReplicaOutageConditions(t *testing.T) {
 
 func TestReplicaRuleValidation(t *testing.T) {
 	for _, bad := range []Rule{
-		{Class: ReplicaDown, DelayMillis: 5},          // down takes no delay
-		{Class: ReplicaSlow},                          // slow needs delay
-		{Class: ReplicaFlap},                          // flap needs delay
-		{Class: ReplicaDown, Every: 3},                // standing: no trigger
-		{Class: ReplicaSlow, DelayMillis: 5, P: 0.5},  // standing: no trigger
+		{Class: ReplicaDown, DelayMillis: 5},         // down takes no delay
+		{Class: ReplicaSlow},                         // slow needs delay
+		{Class: ReplicaFlap},                         // flap needs delay
+		{Class: ReplicaDown, Every: 3},               // standing: no trigger
+		{Class: ReplicaSlow, DelayMillis: 5, P: 0.5}, // standing: no trigger
 		{Class: ReplicaFlap, DelayMillis: 5, Count: 1},
 	} {
 		if err := bad.Validate(); err == nil {

@@ -127,6 +127,7 @@ type lane struct {
 	batch    serve.Batch[attempt]
 	joined   []*seq
 	br       breaker
+	wd       watchdog
 	crashes  []time.Time
 	restarts int
 
@@ -256,6 +257,9 @@ func (g *Gateway) laneSession(l *lane) (parked bool) {
 			l.queue = l.queue[1:]
 		}
 		if l.batch.Len() == 0 && len(l.queue) == 0 {
+			// Parking hands the lane to whichever goroutine runs it next:
+			// retire the pricing worker while the lane is still ours.
+			l.wd.retire()
 			l.active = false
 			l.restarts = 0
 			g.mu.Unlock()
@@ -422,12 +426,10 @@ func (g *Gateway) iterate(l *lane) (float64, error) {
 		if counts != nil && l.spec.proposed[i] > 0 {
 			g.noteSpeculated(l, s, i, now, decCost, dec)
 		} else if s.Job.j.req.Trace != nil {
-			g.iterSpans(s, trace.PhaseDecode, now, decCost, dec, decCnt,
-				map[string]string{
-					"token": strconv.Itoa(s.Produced()),
-					"batch": strconv.Itoa(nd),
-					"ctx":   strconv.Itoa(s.Ctx()),
-				})
+			g.iterSpans(s, trace.SpanData{Name: trace.PhaseDecode, Counters: decCnt,
+				Fixed: trace.FixedAttrs{}.With(trace.AttrToken, s.Produced()).
+					With(trace.AttrBatch, nd).With(trace.AttrCtx, s.Ctx())},
+				now, decCost, dec)
 		}
 		g.emitTokens(l, s, n, nd, dec.degraded, now)
 		if s.Done() {
@@ -442,12 +444,10 @@ func (g *Gateway) iterate(l *lane) (float64, error) {
 	for _, s := range p.Prefill {
 		s.Job.degraded = s.Job.degraded || pre.degraded
 		if s.Job.j.req.Trace != nil {
-			g.iterSpans(s, trace.PhasePrefill, now, preCost, pre, preCnt,
-				map[string]string{
-					"batch":     strconv.Itoa(np),
-					"input_len": strconv.Itoa(p.PrefillLen),
-					"done":      strconv.Itoa(s.Prefilled()),
-				})
+			g.iterSpans(s, trace.SpanData{Name: trace.PhasePrefill, Counters: preCnt,
+				Fixed: trace.FixedAttrs{}.With(trace.AttrBatch, np).
+					With(trace.AttrInputLen, p.PrefillLen).With(trace.AttrDone, s.Prefilled())},
+				now, preCost, pre)
 		}
 		if s.Prefilling() {
 			continue
@@ -523,25 +523,30 @@ func (g *Gateway) failJob(j *job, err error) {
 
 // iterSpans records one sequence's participation in a priced iteration:
 // an overlapping pricing span (the wall time spent inside the cost model
-// or engine) and the tiling prefill/decode span covering the sequence's
-// wall time since its previous tiling span. The sequence's tiling mark
-// advances to end, so consecutive spans stay contiguous and their
-// durations sum to the request's gateway residence.
-func (g *Gateway) iterSpans(s *seq, phase string, end time.Time, cost float64,
-	info priceInfo, cnt *trace.Counters, attrs map[string]string) {
+// or engine) and the tiling span — phase carries its name, attributes and
+// counters — covering the sequence's wall time since its previous tiling
+// span. The sequence's tiling mark advances to end, so consecutive spans
+// stay contiguous and their durations sum to the request's gateway
+// residence. This runs per token per traced sequence: the attributes it
+// adds are typed (trace.FixedAttrs), never a map.
+func (g *Gateway) iterSpans(s *seq, phase trace.SpanData, end time.Time, cost float64, info priceInfo) {
 	tr := s.Job.j.req.Trace
 	if tr == nil {
 		return
 	}
-	pattrs := map[string]string{"site": info.site}
-	if info.degraded {
-		pattrs["degraded"] = "true"
-		attrs["degraded"] = "true"
+	site := trace.SiteDecode
+	if info.site == sitePrefill {
+		site = trace.SitePrefill
 	}
-	tr.Add(trace.SpanData{Name: trace.PhasePricing,
-		Start: info.start, End: info.end, ModelSeconds: cost, Attrs: pattrs})
-	tr.Add(trace.SpanData{Name: phase,
-		Start: s.Job.mark, End: end, ModelSeconds: cost, Attrs: attrs, Counters: cnt})
+	pricing := trace.SpanData{Name: trace.PhasePricing, Start: info.start, End: info.end,
+		ModelSeconds: cost, Fixed: trace.FixedAttrs{}.With(trace.AttrSite, site)}
+	if info.degraded {
+		pricing.Fixed = pricing.Fixed.With(trace.AttrDegraded, 1)
+		phase.Fixed = phase.Fixed.With(trace.AttrDegraded, 1)
+	}
+	tr.Add(pricing)
+	phase.Start, phase.End, phase.ModelSeconds = s.Job.mark, end, cost
+	tr.Add(phase)
 	s.Job.mark = end
 }
 

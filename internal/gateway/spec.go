@@ -232,15 +232,15 @@ func (g *Gateway) noteSpeculated(l *lane, s *seq, i int, now time.Time, cost flo
 	if j.req.Trace == nil {
 		return
 	}
-	g.iterSpans(s, trace.PhaseSpeculative, now, cost, info, nil,
-		map[string]string{
+	g.iterSpans(s, trace.SpanData{Name: trace.PhaseSpeculative,
+		Attrs: map[string]string{
 			"k":         strconv.Itoa(sp.k),
 			"proposed":  strconv.Itoa(sp.proposed[i]),
 			"accepted":  strconv.Itoa(sp.accepted[i]),
 			"committed": strconv.Itoa(sp.counts[i]),
 			"batch":     strconv.Itoa(len(sp.counts)),
 			"ctx":       strconv.Itoa(s.Ctx()),
-		})
+		}}, now, cost, info)
 }
 
 // noteCycle records a committed cycle in the lane's metrics and feeds the

@@ -251,37 +251,83 @@ func faultAttrs(err error) map[string]string {
 	return nil
 }
 
-// watchdogCall runs one priced call under the watchdog deadline. A call
-// that overruns the budget is abandoned (its goroutine finishes in the
-// background) and reported as ErrWatchdogTimeout so the scheduler can
-// cancel and requeue the batch. A panic inside the call is converted to
-// a PanicError instead of crashing the lane: cost-model panics are
+// priced is what one priced call returned.
+type priced struct {
+	c   float64
+	err error
+}
+
+// watchdog is a lane's pricing worker: the goroutine priced calls run on
+// so the lane can give up on one that overruns its budget. It is owned by
+// the lane's scheduler goroutine and lives from the session's first priced
+// call until the lane parks (or a call times out, which abandons it).
+type watchdog struct {
+	calls chan func() (float64, error) // nil while no worker is running
+	done  chan priced
+	timer *time.Timer // stopped and drained between calls
+}
+
+// retire lets the worker exit once the call it is in, if any, returns.
+func (w *watchdog) retire() {
+	if w.calls != nil {
+		close(w.calls)
+		w.calls = nil
+	}
+}
+
+// pricingWorker runs a lane's priced calls one at a time until calls is
+// closed. done has room for one result, so a worker the lane abandoned
+// delivers into the void and exits.
+func pricingWorker(lane string, calls <-chan func() (float64, error), done chan<- priced) {
+	for f := range calls {
+		done <- runPriced(lane, f)
+	}
+}
+
+// runPriced runs one priced call. A panic inside it is converted to a
+// PanicError instead of crashing the process: cost-model panics are
 // failures, not process events.
+func runPriced(lane string, f func() (float64, error)) (p priced) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = priced{0, &PanicError{Lane: lane, Value: r}}
+		}
+	}()
+	c, err := f()
+	return priced{c, err}
+}
+
+// watchdogCall runs one priced call on the lane's pricing worker under
+// the watchdog deadline. A call that overruns the budget is abandoned
+// together with its worker (which exits when the call finally returns;
+// the next call starts a fresh one) and reported as ErrWatchdogTimeout so
+// the scheduler can cancel and requeue the batch.
 func (g *Gateway) watchdogCall(l *lane, f func() (float64, error)) (float64, error) {
 	budget := g.cfg.WatchdogBudget
 	if budget <= 0 {
 		return f()
 	}
-	type priced struct {
-		c   float64
-		err error
+	w := &l.wd
+	if w.calls == nil {
+		w.calls, w.done = make(chan func() (float64, error)), make(chan priced, 1)
+		go pricingWorker(l.key, w.calls, w.done)
 	}
-	ch := make(chan priced, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- priced{0, &PanicError{Lane: l.key, Value: r}}
-			}
-		}()
-		c, err := f()
-		ch <- priced{c, err}
-	}()
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
+	if w.timer == nil {
+		w.timer = time.NewTimer(budget)
+	} else {
+		w.timer.Reset(budget)
+	}
+	w.calls <- f
 	select {
-	case p := <-ch:
+	case p := <-w.done:
+		// go.mod predates Go 1.23's timers: a Reset is only safe on a
+		// timer that is stopped and whose channel is empty.
+		if !w.timer.Stop() {
+			<-w.timer.C
+		}
 		return p.c, p.err
-	case <-timer.C:
+	case <-w.timer.C:
+		w.retire()
 		return 0, fmt.Errorf("%w: lane %s exceeded %v", ErrWatchdogTimeout, l.key, budget)
 	}
 }
@@ -364,6 +410,7 @@ func (g *Gateway) quarantineLane(l *lane, now time.Time) {
 	queued := l.queue
 	l.queue = nil
 	g.waiting -= len(queued)
+	l.wd.retire()
 	l.active = false
 	g.mu.Unlock()
 	g.log.Error("gateway: lane quarantined",

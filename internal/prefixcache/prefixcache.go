@@ -134,6 +134,10 @@ type Tree struct {
 	root  *node
 	index map[uint64]*node // key → node, for O(1) chain walks
 	clock int64
+	// pinned counts nodes with pins > 0. Lookup and Release keep it on
+	// the 0 ↔ 1 transitions; eviction and Flush only ever remove unpinned
+	// nodes, so they leave it alone.
+	pinned int
 
 	hits, misses uint64
 	hitTokens    uint64
@@ -198,6 +202,9 @@ func (t *Tree) Lookup(keys []uint64) *Match {
 	tokens := cur.depth * t.pool.BlockSize()
 	t.hitTokens += uint64(tokens)
 	for n := cur; n != t.root; n = n.parent {
+		if n.pins == 0 {
+			t.pinned++
+		}
 		n.pins++
 	}
 	return &Match{t: t, tip: cur, Blocks: blocks, Tokens: tokens}
@@ -215,6 +222,9 @@ func (m *Match) Release() {
 			panic("prefixcache: unbalanced match release")
 		}
 		n.pins--
+		if n.pins == 0 {
+			t.pinned--
+		}
 	}
 	t.mu.Unlock()
 	m.t = nil
@@ -354,16 +364,10 @@ func (t *Tree) RetainedBlocks() int {
 func (t *Tree) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pinned := 0
-	for _, nd := range t.index {
-		if nd.pins > 0 {
-			pinned++
-		}
-	}
 	return Stats{
 		Nodes:          len(t.index),
 		RetainedBlocks: len(t.index),
-		PinnedBlocks:   pinned,
+		PinnedBlocks:   t.pinned,
 		Hits:           t.hits,
 		Misses:         t.misses,
 		HitTokens:      t.hitTokens,

@@ -19,6 +19,7 @@ package trace
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -78,6 +79,66 @@ type Counters struct {
 	UPIUtilization      float64 `json:"upi_utilization"`
 }
 
+// AttrKey names one of the attributes the per-token phases (prefill,
+// decode and the pricing span beside each) carry. Those spans are added
+// once or twice per token per traced sequence, so their attributes travel
+// as typed values inside the span instead of a map built per token; the
+// exported form is the same "attrs" object either way.
+type AttrKey uint8
+
+const (
+	_            AttrKey = iota // the zero key marks an unused slot
+	AttrToken                   // decode: index of the token the step produced
+	AttrBatch                   // sequences sharing the iteration
+	AttrCtx                     // decode: context length of the sequence
+	AttrInputLen                // prefill: prompt tokens priced this iteration
+	AttrDone                    // prefill: prompt tokens prefilled so far
+	AttrSite                    // pricing: which priced call (SitePrefill, SiteDecode)
+	AttrDegraded                // priced by the fallback model; renders "true"
+)
+
+// Values of AttrSite, rendered as the fault-injection site of the call.
+const (
+	SitePrefill = iota
+	SiteDecode
+)
+
+var (
+	attrNames = [...]string{AttrToken: "token", AttrBatch: "batch", AttrCtx: "ctx",
+		AttrInputLen: "input_len", AttrDone: "done", AttrSite: "site", AttrDegraded: "degraded"}
+	siteNames = [...]string{SitePrefill: "cost.prefill", SiteDecode: "cost.decode"}
+)
+
+// Attr is one typed span attribute.
+type Attr struct {
+	Key AttrKey
+	Val int32
+}
+
+func (a Attr) value() string {
+	switch a.Key {
+	case AttrSite:
+		return siteNames[a.Val]
+	case AttrDegraded:
+		return "true"
+	}
+	return strconv.Itoa(int(a.Val))
+}
+
+// FixedAttrs is a span's typed attribute set; unused slots stay zero.
+type FixedAttrs [4]Attr
+
+// With returns f with one more attribute in its first free slot.
+func (f FixedAttrs) With(k AttrKey, v int) FixedAttrs {
+	for i := range f {
+		if f[i].Key == 0 {
+			f[i] = Attr{k, int32(v)}
+			return f
+		}
+	}
+	panic("trace: more than 4 fixed span attributes")
+}
+
 // Span is one recorded phase of a trace.
 type Span struct {
 	Name          string `json:"name"`
@@ -86,9 +147,32 @@ type Span struct {
 	// ModelSeconds is the modeled (virtual-clock) cost the span charged,
 	// when the phase was priced; wall time and modeled time diverge under
 	// batching and timescaling.
-	ModelSeconds float64           `json:"model_seconds,omitempty"`
-	Attrs        map[string]string `json:"attrs,omitempty"`
-	Counters     *Counters         `json:"counters,omitempty"`
+	ModelSeconds float64 `json:"model_seconds,omitempty"`
+	// Attrs is the span's attribute map. In process, the per-token phases
+	// keep theirs in Fixed instead; the exported "attrs" object and a
+	// decoded Span hold both in Attrs.
+	Attrs    map[string]string `json:"attrs,omitempty"`
+	Counters *Counters         `json:"counters,omitempty"`
+	Fixed    FixedAttrs        `json:"-"`
+}
+
+// MarshalJSON renders Fixed into the "attrs" object beside Attrs, so the
+// wire form does not depend on how the recorder passed an attribute.
+func (s Span) MarshalJSON() ([]byte, error) {
+	type wire Span // same fields, default encoding
+	w := wire(s)
+	if s.Fixed[0].Key != 0 {
+		w.Attrs = make(map[string]string, len(s.Attrs)+len(s.Fixed))
+		for k, v := range s.Attrs {
+			w.Attrs[k] = v
+		}
+		for _, a := range s.Fixed {
+			if a.Key != 0 {
+				w.Attrs[attrNames[a.Key]] = a.value()
+			}
+		}
+	}
+	return json.Marshal(w)
 }
 
 // SpanData is the argument bundle for Trace.Add.
@@ -97,6 +181,7 @@ type SpanData struct {
 	Start, End   time.Time
 	ModelSeconds float64
 	Attrs        map[string]string
+	Fixed        FixedAttrs
 	Counters     *Counters
 }
 
@@ -196,6 +281,7 @@ func (t *Trace) Add(s SpanData) {
 		ModelSeconds:  s.ModelSeconds,
 		Attrs:         s.Attrs,
 		Counters:      s.Counters,
+		Fixed:         s.Fixed,
 	}
 	t.mu.Lock()
 	if !t.finished {

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -45,7 +46,16 @@ type Tracer struct {
 
 	startedC, retainedC, droppedC *metrics.Counter
 	phaseHists                    map[string]*metrics.Histogram
+
+	// spanHint is the span count of the trace that finished last: the
+	// next trace's buffer is made that size up front, so a workload of
+	// like-sized requests neither regrows buffers nor retains slack.
+	spanHint atomic.Int64
 }
+
+// maxSpanHint bounds the up-front buffer (≈ 90 KB), so one huge trace
+// does not size the buffers of everything started after it.
+const maxSpanHint = 1024
 
 // New returns a tracer. The sample rate is clamped to [0, 1].
 func New(cfg Config) *Tracer {
@@ -101,6 +111,7 @@ func (tr *Tracer) Start(requestID string) *Trace {
 		requestID: requestID,
 		start:     time.Now(),
 		sampled:   sampled,
+		spans:     make([]Span, 0, tr.spanHint.Load()),
 	}
 }
 
@@ -147,9 +158,10 @@ func (tr *Tracer) Recent(limit int) []Record {
 // finish records a sealed trace: histograms always, retention (ring and
 // JSONL) when the trace was sampled, errored or degraded.
 func (tr *Tracer) finish(rec Record) {
-	for _, s := range rec.Spans {
-		tr.observePhase(s.Name, float64(s.DurationNanos)/1e9)
+	for i := range rec.Spans {
+		tr.observePhase(rec.Spans[i].Name, float64(rec.Spans[i].DurationNanos)/1e9)
 	}
+	tr.spanHint.Store(int64(min(len(rec.Spans), maxSpanHint)))
 	keep := rec.Sampled || rec.Status == "error" || rec.Degraded
 	if !keep {
 		if tr.droppedC != nil {
@@ -159,6 +171,11 @@ func (tr *Tracer) finish(rec Record) {
 	}
 	if tr.retainedC != nil {
 		tr.retainedC.Inc()
+	}
+	// The ring holds a record for a long time: keep it at (nearly) its
+	// exact size, not at whatever capacity appending left behind.
+	if n := len(rec.Spans); cap(rec.Spans)-n > n/8 {
+		rec.Spans = append(make([]Span, 0, n), rec.Spans...)
 	}
 	var line []byte
 	if tr.cfg.Output != nil {
