@@ -36,13 +36,17 @@ bench-build:
 	$(GO) -C bench test -short -count=1 ./...
 
 # The packed GEMM and the vector ops around it (attention score and
-# weighted-V, ReLU, adds, bf16 rounding) have amd64 SIMD routines and
-# portable Go loops. Keep the second from rotting on hosts that never
-# select it: run the kernels tests — the op differentials included — with
-# the routines off, and build + vet (asmdecl included) for an architecture
-# that has none (every .s symbol needs its !amd64 stub).
+# weighted-V, ReLU, adds, bf16 rounding) have amd64 SIMD routines at two
+# levels (AVX2, AVX-512) and portable Go loops. Keep the ones a host never
+# selects from rotting: run the kernels tests — the op differentials
+# included — at every level (-simd is clamped to what the runner has, so
+# on a narrower host the upper runs repeat the widest one it supports), and
+# build + vet (asmdecl included) for an architecture that has no routines
+# (every .s symbol needs its !amd64 stub).
 kernels-portable:
-	$(GO) test -count=1 ./internal/kernels/ -args -generic
+	for level in generic avx2 avx512; do \
+		$(GO) test -count=1 ./internal/kernels/ -args -simd=$$level || exit 1; \
+	done
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/kernels/
 
@@ -223,18 +227,21 @@ overload-demo:
 bench: bench-decode
 	$(GO) test -bench=. -benchmem ./...
 
-# This host's measured roofline (STREAM triad GB/s, mul+add GFLOP/s), the
-# decode-shape kernel sweep against it (packed Go loop | packed SIMD +
-# pool, GFLOP/s and GB/s each), the vector op sweep (Go loop | SIMD), the
-# operator-class breakdown of a decode step and of a prefill, and
-# tiny-engine decode tok/s by batch. Writes BENCH_decode.json; fails if a
-# SIMD op is slower than its Go loop.
+# This host's measured roofline (STREAM triad GB/s, and a GFLOP/s ceiling
+# per instruction mix the SIMD level can issue), the decode-shape kernel
+# sweep against it (packed Go loop | the level below, carried from the
+# committed file | packed SIMD + pool, GFLOP/s and GB/s each), the vector
+# op sweep (Go loop | SIMD), the operator-class breakdown of two decode
+# steps and of a prefill, and tiny-engine decode tok/s by batch. Writes
+# BENCH_decode.json; fails if a kernel point reads above 105 % of its
+# mix's ceiling, if a SIMD level is slower than the one below it on an
+# M >= 4 row, or if a SIMD op is slower than its Go loop.
 bench-decode:
 	$(GO) run ./cmd/gemmbench -decode -json BENCH_decode.json
 
-# CI-sized variant: smaller shapes, fewer reps, still fails on a SIMD op
-# slower than its Go loop. Its JSON goes under the gitignored .bench_build/
-# so the committed full-size artifact is not overwritten.
+# CI-sized variant: smaller shapes, fewer reps, the same three checks. Its
+# JSON goes under the gitignored .bench_build/ so the committed full-size
+# artifact is not overwritten.
 bench-decode-short:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/gemmbench -decode -short -json .bench_build/BENCH_decode.json

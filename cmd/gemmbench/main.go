@@ -7,16 +7,21 @@
 // packed, vectorized, parallel kernels pull ahead as matrices grow.
 //
 // With -decode it instead measures this host's roofline (a STREAM-triad
-// GB/s and a mul+add GFLOP/s ceiling) and sweeps decode shapes (M = batch
-// ∈ {1,4,8,16,32}) against it: the packed GEMM on the portable Go loop and
-// the packed GEMM as shipped (SIMD micro-kernel + pool), each as achieved
-// GFLOP/s and GB/s. It also sweeps the vector ops around the GEMMs
-// (attention score and weighted-V, ReLU, bias add, bf16 rounding: Go loop
-// vs SIMD, failing if a SIMD routine loses), breaks a batch-1 decode step
-// and a 4×32 prefill of the benchmark's model down by operator class, and
-// runs the tiny functional engine end to end — the software analog of the
-// paper's throughput-vs-batch curves. -json writes the results to a file
-// (the perf-trajectory artifact `make bench` stores as BENCH_decode.json).
+// GB/s, and a GFLOP/s ceiling for every instruction mix the SIMD level can
+// issue) and sweeps decode and prefill shapes (M ∈ {1,4,8,16,32,64,128})
+// against it: the packed GEMM on the portable Go loop and the packed GEMM
+// as shipped (SIMD micro-kernel + pool), each as achieved GFLOP/s and GB/s
+// and held to the ceiling of the mix it runs as, with the level below's
+// numbers carried over from the committed BENCH_decode.json. It also
+// sweeps the vector ops around the GEMMs (attention score and weighted-V,
+// ReLU, bias add, bf16 rounding: Go loop vs SIMD), breaks a batch-1 and a
+// batch-4 decode step and a 4×32 prefill of the benchmark's model down by
+// operator class, and runs the tiny functional engine end to end — the
+// software analog of the paper's throughput-vs-batch curves. The run fails
+// if a point reads above 105 % of its ceiling, if a SIMD level loses to the
+// one below it on an M ≥ 4 row, or if a SIMD op loses to its Go loop. -json
+// writes the results to a file (the perf-trajectory artifact `make bench`
+// stores as BENCH_decode.json).
 //
 // With -serving it measures nothing itself: it reads the `go test -bench`
 // output of the serving-path layer benchmarks on stdin and files it as the
@@ -69,7 +74,7 @@ func main() {
 	sizesFlag := flag.String("sizes", "64,128,256,512", "comma-separated square sizes")
 	reps := flag.Int("reps", 3, "repetitions per measurement (best is kept)")
 	withNaive := flag.Bool("naive", true, "include the naive kernel (slow at large sizes)")
-	decode := flag.Bool("decode", false, "run the decode-shape sweep (host roofline, packed GEMM Go loop vs SIMD + pool, vector ops, step breakdown)")
+	decode := flag.Bool("decode", false, "run the decode-shape sweep (host roofline per instruction mix, packed GEMM Go loop vs SIMD + pool, vector ops, step breakdown)")
 	spec := flag.Bool("spec", false, "run the speculative-decoding sweep (draft+verify vs fused greedy baseline across kernel tiers and acceptance rates)")
 	jsonOut := flag.String("json", "", "write decode sweep results to this JSON file")
 	short := flag.Bool("short", false, "CI-sized decode sweep (smaller shapes, fewer reps)")

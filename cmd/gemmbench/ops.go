@@ -211,7 +211,7 @@ type stepReplay struct {
 	B, rows  int // sequences × new rows each
 	startPos int
 	w        *engine.Weights
-	packs    [][]*kernels.PackedB // per layer: Wq Wk Wv Wo W1 W2, GEMM only (no rounding pass)
+	packs    [][]*kernels.PackedB // per layer: Wq Wk Wv Wo W1 W2, as the tile tier packs them
 	head     *kernels.PackedB
 	pool     *kernels.Pool
 	job      kernels.PackedJob
@@ -220,7 +220,7 @@ type stepReplay struct {
 	upSrc    []float32
 	scores   []float32
 
-	x, h, q, att, proj, up, rnd, logits []float32
+	x, h, q, att, proj, up, logits []float32
 }
 
 func newStepReplay(w *engine.Weights, pool *kernels.Pool, B, rows, startPos int) *stepReplay {
@@ -232,10 +232,10 @@ func newStepReplay(w *engine.Weights, pool *kernels.Pool, B, rows, startPos int)
 		lw := &w.Layers[i]
 		var packs []*kernels.PackedB
 		for _, l := range []*engine.Linear{&lw.Wq, &lw.Wk, &lw.Wv, &lw.Wo, &lw.W1, &lw.W2} {
-			// The weights are bfloat16 values, so this FP32-numerics pack
-			// is stored in 16 bits: the tile tier's GEMM without its
-			// activation rounding, which the replay times on its own.
-			packs = append(packs, kernels.PackB(l.In, l.Out, l.W))
+			// The tile tier's own pack: a GEMM over it includes the bf16
+			// rounding pass over its activations, and runs the instruction
+			// mix the engine's does (fused on the 512-bit tiles).
+			packs = append(packs, kernels.PackBBF16(l.In, l.Out, l.W))
 		}
 		s.packs = append(s.packs, packs)
 		ctxCap := startPos + rows
@@ -247,7 +247,7 @@ func newStepReplay(w *engine.Weights, pool *kernels.Pool, B, rows, startPos int)
 	s.head = kernels.PackBTrans(d, cfg.Vocab, w.TokenEmb)
 	s.x, s.h, s.q = randMat(rng, m*d), randMat(rng, m*d), randMat(rng, m*d)
 	s.att, s.proj = randMat(rng, m*d), randMat(rng, m*d)
-	s.up, s.rnd = randMat(rng, m*dff), make([]float32, m*dff)
+	s.up = randMat(rng, m*dff)
 	s.logits = make([]float32, B*cfg.Vocab)
 	s.scores = make([]float32, pool.Workers()*(startPos+rows))
 	s.upSrc = randMat(rng, m*dff)
@@ -335,10 +335,10 @@ func (s *stepReplay) norm() {
 	rowsOf(s.B, s.w.FinalNormGain, s.w.FinalNormBias)
 }
 
-// activation replays ReLU, the bias and residual adds, and the bf16
-// rounding pass in front of every tile-tier GEMM.
+// activation replays ReLU and the bias and residual adds. (The bf16
+// rounding pass in front of every tile-tier GEMM is part of the GEMM call,
+// in the engine and here; the op sweep times it alone.)
 func (s *stepReplay) activation(ops opSet) {
-	m, d, dff := s.B*s.rows, s.cfg.DModel, s.cfg.DFF
 	biasRows := func(x, bias []float32) {
 		for i := 0; i < len(x); i += len(bias) {
 			ops.add(x[i:i+len(bias)], bias)
@@ -347,19 +347,13 @@ func (s *stepReplay) activation(ops opSet) {
 	for i := range s.w.Layers {
 		lw := &s.w.Layers[i]
 		up := s.ups[i]
-		for range 3 { // Wq, Wk, Wv each round the normed hidden
-			ops.round(s.rnd[:m*d], s.h)
-		}
 		biasRows(s.q, lw.Wq.Bias)
 		biasRows(s.proj, lw.Wk.Bias)
 		biasRows(s.proj, lw.Wv.Bias)
-		ops.round(s.rnd[:m*d], s.att)
 		biasRows(s.proj, lw.Wo.Bias)
 		ops.add(s.x, s.proj)
-		ops.round(s.rnd[:m*d], s.h)
 		biasRows(up, lw.W1.Bias)
 		ops.relu(up)
-		ops.round(s.rnd[:m*dff], up)
 		biasRows(s.proj, lw.W2.Bias)
 		ops.add(s.x, s.proj)
 	}
@@ -403,7 +397,7 @@ func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBrea
 		class("linear", func() { s.linear(false) }, func() { s.linear(true) }),
 		class("attention", func() { s.attention(goOps) }, func() { s.attention(simdOps) }),
 		same("norm", s.norm),
-		class("activation+rounding", func() { s.activation(goOps) }, func() { s.activation(simdOps) }),
+		class("activation", func() { s.activation(goOps) }, func() { s.activation(simdOps) }),
 		same("sampling", s.sampling),
 		same("other", s.other),
 	}}
@@ -421,8 +415,8 @@ func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBrea
 	return bd
 }
 
-// stepBreakdowns decomposes the benchmark's two engine steps: a batch-1
-// decode step in mid-generation and a 4 × 32 prefill.
+// stepBreakdowns decomposes the benchmark's three engine steps: a batch-1
+// and a batch-4 decode step in mid-generation and a 4 × 32 prefill.
 func stepBreakdowns(reps int) ([]stepBreakdown, error) {
 	w, err := engine.NewWeights(stepModel, 42, tensor.BF16)
 	if err != nil {
@@ -444,17 +438,24 @@ func stepBreakdowns(reps int) ([]stepBreakdown, error) {
 
 	const decodeCtx = 48  // the middle of engine-decode's 16 → 80
 	const stepsPerRep = 4 // a step is short: take the median over more of them
-	s := eng.NewSession(1, decodeCtx+stepsPerRep*reps+2)
-	toks, err := eng.Prefill(s, prompts(1, decodeCtx))
-	if err != nil {
-		return nil, err
-	}
 	var stepErr error
-	decode := median(interleave(stepsPerRep*reps, nil, func() {
-		if toks, err = eng.DecodeStep(s, toks); err != nil {
+	// decodeStep is the median step of `batch` sequences decoding together
+	// from decodeCtx tokens of context each (engine-batch's fused M = 4
+	// decode is the batch-4 one).
+	decodeStep := func(batch int) float64 {
+		s := eng.NewSession(batch, decodeCtx+stepsPerRep*reps+2)
+		toks, err := eng.Prefill(s, prompts(batch, decodeCtx))
+		if err != nil {
 			stepErr = err
+			return 0
 		}
-	})[0])
+		return median(interleave(stepsPerRep*reps, nil, func() {
+			if toks, err = eng.DecodeStep(s, toks); err != nil {
+				stepErr = err
+			}
+		})[0])
+	}
+	decode1, decode4 := decodeStep(1), decodeStep(4)
 	// Prefill as a serving loop sees it: a new session per request, on
 	// memory the collector has already recycled (hence the warm-up).
 	batch := prompts(4, 32)
@@ -476,7 +477,8 @@ func stepBreakdowns(reps int) ([]stepBreakdown, error) {
 	sort.Float64s(prefills)
 	prefill := median(prefills)
 	return []stepBreakdown{
-		newStepReplay(w, pool, 1, 1, decodeCtx).breakdown(fmt.Sprintf("decode_b1_ctx%d", decodeCtx), reps, decode),
+		newStepReplay(w, pool, 1, 1, decodeCtx).breakdown(fmt.Sprintf("decode_b1_ctx%d", decodeCtx), reps, decode1),
+		newStepReplay(w, pool, 4, 1, decodeCtx).breakdown(fmt.Sprintf("decode_b4_ctx%d", decodeCtx), reps, decode4),
 		newStepReplay(w, pool, 4, 32, 0).breakdown("prefill_4x32", reps, prefill),
 	}, nil
 }

@@ -45,12 +45,45 @@ type PackedB struct {
 	// column j+bf16Words in its high half, so a kernel widens both with
 	// one shift and one mask — a whole row per vector pair.
 	bf []uint32
-	// finite records that no value in bf is ±Inf or NaN. The BF16 av == 0
-	// skip only changes a result when it avoids 0·Inf or 0·NaN; over
-	// finite weights the skipped product is ±0 and the accumulator, which
-	// starts at +0 and so is never −0, absorbs it unchanged — which is
-	// what lets the SIMD kernels run BF16 packs without the branch.
-	finite bool
+	// exps is the exponent range of the values in bf, recorded as they are
+	// packed; the SIMD kernels read two facts off it (finite, fmaExact).
+	exps expRange
+}
+
+// expRange spans the biased float32 exponents of an operand's nonzero
+// values: lo == 0 says one of them is denormal, hi == 255 that one is ±Inf
+// or NaN, lo > hi that there is no nonzero value at all.
+type expRange struct{ lo, hi uint8 }
+
+// noExps is the range of an operand that is all zeros.
+var noExps = expRange{lo: 255, hi: 0}
+
+// finite reports that no packed 16-bit value is ±Inf or NaN. The BF16
+// av == 0 skip only changes a result when it avoids 0·Inf or 0·NaN; over
+// finite weights the skipped product is ±0 and the accumulator, which
+// starts at +0 and so is never −0, absorbs it unchanged — which is what
+// lets the SIMD kernels run BF16 packs without the branch.
+func (pb *PackedB) finite() bool { return pb.exps.hi < 255 }
+
+// fmaExact reports whether every product of a value in range a and a value
+// in range w is exact in float32 — neither overflowing nor dropping below
+// the normal range — given that both operands are bfloat16. Their 8-bit
+// significands multiply into at most 16 bits, so such a product is
+// representable, the multiply's rounding is a no-op, and a fused
+// multiply-add returns the bits of the separate multiply and add. With
+// unbiased exponents ea, ew the product's is ea+ew or ea+ew+1, which must
+// stay within [−126, 127]. Denormal and non-finite operands are left to
+// the unfused kernel rather than reasoned about.
+func fmaExact(a, w expRange) bool {
+	if a.hi == 255 || w.hi == 255 {
+		return false
+	}
+	if a.lo > a.hi || w.lo > w.hi {
+		return true // one side is all zeros: every product is ±0
+	}
+	const bias = 127
+	return a.lo > 0 && w.lo > 0 &&
+		int(a.lo)+int(w.lo)-2*bias >= -126 && int(a.hi)+int(w.hi)-2*bias+1 <= 127
 }
 
 // bf16Words is the length of a 16-bit panel row in 32-bit words.
@@ -81,7 +114,7 @@ func allBF16(b []float32) bool {
 // 16-bit when the values allow it.
 func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB {
 	panels := (n + PanelCols - 1) / PanelCols
-	pb := &PackedB{K: k, N: n, BF16: round, finite: true}
+	pb := &PackedB{K: k, N: n, BF16: round, exps: noExps}
 	narrow := round || allBF16(b[:k*n])
 	if narrow {
 		pb.bf = make([]uint32, panels*k*bf16Words)
@@ -101,8 +134,8 @@ func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB 
 					if round {
 						h = uint32(tensor.ToBF16(src[j*colStep]))
 					}
-					if h&0x7f80 == 0x7f80 { // ±Inf or NaN
-						pb.finite = false
+					if e := uint8(h >> 7); h&0x7fff != 0 {
+						pb.exps.lo, pb.exps.hi = min(pb.exps.lo, e), max(pb.exps.hi, e)
 					}
 					if j < bf16Words {
 						dst[j] = h
@@ -152,10 +185,16 @@ func PackBTrans(k, n int, bT []float32) *PackedB {
 // C = A·B over a packed B. Accumulation is FP32 ascending k per output
 // element — bit-identical to GemmNaive for an FP32 pack, and bit-identical
 // to GemmTileBF16 for a BF16 pack (same rounding, same zero-skip, same
-// accumulation order). For BF16 packs, a must already be bf16-rounded.
-func gemmPackedPanels(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) {
-	if simdLevel == "" || !gemmPanelsSIMD(i0, i1, pn0, pn1, a, pb, c) {
+// accumulation order). For BF16 packs, a must already be bf16-rounded, and
+// exact says what roundActivations found out about it on the way.
+func gemmPackedPanels(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32, exact bool) {
+	switch {
+	case simdLevel == "" || pb.K == 0 || (pb.BF16 && !pb.finite()):
 		gemmPackedPanelsGo(i0, i1, pn0, pn1, a, pb, c)
+	case simdLevel == "avx512" && i1-i0 > 1:
+		gemmPanels512(i0, i1, pn0, pn1, a, pb, c, exact)
+	default:
+		gemmPanelsSIMD(i0, i1, pn0, pn1, a, pb, c)
 	}
 }
 
@@ -221,25 +260,45 @@ func GemmPackedGeneric(m int, a []float32, pb *PackedB, c []float32) {
 
 func gemmPackedSerial(m int, a []float32, pb *PackedB, c []float32, generic bool) {
 	checkPackedDims(m, a, pb, c)
+	exact := false
 	if pb.BF16 {
 		var stack [1024]float32
 		need := m * pb.K
+		var ar []float32
 		if need <= len(stack) {
-			a = RoundBF16Into(stack[:need], a)
+			ar = stack[:need]
 		} else {
 			buf := roundScratch.Get().(*[]float32)
 			defer roundScratch.Put(buf)
 			if cap(*buf) < need {
 				*buf = make([]float32, need)
 			}
-			a = RoundBF16Into((*buf)[:need], a)
+			ar = (*buf)[:need]
 		}
+		exact = roundActivations(ar, a, m, pb.exps)
+		a = ar
 	}
 	if generic {
 		gemmPackedPanelsGo(0, m, 0, pb.Panels(), a, pb, c)
 	} else {
-		gemmPackedPanels(0, m, 0, pb.Panels(), a, pb, c)
+		gemmPackedPanels(0, m, 0, pb.Panels(), a, pb, c, exact)
 	}
+}
+
+// roundActivations is RoundBF16Into(dst, a) for the m rows of activations
+// of a GEMM over a BF16 pack whose weights span w, and reports whether the
+// GEMM may fuse its multiplies and adds (fmaExact). Only the 512-bit tiles
+// can, so only a host that has them, and only for the two or more rows they
+// take, pays for the answer: there the pass is a 512-bit routine that also
+// collects the activations' exponent range. A single row keeps the AVX2
+// pass — one ZMM instruction among the GEMV's YMM ones puts the core in a
+// lower-clocked licence, and cost the benchmark's batch-1 decode step 5 %.
+func roundActivations(dst, a []float32, m int, w expRange) bool {
+	if m > 1 && simdLevel == "avx512" {
+		return roundBF16Exact(dst, a, w)
+	}
+	RoundBF16Into(dst, a)
+	return false
 }
 
 // roundScratch recycles GemmPacked's rounded-activation copies that do not
@@ -262,6 +321,7 @@ type PackedJob struct {
 	pb *PackedB
 	c  []float32
 
+	exact     bool // roundActivations' verdict on a
 	byRows    bool
 	rowsPer   int
 	panelsPer int
@@ -276,55 +336,89 @@ func (j *PackedJob) RunPart(part, parts int) {
 		i0 := part * j.rowsPer
 		i1 := min(i0+j.rowsPer, j.m)
 		if i0 < i1 {
-			gemmPackedPanels(i0, i1, 0, j.pb.Panels(), j.a, j.pb, j.c)
+			gemmPackedPanels(i0, i1, 0, j.pb.Panels(), j.a, j.pb, j.c, j.exact)
 		}
 		return
 	}
 	pn0 := part * j.panelsPer
 	pn1 := min(pn0+j.panelsPer, j.pb.Panels())
 	if pn0 < pn1 {
-		gemmPackedPanels(0, j.m, pn0, pn1, j.a, j.pb, j.c)
+		gemmPackedPanels(0, j.m, pn0, pn1, j.a, j.pb, j.c, j.exact)
 	}
 }
 
-// minSplitMACs is the least work (multiply-adds) GemmPackedPooled hands to
-// the pool. Waking a parked worker costs several microseconds; below about
-// 50 µs of vector work — a d=256 decode GEMV is a third of that — the
-// caller finishes sooner alone.
-const minSplitMACs = 1 << 20
+// minSplitMACs is the least work (multiply-adds) of an m-row GEMM that
+// GemmPackedPooled hands to the pool: a parked worker takes long enough to
+// wake that, below it, the caller has finished its own part and the
+// worker's before the worker runs, and the GEMM costs what it costs inline
+// plus the dispatch. The break-even is a time, so the count follows the
+// kernel's rate: measured on the 2-vCPU sandbox, about 2²⁰ multiply-adds
+// on the AVX2 kernels — which a single row runs on at every level — and
+// 2²⁴ on the 512-bit tiles (docs/performance.md has the table).
+func minSplitMACs(m int) int {
+	if simdLevel == "avx512" && m > 1 {
+		return 1 << 24
+	}
+	return 1 << 20
+}
 
-// rowBlock is the micro-kernel's register block: four activation rows
+// rowBlock is the AVX2 micro-kernel's register block: four activation rows
 // share each panel load.
 const rowBlock = 4
 
+// rowBand is the height of the row bands an m-row GEMM is split into over
+// `workers` workers, or 0 when m is too short to split by rows: every
+// worker is to get at least one of the level's tallest register tiles
+// (sixteen rows on the 512-bit tiles), and the band is rounded up to a
+// multiple of its shortest rows × 1 tile, so that only the last band ends
+// in a repeated or recomputed row.
+func rowBand(m, workers int) int {
+	tall, step := rowBlock, rowBlock
+	if simdLevel == "avx512" {
+		tall, step = 16, 8
+	}
+	if m < tall*workers {
+		return 0
+	}
+	per := (m + workers - 1) / workers
+	return (per + step - 1) / step * step
+}
+
 // GemmPackedPooled computes C = A·B over a packed B, splitting the work
 // across the pool: by rows when every worker gets at least one full
-// register block of them (prefill), by column panels otherwise (decode),
+// register tile of them (prefill), by column panels otherwise (decode),
 // so a batch=1 GEMV of a large matrix still uses every core. A nil pool,
 // or a GEMM too small to be worth a wake-up, runs inline. Results are
 // bit-identical to GemmPacked for any worker count — each output
 // element's accumulation order is fixed.
 func GemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c []float32) {
+	gemmPackedPooled(p, j, m, a, pb, c, minSplitMACs(m))
+}
+
+// gemmPackedPooled is GemmPackedPooled with the inline threshold as an
+// argument (the tests send small GEMMs through the splits).
+func gemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c []float32, minMACs int) {
 	checkPackedDims(m, a, pb, c)
+	exact := false
 	if pb.BF16 {
 		need := m * pb.K
 		if cap(j.ar) < need {
 			j.ar = make([]float32, need)
 		}
 		j.ar = j.ar[:need]
-		a = RoundBF16Into(j.ar, a)
+		exact = roundActivations(j.ar, a, m, pb.exps)
+		a = j.ar
 	}
 	workers := p.Workers()
 	panels := pb.Panels()
-	if workers <= 1 || m*pb.K*panels*PanelCols < minSplitMACs {
-		gemmPackedPanels(0, m, 0, panels, a, pb, c)
+	if workers <= 1 || m*pb.K*panels*PanelCols < minMACs {
+		gemmPackedPanels(0, m, 0, panels, a, pb, c, exact)
 		return
 	}
-	j.m, j.a, j.pb, j.c = m, a, pb, c
-	if m >= rowBlock*workers {
+	j.m, j.a, j.pb, j.c, j.exact = m, a, pb, c, exact
+	if j.rowsPer = rowBand(m, workers); j.rowsPer > 0 {
 		j.byRows = true
-		j.rowsPer = (m + workers - 1) / workers
-		p.Run(j, workers)
+		p.Run(j, (m+j.rowsPer-1)/j.rowsPer)
 	} else {
 		parts := min(workers, panels)
 		j.byRows = false

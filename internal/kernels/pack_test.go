@@ -136,9 +136,9 @@ func TestGemmPackedPooledMatchesSerialBitForBit(t *testing.T) {
 func TestPoolSharedByConcurrentCallers(t *testing.T) {
 	// Two (or more) engines share one pool in the gateway; concurrent Run
 	// calls must interleave safely. Run under -race in CI. More callers
-	// than workers and GEMMs above minSplitMACs, so every caller both
-	// queues parts and — once its own part 0 is done — drains parts that
-	// belong to the others.
+	// than workers and every GEMM split, so every caller both queues parts
+	// and — once its own part 0 is done — drains parts that belong to the
+	// others.
 	p := NewPool(4)
 	defer p.Close()
 	r := rand.New(rand.NewSource(18))
@@ -160,11 +160,11 @@ func TestPoolSharedByConcurrentCallers(t *testing.T) {
 			var ran countTask
 			got := make([]float32, rows*n)
 			for iter := 0; iter < 50; iter++ {
-				for _, m := range []int{1, 5, rows} { // inline, panel split, row split
+				for _, m := range []int{1, 5, rows} { // panel splits, and a row split on the AVX2 kernels
 					for i := range got[:m*n] {
 						got[i] = 0
 					}
-					GemmPackedPooled(p, &job, m, a, pb, got)
+					gemmPackedPooled(p, &job, m, a, pb, got, 0)
 					if i, ok := bitsEqual(want[:m*n], got[:m*n]); !ok {
 						errs <- fmt.Sprintf("shared-pool result differs at index %d (m=%d)", i, m)
 						return

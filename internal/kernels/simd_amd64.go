@@ -1,6 +1,7 @@
 package kernels
 
-// AVX2 micro-kernels for the packed GEMM (simd_amd64.s). A panel row is 16
+// SIMD level detection, and the AVX2 micro-kernels for the packed GEMM
+// (simd_amd64.s; the AVX-512 ones are in simd512_amd64.go). A panel row is 16
 // consecutive output columns, so it fills two YMM registers and every
 // vector lane owns one output element: per k the kernel broadcasts one
 // activation, multiplies, then adds — two separately rounded instructions,
@@ -17,7 +18,9 @@ func detectSIMD() string {
 		osxsave = 1 << 27 // CPUID.1:ECX
 		avx     = 1 << 28 // CPUID.1:ECX
 		avx2    = 1 << 5  // CPUID.7.0:EBX
+		avx512f = 1 << 16 // CPUID.7.0:EBX
 		ymmXMM  = 0b110   // XCR0: OS saves XMM and YMM state
+		zmmK    = 0xe0    // XCR0: and opmask, ZMM0-15 upper halves, ZMM16-31
 	)
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return ""
@@ -25,11 +28,16 @@ func detectSIMD() string {
 	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
 		return ""
 	}
-	if xcr0, _ := xgetbv(); xcr0&ymmXMM != ymmXMM {
+	xcr0, _ := xgetbv()
+	if xcr0&ymmXMM != ymmXMM {
 		return ""
 	}
-	if _, b, _, _ := cpuid(7, 0); b&avx2 == 0 {
+	_, b, _, _ := cpuid(7, 0)
+	if b&avx2 == 0 {
 		return ""
+	}
+	if b&avx512f != 0 && xcr0&zmmK == zmmK {
+		return "avx512"
 	}
 	return "avx2"
 }
@@ -58,22 +66,29 @@ func gemm4BF16(a0, a1, a2, a3 *float32, k int, w *uint32, out *[4 * PanelCols]fl
 // gemv4/gemm4 k-step — on constants held in registers.
 func mulAddLoop(iters int)
 
-func mulAddSIMD(iters int) int64 {
-	mulAddLoop(iters)
-	return int64(iters) * 4 * 2 * 2 * 8 // blocks × (mul, add) × registers × lanes
+func mulAddSIMD(iters int, mix string) int64 {
+	switch {
+	case mix == MixAVX2 && simdLevel != "":
+		mulAddLoop(iters)
+		return int64(iters) * 4 * 2 * 2 * 8 // blocks × (mul, add) × registers × lanes
+	case mix == MixAVX512 && simdLevel == "avx512":
+		mulAddLoop512(iters)
+	case mix == MixAVX512FMA && simdLevel == "avx512":
+		fmaLoop512(iters)
+	default:
+		return 0
+	}
+	return int64(iters) * 16 * 2 * 16 // chains × (mul, add) × lanes
 }
 
-// gemmPanelsSIMD is gemmPackedPanels over the micro-kernels; it reports
-// false when the pack needs the Go loop. The blocking lives here: a single
-// row runs four panels per call, two or more rows run four rows per panel
-// (panel outermost, so it stays in L1 across row blocks). A short last
-// block repeats its final row or panel instead of taking a remainder
-// path; the repeats are computed and dropped.
-func gemmPanelsSIMD(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) bool {
+// gemmPanelsSIMD is gemmPackedPanels over the AVX2 micro-kernels, for a pack
+// they can run (gemmPackedPanels sends the others to the Go loop). The
+// blocking lives here: a single row runs four panels per call, two or more
+// rows run four rows per panel (panel outermost, so it stays in L1 across
+// row blocks). A short last block repeats its final row or panel instead
+// of taking a remainder path; the repeats are computed and dropped.
+func gemmPanelsSIMD(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) {
 	k, n := pb.K, pb.N
-	if k == 0 || (pb.BF16 && !pb.finite) {
-		return false
-	}
 	var acc [4 * PanelCols]float32
 	store := func(i, pn, q int) {
 		j0 := pn * PanelCols
@@ -97,7 +112,7 @@ func gemmPanelsSIMD(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32)
 				store(i0, pn+q, q)
 			}
 		}
-		return true
+		return
 	}
 	for pn := pn0; pn < pn1; pn++ {
 		for i, last := i0, i1-1; i < i1; i += rowBlock {
@@ -112,5 +127,4 @@ func gemmPanelsSIMD(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32)
 			}
 		}
 	}
-	return true
 }

@@ -39,6 +39,18 @@ func (c vecCase) slice(n int) []float32 {
 
 func clone(v []float32) []float32 { return append([]float32(nil), v...) }
 
+// expsOf is the exponent range of v, the slow way.
+func expsOf(v []float32) expRange {
+	r := noExps
+	for _, x := range v {
+		if x != 0 {
+			e := uint8(math.Float32bits(x) >> 23)
+			r.lo, r.hi = min(r.lo, e), max(r.hi, e)
+		}
+	}
+	return r
+}
+
 // sameBits reports a mismatch between an op's two implementations.
 func sameBits(t *testing.T, op string, seed int64, want, got []float32) bool {
 	t.Helper()
@@ -74,6 +86,16 @@ func TestVecOpsMatchGoLoopsQuick(t *testing.T) {
 		inPlace := clone(x)
 		RoundBF16Into(inPlace, inPlace)
 		ok = sameBits(t, "RoundBF16Into in place", seed, want, inPlace) && ok
+		// The GEMMs' rounding pass: the same values, and (where the level has
+		// fused tiles to decide for) fmaExact's verdict on their exponents.
+		wexps := expRange{lo: uint8(100 + c.r.Intn(40)), hi: 140}
+		got = c.slice(c.n)
+		exact := roundActivations(got, x, 2, wexps)
+		ok = sameBits(t, "roundActivations", seed, want, got) && ok
+		if wantExact := simdLevel == "avx512" && fmaExact(expsOf(want), wexps); exact != wantExact {
+			t.Errorf("roundActivations seed %d: exact = %v over %+v, want %v", seed, exact, expsOf(want), wantExact)
+			ok = false
+		}
 
 		// Attention shapes: head dims on and off the vector path, rows at a
 		// stride wider than the head (a KV row holds every head).
@@ -112,12 +134,16 @@ func TestRoundBF16IntoEveryExponent(t *testing.T) {
 			}
 		}
 	}
-	got := make([]float32, len(src))
+	got, ranged := make([]float32, len(src)), make([]float32, len(src))
 	RoundBF16Into(got, src)
+	roundActivations(ranged, src, 2, noExps)
 	for i, v := range src {
-		if want := tensor.RoundBF16(v); math.Float32bits(got[i]) != math.Float32bits(want) {
-			t.Fatalf("RoundBF16Into(%x) = %x, tensor.RoundBF16 %x",
-				math.Float32bits(v), math.Float32bits(got[i]), math.Float32bits(want))
+		want := tensor.RoundBF16(v)
+		for name, g := range map[string]float32{"RoundBF16Into": got[i], "roundActivations": ranged[i]} {
+			if math.Float32bits(g) != math.Float32bits(want) {
+				t.Fatalf("%s(%x) = %x, tensor.RoundBF16 %x",
+					name, math.Float32bits(v), math.Float32bits(g), math.Float32bits(want))
+			}
 		}
 	}
 }
