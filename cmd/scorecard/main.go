@@ -20,7 +20,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print full claim statements")
 	flag.Parse()
 
-	tab, err := experiments.RunScorecard()
+	tab, failed, err := experiments.RunScorecard()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scorecard:", err)
 		os.Exit(1)
@@ -31,14 +31,8 @@ func main() {
 			fmt.Printf("%-16s %s\n", c.ID+":", c.Statement)
 		}
 	}
-	failed := 0
-	for _, row := range tab.Rows {
-		if row[len(row)-1] == "FAIL" {
-			failed++
-		}
-	}
-	fmt.Printf("\n%d/%d claims reproduced\n", len(tab.Rows)-failed, len(tab.Rows))
-	if failed > 0 {
+	fmt.Printf("\n%d/%d claims reproduced\n", len(tab.Rows)-len(failed), len(tab.Rows))
+	if len(failed) > 0 {
 		os.Exit(1)
 	}
 }

@@ -613,7 +613,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleScorecard(w http.ResponseWriter, r *http.Request) {
-	tab, err := experiments.RunScorecard()
+	tab, _, err := experiments.RunScorecard()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return

@@ -6,7 +6,8 @@ import (
 )
 
 // TestAnchorsNearTargets: with the shipped constants every anchor must
-// measure within 15 % of its paper target.
+// measure within 5 % of its paper target (the bound ROADMAP quotes; the
+// worst shipped anchor is 3.5 % off).
 func TestAnchorsNearTargets(t *testing.T) {
 	env := DefaultEnv()
 	for _, a := range Anchors() {
@@ -15,8 +16,8 @@ func TestAnchorsNearTargets(t *testing.T) {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
 		rel := math.Abs(got-a.Target) / a.Target
-		if rel > 0.15 {
-			t.Errorf("%s: measured %.3g vs target %.3g (%.0f%% off)",
+		if rel > 0.05 {
+			t.Errorf("%s: measured %.3g vs target %.3g (%.1f%% off)",
 				a.Name, got, a.Target, rel*100)
 		}
 	}

@@ -261,24 +261,26 @@ func Scorecard() []Claim {
 	}
 }
 
-// RunScorecard evaluates every claim and renders the result table.
-func RunScorecard() (Table, error) {
-	t := Table{ID: "Scorecard",
+// RunScorecard evaluates every claim and renders the result table; failed
+// lists the IDs of the claims that did not reproduce.
+func RunScorecard() (t Table, failed []string, err error) {
+	t = Table{ID: "Scorecard",
 		Title:   "Reproduction scorecard: paper claims vs this repository",
 		Columns: []string{"claim", "source", "paper", "measured", "status"},
 	}
 	for _, c := range Scorecard() {
 		measured, pass, err := c.Measure()
 		if err != nil {
-			return Table{}, fmt.Errorf("scorecard %s: %w", c.ID, err)
+			return Table{}, nil, fmt.Errorf("scorecard %s: %w", c.ID, err)
 		}
 		status := "PASS"
 		if !pass {
 			status = "FAIL"
+			failed = append(failed, c.ID)
 		}
 		t.Rows = append(t.Rows, []string{c.ID, c.Source, c.Paper, measured, status})
 	}
-	return t, nil
+	return t, failed, nil
 }
 
 func parseF(s string) float64 {
