@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet fmt-check test check bench-build kernels-portable chaos chaos-cluster chaos-overload bench \
         bench-decode bench-decode-short bench-spec bench-spec-short bench-serving bench-serving-short figures \
-        scorecard examples trace-demo memdemo stream-demo cluster-demo \
+        scorecard results-md examples trace-demo memdemo stream-demo cluster-demo \
         cache-demo overload-demo clean
 
 all: build vet test
@@ -281,11 +281,17 @@ bench-serving-short:
 
 # Regenerate every table and figure of the evaluation as text.
 figures:
-	$(GO) run ./cmd/figures
+	$(GO) run ./cmd/repro figures
 
 # PASS/FAIL report over every tracked paper claim.
 scorecard:
-	$(GO) run ./cmd/scorecard
+	$(GO) run ./cmd/repro scorecard
+
+# The one way to regenerate RESULTS.md (its body below the header) and the
+# recorded `repro` outputs under cmd/repro/testdata/ after a deliberate
+# model or hardware-constant change; `go test` holds both byte for byte.
+results-md:
+	$(GO) test ./internal/experiments ./cmd/repro -run Golden -update
 
 examples:
 	for ex in quickstart chatbot batch_analytics numa_tuning capacity_planner \
@@ -293,11 +299,5 @@ examples:
 		echo "=== $$ex ==="; $(GO) run ./examples/$$ex || exit 1; \
 	done
 
-# Archive the outputs the reproduction is judged on.
-results:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-
 clean:
 	$(GO) clean ./...
-	rm -f test_output.txt bench_output.txt

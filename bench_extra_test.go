@@ -1,15 +1,13 @@
 package repro
 
 // Benchmarks for the extension subsystems: the serving simulator, the
-// cache-hierarchy simulator, the quantization kernels, and the functional
-// engine's chunked prefill. These back the ablation discussions in
+// quantization kernels, and the functional engine's chunked prefill. These back the ablation discussions in
 // DESIGN.md beyond the paper's own tables and figures.
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cachesim"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/model"
@@ -72,32 +70,6 @@ func benchServe(b *testing.B, policy serve.Policy) {
 func BenchmarkServeFCFS(b *testing.B)       { benchServe(b, serve.FCFS) }
 func BenchmarkServeStatic(b *testing.B)     { benchServe(b, serve.Static) }
 func BenchmarkServeContinuous(b *testing.B) { benchServe(b, serve.Continuous) }
-
-// --- cache simulator ---------------------------------------------------------
-
-func benchCacheTrace(b *testing.B, trace func(m, n, k int, visit func(uint64))) float64 {
-	const dim = 192 // working set ≈ 442 KB ≫ L1, so locality differentiates
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		h, err := cachesim.SPRLike(1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		trace(dim, dim, dim, func(a uint64) { h.Access(a) })
-		rate = h.Levels[0].MissRate()
-	}
-	return rate
-}
-
-func BenchmarkCacheNaiveGemm(b *testing.B) {
-	r := benchCacheTrace(b, cachesim.TraceGemmNaive)
-	b.ReportMetric(r*100, "l1_miss_pct")
-}
-
-func BenchmarkCacheBlockedGemm(b *testing.B) {
-	r := benchCacheTrace(b, cachesim.TraceGemmBlocked)
-	b.ReportMetric(r*100, "l1_miss_pct")
-}
 
 // --- extension ablations -------------------------------------------------------
 

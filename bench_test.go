@@ -1,6 +1,6 @@
 // Package repro's root benchmark harness: one benchmark per table and
 // figure of the paper's evaluation. Each benchmark regenerates its
-// experiment through the same code path as `cmd/figures` and reports the
+// experiment through the same code path as `repro figures` and reports the
 // figure's headline quantity as a custom benchmark metric, so
 //
 //	go test -bench=. -benchmem

@@ -7,7 +7,8 @@
 // Usage:
 //
 //	llmperfd -addr :8080 -queue 256 -max-batch 8 -policy continuous -workers 4
-//	curl 'localhost:8080/v1/simulate?platform=spr&model=OPT-30B&batch=4'
+//	curl -X POST localhost:8080/v1/simulate -H 'Content-Type: application/json' \
+//	    -d '{"platform":"spr","model":"OPT-30B","batch":4}'
 //	curl -X POST localhost:8080/v1/generate -H 'Content-Type: application/json' \
 //	    -d '{"platform":"spr","model":"OPT-13B"}'
 //	curl 'localhost:8080/v1/traces?id=<trace_id>'

@@ -1,4 +1,4 @@
-package sweeprun
+package main
 
 import (
 	"bytes"
@@ -7,20 +7,21 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
-func grid() Grid {
-	return Grid{
-		Platforms: []string{"spr", "h100"},
-		Models:    []core.Model{core.MustModel("OPT-13B"), core.MustModel("OPT-66B")},
-		Batches:   []int{1, 8},
-		Inputs:    []int{128, 512},
-		Output:    32,
+func testGrid() grid {
+	return grid{
+		platforms: []string{"spr", "h100"},
+		models:    []model.Config{core.MustModel("OPT-13B"), core.MustModel("OPT-66B")},
+		batches:   []int{1, 8},
+		inputs:    []int{128, 512},
+		output:    32,
 	}
 }
 
 func TestRunGridShape(t *testing.T) {
-	rows, err := Run(grid())
+	rows, err := testGrid().run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,45 +29,45 @@ func TestRunGridShape(t *testing.T) {
 		t.Fatalf("got %d rows, want 16", len(rows))
 	}
 	// Row-major ordering: inputs vary fastest.
-	if rows[0].Input != 128 || rows[1].Input != 512 {
+	if rows[0].input != 128 || rows[1].input != 512 {
 		t.Error("ordering wrong")
 	}
 	for _, r := range rows {
-		if r.Err != nil {
-			t.Errorf("%s/%s b=%d in=%d failed: %v", r.Platform, r.Model, r.Batch, r.Input, r.Err)
+		if r.err != nil {
+			t.Errorf("%s/%s b=%d in=%d failed: %v", r.platform, r.model, r.batch, r.input, r.err)
 			continue
 		}
-		if r.Result.Throughput.E2E <= 0 {
+		if r.result.Throughput.E2E <= 0 {
 			t.Errorf("degenerate point %+v", r)
 		}
 	}
 }
 
 func TestGridValidation(t *testing.T) {
-	bad := grid()
-	bad.Platforms = nil
-	if _, err := Run(bad); err == nil {
+	bad := testGrid()
+	bad.platforms = nil
+	if _, err := bad.run(); err == nil {
 		t.Error("empty platforms must fail")
 	}
-	bad = grid()
-	bad.Platforms = []string{"tpu"}
-	if _, err := Run(bad); err == nil {
+	bad = testGrid()
+	bad.platforms = []string{"tpu"}
+	if _, err := bad.run(); err == nil {
 		t.Error("unknown platform must fail")
 	}
-	bad = grid()
-	bad.Output = 0
-	if _, err := Run(bad); err == nil {
+	bad = testGrid()
+	bad.output = 0
+	if _, err := bad.run(); err == nil {
 		t.Error("zero output must fail")
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
-	rows, err := Run(grid())
+	rows, err := testGrid().run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	skipped, err := WriteCSV(&buf, 32, rows)
+	skipped, err := writeCSV(&buf, 32, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestWriteCSV(t *testing.T) {
 	if len(recs) != len(rows)+1 {
 		t.Fatalf("CSV has %d records, want %d", len(recs), len(rows)+1)
 	}
-	if len(recs[0]) != len(Header) {
+	if len(recs[0]) != len(csvHeader) {
 		t.Error("header width wrong")
 	}
 	// Numeric fields parse.
@@ -94,9 +95,9 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteCSVSkipsFailedRows(t *testing.T) {
-	rows := []Row{{Platform: "spr", Model: "x", Err: errFake}}
+	rows := []sweepRow{{platform: "spr", model: "x", err: errFake}}
 	var buf bytes.Buffer
-	skipped, err := WriteCSV(&buf, 32, rows)
+	skipped, err := writeCSV(&buf, 32, rows)
 	if err != nil || skipped != 1 {
 		t.Errorf("skipped=%d err=%v", skipped, err)
 	}
@@ -109,7 +110,7 @@ type fakeErr struct{}
 func (*fakeErr) Error() string { return "fake" }
 
 func TestSimulateUnknownPlatform(t *testing.T) {
-	if _, err := Simulate("tpu", core.MustModel("OPT-13B"), 1, 128, 32); err == nil {
+	if _, err := simulatePoint("tpu", core.MustModel("OPT-13B"), 1, 128, 32); err == nil {
 		t.Error("unknown platform must fail")
 	}
 }

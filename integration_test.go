@@ -58,14 +58,14 @@ func TestHybridDominatesItsEndpoints(t *testing.T) {
 // TestFacadeAgreesWithSubsystems: core.SimulateGPU must route to the
 // offload executor exactly when perfmodel says the model does not fit.
 func TestFacadeAgreesWithSubsystems(t *testing.T) {
-	for _, m := range core.Models() {
+	for _, m := range model.Evaluated() {
 		for _, g := range []core.GPU{core.A100(), core.H100()} {
 			res, err := core.SimulateGPU(g, m, 1, 128, 32)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", g.Name, m.Name, err)
 			}
 			needsOffload := offload.Run{GPU: g, Host: hw.SPRMax9468, Model: m,
-				Batch: 1, InputLen: 128, OutputLen: 32, Weights: tensor.BF16}.Needed()
+				Batch: 1, InputLen: 128, OutputLen: 32, Weights: tensor.BF16}.Plan().StreamedGB > 0
 			if needsOffload != (res.TransferSeconds > 0) {
 				t.Errorf("%s/%s: offload routing mismatch (needed=%v, transfer=%.2fs)",
 					g.Name, m.Name, needsOffload, res.TransferSeconds)

@@ -72,10 +72,6 @@ func NewServer(gw Backend) *Server {
 	}
 }
 
-// NewHandler returns the service's HTTP handler with a default gateway
-// (the historical entry point).
-func NewHandler() http.Handler { return NewServer(nil).Handler() }
-
 // Gateway returns the server's backend (for shutdown wiring).
 func (s *Server) Gateway() Backend { return s.gw }
 
@@ -90,8 +86,8 @@ var endpoints = []endpointInfo{
 	{"GET", "/v1/", "this index"},
 	{"GET", "/v1/models", "model presets the paper evaluates"},
 	{"GET", "/v1/platforms", "platform registry (CPUs and GPUs of Tables I-II)"},
-	{"GET, POST", "/v1/simulate", "price one inference point (platform, model, batch, in, out)"},
-	{"GET, POST", "/v1/autotune", "search CPU configurations for an objective"},
+	{"POST", "/v1/simulate", "price one inference point (platform, model, batch, in, out)"},
+	{"POST", "/v1/autotune", "search CPU configurations for an objective"},
 	{"POST", "/v1/generate", `serve one generation request through the batching gateway; "stream": true delivers per-token SSE chunks (data: {...}, data: [DONE])`},
 	{"POST", "/v1/chat/completions", `OpenAI-compatible chat completions (usage, finish_reason); "stream": true delivers chat.completion.chunk SSE`},
 	{"POST", "/v1/completions", "OpenAI-compatible legacy text completions alias, sharing /v1/generate validation and streaming"},
@@ -99,7 +95,7 @@ var endpoints = []endpointInfo{
 	{"GET", "/v1/experiments/{key}", "run one experiment, rendered tables"},
 	{"GET", "/v1/scorecard", "reproduction scorecard"},
 	{"GET", "/v1/traces", "recent request traces (?id= for one, ?limit= to page)"},
-	{"GET", "/v1/kv", "per-lane KV pool governance: blocks, watermarks, quotas, preemptions; cache fields are deprecated here — use /v1/cache"},
+	{"GET", "/v1/kv", "per-lane KV pool governance: blocks, watermarks, quotas, preemptions"},
 	{"GET", "/v1/cache", "prefix-cache status: tree sizes, hit rate, retained blocks per lane (404 while caching is disabled)"},
 	{"GET", "/v1/cluster", "replica health, routing policy and failover counters (404 unless -replicas > 1)"},
 	{"GET", "/v1/overload", "overload control status: brownout level, active degradations, adaptive concurrency limit, per-class admission counters (404 while disabled)"},
@@ -119,8 +115,8 @@ func (s *Server) Handler() http.Handler {
 	route("/v1/{$}", s.handleIndex, http.MethodGet)
 	route("/v1/models", s.handleModels, http.MethodGet)
 	route("/v1/platforms", s.handlePlatforms, http.MethodGet)
-	route("/v1/simulate", s.handleSimulate, http.MethodGet, http.MethodPost)
-	route("/v1/autotune", s.handleAutotune, http.MethodGet, http.MethodPost)
+	route("/v1/simulate", s.handleSimulate, http.MethodPost)
+	route("/v1/autotune", s.handleAutotune, http.MethodPost)
 	route("/v1/generate", s.handleGenerate, http.MethodPost)
 	route("/v1/chat/completions", s.handleChatCompletions, http.MethodPost)
 	route("/v1/completions", s.handleCompletions, http.MethodPost)
@@ -361,13 +357,7 @@ type simResponse struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	var err error
-	if r.Method == http.MethodPost {
-		err = decodeBody(r, &req)
-	} else {
-		req, err = simulateFromQuery(r)
-	}
-	if err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeBodyError(w, err)
 		return
 	}
@@ -416,13 +406,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	var req AutotuneRequest
-	var err error
-	if r.Method == http.MethodPost {
-		err = decodeBody(r, &req)
-	} else {
-		req, err = autotuneFromQuery(r)
-	}
-	if err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeBodyError(w, err)
 		return
 	}

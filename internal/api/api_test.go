@@ -12,7 +12,7 @@ import (
 // do issues one request against a fresh server.
 func do(t *testing.T, method, path string, body string) (*http.Response, []byte) {
 	t.Helper()
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	return doOn(t, srv, method, path, body)
 }
@@ -116,8 +116,11 @@ func TestPlatformsFromRegistry(t *testing.T) {
 	}
 }
 
-func TestSimulateGET(t *testing.T) {
-	resp, body := get(t, "/v1/simulate?platform=spr&model=OPT-30B&batch=4")
+func TestSimulate(t *testing.T) {
+	srv := httptest.NewServer(NewServer(nil).Handler())
+	defer srv.Close()
+	resp, body := doOn(t, srv, http.MethodPost, "/v1/simulate",
+		`{"platform":"spr","model":"OPT-30B","batch":4}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -131,7 +134,7 @@ func TestSimulateGET(t *testing.T) {
 	if res["llc_mpki"].(float64) <= 0 {
 		t.Error("CPU run must include counters")
 	}
-	resp, body = get(t, "/v1/simulate?platform=a100&model=OPT-30B")
+	resp, body = doOn(t, srv, http.MethodPost, "/v1/simulate", `{"platform":"a100","model":"OPT-30B"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -141,42 +144,46 @@ func TestSimulateGET(t *testing.T) {
 	if res["pcie_fraction"].(float64) < 0.5 {
 		t.Errorf("offloaded PCIe fraction %v", res["pcie_fraction"])
 	}
-}
-
-func TestSimulatePOSTMatchesGET(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
-	defer srv.Close()
-	_, getBody := doOn(t, srv, http.MethodGet,
-		"/v1/simulate?platform=spr&model=LLaMA2-13B&batch=4&in=256&out=64&cores=32&memmode=cache&cluster=snc", "")
-	resp, postBody := doOn(t, srv, http.MethodPost, "/v1/simulate",
+	// Every CPU tunable set at once.
+	resp, body = doOn(t, srv, http.MethodPost, "/v1/simulate",
 		`{"platform":"spr","model":"LLaMA2-13B","batch":4,"in":256,"out":64,"cores":32,"memmode":"cache","cluster":"snc"}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST status %d: %s", resp.StatusCode, postBody)
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	if string(getBody) != string(postBody) {
-		t.Errorf("GET/POST mismatch:\n%s\n%s", getBody, postBody)
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res["batch"].(float64) != 4 || res["input_len"].(float64) != 256 || res["output_len"].(float64) != 64 {
+		t.Errorf("request shape not echoed: %s", body)
+	}
+	// A zero is the field's default, as documented: JSON cannot tell it
+	// from an absent field.
+	_, defaults := doOn(t, srv, http.MethodPost, "/v1/simulate", `{"platform":"spr","model":"OPT-13B"}`)
+	_, zeros := doOn(t, srv, http.MethodPost, "/v1/simulate",
+		`{"platform":"spr","model":"OPT-13B","batch":0,"in":0,"out":0,"cores":0}`)
+	if string(zeros) != string(defaults) {
+		t.Errorf("explicit zeros differ from defaults:\n%s\n%s", zeros, defaults)
 	}
 }
 
 func TestSimulateValidation(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	cases := []struct {
 		method, path, body string
 		want               int
 		code               string
 	}{
-		{"GET", "/v1/simulate?platform=tpu&model=OPT-13B", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=GPT-5", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=OPT-13B&batch=zero", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=OPT-13B&batch=-1", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=OPT-13B&in=-5", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=OPT-13B&out=-1", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=OPT-13B&cores=-4", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=OPT-13B&cores=0", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=OPT-13B&memmode=weird", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=spr&model=OPT-13B&cluster=weird", "", 400, "bad_request"},
-		{"GET", "/v1/simulate?platform=a100&model=OPT-13B&cores=8", "", 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"tpu","model":"OPT-13B"}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"spr","model":"GPT-5"}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","batch":"zero"}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","batch":-1}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","in":-5}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","out":-1}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","cores":-4}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","memmode":"weird"}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","cluster":"weird"}`, 400, "bad_request"},
+		{"POST", "/v1/simulate", `{"platform":"a100","model":"OPT-13B","cores":8}`, 400, "bad_request"},
 		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","batch":-2}`, 400, "bad_request"},
 		{"POST", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","bogus":1}`, 400, "bad_request"},
 		{"POST", "/v1/simulate", `not json`, 400, "bad_request"},
@@ -184,23 +191,25 @@ func TestSimulateValidation(t *testing.T) {
 	for _, c := range cases {
 		resp, body := doOn(t, srv, c.method, c.path, c.body)
 		if resp.StatusCode != c.want {
-			t.Errorf("%s %s: status %d want %d (%s)", c.method, c.path, resp.StatusCode, c.want, body)
+			t.Errorf("%s %s %s: status %d want %d (%s)", c.method, c.path, c.body, resp.StatusCode, c.want, body)
 			continue
 		}
 		if code, _ := errEnvelope(t, body); code != c.code {
-			t.Errorf("%s %s: code %q want %q", c.method, c.path, code, c.code)
+			t.Errorf("%s %s %s: code %q want %q", c.method, c.path, c.body, code, c.code)
 		}
 	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
-	cases := []struct{ method, path string }{
-		{"POST", "/v1/models"},
-		{"DELETE", "/v1/simulate"},
-		{"GET", "/v1/generate"},
-		{"PUT", "/v1/scorecard"},
+	cases := []struct{ method, path, allow string }{
+		{"POST", "/v1/models", "GET"},
+		{"DELETE", "/v1/simulate", "POST"},
+		{"GET", "/v1/simulate?platform=spr&model=OPT-30B", "POST"},
+		{"GET", "/v1/autotune?model=LLaMA2-13B", "POST"},
+		{"GET", "/v1/generate", "POST"},
+		{"PUT", "/v1/scorecard", "GET"},
 	}
 	for _, c := range cases {
 		resp, body := doOn(t, srv, c.method, c.path, "")
@@ -211,8 +220,8 @@ func TestMethodNotAllowed(t *testing.T) {
 		if code, _ := errEnvelope(t, body); code != CodeMethodNotAllowed {
 			t.Errorf("%s %s: code %q", c.method, c.path, code)
 		}
-		if resp.Header.Get("Allow") == "" {
-			t.Errorf("%s %s: missing Allow header", c.method, c.path)
+		if got := resp.Header.Get("Allow"); got != c.allow {
+			t.Errorf("%s %s: Allow %q, want %q", c.method, c.path, got, c.allow)
 		}
 	}
 }
@@ -228,7 +237,7 @@ func TestUnknownPath404(t *testing.T) {
 }
 
 func TestExperimentEndpoints(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	resp, body := doOn(t, srv, "GET", "/v1/experiments", "")
 	if resp.StatusCode != http.StatusOK {
@@ -255,10 +264,11 @@ func TestExperimentEndpoints(t *testing.T) {
 	}
 }
 
-func TestAutotuneGETAndPOST(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+func TestAutotune(t *testing.T) {
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
-	resp, body := doOn(t, srv, "GET", "/v1/autotune?model=LLaMA2-13B&objective=throughput&top=3", "")
+	resp, body := doOn(t, srv, "POST", "/v1/autotune",
+		`{"model":"LLaMA2-13B","objective":"throughput","top":3}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -272,26 +282,18 @@ func TestAutotuneGETAndPOST(t *testing.T) {
 	if cands[0]["batch"].(float64) != 32 {
 		t.Errorf("throughput objective should pick batch 32, got %v", cands[0]["batch"])
 	}
-	resp, postBody := doOn(t, srv, "POST", "/v1/autotune",
-		`{"model":"LLaMA2-13B","objective":"throughput","top":3}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST status %d: %s", resp.StatusCode, postBody)
-	}
-	if string(postBody) != string(body) {
-		t.Error("autotune GET/POST mismatch")
-	}
-	resp, body = doOn(t, srv, "GET", "/v1/autotune?model=nope", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad model status %d", resp.StatusCode)
-	}
-	errEnvelope(t, body)
-	resp, _ = doOn(t, srv, "GET", "/v1/autotune?model=OPT-13B&objective=weird", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad objective status %d", resp.StatusCode)
-	}
-	resp, _ = doOn(t, srv, "GET", "/v1/autotune?model=OPT-13B&top=-1", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative top status %d", resp.StatusCode)
+	for _, bad := range []struct{ name, body string }{
+		{"bad model", `{"model":"nope"}`},
+		{"bad objective", `{"model":"OPT-13B","objective":"weird"}`},
+		{"negative top", `{"model":"OPT-13B","top":-1}`},
+	} {
+		resp, body = doOn(t, srv, "POST", "/v1/autotune", bad.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s status %d", bad.name, resp.StatusCode)
+		}
+		if code, _ := errEnvelope(t, body); code != CodeBadRequest {
+			t.Errorf("%s code %q", bad.name, code)
+		}
 	}
 }
 
@@ -317,7 +319,7 @@ func TestScorecardEndpoint(t *testing.T) {
 }
 
 func TestGenerateEndpoint(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	resp, body := doOn(t, srv, "POST", "/v1/generate",
 		`{"platform":"spr","model":"OPT-13B","in":128,"out":8}`)
@@ -353,7 +355,7 @@ func TestGenerateEndpoint(t *testing.T) {
 }
 
 func TestGenerateOnRealEngine(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	resp, body := doOn(t, srv, "POST", "/v1/generate",
 		`{"platform":"tiny-opt","in":16,"out":4}`)
@@ -370,7 +372,7 @@ func TestGenerateOnRealEngine(t *testing.T) {
 }
 
 func TestHealthReadyMetrics(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	resp, _ := doOn(t, srv, "GET", "/healthz", "")
 	if resp.StatusCode != http.StatusOK {
@@ -403,7 +405,7 @@ func TestHealthReadyMetrics(t *testing.T) {
 }
 
 func TestContentTypeAndEnvelopeShape(t *testing.T) {
-	resp, body := get(t, "/v1/simulate?platform=spr&model=GPT-5")
+	resp, body := do(t, http.MethodPost, "/v1/simulate", `{"platform":"spr","model":"GPT-5"}`)
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("error content-type %q", ct)
 	}

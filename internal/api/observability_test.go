@@ -16,7 +16,7 @@ import (
 )
 
 func TestGenerateCarriesTraceAndRequestIDs(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/generate",
@@ -85,7 +85,7 @@ func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
 // sampled generate request's trace record, fetched by ID, holds at least
 // the five serving phases with counter analogs on the compute spans.
 func TestTraceRecordHasPhaseSpansWithCounters(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 
 	resp, body := doOn(t, srv, http.MethodPost, "/v1/generate",
@@ -153,7 +153,7 @@ func TestTraceRecordHasPhaseSpansWithCounters(t *testing.T) {
 }
 
 func TestTracesListing(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	for i := 0; i < 3; i++ {
 		if resp, body := doOn(t, srv, http.MethodPost, "/v1/generate",
@@ -179,7 +179,7 @@ func TestTracesListing(t *testing.T) {
 }
 
 func TestUnsupportedMediaType415(t *testing.T) {
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	for _, path := range []string{"/v1/generate", "/v1/simulate", "/v1/autotune"} {
 		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader(`{}`))

@@ -288,49 +288,6 @@ func positiveParam(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
-// simulateFromQuery adapts the legacy GET query form.
-func simulateFromQuery(r *http.Request) (SimulateRequest, error) {
-	var req SimulateRequest
-	q := r.URL.Query()
-	req.Platform = q.Get("platform")
-	req.Model = q.Get("model")
-	req.MemMode = q.Get("memmode")
-	req.Cluster = q.Get("cluster")
-	var err error
-	if req.Batch, err = positiveParam(r, "batch", 0); err != nil {
-		return req, err
-	}
-	if req.InputLen, err = positiveParam(r, "in", 0); err != nil {
-		return req, err
-	}
-	if req.OutputLen, err = positiveParam(r, "out", 0); err != nil {
-		return req, err
-	}
-	if req.Cores, err = positiveParam(r, "cores", 0); err != nil {
-		return req, err
-	}
-	return req, nil
-}
-
-// autotuneFromQuery adapts the legacy GET query form.
-func autotuneFromQuery(r *http.Request) (AutotuneRequest, error) {
-	var req AutotuneRequest
-	q := r.URL.Query()
-	req.Model = q.Get("model")
-	req.Objective = q.Get("objective")
-	var err error
-	if req.InputLen, err = positiveParam(r, "in", 0); err != nil {
-		return req, err
-	}
-	if req.OutputLen, err = positiveParam(r, "out", 0); err != nil {
-		return req, err
-	}
-	if req.Top, err = positiveParam(r, "top", 0); err != nil {
-		return req, err
-	}
-	return req, nil
-}
-
 // normalize validates the request and fills defaults; it returns the
 // resolved model and platform entry.
 func (req *SimulateRequest) normalize() (model.Config, hw.PlatformEntry, error) {

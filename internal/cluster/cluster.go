@@ -346,15 +346,6 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Replica IDs in index order ("r0".."rN-1").
-func (r *Router) ReplicaIDs() []string {
-	ids := make([]string, len(r.replicas))
-	for i, rep := range r.replicas {
-		ids[i] = rep.id
-	}
-	return ids
-}
-
 func (r *Router) replicaByID(id string) *replica {
 	for _, rep := range r.replicas {
 		if rep.id == id {

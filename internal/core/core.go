@@ -3,7 +3,8 @@
 //
 //   - the platform performance simulator (perfmodel, memsim, offload,
 //     hybrid), which prices LLM inference on the paper's four evaluation
-//     platforms and regenerates every table and figure, and
+//     platforms (package experiments turns it into every table and
+//     figure), and
 //   - the functional inference engine (engine, kernels, tensor), a real
 //     pure-Go transformer that executes prefill/decode with a KV cache at
 //     laptop scale.
@@ -21,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/hw"
 	"repro/internal/memsim"
 	"repro/internal/metrics"
@@ -41,18 +41,11 @@ type (
 	CPUSetup = memsim.Config
 	// Result is the metric set of one simulated point.
 	Result = metrics.Result
-	// Experiment is a runnable paper table/figure reproduction.
-	Experiment = experiments.Experiment
-	// Table is a rendered experiment result.
-	Table = experiments.Table
 	// GPU is a GPU platform description.
 	GPU = hw.GPU
 	// CPU is a CPU platform description.
 	CPU = hw.CPU
 )
-
-// Models returns the eight models the paper evaluates.
-func Models() []Model { return model.Evaluated() }
 
 // ModelByName resolves a preset by its paper name (e.g. "LLaMA2-13B").
 func ModelByName(name string) (Model, error) { return model.ByName(name) }
@@ -109,13 +102,6 @@ func SimulateGPU(g GPU, m Model, batch, inputLen, outputLen int) (Result, error)
 	return offload.Run{GPU: g, Host: hw.SPRMax9468, Model: m, Batch: batch,
 		InputLen: inputLen, OutputLen: outputLen, Weights: tensor.BF16}.Simulate()
 }
-
-// Experiments returns every paper table/figure reproduction plus the §VI
-// optimization ablations, in paper order.
-func Experiments() []Experiment { return experiments.All() }
-
-// ExperimentByKey resolves one experiment by CLI key ("fig18", "table1").
-func ExperimentByKey(key string) (Experiment, error) { return experiments.ByKey(key) }
 
 // TinyEngine builds a runnable miniature functional engine of the given
 // family ("opt" or "llama"), with deterministic random BF16 weights.

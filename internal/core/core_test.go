@@ -34,9 +34,6 @@ func TestSimulateGPUAutoOffload(t *testing.T) {
 }
 
 func TestModels(t *testing.T) {
-	if len(Models()) != 8 {
-		t.Errorf("Models() = %d entries, want 8", len(Models()))
-	}
 	if _, err := ModelByName("nope"); err == nil {
 		t.Error("unknown model must error")
 	}
@@ -54,20 +51,6 @@ func TestSetups(t *testing.T) {
 	}
 	if ICLBaseline().CPU.HasAMX() {
 		t.Error("ICL baseline must not have AMX")
-	}
-}
-
-func TestExperiments(t *testing.T) {
-	if len(Experiments()) < 19 {
-		t.Errorf("only %d experiments registered", len(Experiments()))
-	}
-	e, err := ExperimentByKey("fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tabs, err := e.Run()
-	if err != nil || len(tabs) == 0 {
-		t.Fatal("fig1 did not run")
 	}
 }
 

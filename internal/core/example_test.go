@@ -42,17 +42,3 @@ func ExampleTinyEngine() {
 	fmt.Println(len(out[0]), "tokens generated")
 	// Output: 4 tokens generated
 }
-
-// Every paper experiment is runnable by key.
-func ExampleExperimentByKey() {
-	e, err := core.ExperimentByKey("table2")
-	if err != nil {
-		panic(err)
-	}
-	tabs, err := e.Run()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(tabs[0].Rows[1][0])
-	// Output: H100-80GB
-}

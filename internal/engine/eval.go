@@ -47,6 +47,28 @@ func (e *Engine) Perplexity(seq []int) (EvalResult, error) {
 	return res, nil
 }
 
+// logSoftmax converts logits into log-probabilities.
+func logSoftmax(logits []float32) []float64 {
+	maxL := float64(logits[0])
+	for _, v := range logits[1:] {
+		if float64(v) > maxL {
+			maxL = float64(v)
+		}
+	}
+	var sum float64
+	lps := make([]float64, len(logits))
+	for i, v := range logits {
+		e := math.Exp(float64(v) - maxL)
+		lps[i] = float64(v) - maxL
+		sum += e
+	}
+	logSum := math.Log(sum)
+	for i := range lps {
+		lps[i] -= logSum
+	}
+	return lps
+}
+
 // TokenCallback receives each newly generated token (sequence index,
 // step, token). Returning false stops that sequence's generation early.
 type TokenCallback func(seq, step, token int) bool

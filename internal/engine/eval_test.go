@@ -154,3 +154,17 @@ func TestGenerateStreamValidation(t *testing.T) {
 		t.Error("nil callback must fail")
 	}
 }
+
+func TestLogSoftmax(t *testing.T) {
+	lps := logSoftmax([]float32{1, 2, 3})
+	var sum float64
+	for _, lp := range lps {
+		sum += math.Exp(lp)
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("log-softmax probs sum to %v", sum)
+	}
+	if !(lps[2] > lps[1] && lps[1] > lps[0]) {
+		t.Error("ordering not preserved")
+	}
+}

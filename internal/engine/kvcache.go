@@ -61,7 +61,7 @@ func (c *KVCache) Bytes() int64 {
 }
 
 // Put stores the key/value vectors for a position of one layer. Positions
-// become visible to Keys/Values once ExtendTo commits them.
+// count towards Len once ExtendTo commits them.
 func (c *KVCache) Put(layer, pos int, key, value []float32) {
 	if len(key) != c.kvDim || len(value) != c.kvDim {
 		panic(fmt.Sprintf("engine: kv put dim %d/%d, want %d", len(key), len(value), c.kvDim))
@@ -85,48 +85,11 @@ func (c *KVCache) ExtendTo(n int) {
 	c.n = n
 }
 
-// Keys returns the committed keys of a layer as a contiguous [Len, kvDim]
-// row-major slice sharing the cache's storage.
-func (c *KVCache) Keys(layer int) []float32 {
-	off := layer * c.maxSeq * c.kvDim
-	return c.k[off : off+c.n*c.kvDim]
-}
-
-// Values returns the committed values of a layer as [Len, kvDim] rows.
-func (c *KVCache) Values(layer int) []float32 {
-	off := layer * c.maxSeq * c.kvDim
-	return c.v[off : off+c.n*c.kvDim]
-}
-
 // Run returns the layer's key and value rows from pos to the cache's
 // capacity (sharing storage).
 func (c *KVCache) Run(layer, pos int) (k, v []float32) {
 	lo, hi := (layer*c.maxSeq+pos)*c.kvDim, (layer+1)*c.maxSeq*c.kvDim
 	return c.k[lo:hi], c.v[lo:hi]
-}
-
-// KeysAt returns the keys of a layer up to n positions regardless of the
-// committed length (used by causal prefill attention).
-func (c *KVCache) KeysAt(layer, n int) []float32 {
-	off := layer * c.maxSeq * c.kvDim
-	return c.k[off : off+n*c.kvDim]
-}
-
-// ValuesAt returns the values of a layer up to n positions.
-func (c *KVCache) ValuesAt(layer, n int) []float32 {
-	off := layer * c.maxSeq * c.kvDim
-	return c.v[off : off+n*c.kvDim]
-}
-
-// Clone returns an independent deep copy of the cache (beam search's
-// branch point).
-func (c *KVCache) Clone() *KVCache {
-	d := &KVCache{
-		layers: c.layers, kvDim: c.kvDim, maxSeq: c.maxSeq, n: c.n,
-		k: append([]float32(nil), c.k...),
-		v: append([]float32(nil), c.v...),
-	}
-	return d
 }
 
 // Truncate discards committed positions beyond n (speculative decoding's

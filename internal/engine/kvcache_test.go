@@ -5,6 +5,17 @@ import (
 	"testing/quick"
 )
 
+// keys and values are the committed [Len, kvDim] rows of a layer.
+func (c *KVCache) keys(layer int) []float32 {
+	k, _ := c.Run(layer, 0)
+	return k[:c.n*c.kvDim]
+}
+
+func (c *KVCache) values(layer int) []float32 {
+	_, v := c.Run(layer, 0)
+	return v[:c.n*c.kvDim]
+}
+
 func TestKVCacheBasics(t *testing.T) {
 	c := NewKVCache(2, 4, 8)
 	if c.Len() != 0 || c.Cap() != 8 {
@@ -18,12 +29,12 @@ func TestKVCacheBasics(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatal("extend failed")
 	}
-	got := c.Keys(0)
+	got := c.keys(0)
 	if len(got) != 4 || got[0] != 1 || got[3] != 4 {
-		t.Errorf("Keys(0) = %v", got)
+		t.Errorf("keys(0) = %v", got)
 	}
-	if c.Values(1)[0] != 1 {
-		t.Errorf("Values(1) = %v", c.Values(1))
+	if c.values(1)[0] != 1 {
+		t.Errorf("values(1) = %v", c.values(1))
 	}
 	if c.Bytes() != int64(2*8*4*4*2) {
 		t.Errorf("Bytes = %d", c.Bytes())
@@ -37,8 +48,8 @@ func TestKVCacheLayerIsolation(t *testing.T) {
 	c.Put(2, 0, []float32{3, 3}, []float32{3, 3})
 	c.ExtendTo(1)
 	for layer := 0; layer < 3; layer++ {
-		if c.Keys(layer)[0] != float32(layer+1) {
-			t.Errorf("layer %d keys = %v", layer, c.Keys(layer))
+		if c.keys(layer)[0] != float32(layer+1) {
+			t.Errorf("layer %d keys = %v", layer, c.keys(layer))
 		}
 	}
 }
@@ -49,14 +60,12 @@ func TestKVCacheViews(t *testing.T) {
 		c.Put(0, p, []float32{float32(p), 0}, []float32{0, float32(p)})
 	}
 	c.ExtendTo(2)
-	if len(c.Keys(0)) != 4 { // 2 committed positions × dim 2
-		t.Errorf("committed view length %d", len(c.Keys(0)))
+	if len(c.keys(0)) != 4 { // 2 committed positions × dim 2
+		t.Errorf("committed view length %d", len(c.keys(0)))
 	}
-	if len(c.KeysAt(0, 3)) != 6 {
-		t.Errorf("KeysAt(0,3) length %d", len(c.KeysAt(0, 3)))
-	}
-	if c.ValuesAt(0, 3)[5] != 2 {
-		t.Errorf("ValuesAt content wrong: %v", c.ValuesAt(0, 3))
+	// Rows written but not yet committed are readable through Run.
+	if _, v := c.Run(0, 0); v[5] != 2 {
+		t.Errorf("uncommitted row content wrong: %v", v[:6])
 	}
 }
 
@@ -65,7 +74,7 @@ func TestKVCacheReset(t *testing.T) {
 	c.Put(0, 0, []float32{1, 2}, []float32{3, 4})
 	c.ExtendTo(1)
 	c.Reset()
-	if c.Len() != 0 || len(c.Keys(0)) != 0 {
+	if c.Len() != 0 || len(c.keys(0)) != 0 {
 		t.Error("reset failed")
 	}
 }
@@ -95,8 +104,8 @@ func TestKVCacheRoundTripProperty(t *testing.T) {
 		layer, pos := int(layerRaw%4), int(posRaw%8)
 		c.Put(layer, pos, []float32{a, b}, []float32{b, a})
 		c.ExtendTo(8)
-		k := c.Keys(layer)
-		v := c.Values(layer)
+		k := c.keys(layer)
+		v := c.values(layer)
 		return k[pos*2] == a && k[pos*2+1] == b && v[pos*2] == b && v[pos*2+1] == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

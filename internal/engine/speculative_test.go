@@ -168,7 +168,7 @@ func TestKVCacheTruncate(t *testing.T) {
 		t.Error("truncate failed")
 	}
 	c.ExtendTo(2) // re-extend over retained data
-	if c.Keys(0)[2] != 5 {
+	if c.keys(0)[2] != 5 {
 		t.Error("data must survive truncate+extend")
 	}
 	defer func() {

@@ -6,7 +6,7 @@
 // RoPE/grouped-query attention) and the numeric paths of the studied
 // hardware (FP32 reference, AMX-style BF16 tiles, INT8). Every entry point
 // — prefill (whole, chunked or resumed), decode, speculative verification,
-// eval, beam search — is the same forward pass, with one linear path per
+// eval — is the same forward pass, with one linear path per
 // numeric path (the packed GEMM, or the INT8 kernel) and one attention
 // path (softmax over the KV cache's contiguous runs).
 //
@@ -68,8 +68,7 @@ func (k Kernel) String() string {
 // Linear is one weight matrix with optional bias and an optional INT8
 // shadow for the quantized path. Weights are stored row-major [In, Out] so
 // that Y = X·W. The unexported pack fields hold panel-packed shadows built
-// once at engine construction (Weights.ensurePacked); they are invisible
-// to the serializer, so loaded checkpoints repack lazily.
+// once at engine construction (Weights.ensurePacked).
 type Linear struct {
 	In, Out int
 	W       []float32

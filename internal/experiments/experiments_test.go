@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func cell(t *testing.T, tab Table, row, col int) float64 {
@@ -401,6 +403,31 @@ func TestGH200Shape(t *testing.T) {
 // TestEconShape: the paper's economic argument read off the table — the
 // cheap A100 wins per-dollar on models it fits; the SPR CPU wins
 // per-dollar on models that force GPU offloading.
+func TestPriceRatioMatchesPaperFootnote(t *testing.T) {
+	// Footnote 1: the Max 9468 is ~3× cheaper than an H100-80GB.
+	if r := priceH100.priceUSD / priceSPRMax9468.priceUSD; r < 2.4 || r > 3.6 {
+		t.Errorf("H100/SPR price ratio = %.2f, paper proxy ≈3", r)
+	}
+}
+
+func TestCostEfficiency(t *testing.T) {
+	res := metrics.New("SPR", "OPT-30B", 1, 128, 32, 0.2, 3.0)
+	e, err := costEfficiency(res, priceSPRMax9468)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.TokensPerSecond != res.Throughput.E2E {
+		t.Error("tokens/s must pass through")
+	}
+	want := res.Throughput.E2E / (priceSPRMax9468.priceUSD / 1000)
+	if e.TokensPerSecondPerKUSD != want {
+		t.Errorf("per-k$ = %v, want %v", e.TokensPerSecondPerKUSD, want)
+	}
+	if _, err := costEfficiency(res, pricing{name: "free"}); err == nil {
+		t.Error("zero price must fail")
+	}
+}
+
 func TestEconShape(t *testing.T) {
 	tabs, err := Econ()
 	if err != nil {

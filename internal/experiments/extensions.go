@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/econ"
 	"repro/internal/hw"
 	"repro/internal/kvpool"
 	"repro/internal/memsim"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/offload"
 	"repro/internal/perfmodel"
@@ -224,11 +224,11 @@ func GH200Exp() ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ce, err := econ.Evaluate(cpu, econ.PriceSPRMax9468)
+		ce, err := costEfficiency(cpu, priceSPRMax9468)
 		if err != nil {
 			return nil, err
 		}
-		ge, err := econ.Evaluate(gh, econ.PriceGH200)
+		ge, err := costEfficiency(gh, priceGH200)
 		if err != nil {
 			return nil, err
 		}
@@ -325,6 +325,43 @@ func ServeMemory() ([]Table, error) {
 	return []Table{t}, nil
 }
 
+// pricing is a processor listing price in USD: the paper's economic
+// motivation (footnote 1, §I "when considering the hardware cost") turned
+// into throughput per dollar. The proxy values are late-2023/2024 listing
+// prices as in footnote 1 and ref [41]: the Max 9468 lists ~$12.9k, the
+// H100-80GB $30–40k, the A100-40GB ~$10k on the refurb market it competed
+// in; §V-B puts Grace-Hopper at ~4× the SPR's cost. CPU prices are per
+// socket (the paper's per-processor listing); chassis, memory and power
+// delivery are excluded, as in the paper's own proxy.
+type pricing struct {
+	name     string
+	priceUSD float64
+}
+
+var (
+	priceSPRMax9468 = pricing{"Xeon Max 9468", 12980}
+	priceA100       = pricing{"A100-40GB", 10000}
+	priceH100       = pricing{"H100-80GB", 36500}
+	priceGH200      = pricing{"GH200", 4 * 12980}
+)
+
+// efficiency is the cost-normalized view of one simulation result.
+type efficiency struct {
+	TokensPerSecond        float64
+	TokensPerSecondPerKUSD float64 // throughput per thousand dollars
+}
+
+// costEfficiency derives cost efficiency from a simulated result.
+func costEfficiency(res metrics.Result, price pricing) (efficiency, error) {
+	if price.priceUSD <= 0 {
+		return efficiency{}, fmt.Errorf("experiments: non-positive price for %s", price.name)
+	}
+	return efficiency{
+		TokensPerSecond:        res.Throughput.E2E,
+		TokensPerSecondPerKUSD: res.Throughput.E2E / (price.priceUSD / 1000),
+	}, nil
+}
+
 // Econ renders the cost-efficiency analysis behind the paper's footnote 1
 // ("the Max 9468 is 3× cheaper than an H100"): tokens/s per thousand
 // dollars of processor listing price, per model at batch 16.
@@ -338,7 +375,7 @@ func Econ() ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ce, err := econ.Evaluate(cpu, econ.PriceSPRMax9468)
+		ce, err := costEfficiency(cpu, priceSPRMax9468)
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +383,7 @@ func Econ() ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ae, err := econ.Evaluate(a, econ.PriceA100)
+		ae, err := costEfficiency(a, priceA100)
 		if err != nil {
 			return nil, err
 		}
@@ -354,7 +391,7 @@ func Econ() ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		he, err := econ.Evaluate(h, econ.PriceH100)
+		he, err := costEfficiency(h, priceH100)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/hw"
 	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -84,6 +83,3 @@ func ByKey(key string) (Experiment, error) {
 	sort.Strings(keys)
 	return Experiment{}, fmt.Errorf("experiments: unknown key %q (have %v)", key, keys)
 }
-
-// GPUs returns the evaluated GPU presets in Table II order.
-func GPUs() []hw.GPU { return []hw.GPU{hw.A100, hw.H100} }

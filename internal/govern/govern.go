@@ -405,8 +405,6 @@ type LaneStatus struct {
 	Allocations     int     `json:"allocations"`
 	CoWCopies       int     `json:"cow_copies"`
 	Preemptions     int     `json:"preemptions"`
-	// Cache is the lane's prefix-cache summary; nil when caching is off.
-	Cache *prefixcache.Stats `json:"cache,omitempty"`
 }
 
 // Status is the governor's observable state (GET /v1/kv).
@@ -457,10 +455,6 @@ func (g *Governor) Snapshot() Status {
 			Pressure: ls.pressure, Shedding: ls.shedding,
 			Allocations: ps.Allocations, CoWCopies: ps.CoWCopies,
 			Preemptions: ls.preemptions,
-		}
-		if ls.tree != nil {
-			cs := ls.tree.Stats()
-			lst.Cache = &cs
 		}
 		st.Lanes = append(st.Lanes, lst)
 	}

@@ -260,8 +260,8 @@ func TestCachedReserveDonateAndHit(t *testing.T) {
 	if !st.Enabled || st.RetainedBlocks != 3 || st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("cache snapshot %+v", st)
 	}
-	if kv := g.Snapshot(); kv.Lanes[0].Cache == nil {
-		t.Error("lane status must carry cache stats when enabled")
+	if len(st.Lanes) != 1 || st.Lanes[0].RetainedBlocks != 3 {
+		t.Errorf("cache snapshot must carry per-lane stats when enabled: %+v", st.Lanes)
 	}
 
 	l1.Release()

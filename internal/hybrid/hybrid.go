@@ -111,77 +111,6 @@ func (r Run) pricePhase(ph model.Phase, seq, ctx int, split Split, cpuBW float64
 	return t
 }
 
-// phaseParts prices one forward pass' GPU-side and CPU-side times
-// separately (activation handoff charged to the GPU side).
-func (r Run) phaseParts(ph model.Phase, seq, ctx int, split Split, cpuBW, cpuScale float64) (gpu, cpu float64) {
-	if split.GPULayers > 0 {
-		gpuBW := r.GPU.BandwidthGBs * r.GPU.MemEff * 1e9
-		for _, o := range scaleOps(r.Model, ph, r.Batch, seq, ctx, split.GPULayers, r.Weights, false) {
-			compute := o.FLOPs() / r.GPU.Compute.EffectiveFLOPS(o.M, o.N, o.K)
-			mem := float64(o.Bytes()) / gpuBW
-			gpu += maxF(compute, mem)
-		}
-		gpu += r.GPU.StepOverheadMS / 1e3
-		rows := float64(r.Batch)
-		if ph == model.Prefill {
-			rows *= float64(seq)
-		}
-		gpu += rows * float64(r.Model.DModel) * 2 * 2 / (r.GPU.PCIe.Achieved(r.Batch) * 1e9)
-	}
-	c := r.Host.CPU
-	for _, o := range scaleOps(r.Model, ph, r.Batch, seq, ctx, split.CPULayers, r.Weights, true) {
-		path := c.BestPath(o.M, o.N, o.K)
-		compute := o.FLOPs() / (path.EffectiveFLOPS(o.M, o.N, o.K) * cpuScale)
-		mem := float64(o.Bytes()) / (cpuBW * 1e9)
-		cpu += maxF(compute, mem)
-	}
-	cpu += c.StepOverheadMS / 1e3
-	return gpu, cpu
-}
-
-// SimulatePipelined prices the run with the two halves pipelined across
-// decode steps: while the CPU runs step t's CPU layers, the GPU already
-// runs step t+1's... which autoregression forbids within one sequence —
-// but with two or more *sequences* interleaved (micro-batching), the GPU
-// half of one sequence overlaps the CPU half of the other. Steady-state
-// decode cost per step is max(gpu, cpu) instead of gpu+cpu; prefill and
-// batch-1 runs gain nothing.
-func (r Run) SimulatePipelined(split Split) (metrics.Result, error) {
-	if err := r.validate(split); err != nil {
-		return metrics.Result{}, err
-	}
-	seq, err := r.Simulate(split)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	if r.Batch < 2 {
-		return seq, nil // nothing to interleave
-	}
-	cpuFootprint := float64(r.Model.WeightBytes(r.Weights))*
-		float64(split.CPULayers)/float64(r.Model.Layers)/1e9 +
-		float64(r.Model.KVCacheBytes(r.InputLen+r.OutputLen, r.Batch, tensor.BF16))/1e9
-	if cpuFootprint < 1 {
-		cpuFootprint = 1
-	}
-	bw, err := r.Host.Bandwidth(cpuFootprint)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	scale := r.Host.ComputeScale()
-	var decode float64
-	for step := 1; step < r.OutputLen; step++ {
-		g, c := r.phaseParts(model.Decode, 1, r.InputLen+step, split, bw.EffectiveGBs, scale)
-		decode += maxF(g, c) // steady-state overlap
-	}
-	// One pipeline-fill bubble at the start of decode.
-	g0, c0 := r.phaseParts(model.Decode, 1, r.InputLen+1, split, bw.EffectiveGBs, scale)
-	decode += minF(g0, c0)
-	res := metrics.New(seq.Platform+"+pipelined", r.Model.Name, r.Batch,
-		r.InputLen, r.OutputLen, seq.PrefillSeconds, decode)
-	res.ComputeSeconds = res.Latency.E2E
-	return res, nil
-}
-
 // Simulate prices the run with the given split.
 func (r Run) Simulate(split Split) (metrics.Result, error) {
 	if err := r.validate(split); err != nil {
@@ -265,13 +194,6 @@ func (r Run) validate(split Split) error {
 
 func maxF(a, b float64) float64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
 		return a
 	}
 	return b

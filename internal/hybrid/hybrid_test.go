@@ -106,54 +106,6 @@ func TestSimulateSplitValidation(t *testing.T) {
 	}
 }
 
-// TestPipelinedOverlap: with two or more interleaved sequences, pipelined
-// hybrid decode must beat sequential hybrid decode; at batch 1 the two
-// must be identical (no interleaving possible).
-func TestPipelinedOverlap(t *testing.T) {
-	r := run(hw.A100, model.OPT30B, 4)
-	split, _, err := r.BestSplit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := r.Simulate(split)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pip, err := r.SimulatePipelined(split)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pip.DecodeSeconds >= seq.DecodeSeconds {
-		t.Errorf("pipelined decode %.2fs must beat sequential %.2fs",
-			pip.DecodeSeconds, seq.DecodeSeconds)
-	}
-	// The overlap can at best hide the smaller half: bounded below by
-	// half the sequential time.
-	if pip.DecodeSeconds < seq.DecodeSeconds*0.45 {
-		t.Errorf("pipelined gain implausibly large: %.2fs vs %.2fs",
-			pip.DecodeSeconds, seq.DecodeSeconds)
-	}
-	r1 := run(hw.A100, model.OPT30B, 1)
-	split1, _, err := r1.BestSplit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := r1.Simulate(split1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := r1.SimulatePipelined(split1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Latency.E2E != p1.Latency.E2E {
-		t.Error("batch-1 pipelined must equal sequential")
-	}
-	if _, err := r.SimulatePipelined(Split{GPULayers: 1, CPULayers: 1}); err == nil {
-		t.Error("invalid split must fail")
-	}
-}
-
 // TestPureCPUSplitMatchesOrderOfCPURun: the all-CPU split should be within
 // 2× of the dedicated CPU model (they price the same work with slightly
 // different overhead accounting).

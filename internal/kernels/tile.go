@@ -11,8 +11,6 @@ const (
 	TileRows = 16
 	// TileColsBF16 is the number of BF16 elements per tile row (64 bytes).
 	TileColsBF16 = 32
-	// TileColsInt8 is the number of INT8 elements per tile row.
-	TileColsInt8 = 64
 )
 
 // GemmTileBF16 computes C = A·B emulating the AMX TMUL dataflow: inputs

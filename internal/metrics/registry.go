@@ -82,13 +82,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Mean returns the mean observation, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()

@@ -99,10 +99,3 @@ func (c Config) DecodeStepFLOPs(ctxLen, batch int) float64 {
 	head := 2 * float64(c.Vocab) * float64(c.DModel) * float64(batch)
 	return linear + attn + head
 }
-
-// DecodeStepBytes returns the bytes streamed from memory during one decode
-// step with weights stored in dt: all weights once (shared across the
-// batch) plus the per-sequence KV cache read.
-func (c Config) DecodeStepBytes(ctxLen, batch int, dt tensor.DType) int64 {
-	return c.WeightBytes(dt) + c.KVCacheBytes(ctxLen, batch, dt)
-}

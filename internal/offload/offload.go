@@ -101,12 +101,6 @@ func (r Run) activationGB() float64 {
 	return rows * float64(r.Model.DFF) * 2 * 3 / 1e9
 }
 
-// Needed reports whether the model actually requires offloading on this
-// GPU (weights exceed free GPU memory).
-func (r Run) Needed() bool {
-	return r.Plan().StreamedGB > 0
-}
-
 // stepCost summarizes one forward pass scheduled through the zig-zag
 // pipeline.
 type stepCost struct {

@@ -64,14 +64,17 @@ func TestPlanPolicy(t *testing.T) {
 	}
 }
 
+// TestNeeded: a plan streams weights exactly when they exceed free GPU
+// memory.
 func TestNeeded(t *testing.T) {
-	if !run(hw.A100, model.OPT30B, 1).Needed() {
+	needed := func(r Run) bool { return r.Plan().StreamedGB > 0 }
+	if !needed(run(hw.A100, model.OPT30B, 1)) {
 		t.Error("OPT-30B on A100 needs offloading")
 	}
-	if run(hw.H100, model.OPT30B, 1).Needed() {
+	if needed(run(hw.H100, model.OPT30B, 1)) {
 		t.Error("OPT-30B fits on H100-80GB")
 	}
-	if !run(hw.H100, model.OPT66B, 1).Needed() {
+	if !needed(run(hw.H100, model.OPT66B, 1)) {
 		t.Error("OPT-66B on H100 needs offloading")
 	}
 }

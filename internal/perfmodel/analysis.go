@@ -73,19 +73,6 @@ func (r CPURun) Analyze(ph model.Phase, seq, ctx int) ([]OpAnalysis, error) {
 	return out, nil
 }
 
-// RidgeIntensity returns the arithmetic intensity (FLOPs/byte) at which
-// the configuration transitions from memory- to compute-bound, for a
-// given representative GEMM shape.
-func (r CPURun) RidgeIntensity(m, n, k int64) (float64, error) {
-	bw, err := r.Setup.Bandwidth(r.FootprintGB())
-	if err != nil {
-		return 0, err
-	}
-	path := r.Setup.CPU.BestPath(m, n, k)
-	flops := path.EffectiveFLOPS(m, n, k) * r.Setup.ComputeScale()
-	return flops / (bw.EffectiveGBs * 1e9), nil
-}
-
 // RenderAnalysis formats an op breakdown as a text table.
 func RenderAnalysis(ops []OpAnalysis) string {
 	var b strings.Builder

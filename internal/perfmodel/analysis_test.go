@@ -39,6 +39,11 @@ func TestAnalyzePhases(t *testing.T) {
 	if !sawComputeBoundAMX {
 		t.Error("batch-8 prefill should have compute-bound AMX ops")
 	}
+	bad := r
+	bad.Batch = 0
+	if _, err := bad.Analyze(model.Decode, 1, 1); err == nil {
+		t.Error("invalid run must fail analysis")
+	}
 }
 
 func TestAnalyzeIntensityOrdering(t *testing.T) {
@@ -56,24 +61,6 @@ func TestAnalyzeIntensityOrdering(t *testing.T) {
 	}
 	if ai(pre, "qkv_proj") <= ai(dec, "qkv_proj") {
 		t.Error("prefill AI must exceed decode AI for the same op")
-	}
-}
-
-func TestRidgeIntensity(t *testing.T) {
-	r := sprRun(model.OPT13B, 8, 128, 32)
-	ridge, err := r.RidgeIntensity(1024, 5120, 5120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// AMX effective ~130 TFLOPS over ~430 GB/s → ridge around 300
-	// FLOPs/byte.
-	if ridge < 100 || ridge > 600 {
-		t.Errorf("ridge intensity = %.0f, want O(300)", ridge)
-	}
-	bad := r
-	bad.Batch = 0
-	if _, err := bad.Analyze(model.Decode, 1, 1); err == nil {
-		t.Error("invalid run must fail analysis")
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses to aggregate and normalize results the way the paper's
-// figures do (normalize-to-baseline bars, averages across workloads).
+// harness uses to aggregate results the way the paper's figures do
+// (averages across workloads).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -38,17 +37,6 @@ func GeoMean(xs []float64) (float64, error) {
 	return math.Exp(s / float64(len(xs))), nil
 }
 
-// Min and Max return the extrema of a non-empty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of a non-empty slice.
 func Max(xs []float64) float64 {
 	m := xs[0]
@@ -60,46 +48,10 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Median returns the median of xs without modifying it, or 0 when empty.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Normalize divides each element by base, reproducing the paper's
-// "normalized to X" bars. A zero base yields an error.
-func Normalize(xs []float64, base float64) ([]float64, error) {
-	if base == 0 {
-		return nil, fmt.Errorf("stats: normalize by zero")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out, nil
-}
-
 // Speedup returns baseline/improved, the latency speedup convention.
 func Speedup(baseline, improved float64) float64 {
 	if improved == 0 {
 		return math.Inf(1)
 	}
 	return baseline / improved
-}
-
-// ReductionPercent returns the percentage reduction from baseline to
-// improved, the paper's "−84.1 %" convention.
-func ReductionPercent(baseline, improved float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return (1 - improved/baseline) * 100
 }

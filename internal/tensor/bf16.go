@@ -32,24 +32,6 @@ func RoundBF16(f float32) float32 {
 	return ToBF16(f).Float32()
 }
 
-// ToBF16Slice converts src to a freshly allocated bfloat16 slice.
-func ToBF16Slice(src []float32) []BFloat16 {
-	dst := make([]BFloat16, len(src))
-	for i, v := range src {
-		dst[i] = ToBF16(v)
-	}
-	return dst
-}
-
-// FromBF16Slice widens src to a freshly allocated float32 slice.
-func FromBF16Slice(src []BFloat16) []float32 {
-	dst := make([]float32, len(src))
-	for i, v := range src {
-		dst[i] = v.Float32()
-	}
-	return dst
-}
-
 // QuantizeInt8 quantizes src symmetrically to int8 with a single
 // per-tensor scale, returning the quantized values and the scale such that
 // src[i] ~= scale * q[i]. A zero tensor gets scale 1 to keep dequantization

@@ -99,16 +99,6 @@ func TestBF16RelativeError(t *testing.T) {
 	}
 }
 
-func TestBF16SliceRoundTrip(t *testing.T) {
-	src := []float32{0, 1, -2.5, 3.25, 1e10, -1e-10}
-	got := FromBF16Slice(ToBF16Slice(src))
-	for i := range src {
-		if RoundBF16(src[i]) != got[i] {
-			t.Errorf("index %d: got %v, want %v", i, got[i], RoundBF16(src[i]))
-		}
-	}
-}
-
 func TestQuantizeInt8RoundTrip(t *testing.T) {
 	src := []float32{0, 0.5, -0.5, 1, -1, 0.25}
 	q, scale := QuantizeInt8(src)

@@ -2,8 +2,7 @@ package workload
 
 // prefix.go generates the prefix-sharing workloads the serving stack's
 // radix KV cache is built for: multi-turn chatbot sessions whose every
-// turn resends the growing conversation, and agent fleets that all carry
-// the same tool preamble. Each request comes with the prefix_group
+// turn resends the growing conversation. Each request comes with the prefix_group
 // client spec the v1 API accepts, so a load generator can replay these
 // traces directly against /v1/generate and measure hit rate and prefill
 // compute saved.
@@ -64,38 +63,6 @@ func (g *Generator) ChatSessions(nSessions, turnsPerSession, systemTokens int) [
 			// The next turn's shared context is this whole exchange: the
 			// prompt it sent plus the answer it got back.
 			ctx[s] += user + gen
-		}
-	}
-	return out
-}
-
-// AgentLoop generates an agentic trace: nAgents agents each running
-// steps tool-use iterations, all sharing one toolTokens-token tool/system
-// preamble (a single group for the whole fleet) with a private
-// per-request scratchpad tail. The cache pays off across agents, not
-// just turns: after any one agent prefills the preamble, every other
-// request skips it.
-func (g *Generator) AgentLoop(nAgents, steps, toolTokens int) []PrefixRequest {
-	var out []PrefixRequest
-	var t float64
-	id := 0
-	for step := 0; step < steps; step++ {
-		for a := 0; a < nAgents; a++ {
-			scratch := g.sampleLen(g.MeanInputLen)
-			t += g.rng.ExpFloat64() / g.ArrivalRate
-			out = append(out, PrefixRequest{
-				Request: Request{
-					ID:             id,
-					InputLen:       toolTokens + scratch,
-					OutputLen:      g.sampleLen(g.MeanOutputLen),
-					ArrivalSeconds: t,
-				},
-				Group:        "tools",
-				SharedTokens: toolTokens,
-				Session:      a,
-				Turn:         step,
-			})
-			id++
 		}
 	}
 	return out

@@ -58,28 +58,3 @@ func TestChatSessionsSharedContextGrows(t *testing.T) {
 		}
 	}
 }
-
-func TestAgentLoopSharesOneGroup(t *testing.T) {
-	g := NewGenerator(3)
-	g.MeanInputLen, g.MeanOutputLen = 48, 16
-	reqs := g.AgentLoop(4, 3, 1024)
-	if len(reqs) != 12 {
-		t.Fatalf("got %d requests, want 12", len(reqs))
-	}
-	var lastArrival float64
-	for i, r := range reqs {
-		if r.Group != "tools" {
-			t.Errorf("request %d group %q, want the shared tool group", i, r.Group)
-		}
-		if r.SharedTokens != 1024 {
-			t.Errorf("request %d shares %d, want the 1024-token preamble", i, r.SharedTokens)
-		}
-		if r.InputLen <= 1024 {
-			t.Errorf("request %d needs a private scratchpad beyond the preamble (in=%d)", i, r.InputLen)
-		}
-		if r.ArrivalSeconds < lastArrival {
-			t.Errorf("arrivals must be non-decreasing at %d", i)
-		}
-		lastArrival = r.ArrivalSeconds
-	}
-}

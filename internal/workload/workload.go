@@ -1,11 +1,10 @@
 // Package workload generates the inference workloads of the paper's
 // evaluation: fixed-shape batches (input 128 / output 32 with batch sizes
-// 1–32), sequence-length sweeps (§V-C), synthetic request traces for the
-// serving examples, and token prompts for the functional engine.
+// 1–32), synthetic request traces for the serving examples, and token
+// prompts for the functional engine.
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -49,20 +48,6 @@ func (b Batch) OutputLen() int {
 		}
 	}
 	return m
-}
-
-// PaddingWaste returns the fraction of prompt tokens that are padding,
-// a measure of static-batching inefficiency.
-func (b Batch) PaddingWaste() float64 {
-	if len(b.Requests) == 0 {
-		return 0
-	}
-	padded := b.InputLen() * b.Size()
-	var used int
-	for _, r := range b.Requests {
-		used += r.InputLen
-	}
-	return 1 - float64(used)/float64(padded)
 }
 
 // Fixed returns a homogeneous batch of n identical requests, the paper's
@@ -183,49 +168,4 @@ func (g *Generator) Prompt(inputLen, vocab int) []int {
 		p[i] = g.rng.Intn(vocab)
 	}
 	return p
-}
-
-// Sweep enumerates the cross product of batch sizes and input lengths of
-// a paper experiment.
-type Sweep struct {
-	Batches   []int
-	InputLens []int
-	OutputLen int
-}
-
-// Point is one sweep coordinate.
-type Point struct {
-	Batch, InputLen, OutputLen int
-}
-
-// Points returns the sweep's coordinates in row-major order (input length
-// varying fastest).
-func (s Sweep) Points() []Point {
-	var pts []Point
-	for _, b := range s.Batches {
-		for _, in := range s.InputLens {
-			pts = append(pts, Point{Batch: b, InputLen: in, OutputLen: s.OutputLen})
-		}
-	}
-	return pts
-}
-
-// PaperDefault is the paper's standard sweep: batch 1–32, input 128,
-// output 32 (§IV-A).
-func PaperDefault() Sweep {
-	return Sweep{Batches: []int{1, 2, 4, 8, 16, 32}, InputLens: []int{128}, OutputLen: 32}
-}
-
-// SeqLenSweep is the §V-C sensitivity sweep: input 128–1024 at a fixed
-// batch size, output 32.
-func SeqLenSweep(batch int) Sweep {
-	return Sweep{Batches: []int{batch}, InputLens: []int{128, 256, 512, 1024}, OutputLen: 32}
-}
-
-// Validate reports empty sweeps.
-func (s Sweep) Validate() error {
-	if len(s.Batches) == 0 || len(s.InputLens) == 0 || s.OutputLen <= 0 {
-		return fmt.Errorf("workload: empty sweep %+v", s)
-	}
-	return nil
 }

@@ -10,23 +10,12 @@ func TestFixedBatch(t *testing.T) {
 	if b.Size() != 4 || b.InputLen() != 128 || b.OutputLen() != 32 {
 		t.Errorf("fixed batch wrong: %+v", b)
 	}
-	if b.PaddingWaste() != 0 {
-		t.Error("homogeneous batch must have zero padding waste")
-	}
 }
 
 func TestEmptyBatch(t *testing.T) {
 	var b Batch
-	if b.Size() != 0 || b.InputLen() != 0 || b.OutputLen() != 0 || b.PaddingWaste() != 0 {
+	if b.Size() != 0 || b.InputLen() != 0 || b.OutputLen() != 0 {
 		t.Error("empty batch accessors must be zero")
-	}
-}
-
-func TestPaddingWaste(t *testing.T) {
-	b := Batch{Requests: []Request{{InputLen: 100, OutputLen: 1}, {InputLen: 50, OutputLen: 1}}}
-	// padded = 200, used = 150 → waste 0.25
-	if w := b.PaddingWaste(); w != 0.25 {
-		t.Errorf("padding waste = %v, want 0.25", w)
 	}
 }
 
@@ -151,26 +140,5 @@ func TestPrompt(t *testing.T) {
 		if tok < 0 || tok >= 97 {
 			t.Fatal("token out of vocab")
 		}
-	}
-}
-
-func TestSweeps(t *testing.T) {
-	s := PaperDefault()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	pts := s.Points()
-	if len(pts) != 6 {
-		t.Errorf("paper default sweep has %d points, want 6", len(pts))
-	}
-	if pts[0] != (Point{Batch: 1, InputLen: 128, OutputLen: 32}) {
-		t.Errorf("first point wrong: %+v", pts[0])
-	}
-	seq := SeqLenSweep(16)
-	if len(seq.Points()) != 4 || seq.Points()[3].InputLen != 1024 {
-		t.Error("seq-len sweep wrong")
-	}
-	if (Sweep{}).Validate() == nil {
-		t.Error("empty sweep must fail validation")
 	}
 }
