@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet fmt-check test check bench-build kernels-portable chaos chaos-cluster chaos-overload bench \
         bench-decode bench-decode-short bench-spec bench-spec-short bench-serving bench-serving-short figures \
-        scorecard results-md examples trace-demo memdemo stream-demo cluster-demo \
+        scorecard results-md wire-golden examples trace-demo memdemo stream-demo cluster-demo \
         cache-demo overload-demo clean
 
 all: build vet test
@@ -292,6 +292,13 @@ scorecard:
 # model or hardware-constant change; `go test` holds both byte for byte.
 results-md:
 	$(GO) test ./internal/experiments ./cmd/repro -run Golden -update
+
+# The one way to regenerate the wire golden (every generation surface's
+# status, headers and body, the error envelopes, /v1/simulate, /v1/autotune
+# and /v1/platforms) and the recorded llmperf / serve outputs after a
+# deliberate API or CLI change; `go test` holds all three byte for byte.
+wire-golden:
+	$(GO) test ./internal/api ./cmd/llmperf ./cmd/serve -run Golden -update
 
 examples:
 	for ex in quickstart chatbot batch_analytics numa_tuning capacity_planner \

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -32,38 +33,35 @@ type chatResult struct {
 // loadChat runs the chatbot A/B measurement. Sessions replay
 // sequentially within themselves (turn t+1 needs turn t's context) and
 // concurrently across each other, bounded by concurrency.
-func loadChat(base, platform, modelName string, in, out, sessions, turns, sysTokens, concurrency int, seed int64) {
-	if concurrency < 1 {
-		fatal(fmt.Errorf("concurrency must be positive"))
-	}
+func loadChat(stdout io.Writer, base, platform, modelName string, in, out, sessions, turns, sysTokens, concurrency int, seed int64) {
 	g := workload.NewGenerator(seed)
 	g.MeanInputLen, g.MeanOutputLen = in, out
 	trace := workload.BySession(g.ChatSessions(sessions, turns, sysTokens))
 	total := sessions * turns
 
-	fmt.Printf("chat: %d sessions x %d turns to %s/v1/generate (%s/%s, system=%d user~%d out~%d), %d clients\n",
+	fmt.Fprintf(stdout, "chat: %d sessions x %d turns to %s/v1/generate (%s/%s, system=%d user~%d out~%d), %d clients\n",
 		sessions, turns, base, platform, modelName, sysTokens, in, out, concurrency)
 
 	off := replayChat(base, platform, modelName, trace, concurrency, false)
 	flushCache(base)
 	on := replayChat(base, platform, modelName, trace, concurrency, true)
 
-	fmt.Printf("  cache off  : %d ok, %d failed, prefill %.3fs (modeled)\n",
+	fmt.Fprintf(stdout, "  cache off  : %d ok, %d failed, prefill %.3fs (modeled)\n",
 		off.ok, off.failed, off.prefillSeconds)
-	fmt.Printf("  cache on   : %d ok, %d failed, prefill %.3fs (modeled)\n",
+	fmt.Fprintf(stdout, "  cache on   : %d ok, %d failed, prefill %.3fs (modeled)\n",
 		on.ok, on.failed, on.prefillSeconds)
 	hitRate := 0.0
 	if on.ok > 0 {
 		hitRate = float64(on.hits) / float64(on.ok)
 	}
-	fmt.Printf("  cache hits : %d/%d (hit_rate=%.2f), %d prompt tokens served from cache\n",
+	fmt.Fprintf(stdout, "  cache hits : %d/%d (hit_rate=%.2f), %d prompt tokens served from cache\n",
 		on.hits, total, hitRate, on.cachedTokens)
-	fmt.Printf("  saved      : %.3fs prefill compute per the platform cost model\n", on.savedSeconds)
+	fmt.Fprintf(stdout, "  saved      : %.3fs prefill compute per the platform cost model\n", on.savedSeconds)
 	if off.prefillSeconds > 0 {
 		red := 100 * (1 - on.prefillSeconds/off.prefillSeconds)
-		fmt.Printf("  prefill_reduction=%.1f%% (cache on vs off)\n", red)
+		fmt.Fprintf(stdout, "  prefill_reduction=%.1f%% (cache on vs off)\n", red)
 	}
-	printServerCacheStatus(base)
+	printServerCacheStatus(stdout, base)
 }
 
 // replayChat replays the per-session trace once and aggregates results.
@@ -88,10 +86,7 @@ func replayChat(base string, platform, modelName string, trace [][]workload.Pref
 				if !cacheOn {
 					body["cache"] = map[string]any{"enabled": false}
 				}
-				buf, err := json.Marshal(body)
-				if err != nil {
-					fatal(err)
-				}
+				buf, _ := json.Marshal(body) // strings, ints and bools always marshal
 				resp, err := client.Post(base+"/v1/generate", "application/json", bytes.NewReader(buf))
 				if err != nil {
 					mu.Lock()
@@ -142,7 +137,7 @@ func flushCache(base string) {
 
 // printServerCacheStatus corroborates the client-side tallies with the
 // server's own GET /v1/cache view.
-func printServerCacheStatus(base string) {
+func printServerCacheStatus(stdout io.Writer, base string) {
 	resp, err := http.Get(base + "/v1/cache")
 	if err != nil {
 		return
@@ -160,6 +155,6 @@ func printServerCacheStatus(base string) {
 	if json.NewDecoder(resp.Body).Decode(&st) != nil {
 		return
 	}
-	fmt.Printf("  server     : /v1/cache hit_rate=%.2f retained_blocks=%d hit_tokens=%d evictions=%d\n",
+	fmt.Fprintf(stdout, "  server     : /v1/cache hit_rate=%.2f retained_blocks=%d hit_tokens=%d evictions=%d\n",
 		st.HitRate, st.RetainedBlocks, st.HitTokens, st.Evictions)
 }

@@ -25,8 +25,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -46,52 +48,66 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	platform := flag.String("platform", "spr", "spr | icl | a100 | h100 | gh200")
-	modelName := flag.String("model", "OPT-13B", "model preset (see README)")
-	batch := flag.Int("batch", 1, "batch size")
-	in := flag.Int("in", 128, "input (prompt) length")
-	out := flag.Int("out", 32, "output (generation) length")
-	cores := flag.Int("cores", 48, "active CPU cores (CPU platforms)")
-	memmode := flag.String("memmode", "flat", "SPR memory mode: flat | cache | hbm-only")
-	cluster := flag.String("cluster", "quad", "SPR clustering mode: quad | snc")
-	showOps := flag.Bool("ops", false, "print the per-operator roofline breakdown (CPU platforms)")
-	traceOut := flag.String("trace", "", "write a Chrome trace JSON of one offloaded decode step to this file (GPU platforms)")
-	url := flag.String("url", "", "load-generator mode: base URL of a running llmperfd (e.g. http://localhost:8080)")
-	n := flag.Int("n", 64, "load generator: total requests")
-	concurrency := flag.Int("concurrency", 8, "load generator: concurrent clients")
-	stream := flag.Bool("stream", false, "load generator: use SSE streaming and report client-side TTFT/ITL percentiles")
-	ramp := flag.Bool("ramp", false, "load generator: sweep offered load past saturation with a 3-class mix and report per-class goodput (overload-control drill)")
-	rampSteps := flag.String("ramp-steps", "0.5,1,2", "ramp: comma-separated offered-load multipliers of calibrated capacity")
-	rampStep := flag.Duration("ramp-step-duration", 6*time.Second, "ramp: duration of the calibration phase and each open-loop step")
-	rampSLO := flag.Float64("ramp-slo-ttft-ms", 500, "ramp: interactive TTFT SLO (ms) that conditions interactive goodput")
-	chatSessions := flag.Int("chat-sessions", 0, "load generator: replay a multi-turn chatbot trace with this many sessions and A/B the prefix cache (0 = off)")
-	chatTurns := flag.Int("chat-turns", 4, "load generator: turns per chat session")
-	systemTokens := flag.Int("system-tokens", 512, "load generator: shared system-prompt tokens per chat session")
-	seed := flag.Int64("seed", 1, "load generator: workload seed for the chat trace")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is one llmperf invocation: it parses args, writes the report to
+// stdout and returns the exit code (0 after -h, 2 for a bad flag, 1 for a
+// failed run, with the error on stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("llmperf", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	platform := fs.String("platform", "spr", "spr | icl | a100 | h100 | gh200")
+	modelName := fs.String("model", "OPT-13B", "model preset (see README)")
+	batch := fs.Int("batch", 1, "batch size")
+	in := fs.Int("in", 128, "input (prompt) length")
+	out := fs.Int("out", 32, "output (generation) length")
+	cores := fs.Int("cores", 48, "active CPU cores (CPU platforms)")
+	memmode := fs.String("memmode", "flat", "SPR memory mode: flat | cache | hbm-only")
+	cluster := fs.String("cluster", "quad", "SPR clustering mode: quad | snc")
+	showOps := fs.Bool("ops", false, "print the per-operator roofline breakdown (CPU platforms)")
+	traceOut := fs.String("trace", "", "write a Chrome trace JSON of one offloaded decode step to this file (GPU platforms)")
+	url := fs.String("url", "", "load-generator mode: base URL of a running llmperfd (e.g. http://localhost:8080)")
+	n := fs.Int("n", 64, "load generator: total requests")
+	concurrency := fs.Int("concurrency", 8, "load generator: concurrent clients")
+	stream := fs.Bool("stream", false, "load generator: use SSE streaming and report client-side TTFT/ITL percentiles")
+	ramp := fs.Bool("ramp", false, "load generator: sweep offered load past saturation with a 3-class mix and report per-class goodput (overload-control drill)")
+	rampSteps := fs.String("ramp-steps", "0.5,1,2", "ramp: comma-separated offered-load multipliers of calibrated capacity")
+	rampStep := fs.Duration("ramp-step-duration", 6*time.Second, "ramp: duration of the calibration phase and each open-loop step")
+	rampSLO := fs.Float64("ramp-slo-ttft-ms", 500, "ramp: interactive TTFT SLO (ms) that conditions interactive goodput")
+	chatSessions := fs.Int("chat-sessions", 0, "load generator: replay a multi-turn chatbot trace with this many sessions and A/B the prefix cache (0 = off)")
+	chatTurns := fs.Int("chat-turns", 4, "load generator: turns per chat session")
+	systemTokens := fs.Int("system-tokens", 512, "load generator: shared system-prompt tokens per chat session")
+	seed := fs.Int64("seed", 1, "load generator: workload seed for the chat trace")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *url != "" {
-		if *ramp {
-			loadRamp(*url, *platform, *modelName, *in, *out, *concurrency,
-				*rampSteps, *rampStep, *rampSLO)
-			return
+		if *concurrency < 1 {
+			return fail(stderr, fmt.Errorf("concurrency must be positive"))
 		}
-		if *chatSessions > 0 {
-			loadChat(*url, *platform, *modelName, *in, *out, *chatSessions, *chatTurns, *systemTokens, *concurrency, *seed)
-			return
+		switch {
+		case *ramp:
+			if err := loadRamp(stdout, *url, *platform, *modelName, *in, *out, *concurrency,
+				*rampSteps, *rampStep, *rampSLO); err != nil {
+				return fail(stderr, err)
+			}
+		case *chatSessions > 0:
+			loadChat(stdout, *url, *platform, *modelName, *in, *out, *chatSessions, *chatTurns, *systemTokens, *concurrency, *seed)
+		case *stream:
+			loadStream(stdout, *url, *platform, *modelName, *in, *out, *n, *concurrency)
+		default:
+			loadGenerate(stdout, *url, *platform, *modelName, *in, *out, *n, *concurrency)
 		}
-		if *stream {
-			loadStream(*url, *platform, *modelName, *in, *out, *n, *concurrency)
-		} else {
-			loadGenerate(*url, *platform, *modelName, *in, *out, *n, *concurrency)
-		}
-		return
+		return 0
 	}
 
 	m, err := core.ModelByName(*modelName)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 
 	var res core.Result
@@ -99,31 +115,31 @@ func main() {
 	case "spr", "icl":
 		setup, err := cpuSetup(*platform, *cores, *memmode, *cluster)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 		res, err = core.SimulateCPU(setup, m, *batch, *in, *out)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		c := res.Counters
-		fmt.Printf("counters: LLC MPKI=%.1f core-util=%.2f UPI-util=%.2f remote-LLC=%.3g\n",
+		fmt.Fprintf(stdout, "counters: LLC MPKI=%.1f core-util=%.2f UPI-util=%.2f remote-LLC=%.3g\n",
 			c.LLCMPKI, c.CoreUtilization, c.UPIUtilization, c.RemoteLLCAccess)
 		if *showOps {
 			run := perfmodel.CPURun{Model: m, Setup: setup, Batch: *batch,
 				InputLen: *in, OutputLen: *out, Weights: tensor.BF16}
 			pre, err := run.Analyze(model.Prefill, *in, 0)
 			if err != nil {
-				fatal(err)
+				return fail(stderr, err)
 			}
-			fmt.Println("\nprefill roofline:")
-			fmt.Print(perfmodel.RenderAnalysis(pre))
+			fmt.Fprintln(stdout, "\nprefill roofline:")
+			fmt.Fprint(stdout, perfmodel.RenderAnalysis(pre))
 			dec, err := run.Analyze(model.Decode, 1, *in)
 			if err != nil {
-				fatal(err)
+				return fail(stderr, err)
 			}
-			fmt.Println("\ndecode-step roofline:")
-			fmt.Print(perfmodel.RenderAnalysis(dec))
+			fmt.Fprintln(stdout, "\ndecode-step roofline:")
+			fmt.Fprint(stdout, perfmodel.RenderAnalysis(dec))
 		}
 	case "a100", "h100", "gh200":
 		g := core.A100()
@@ -135,36 +151,37 @@ func main() {
 		}
 		res, err = core.SimulateGPU(g, m, *batch, *in, *out)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		if res.TransferSeconds > 0 {
-			fmt.Printf("offloading: %.0f%% of time on PCIe data loading (Fig 18 metric)\n",
+			fmt.Fprintf(stdout, "offloading: %.0f%% of time on PCIe data loading (Fig 18 metric)\n",
 				res.PCIeFraction()*100)
 		}
 		if *traceOut != "" {
 			if res.TransferSeconds == 0 {
-				fatal(fmt.Errorf("-trace requires an offloaded run (model fits resident)"))
+				return fail(stderr, fmt.Errorf("-trace requires an offloaded run (model fits resident)"))
 			}
 			run := offload.Run{GPU: g, Host: hw.SPRMax9468, Model: m,
 				Batch: *batch, InputLen: *in, OutputLen: *out, Weights: tensor.BF16}
 			tl, err := run.Trace(model.Decode, *in)
 			if err != nil {
-				fatal(err)
+				return fail(stderr, err)
 			}
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				fatal(err)
+				return fail(stderr, err)
 			}
 			defer f.Close()
 			if err := tl.WriteChromeTrace(f); err != nil {
-				fatal(err)
+				return fail(stderr, err)
 			}
-			fmt.Printf("wrote Chrome trace of one decode step to %s (open in chrome://tracing)\n", *traceOut)
+			fmt.Fprintf(stdout, "wrote Chrome trace of one decode step to %s (open in chrome://tracing)\n", *traceOut)
 		}
 	default:
-		fatal(fmt.Errorf("unknown platform %q", *platform))
+		return fail(stderr, fmt.Errorf("unknown platform %q", *platform))
 	}
+	return 0
 }
 
 func cpuSetup(platform string, cores int, memmode, cluster string) (core.CPUSetup, error) {
@@ -202,15 +219,9 @@ func cpuSetup(platform string, cores int, memmode, cluster string) (core.CPUSetu
 // loadGenerate drives n POST /v1/generate requests at the given base URL
 // with the requested client concurrency, then reports client-side wall
 // latency percentiles and a count per HTTP status.
-func loadGenerate(base, platform, modelName string, in, out, n, concurrency int) {
-	if concurrency < 1 {
-		fatal(fmt.Errorf("concurrency must be positive"))
-	}
-	body, err := json.Marshal(map[string]any{
+func loadGenerate(stdout io.Writer, base, platform, modelName string, in, out, n, concurrency int) {
+	body, _ := json.Marshal(map[string]any{ // strings and ints always marshal
 		"platform": platform, "model": modelName, "in": in, "out": out})
-	if err != nil {
-		fatal(err)
-	}
 	endpoint := base + "/v1/generate"
 	client := &http.Client{Timeout: 5 * time.Minute}
 
@@ -279,7 +290,7 @@ func loadGenerate(base, platform, modelName string, in, out, n, concurrency int)
 	wg.Wait()
 	wall := time.Since(start).Seconds()
 
-	fmt.Printf("load: %d requests to %s (%s/%s in=%d out=%d), %d clients, %.2fs wall\n",
+	fmt.Fprintf(stdout, "load: %d requests to %s (%s/%s in=%d out=%d), %d clients, %.2fs wall\n",
 		n, endpoint, platform, modelName, in, out, concurrency, wall)
 	var codes []int
 	for c := range statuses {
@@ -287,20 +298,20 @@ func loadGenerate(base, platform, modelName string, in, out, n, concurrency int)
 	}
 	sort.Ints(codes)
 	for _, c := range codes {
-		fmt.Printf("  HTTP %d    : %d\n", c, statuses[c])
+		fmt.Fprintf(stdout, "  HTTP %d    : %d\n", c, statuses[c])
 	}
 	if netErrs > 0 {
-		fmt.Printf("  transport  : %d errors\n", netErrs)
+		fmt.Fprintf(stdout, "  transport  : %d errors\n", netErrs)
 	}
 	if len(latencies) > 0 {
 		sort.Float64s(latencies)
-		fmt.Printf("  latency    : p50 %.3fs   p95 %.3fs   p99 %.3fs (client wall)\n",
+		fmt.Fprintf(stdout, "  latency    : p50 %.3fs   p95 %.3fs   p99 %.3fs (client wall)\n",
 			quantileSorted(latencies, 0.50), quantileSorted(latencies, 0.95), quantileSorted(latencies, 0.99))
-		fmt.Printf("  throughput : %.1f req/s completed\n", float64(len(latencies))/wall)
+		fmt.Fprintf(stdout, "  throughput : %.1f req/s completed\n", float64(len(latencies))/wall)
 	}
-	printReplicaDistribution(replicas, failovers, hedged)
-	printPhaseBreakdown(phases)
-	spec.print()
+	printReplicaDistribution(stdout, replicas, failovers, hedged)
+	printPhaseBreakdown(stdout, phases)
+	spec.print(stdout)
 }
 
 // specStats accumulates the server's speculative-decoding outcomes from
@@ -344,27 +355,27 @@ func (s *specStats) observe(header string) {
 // decode work the draft proposed, how much the target accepted, and the
 // verification passes it cost. Silent when the server never sent
 // X-Speculation (no draft model configured).
-func (s *specStats) print() {
+func (s *specStats) print(stdout io.Writer) {
 	if s.on+s.off == 0 {
 		return
 	}
-	fmt.Println("  speculation (X-Speculation):")
-	fmt.Printf("    requests     : %d speculative, %d plain\n", s.on, s.off)
+	fmt.Fprintln(stdout, "  speculation (X-Speculation):")
+	fmt.Fprintf(stdout, "    requests     : %d speculative, %d plain\n", s.on, s.off)
 	if s.passes == 0 {
 		return
 	}
-	fmt.Printf("    acceptance   : %.1f%% (%d of %d proposed)\n",
+	fmt.Fprintf(stdout, "    acceptance   : %.1f%% (%d of %d proposed)\n",
 		100*float64(s.accepted)/float64(max(s.proposed, 1)), s.accepted, s.proposed)
-	fmt.Printf("    accepted run : %.2f tokens mean per verify pass\n",
+	fmt.Fprintf(stdout, "    accepted run : %.2f tokens mean per verify pass\n",
 		float64(s.accepted)/float64(s.passes))
-	fmt.Printf("    verify passes: %d (%.2f per speculative request)\n",
+	fmt.Fprintf(stdout, "    verify passes: %d (%.2f per speculative request)\n",
 		s.passes, float64(s.passes)/float64(max(s.on, 1)))
 }
 
 // printReplicaDistribution renders how a clustered llmperfd spread the
 // load and how much failover/hedging it took to serve it; silent when
 // the server never sent X-Replica-ID (single-gateway mode).
-func printReplicaDistribution(replicas map[string]int, failovers, hedged int) {
+func printReplicaDistribution(stdout io.Writer, replicas map[string]int, failovers, hedged int) {
 	if len(replicas) == 0 {
 		return
 	}
@@ -375,13 +386,13 @@ func printReplicaDistribution(replicas map[string]int, failovers, hedged int) {
 		total += c
 	}
 	sort.Strings(ids)
-	fmt.Println("  replica distribution:")
+	fmt.Fprintln(stdout, "  replica distribution:")
 	for _, id := range ids {
-		fmt.Printf("    %-10s %6d (%.0f%%)\n", id, replicas[id],
+		fmt.Fprintf(stdout, "    %-10s %6d (%.0f%%)\n", id, replicas[id],
 			100*float64(replicas[id])/float64(total))
 	}
 	if failovers > 0 || hedged > 0 {
-		fmt.Printf("  failovers  : %d rescued requests, %d hedge wins\n", failovers, hedged)
+		fmt.Fprintf(stdout, "  failovers  : %d rescued requests, %d hedge wins\n", failovers, hedged)
 	}
 }
 
@@ -389,16 +400,10 @@ func printReplicaDistribution(replicas map[string]int, failovers, hedged int) {
 // the two latencies a streaming user actually perceives (§II-C): TTFT —
 // request start to the first SSE token chunk — and ITL, the gap between
 // consecutive chunks, both measured at the client.
-func loadStream(base, platform, modelName string, in, out, n, concurrency int) {
-	if concurrency < 1 {
-		fatal(fmt.Errorf("concurrency must be positive"))
-	}
-	body, err := json.Marshal(map[string]any{
+func loadStream(stdout io.Writer, base, platform, modelName string, in, out, n, concurrency int) {
+	body, _ := json.Marshal(map[string]any{ // strings, ints and bools always marshal
 		"platform": platform, "model": modelName, "in": in, "out": out,
 		"stream": true})
-	if err != nil {
-		fatal(err)
-	}
 	endpoint := base + "/v1/generate"
 	// No overall client timeout: a stream is alive as long as chunks flow.
 	client := &http.Client{}
@@ -518,7 +523,7 @@ func loadStream(base, platform, modelName string, in, out, n, concurrency int) {
 	wg.Wait()
 	wall := time.Since(start).Seconds()
 
-	fmt.Printf("stream: %d requests to %s (%s/%s in=%d out=%d), %d clients, %.2fs wall\n",
+	fmt.Fprintf(stdout, "stream: %d requests to %s (%s/%s in=%d out=%d), %d clients, %.2fs wall\n",
 		n, endpoint, platform, modelName, in, out, concurrency, wall)
 	var codes []int
 	for c := range statuses {
@@ -526,39 +531,39 @@ func loadStream(base, platform, modelName string, in, out, n, concurrency int) {
 	}
 	sort.Ints(codes)
 	for _, c := range codes {
-		fmt.Printf("  HTTP %d    : %d\n", c, statuses[c])
+		fmt.Fprintf(stdout, "  HTTP %d    : %d\n", c, statuses[c])
 	}
 	if netErrs > 0 {
-		fmt.Printf("  transport  : %d errors\n", netErrs)
+		fmt.Fprintf(stdout, "  transport  : %d errors\n", netErrs)
 	}
 	if aborted > 0 {
-		fmt.Printf("  aborted    : %d streams ended without [DONE]\n", aborted)
+		fmt.Fprintf(stdout, "  aborted    : %d streams ended without [DONE]\n", aborted)
 	}
 	if len(ttfts) > 0 {
 		sort.Float64s(ttfts)
-		fmt.Printf("  TTFT       : p50 %.3fs   p95 %.3fs   p99 %.3fs (client wall)\n",
+		fmt.Fprintf(stdout, "  TTFT       : p50 %.3fs   p95 %.3fs   p99 %.3fs (client wall)\n",
 			quantileSorted(ttfts, 0.50), quantileSorted(ttfts, 0.95), quantileSorted(ttfts, 0.99))
 	}
 	if len(itls) > 0 {
 		sort.Float64s(itls)
-		fmt.Printf("  ITL        : p50 %.1fms   p95 %.1fms   p99 %.1fms (inter-token)\n",
+		fmt.Fprintf(stdout, "  ITL        : p50 %.1fms   p95 %.1fms   p99 %.1fms (inter-token)\n",
 			quantileSorted(itls, 0.50)*1e3, quantileSorted(itls, 0.95)*1e3, quantileSorted(itls, 0.99)*1e3)
 	}
 	if len(e2es) > 0 {
 		sort.Float64s(e2es)
-		fmt.Printf("  E2E        : p50 %.3fs   p95 %.3fs   p99 %.3fs\n",
+		fmt.Fprintf(stdout, "  E2E        : p50 %.3fs   p95 %.3fs   p99 %.3fs\n",
 			quantileSorted(e2es, 0.50), quantileSorted(e2es, 0.95), quantileSorted(e2es, 0.99))
-		fmt.Printf("  throughput : %.1f tok/s streamed, %.1f req/s completed\n",
+		fmt.Fprintf(stdout, "  throughput : %.1f tok/s streamed, %.1f req/s completed\n",
 			float64(tokens)/wall, float64(len(e2es))/wall)
 	}
-	printReplicaDistribution(replicas, failovers, hedged)
-	spec.print()
+	printReplicaDistribution(stdout, replicas, failovers, hedged)
+	spec.print(stdout)
 }
 
 // printPhaseBreakdown renders the server-side phase percentiles collected
 // from Server-Timing headers: where each request's residence time went
 // (queueing, batch formation, prefill, decode, ...), as the gateway saw it.
-func printPhaseBreakdown(phases map[string][]float64) {
+func printPhaseBreakdown(stdout io.Writer, phases map[string][]float64) {
 	if len(phases) == 0 {
 		return
 	}
@@ -579,12 +584,12 @@ func printPhaseBreakdown(phases map[string][]float64) {
 	sort.Strings(rest)
 	names = append(names, rest...)
 
-	fmt.Println("  server-side phase breakdown (Server-Timing):")
-	fmt.Printf("    %-12s %8s %10s %10s %10s\n", "phase", "n", "p50", "p95", "p99")
+	fmt.Fprintln(stdout, "  server-side phase breakdown (Server-Timing):")
+	fmt.Fprintf(stdout, "    %-12s %8s %10s %10s %10s\n", "phase", "n", "p50", "p95", "p99")
 	for _, name := range names {
 		xs := phases[name]
 		sort.Float64s(xs)
-		fmt.Printf("    %-12s %8d %9.3fs %9.3fs %9.3fs\n", name, len(xs),
+		fmt.Fprintf(stdout, "    %-12s %8d %9.3fs %9.3fs %9.3fs\n", name, len(xs),
 			quantileSorted(xs, 0.50), quantileSorted(xs, 0.95), quantileSorted(xs, 0.99))
 	}
 }
@@ -598,7 +603,8 @@ func quantileSorted(xs []float64, p float64) float64 {
 	return xs[idx]
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "llmperf:", err)
-	os.Exit(1)
+// fail reports a failed run on stderr and returns its exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "llmperf:", err)
+	return 1
 }

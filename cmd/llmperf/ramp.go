@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -38,11 +39,11 @@ type rampOutcome struct {
 // loadRamp runs the sweep. steps is a comma-separated multiplier list
 // ("0.5,1,2"); stepDur is the open-loop duration per step; sloMs is the
 // interactive TTFT target goodput is conditioned on.
-func loadRamp(base, platform, modelName string, in, out, concurrency int,
-	steps string, stepDur time.Duration, sloMs float64) {
+func loadRamp(stdout io.Writer, base, platform, modelName string, in, out, concurrency int,
+	steps string, stepDur time.Duration, sloMs float64) error {
 	mults, err := parseRampSteps(steps)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	endpoint := base + "/v1/generate"
 
@@ -51,9 +52,9 @@ func loadRamp(base, platform, modelName string, in, out, concurrency int,
 	// capacity the multipliers scale.
 	capacity := calibrate(endpoint, platform, modelName, in, out, concurrency, stepDur)
 	if capacity <= 0 {
-		fatal(fmt.Errorf("calibration completed no requests — is %s serving?", base))
+		return fmt.Errorf("calibration completed no requests — is %s serving?", base)
 	}
-	fmt.Printf("ramp: calibrated capacity %.1f req/s (%d closed-loop clients, %.0fs)\n",
+	fmt.Fprintf(stdout, "ramp: calibrated capacity %.1f req/s (%d closed-loop clients, %.0fs)\n",
 		capacity, concurrency, stepDur.Seconds())
 
 	// Phase 2 — sweep: open-loop arrivals at each multiplier of capacity
@@ -99,12 +100,12 @@ func loadRamp(base, platform, modelName string, in, out, concurrency int,
 			}
 		}
 		results = append(results, sr)
-		fmt.Printf("ramp step x%.2f: offered=%.1f req/s sent=%d", m, rate, sent)
+		fmt.Fprintf(stdout, "ramp step x%.2f: offered=%.1f req/s sent=%d", m, rate, sent)
 		for _, cls := range rampClasses {
-			fmt.Printf(" | %s goodput=%.1f/s p99_ttft=%.0fms",
+			fmt.Fprintf(stdout, " | %s goodput=%.1f/s p99_ttft=%.0fms",
 				cls, sr.goodput[cls], sr.p99TTFT[cls])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	// Summary: the ratio pits the top (most overloaded) step's
@@ -122,10 +123,11 @@ func loadRamp(base, platform, modelName string, in, out, concurrency int,
 	if peak > 0 {
 		ratio = 100 * last.goodput["interactive"] / peak
 	}
-	fmt.Printf("interactive_goodput_ratio=%.0f\n", ratio)
-	fmt.Printf("interactive_p99_ttft_ms_at_2x=%.1f\n", last.p99TTFT["interactive"])
-	fmt.Printf("interactive_slo_ok=%d\n", boolToInt(
+	fmt.Fprintf(stdout, "interactive_goodput_ratio=%.0f\n", ratio)
+	fmt.Fprintf(stdout, "interactive_p99_ttft_ms_at_2x=%.1f\n", last.p99TTFT["interactive"])
+	fmt.Fprintf(stdout, "interactive_slo_ok=%d\n", boolToInt(
 		last.p99TTFT["interactive"] > 0 && last.p99TTFT["interactive"] <= sloMs))
+	return nil
 }
 
 func parseRampSteps(s string) ([]float64, error) {
@@ -147,12 +149,9 @@ func parseRampSteps(s string) ([]float64, error) {
 // observed completion rate (req/s).
 func calibrate(endpoint, platform, modelName string, in, out, concurrency int,
 	dur time.Duration) float64 {
-	body, err := json.Marshal(map[string]any{
+	body, _ := json.Marshal(map[string]any{ // strings and ints always marshal
 		"platform": platform, "model": modelName, "in": in, "out": out,
 		"priority": "standard"})
-	if err != nil {
-		fatal(err)
-	}
 	client := &http.Client{Timeout: time.Minute}
 	var completed int64
 	var mu sync.Mutex

@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -30,20 +32,32 @@ import (
 // prefillChunk is the chunked policy's chunk size: the gateway's default.
 const prefillChunk = 64
 
-func main() {
-	platform := flag.String("platform", "spr", "spr | icl | a100 | h100")
-	modelName := flag.String("model", "LLaMA2-13B", "model preset")
-	policy := flag.String("policy", "continuous", "fcfs | static | continuous | chunked")
-	maxBatch := flag.Int("batch", 8, "maximum batch size")
-	wait := flag.Float64("wait", 0.25, "static batching fill timeout (s)")
-	rate := flag.Float64("rate", 1, "request arrival rate (req/s)")
-	n := flag.Int("n", 32, "number of requests")
-	seed := flag.Int64("seed", 1, "trace seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is one serve invocation: it parses args, writes the report to
+// stdout and returns the exit code (0 after -h, 2 for a bad flag, 1 for a
+// failed run, with the error on stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	platform := fs.String("platform", "spr", "spr | icl | a100 | h100")
+	modelName := fs.String("model", "LLaMA2-13B", "model preset")
+	policy := fs.String("policy", "continuous", "fcfs | static | continuous | chunked")
+	maxBatch := fs.Int("batch", 8, "maximum batch size")
+	wait := fs.Float64("wait", 0.25, "static batching fill timeout (s)")
+	rate := fs.Float64("rate", 1, "request arrival rate (req/s)")
+	n := fs.Int("n", 32, "number of requests")
+	seed := fs.Int64("seed", 1, "trace seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	m, err := model.ByName(*modelName)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	var cost serve.CostModel
 	switch *platform {
@@ -57,7 +71,7 @@ func main() {
 	case "h100":
 		cost = serve.NewGPUCost(hw.H100, m)
 	default:
-		fatal(fmt.Errorf("unknown platform %q", *platform))
+		return fail(stderr, fmt.Errorf("unknown platform %q", *platform))
 	}
 
 	gen := workload.NewGenerator(*seed)
@@ -75,25 +89,27 @@ func main() {
 	case "chunked":
 		pol = serve.Chunked
 	default:
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+		return fail(stderr, fmt.Errorf("unknown policy %q", *policy))
 	}
 	srv := serve.Server{Cost: cost, Policy: pol, MaxBatch: *maxBatch, BatchWait: *wait,
 		PrefillChunk: prefillChunk}
 	cs, err := srv.Run(trace)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	sm := serve.Summarize(cs)
-	fmt.Printf("served %d requests on %s/%s, policy=%s, max batch %d, rate %.2f req/s\n",
+	fmt.Fprintf(stdout, "served %d requests on %s/%s, policy=%s, max batch %d, rate %.2f req/s\n",
 		sm.Count, *platform, m.Name, pol, *maxBatch, *rate)
-	fmt.Printf("  queue wait : mean %.2fs\n", sm.MeanQueueWait)
-	fmt.Printf("  TTFT       : mean %.2fs   p95 %.2fs\n", sm.MeanTTFT, sm.P95TTFT)
-	fmt.Printf("  E2E        : mean %.2fs   p95 %.2fs\n", sm.MeanE2E, sm.P95E2E)
-	fmt.Printf("  throughput : %.1f tokens/s (makespan %.1fs)\n",
+	fmt.Fprintf(stdout, "  queue wait : mean %.2fs\n", sm.MeanQueueWait)
+	fmt.Fprintf(stdout, "  TTFT       : mean %.2fs   p95 %.2fs\n", sm.MeanTTFT, sm.P95TTFT)
+	fmt.Fprintf(stdout, "  E2E        : mean %.2fs   p95 %.2fs\n", sm.MeanE2E, sm.P95E2E)
+	fmt.Fprintf(stdout, "  throughput : %.1f tokens/s (makespan %.1fs)\n",
 		sm.TokensPerSecond, sm.Makespan)
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "serve:", err)
-	os.Exit(1)
+// fail reports a failed run on stderr and returns its exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "serve:", err)
+	return 1
 }
