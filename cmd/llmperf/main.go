@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/offload"
 	"repro/internal/perfmodel"
@@ -56,14 +55,14 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("llmperf", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	platform := fs.String("platform", "spr", "spr | icl | a100 | h100 | gh200")
+	platform := fs.String("platform", "spr", "platform registry key: "+strings.Join(hw.PlatformKeys(), " | "))
 	modelName := fs.String("model", "OPT-13B", "model preset (see README)")
 	batch := fs.Int("batch", 1, "batch size")
 	in := fs.Int("in", 128, "input (prompt) length")
 	out := fs.Int("out", 32, "output (generation) length")
-	cores := fs.Int("cores", 48, "active CPU cores (CPU platforms)")
-	memmode := fs.String("memmode", "flat", "SPR memory mode: flat | cache | hbm-only")
-	cluster := fs.String("cluster", "quad", "SPR clustering mode: quad | snc")
+	cores := fs.Int("cores", 0, "active CPU cores (CPU platforms; 0 = one full socket, the paper's configuration)")
+	memmode := fs.String("memmode", "", "HBM memory mode (CPU platforms; empty = flat, which is DDR-only on a CPU without HBM; an unknown name lists the valid ones)")
+	cluster := fs.String("cluster", "", "clustering mode (CPU platforms; empty = quad; an unknown name lists the valid ones)")
 	showOps := fs.Bool("ops", false, "print the per-operator roofline breakdown (CPU platforms)")
 	traceOut := fs.String("trace", "", "write a Chrome trace JSON of one offloaded decode step to this file (GPU platforms)")
 	url := fs.String("url", "", "load-generator mode: base URL of a running llmperfd (e.g. http://localhost:8080)")
@@ -109,111 +108,62 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-
-	var res core.Result
-	switch *platform {
-	case "spr", "icl":
-		setup, err := cpuSetup(*platform, *cores, *memmode, *cluster)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		res, err = core.SimulateCPU(setup, m, *batch, *in, *out)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintln(stdout, res)
+	t, err := core.Resolve(*platform, *cores, *memmode, *cluster)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	res, err := t.Simulate(m, *batch, *in, *out)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprintln(stdout, res)
+	if t.Entry.Kind == hw.CPUPlatform {
 		c := res.Counters
 		fmt.Fprintf(stdout, "counters: LLC MPKI=%.1f core-util=%.2f UPI-util=%.2f remote-LLC=%.3g\n",
 			c.LLCMPKI, c.CoreUtilization, c.UPIUtilization, c.RemoteLLCAccess)
 		if *showOps {
-			run := perfmodel.CPURun{Model: m, Setup: setup, Batch: *batch,
+			cpu := perfmodel.CPURun{Model: m, Setup: t.Setup, Batch: *batch,
 				InputLen: *in, OutputLen: *out, Weights: tensor.BF16}
-			pre, err := run.Analyze(model.Prefill, *in, 0)
+			pre, err := cpu.Analyze(model.Prefill, *in, 0)
 			if err != nil {
 				return fail(stderr, err)
 			}
 			fmt.Fprintln(stdout, "\nprefill roofline:")
 			fmt.Fprint(stdout, perfmodel.RenderAnalysis(pre))
-			dec, err := run.Analyze(model.Decode, 1, *in)
+			dec, err := cpu.Analyze(model.Decode, 1, *in)
 			if err != nil {
 				return fail(stderr, err)
 			}
 			fmt.Fprintln(stdout, "\ndecode-step roofline:")
 			fmt.Fprint(stdout, perfmodel.RenderAnalysis(dec))
 		}
-	case "a100", "h100", "gh200":
-		g := core.A100()
-		switch *platform {
-		case "h100":
-			g = core.H100()
-		case "gh200":
-			g = hw.GH200
+		return 0
+	}
+	if res.TransferSeconds > 0 {
+		fmt.Fprintf(stdout, "offloading: %.0f%% of time on PCIe data loading (Fig 18 metric)\n",
+			res.PCIeFraction()*100)
+	}
+	if *traceOut != "" {
+		if res.TransferSeconds == 0 {
+			return fail(stderr, fmt.Errorf("-trace requires an offloaded run (model fits resident)"))
 		}
-		res, err = core.SimulateGPU(g, m, *batch, *in, *out)
+		gpu := offload.Run{GPU: *t.Entry.GPU, Host: hw.SPRMax9468, Model: m,
+			Batch: *batch, InputLen: *in, OutputLen: *out, Weights: tensor.BF16}
+		tl, err := gpu.Trace(model.Decode, *in)
 		if err != nil {
 			return fail(stderr, err)
 		}
-		fmt.Fprintln(stdout, res)
-		if res.TransferSeconds > 0 {
-			fmt.Fprintf(stdout, "offloading: %.0f%% of time on PCIe data loading (Fig 18 metric)\n",
-				res.PCIeFraction()*100)
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			return fail(stderr, err)
 		}
-		if *traceOut != "" {
-			if res.TransferSeconds == 0 {
-				return fail(stderr, fmt.Errorf("-trace requires an offloaded run (model fits resident)"))
-			}
-			run := offload.Run{GPU: g, Host: hw.SPRMax9468, Model: m,
-				Batch: *batch, InputLen: *in, OutputLen: *out, Weights: tensor.BF16}
-			tl, err := run.Trace(model.Decode, *in)
-			if err != nil {
-				return fail(stderr, err)
-			}
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return fail(stderr, err)
-			}
-			defer f.Close()
-			if err := tl.WriteChromeTrace(f); err != nil {
-				return fail(stderr, err)
-			}
-			fmt.Fprintf(stdout, "wrote Chrome trace of one decode step to %s (open in chrome://tracing)\n", *traceOut)
+		defer f.Close()
+		if err := tl.WriteChromeTrace(f); err != nil {
+			return fail(stderr, err)
 		}
-	default:
-		return fail(stderr, fmt.Errorf("unknown platform %q", *platform))
+		fmt.Fprintf(stdout, "wrote Chrome trace of one decode step to %s (open in chrome://tracing)\n", *traceOut)
 	}
 	return 0
-}
-
-func cpuSetup(platform string, cores int, memmode, cluster string) (core.CPUSetup, error) {
-	setup := core.SPRQuadFlat(cores)
-	if platform == "icl" {
-		setup = core.ICLBaseline()
-		setup.Cores = cores
-		if cores > 64 {
-			return setup, fmt.Errorf("icl has 64 cores total")
-		}
-		return setup, nil
-	}
-	switch memmode {
-	case "flat":
-		setup.Mem = memsim.Flat
-	case "cache":
-		setup.Mem = memsim.Cache
-	case "hbm-only":
-		setup.Mem = memsim.HBMOnly
-	default:
-		return setup, fmt.Errorf("unknown memory mode %q", memmode)
-	}
-	switch cluster {
-	case "quad":
-		setup.Cluster = memsim.Quad
-	case "snc":
-		setup.Cluster = memsim.SNC4
-	default:
-		return setup, fmt.Errorf("unknown clustering mode %q", cluster)
-	}
-	_ = hw.SPRMax9468
-	return setup, nil
 }
 
 // loadGenerate drives n POST /v1/generate requests at the given base URL

@@ -92,18 +92,11 @@ type sweepRow struct {
 // configuration (SPR quad_flat on 48 cores, ICL on one 32-core socket,
 // GPUs offloading when the model does not fit).
 func simulatePoint(platform string, m model.Config, batch, in, out int) (metrics.Result, error) {
-	e, err := hw.PlatformByKey(platform)
+	t, err := core.Resolve(platform, 0, "", "")
 	if err != nil {
 		return metrics.Result{}, err
 	}
-	if e.Kind == hw.GPUPlatform {
-		return core.SimulateGPU(*e.GPU, m, batch, in, out)
-	}
-	setup := core.SPRQuadFlat(0)
-	if e.Key == "icl" {
-		setup = core.ICLBaseline()
-	}
-	return core.SimulateCPU(setup, m, batch, in, out)
+	return t.Simulate(m, batch, in, out)
 }
 
 // run evaluates the whole grid in row-major order (inputs fastest).

@@ -20,10 +20,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -40,7 +40,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	platform := fs.String("platform", "spr", "spr | icl | a100 | h100")
+	platform := fs.String("platform", "spr", "platform registry key, in its paper configuration: "+strings.Join(hw.PlatformKeys(), " | "))
 	modelName := fs.String("model", "LLaMA2-13B", "model preset")
 	policy := fs.String("policy", "continuous", "fcfs | static | continuous | chunked")
 	maxBatch := fs.Int("batch", 8, "maximum batch size")
@@ -59,19 +59,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
+	t, err := core.Resolve(*platform, 0, "", "")
+	if err != nil {
+		return fail(stderr, err)
+	}
 	var cost serve.CostModel
-	switch *platform {
-	case "spr":
-		cost = serve.NewCPUCost(core.SPRQuadFlat(48), m)
-	case "icl":
-		cost = serve.NewCPUCost(memsim.Config{CPU: hw.ICL8352Y, Cores: 32,
-			Mem: memsim.DDROnly, Cluster: memsim.Quad}, m)
-	case "a100":
-		cost = serve.NewGPUCost(hw.A100, m)
-	case "h100":
-		cost = serve.NewGPUCost(hw.H100, m)
-	default:
-		return fail(stderr, fmt.Errorf("unknown platform %q", *platform))
+	if t.Entry.Kind == hw.GPUPlatform {
+		cost = serve.NewGPUCost(*t.Entry.GPU, m)
+	} else {
+		cost = serve.NewCPUCost(t.Setup, m)
 	}
 
 	gen := workload.NewGenerator(*seed)

@@ -9,8 +9,8 @@
 //	GET  /v1/                        endpoint index
 //	GET  /v1/models                  model presets
 //	GET  /v1/platforms               platform registry
-//	GET|POST /v1/simulate            one simulated inference point
-//	GET|POST /v1/autotune            configuration search
+//	POST /v1/simulate                one simulated inference point
+//	POST /v1/autotune                configuration search
 //	POST /v1/generate                one request through the batching gateway
 //	                                 ("stream": true → SSE per-token chunks)
 //	POST /v1/chat/completions        OpenAI-compatible chat completions
@@ -41,6 +41,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gateway"
 	"repro/internal/hw"
+	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/tensor"
@@ -308,12 +309,17 @@ func platformCapabilities(e hw.PlatformEntry) (*cpuCapabilities, *gpuCapabilitie
 			HBMGB:          c.HBM.CapacityGB,
 			HBMGBs:         c.HBM.BandwidthGBs,
 			UPIGBs:         c.UPIGBs,
-			MemModes:       []string{"flat", "ddr"},
-			Clusters:       []string{"quad"},
 		}
-		if c.HBM.CapacityGB > 0 {
-			caps.MemModes = []string{"flat", "cache", "hbm-only", "ddr"}
-			caps.Clusters = []string{"quad", "snc"}
+		// Advertise exactly the modes the resolver accepts on this CPU.
+		for _, m := range []memsim.MemMode{memsim.Flat, memsim.Cache, memsim.HBMOnly, memsim.DDROnly} {
+			if _, err := core.Resolve(e.Key, 0, m.String(), ""); err == nil {
+				caps.MemModes = append(caps.MemModes, m.String())
+			}
+		}
+		for _, cl := range []memsim.ClusterMode{memsim.Quad, memsim.SNC4} {
+			if _, err := core.Resolve(e.Key, 0, "", cl.String()); err == nil {
+				caps.Clusters = append(caps.Clusters, cl.String())
+			}
 		}
 		return caps, nil
 	}
@@ -355,42 +361,38 @@ type simResponse struct {
 	CoreUtilization float64 `json:"core_utilization,omitempty"`
 }
 
+// unary runs fn as one job under the backend's admission control and
+// worker pool. It writes the error response — the mapped gateway refusal,
+// or fn's error with status and code — and reports whether fn succeeded.
+func (s *Server) unary(w http.ResponseWriter, r *http.Request, status int, code string, fn func() error) bool {
+	var err error
+	if gwErr := s.gw.Do(r.Context(), func(context.Context) error { err = fn(); return nil }); gwErr != nil {
+		s.writeGatewayError(w, gwErr)
+		return false
+	}
+	if err != nil {
+		writeError(w, status, code, err)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	m, entry, err := req.normalize()
+	t, m, err := req.normalize()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-
-	var setup core.CPUSetup
-	if entry.Kind == hw.CPUPlatform {
-		setup, err = cpuSetup(entry, req.Cores, req.MemMode, req.Cluster)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
-		}
-	}
 	var res core.Result
-	var simErr error
-	gwErr := s.gw.Do(r.Context(), func(context.Context) error {
-		if entry.Kind == hw.CPUPlatform {
-			res, simErr = core.SimulateCPU(setup, m, req.Batch, req.InputLen, req.OutputLen)
-		} else {
-			res, simErr = core.SimulateGPU(*entry.GPU, m, req.Batch, req.InputLen, req.OutputLen)
-		}
-		return nil
-	})
-	if gwErr != nil {
-		s.writeGatewayError(w, gwErr)
-		return
-	}
-	if simErr != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, simErr)
+	if !s.unary(w, r, http.StatusUnprocessableEntity, CodeUnprocessable, func() (err error) {
+		res, err = t.Simulate(m, req.Batch, req.InputLen, req.OutputLen)
+		return err
+	}) {
 		return
 	}
 	writeJSON(w, http.StatusOK, simResponse{
@@ -443,19 +445,12 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var cands []autotune.Candidate
-	var tuneErr error
-	gwErr := s.gw.Do(r.Context(), func(context.Context) error {
-		cands, tuneErr = autotune.Tune(autotune.DefaultSpace(), autotune.Request{
+	if !s.unary(w, r, http.StatusUnprocessableEntity, CodeUnprocessable, func() (err error) {
+		cands, err = autotune.Tune(autotune.DefaultSpace(), autotune.Request{
 			Model: m, InputLen: req.InputLen, OutputLen: req.OutputLen, Objective: obj,
 		})
-		return nil
-	})
-	if gwErr != nil {
-		s.writeGatewayError(w, gwErr)
-		return
-	}
-	if tuneErr != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, tuneErr)
+		return err
+	}) {
 		return
 	}
 	if req.Top < len(cands) {
@@ -576,17 +571,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var tabs []experiments.Table
-	var runErr error
-	gwErr := s.gw.Do(r.Context(), func(context.Context) error {
-		tabs, runErr = e.Run()
-		return nil
-	})
-	if gwErr != nil {
-		s.writeGatewayError(w, gwErr)
-		return
-	}
-	if runErr != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, runErr)
+	if !s.unary(w, r, http.StatusInternalServerError, CodeInternal, func() (err error) {
+		tabs, err = e.Run()
+		return err
+	}) {
 		return
 	}
 	out := make([]tableJSON, len(tabs))

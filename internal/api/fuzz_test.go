@@ -1,11 +1,13 @@
 package api
 
-// fuzz_test.go fuzzes the v1 POST body validation path: whatever bytes
-// arrive at /v1/generate — and whatever X-SLO-Class / X-Request-Deadline
-// headers ride along — the handler must never panic and must answer
-// either 200 with a result or an error status with the uniform envelope.
-// Run with `go test -fuzz FuzzGenerateBody ./internal/api/`; the checked
-// in corpus under testdata/fuzz seeds the interesting shapes.
+// fuzz_test.go fuzzes the v1 POST body validation path of the three
+// generation surfaces: whatever bytes arrive at /v1/generate — and
+// whatever X-SLO-Class / X-Request-Deadline headers ride along — or at
+// /v1/chat/completions and /v1/completions, the handler must never panic
+// and must answer either 200 with a result or an error status with the
+// uniform envelope. Run with `go test -fuzz FuzzGenerateBody
+// ./internal/api/` (or FuzzChatCompletionsBody, FuzzCompletionsBody); the
+// checked in corpus under testdata/fuzz seeds the interesting shapes.
 
 import (
 	"bytes"
@@ -175,6 +177,37 @@ func FuzzChatCompletionsBody(f *testing.F) {
 		h := NewServer(gw).Handler()
 
 		req := httptest.NewRequest(http.MethodPost, "/v1/chat/completions", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req) // must not panic, whatever the bytes
+
+		checkFuzzResponse(t, rec)
+	})
+}
+
+// FuzzCompletionsBody drives the legacy text-completion adapter's request
+// mapping plus the shared validation and streaming path with arbitrary
+// bytes. Run with `go test -fuzz FuzzCompletionsBody ./internal/api/`.
+func FuzzCompletionsBody(f *testing.F) {
+	for _, s := range []string{
+		`{"model":"OPT-13B","prompt":"hello"}`,
+		`{"model":"OPT-13B","prompt":"hello","max_tokens":4,"stream":true,"stream_options":{"include_usage":true}}`,
+		`{"model":"OPT-13B","prompt":"hello","platform":"tiny-opt","cores":4}`,
+		`{"model":"OPT-13B","prompt":["a","b"]}`,
+		`{"model":"OPT-13B","prompt":"hello","echo":true,"n":3}`,
+		`{"prompt":"no model"}`,
+		``,
+		"\x00\xff\xfe",
+	} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		gw := gateway.New(gateway.Config{MaxQueue: 4, MaxBatch: 2, Workers: 1,
+			WatchdogBudget: -1}, stubResolver(stubCost{}))
+		h := NewServer(gw).Handler()
+
+		req := httptest.NewRequest(http.MethodPost, "/v1/completions", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req) // must not panic, whatever the bytes

@@ -35,48 +35,16 @@ type chatMessage struct {
 	Content string `json:"content"`
 }
 
-// chatCompletionsRequest is the body of POST /v1/chat/completions.
+// openAIRequest is the field block both OpenAI-shaped requests share.
 // RawMessage fields are accepted-but-ignored sampling parameters, kept
 // raw so any JSON type a client sends passes the strict decoder.
-type chatCompletionsRequest struct {
-	Model    string        `json:"model"`
-	Messages []chatMessage `json:"messages"`
-	// MaxCompletionTokens wins over the deprecated MaxTokens; both zero
-	// means the /v1/generate default (32).
-	MaxTokens           int             `json:"max_tokens"`
-	MaxCompletionTokens int             `json:"max_completion_tokens"`
-	N                   int             `json:"n"`
-	Stream              bool            `json:"stream"`
-	StreamOptions       json.RawMessage `json:"stream_options"`
-	Temperature         json.RawMessage `json:"temperature"`
-	TopP                json.RawMessage `json:"top_p"`
-	Stop                json.RawMessage `json:"stop"`
-	Seed                json.RawMessage `json:"seed"`
-	User                json.RawMessage `json:"user"`
-	PresencePenalty     json.RawMessage `json:"presence_penalty"`
-	FrequencyPenalty    json.RawMessage `json:"frequency_penalty"`
-	// Vendor extensions selecting the serving lane, as on /v1/generate.
-	// Platform defaults to "spr" (the paper's flagship CPU).
-	Platform string `json:"platform"`
-	Cores    int    `json:"cores"`
-	MemMode  string `json:"memmode"`
-	Cluster  string `json:"cluster"`
-	// Cache is the per-request prefix-cache knob, as on /v1/generate.
-	Cache json.RawMessage `json:"cache"`
-	// Priority is the SLO class (interactive | standard | batch), as on
-	// /v1/generate; it must agree with X-SLO-Class when both are set.
-	Priority string `json:"priority"`
-}
-
-// completionsRequest is the body of POST /v1/completions, the legacy
-// text-completion alias. Prompt must be a string (the array forms are
-// not supported).
-type completionsRequest struct {
-	Model            string          `json:"model"`
-	Prompt           string          `json:"prompt"`
+type openAIRequest struct {
+	// platformSpec carries the required model and the vendor extensions
+	// selecting the serving lane, as on /v1/generate; Platform defaults
+	// to "spr" (the paper's flagship CPU).
+	platformSpec
 	MaxTokens        int             `json:"max_tokens"`
 	N                int             `json:"n"`
-	Echo             bool            `json:"echo"`
 	Stream           bool            `json:"stream"`
 	StreamOptions    json.RawMessage `json:"stream_options"`
 	Temperature      json.RawMessage `json:"temperature"`
@@ -86,12 +54,29 @@ type completionsRequest struct {
 	User             json.RawMessage `json:"user"`
 	PresencePenalty  json.RawMessage `json:"presence_penalty"`
 	FrequencyPenalty json.RawMessage `json:"frequency_penalty"`
-	Platform         string          `json:"platform"`
-	Cores            int             `json:"cores"`
-	MemMode          string          `json:"memmode"`
-	Cluster          string          `json:"cluster"`
-	Cache            json.RawMessage `json:"cache"`
-	Priority         string          `json:"priority"`
+	// Cache is the per-request prefix-cache knob, as on /v1/generate.
+	Cache json.RawMessage `json:"cache"`
+	// Priority is the SLO class (interactive | standard | batch), as on
+	// /v1/generate; it must agree with X-SLO-Class when both are set.
+	Priority string `json:"priority"`
+}
+
+// chatCompletionsRequest is the body of POST /v1/chat/completions.
+type chatCompletionsRequest struct {
+	openAIRequest
+	Messages []chatMessage `json:"messages"`
+	// MaxCompletionTokens wins over the deprecated MaxTokens; both zero
+	// means the /v1/generate default (32).
+	MaxCompletionTokens int `json:"max_completion_tokens"`
+}
+
+// completionsRequest is the body of POST /v1/completions, the legacy
+// text-completion alias. Prompt must be a string (the array forms are
+// not supported).
+type completionsRequest struct {
+	openAIRequest
+	Prompt string `json:"prompt"`
+	Echo   bool   `json:"echo"`
 }
 
 // usage is the OpenAI token-accounting block. CachedTokens is the
@@ -225,31 +210,11 @@ func (c *chatCompletionsRequest) toGenerate() (GenerateRequest, error) {
 			return GenerateRequest{}, fmt.Errorf("messages[%d]: role is required", i)
 		}
 	}
-	if c.N > 1 {
-		return GenerateRequest{}, fmt.Errorf("n=%d is not supported (only n=1)", c.N)
-	}
 	out := c.MaxCompletionTokens
 	if out == 0 {
 		out = c.MaxTokens
 	}
-	platform := c.Platform
-	if platform == "" {
-		platform = defaultOpenAIPlatform
-	}
-	return GenerateRequest{
-		Platform:      platform,
-		Model:         c.Model,
-		InputLen:      promptTokens(c.Messages),
-		OutputLen:     out,
-		Cores:         c.Cores,
-		MemMode:       c.MemMode,
-		Cluster:       c.Cluster,
-		Stream:        c.Stream,
-		StreamOptions: c.StreamOptions,
-		Cache:         c.Cache,
-		Priority:      c.Priority,
-		prefix:        chatSegments(c.Messages),
-	}, nil
+	return c.openAIRequest.toGenerate(promptTokens(c.Messages), out, chatSegments(c.Messages))
 }
 
 // toGenerate maps the text-completion request onto GenerateRequest.
@@ -257,30 +222,28 @@ func (c *completionsRequest) toGenerate() (GenerateRequest, error) {
 	if c.Model == "" {
 		return GenerateRequest{}, fmt.Errorf("model is required")
 	}
+	// BOS + one token per character.
+	req, err := c.openAIRequest.toGenerate(1+len(c.Prompt), c.MaxTokens, promptSegments(c.Prompt))
+	if err == nil && c.Echo {
+		err = fmt.Errorf("echo is not supported")
+	}
+	return req, err
+}
+
+// toGenerate is the tail both OpenAI mappings share: the request with
+// in prompt tokens, out completion tokens and the prompt's cache
+// segments, on the default platform unless one was picked.
+func (c *openAIRequest) toGenerate(in, out int, prefix []prefixcache.Segment) (GenerateRequest, error) {
 	if c.N > 1 {
 		return GenerateRequest{}, fmt.Errorf("n=%d is not supported (only n=1)", c.N)
 	}
-	if c.Echo {
-		return GenerateRequest{}, fmt.Errorf("echo is not supported")
+	req := GenerateRequest{platformSpec: c.platformSpec, InputLen: in, OutputLen: out,
+		Stream: c.Stream, StreamOptions: c.StreamOptions, Cache: c.Cache, Priority: c.Priority,
+		prefix: prefix}
+	if req.Platform == "" {
+		req.Platform = defaultOpenAIPlatform
 	}
-	platform := c.Platform
-	if platform == "" {
-		platform = defaultOpenAIPlatform
-	}
-	return GenerateRequest{
-		Platform:      platform,
-		Model:         c.Model,
-		InputLen:      1 + len(c.Prompt), // BOS + one token per character
-		OutputLen:     c.MaxTokens,
-		Cores:         c.Cores,
-		MemMode:       c.MemMode,
-		Cluster:       c.Cluster,
-		Stream:        c.Stream,
-		StreamOptions: c.StreamOptions,
-		Cache:         c.Cache,
-		Priority:      c.Priority,
-		prefix:        promptSegments(c.Prompt),
-	}, nil
+	return req, nil
 }
 
 // chatDelta is the incremental message fragment in a streamed chunk.
@@ -298,68 +261,6 @@ type chatChoice struct {
 	FinishReason *string      `json:"finish_reason"`
 }
 
-// chatCompletionResponse is both the buffered chat.completion object and
-// the chat.completion.chunk stream objects. TraceID is a vendor
-// extension correlating with X-Trace-ID and GET /v1/traces.
-type chatCompletionResponse struct {
-	ID      string       `json:"id"`
-	Object  string       `json:"object"`
-	Created int64        `json:"created"`
-	Model   string       `json:"model"`
-	Choices []chatChoice `json:"choices"`
-	Usage   *usage       `json:"usage,omitempty"`
-	TraceID string       `json:"trace_id,omitempty"`
-}
-
-// chatShape renders the OpenAI chat-completions forms.
-type chatShape struct {
-	id      string
-	created int64
-	model   string
-}
-
-func (c *chatShape) buffered(res gateway.Result) any {
-	reason := finishReasonFor(res)
-	u := usageFor(res)
-	return chatCompletionResponse{
-		ID: c.id, Object: "chat.completion", Created: c.created, Model: c.model,
-		Choices: []chatChoice{{
-			Message:      &chatMessage{Role: "assistant", Content: completionText(res.OutputLen)},
-			FinishReason: &reason,
-		}},
-		Usage:   &u,
-		TraceID: res.TraceID,
-	}
-}
-
-func (c *chatShape) token(ev gateway.TokenEvent) any {
-	delta := &chatDelta{Content: tokenText(ev.Index)}
-	if ev.Index == 0 {
-		delta.Role = "assistant"
-	}
-	return chatCompletionResponse{
-		ID: c.id, Object: "chat.completion.chunk", Created: c.created, Model: c.model,
-		Choices: []chatChoice{{Delta: delta}},
-	}
-}
-
-func (c *chatShape) terminal(res gateway.Result, includeUsage bool) []any {
-	reason := finishReasonFor(res)
-	out := []any{chatCompletionResponse{
-		ID: c.id, Object: "chat.completion.chunk", Created: c.created, Model: c.model,
-		Choices: []chatChoice{{Delta: &chatDelta{}, FinishReason: &reason}},
-	}}
-	if includeUsage {
-		u := usageFor(res)
-		out = append(out, chatCompletionResponse{
-			ID: c.id, Object: "chat.completion.chunk", Created: c.created, Model: c.model,
-			Choices: []chatChoice{},
-			Usage:   &u,
-		})
-	}
-	return out
-}
-
 // textChoice is one choice in a text_completion object (buffered and
 // streamed chunks share the shape).
 type textChoice struct {
@@ -368,55 +269,58 @@ type textChoice struct {
 	FinishReason *string `json:"finish_reason"`
 }
 
-// completionsResponse is the text_completion object.
-type completionsResponse struct {
-	ID      string       `json:"id"`
-	Object  string       `json:"object"`
-	Created int64        `json:"created"`
-	Model   string       `json:"model"`
-	Choices []textChoice `json:"choices"`
-	Usage   *usage       `json:"usage,omitempty"`
-	TraceID string       `json:"trace_id,omitempty"`
+// openAIResponse is the object both OpenAI surfaces send, buffered and
+// as each stream chunk, around the surface's choice type. TraceID is a
+// vendor extension correlating with X-Trace-ID and GET /v1/traces.
+type openAIResponse[C any] struct {
+	ID      string `json:"id"`
+	Object  string `json:"object"`
+	Created int64  `json:"created"`
+	Model   string `json:"model"`
+	Choices []C    `json:"choices"`
+	Usage   *usage `json:"usage,omitempty"`
+	TraceID string `json:"trace_id,omitempty"`
 }
 
-// completionsShape renders the legacy text-completion forms.
-type completionsShape struct {
-	id      string
-	created int64
-	model   string
+// The chat.completion (and .chunk) and text_completion objects.
+type (
+	chatCompletionResponse = openAIResponse[chatChoice]
+	completionsResponse    = openAIResponse[textChoice]
+)
+
+// openAIShape renders one OpenAI surface: its object names, and its
+// choice for the whole completion, for one streamed token, and for the
+// end of a stream.
+type openAIShape[C any] struct {
+	id, model, object, chunkObject string
+	created                        int64
+	whole                          func(text string, reason *string) C
+	delta                          func(ev gateway.TokenEvent) C
+	end                            func(reason *string) C
 }
 
-func (c *completionsShape) buffered(res gateway.Result) any {
+func (c *openAIShape[C]) response(object string, choices []C, u *usage) openAIResponse[C] {
+	return openAIResponse[C]{ID: c.id, Object: object, Created: c.created, Model: c.model,
+		Choices: choices, Usage: u}
+}
+
+func (c *openAIShape[C]) buffered(res gateway.Result) any {
+	reason, u := finishReasonFor(res), usageFor(res)
+	out := c.response(c.object, []C{c.whole(completionText(res.OutputLen), &reason)}, &u)
+	out.TraceID = res.TraceID
+	return out
+}
+
+func (c *openAIShape[C]) token(ev gateway.TokenEvent) any {
+	return c.response(c.chunkObject, []C{c.delta(ev)}, nil)
+}
+
+func (c *openAIShape[C]) terminal(res gateway.Result, includeUsage bool) []any {
 	reason := finishReasonFor(res)
-	u := usageFor(res)
-	return completionsResponse{
-		ID: c.id, Object: "text_completion", Created: c.created, Model: c.model,
-		Choices: []textChoice{{Text: completionText(res.OutputLen), FinishReason: &reason}},
-		Usage:   &u,
-		TraceID: res.TraceID,
-	}
-}
-
-func (c *completionsShape) token(ev gateway.TokenEvent) any {
-	return completionsResponse{
-		ID: c.id, Object: "text_completion", Created: c.created, Model: c.model,
-		Choices: []textChoice{{Text: tokenText(ev.Index)}},
-	}
-}
-
-func (c *completionsShape) terminal(res gateway.Result, includeUsage bool) []any {
-	reason := finishReasonFor(res)
-	out := []any{completionsResponse{
-		ID: c.id, Object: "text_completion", Created: c.created, Model: c.model,
-		Choices: []textChoice{{FinishReason: &reason}},
-	}}
+	out := []any{c.response(c.chunkObject, []C{c.end(&reason)}, nil)}
 	if includeUsage {
 		u := usageFor(res)
-		out = append(out, completionsResponse{
-			ID: c.id, Object: "text_completion", Created: c.created, Model: c.model,
-			Choices: []textChoice{},
-			Usage:   &u,
-		})
+		out = append(out, c.response(c.chunkObject, []C{}, &u))
 	}
 	return out
 }
@@ -431,42 +335,51 @@ func completionID(prefix string, r *http.Request) string {
 	return prefix + id
 }
 
-func (s *Server) handleChatCompletions(w http.ResponseWriter, r *http.Request) {
+// serveOpenAI decodes an OpenAI-shaped body into req, maps it onto a
+// GenerateRequest and serves it in the shape built for its model.
+func (s *Server) serveOpenAI(w http.ResponseWriter, r *http.Request,
+	req interface {
+		toGenerate() (GenerateRequest, error)
+	}, shape func(model string) responseShape) {
 	admit := time.Now()
-	var creq chatCompletionsRequest
-	if err := decodeBody(r, &creq); err != nil {
+	if err := decodeBody(r, req); err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	greq, err := creq.toGenerate()
+	greq, err := req.toGenerate()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	shape := &chatShape{
-		id:      completionID("chatcmpl-", r),
-		created: time.Now().Unix(),
-		model:   creq.Model,
-	}
-	s.serveGeneration(w, r, admit, &greq, shape)
+	s.serveGeneration(w, r, admit, &greq, shape(greq.Model))
+}
+
+func (s *Server) handleChatCompletions(w http.ResponseWriter, r *http.Request) {
+	s.serveOpenAI(w, r, &chatCompletionsRequest{}, func(model string) responseShape {
+		return &openAIShape[chatChoice]{id: completionID("chatcmpl-", r), model: model,
+			object: "chat.completion", chunkObject: "chat.completion.chunk", created: time.Now().Unix(),
+			whole: func(text string, reason *string) chatChoice {
+				return chatChoice{Message: &chatMessage{Role: "assistant", Content: text}, FinishReason: reason}
+			},
+			delta: func(ev gateway.TokenEvent) chatChoice {
+				d := &chatDelta{Content: tokenText(ev.Index)}
+				if ev.Index == 0 {
+					d.Role = "assistant"
+				}
+				return chatChoice{Delta: d}
+			},
+			end: func(reason *string) chatChoice { return chatChoice{Delta: &chatDelta{}, FinishReason: reason} },
+		}
+	})
 }
 
 func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
-	admit := time.Now()
-	var creq completionsRequest
-	if err := decodeBody(r, &creq); err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	greq, err := creq.toGenerate()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	shape := &completionsShape{
-		id:      completionID("cmpl-", r),
-		created: time.Now().Unix(),
-		model:   creq.Model,
-	}
-	s.serveGeneration(w, r, admit, &greq, shape)
+	s.serveOpenAI(w, r, &completionsRequest{}, func(model string) responseShape {
+		return &openAIShape[textChoice]{id: completionID("cmpl-", r), model: model,
+			object: "text_completion", chunkObject: "text_completion", created: time.Now().Unix(),
+			whole: func(text string, reason *string) textChoice { return textChoice{Text: text, FinishReason: reason} },
+			delta: func(ev gateway.TokenEvent) textChoice { return textChoice{Text: tokenText(ev.Index)} },
+			end:   func(reason *string) textChoice { return textChoice{FinishReason: reason} },
+		}
+	})
 }

@@ -1,11 +1,13 @@
 package api
 
-// request.go holds the v1 request schemas with their two decoders — JSON
-// body (POST) and query parameters (GET back-compat adapter) — and the
-// shared field validation, so both forms of every endpoint run through
-// identical checks.
+// request.go holds the v1 request schemas, their strict decoding and
+// shared validation, and the lane spec: the platform block every
+// simulation and generation request carries, which names the gateway
+// lane a generation request batches on and the cost model and KV pool
+// that lane gets.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +16,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-
 	"sync"
 
 	"repro/internal/core"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/govern"
 	"repro/internal/hw"
 	"repro/internal/kernels"
-	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/overload"
 	"repro/internal/prefixcache"
@@ -39,17 +39,96 @@ const maxBodyBytes = 1 << 20
 // amount of lane time bought with one request.
 const maxGenTokens = 1 << 17
 
+// platformSpec is the platform block of every simulation and generation
+// request, and the parsed form of a lane key: generation requests whose
+// canonical specs are equal share a gateway lane.
+type platformSpec struct {
+	Platform string `json:"platform"`
+	Model    string `json:"model"`
+	Cores    int    `json:"cores"`   // CPU platforms; 0 = the paper's configuration
+	MemMode  string `json:"memmode"` // CPU platforms; a memsim.MemMode name
+	Cluster  string `json:"cluster"` // CPU platforms; a memsim.ClusterMode name
+}
+
+// key renders the spec as a lane key: platform|model|cores|memmode|cluster.
+func (s platformSpec) key() string {
+	return s.Platform + "|" + s.Model + "|" + strconv.Itoa(s.Cores) + "|" + s.MemMode + "|" + s.Cluster
+}
+
+// errMalformedLane is what every resolver returns for a key that
+// parseLane cannot read.
+var errMalformedLane = errors.New("api: malformed lane key")
+
+// parseLane is the inverse of platformSpec.key.
+func parseLane(key string) (platformSpec, error) {
+	parts := strings.Split(key, "|")
+	if len(parts) != 5 {
+		return platformSpec{}, fmt.Errorf("%w %q", errMalformedLane, key)
+	}
+	cores, err := strconv.Atoi(parts[2])
+	if err != nil {
+		return platformSpec{}, fmt.Errorf("%w %q", errMalformedLane, key)
+	}
+	return platformSpec{parts[0], parts[1], cores, parts[3], parts[4]}, nil
+}
+
+// lane is a validated platformSpec: what a gateway lane runs on.
+type lane struct {
+	tiny   bool         // a tiny-* lane, executed on the real engine
+	target core.Target  // analytic lanes
+	model  model.Config // the preset, or the tiny family's shape
+}
+
+// target resolves an analytic spec's platform configuration and model.
+func (s platformSpec) target() (core.Target, model.Config, error) {
+	t, err := core.Resolve(s.Platform, s.Cores, s.MemMode, s.Cluster)
+	if err != nil {
+		return core.Target{}, model.Config{}, err
+	}
+	m, err := core.ModelByName(s.Model)
+	return t, m, err
+}
+
+// resolve validates the spec as a lane: a tiny-* engine family, which
+// takes no CPU knobs and ignores the model name, or an analytic target.
+func (s platformSpec) resolve() (lane, error) {
+	fam, ok := strings.CutPrefix(s.Platform, "tiny-")
+	if !ok {
+		t, m, err := s.target()
+		return lane{target: t, model: m}, err
+	}
+	var f model.Family
+	switch fam {
+	case "opt":
+		f = model.OPT
+	case "llama":
+		f = model.LLaMA2
+	default:
+		return lane{}, fmt.Errorf("%w: engine platform %q (want tiny-opt or tiny-llama)",
+			hw.ErrUnknownPlatform, s.Platform)
+	}
+	if s.Cores != 0 || s.MemMode != "" || s.Cluster != "" {
+		return lane{}, fmt.Errorf("cores/memmode/cluster apply only to CPU platforms, not %q", s.Platform)
+	}
+	return lane{tiny: true, model: model.Tiny(f)}, nil
+}
+
+// resolveLane parses and validates a lane key.
+func resolveLane(key string) (lane, error) {
+	s, err := parseLane(key)
+	if err != nil {
+		return lane{}, err
+	}
+	return s.resolve()
+}
+
 // SimulateRequest is the body of POST /v1/simulate. Zero-valued numeric
 // fields take the documented defaults.
 type SimulateRequest struct {
-	Platform  string `json:"platform"`
-	Model     string `json:"model"`
-	Batch     int    `json:"batch"`   // default 1
-	InputLen  int    `json:"in"`      // default 128
-	OutputLen int    `json:"out"`     // default 32
-	Cores     int    `json:"cores"`   // CPU platforms; default per platform
-	MemMode   string `json:"memmode"` // flat | cache | hbm-only | ddr
-	Cluster   string `json:"cluster"` // quad | snc
+	platformSpec
+	Batch     int `json:"batch"` // default 1
+	InputLen  int `json:"in"`    // default 128
+	OutputLen int `json:"out"`   // default 32
 }
 
 // AutotuneRequest is the body of POST /v1/autotune.
@@ -66,13 +145,9 @@ type AutotuneRequest struct {
 // registry key, or "tiny-opt"/"tiny-llama" to execute on the real
 // measured engine.
 type GenerateRequest struct {
-	Platform  string `json:"platform"`
-	Model     string `json:"model"`
-	InputLen  int    `json:"in"`  // default 128
-	OutputLen int    `json:"out"` // default 32
-	Cores     int    `json:"cores"`
-	MemMode   string `json:"memmode"`
-	Cluster   string `json:"cluster"`
+	platformSpec
+	InputLen  int `json:"in"`  // default 128
+	OutputLen int `json:"out"` // default 32
 	// Stream switches the response from one buffered JSON result to SSE
 	// per-token delivery (Content-Type text/event-stream, data: chunks,
 	// data: [DONE] termination).
@@ -118,29 +193,6 @@ type streamOptions struct {
 	IncludeUsage bool `json:"include_usage"`
 }
 
-// errInvalidStreamParam marks malformed streaming options; handlers map
-// it to HTTP 400 with the typed invalid_stream_param code.
-var errInvalidStreamParam = errors.New("invalid stream parameter")
-
-// parseStreamOptions validates the stream/stream_options pair.
-// stream_options without "stream": true is rejected — silently ignoring
-// it would surprise clients expecting a usage chunk.
-func parseStreamOptions(stream bool, raw json.RawMessage) (streamOptions, error) {
-	var opts streamOptions
-	if len(raw) == 0 || string(raw) == "null" {
-		return opts, nil
-	}
-	if !stream {
-		return opts, fmt.Errorf(`%w: stream_options requires "stream": true`, errInvalidStreamParam)
-	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&opts); err != nil {
-		return opts, fmt.Errorf("%w: stream_options: %v", errInvalidStreamParam, err)
-	}
-	return opts, nil
-}
-
 // cacheOptions is the decoded form of the cache body field.
 type cacheOptions struct {
 	// Enabled opts the request out of the prefix cache when false: no
@@ -153,30 +205,6 @@ type cacheOptions struct {
 
 // disabled reports whether the options opt the request out.
 func (c cacheOptions) disabled() bool { return c.Enabled != nil && !*c.Enabled }
-
-// errInvalidCacheParam marks malformed cache options; handlers map it to
-// HTTP 400 with the typed invalid_cache_param code.
-var errInvalidCacheParam = errors.New("invalid cache parameter")
-
-// parseCacheOptions strictly validates the cache body field: unknown
-// fields and wrong types are rejected rather than silently ignored, so a
-// client that misspells "enabled" cannot believe it opted out.
-func parseCacheOptions(raw json.RawMessage) (cacheOptions, error) {
-	var opts cacheOptions
-	if len(raw) == 0 || string(raw) == "null" {
-		return opts, nil
-	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&opts); err != nil {
-		return opts, fmt.Errorf("%w: cache: %v", errInvalidCacheParam, err)
-	}
-	if opts.MinPrefixTokens < 0 {
-		return opts, fmt.Errorf("%w: cache.min_prefix_tokens must be non-negative, got %d",
-			errInvalidCacheParam, opts.MinPrefixTokens)
-	}
-	return opts, nil
-}
 
 // specOptions is the decoded form of the speculation body field.
 type specOptions struct {
@@ -192,29 +220,63 @@ type specOptions struct {
 // disabled reports whether the options opt the request out.
 func (s specOptions) disabled() bool { return s.Enabled != nil && !*s.Enabled }
 
-// errInvalidSpecParam marks malformed speculation options; handlers map
-// it to HTTP 400 with the typed invalid_spec_param code.
-var errInvalidSpecParam = errors.New("invalid speculation parameter")
+// Malformed per-request options; handlers map each to HTTP 400 with its
+// typed code (invalid_stream_param, invalid_cache_param,
+// invalid_spec_param).
+var (
+	errInvalidStreamParam = errors.New("invalid stream parameter")
+	errInvalidCacheParam  = errors.New("invalid cache parameter")
+	errInvalidSpecParam   = errors.New("invalid speculation parameter")
+)
 
-// parseSpecOptions strictly validates the speculation body field, with
-// the same posture as parseCacheOptions: unknown fields and wrong types
-// are rejected so a client that misspells "enabled" cannot believe it
-// opted out.
-func parseSpecOptions(raw json.RawMessage) (specOptions, error) {
-	var opts specOptions
-	if len(raw) == 0 || string(raw) == "null" {
-		return opts, nil
+// absent reports an option field left out or sent as null.
+func absent(raw json.RawMessage) bool { return len(raw) == 0 || string(raw) == "null" }
+
+// decodeOption strictly decodes the option object raw into dst: unknown
+// fields and wrong types are rejected rather than silently ignored, so a
+// client that misspells "enabled" cannot believe it opted out. An absent
+// field leaves dst zero.
+func decodeOption(raw json.RawMessage, field string, invalid error, dst any) error {
+	if absent(raw) {
+		return nil
 	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&opts); err != nil {
-		return opts, fmt.Errorf("%w: speculation: %v", errInvalidSpecParam, err)
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("%w: %s: %v", invalid, field, err)
 	}
-	if opts.Lookahead < 0 {
-		return opts, fmt.Errorf("%w: speculation.lookahead must be non-negative, got %d",
+	return nil
+}
+
+// parseStreamOptions validates the stream/stream_options pair.
+// stream_options without "stream": true is rejected — silently ignoring
+// it would surprise clients expecting a usage chunk.
+func parseStreamOptions(stream bool, raw json.RawMessage) (opts streamOptions, err error) {
+	if !absent(raw) && !stream {
+		return opts, fmt.Errorf(`%w: stream_options requires "stream": true`, errInvalidStreamParam)
+	}
+	err = decodeOption(raw, "stream_options", errInvalidStreamParam, &opts)
+	return opts, err
+}
+
+// parseCacheOptions validates the cache body field.
+func parseCacheOptions(raw json.RawMessage) (opts cacheOptions, err error) {
+	err = decodeOption(raw, "cache", errInvalidCacheParam, &opts)
+	if err == nil && opts.MinPrefixTokens < 0 {
+		err = fmt.Errorf("%w: cache.min_prefix_tokens must be non-negative, got %d",
+			errInvalidCacheParam, opts.MinPrefixTokens)
+	}
+	return opts, err
+}
+
+// parseSpecOptions validates the speculation body field.
+func parseSpecOptions(raw json.RawMessage) (opts specOptions, err error) {
+	err = decodeOption(raw, "speculation", errInvalidSpecParam, &opts)
+	if err == nil && opts.Lookahead < 0 {
+		err = fmt.Errorf("%w: speculation.lookahead must be non-negative, got %d",
 			errInvalidSpecParam, opts.Lookahead)
 	}
-	return opts, nil
+	return opts, err
 }
 
 // errInvalidSLOClass marks an unknown priority / X-SLO-Class value or a
@@ -289,8 +351,8 @@ func positiveParam(r *http.Request, name string, def int) (int, error) {
 }
 
 // normalize validates the request and fills defaults; it returns the
-// resolved model and platform entry.
-func (req *SimulateRequest) normalize() (model.Config, hw.PlatformEntry, error) {
+// resolved platform configuration and model.
+func (req *SimulateRequest) normalize() (core.Target, model.Config, error) {
 	if req.Batch == 0 {
 		req.Batch = 1
 	}
@@ -305,62 +367,16 @@ func (req *SimulateRequest) normalize() (model.Config, hw.PlatformEntry, error) 
 		v    int
 	}{{"batch", req.Batch}, {"in", req.InputLen}, {"out", req.OutputLen}, {"cores", req.Cores}} {
 		if f.v < 0 {
-			return model.Config{}, hw.PlatformEntry{}, fmt.Errorf("field %s must be positive, got %d", f.name, f.v)
+			return core.Target{}, model.Config{}, fmt.Errorf("field %s must be positive, got %d", f.name, f.v)
 		}
 	}
-	m, err := core.ModelByName(req.Model)
-	if err != nil {
-		return model.Config{}, hw.PlatformEntry{}, err
-	}
-	entry, err := hw.PlatformByKey(req.Platform)
-	if err != nil {
-		return model.Config{}, hw.PlatformEntry{}, err
-	}
-	if entry.Kind == hw.GPUPlatform && (req.Cores != 0 || req.MemMode != "" || req.Cluster != "") {
-		return model.Config{}, hw.PlatformEntry{}, fmt.Errorf("cores/memmode/cluster apply only to CPU platforms, not %q", req.Platform)
-	}
-	return m, entry, nil
+	return req.target()
 }
 
-// cpuSetup builds the memsim configuration for a CPU platform entry.
-func cpuSetup(entry hw.PlatformEntry, cores int, memMode, cluster string) (memsim.Config, error) {
-	setup := core.SPRQuadFlat(0)
-	if entry.Key == "icl" {
-		setup = core.ICLBaseline()
-	}
-	if cores > 0 {
-		setup.Cores = cores
-	}
-	switch memMode {
-	case "", "flat":
-	case "cache":
-		setup.Mem = memsim.Cache
-	case "hbm-only":
-		setup.Mem = memsim.HBMOnly
-	case "ddr":
-		setup.Mem = memsim.DDROnly
-	default:
-		return setup, fmt.Errorf("unknown memmode %q (want flat, cache, hbm-only or ddr)", memMode)
-	}
-	switch cluster {
-	case "", "quad":
-	case "snc":
-		setup.Cluster = memsim.SNC4
-	default:
-		return setup, fmt.Errorf("unknown cluster %q (want quad or snc)", cluster)
-	}
-	return setup, nil
-}
-
-// laneKey canonicalizes the fields that determine batching compatibility:
-// requests with equal keys may share a gateway lane.
-func (req GenerateRequest) laneKey() string {
-	return strings.Join([]string{req.Platform, req.Model,
-		strconv.Itoa(req.Cores), req.MemMode, req.Cluster}, "|")
-}
-
-// normalize validates a generate request and fills defaults.
-func (req *GenerateRequest) normalize() error {
+// normalize validates a generate request, fills defaults and returns its
+// canonical lane key. A tiny-* key leaves the model out: the engine
+// ignores it, so every surface shares the family's one lane.
+func (req *GenerateRequest) normalize() (string, error) {
 	if req.InputLen == 0 {
 		req.InputLen = 128
 	}
@@ -368,44 +384,30 @@ func (req *GenerateRequest) normalize() error {
 		req.OutputLen = 32
 	}
 	if req.InputLen < 0 || req.OutputLen < 0 || req.Cores < 0 {
-		return fmt.Errorf("in, out and cores must be positive")
+		return "", fmt.Errorf("in, out and cores must be positive")
 	}
 	if req.InputLen > maxGenTokens || req.OutputLen > maxGenTokens {
-		return fmt.Errorf("in and out must be at most %d tokens", maxGenTokens)
+		return "", fmt.Errorf("in and out must be at most %d tokens", maxGenTokens)
 	}
 	if req.PrefixTokens < 0 {
-		return fmt.Errorf("prefix_tokens must be non-negative, got %d", req.PrefixTokens)
+		return "", fmt.Errorf("prefix_tokens must be non-negative, got %d", req.PrefixTokens)
 	}
 	if req.PrefixTokens > req.InputLen {
-		return fmt.Errorf("prefix_tokens (%d) exceeds the prompt length in (%d)",
+		return "", fmt.Errorf("prefix_tokens (%d) exceeds the prompt length in (%d)",
 			req.PrefixTokens, req.InputLen)
 	}
 	if req.PrefixTokens > 0 && req.PrefixGroup == "" {
-		return fmt.Errorf("prefix_tokens requires prefix_group")
+		return "", fmt.Errorf("prefix_tokens requires prefix_group")
 	}
-	if strings.HasPrefix(req.Platform, "tiny-") {
-		fam := strings.TrimPrefix(req.Platform, "tiny-")
-		if fam != "opt" && fam != "llama" {
-			return fmt.Errorf("%w: engine platform %q (want tiny-opt or tiny-llama)",
-				hw.ErrUnknownPlatform, req.Platform)
-		}
-		return nil
-	}
-	entry, err := hw.PlatformByKey(req.Platform)
+	l, err := req.resolve()
 	if err != nil {
-		return err
+		return "", err
 	}
-	if _, err := core.ModelByName(req.Model); err != nil {
-		return err
+	spec := req.platformSpec
+	if l.tiny {
+		spec.Model = ""
 	}
-	if entry.Kind == hw.CPUPlatform {
-		if _, err := cpuSetup(entry, req.Cores, req.MemMode, req.Cluster); err != nil {
-			return err
-		}
-	} else if req.Cores != 0 || req.MemMode != "" || req.Cluster != "" {
-		return fmt.Errorf("cores/memmode/cluster apply only to CPU platforms, not %q", req.Platform)
-	}
-	return nil
+	return spec.key(), nil
 }
 
 // prefixGroupChunkTokens is the granularity at which a prefix_group's
@@ -449,115 +451,58 @@ func (req *GenerateRequest) prefixSegments() []prefixcache.Segment {
 	return segs
 }
 
-// lanePool is the single persistent worker pool shared by every tiny-*
+// sharedLanePool is the single persistent worker pool shared by every tiny-*
 // lane engine: gateway lanes run concurrently, and giving each engine a
 // private pool would oversubscribe the cores the paper's thread-scaling
 // curves show matter (one worker set per socket, not per model).
-var (
-	lanePool     *kernels.Pool
-	lanePoolOnce sync.Once
-)
-
-func sharedLanePool() *kernels.Pool {
-	lanePoolOnce.Do(func() { lanePool = kernels.NewPool(0) })
-	return lanePool
-}
+var sharedLanePool = sync.OnceValue(func() *kernels.Pool { return kernels.NewPool(0) })
 
 // LaneResolver builds serve cost models from canonical lane keys. It is
 // the gateway's bridge back into the simulation substrates: analytic
 // platform models for the paper's evaluation hardware, and the real
 // functional engine for tiny-* lanes.
-func LaneResolver() gateway.Resolver {
-	return func(lane string) (serve.CostModel, error) {
-		parts := strings.Split(lane, "|")
-		if len(parts) != 5 {
-			return nil, fmt.Errorf("api: malformed lane key %q", lane)
-		}
-		platform, modelName, coresStr, memMode, cluster := parts[0], parts[1], parts[2], parts[3], parts[4]
-		cores, err := strconv.Atoi(coresStr)
-		if err != nil {
-			return nil, fmt.Errorf("api: malformed lane cores in %q", lane)
-		}
-		if strings.HasPrefix(platform, "tiny-") {
-			eng, err := core.TinyEngineWith(strings.TrimPrefix(platform, "tiny-"),
-				engine.Options{Kernel: engine.KernelTileBF16Parallel, Pool: sharedLanePool()})
-			if err != nil {
-				return nil, err
-			}
-			return serve.NewEngineCost(eng), nil
-		}
-		m, err := core.ModelByName(modelName)
-		if err != nil {
-			return nil, err
-		}
-		entry, err := hw.PlatformByKey(platform)
-		if err != nil {
-			return nil, err
-		}
-		if entry.Kind == hw.CPUPlatform {
-			setup, err := cpuSetup(entry, cores, memMode, cluster)
-			if err != nil {
-				return nil, err
-			}
-			return serve.NewCPUCost(setup, m), nil
-		}
-		return serve.NewGPUCost(*entry.GPU, m), nil
-	}
-}
+func LaneResolver() gateway.Resolver { return SpecLaneResolver("") }
 
-// SpecLaneResolver is LaneResolver with draft-model speculation: lanes
-// that can price a draft return a serve.SpecCostModel, which the gateway
-// detects and upgrades to draft-assisted decode cycles. Tiny-* lanes pair
-// the measured target engine with a one-layer draft of the same family
-// (draftModel is ignored — the engines must share a vocabulary); analytic
-// CPU lanes price the named registry draft model on the lane's platform.
-// GPU lanes fall back to plain pricing — the paper's CPU-side speculation
-// argument doesn't transfer, and the GPU model has no draft calibration.
+// SpecLaneResolver is LaneResolver with draft-model speculation when
+// draftModel is set: lanes that can price a draft return a
+// serve.SpecCostModel, which the gateway detects and upgrades to
+// draft-assisted decode cycles. Tiny-* lanes pair the measured target
+// engine with a one-layer draft of the same family (draftModel only
+// switches it on — the engines must share a vocabulary); analytic CPU
+// lanes price the named registry draft model on the lane's platform. GPU
+// lanes keep plain pricing — the paper's CPU-side speculation argument
+// doesn't transfer, and the GPU model has no draft calibration.
 func SpecLaneResolver(draftModel string) gateway.Resolver {
-	base := LaneResolver()
-	return func(lane string) (serve.CostModel, error) {
-		parts := strings.Split(lane, "|")
-		if len(parts) != 5 {
-			return nil, fmt.Errorf("api: malformed lane key %q", lane)
+	return func(key string) (serve.CostModel, error) {
+		l, err := resolveLane(key)
+		if err != nil {
+			return nil, err
 		}
-		platform, modelName, coresStr, memMode, cluster := parts[0], parts[1], parts[2], parts[3], parts[4]
-		if strings.HasPrefix(platform, "tiny-") {
-			fam := strings.TrimPrefix(platform, "tiny-")
+		switch {
+		case l.tiny:
 			opts := engine.Options{Kernel: engine.KernelTileBF16Parallel, Pool: sharedLanePool()}
-			target, err := core.TinyEngineWith(fam, opts)
+			target, err := core.TinyEngineWith(l.model.Family, false, opts)
 			if err != nil {
 				return nil, err
 			}
-			draft, err := core.TinyDraftEngineWith(fam, opts)
+			if draftModel == "" {
+				return serve.NewEngineCost(target), nil
+			}
+			draft, err := core.TinyEngineWith(l.model.Family, true, opts)
 			if err != nil {
 				return nil, err
 			}
 			return serve.NewSpecEngineCost(target, draft), nil
-		}
-		m, err := core.ModelByName(modelName)
-		if err != nil {
-			return nil, err
-		}
-		entry, err := hw.PlatformByKey(platform)
-		if err != nil {
-			return nil, err
-		}
-		if entry.Kind != hw.CPUPlatform {
-			return base(lane)
+		case l.target.Entry.Kind == hw.GPUPlatform:
+			return serve.NewGPUCost(*l.target.Entry.GPU, l.model), nil
+		case draftModel == "":
+			return serve.NewCPUCost(l.target.Setup, l.model), nil
 		}
 		dm, err := core.ModelByName(draftModel)
 		if err != nil {
 			return nil, fmt.Errorf("api: draft model: %w", err)
 		}
-		cores, err := strconv.Atoi(coresStr)
-		if err != nil {
-			return nil, fmt.Errorf("api: malformed lane cores in %q", lane)
-		}
-		setup, err := cpuSetup(entry, cores, memMode, cluster)
-		if err != nil {
-			return nil, err
-		}
-		return serve.NewSpecCPUCost(setup, m, dm), nil
+		return serve.NewSpecCPUCost(l.target.Setup, l.model, dm), nil
 	}
 }
 
@@ -576,34 +521,16 @@ func PoolSpecResolver(blockSize int, overrideBytes int64) govern.SpecResolver {
 	if blockSize <= 0 {
 		blockSize = govern.DefaultBlockSize
 	}
-	return func(lane string) (govern.PoolSpec, error) {
-		parts := strings.Split(lane, "|")
-		if len(parts) != 5 {
-			return govern.PoolSpec{}, fmt.Errorf("api: malformed lane key %q", lane)
+	return func(key string) (govern.PoolSpec, error) {
+		l, err := resolveLane(key)
+		if err != nil {
+			return govern.PoolSpec{}, err
 		}
-		platform, modelName := parts[0], parts[1]
-		spec := govern.PoolSpec{DType: tensor.BF16, BlockSize: blockSize}
-		if strings.HasPrefix(platform, "tiny-") {
-			fam := model.OPT
-			if strings.TrimPrefix(platform, "tiny-") == "llama" {
-				fam = model.LLaMA2
-			}
-			spec.Model = model.Tiny(fam)
-			spec.BudgetBytes = 64 << 20
-		} else {
-			m, err := core.ModelByName(modelName)
-			if err != nil {
-				return govern.PoolSpec{}, err
-			}
-			entry, err := hw.PlatformByKey(platform)
-			if err != nil {
-				return govern.PoolSpec{}, err
-			}
-			spec.Model = m
-			weights := m.WeightBytes(spec.DType)
+		spec := govern.PoolSpec{Model: l.model, DType: tensor.BF16, BlockSize: blockSize, BudgetBytes: 64 << 20}
+		if !l.tiny {
+			weights := l.model.WeightBytes(spec.DType)
 			var capacity int64
-			if entry.Kind == hw.CPUPlatform {
-				c := entry.CPU
+			if c := l.target.Entry.CPU; c != nil {
 				hbm := int64(c.HBM.CapacityGB * float64(c.Sockets) * 1e9)
 				ddr := int64(c.DDR.CapacityGB * float64(c.Sockets) * 1e9)
 				if hbm > weights {
@@ -612,7 +539,7 @@ func PoolSpecResolver(blockSize int, overrideBytes int64) govern.SpecResolver {
 					capacity = hbm + ddr
 				}
 			} else {
-				g := entry.GPU
+				g := l.target.Entry.GPU
 				capacity = int64((g.MemGB - g.WorkspaceGB) * 1e9)
 			}
 			spec.BudgetBytes = int64(0.9 * float64(capacity-weights))
@@ -638,15 +565,11 @@ func PoolSpecResolver(blockSize int, overrideBytes int64) govern.SpecResolver {
 // the breaker is open. Analytic lanes get no fallback: their primary is
 // already the model of last resort.
 func FallbackResolver() gateway.Resolver {
-	return func(lane string) (serve.CostModel, error) {
-		parts := strings.Split(lane, "|")
-		if len(parts) != 5 || !strings.HasPrefix(parts[0], "tiny-") {
-			return nil, nil
+	return func(key string) (serve.CostModel, error) {
+		l, err := resolveLane(key)
+		if err != nil || !l.tiny {
+			return nil, err
 		}
-		fam := model.OPT
-		if strings.TrimPrefix(parts[0], "tiny-") == "llama" {
-			fam = model.LLaMA2
-		}
-		return serve.NewAnalyticFallback(model.Tiny(fam), 0), nil
+		return serve.NewAnalyticFallback(l.model, 0), nil
 	}
 }

@@ -200,7 +200,8 @@ type responseShape interface {
 // streaming semantics stay uniform.
 func (s *Server) serveGeneration(w http.ResponseWriter, r *http.Request, admit time.Time, req *GenerateRequest, shape responseShape) {
 	tr := trace.FromContext(r.Context())
-	if err := req.normalize(); err != nil {
+	key, err := req.normalize()
+	if err != nil {
 		// Unknown platform or model names are missing resources (404),
 		// distinct from malformed parameters (400).
 		if errors.Is(err, hw.ErrUnknownPlatform) || errors.Is(err, model.ErrUnknownModel) {
@@ -210,20 +211,17 @@ func (s *Server) serveGeneration(w http.ResponseWriter, r *http.Request, admit t
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	opts, err := parseStreamOptions(req.Stream, req.StreamOptions)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidStreamParam, err)
-		return
-	}
-	copts, err := parseCacheOptions(req.Cache)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidCacheParam, err)
-		return
-	}
-	sopts, err := parseSpecOptions(req.Speculation)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpecParam, err)
-		return
+	opts, serr := parseStreamOptions(req.Stream, req.StreamOptions)
+	copts, cerr := parseCacheOptions(req.Cache)
+	sopts, perr := parseSpecOptions(req.Speculation)
+	for _, o := range []struct {
+		err  error
+		code string
+	}{{serr, CodeInvalidStreamParam}, {cerr, CodeInvalidCacheParam}, {perr, CodeInvalidSpecParam}} {
+		if o.err != nil {
+			writeError(w, http.StatusBadRequest, o.code, o.err)
+			return
+		}
 	}
 	if err := negotiateStream(r, req.Stream); err != nil {
 		writeError(w, http.StatusNotAcceptable, CodeNotAcceptable, err)
@@ -246,9 +244,9 @@ func (s *Server) serveGeneration(w http.ResponseWriter, r *http.Request, admit t
 		w.Header().Set("X-Brownout-Level", strconv.Itoa(lvl))
 	}
 	tr.Add(trace.SpanData{Name: trace.PhaseAdmission, Start: admit, End: time.Now(),
-		Attrs: map[string]string{"lane": req.laneKey()}})
+		Attrs: map[string]string{"lane": key}})
 	greq := gateway.Request{
-		Lane: req.laneKey(), InputLen: req.InputLen, OutputLen: req.OutputLen,
+		Lane: key, InputLen: req.InputLen, OutputLen: req.OutputLen,
 		Client: clientID(r), Class: class, Trace: tr,
 		Prefix:          req.prefixSegments(),
 		CacheDisabled:   copts.disabled(),

@@ -75,6 +75,62 @@ func ICLBaseline() CPUSetup {
 	return CPUSetup{CPU: hw.ICL8352Y, Cores: 32, Mem: memsim.DDROnly, Cluster: memsim.Quad}
 }
 
+// Target is a validated platform configuration: a CPU setup that passed
+// memsim's Validate, or a registry GPU.
+type Target struct {
+	Entry hw.PlatformEntry
+	Setup CPUSetup // CPU platforms only
+}
+
+// Resolve maps a platform registry key and the paper's three CPU knobs
+// (§II-E) to a validated target; it is the one place those names are
+// read. Zero cores, an empty memory mode and an empty cluster mode mean
+// the paper's configuration of the CPU: one full socket in quadrant mode,
+// flat HBM (SPR Max: 48 cores, quad_flat; IceLake: 32 cores). Flat mode
+// on a CPU without HBM is its DDR-only configuration. GPUs take no knobs.
+func Resolve(platform string, cores int, memMode, cluster string) (Target, error) {
+	e, err := hw.PlatformByKey(platform)
+	if err != nil {
+		return Target{}, err
+	}
+	if e.Kind == hw.GPUPlatform {
+		if cores != 0 || memMode != "" || cluster != "" {
+			return Target{}, fmt.Errorf("cores/memmode/cluster apply only to CPU platforms, not %q", platform)
+		}
+		return Target{Entry: e}, nil
+	}
+	t := Target{Entry: e, Setup: CPUSetup{CPU: *e.CPU, Cores: cores, Mem: memsim.Flat, Cluster: memsim.Quad}}
+	if cores == 0 {
+		t.Setup.Cores = e.CPU.CoresPerSocket
+	}
+	if memMode != "" {
+		if t.Setup.Mem, err = memsim.ParseMemMode(memMode); err != nil {
+			return Target{}, err
+		}
+	}
+	if t.Setup.Mem == memsim.Flat && e.CPU.HBM.CapacityGB == 0 {
+		t.Setup.Mem = memsim.DDROnly
+	}
+	if cluster != "" {
+		if t.Setup.Cluster, err = memsim.ParseClusterMode(cluster); err != nil {
+			return Target{}, err
+		}
+	}
+	if err := t.Setup.Validate(); err != nil {
+		return Target{}, err
+	}
+	return t, nil
+}
+
+// Simulate prices one inference point on the target: SimulateCPU on its
+// setup, or SimulateGPU on its GPU.
+func (t Target) Simulate(m Model, batch, inputLen, outputLen int) (Result, error) {
+	if t.Entry.Kind == hw.GPUPlatform {
+		return SimulateGPU(*t.Entry.GPU, m, batch, inputLen, outputLen)
+	}
+	return SimulateCPU(t.Setup, m, batch, inputLen, outputLen)
+}
+
 // A100 returns the A100-40GB preset (Table II).
 func A100() GPU { return hw.A100 }
 
@@ -106,49 +162,30 @@ func SimulateGPU(g GPU, m Model, batch, inputLen, outputLen int) (Result, error)
 // TinyEngine builds a runnable miniature functional engine of the given
 // family ("opt" or "llama"), with deterministic random BF16 weights.
 func TinyEngine(family string, kernel engine.Kernel) (*engine.Engine, error) {
-	return TinyEngineWith(family, engine.Options{Kernel: kernel})
+	var f model.Family
+	switch family {
+	case "opt":
+		f = model.OPT
+	case "llama":
+		f = model.LLaMA2
+	default:
+		return nil, fmt.Errorf("core: unknown family %q (want opt or llama)", family)
+	}
+	return TinyEngineWith(f, false, engine.Options{Kernel: kernel})
 }
 
 // TinyEngineWith is TinyEngine with full Options control — callers can
 // share a kernels.Pool across engines (gateway lanes) or attach hooks.
-func TinyEngineWith(family string, opts engine.Options) (*engine.Engine, error) {
-	var f model.Family
-	switch family {
-	case "opt":
-		f = model.OPT
-	case "llama":
-		f = model.LLaMA2
-	default:
-		return nil, fmt.Errorf("core: unknown family %q (want opt or llama)", family)
+// With draft set it builds the tiny-* lane's speculative companion
+// instead: the same family and widths (verification needs the target's
+// vocabulary) but a single transformer layer with its own weights, so a
+// draft step is a small fraction of a target step.
+func TinyEngineWith(f model.Family, draft bool, opts engine.Options) (*engine.Engine, error) {
+	cfg, seed := model.Tiny(f), int64(42)
+	if draft {
+		cfg.Layers, seed = 1, 43
 	}
-	w, err := engine.NewWeights(model.Tiny(f), 42, tensor.BF16)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Kernel == engine.KernelInt8 {
-		w.QuantizeAll()
-	}
-	return engine.New(w, opts)
-}
-
-// TinyDraftEngineWith builds the draft companion for a tiny-* lane: the
-// same family and shapes as TinyEngineWith's target but a single
-// transformer layer, so one draft decode step is a small fraction of a
-// target step. The vocabulary and embedding width match the target, which
-// speculative verification requires.
-func TinyDraftEngineWith(family string, opts engine.Options) (*engine.Engine, error) {
-	var f model.Family
-	switch family {
-	case "opt":
-		f = model.OPT
-	case "llama":
-		f = model.LLaMA2
-	default:
-		return nil, fmt.Errorf("core: unknown family %q (want opt or llama)", family)
-	}
-	cfg := model.Tiny(f)
-	cfg.Layers = 1
-	w, err := engine.NewWeights(cfg, 43, tensor.BF16)
+	w, err := engine.NewWeights(cfg, seed, tensor.BF16)
 	if err != nil {
 		return nil, err
 	}

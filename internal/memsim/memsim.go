@@ -47,6 +47,16 @@ func (m MemMode) String() string {
 	}
 }
 
+// ParseMemMode is the inverse of MemMode.String.
+func ParseMemMode(s string) (MemMode, error) {
+	for _, m := range []MemMode{Flat, Cache, HBMOnly, DDROnly} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown memmode %q (want flat, cache, hbm-only or ddr)", s)
+}
+
 // ClusterMode is an SPR clustering mode (§II-E).
 type ClusterMode int
 
@@ -65,6 +75,16 @@ func (m ClusterMode) String() string {
 		return "quad"
 	}
 	return "snc"
+}
+
+// ParseClusterMode is the inverse of ClusterMode.String.
+func ParseClusterMode(s string) (ClusterMode, error) {
+	for _, m := range []ClusterMode{Quad, SNC4} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown cluster %q (want quad or snc)", s)
 }
 
 // Calibration constants for effects the paper measures but Table I does

@@ -48,6 +48,27 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+func TestParseModesInvertString(t *testing.T) {
+	for _, m := range []MemMode{Flat, Cache, HBMOnly, DDROnly} {
+		if got, err := ParseMemMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMemMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, c := range []ClusterMode{Quad, SNC4} {
+		if got, err := ParseClusterMode(c.String()); err != nil || got != c {
+			t.Errorf("ParseClusterMode(%q) = %v, %v", c.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "FLAT", "snc4", "hbm"} {
+		if _, err := ParseMemMode(bad); err == nil {
+			t.Errorf("ParseMemMode(%q) must fail", bad)
+		}
+		if _, err := ParseClusterMode(bad); err == nil {
+			t.Errorf("ParseClusterMode(%q) must fail", bad)
+		}
+	}
+}
+
 // TestQuadFlatBest reproduces Key Finding #2: among the four SPR
 // configurations, quad_flat has the highest effective bandwidth for a
 // typical working set.
