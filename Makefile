@@ -82,7 +82,8 @@ trace-demo:
 # (the 1 MiB request floors to 64 blocks = 1024 tokens), then overload it
 # so the phase table shows preemption-by-recompute ("preempted" rows),
 # the status counts show watermark shedding (HTTP 503), and the final
-# /v1/kv + /readyz probes show the pool fully free and serving recovered.
+# /v1/debug/state + /readyz probes show the pool fully free and serving
+# recovered.
 MEMDEMO_ADDR ?= 127.0.0.1:18081
 memdemo:
 	$(GO) build -o /tmp/llmperfd-memdemo ./cmd/llmperfd
@@ -92,7 +93,7 @@ memdemo:
 	/tmp/llmperf-memdemo -url http://$(MEMDEMO_ADDR) -n 96 -concurrency 24 \
 	    -model OPT-13B -in 128 -out 16; st=$$?; \
 	echo; echo "=== KV governance after the wave ==="; \
-	curl -s "http://$(MEMDEMO_ADDR)/v1/kv"; echo; \
+	curl -s "http://$(MEMDEMO_ADDR)/v1/debug/state"; echo; \
 	curl -s -o /dev/null -w "readyz: HTTP %{http_code}\n" "http://$(MEMDEMO_ADDR)/readyz"; \
 	kill $$pid; wait $$pid 2>/dev/null; exit $$st
 
@@ -120,7 +121,7 @@ stream-demo:
 # Cluster failover demo: boot 3 replicas behind the fault-tolerant
 # router, run a clean wave (even replica spread), kill r1 mid-load via
 # the faults admin endpoint (the wave shows failovers rescuing requests
-# routed at the dead replica), then disarm and verify /v1/cluster
+# routed at the dead replica), then disarm and verify /v1/debug/state
 # reports all 3 replicas healthy again.
 CLUSTER_DEMO_ADDR ?= 127.0.0.1:18083
 cluster-demo:
@@ -141,13 +142,13 @@ cluster-demo:
 	    -model OPT-13B -in 128 -out 8 || true; \
 	wait $$armpid; \
 	echo; echo "=== cluster status with r1 down ==="; \
-	curl -s "http://$(CLUSTER_DEMO_ADDR)/v1/cluster"; echo; \
+	curl -s "http://$(CLUSTER_DEMO_ADDR)/v1/debug/state"; echo; \
 	echo "=== disarming: r1 recovers through half-open probing ==="; \
 	curl -s -X DELETE "http://$(CLUSTER_DEMO_ADDR)/v1/admin/faults" >/dev/null; \
 	sleep 1; \
 	/tmp/llmperf-cluster -url http://$(CLUSTER_DEMO_ADDR) -n 48 -concurrency 8 \
 	    -model OPT-13B -in 128 -out 8 || st=1; \
-	curl -s "http://$(CLUSTER_DEMO_ADDR)/v1/cluster" | grep -q '"healthy":3' \
+	curl -s "http://$(CLUSTER_DEMO_ADDR)/v1/debug/state" | grep -q '"healthy":3' \
 	    && echo "recovery: all 3 replicas healthy" \
 	    || { echo "recovery FAILED: cluster not back to 3 healthy replicas"; st=1; }; \
 	kill $$pid; wait $$pid 2>/dev/null; exit $$st
@@ -156,7 +157,7 @@ cluster-demo:
 # multi-turn chatbot trace twice (cache off, flush, cache on) with
 # llmperf's chat mode, and assert the cache actually pays: the A/B
 # prefill_reduction line must clear 30% (the issue's acceptance floor)
-# and the server's /v1/cache view must report hits.
+# and the cache section of the server's /v1/debug/state must report hits.
 CACHE_DEMO_ADDR ?= 127.0.0.1:18084
 cache-demo:
 	$(GO) build -o /tmp/llmperfd-cache ./cmd/llmperfd
@@ -171,10 +172,10 @@ cache-demo:
 	elif ! awk "BEGIN{exit !($$red >= 30)}"; then \
 	    echo "cache-demo FAILED: prefill reduction $$red% below the 30% floor"; st=1; \
 	else echo "cache-demo: prefill reduction $$red% clears the 30% floor"; fi; \
-	echo "=== /v1/cache ==="; \
-	curl -s "http://$(CACHE_DEMO_ADDR)/v1/cache"; echo; \
-	curl -s "http://$(CACHE_DEMO_ADDR)/v1/cache" | grep -q '"hits":' \
-	    || { echo "cache-demo FAILED: /v1/cache reports no hit counters"; st=1; }; \
+	echo "=== /v1/debug/state ==="; \
+	curl -s "http://$(CACHE_DEMO_ADDR)/v1/debug/state"; echo; \
+	curl -s "http://$(CACHE_DEMO_ADDR)/v1/debug/state" | grep -q '"cache":{.*"hits":' \
+	    || { echo "cache-demo FAILED: /v1/debug/state reports no cache hit counters"; st=1; }; \
 	kill $$pid; wait $$pid 2>/dev/null; exit $$st
 
 # Overload chaos drill: a standing load-spike at 2× saturation under 64
@@ -200,8 +201,8 @@ overload-demo:
 	/tmp/llmperf-overload -url http://$(OVERLOAD_DEMO_ADDR) -ramp \
 	    -concurrency 8 -model OPT-13B -in 128 -out 8 \
 	    | tee /tmp/overload-demo-on.out; st=$$?; \
-	echo "=== /v1/overload after the ramp ==="; \
-	curl -s "http://$(OVERLOAD_DEMO_ADDR)/v1/overload"; echo; \
+	echo "=== /v1/debug/state after the ramp ==="; \
+	curl -s "http://$(OVERLOAD_DEMO_ADDR)/v1/debug/state"; echo; \
 	kill $$pid; wait $$pid 2>/dev/null; \
 	echo; echo "=== B: overload control OFF (class-blind baseline) ==="; \
 	/tmp/llmperfd-overload -addr $(OVERLOAD_DEMO_ADDR) -timescale 0.02 -overload=false & \

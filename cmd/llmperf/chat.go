@@ -135,26 +135,58 @@ func flushCache(base string) {
 	}
 }
 
+// cacheStatus is the part of a gateway's prefix-cache state the chat
+// report prints; gatewayState holds it (nil while caching is off).
+type cacheStatus struct {
+	Hits, Misses, Evictions uint64
+	HitTokens               uint64 `json:"hit_tokens"`
+	RetainedBlocks          int    `json:"retained_blocks"`
+}
+type gatewayState struct{ Cache *cacheStatus }
+
 // printServerCacheStatus corroborates the client-side tallies with the
-// server's own GET /v1/cache view.
+// cache section of the server's GET /v1/debug/state, summed over the
+// replicas when the server runs a cluster.
 func printServerCacheStatus(stdout io.Writer, base string) {
-	resp, err := http.Get(base + "/v1/cache")
+	resp, err := http.Get(base + "/v1/debug/state")
 	if err != nil {
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
 	var st struct {
-		HitRate        float64 `json:"hit_rate"`
-		RetainedBlocks int     `json:"retained_blocks"`
-		HitTokens      uint64  `json:"hit_tokens"`
-		Evictions      uint64  `json:"evictions"`
+		gatewayState
+		Cluster *struct {
+			Replicas []struct{ Gateway gatewayState }
+		}
 	}
-	if json.NewDecoder(resp.Body).Decode(&st) != nil {
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
 		return
 	}
-	fmt.Fprintf(stdout, "  server     : /v1/cache hit_rate=%.2f retained_blocks=%d hit_tokens=%d evictions=%d\n",
-		st.HitRate, st.RetainedBlocks, st.HitTokens, st.Evictions)
+	states := []gatewayState{st.gatewayState}
+	if st.Cluster != nil {
+		for _, r := range st.Cluster.Replicas {
+			states = append(states, r.Gateway)
+		}
+	}
+	var sum cacheStatus
+	caching := false
+	for _, g := range states {
+		if c := g.Cache; c != nil {
+			caching = true
+			sum.Hits += c.Hits
+			sum.Misses += c.Misses
+			sum.Evictions += c.Evictions
+			sum.HitTokens += c.HitTokens
+			sum.RetainedBlocks += c.RetainedBlocks
+		}
+	}
+	if !caching {
+		return
+	}
+	hitRate := 0.0
+	if n := sum.Hits + sum.Misses; n > 0 {
+		hitRate = float64(sum.Hits) / float64(n)
+	}
+	fmt.Fprintf(stdout, "  server     : cache hit_rate=%.2f retained_blocks=%d hit_tokens=%d evictions=%d\n",
+		hitRate, sum.RetainedBlocks, sum.HitTokens, sum.Evictions)
 }

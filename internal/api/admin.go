@@ -1,9 +1,10 @@
 package api
 
-// admin.go exposes the runtime fault-injection control surface. It is an
-// operator endpoint, not part of the serving data plane: chaos drills arm
-// a rule set against the live gateway, watch the lanes degrade and
-// recover, then disarm — without restarting the process.
+// admin.go serves the operator surface, outside the serving data plane:
+// the state document, runtime fault injection (chaos drills arm a rule
+// set against the live gateway, watch the lanes degrade and recover,
+// then disarm — without restarting the process) and the prefix-cache
+// flush.
 
 import (
 	"fmt"
@@ -52,4 +53,24 @@ func (s *Server) handleAdminFaults(w http.ResponseWriter, r *http.Request) {
 		inj.Disarm()
 		writeJSON(w, http.StatusOK, inj.Snapshot())
 	}
+}
+
+// handleState serves the backend's operator state document. It always
+// answers 200: a disabled feature is an omitted key, not an error.
+func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.gw.State())
+}
+
+// handleCacheFlush drops every unpinned cache entry (operator surface:
+// before an A/B measurement, or to reclaim blocks ahead of a burst).
+// Pinned paths survive and in-flight forks keep their blocks — flushing
+// is always safe, never a correctness event.
+func (s *Server) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
+	released, ok := s.gw.FlushCache()
+	if !ok {
+		writeError(w, http.StatusNotFound, CodeNotFound,
+			fmt.Errorf("prefix caching disabled (llmperfd -kv-cache=false, or no KV governor configured)"))
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]int{"blocks_released": released})
 }

@@ -4,27 +4,8 @@
 // bounded queue with 429 backpressure, batched execution, per-request
 // cancellation, graceful drain and metrics.
 //
-// v1 endpoints (see docs/api.md for schemas and examples):
-//
-//	GET  /v1/                        endpoint index
-//	GET  /v1/models                  model presets
-//	GET  /v1/platforms               platform registry
-//	POST /v1/simulate                one simulated inference point
-//	POST /v1/autotune                configuration search
-//	POST /v1/generate                one request through the batching gateway
-//	                                 ("stream": true → SSE per-token chunks)
-//	POST /v1/chat/completions        OpenAI-compatible chat completions
-//	POST /v1/completions             OpenAI-compatible text completions alias
-//	GET  /v1/experiments             experiment keys
-//	GET  /v1/experiments/{key}       one experiment's rendered tables
-//	GET  /v1/scorecard               reproduction scorecard
-//	GET  /v1/kv                      per-lane KV pool governance status
-//	GET  /v1/cache                   prefix-cache status (hit rate, retained blocks)
-//	GET  /v1/cluster                 replica health and failover status
-//	GET|POST|DELETE /v1/admin/faults runtime fault injection control
-//	POST /v1/admin/cache/flush       drop unpinned prefix-cache entries
-//	GET  /metrics                    Prometheus metrics
-//	GET  /healthz, /readyz           liveness / readiness
+// The route table (routes) lists every endpoint once; it drives both the
+// mux and the GET /v1/ index. docs/api.md has schemas and examples.
 package api
 
 import (
@@ -38,7 +19,6 @@ import (
 
 	"repro/internal/autotune"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/gateway"
 	"repro/internal/hw"
 	"repro/internal/memsim"
@@ -76,64 +56,43 @@ func NewServer(gw Backend) *Server {
 // Gateway returns the server's backend (for shutdown wiring).
 func (s *Server) Gateway() Backend { return s.gw }
 
-// endpointInfo describes one route in the /v1/ index.
-type endpointInfo struct {
-	Method      string `json:"method"`
-	Path        string `json:"path"`
-	Description string `json:"description"`
+// route is one row of the route table: the methods it allows, its mux
+// pattern, its handler and its line in the /v1/ index.
+type route struct {
+	methods []string
+	pattern string
+	handler http.HandlerFunc
+	desc    string
 }
 
-var endpoints = []endpointInfo{
-	{"GET", "/v1/", "this index"},
-	{"GET", "/v1/models", "model presets the paper evaluates"},
-	{"GET", "/v1/platforms", "platform registry (CPUs and GPUs of Tables I-II)"},
-	{"POST", "/v1/simulate", "price one inference point (platform, model, batch, in, out)"},
-	{"POST", "/v1/autotune", "search CPU configurations for an objective"},
-	{"POST", "/v1/generate", `serve one generation request through the batching gateway; "stream": true delivers per-token SSE chunks (data: {...}, data: [DONE])`},
-	{"POST", "/v1/chat/completions", `OpenAI-compatible chat completions (usage, finish_reason); "stream": true delivers chat.completion.chunk SSE`},
-	{"POST", "/v1/completions", "OpenAI-compatible legacy text completions alias, sharing /v1/generate validation and streaming"},
-	{"GET", "/v1/experiments", "paper experiment keys"},
-	{"GET", "/v1/experiments/{key}", "run one experiment, rendered tables"},
-	{"GET", "/v1/scorecard", "reproduction scorecard"},
-	{"GET", "/v1/traces", "recent request traces (?id= for one, ?limit= to page)"},
-	{"GET", "/v1/kv", "per-lane KV pool governance: blocks, watermarks, quotas, preemptions"},
-	{"GET", "/v1/cache", "prefix-cache status: tree sizes, hit rate, retained blocks per lane (404 while caching is disabled)"},
-	{"GET", "/v1/cluster", "replica health, routing policy and failover counters (404 unless -replicas > 1)"},
-	{"GET", "/v1/overload", "overload control status: brownout level, active degradations, adaptive concurrency limit, per-class admission counters (404 while disabled)"},
-	{"GET, POST, DELETE", "/v1/admin/faults", "inspect, arm or disarm runtime fault injection"},
-	{"POST", "/v1/admin/cache/flush", "drop every unpinned prefix-cache entry, returning blocks_released"},
-	{"GET", "/metrics", "Prometheus metrics (gateway queue, TTFT/TPOT/E2E histograms)"},
-	{"GET", "/healthz", "liveness"},
-	{"GET", "/readyz", "readiness (503 while draining)"},
+// routes is the route table.
+func (s *Server) routes() []route {
+	get, post := []string{http.MethodGet}, []string{http.MethodPost}
+	return []route{
+		{get, "/v1/{$}", s.handleIndex, "this index"},
+		{get, "/v1/models", s.handleModels, "model presets the paper evaluates"},
+		{get, "/v1/platforms", s.handlePlatforms, "platform registry (CPUs and GPUs of Tables I-II)"},
+		{post, "/v1/simulate", s.handleSimulate, "price one inference point (platform, model, batch, in, out)"},
+		{post, "/v1/autotune", s.handleAutotune, "search CPU configurations for an objective"},
+		{post, "/v1/generate", s.handleGenerate, `serve one generation request through the batching gateway; "stream": true delivers per-token SSE chunks (data: {...}, data: [DONE])`},
+		{post, "/v1/chat/completions", s.handleChatCompletions, `OpenAI-compatible chat completions (usage, finish_reason); "stream": true delivers chat.completion.chunk SSE`},
+		{post, "/v1/completions", s.handleCompletions, "OpenAI-compatible legacy text completions alias, sharing /v1/generate validation and streaming"},
+		{get, "/v1/traces", s.handleTraces, "recent request traces (?id= for one, ?limit= to page)"},
+		{get, "/v1/debug/state", s.handleState, "operator state: KV pools (kv), prefix cache (cache), overload control (overload); in cluster mode routing and health with each replica's own state (cluster). A disabled feature is omitted"},
+		{[]string{http.MethodGet, http.MethodPost, http.MethodDelete}, "/v1/admin/faults", s.handleAdminFaults, "inspect, arm or disarm runtime fault injection"},
+		{post, "/v1/admin/cache/flush", s.handleCacheFlush, "drop every unpinned prefix-cache entry, returning blocks_released (404 while caching is disabled)"},
+		{get, "/metrics", s.handleMetrics, "Prometheus metrics (gateway queue, TTFT/TPOT/E2E histograms)"},
+		{get, "/healthz", s.handleHealthz, "liveness"},
+		{get, "/readyz", s.handleReadyz, "readiness (503 while draining)"},
+	}
 }
 
-// Handler builds the route table.
+// Handler builds the mux from the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern string, h http.HandlerFunc, methods ...string) {
-		mux.HandleFunc(pattern, s.instrument(h, methods))
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.pattern, s.instrument(rt.handler, rt.methods))
 	}
-	route("/v1/{$}", s.handleIndex, http.MethodGet)
-	route("/v1/models", s.handleModels, http.MethodGet)
-	route("/v1/platforms", s.handlePlatforms, http.MethodGet)
-	route("/v1/simulate", s.handleSimulate, http.MethodPost)
-	route("/v1/autotune", s.handleAutotune, http.MethodPost)
-	route("/v1/generate", s.handleGenerate, http.MethodPost)
-	route("/v1/chat/completions", s.handleChatCompletions, http.MethodPost)
-	route("/v1/completions", s.handleCompletions, http.MethodPost)
-	route("/v1/experiments", s.handleExperimentList, http.MethodGet)
-	route("/v1/experiments/{key}", s.handleExperiment, http.MethodGet)
-	route("/v1/scorecard", s.handleScorecard, http.MethodGet)
-	route("/v1/traces", s.handleTraces, http.MethodGet)
-	route("/v1/kv", s.handleKV, http.MethodGet)
-	route("/v1/cache", s.handleCache, http.MethodGet)
-	route("/v1/cluster", s.handleCluster, http.MethodGet)
-	route("/v1/overload", s.handleOverload, http.MethodGet)
-	route("/v1/admin/faults", s.handleAdminFaults, http.MethodGet, http.MethodPost, http.MethodDelete)
-	route("/v1/admin/cache/flush", s.handleCacheFlush, http.MethodPost)
-	route("/metrics", s.handleMetrics, http.MethodGet)
-	route("/healthz", s.handleHealthz, http.MethodGet)
-	route("/readyz", s.handleReadyz, http.MethodGet)
 	// Uniform JSON 404 for everything unmatched, with the same header and
 	// envelope contract (X-Request-ID, X-Trace-ID, trace_id) as real routes.
 	mux.HandleFunc("/", s.instrument(func(w http.ResponseWriter, r *http.Request) {
@@ -222,8 +181,21 @@ func (sw *statusWriter) WriteHeader(status int) {
 	sw.ResponseWriter.WriteHeader(status)
 }
 
+// endpointInfo is one route in the /v1/ index.
+type endpointInfo struct {
+	Method      string `json:"method"`
+	Path        string `json:"path"`
+	Description string `json:"description"`
+}
+
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"endpoints": endpoints})
+	routes := s.routes()
+	out := make([]endpointInfo, len(routes))
+	for i, rt := range routes {
+		out[i] = endpointInfo{Method: strings.Join(rt.methods, ", "),
+			Path: strings.TrimSuffix(rt.pattern, "{$}"), Description: rt.desc}
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"endpoints": out})
 }
 
 type modelInfo struct {
@@ -503,19 +475,6 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// handleKV serves the memory governor's per-lane pool snapshot. Without a
-// governor the endpoint reports the feature disabled (404) rather than an
-// empty status, so dashboards can tell "no governance" from "no lanes".
-func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
-	gov := s.gw.Governor()
-	if gov == nil {
-		writeError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Errorf("KV governance disabled (llmperfd -kv-govern=false, or no governor configured)"))
-		return
-	}
-	writeJSON(w, http.StatusOK, gov.Snapshot())
-}
-
 // handleTraces serves retained request traces: ?id= returns one record,
 // otherwise the most recent records (?limit=, default 20) newest first.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
@@ -544,54 +503,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		"count":       len(recs),
 		"traces":      recs,
 	})
-}
-
-func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	type exp struct{ Key, Title string }
-	var out []exp
-	for _, e := range experiments.All() {
-		out = append(out, exp{e.Key, e.Title})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// tableJSON is the JSON form of an experiment table.
-type tableJSON struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-}
-
-func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	e, err := experiments.ByKey(key)
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	var tabs []experiments.Table
-	if !s.unary(w, r, http.StatusInternalServerError, CodeInternal, func() (err error) {
-		tabs, err = e.Run()
-		return err
-	}) {
-		return
-	}
-	out := make([]tableJSON, len(tabs))
-	for i, t := range tabs {
-		out[i] = tableJSON{ID: t.ID, Title: t.Title, Columns: t.Columns, Rows: t.Rows}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleScorecard(w http.ResponseWriter, r *http.Request) {
-	tab, _, err := experiments.RunScorecard()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tableJSON{ID: tab.ID, Title: tab.Title,
-		Columns: tab.Columns, Rows: tab.Rows})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -626,18 +537,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// handleOverload serves the overload controller's snapshot: brownout
-// level and active degradations, the adaptive concurrency limit, and
-// per-class admission/shed counters. With overload control disabled the
-// endpoint reports 404, matching how /v1/kv reports a missing governor.
-func (s *Server) handleOverload(w http.ResponseWriter, r *http.Request) {
-	st := s.gw.OverloadStatus()
-	if !st.Enabled {
-		writeError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Errorf("overload control disabled (llmperfd -overload=false, or no controller configured)"))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
 }

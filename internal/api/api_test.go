@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/gateway"
 )
 
 // do issues one request against a fresh server.
@@ -63,16 +66,71 @@ func errEnvelope(t *testing.T, body []byte) (code, message string) {
 	return e.Error.Code, e.Error.Message
 }
 
+// stateDoc decodes GET /v1/debug/state for either topology.
+type stateDoc struct {
+	gateway.State
+	Cluster *cluster.Status `json:"cluster"`
+}
+
+// debugState fetches GET /v1/debug/state, which must answer 200, and
+// returns it decoded and as raw JSON keys.
+func debugState(t *testing.T, srv *httptest.Server) (stateDoc, map[string]json.RawMessage) {
+	t.Helper()
+	resp, body := doOn(t, srv, http.MethodGet, "/v1/debug/state", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/debug/state status %d: %s", resp.StatusCode, body)
+	}
+	var doc stateDoc
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("decoding state: %v from %s", err, body)
+	}
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	return doc, keys
+}
+
+// TestIndexEndpoint: every route in the table is served (answers
+// anything but the generic 404) and listed in the /v1/ index with its
+// methods, and the index describes streaming.
 func TestIndexEndpoint(t *testing.T) {
-	resp, body := get(t, "/v1/")
+	s := NewServer(nil)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, body := doOn(t, srv, http.MethodGet, "/v1/", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var idx struct {
-		Endpoints []map[string]string `json:"endpoints"`
+		Endpoints []struct{ Method, Path, Description string } `json:"endpoints"`
 	}
-	if err := json.Unmarshal(body, &idx); err != nil || len(idx.Endpoints) < 10 {
-		t.Fatalf("index: %v (%d entries)\n%s", err, len(idx.Endpoints), body)
+	if err := json.Unmarshal(body, &idx); err != nil {
+		t.Fatalf("index: %v\n%s", err, body)
+	}
+	listed := map[string]string{}
+	for _, e := range idx.Endpoints {
+		if e.Description == "" {
+			t.Errorf("index entry %s without a description", e.Path)
+		}
+		listed[e.Path] = e.Method
+	}
+	routes := s.routes()
+	if len(idx.Endpoints) != len(routes) {
+		t.Errorf("index lists %d endpoints, route table has %d", len(idx.Endpoints), len(routes))
+	}
+	for _, rt := range routes {
+		path := strings.TrimSuffix(rt.pattern, "{$}")
+		if got, want := listed[path], strings.Join(rt.methods, ", "); got != want {
+			t.Errorf("index lists %s with methods %q, want %q", path, got, want)
+		}
+		resp, body := doOn(t, srv, rt.methods[0], path, "")
+		if resp.StatusCode == http.StatusNotFound && strings.Contains(string(body), "no such endpoint") {
+			t.Errorf("%s %s answers the generic 404", rt.methods[0], path)
+		}
+	}
+	if !strings.Contains(string(body), "stream") {
+		t.Error("index does not describe streaming")
 	}
 }
 
@@ -209,7 +267,7 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"GET", "/v1/simulate?platform=spr&model=OPT-30B", "POST"},
 		{"GET", "/v1/autotune?model=LLaMA2-13B", "POST"},
 		{"GET", "/v1/generate", "POST"},
-		{"PUT", "/v1/scorecard", "GET"},
+		{"POST", "/v1/debug/state", "GET"},
 	}
 	for _, c := range cases {
 		resp, body := doOn(t, srv, c.method, c.path, "")
@@ -226,41 +284,22 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestUnknownPath404: unmatched paths, including the status and
+// reproduction endpoints /v1/debug/state and cmd/repro replaced, answer
+// the generic 404.
 func TestUnknownPath404(t *testing.T) {
-	resp, body := get(t, "/v2/nope")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if code, _ := errEnvelope(t, body); code != CodeNotFound {
-		t.Errorf("code %q", code)
-	}
-}
-
-func TestExperimentEndpoints(t *testing.T) {
 	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
-	resp, body := doOn(t, srv, "GET", "/v1/experiments", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatal(resp.StatusCode)
-	}
-	var list []map[string]string
-	if err := json.Unmarshal(body, &list); err != nil || len(list) < 20 {
-		t.Fatalf("experiment list: %v (%d)", err, len(list))
-	}
-	resp, body = doOn(t, srv, "GET", "/v1/experiments/fig18", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fig18 status %d", resp.StatusCode)
-	}
-	var tabs []map[string]any
-	if err := json.Unmarshal(body, &tabs); err != nil || len(tabs) != 1 {
-		t.Fatalf("fig18 body: %v %s", err, body)
-	}
-	resp, body = doOn(t, srv, "GET", "/v1/experiments/fig99", "")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown experiment status %d", resp.StatusCode)
-	}
-	if code, _ := errEnvelope(t, body); code != CodeNotFound {
-		t.Errorf("code %q", code)
+	for _, path := range []string{"/v2/nope", "/v1/kv", "/v1/cache", "/v1/overload",
+		"/v1/cluster", "/v1/experiments", "/v1/experiments/fig18", "/v1/scorecard"} {
+		resp, body := doOn(t, srv, http.MethodGet, path, "")
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d", path, resp.StatusCode)
+			continue
+		}
+		if code, msg := errEnvelope(t, body); code != CodeNotFound || !strings.HasPrefix(msg, "no such endpoint") {
+			t.Errorf("%s: %s %q, want the generic 404", path, code, msg)
+		}
 	}
 }
 
@@ -293,27 +332,6 @@ func TestAutotune(t *testing.T) {
 		}
 		if code, _ := errEnvelope(t, body); code != CodeBadRequest {
 			t.Errorf("%s code %q", bad.name, code)
-		}
-	}
-}
-
-func TestScorecardEndpoint(t *testing.T) {
-	resp, body := get(t, "/v1/scorecard")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatal(resp.StatusCode)
-	}
-	var tab map[string]any
-	if err := json.Unmarshal(body, &tab); err != nil {
-		t.Fatal(err)
-	}
-	rows := tab["rows"].([]any)
-	if len(rows) < 13 {
-		t.Errorf("scorecard has %d rows", len(rows))
-	}
-	for _, r := range rows {
-		cells := r.([]any)
-		if cells[len(cells)-1] != "PASS" {
-			t.Errorf("claim %v did not pass", cells[0])
 		}
 	}
 }

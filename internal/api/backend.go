@@ -9,16 +9,12 @@ package api
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
-	"net/http"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/gateway"
-	"repro/internal/govern"
 	"repro/internal/metrics"
-	"repro/internal/overload"
 	"repro/internal/trace"
 )
 
@@ -36,9 +32,10 @@ type Backend interface {
 	Tracer() *trace.Tracer
 	Logger() *slog.Logger
 	Injector() *faults.Injector
-	// Governor returns the backend's KV governor; a cluster returns nil
-	// (its governance is per replica, reported by GET /v1/cluster).
-	Governor() *govern.Governor
+	// State is the operator state document GET /v1/debug/state serves;
+	// FlushCache empties the prefix cache (ok false when nothing caches).
+	State() gateway.State
+	FlushCache() (released int, ok bool)
 
 	// Lifecycle and backpressure.
 	Draining() bool
@@ -49,11 +46,9 @@ type Backend interface {
 	// Overload control (internal/overload). Saturated reports sustained
 	// admission-queue saturation (readiness flips alongside KV pressure);
 	// BrownoutLevel is the degradation ladder's current rung (0 nominal,
-	// also the X-Brownout-Level response header); OverloadStatus is the
-	// GET /v1/overload snapshot (zero Status when the feature is off).
+	// also the X-Brownout-Level response header).
 	Saturated() bool
 	BrownoutLevel() int
-	OverloadStatus() overload.Status
 }
 
 // compile-time conformance of both topologies.
@@ -61,16 +56,3 @@ var (
 	_ Backend = (*gateway.Gateway)(nil)
 	_ Backend = (*cluster.Router)(nil)
 )
-
-// handleCluster serves the router's replica/health/failover snapshot.
-// Under a single-gateway backend the endpoint reports the topology
-// disabled (404), matching how /v1/kv reports a missing governor.
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	cr, ok := s.gw.(*cluster.Router)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Errorf("not running in cluster mode (llmperfd -replicas N with N > 1)"))
-		return
-	}
-	writeJSON(w, http.StatusOK, cr.Snapshot())
-}

@@ -5,7 +5,8 @@ package api
 // the in-band prefix_cache field on the terminal SSE event, cached token
 // counts in OpenAI-compatible usage (prompt_tokens_details), the
 // per-request cache opt-out and min_prefix_tokens knobs with their typed
-// 400, and the GET /v1/cache + POST /v1/admin/cache/flush endpoints.
+// 400, and the cache section of GET /v1/debug/state with
+// POST /v1/admin/cache/flush.
 
 import (
 	"encoding/json"
@@ -200,19 +201,12 @@ func TestCacheStatusAndFlushEndpoints(t *testing.T) {
 	postGenerate(t, srv, sharedPromptBody)
 	postGenerate(t, srv, sharedPromptBody) // the hit
 
-	resp, raw := doOn(t, srv, http.MethodGet, "/v1/cache", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/cache status %d: %s", resp.StatusCode, raw)
-	}
-	var st govern.CacheStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Enabled || st.Hits < 1 || st.RetainedBlocks == 0 || len(st.Lanes) != 1 {
-		t.Errorf("cache status after a hit: %s", raw)
+	doc, keys := debugState(t, srv)
+	if st := doc.Cache; st == nil || !st.Enabled || st.Hits < 1 || st.RetainedBlocks == 0 || len(st.Lanes) != 1 {
+		t.Errorf("cache state after a hit: %s", keys["cache"])
 	}
 
-	resp, raw = doOn(t, srv, http.MethodPost, "/v1/admin/cache/flush", "")
+	resp, raw := doOn(t, srv, http.MethodPost, "/v1/admin/cache/flush", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("flush status %d: %s", resp.StatusCode, raw)
 	}
@@ -226,15 +220,8 @@ func TestCacheStatusAndFlushEndpoints(t *testing.T) {
 		t.Error("flush released no blocks despite retained prefixes")
 	}
 
-	resp, raw = doOn(t, srv, http.MethodGet, "/v1/cache", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/cache after flush: %d", resp.StatusCode)
-	}
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.RetainedBlocks != 0 {
-		t.Errorf("flush left %d retained blocks", st.RetainedBlocks)
+	if doc, keys = debugState(t, srv); doc.Cache == nil || doc.Cache.RetainedBlocks != 0 {
+		t.Errorf("flush left retained blocks: %s", keys["cache"])
 	}
 }
 
@@ -247,16 +234,15 @@ func TestCacheEndpoints404WhenDisabled(t *testing.T) {
 	_, governed := governedServer(t, 16, nil)
 
 	for _, srv := range []*httptest.Server{bare, governed} {
-		resp, raw := doOn(t, srv, http.MethodGet, "/v1/cache", "")
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET /v1/cache status %d, want 404: %s", resp.StatusCode, raw)
+		if _, keys := debugState(t, srv); keys["cache"] != nil {
+			t.Errorf("cache state while caching is off: %s", keys["cache"])
 		}
-		if code, _ := errEnvelope(t, raw); code != CodeNotFound {
-			t.Errorf("GET /v1/cache code %q, want %q", code, CodeNotFound)
-		}
-		resp, raw = doOn(t, srv, http.MethodPost, "/v1/admin/cache/flush", "")
+		resp, raw := doOn(t, srv, http.MethodPost, "/v1/admin/cache/flush", "")
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("flush status %d, want 404: %s", resp.StatusCode, raw)
+		}
+		if code, _ := errEnvelope(t, raw); code != CodeNotFound {
+			t.Errorf("flush code %q, want %q", code, CodeNotFound)
 		}
 	}
 }

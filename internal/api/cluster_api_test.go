@@ -2,8 +2,8 @@ package api
 
 // cluster_api_test.go covers the HTTP surface added with cluster mode:
 // deadline propagation (X-Request-Deadline in, typed 504 out), replica
-// attribution headers on buffered responses, and the /v1/cluster status
-// endpoint in both single and cluster topologies.
+// attribution headers on buffered responses, and the cluster section of
+// GET /v1/debug/state in both single and cluster topologies.
 
 import (
 	"context"
@@ -16,15 +16,23 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gateway"
+	"repro/internal/govern"
 )
 
 // clusterServer spins up an N-replica router behind the API.
 func clusterServer(t *testing.T, n int) (*httptest.Server, *cluster.Router) {
 	t.Helper()
+	return clusterServerWith(t, n, func() gateway.Config { return gateway.Config{} })
+}
+
+// clusterServerWith is clusterServer with each replica built from a
+// fresh cfg(), so replicas share no governor.
+func clusterServerWith(t *testing.T, n int, cfg func() gateway.Config) (*httptest.Server, *cluster.Router) {
+	t.Helper()
 	r, err := cluster.New(cluster.Config{
 		Replicas: n,
 		Factory: func(id string) (*gateway.Gateway, error) {
-			return gateway.New(gateway.Config{}, stubResolver(stubCost{})), nil
+			return gateway.New(cfg(), stubResolver(stubCost{})), nil
 		},
 	})
 	if err != nil {
@@ -147,19 +155,23 @@ func TestClusterReplicaAttributionHeaders(t *testing.T) {
 
 func TestClusterStatusEndpoint(t *testing.T) {
 	srv, _ := clusterServer(t, 2)
-	resp, body := doOn(t, srv, http.MethodGet, "/v1/cluster", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var st cluster.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("decoding status: %v from %s", err, body)
-	}
-	if len(st.Replicas) != 2 || st.Healthy != 2 {
-		t.Fatalf("status = %+v, want 2 healthy replicas", st)
+	doc, keys := debugState(t, srv)
+	st := doc.Cluster
+	if st == nil || len(st.Replicas) != 2 || st.Healthy != 2 {
+		t.Fatalf("cluster state = %s, want 2 healthy replicas", keys["cluster"])
 	}
 	if st.Policy == "" {
 		t.Fatal("status without a routing policy name")
+	}
+	for _, rs := range st.Replicas {
+		if rs.Gateway == nil {
+			t.Errorf("replica %s without its own state", rs.ID)
+		}
+	}
+	for _, k := range []string{"kv", "cache", "overload"} {
+		if keys[k] != nil {
+			t.Errorf("cluster state merges %s across replicas: %s", k, keys[k])
+		}
 	}
 }
 
@@ -167,8 +179,42 @@ func TestClusterStatusNotFoundInSingleMode(t *testing.T) {
 	gw := gateway.New(gateway.Config{}, stubResolver(stubCost{}))
 	srv := httptest.NewServer(NewServer(gw).Handler())
 	t.Cleanup(srv.Close)
-	resp, body := doOn(t, srv, http.MethodGet, "/v1/cluster", "")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("single-mode /v1/cluster status = %d (%s), want 404", resp.StatusCode, body)
+	if _, keys := debugState(t, srv); keys["cluster"] != nil {
+		t.Fatalf("single-mode state carries cluster %s", keys["cluster"])
+	}
+}
+
+// TestClusterStateReportsReplicaKV: every replica governs its own KV
+// pool, and the state document shows the serving replica's lane.
+func TestClusterStateReportsReplicaKV(t *testing.T) {
+	srv, _ := clusterServerWith(t, 2, func() gateway.Config {
+		return gateway.Config{Governor: govern.New(govern.Config{Specs: PoolSpecResolver(16, 0)})}
+	})
+	resp, body := doOn(t, srv, http.MethodPost, "/v1/generate",
+		`{"platform":"spr","model":"OPT-13B","in":16,"out":2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	served := resp.Header.Get("X-Replica-ID")
+	doc, keys := debugState(t, srv)
+	if doc.Cluster == nil {
+		t.Fatalf("no cluster state: %v", keys)
+	}
+	found := false
+	for _, rs := range doc.Cluster.Replicas {
+		if rs.Gateway == nil || rs.Gateway.KV == nil {
+			t.Fatalf("replica %s reports no kv state: %s", rs.ID, keys["cluster"])
+		}
+		if rs.ID != served {
+			continue
+		}
+		found = true
+		lanes := rs.Gateway.KV.Lanes
+		if len(lanes) != 1 || lanes[0].Allocations < 1 {
+			t.Errorf("serving replica %s kv lanes %+v, want one lane with allocations >= 1", served, lanes)
+		}
+	}
+	if !found {
+		t.Errorf("serving replica %q not in the cluster state: %s", served, keys["cluster"])
 	}
 }

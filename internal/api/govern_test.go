@@ -3,10 +3,9 @@ package api
 // govern_test.go covers the HTTP surface of KV-memory governance: the
 // memory-pressure 503 with a derived Retry-After, readiness flipping
 // while shedding, per-client quota rejections, structural never-fits
-// rejections, and the /v1/kv status endpoint.
+// rejections, and the kv section of GET /v1/debug/state.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -85,17 +84,10 @@ func TestMemoryPressure503AndReadyz(t *testing.T) {
 		t.Errorf("/readyz code %q, want %q", code, CodeMemoryPressure)
 	}
 
-	// /v1/kv reports the pressure while it lasts.
-	resp, body = doOn(t, srv, http.MethodGet, "/v1/kv", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/kv status %d: %s", resp.StatusCode, body)
-	}
-	var st govern.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Shedding || len(st.Lanes) != 1 || st.Lanes[0].FreeBlocks != 2 {
-		t.Errorf("/v1/kv under pressure: %s", body)
+	// The state document's kv section reports the pressure while it lasts.
+	doc, keys := debugState(t, srv)
+	if st := doc.KV; st == nil || !st.Shedding || len(st.Lanes) != 1 || st.Lanes[0].FreeBlocks != 2 {
+		t.Errorf("kv state under pressure: %s", keys["kv"])
 	}
 
 	// Releasing the hoard drops utilization below the low watermark:
@@ -161,16 +153,14 @@ func TestNeverFits422OverHTTP(t *testing.T) {
 	}
 }
 
+// TestKVEndpointWithoutGovernor: without a governor the state document
+// still answers 200, with no kv key.
 func TestKVEndpointWithoutGovernor(t *testing.T) {
 	gw := gateway.New(gateway.Config{}, stubResolver(stubCost{}))
 	srv := httptest.NewServer(NewServer(gw).Handler())
 	defer srv.Close()
-	resp, body := doOn(t, srv, http.MethodGet, "/v1/kv", "")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404: %s", resp.StatusCode, body)
-	}
-	if code, _ := errEnvelope(t, body); code != CodeNotFound {
-		t.Errorf("code %q, want %q", code, CodeNotFound)
+	if _, keys := debugState(t, srv); keys["kv"] != nil {
+		t.Errorf("ungoverned gateway reports kv %s", keys["kv"])
 	}
 }
 

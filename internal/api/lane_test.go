@@ -84,19 +84,15 @@ func TestServingLaneKey(t *testing.T) {
 	}
 }
 
-// kvLanes returns the lanes GET /v1/kv reports.
+// kvLanes returns the lanes the state document's kv section reports.
 func kvLanes(t *testing.T, srv *httptest.Server) []string {
 	t.Helper()
-	resp, body := doOn(t, srv, http.MethodGet, "/v1/kv", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/kv status %d: %s", resp.StatusCode, body)
-	}
-	var st govern.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
+	doc, keys := debugState(t, srv)
+	if doc.KV == nil {
+		t.Fatalf("governed gateway reports no kv state: %v", keys)
 	}
 	var lanes []string
-	for _, l := range st.Lanes {
+	for _, l := range doc.KV.Lanes {
 		lanes = append(lanes, l.Lane)
 	}
 	return lanes

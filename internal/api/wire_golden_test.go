@@ -5,8 +5,9 @@ package api
 // streamed with include_usage) on an analytic lane and on a tiny-* engine
 // lane, a prefix-cache hit, seeded speculation, cluster attribution, the
 // brownout header, every error code with its Retry-After / Allow headers,
-// the mid-stream error envelope, and the /v1/simulate, /v1/autotune and
-// /v1/platforms bodies. Only volatile values are masked (see mask);
+// the mid-stream error envelope, the /v1/simulate, /v1/autotune and
+// /v1/platforms bodies, and GET /v1/debug/state after a group's traffic.
+// Only volatile values are masked (see mask);
 // modeled values on analytic lanes stay exact. `make wire-golden`
 // rewrites testdata/wire.txt (on purpose only).
 
@@ -24,10 +25,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/gateway"
 	"repro/internal/govern"
+	"repro/internal/overload"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/wire.txt from the current responses")
@@ -49,14 +53,6 @@ type wireGroup struct {
 	backend func(t *testing.T) Backend
 	calls   []exchange
 }
-
-// brownoutBackend is a scripted backend reporting a fixed brownout level.
-type brownoutBackend struct {
-	scriptedBackend
-	level int
-}
-
-func (b brownoutBackend) BrownoutLevel() int { return b.level }
 
 // newGateway returns a gateway on resolve, shut down when the test ends.
 func newGateway(t *testing.T, cfg gateway.Config, resolve gateway.Resolver) *gateway.Gateway {
@@ -109,6 +105,25 @@ func surfaces(prefix, gen, chat, compl string, engine bool) []exchange {
 
 func post(name, path, body string, header ...string) exchange {
 	return exchange{name: name, path: path, body: body, header: header}
+}
+
+// state reads the operator state document.
+var state = exchange{name: "state", method: http.MethodGet, path: "/v1/debug/state"}
+
+// browned returns a gateway whose overload ladder stands at level: a
+// load spike climbs it one rung per sample, then the spike is disarmed
+// and the hour-long StepDown holds the rung for the test.
+func browned(t *testing.T, level int) *gateway.Gateway {
+	inj := faults.New(1)
+	if err := inj.Arm(faults.Rule{Class: faults.LoadSpike, Site: "overload", Fraction: 1}); err != nil {
+		t.Fatal(err)
+	}
+	gw := newGateway(t, gateway.Config{Injector: inj,
+		Overload: &overload.Config{StepUp: time.Nanosecond, StepDown: time.Hour}}, stubResolver(stubCost{}))
+	for gw.BrownoutLevel() < level {
+	}
+	inj.Disarm()
+	return gw
 }
 
 func wireGroups() []wireGroup {
@@ -238,6 +253,7 @@ func wireGroups() []wireGroup {
 		post("autotune negative top", "/v1/autotune", `{"model":"OPT-13B","top":-1}`),
 		exchange{name: "autotune GET", method: http.MethodGet, path: "/v1/autotune?model=OPT-13B"},
 		exchange{name: "platforms", method: http.MethodGet, path: "/v1/platforms"},
+		state,
 	)
 
 	tinyOpen := `{"platform":"tiny-opt","in":16,"out":4`
@@ -269,6 +285,7 @@ func wireGroups() []wireGroup {
 		post("completions cold", "/v1/completions", `{"model":"OPT-13B","max_tokens":2,"prompt":"`+strings.Repeat("d", 300)+`"}`),
 		post("completions hit", "/v1/completions", `{"model":"OPT-13B","max_tokens":2,"prompt":"`+strings.Repeat("d", 300)+`!"}`),
 		post("generate never fits", "/v1/generate", `{"platform":"spr","model":"OPT-13B","in":100000,"out":2}`),
+		state,
 	}
 
 	spec := []exchange{
@@ -287,13 +304,14 @@ func wireGroups() []wireGroup {
 		post("generate stream", "/v1/generate", genBody+withStream+`}`),
 		post("chat", "/v1/chat/completions", chatBody+`}`),
 		post("completions stream", "/v1/completions", complBody+withStream+`}`),
-		exchange{name: "kv status in cluster mode", method: http.MethodGet, path: "/v1/kv"},
+		state,
 	}
 
 	brownout := []exchange{
 		post("generate", "/v1/generate", genBody+`}`),
 		post("generate stream", "/v1/generate", genBody+withStream+`}`),
 		post("chat", "/v1/chat/completions", chatBody+`}`),
+		state,
 	}
 
 	groups := []wireGroup{
@@ -310,7 +328,8 @@ func wireGroups() []wireGroup {
 		{"cluster", func(t *testing.T) Backend {
 			r, err := cluster.New(cluster.Config{Replicas: 2,
 				Factory: func(id string) (*gateway.Gateway, error) {
-					return gateway.New(gateway.Config{}, LaneResolver()), nil
+					gov := govern.New(govern.Config{Specs: PoolSpecResolver(16, 0)})
+					return gateway.New(gateway.Config{Governor: gov}, LaneResolver()), nil
 				}})
 			if err != nil {
 				t.Fatal(err)
@@ -319,15 +338,14 @@ func wireGroups() []wireGroup {
 			return r
 		}, clustered},
 		{"brownout", func(t *testing.T) Backend {
-			gw := newGateway(t, gateway.Config{}, stubResolver(stubCost{}))
-			return brownoutBackend{scriptedBackend{gw, func(sink gateway.TokenSink) (gateway.Result, error) {
+			return scriptedBackend{browned(t, 2), func(sink gateway.TokenSink) (gateway.Result, error) {
 				for i := 0; i < 2 && sink != nil; i++ {
 					sink(gateway.TokenEvent{Index: i, Batch: 1, VTime: 0.25 * float64(i+1), Final: i == 1})
 				}
 				return gateway.Result{Lane: "spr|OPT-13B|0||", InputLen: 64, OutputLen: 2,
 					TTFTSeconds: 0.25, TPOTSeconds: 0.25, E2ESeconds: 0.5, BatchAtAdmission: 1,
 					TokensPerSecond: 4, FinishReason: "brownout"}, nil
-			}}, 2}
+			}}
 		}, brownout},
 	}
 
@@ -355,13 +373,13 @@ func wireGroups() []wireGroup {
 
 var (
 	maskIDs      = regexp.MustCompile(`"(id|trace_id)":"[^"]*"`)
-	maskTimes    = regexp.MustCompile(`"(created|wall_s|queue_s)":-?[0-9][0-9.eE+-]*`)
+	maskTimes    = regexp.MustCompile(`"(created|wall_s|queue_s|latency_ewma_ms|ttft_ewma_ms)":-?[0-9][0-9.eE+-]*`)
 	maskEngine   = regexp.MustCompile(`"(ttft_s|tpot_s|e2e_s|tokens_per_second|vtime_s|prefill_saved_s)":-?[0-9][0-9.eE+-]*`)
 	maskDuration = regexp.MustCompile(`dur=[0-9.]+`)
 )
 
 // mask replaces what varies between runs: ids, timestamps, wall-clock
-// seconds, and (engine set) the values a tiny-* lane times on the host.
+// seconds and latency averages, and (engine set) the values a tiny-* lane times on the host.
 func mask(body string, engine bool) string {
 	body = maskIDs.ReplaceAllString(body, `"$1":"<id>"`)
 	body = maskTimes.ReplaceAllString(body, `"$1":<t>`)

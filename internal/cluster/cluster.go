@@ -35,8 +35,8 @@
 //     compute is accounted in cluster metrics.
 //
 // Every routing decision is observable: per-replica cluster_* metrics,
-// route/failover/hedge trace spans on the request's trace, and a
-// Snapshot served by the API at GET /v1/cluster.
+// route/failover/hedge trace spans on the request's trace, and the
+// State document the API serves at GET /v1/debug/state.
 package cluster
 
 import (
@@ -51,9 +51,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/gateway"
-	"repro/internal/govern"
 	"repro/internal/metrics"
-	"repro/internal/overload"
 	"repro/internal/trace"
 )
 
@@ -369,47 +367,27 @@ func (r *Router) Logger() *slog.Logger { return r.log }
 // Injector exposes the shared fault injector (for /v1/admin/faults).
 func (r *Router) Injector() *faults.Injector { return r.inj }
 
-// Governor returns nil: per-replica KV governance is reported per
-// replica in Snapshot (GET /v1/cluster) rather than as one pool.
-func (r *Router) Governor() *govern.Governor { return nil }
-
-// CacheSnapshot aggregates prefix-cache state across replicas (GET
-// /v1/cache under a cluster backend). Lanes are namespaced "rN/lane" so
-// per-replica trees stay distinguishable; Enabled reports whether any
-// replica caches.
-func (r *Router) CacheSnapshot() govern.CacheStatus {
-	var st govern.CacheStatus
-	for _, rep := range r.replicas {
-		cs := rep.gateway().CacheSnapshot()
-		if !cs.Enabled {
-			continue
-		}
-		st.Enabled = true
-		st.Nodes += cs.Nodes
-		st.RetainedBlocks += cs.RetainedBlocks
-		st.Hits += cs.Hits
-		st.Misses += cs.Misses
-		st.HitTokens += cs.HitTokens
-		st.Evictions += cs.Evictions
-		for _, lane := range cs.Lanes {
-			lane.Lane = rep.id + "/" + lane.Lane
-			st.Lanes = append(st.Lanes, lane)
-		}
+// State is the cluster's operator state document (GET
+// /v1/debug/state): the routing Snapshot with each replica's own
+// gateway State nested in its entry. Nothing is merged across replicas.
+func (r *Router) State() gateway.State {
+	st := r.Snapshot()
+	for i, rep := range r.replicas {
+		gs := rep.gateway().State()
+		st.Replicas[i].Gateway = &gs
 	}
-	if n := st.Hits + st.Misses; n > 0 {
-		st.HitRate = float64(st.Hits) / float64(n)
-	}
-	return st
+	return gateway.State{Cluster: st}
 }
 
 // FlushCache flushes every replica's prefix cache and returns the total
-// number of KV blocks released.
-func (r *Router) FlushCache() int {
-	released := 0
+// number of KV blocks released; ok is false when no replica caches.
+func (r *Router) FlushCache() (released int, ok bool) {
 	for _, rep := range r.replicas {
-		released += rep.gateway().FlushCache()
+		n, caches := rep.gateway().FlushCache()
+		released += n
+		ok = ok || caches
 	}
-	return released
+	return released, ok
 }
 
 // Draining reports whether Shutdown has begun.
@@ -478,46 +456,6 @@ func (r *Router) BrownoutLevel() int {
 		return max
 	}
 	return min
-}
-
-// OverloadStatus aggregates overload control across replicas (GET
-// /v1/overload under a cluster backend): the worst brownout level and
-// pressure, summed concurrency capacity and per-class counters. The
-// per-replica breakdown lives at GET /v1/cluster.
-func (r *Router) OverloadStatus() overload.Status {
-	var agg overload.Status
-	for _, rep := range r.replicas {
-		st := rep.gateway().OverloadStatus()
-		if !st.Enabled {
-			continue
-		}
-		if !agg.Enabled {
-			agg = st
-			continue
-		}
-		if st.BrownoutLevel > agg.BrownoutLevel {
-			agg.BrownoutLevel = st.BrownoutLevel
-			agg.Actions = st.Actions
-		}
-		if st.Pressure > agg.Pressure {
-			agg.Pressure = st.Pressure
-		}
-		agg.Limit += st.Limit
-		agg.Inflight += st.Inflight
-		agg.BrownoutSteps += st.BrownoutSteps
-		for i := range agg.Classes {
-			if i >= len(st.Classes) {
-				break
-			}
-			agg.Classes[i].Admitted += st.Classes[i].Admitted
-			agg.Classes[i].Limited += st.Classes[i].Limited
-			agg.Classes[i].Shed += st.Classes[i].Shed
-			if st.Classes[i].TTFTEWMAMs > agg.Classes[i].TTFTEWMAMs {
-				agg.Classes[i].TTFTEWMAMs = st.Classes[i].TTFTEWMAMs
-			}
-		}
-	}
-	return agg
 }
 
 // RetryAfterSeconds aggregates the backpressure hint across replicas:
@@ -693,7 +631,7 @@ func isClosed(ch chan struct{}) bool {
 
 // Snapshot ------------------------------------------------------------
 
-// ReplicaStatus is one replica's observable state (GET /v1/cluster).
+// ReplicaStatus is one replica's routing and health state.
 type ReplicaStatus struct {
 	ID                string  `json:"id"`
 	Weight            int     `json:"weight"`
@@ -703,19 +641,17 @@ type ReplicaStatus struct {
 	ConsecutiveErrors int     `json:"consecutive_errors,omitempty"`
 	Served            uint64  `json:"served"`
 	Failed            uint64  `json:"failed,omitempty"`
-	KVUtilization     float64 `json:"kv_utilization,omitempty"`
 	Shedding          bool    `json:"shedding,omitempty"`
 	// BrownoutLevel is the replica's degradation-ladder rung (0 nominal);
 	// routing policies steer interactive traffic away from non-zero rungs.
 	BrownoutLevel int `json:"brownout_level,omitempty"`
-	// Prefix-cache effectiveness on this replica, omitted while caching
-	// is disabled. The full per-lane breakdown lives at GET /v1/cache.
-	CacheHitRate        float64 `json:"cache_hit_rate,omitempty"`
-	CacheRetainedBlocks int     `json:"cache_retained_blocks,omitempty"`
-	CacheHitTokens      uint64  `json:"cache_hit_tokens,omitempty"`
+	// Gateway is the replica's own operator state (KV pools, prefix
+	// cache, overload control); State fills it, Snapshot leaves it nil.
+	Gateway *gateway.State `json:"gateway,omitempty"`
 }
 
-// Status is the router's observable state (GET /v1/cluster).
+// Status is the router's observable state, served by State at GET
+// /v1/debug/state.
 type Status struct {
 	Policy               string          `json:"policy"`
 	Healthy              int             `json:"healthy"`
@@ -751,14 +687,8 @@ func (r *Router) Snapshot() Status {
 		}
 		rep.mu.Unlock()
 		rs.QueueDepth = gw.QueueDepth()
-		rs.KVUtilization = kvUtilization(gw)
 		rs.Shedding = gw.MemoryPressure()
 		rs.BrownoutLevel = gw.BrownoutLevel()
-		if cs := gw.CacheSnapshot(); cs.Enabled {
-			rs.CacheHitRate = cs.HitRate
-			rs.CacheRetainedBlocks = cs.RetainedBlocks
-			rs.CacheHitTokens = cs.HitTokens
-		}
 		if state == healthy || state == halfOpen {
 			st.Healthy++
 		}

@@ -505,7 +505,8 @@ func (g *Gateway) Logger() *slog.Logger { return g.log }
 func (g *Gateway) Injector() *faults.Injector { return g.inj }
 
 // Governor exposes the gateway's KV-memory governor (nil when memory
-// governance is disabled); the API layer serves its snapshot at /v1/kv.
+// governance is disabled); the cluster router reads its pool
+// utilization when scoring replicas.
 func (g *Gateway) Governor() *govern.Governor { return g.gov }
 
 // MemoryPressure reports whether the gateway should be steered around:
@@ -515,13 +516,47 @@ func (g *Gateway) Governor() *govern.Governor { return g.gov }
 // 429s is as unready as one out of KV, even though its pool is healthy.
 func (g *Gateway) MemoryPressure() bool { return g.gov.Shedding() || g.Saturated() }
 
-// CacheSnapshot exposes the governor's prefix-cache status (for
-// GET /v1/cache). Disabled without a governor.
-func (g *Gateway) CacheSnapshot() govern.CacheStatus { return g.gov.CacheSnapshot() }
+// State is the operator state document (GET /v1/debug/state): the KV
+// governor's pools, the prefix cache and the overload controller. A
+// feature that is off is omitted. A cluster router fills only Cluster,
+// with its routing state and each replica's own State nested in it.
+type State struct {
+	KV       *govern.Status      `json:"kv,omitempty"`
+	Cache    *govern.CacheStatus `json:"cache,omitempty"`
+	Overload *overload.Status    `json:"overload,omitempty"`
+	Cluster  any                 `json:"cluster,omitempty"`
+}
+
+// State reports the gateway's operator state. Like BrownoutLevel it
+// first feeds the overload ladder a fresh pressure sample, so the rung
+// reported is the one the next admission will see.
+func (g *Gateway) State() State {
+	var st State
+	if g.ctl != nil {
+		g.BrownoutLevel()
+		ov := g.ctl.Snapshot()
+		st.Overload = &ov
+	}
+	if g.gov != nil {
+		kv := g.gov.Snapshot()
+		st.KV = &kv
+	}
+	if g.gov.CacheEnabled() {
+		cs := g.gov.CacheSnapshot()
+		st.Cache = &cs
+	}
+	return st
+}
 
 // FlushCache drops every unpinned prefix-cache entry across lanes and
-// returns the number of KV blocks released (POST /v1/admin/cache/flush).
-func (g *Gateway) FlushCache() int { return g.gov.FlushCache() }
+// returns the number of KV blocks released; ok is false when the
+// gateway does not cache (POST /v1/admin/cache/flush).
+func (g *Gateway) FlushCache() (released int, ok bool) {
+	if !g.gov.CacheEnabled() {
+		return 0, false
+	}
+	return g.gov.FlushCache(), true
+}
 
 // Draining reports whether Shutdown has begun (for /readyz).
 func (g *Gateway) Draining() bool {

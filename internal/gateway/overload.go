@@ -3,7 +3,7 @@ package gateway
 // overload.go wires the overload controller (internal/overload) into
 // the admission path: the pressure signal that drives the brownout
 // ladder, class-ordered queue eviction, sustained-saturation readiness,
-// and the snapshot surface behind GET /v1/overload. The controller
+// and the sample behind the overload section of State. The controller
 // itself is evaluated lazily — every admission, scheduler pass and
 // status query feeds it a fresh pressure sample — so the ladder climbs
 // under live load and steps back down when probes or queries observe
@@ -142,18 +142,4 @@ func (g *Gateway) BrownoutLevel() int {
 	g.mu.Unlock()
 	g.runOverloadActions(flush)
 	return level
-}
-
-// OverloadStatus samples pressure, advances the ladder and returns the
-// controller's observable state (GET /v1/overload). The zero Status
-// (Enabled false) means overload control is off.
-func (g *Gateway) OverloadStatus() overload.Status {
-	if g.ctl == nil {
-		return overload.Status{}
-	}
-	g.mu.Lock()
-	_, flush := g.overloadEvalLocked(time.Now())
-	g.mu.Unlock()
-	g.runOverloadActions(flush)
-	return g.ctl.Snapshot()
 }

@@ -407,7 +407,8 @@ type LaneStatus struct {
 	Preemptions     int     `json:"preemptions"`
 }
 
-// Status is the governor's observable state (GET /v1/kv).
+// Status is the governor's observable state (the kv section of GET
+// /v1/debug/state).
 type Status struct {
 	Mode          string         `json:"mode"`
 	HighWatermark float64        `json:"high_watermark"`
@@ -465,7 +466,8 @@ func (g *Governor) Snapshot() Status {
 // CacheEnabled reports whether lanes carry prefix-cache trees. Nil-safe.
 func (g *Governor) CacheEnabled() bool { return g != nil && g.cfg.EnableCache }
 
-// CacheLaneStatus is one lane's prefix-cache snapshot (GET /v1/cache).
+// CacheLaneStatus is one lane's prefix-cache snapshot (the cache
+// section of GET /v1/debug/state).
 type CacheLaneStatus struct {
 	Lane string `json:"lane"`
 	prefixcache.Stats

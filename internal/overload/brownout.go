@@ -33,7 +33,7 @@ const (
 )
 
 // Actions lists the degradations active at a ladder level, most recent
-// rung first (for /v1/overload and logs).
+// rung first (for GET /v1/debug/state and logs).
 func Actions(level int) []string {
 	var acts []string
 	if level >= LevelShedBatch {

@@ -272,7 +272,7 @@ func (c *Controller) NoteShed(cls Class) {
 }
 
 // Snapshot reports the controller's observable state for GET
-// /v1/overload. It does not advance the ladder; callers that can
+// /v1/debug/state. It does not advance the ladder; callers that can
 // compute a live pressure sample should Evaluate first.
 func (c *Controller) Snapshot() Status {
 	if c == nil {
@@ -314,7 +314,8 @@ func (c *Controller) capFor(cls Class) int {
 	return 0
 }
 
-// Status is the observable controller state (GET /v1/overload).
+// Status is the observable controller state (the overload section of
+// GET /v1/debug/state).
 type Status struct {
 	Enabled       bool          `json:"enabled"`
 	BrownoutLevel int           `json:"brownout_level"`
