@@ -288,3 +288,16 @@ func TestStreamDisconnectFreesKVOverHTTP(t *testing.T) {
 	st = gov.Snapshot()
 	t.Fatalf("KV blocks not reclaimed after disconnect: %+v", st.Lanes)
 }
+
+func TestEndpointIndexListsStreamingEndpoints(t *testing.T) {
+	srv := streamServer(t)
+	resp, body := doOn(t, srv, http.MethodGet, "/v1/", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	for _, want := range []string{"/v1/chat/completions", "/v1/completions", "stream"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("index missing %q", want)
+		}
+	}
+}
