@@ -9,13 +9,11 @@ package main
 // deterministic and independent of -timescale.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/workload"
@@ -32,19 +30,19 @@ type chatResult struct {
 
 // loadChat runs the chatbot A/B measurement. Sessions replay
 // sequentially within themselves (turn t+1 needs turn t's context) and
-// concurrently across each other, bounded by concurrency.
-func loadChat(stdout io.Writer, base, platform, modelName string, in, out, sessions, turns, sysTokens, concurrency int, seed int64) {
+// concurrently across each other, one per client.
+func loadChat(stdout io.Writer, r *runner, in, out, sessions, turns, sysTokens int, seed int64) {
 	g := workload.NewGenerator(seed)
 	g.MeanInputLen, g.MeanOutputLen = in, out
 	trace := workload.BySession(g.ChatSessions(sessions, turns, sysTokens))
 	total := sessions * turns
 
 	fmt.Fprintf(stdout, "chat: %d sessions x %d turns to %s/v1/generate (%s/%s, system=%d user~%d out~%d), %d clients\n",
-		sessions, turns, base, platform, modelName, sysTokens, in, out, concurrency)
+		sessions, turns, r.base, r.platform, r.model, sysTokens, in, out, r.clients)
 
-	off := replayChat(base, platform, modelName, trace, concurrency, false)
-	flushCache(base)
-	on := replayChat(base, platform, modelName, trace, concurrency, true)
+	off := r.replayChat(trace, map[string]bool{"enabled": false})
+	r.flushCache()
+	on := r.replayChat(trace, nil)
 
 	fmt.Fprintf(stdout, "  cache off  : %d ok, %d failed, prefill %.3fs (modeled)\n",
 		off.ok, off.failed, off.prefillSeconds)
@@ -58,126 +56,86 @@ func loadChat(stdout io.Writer, base, platform, modelName string, in, out, sessi
 		on.hits, total, hitRate, on.cachedTokens)
 	fmt.Fprintf(stdout, "  saved      : %.3fs prefill compute per the platform cost model\n", on.savedSeconds)
 	if off.prefillSeconds > 0 {
-		red := 100 * (1 - on.prefillSeconds/off.prefillSeconds)
-		fmt.Fprintf(stdout, "  prefill_reduction=%.1f%% (cache on vs off)\n", red)
+		fmt.Fprintf(stdout, "  prefill_reduction=%.1f%% (cache on vs off)\n", 100*(1-on.prefillSeconds/off.prefillSeconds))
 	}
-	printServerCacheStatus(stdout, base)
+	r.printServerCacheStatus(stdout)
 }
 
-// replayChat replays the per-session trace once and aggregates results.
-func replayChat(base string, platform, modelName string, trace [][]workload.PrefixRequest, concurrency int, cacheOn bool) chatResult {
-	client := &http.Client{Timeout: 5 * time.Minute}
-	var mu sync.Mutex
-	var agg chatResult
-	sem := make(chan struct{}, concurrency)
-	var wg sync.WaitGroup
-	for _, session := range trace {
-		wg.Add(1)
-		go func(session []workload.PrefixRequest) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			for _, r := range session {
-				body := map[string]any{
-					"platform": platform, "model": modelName,
-					"in": r.InputLen, "out": r.OutputLen,
-					"prefix_group": r.Group, "prefix_tokens": r.SharedTokens,
-				}
-				if !cacheOn {
-					body["cache"] = map[string]any{"enabled": false}
-				}
-				buf, _ := json.Marshal(body) // strings, ints and bools always marshal
-				resp, err := client.Post(base+"/v1/generate", "application/json", bytes.NewReader(buf))
-				if err != nil {
-					mu.Lock()
-					agg.failed++
-					mu.Unlock()
-					continue
-				}
-				var res struct {
-					QueueSeconds        float64 `json:"queue_s"`
-					TTFTSeconds         float64 `json:"ttft_s"`
-					CachedTokens        int     `json:"cached_tokens"`
-					PrefillSavedSeconds float64 `json:"prefill_saved_s"`
-				}
-				decodeErr := json.NewDecoder(resp.Body).Decode(&res)
-				hdr := resp.Header.Get("X-Prefix-Cache")
-				resp.Body.Close()
-				mu.Lock()
-				if resp.StatusCode != http.StatusOK || decodeErr != nil {
-					agg.failed++
-				} else {
-					agg.ok++
-					if p := res.TTFTSeconds - res.QueueSeconds; p > 0 {
-						agg.prefillSeconds += p
-					}
-					if res.CachedTokens > 0 || strings.HasPrefix(hdr, "hit") {
-						agg.hits++
-						agg.cachedTokens += res.CachedTokens
-						agg.savedSeconds += res.PrefillSavedSeconds
-					}
-				}
-				mu.Unlock()
-			}
-		}(session)
+// replayChat replays the per-session trace once, one session per job of
+// the closed loop, with cache as each request's cache option, and
+// aggregates the results.
+func (r *runner) replayChat(trace [][]workload.PrefixRequest, cache map[string]bool) chatResult {
+	jobs := make([][]request, len(trace))
+	for i, session := range trace {
+		for _, p := range session {
+			jobs[i] = append(jobs[i], request{In: p.InputLen, Out: p.OutputLen,
+				PrefixGroup: p.Group, PrefixTokens: p.SharedTokens, Cache: cache})
+		}
 	}
-	wg.Wait()
+	outs := r.closedLoop(jobs, time.Time{})
+	var agg chatResult
+	for _, o := range outs {
+		if !o.ok() {
+			agg.failed++
+			continue
+		}
+		agg.ok++
+		if p := o.TTFTSeconds - o.QueueSeconds; p > 0 {
+			agg.prefillSeconds += p
+		}
+		if o.CachedTokens > 0 || strings.HasPrefix(o.PrefixCache, "hit") {
+			agg.hits++
+			agg.cachedTokens += o.CachedTokens
+			agg.savedSeconds += o.PrefillSavedSeconds
+		}
+	}
 	return agg
 }
 
 // flushCache resets the server's prefix cache between the A and B passes
 // so the enabled pass starts cold. A 404 (caching disabled server-side)
 // is tolerated; the B pass will simply score zero hits.
-func flushCache(base string) {
-	resp, err := http.Post(base+"/v1/admin/cache/flush", "application/json", nil)
-	if err == nil {
+func (r *runner) flushCache() {
+	if resp, err := r.client.Post(r.base+"/v1/admin/cache/flush", "application/json", nil); err == nil {
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 }
 
-// cacheStatus is the part of a gateway's prefix-cache state the chat
-// report prints; gatewayState holds it (nil while caching is off).
-type cacheStatus struct {
-	Hits, Misses, Evictions uint64
-	HitTokens               uint64 `json:"hit_tokens"`
-	RetainedBlocks          int    `json:"retained_blocks"`
-}
-type gatewayState struct{ Cache *cacheStatus }
-
 // printServerCacheStatus corroborates the client-side tallies with the
 // cache section of the server's GET /v1/debug/state, summed over the
-// replicas when the server runs a cluster.
-func printServerCacheStatus(stdout io.Writer, base string) {
-	resp, err := http.Get(base + "/v1/debug/state")
+// replicas when the server runs a cluster; silent while caching is off.
+func (r *runner) printServerCacheStatus(stdout io.Writer) {
+	resp, err := r.client.Get(r.base + "/v1/debug/state")
 	if err != nil {
 		return
 	}
 	defer resp.Body.Close()
+	type cacheStatus struct {
+		Hits, Misses, Evictions uint64
+		HitTokens               uint64 `json:"hit_tokens"`
+		RetainedBlocks          int    `json:"retained_blocks"`
+	}
 	var st struct {
-		gatewayState
-		Cluster *struct {
-			Replicas []struct{ Gateway gatewayState }
+		Cache   *cacheStatus
+		Cluster struct {
+			Replicas []struct{ Gateway struct{ Cache *cacheStatus } }
 		}
 	}
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
 		return
 	}
-	states := []gatewayState{st.gatewayState}
-	if st.Cluster != nil {
-		for _, r := range st.Cluster.Replicas {
-			states = append(states, r.Gateway)
-		}
+	caches := []*cacheStatus{st.Cache}
+	for _, r := range st.Cluster.Replicas {
+		caches = append(caches, r.Gateway.Cache)
 	}
 	var sum cacheStatus
 	caching := false
-	for _, g := range states {
-		if c := g.Cache; c != nil {
+	for _, c := range caches {
+		if c != nil {
 			caching = true
-			sum.Hits += c.Hits
-			sum.Misses += c.Misses
-			sum.Evictions += c.Evictions
-			sum.HitTokens += c.HitTokens
-			sum.RetainedBlocks += c.RetainedBlocks
+			sum.Hits, sum.Misses, sum.Evictions = sum.Hits+c.Hits, sum.Misses+c.Misses, sum.Evictions+c.Evictions
+			sum.HitTokens, sum.RetainedBlocks = sum.HitTokens+c.HitTokens, sum.RetainedBlocks+c.RetainedBlocks
 		}
 	}
 	if !caching {
