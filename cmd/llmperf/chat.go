@@ -35,7 +35,6 @@ func loadChat(stdout io.Writer, r *runner, in, out, sessions, turns, sysTokens i
 	g := workload.NewGenerator(seed)
 	g.MeanInputLen, g.MeanOutputLen = in, out
 	trace := workload.BySession(g.ChatSessions(sessions, turns, sysTokens))
-	total := sessions * turns
 
 	fmt.Fprintf(stdout, "chat: %d sessions x %d turns to %s/v1/generate (%s/%s, system=%d user~%d out~%d), %d clients\n",
 		sessions, turns, r.base, r.platform, r.model, sysTokens, in, out, r.clients)
@@ -48,12 +47,8 @@ func loadChat(stdout io.Writer, r *runner, in, out, sessions, turns, sysTokens i
 		off.ok, off.failed, off.prefillSeconds)
 	fmt.Fprintf(stdout, "  cache on   : %d ok, %d failed, prefill %.3fs (modeled)\n",
 		on.ok, on.failed, on.prefillSeconds)
-	hitRate := 0.0
-	if on.ok > 0 {
-		hitRate = float64(on.hits) / float64(on.ok)
-	}
 	fmt.Fprintf(stdout, "  cache hits : %d/%d (hit_rate=%.2f), %d prompt tokens served from cache\n",
-		on.hits, total, hitRate, on.cachedTokens)
+		on.hits, on.ok, float64(on.hits)/float64(max(on.ok, 1)), on.cachedTokens)
 	fmt.Fprintf(stdout, "  saved      : %.3fs prefill compute per the platform cost model\n", on.savedSeconds)
 	if off.prefillSeconds > 0 {
 		fmt.Fprintf(stdout, "  prefill_reduction=%.1f%% (cache on vs off)\n", 100*(1-on.prefillSeconds/off.prefillSeconds))
