@@ -65,7 +65,8 @@ chaos-cluster:
 
 # End-to-end tracing demo: boot llmperfd, drive it with the llmperf load
 # generator, print the server-side phase-breakdown table (parsed from
-# Server-Timing headers) and a retained trace, then shut down.
+# Server-Timing headers) and a retained trace, then shut down. Fails
+# without the table or without a trace in /v1/traces?limit=1.
 TRACE_DEMO_ADDR ?= 127.0.0.1:18080
 trace-demo:
 	$(GO) build -o /tmp/llmperfd-demo ./cmd/llmperfd
@@ -73,9 +74,14 @@ trace-demo:
 	/tmp/llmperfd-demo -addr $(TRACE_DEMO_ADDR) -timescale 0.02 & \
 	pid=$$!; sleep 1; \
 	/tmp/llmperf-demo -url http://$(TRACE_DEMO_ADDR) -n 32 -concurrency 8 \
-	    -model OPT-13B -in 128 -out 8; st=$$?; \
+	    -model OPT-13B -in 128 -out 8 > /tmp/trace-demo.out; st=$$?; \
+	cat /tmp/trace-demo.out; \
+	grep -q 'server-side phase breakdown' /tmp/trace-demo.out \
+	    || { echo "trace-demo FAILED: no server-side phase breakdown table"; st=1; }; \
 	echo; echo "=== one retained trace ==="; \
-	curl -s "http://$(TRACE_DEMO_ADDR)/v1/traces?limit=1"; echo; \
+	body=$$(curl -s "http://$(TRACE_DEMO_ADDR)/v1/traces?limit=1"); echo "$$body"; \
+	echo "$$body" | grep -q '"count":1' \
+	    || { echo "trace-demo FAILED: /v1/traces?limit=1 returned no trace"; st=1; }; \
 	kill $$pid; wait $$pid 2>/dev/null; exit $$st
 
 # KV-governance demo: boot llmperfd with a deliberately tiny KV budget
@@ -83,7 +89,7 @@ trace-demo:
 # so the phase table shows preemption-by-recompute ("preempted" rows),
 # the status counts show watermark shedding (HTTP 503), and the final
 # /v1/debug/state + /readyz probes show the pool fully free and serving
-# recovered.
+# recovered. Fails unless /readyz answers 200 after the wave.
 MEMDEMO_ADDR ?= 127.0.0.1:18081
 memdemo:
 	$(GO) build -o /tmp/llmperfd-memdemo ./cmd/llmperfd
@@ -94,7 +100,9 @@ memdemo:
 	    -model OPT-13B -in 128 -out 16; st=$$?; \
 	echo; echo "=== KV governance after the wave ==="; \
 	curl -s "http://$(MEMDEMO_ADDR)/v1/debug/state"; echo; \
-	curl -s -o /dev/null -w "readyz: HTTP %{http_code}\n" "http://$(MEMDEMO_ADDR)/readyz"; \
+	code=$$(curl -s -o /dev/null -w "%{http_code}" "http://$(MEMDEMO_ADDR)/readyz"); \
+	echo "readyz: HTTP $$code"; \
+	[ "$$code" = 200 ] || { echo "memdemo FAILED: /readyz is not 200 after the wave"; st=1; }; \
 	kill $$pid; wait $$pid 2>/dev/null; exit $$st
 
 # SSE streaming demo: boot llmperfd, drive it with llmperf's streaming

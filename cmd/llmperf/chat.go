@@ -4,9 +4,9 @@ package main
 // multi-turn chatbot trace (internal/workload.ChatSessions) against a
 // running llmperfd twice — once with the prefix cache disabled per
 // request, once enabled — and reports the hit rate and the prefill
-// compute the cache saved. Prefill compute is measured in modeled
-// seconds (ttft_s - queue_s from each result), so the comparison is
-// deterministic and independent of -timescale.
+// compute the cache saved. Prefill compute is each result's modeled
+// ttft_s less its wall-clock queue_s, summed per pass; the wall part is
+// near zero unless the server queues.
 
 import (
 	"encoding/json"
@@ -67,7 +67,7 @@ func (r *runner) replayChat(trace [][]workload.PrefixRequest, cache map[string]b
 				PrefixGroup: p.Group, PrefixTokens: p.SharedTokens, Cache: cache})
 		}
 	}
-	outs := r.closedLoop(jobs, time.Time{})
+	outs := r.closedLoop(jobs, len(jobs), time.Time{})
 	var agg chatResult
 	for _, o := range outs {
 		if !o.ok() {

@@ -174,11 +174,11 @@ func (o *outcome) readSSE(body io.Reader, t0 time.Time) {
 }
 
 // closedLoop is the closed-loop schedule: r.clients clients, each taking
-// the next job and sending its requests one after another, each as soon
-// as the last one finished, until every job ran — or, with stop set,
-// cycling through the jobs until stop. A timed client also quits at its
-// first transport error instead of spinning against a dead address.
-func (r *runner) closedLoop(jobs [][]request, stop time.Time) []outcome {
+// the next job, cycling through jobs, and sending its requests one after
+// another, each as soon as the last one finished — n jobs in all, or,
+// with stop set, until stop. A timed client also quits at its first
+// transport error instead of spinning against a dead address.
+func (r *runner) closedLoop(jobs [][]request, n int, stop time.Time) []outcome {
 	var (
 		mu   sync.Mutex
 		outs []outcome
@@ -195,7 +195,7 @@ func (r *runner) closedLoop(jobs [][]request, stop time.Time) []outcome {
 				i := next
 				next++
 				mu.Unlock()
-				if timed && !time.Now().Before(stop) || !timed && i >= len(jobs) {
+				if timed && !time.Now().Before(stop) || !timed && i >= n {
 					return
 				}
 				for _, q := range jobs[i%len(jobs)] {
@@ -251,11 +251,7 @@ func (r *runner) openLoop(rate float64, dur time.Duration, mix []request) []outc
 // server attributed to them.
 func (r *runner) load(w io.Writer, q request, n int) {
 	start := time.Now()
-	jobs := make([][]request, n)
-	for i := range jobs {
-		jobs[i] = []request{q}
-	}
-	outs := r.closedLoop(jobs, time.Time{})
+	outs := r.closedLoop([][]request{{q}}, n, time.Time{})
 	wall := time.Since(start).Seconds()
 
 	mode := "load"

@@ -37,7 +37,7 @@ func loadRamp(stdout io.Writer, r *runner, in, out int, steps string, stepDur ti
 	// the sustainable completion rate with no queue growth; that is the
 	// capacity the multipliers scale.
 	completed := 0
-	for _, o := range r.closedLoop([][]request{{{In: in, Out: out, Priority: "standard"}}}, time.Now().Add(stepDur)) {
+	for _, o := range r.closedLoop([][]request{{{In: in, Out: out, Priority: "standard"}}}, 0, time.Now().Add(stepDur)) {
 		if o.ok() {
 			completed++
 		}
