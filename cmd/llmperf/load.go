@@ -114,11 +114,12 @@ func (r *runner) do(q request) outcome {
 		return o
 	}
 	o.status = resp.StatusCode
-	switch h := resp.Header; {
+	switch {
 	case o.status != http.StatusOK:
 	case q.Stream:
 		o.readSSE(resp.Body, t0)
 	default:
+		h := resp.Header
 		o.err = json.NewDecoder(resp.Body).Decode(&o.result)
 		o.done = o.err == nil
 		o.phases = trace.ParseServerTiming(h.Get("Server-Timing"))

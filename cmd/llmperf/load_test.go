@@ -126,22 +126,20 @@ func closedAddr(t *testing.T) string {
 	return addr
 }
 
-var (
-	// wallValues are the report values the wall clock decides: elapsed
-	// time, client-timed latencies and rates, Server-Timing phase
-	// durations, the chat prefill (ttft_s minus the wall-timed queue_s)
-	// and everything the ramp derives from its calibrated capacity.
-	wallValues = []*regexp.Regexp{
-		regexp.MustCompile(`( )[0-9.]+(s wall)`),
-		regexp.MustCompile(`(p50 |p95 |p99 )[0-9.]+(m?s)`),
-		regexp.MustCompile(`(throughput : |streamed, )[0-9.]+( (tok|req)/s)`),
-		regexp.MustCompile(`(?m)^(    [a-z_]+ +[0-9]+ +)[0-9. s]+()$`),
-		regexp.MustCompile(`(prefill )[0-9.]+(s \(modeled\))`),
-		regexp.MustCompile(`(prefill_reduction=)-?[0-9.]+(%)`),
-		regexp.MustCompile(`(capacity |offered=|sent=|goodput=|p99_ttft=)[0-9.]+()`),
-		regexp.MustCompile(`(interactive_goodput_ratio=|interactive_p99_ttft_ms_at_2x=|interactive_slo_ok=)[0-9.]+()`),
-	}
-)
+// wallValues are the report values the wall clock decides: elapsed
+// time, client-timed latencies and rates, Server-Timing phase
+// durations, the chat prefill (ttft_s minus the wall-timed queue_s)
+// and everything the ramp derives from its calibrated capacity.
+var wallValues = []*regexp.Regexp{
+	regexp.MustCompile(`( )[0-9.]+(s wall)`),
+	regexp.MustCompile(`(p50 |p95 |p99 )[0-9.]+(m?s)`),
+	regexp.MustCompile(`(throughput : |streamed, )[0-9.]+( (tok|req)/s)`),
+	regexp.MustCompile(`(?m)^(    [a-z_]+ +[0-9]+ +)[0-9. s]+()$`),
+	regexp.MustCompile(`(prefill )[0-9.]+(s \(modeled\))`),
+	regexp.MustCompile(`(prefill_reduction=)-?[0-9.]+(%)`),
+	regexp.MustCompile(`(capacity |offered=|sent=|goodput=|p99_ttft=)[0-9.]+()`),
+	regexp.MustCompile(`(interactive_goodput_ratio=|interactive_p99_ttft_ms_at_2x=|interactive_slo_ok=)[0-9.]+()`),
+}
 
 // maskWall replaces each wall-clock value in a report with <t>.
 func maskWall(report string) string {
