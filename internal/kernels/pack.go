@@ -10,43 +10,48 @@ import (
 
 // Packed weight layout. Row-major B (k×n) is repacked at load time into
 // column panels of PanelCols columns each: panel pn holds the k×PanelCols
-// sub-matrix for columns [pn·PanelCols, pn·PanelCols+PanelCols), stored
-// row-major and zero-padded on the ragged right edge. The inner GEMM loop
-// then streams one contiguous panel top to bottom while holding a
-// PanelCols-wide accumulator in registers — the software analog of the
-// AMX/VNNI-friendly pre-tiled weight layouts CPU inference runtimes
-// (IPEX, SparAMX) build when weights are loaded, which is what lets a
-// decode-shape GEMM (tiny M, large K·N) run at streaming bandwidth
-// instead of strided-gather speed.
+// sub-matrix for columns [pn·PanelCols, pn·PanelCols+PanelCols), zero-padded
+// on the ragged right edge. The inner GEMM loop then streams one contiguous
+// panel top to bottom while holding a PanelCols-wide accumulator in
+// registers — the software analog of the AMX/VNNI-friendly pre-tiled weight
+// layouts CPU inference runtimes (IPEX, SparAMX) build when weights are
+// loaded, which is what lets a decode-shape GEMM (tiny M, large K·N) run at
+// streaming bandwidth instead of strided-gather speed.
 //
-// Panels are PanelCols = TileRows wide so a packed panel column band is
+// Panels are PanelCols = TileRows wide, so a packed panel column band is
 // exactly one AMX C-tile column, and the BF16 variant pre-rounds the
-// weights once at pack time, so no weight conversion is left on the hot
-// path.
+// weights once at pack time into the TMUL B-tile layout, so no weight
+// conversion is left on the hot path.
 
 // PanelCols is the packed panel width in columns.
 const PanelCols = TileRows
 
 // PackedB is a weight matrix repacked into column panels (see package
 // comment above). BF16 selects the numerics: the values were rounded to
-// bfloat16 at pack time, and kernels consuming the pack round their
-// activation operand too (and skip zero activations), matching AMX TMUL.
-// How the values are stored is a separate matter, decided by the data:
-// exactly one of data and bf is set.
+// bfloat16 at pack time, and a GEMM over the pack rounds its activation
+// operand too and accumulates under GemmTileBF16's rule. How the values are
+// stored is decided by the numerics and, for FP32, by the data: exactly one
+// of data, bf and pairs is set.
 type PackedB struct {
 	K, N int
 	BF16 bool
-	data []float32 // 32-bit storage
-	// bf is 16-bit storage, used whenever every value is a bfloat16 — a
-	// BF16 pack always, an FP32 pack when its weights happen to be (a
-	// checkpoint kept in BF16): the values kept as their upper 16 bits
-	// (widening back is exact), halving the bytes a GEMV streams. A panel
-	// row is bf16Words words; word j holds column j in its low half and
-	// column j+bf16Words in its high half, so a kernel widens both with
+	data []float32 // FP32 numerics, 32-bit storage
+	// bf is an FP32 pack's 16-bit storage, used when every value is a
+	// bfloat16 (a checkpoint kept in BF16): the values kept as their upper
+	// 16 bits (widening back is exact), halving the bytes a GEMV streams. A
+	// panel row is bf16Words words; word j holds column j in its low half
+	// and column j+bf16Words in its high half, so a kernel widens both with
 	// one shift and one mask — a whole row per vector pair.
 	bf []uint32
-	// exps is the exponent range of the values in bf, recorded as they are
-	// packed; the SIMD kernels read two facts off it (finite, fmaExact).
+	// pairs is a BF16 pack's storage, in the TMUL B-tile layout: K is
+	// zero-padded to kp, a multiple of 32, and a panel is kp/2 pair-rows of
+	// PanelCols words, word j of pair-row q holding column j at k = 2q in
+	// its low half and at k = 2q+1 in its high half. Sixteen pair-rows are
+	// one B tile. Denormal weights are stored as zeros of their sign, which
+	// is how TMUL reads them.
+	pairs []uint32
+	// exps is the exponent range of the values in pairs, recorded as they
+	// are packed: fmaExact's weight side.
 	exps expRange
 }
 
@@ -58,22 +63,16 @@ type expRange struct{ lo, hi uint8 }
 // noExps is the range of an operand that is all zeros.
 var noExps = expRange{lo: 255, hi: 0}
 
-// finite reports that no packed 16-bit value is ±Inf or NaN. The BF16
-// av == 0 skip only changes a result when it avoids 0·Inf or 0·NaN; over
-// finite weights the skipped product is ±0 and the accumulator, which
-// starts at +0 and so is never −0, absorbs it unchanged — which is what
-// lets the SIMD kernels run BF16 packs without the branch.
-func (pb *PackedB) finite() bool { return pb.exps.hi < 255 }
-
-// fmaExact reports whether every product of a value in range a and a value
-// in range w is exact in float32 — neither overflowing nor dropping below
-// the normal range — given that both operands are bfloat16. Their 8-bit
-// significands multiply into at most 16 bits, so such a product is
-// representable, the multiply's rounding is a no-op, and a fused
-// multiply-add returns the bits of the separate multiply and add. With
-// unbiased exponents ea, ew the product's is ea+ew or ea+ew+1, which must
-// stay within [−126, 127]. Denormal and non-finite operands are left to
-// the unfused kernel rather than reasoned about.
+// fmaExact reports whether plain float32 arithmetic gives GemmTileBF16's
+// bits for activations in range a against BF16-pack weights in range w —
+// two chains and a fold per block, as the vector kernels compute them
+// (a fused multiply-add, or a multiply then an add). It does when none of
+// the rule's special cases can arise: no operand is denormal or
+// non-finite; every product is exact in float32 (so a separate multiply's
+// rounding changes nothing); and every product is a multiple of 2⁻¹²⁶, so
+// every sum of them is zero or normal and nothing is flushed. With 8-bit
+// significands and unbiased exponents ea, ew, a product is a multiple of
+// 2^(ea+ew−14) below 2^(ea+ew+2).
 func fmaExact(a, w expRange) bool {
 	if a.hi == 255 || w.hi == 255 {
 		return false
@@ -83,17 +82,23 @@ func fmaExact(a, w expRange) bool {
 	}
 	const bias = 127
 	return a.lo > 0 && w.lo > 0 &&
-		int(a.lo)+int(w.lo)-2*bias >= -126 && int(a.hi)+int(w.hi)-2*bias+1 <= 127
+		int(a.lo)+int(w.lo)-2*bias-14 >= -126 && int(a.hi)+int(w.hi)-2*bias+1 <= 127
 }
 
-// bf16Words is the length of a 16-bit panel row in 32-bit words.
+// bf16Words is the length of a 16-bit panel row of an FP32 pack in 32-bit
+// words.
 const bf16Words = PanelCols / 2
+
+// padK is K rounded up to whole TMUL blocks of k.
+func padK(k int) int { return (k + TileColsBF16 - 1) &^ (TileColsBF16 - 1) }
 
 // Panels returns the number of column panels.
 func (pb *PackedB) Panels() int { return (pb.N + PanelCols - 1) / PanelCols }
 
 // Bytes returns the packed storage footprint.
-func (pb *PackedB) Bytes() int64 { return int64(len(pb.data))*4 + int64(len(pb.bf))*4 }
+func (pb *PackedB) Bytes() int64 {
+	return int64(len(pb.data)+len(pb.bf)+len(pb.pairs)) * 4
+}
 
 // allBF16 reports whether every value survives a round trip through
 // tensor.ToBF16 bit for bit: its low 16 bits are zero (rounding then adds
@@ -110,15 +115,19 @@ func allBF16(b []float32) bool {
 }
 
 // packInto packs the k×n matrix whose element (p, j) is b[p*rowStep+j*colStep]
-// (all of b[:k*n], in some order). round selects BF16 numerics; storage is
-// 16-bit when the values allow it.
+// (all of b[:k*n], in some order). round selects BF16 numerics; an FP32 pack
+// is stored in 16 bits when the values allow it.
 func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB {
 	panels := (n + PanelCols - 1) / PanelCols
 	pb := &PackedB{K: k, N: n, BF16: round, exps: noExps}
-	narrow := round || allBF16(b[:k*n])
-	if narrow {
+	narrow := !round && allBF16(b[:k*n])
+	kp := padK(k)
+	switch {
+	case round:
+		pb.pairs = make([]uint32, panels*kp/2*PanelCols)
+	case narrow:
 		pb.bf = make([]uint32, panels*k*bf16Words)
-	} else {
+	default:
 		pb.data = make([]float32, panels*k*PanelCols)
 	}
 	for pn := 0; pn < panels; pn++ {
@@ -127,23 +136,30 @@ func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB 
 		for p := 0; p < k; p++ {
 			src := b[p*rowStep+j0*colStep:]
 			row := pn*k + p
-			if narrow {
-				dst := pb.bf[row*bf16Words : (row+1)*bf16Words]
-				for j := 0; j < w; j++ {
-					h := math.Float32bits(src[j*colStep]) >> 16 // exact when !round
-					if round {
-						h = uint32(tensor.ToBF16(src[j*colStep]))
+			switch {
+			case round:
+				dst := pb.pairs[(pn*kp/2+p/2)*PanelCols:][:w]
+				for j := range dst {
+					h := uint32(tensor.ToBF16(src[j*colStep]))
+					if h&0x7f80 == 0 {
+						h &= 0x8000 // a denormal reads as zero
 					}
 					if e := uint8(h >> 7); h&0x7fff != 0 {
 						pb.exps.lo, pb.exps.hi = min(pb.exps.lo, e), max(pb.exps.hi, e)
 					}
+					dst[j] |= h << (16 * (p % 2))
+				}
+			case narrow:
+				dst := pb.bf[row*bf16Words : (row+1)*bf16Words]
+				for j := 0; j < w; j++ {
+					h := math.Float32bits(src[j*colStep]) >> 16 // exact
 					if j < bf16Words {
 						dst[j] = h
 					} else {
 						dst[j-bf16Words] |= h << 16
 					}
 				}
-			} else {
+			default:
 				dst := pb.data[row*PanelCols : (row+1)*PanelCols]
 				for j := 0; j < w; j++ {
 					dst[j] = src[j*colStep]
@@ -181,25 +197,85 @@ func PackBTrans(k, n int, bT []float32) *PackedB {
 	return packInto(k, n, bT, 1, k, false)
 }
 
-// gemmPackedPanels computes C rows [i0,i1) × column panels [pn0,pn1) for
-// C = A·B over a packed B. Accumulation is FP32 ascending k per output
-// element — bit-identical to GemmNaive for an FP32 pack, and bit-identical
-// to GemmTileBF16 for a BF16 pack (same rounding, same zero-skip, same
-// accumulation order). For BF16 packs, a must already be bf16-rounded, and
-// exact says what roundActivations found out about it on the way.
-func gemmPackedPanels(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32, exact bool) {
+// kernelPath is how one packed GEMM runs on this host.
+type kernelPath uint8
+
+const (
+	pathGo     kernelPath = iota // the Go loops
+	pathVector                   // the AVX2 / AVX-512 micro-kernels
+)
+
+// path is the kernel path of an m-row GEMM over the pack.
+func (pb *PackedB) path(m int) kernelPath {
+	if simdLevel == levelGeneric || pb.K == 0 || pb.BF16 {
+		return pathGo
+	}
+	return pathVector
+}
+
+// gemm is one packed GEMM C = A·B as its kernels read it.
+type gemm struct {
+	pb   *PackedB
+	c    []float32
+	path kernelPath
+	// a is the activation rows: an FP32 pack's as the caller passed them,
+	// K apart, or a BF16 pack's copy rounded to bfloat16, kp apart and
+	// zero-padded.
+	a []float32
+}
+
+// panels computes C rows [i0,i1) × column panels [pn0,pn1). Every output
+// element's accumulation order is fixed, so any split of the rows and
+// panels gives the same bits: an FP32 pack's is ascending k, bit-identical
+// to GemmNaive, and a BF16 pack's is GemmTileBF16's.
+func (g *gemm) panels(i0, i1, pn0, pn1 int) {
+	pb := g.pb
 	switch {
-	case simdLevel == "" || pb.K == 0 || (pb.BF16 && !pb.finite()):
-		gemmPackedPanelsGo(i0, i1, pn0, pn1, a, pb, c)
-	case simdLevel == "avx512" && i1-i0 > 1:
-		gemmPanels512(i0, i1, pn0, pn1, a, pb, c, exact)
+	case g.path == pathGo && pb.BF16:
+		gemmPairsGo(i0, i1, pn0, pn1, g.a, pb, g.c)
+	case g.path == pathGo:
+		gemmPackedPanelsGo(i0, i1, pn0, pn1, g.a, pb, g.c)
+	case simdLevel >= levelAVX512 && i1-i0 > 1:
+		gemmPanels512(i0, i1, pn0, pn1, g.a, pb, g.c)
 	default:
-		gemmPanelsSIMD(i0, i1, pn0, pn1, a, pb, c)
+		gemmPanelsSIMD(i0, i1, pn0, pn1, g.a, pb, g.c)
 	}
 }
 
-// gemmPackedPanelsGo is gemmPackedPanels in portable Go: the fallback on
-// hosts without a SIMD micro-kernel, and the oracle the micro-kernel is
+// operands returns the activation rows an m-row GEMM over pb reads and the
+// kernel path it takes: an FP32 pack reads a as it is, a BF16 pack a copy of
+// it rounded into ar, which holds at least m·kp values. (It returns rather
+// than fills in a gemm: a store through a pointer would move the callers'
+// stack buffers to the heap.)
+func operands(m int, a, ar []float32, pb *PackedB, generic bool) ([]float32, kernelPath) {
+	path := pb.path(m)
+	if generic {
+		path = pathGo
+	}
+	if !pb.BF16 {
+		return a, path
+	}
+	k, kp := pb.K, padK(pb.K)
+	roundRows(ar[:m*kp], a, m, k, kp)
+	return ar[:m*kp], path
+}
+
+// roundRows rounds the m rows of k activations in a to bfloat16 into dst,
+// kp apart with the padding zeroed.
+func roundRows(dst, a []float32, m, k, kp int) {
+	if k == kp {
+		RoundBF16Into(dst[:m*k], a)
+		return
+	}
+	for i := 0; i < m; i++ {
+		row := dst[i*kp : (i+1)*kp]
+		RoundBF16Into(row[:k], a[i*k:])
+		clear(row[k:])
+	}
+}
+
+// gemmPackedPanelsGo is an FP32 pack's GEMM in portable Go: the fallback on
+// hosts without a SIMD micro-kernel, and the oracle the micro-kernels are
 // tested against.
 func gemmPackedPanelsGo(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) {
 	k, n := pb.K, pb.N
@@ -212,9 +288,6 @@ func gemmPackedPanelsGo(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []floa
 			if pb.bf != nil {
 				panel := pb.bf[pn*k*bf16Words : (pn+1)*k*bf16Words]
 				for p, av := range arow {
-					if av == 0 && pb.BF16 {
-						continue
-					}
 					for j, word := range panel[p*bf16Words : (p+1)*bf16Words] {
 						acc[j] += av * math.Float32frombits(word<<16)
 						acc[j+bf16Words] += av * math.Float32frombits(word&^0xffff)
@@ -227,6 +300,37 @@ func gemmPackedPanelsGo(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []floa
 					for j := range acc {
 						acc[j] += av * prow[j]
 					}
+				}
+			}
+			copy(c[i*n+j0:i*n+j0+w], acc[:w])
+		}
+	}
+}
+
+// gemmPairsGo is a BF16 pack's GEMM in portable Go, GemmTileBF16's rule over
+// the pair layout: the fallback on hosts without TMUL or vector kernels,
+// and what the vector kernels leave to it. a is the rounded activation
+// rows, kp apart.
+func gemmPairsGo(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) {
+	kp, n := padK(pb.K), pb.N
+	for pn := pn0; pn < pn1; pn++ {
+		j0 := pn * PanelCols
+		w := min(PanelCols, n-j0)
+		panel := pb.pairs[pn*kp/2*PanelCols : (pn+1)*kp/2*PanelCols]
+		for i := i0; i < i1; i++ {
+			arow := a[i*kp : (i+1)*kp]
+			var acc [PanelCols]float32
+			for p0 := 0; p0 < kp; p0 += TileColsBF16 {
+				var e, o [PanelCols]float32
+				for p := p0; p < p0+TileColsBF16; p += 2 {
+					ae, ao := flushDenormal(arow[p]), flushDenormal(arow[p+1])
+					for j, word := range panel[p/2*PanelCols : p/2*PanelCols+PanelCols] {
+						e[j] = tmulStep(e[j], ae, math.Float32frombits(word<<16))
+						o[j] = tmulStep(o[j], ao, math.Float32frombits(word&^0xffff))
+					}
+				}
+				for j := range acc {
+					acc[j] = flushDenormal(acc[j] + flushDenormal(e[j]+o[j]))
 				}
 			}
 			copy(c[i*n+j0:i*n+j0+w], acc[:w])
@@ -260,45 +364,19 @@ func GemmPackedGeneric(m int, a []float32, pb *PackedB, c []float32) {
 
 func gemmPackedSerial(m int, a []float32, pb *PackedB, c []float32, generic bool) {
 	checkPackedDims(m, a, pb, c)
-	exact := false
-	if pb.BF16 {
-		var stack [1024]float32
-		need := m * pb.K
-		var ar []float32
-		if need <= len(stack) {
-			ar = stack[:need]
-		} else {
-			buf := roundScratch.Get().(*[]float32)
-			defer roundScratch.Put(buf)
-			if cap(*buf) < need {
-				*buf = make([]float32, need)
-			}
-			ar = (*buf)[:need]
+	g := gemm{pb: pb, c: c}
+	var stack [1024]float32
+	ar := stack[:]
+	if need := m * padK(pb.K); pb.BF16 && need > len(stack) {
+		buf := roundScratch.Get().(*[]float32)
+		defer roundScratch.Put(buf)
+		if cap(*buf) < need {
+			*buf = make([]float32, need)
 		}
-		exact = roundActivations(ar, a, m, pb.exps)
-		a = ar
+		ar = *buf
 	}
-	if generic {
-		gemmPackedPanelsGo(0, m, 0, pb.Panels(), a, pb, c)
-	} else {
-		gemmPackedPanels(0, m, 0, pb.Panels(), a, pb, c, exact)
-	}
-}
-
-// roundActivations is RoundBF16Into(dst, a) for the m rows of activations
-// of a GEMM over a BF16 pack whose weights span w, and reports whether the
-// GEMM may fuse its multiplies and adds (fmaExact). Only the 512-bit tiles
-// can, so only a host that has them, and only for the two or more rows they
-// take, pays for the answer: there the pass is a 512-bit routine that also
-// collects the activations' exponent range. A single row keeps the AVX2
-// pass — one ZMM instruction among the GEMV's YMM ones puts the core in a
-// lower-clocked licence, and cost the benchmark's batch-1 decode step 5 %.
-func roundActivations(dst, a []float32, m int, w expRange) bool {
-	if m > 1 && simdLevel == "avx512" {
-		return roundBF16Exact(dst, a, w)
-	}
-	RoundBF16Into(dst, a)
-	return false
+	g.a, g.path = operands(m, a, ar, pb, generic)
+	g.panels(0, m, 0, pb.Panels())
 }
 
 // roundScratch recycles GemmPacked's rounded-activation copies that do not
@@ -316,12 +394,8 @@ func GemvPacked(x []float32, pb *PackedB, y []float32) {
 // dispatch allocation-free: the bf16 rounding buffer and the partition
 // descriptor are reused across every call.
 type PackedJob struct {
-	m  int
-	a  []float32
-	pb *PackedB
-	c  []float32
-
-	exact     bool // roundActivations' verdict on a
+	g         gemm
+	m         int
 	byRows    bool
 	rowsPer   int
 	panelsPer int
@@ -336,14 +410,14 @@ func (j *PackedJob) RunPart(part, parts int) {
 		i0 := part * j.rowsPer
 		i1 := min(i0+j.rowsPer, j.m)
 		if i0 < i1 {
-			gemmPackedPanels(i0, i1, 0, j.pb.Panels(), j.a, j.pb, j.c, j.exact)
+			j.g.panels(i0, i1, 0, j.g.pb.Panels())
 		}
 		return
 	}
 	pn0 := part * j.panelsPer
-	pn1 := min(pn0+j.panelsPer, j.pb.Panels())
+	pn1 := min(pn0+j.panelsPer, j.g.pb.Panels())
 	if pn0 < pn1 {
-		gemmPackedPanels(0, j.m, pn0, pn1, j.a, j.pb, j.c, j.exact)
+		j.g.panels(0, j.m, pn0, pn1)
 	}
 }
 
@@ -356,7 +430,7 @@ func (j *PackedJob) RunPart(part, parts int) {
 // on the AVX2 kernels — which a single row runs on at every level — and
 // 2²⁴ on the 512-bit tiles (docs/performance.md has the table).
 func minSplitMACs(m int) int {
-	if simdLevel == "avx512" && m > 1 {
+	if simdLevel >= levelAVX512 && m > 1 {
 		return 1 << 24
 	}
 	return 1 << 20
@@ -374,7 +448,7 @@ const rowBlock = 4
 // in a repeated or recomputed row.
 func rowBand(m, workers int) int {
 	tall, step := rowBlock, rowBlock
-	if simdLevel == "avx512" {
+	if simdLevel >= levelAVX512 {
 		tall, step = 16, 8
 	}
 	if m < tall*workers {
@@ -399,31 +473,24 @@ func GemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c 
 // argument (the tests send small GEMMs through the splits).
 func gemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c []float32, minMACs int) {
 	checkPackedDims(m, a, pb, c)
-	exact := false
-	if pb.BF16 {
-		need := m * pb.K
-		if cap(j.ar) < need {
-			j.ar = make([]float32, need)
-		}
-		j.ar = j.ar[:need]
-		exact = roundActivations(j.ar, a, m, pb.exps)
-		a = j.ar
+	j.g = gemm{pb: pb, c: c}
+	if need := m * padK(pb.K); pb.BF16 && cap(j.ar) < need {
+		j.ar = make([]float32, need)
 	}
+	j.g.a, j.g.path = operands(m, a, j.ar[:cap(j.ar)], pb, false)
 	workers := p.Workers()
 	panels := pb.Panels()
-	if workers <= 1 || m*pb.K*panels*PanelCols < minMACs {
-		gemmPackedPanels(0, m, 0, panels, a, pb, c, exact)
-		return
-	}
-	j.m, j.a, j.pb, j.c, j.exact = m, a, pb, c, exact
-	if j.rowsPer = rowBand(m, workers); j.rowsPer > 0 {
-		j.byRows = true
+	j.m = m
+	switch {
+	case workers <= 1 || m*pb.K*panels*PanelCols < minMACs:
+		j.g.panels(0, m, 0, panels)
+	case rowBand(m, workers) > 0:
+		j.byRows, j.rowsPer = true, rowBand(m, workers)
 		p.Run(j, (m+j.rowsPer-1)/j.rowsPer)
-	} else {
+	default:
 		parts := min(workers, panels)
-		j.byRows = false
-		j.panelsPer = (panels + parts - 1) / parts
+		j.byRows, j.panelsPer = false, (panels+parts-1)/parts
 		p.Run(j, parts)
 	}
-	j.a, j.pb, j.c = nil, nil, nil
+	j.g = gemm{} // keep no caller slices alive
 }

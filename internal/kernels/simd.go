@@ -1,19 +1,26 @@
 package kernels
 
-// simdLevel names the widest micro-kernel set gemmPackedPanels runs on this
-// host — "avx512", "avx2", or "" for the portable Go loop — chosen once at
-// start-up from what the CPU and OS report. A level includes the ones
-// below it (the package's tests step down with -simd).
+// level is a set of micro-kernels the packed GEMM can run on; each includes
+// the ones below it.
+type level uint8
+
+const (
+	levelGeneric level = iota // the portable Go loops
+	levelAVX2
+	levelAVX512
+)
+
+// levelNames are the levels as SIMDLevel reports them.
+var levelNames = [...]string{"generic", "avx2", "avx512"}
+
+// simdLevel is the widest level this host runs, chosen once at start-up
+// from what the CPU and OS report (the package's tests step down with
+// -simd).
 var simdLevel = detectSIMD()
 
 // SIMDLevel reports which packed-GEMM micro-kernels this process runs:
 // "avx512", "avx2", or "generic" for the portable Go loop.
-func SIMDLevel() string {
-	if simdLevel == "" {
-		return "generic"
-	}
-	return simdLevel
-}
+func SIMDLevel() string { return levelNames[simdLevel] }
 
 // The instruction mixes a packed GEMM can run as: the Go loop, or a SIMD
 // level's separately rounded multiply and add, or its fused multiply-add.
@@ -28,9 +35,9 @@ const (
 // first.
 func Mixes() []string {
 	switch simdLevel {
-	case "avx512":
+	case levelAVX512:
 		return []string{MixGo, MixAVX2, MixAVX512, MixAVX512FMA}
-	case "avx2":
+	case levelAVX2:
 		return []string{MixGo, MixAVX2}
 	}
 	return []string{MixGo}
@@ -42,9 +49,9 @@ func Mixes() []string {
 // is to be held against.
 func (pb *PackedB) Mix(m int) string {
 	switch {
-	case simdLevel == "" || (pb.BF16 && !pb.finite()):
+	case pb.path(m) == pathGo:
 		return MixGo
-	case simdLevel == "avx2" || m == 1:
+	case simdLevel == levelAVX2 || m == 1:
 		return MixAVX2
 	case pb.BF16:
 		return MixAVX512FMA

@@ -1,15 +1,10 @@
 package kernels
 
-import (
-	"math"
-	"unsafe"
+import "unsafe"
 
-	"repro/internal/tensor"
-)
-
-// AVX-512 micro-kernels for the packed GEMM (simd512_amd64.s): register
-// tiles of 16 × 1, 8 × 1 and 4 × 2 (activation rows × panels), each in
-// three arithmetic variants, all writing their tile straight into C.
+// AVX-512 micro-kernels for an FP32 pack's GEMM (simd512_amd64.s): register
+// tiles of 16 × 1, 8 × 1 and 4 × 2 (activation rows × panels), over 32-bit
+// or 16-bit panels, all writing their tile straight into C.
 
 // The rows × 1 tiles compute `rows` consecutive activation rows starting
 // at a (k values each, one after another) against the panel at w, and
@@ -21,16 +16,10 @@ import (
 // from w0's. A lone panel is passed twice with an empty high mask.
 
 //go:noescape
-func tile16BF16FMA(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
-
-//go:noescape
 func tile16BF16(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
 
 //go:noescape
 func tile16F32(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
-
-//go:noescape
-func tile8BF16FMA(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
 
 //go:noescape
 func tile8BF16(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
@@ -39,59 +28,42 @@ func tile8BF16(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint
 func tile8F32(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
 
 //go:noescape
-func tile4x2BF16FMA(a0, a1, a2, a3 *float32, k int, w0, w1 unsafe.Pointer, c *float32, n, rows int, masks uint32)
-
-//go:noescape
 func tile4x2BF16(a0, a1, a2, a3 *float32, k int, w0, w1 unsafe.Pointer, c *float32, n, rows int, masks uint32)
 
 //go:noescape
 func tile4x2F32(a0, a1, a2, a3 *float32, k int, w0, w1 unsafe.Pointer, c *float32, n, rows int, masks uint32)
 
-// tiles512 is an arithmetic variant of the tiles. (Its methods switch
-// rather than hold function values: a call through a value would make
-// every operand escape, the callers' stack buffers included.)
-type tiles512 int
+// tiles512 is the storage variant of the tiles: 32-bit panels, or the
+// 16-bit panels of an FP32 pack whose weights happen to be bfloat16. (Its
+// methods switch rather than hold function values: a call through a value
+// would make every operand escape, the callers' stack buffers included.)
+type tiles512 bool
 
 const (
-	// 32-bit panels, multiply then add.
-	tilesF32 tiles512 = iota
-	// 16-bit panels, multiply then add: BF16 packs that fail the proof, and
-	// FP32-numerics packs whose weights happen to be bfloat16.
-	tilesBF16
-	// 16-bit panels, fused multiply-add: BF16 packs whose products are
-	// proven exact (fmaExact), where fusing keeps the Go loop's bits.
-	tilesBF16FMA
+	tilesF32  tiles512 = false
+	tilesBF16 tiles512 = true
 )
 
 func (t tiles512) t16(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32) {
-	switch t {
-	case tilesBF16FMA:
-		tile16BF16FMA(a, k, w, c, n, mask)
-	case tilesBF16:
+	if t == tilesBF16 {
 		tile16BF16(a, k, w, c, n, mask)
-	default:
+	} else {
 		tile16F32(a, k, w, c, n, mask)
 	}
 }
 
 func (t tiles512) t8(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32) {
-	switch t {
-	case tilesBF16FMA:
-		tile8BF16FMA(a, k, w, c, n, mask)
-	case tilesBF16:
+	if t == tilesBF16 {
 		tile8BF16(a, k, w, c, n, mask)
-	default:
+	} else {
 		tile8F32(a, k, w, c, n, mask)
 	}
 }
 
 func (t tiles512) t4x2(a0, a1, a2, a3 *float32, k int, w0, w1 unsafe.Pointer, c *float32, n, rows int, masks uint32) {
-	switch t {
-	case tilesBF16FMA:
-		tile4x2BF16FMA(a0, a1, a2, a3, k, w0, w1, c, n, rows, masks)
-	case tilesBF16:
+	if t == tilesBF16 {
 		tile4x2BF16(a0, a1, a2, a3, k, w0, w1, c, n, rows, masks)
-	default:
+	} else {
 		tile4x2F32(a0, a1, a2, a3, k, w0, w1, c, n, rows, masks)
 	}
 }
@@ -101,53 +73,17 @@ func (t tiles512) t4x2(a0, a1, a2, a3 *float32, k int, w0, w1 unsafe.Pointer, c 
 func mulAddLoop512(iters int)
 func fmaLoop512(iters int)
 
-// roundBF16Range512 is roundBF16Vec on n values, a positive multiple of 16,
-// that also folds the rounded values' magnitudes into lohi (see the
-// routine).
-//
-//go:noescape
-func roundBF16Range512(dst, src *float32, n int, lohi *[32]uint32)
-
-// roundBF16Exact is roundActivations on the 512-bit level: the rounding
-// pass collects the activations' exponent range as it goes.
-func roundBF16Exact(dst, src []float32, w expRange) bool {
-	var lohi [32]uint32
-	for i := range lohi[:16] {
-		lohi[i] = math.MaxUint32
-	}
-	n := len(dst) &^ 15
-	if n > 0 {
-		roundBF16Range512(&dst[0], &src[:n][0], n, &lohi)
-	}
-	lo, hi := uint32(math.MaxUint32), uint32(0)
-	for i := 0; i < 16; i++ {
-		lo, hi = min(lo, lohi[i]), max(hi, lohi[16+i])
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = tensor.RoundBF16(src[i])
-		abs := math.Float32bits(dst[i]) &^ (1 << 31)
-		lo, hi = min(lo, abs-1), max(hi, abs)
-	}
-	a := noExps
-	if hi != 0 {
-		a = expRange{lo: uint8((lo + 1) >> 23), hi: uint8(hi >> 23)}
-	}
-	return fmaExact(a, w)
-}
-
-// gemmPanels512 is gemmPackedPanels for two or more rows over the 512-bit
-// tiles. Eight rows or more run rows × 1 tiles, panel outermost so that it
-// stays in L1 across the row blocks; a band that does not divide ends in a
-// tile moved back to end with it, recomputing the rows it overlaps (the
-// same bits) instead of taking a remainder path. Fewer rows run 4 × 2.
-func gemmPanels512(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32, exact bool) {
+// gemmPanels512 is an FP32 pack's GEMM for two or more rows over the
+// 512-bit tiles. Eight rows or more run rows × 1 tiles, panel outermost so
+// that it stays in L1 across the row blocks; a band that does not divide
+// ends in a tile moved back to end with it, recomputing the rows it
+// overlaps (the same bits) instead of taking a remainder path. Fewer rows
+// run 4 × 2.
+func gemmPanels512(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) {
 	k, n := pb.K, pb.N
 	t, base, stride := tilesF32, unsafe.Pointer(unsafe.SliceData(pb.data)), k*PanelCols*4
 	if pb.bf != nil {
 		t, base, stride = tilesBF16, unsafe.Pointer(unsafe.SliceData(pb.bf)), k*bf16Words*4
-		if pb.BF16 && exact {
-			t = tilesBF16FMA
-		}
 	}
 	panel := func(pn int) unsafe.Pointer { return unsafe.Add(base, pn*stride) }
 	mask := func(pn int) uint32 { return 1<<min(PanelCols, n-pn*PanelCols) - 1 }

@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// AVX-512 micro-kernels for the packed GEMM. A 16-column panel row is
+// AVX-512 micro-kernels for an FP32 pack's GEMM. A 16-column panel row is
 // exactly one ZMM register, so — as in the AVX2 kernels — every lane owns
 // one output element and accumulates it in ascending k. What the wider
 // unit adds is above the lane: 32 registers hold a 16-row × 1-panel (or
@@ -8,12 +8,8 @@
 // broadcast operand instead of an instruction of its own, and the tile is
 // written straight into C under a column mask.
 //
-// The arithmetic comes in two mixes. MULADD is VMULPS then VADDPS, the
-// product rounded before it is added: the Go loop's bits for any operands.
-// FMA is VFMADD231PS, which skips the product's rounding and therefore has
-// the same bits only when that rounding is a no-op — the callers take it
-// only for BF16 packs whose exponent ranges prove every product exact in
-// float32 (fmaExact in simd_amd64.go).
+// The arithmetic is MULADD, VMULPS then VADDPS: the product rounded before
+// it is added, the Go loop's bits for any operands.
 
 // A 16-bit panel row is eight 32-bit words, column j in the low half of
 // word j and column j+8 in its high half. Zero-extending its sixteen
@@ -47,11 +43,8 @@ GLOBL unzip<>(SB), RODATA|NOPTR, $64
 #define LOADF32(ptr, z) \
 	VMOVUPS (ptr), z
 
-// MAC accumulates the activation at mem (broadcast) times the panel row w
-// into acc; tmp is scratch.
-#define FMA(mem, w, acc, tmp) \
-	VFMADD231PS.BCST mem, w, acc
-
+// MULADD accumulates the activation at mem (broadcast) times the panel row
+// w into acc; tmp is scratch.
 #define MULADD(mem, w, acc, tmp) \
 	VMULPS.BCST mem, w, tmp \
 	VADDPS      tmp, acc, acc
@@ -161,16 +154,6 @@ loop:                                              \
 	VZEROUPPER                                     \
 	RET
 
-// func tile16BF16FMA(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
-TEXT ·tile16BF16FMA(SB), NOSPLIT, $0-44
-	MOVQ a+0(FP), SI
-	MOVQ k+8(FP), CX
-	MOVQ w+16(FP), DI
-	MOVQ c+24(FP), BX
-	MOVQ n+32(FP), R12
-	MOVL mask+40(FP), AX
-	TILE16(UNZIP, LOADBF16, FMA, STOREBF16, 32)
-
 // func tile16BF16(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
 TEXT ·tile16BF16(SB), NOSPLIT, $0-44
 	MOVQ a+0(FP), SI
@@ -190,16 +173,6 @@ TEXT ·tile16F32(SB), NOSPLIT, $0-44
 	MOVQ n+32(FP), R12
 	MOVL mask+40(FP), AX
 	TILE16(NOUNZIP, LOADF32, MULADD, STOREF32, 64)
-
-// func tile8BF16FMA(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
-TEXT ·tile8BF16FMA(SB), NOSPLIT, $0-44
-	MOVQ a+0(FP), SI
-	MOVQ k+8(FP), CX
-	MOVQ w+16(FP), DI
-	MOVQ c+24(FP), BX
-	MOVQ n+32(FP), R12
-	MOVL mask+40(FP), AX
-	TILE8(UNZIP, LOADBF16, FMA, STOREBF16, 32)
 
 // func tile8BF16(a *float32, k int, w unsafe.Pointer, c *float32, n int, mask uint32)
 TEXT ·tile8BF16(SB), NOSPLIT, $0-44
@@ -267,21 +240,6 @@ loop:                                    \
 done:                                    \
 	VZEROUPPER                           \
 	RET
-
-// func tile4x2BF16FMA(a0, a1, a2, a3 *float32, k int, w0, w1 unsafe.Pointer, c *float32, n, rows int, masks uint32)
-TEXT ·tile4x2BF16FMA(SB), NOSPLIT, $0-84
-	MOVQ a0+0(FP), R8
-	MOVQ a1+8(FP), R9
-	MOVQ a2+16(FP), R10
-	MOVQ a3+24(FP), R11
-	MOVQ k+32(FP), CX
-	MOVQ w0+40(FP), SI
-	MOVQ w1+48(FP), DI
-	MOVQ c+56(FP), R12
-	MOVQ n+64(FP), R13
-	MOVQ rows+72(FP), DX
-	MOVL masks+80(FP), AX
-	TILE4X2(UNZIP, LOADBF16, FMA, STOREBF16, 32)
 
 // func tile4x2BF16(a0, a1, a2, a3 *float32, k int, w0, w1 unsafe.Pointer, c *float32, n, rows int, masks uint32)
 TEXT ·tile4x2BF16(SB), NOSPLIT, $0-84
@@ -366,48 +324,3 @@ TEXT ·mulAddLoop512(SB), NOSPLIT, $0-8
 TEXT ·fmaLoop512(SB), NOSPLIT, $0-8
 	MOVQ iters+0(FP), CX
 	PEAKLOOP(REGFMA)
-
-// func roundBF16Range512(dst, src *float32, n int, lohi *[32]uint32)
-// roundBF16Vec on sixteen lanes, which also folds every rounded value's
-// magnitude bits into two running vectors: lohi[:16] takes the unsigned
-// minimum of |v|−1 (a zero wraps to the top and drops out), lohi[16:] the
-// maximum of |v|.
-TEXT ·roundBF16Range512(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ lohi+24(FP), DX
-	SHRQ $4, CX
-	VPTERNLOGD $0xff, Z15, Z15, Z15 // all ones
-	VPSRLD     $31, Z15, Z14        // 1
-	VPSRLD     $17, Z15, Z13        // 0x7fff
-	VPSLLD     $16, Z15, Z12        // 0xffff0000
-	VPSLLD     $22, Z14, Z11        // 0x00400000: the quiet bit
-	VPSRLD     $1, Z15, Z10         // 0x7fffffff
-	VMOVDQU32  (DX), Z8
-	VMOVDQU32  64(DX), Z9
-
-round:
-	VMOVDQU32 (SI), Z0
-	VPSRLD    $16, Z0, Z1
-	VPANDD    Z14, Z1, Z1
-	VPADDD    Z13, Z0, Z2
-	VPADDD    Z1, Z2, Z2
-	VPANDD    Z12, Z2, Z2
-	VPANDD    Z12, Z0, Z3
-	VPORD     Z11, Z3, Z3
-	VCMPPS    $3, Z0, Z0, K2
-	VMOVDQA32 Z3, K2, Z2
-	VMOVDQU32 Z2, (DI)
-	VPANDD    Z10, Z2, Z2
-	VPMAXUD   Z2, Z9, Z9
-	VPADDD    Z15, Z2, Z2
-	VPMINUD   Z2, Z8, Z8
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	DECQ      CX
-	JNZ       round
-	VMOVDQU32 Z8, (DX)
-	VMOVDQU32 Z9, 64(DX)
-	VZEROUPPER
-	RET

@@ -13,7 +13,7 @@ package kernels
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-func detectSIMD() string {
+func detectSIMD() level {
 	const (
 		osxsave = 1 << 27 // CPUID.1:ECX
 		avx     = 1 << 28 // CPUID.1:ECX
@@ -23,23 +23,23 @@ func detectSIMD() string {
 		zmmK    = 0xe0    // XCR0: and opmask, ZMM0-15 upper halves, ZMM16-31
 	)
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return ""
+		return levelGeneric
 	}
 	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
-		return ""
+		return levelGeneric
 	}
 	xcr0, _ := xgetbv()
 	if xcr0&ymmXMM != ymmXMM {
-		return ""
+		return levelGeneric
 	}
 	_, b, _, _ := cpuid(7, 0)
 	if b&avx2 == 0 {
-		return ""
+		return levelGeneric
 	}
 	if b&avx512f != 0 && xcr0&zmmK == zmmK {
-		return "avx512"
+		return levelAVX512
 	}
-	return "avx2"
+	return levelAVX2
 }
 
 // gemv4* compute one activation row against four panels: out[p*16+j] =
@@ -68,12 +68,12 @@ func mulAddLoop(iters int)
 
 func mulAddSIMD(iters int, mix string) int64 {
 	switch {
-	case mix == MixAVX2 && simdLevel != "":
+	case mix == MixAVX2 && simdLevel >= levelAVX2:
 		mulAddLoop(iters)
 		return int64(iters) * 4 * 2 * 2 * 8 // blocks × (mul, add) × registers × lanes
-	case mix == MixAVX512 && simdLevel == "avx512":
+	case mix == MixAVX512 && simdLevel >= levelAVX512:
 		mulAddLoop512(iters)
-	case mix == MixAVX512FMA && simdLevel == "avx512":
+	case mix == MixAVX512FMA && simdLevel >= levelAVX512:
 		fmaLoop512(iters)
 	default:
 		return 0

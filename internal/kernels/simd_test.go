@@ -19,12 +19,9 @@ import (
 //
 // A level above the host's is clamped to it. -generic is -simd=generic.
 var (
-	forceSIMD    = flag.String("simd", "", "run every test at this SIMD level: generic, avx2 or avx512 (at most the host's)")
+	forceSIMD    = flag.String("simd", "", "run every test at this SIMD level: one of levelNames, at most the host's")
 	forceGeneric = flag.Bool("generic", false, "run every test on the generic Go kernels (-simd=generic)")
 )
-
-// simdLevels is every level in ascending order, as SIMDLevel reports them.
-var simdLevels = []string{"generic", "avx2", "avx512"}
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -32,16 +29,12 @@ func TestMain(m *testing.M) {
 		*forceSIMD = "generic"
 	}
 	if *forceSIMD != "" {
-		want, host := slices.Index(simdLevels, *forceSIMD), slices.Index(simdLevels, SIMDLevel())
+		want := slices.Index(levelNames[:], *forceSIMD)
 		if want < 0 {
-			fmt.Fprintf(os.Stderr, "-simd=%s: not one of %v\n", *forceSIMD, simdLevels)
+			fmt.Fprintf(os.Stderr, "-simd=%s: not one of %v\n", *forceSIMD, levelNames)
 			os.Exit(2)
 		}
-		if want == 0 {
-			simdLevel = ""
-		} else if want < host {
-			simdLevel = *forceSIMD
-		}
+		simdLevel = min(simdLevel, level(want))
 	}
 	os.Exit(m.Run())
 }
@@ -51,8 +44,7 @@ func TestSIMDLevelReported(t *testing.T) {
 	if *forceSIMD == "" {
 		return
 	}
-	want, got := slices.Index(simdLevels, *forceSIMD), slices.Index(simdLevels, SIMDLevel())
-	if got > want {
+	if want := slices.Index(levelNames[:], *forceSIMD); int(simdLevel) > want {
 		t.Errorf("SIMDLevel() = %q under -simd=%s", SIMDLevel(), *forceSIMD)
 	}
 }
@@ -193,9 +185,11 @@ func TestSIMDMatchesGenericQuick(t *testing.T) {
 
 // TestFMAExactIsSound multiplies, for every pair of exponents fmaExact
 // admits, the bfloat16 values with the shortest and the longest significand
-// at each: the float32 product must be the exact one, or fusing would change
-// bits. And the guard must admit what a model's operands look like, or the
-// fused tiles would never run.
+// at each. The float32 product must be the exact one, or a separate
+// multiply would round what the rule does not; and a multiple of 2⁻¹²⁶,
+// or a sum of products could be denormal and the rule would flush it. And
+// the guard must admit what a model's operands look like, or the vector
+// kernels would never run.
 func TestFMAExactIsSound(t *testing.T) {
 	admitted := 0
 	for ea := 0; ea < 256; ea++ {
@@ -209,8 +203,11 @@ func TestFMAExactIsSound(t *testing.T) {
 					a := math.Float32frombits(uint32(ea)<<23 | fa)
 					w := math.Float32frombits(uint32(ew)<<23 | fw)
 					exact := float64(a) * float64(w) // 16 significant bits: exact in float64
-					if p := a * w; float64(p) != exact || math.IsInf(exact, 0) || math.IsNaN(exact) {
+					switch p := a * w; {
+					case float64(p) != exact:
 						t.Fatalf("fmaExact admits exponents %d, %d but %g·%g = %g in float32, %g exactly", ea, ew, a, w, p, exact)
+					case math.Mod(exact, 0x1p-126) != 0:
+						t.Fatalf("fmaExact admits exponents %d, %d but %g·%g is not a multiple of 2⁻¹²⁶", ea, ew, a, w)
 					}
 				}
 			}
@@ -276,21 +273,20 @@ func TestFP32PackNeverFused(t *testing.T) {
 	}
 }
 
-// TestSIMDSkipFreeOnFinitePack pins the argument the BF16 kernels rest on:
-// over finite weights, multiplying a zero activation through instead of
-// skipping it leaves every bit the same — including when NaN and ±Inf
-// activations have already poisoned the accumulator.
+// TestSIMDSkipFreeOnFinitePack pins what replaced the BF16 zero skip: the
+// TMUL rule multiplies every activation through, so a zero against an
+// infinite weight is NaN, and at every level a BF16 GEMM over zero, NaN and
+// ±Inf activations has the Go loop's bits. The pack records non-finite
+// weights (including a finite value that rounds up to a bfloat16 infinity),
+// which keep the vector kernels off it.
 func TestSIMDSkipFreeOnFinitePack(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	for _, m := range []int{1, 4} {
+	for _, m := range []int{1, 4, 40} {
 		k, n := 300, 40
 		a, b := randMat(r, m*k), randMat(r, k*n)
 		sprinkle(r, a, 0, negZero, 0, negZero, nan, inf, -inf)
 		sprinkle(r, b, 0, negZero) // −0 weights: products of either sign of zero
 		pb := PackBBF16(k, n, b)
-		if !pb.finite() {
-			t.Fatal("finite weights packed as non-finite")
-		}
 		want, got := make([]float32, m*n), make([]float32, m*n)
 		GemmPackedGeneric(m, a, pb, want)
 		GemmPacked(m, a, pb, got)
@@ -299,12 +295,14 @@ func TestSIMDSkipFreeOnFinitePack(t *testing.T) {
 				math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
 	}
-	if PackBBF16(1, 1, []float32{inf}).finite() || PackBBF16(1, 1, []float32{nan}).finite() {
-		t.Error("non-finite weight not detected at pack time")
+	c := []float32{1}
+	if GemmTileBF16(1, 1, 1, []float32{0}, []float32{inf}, c); !math.IsNaN(float64(c[0])) {
+		t.Errorf("0·Inf = %g, want NaN", c[0])
 	}
-	// A finite FP32 value can round up to a BF16 infinity.
-	if PackBBF16(1, 1, []float32{math.MaxFloat32}).finite() {
-		t.Error("BF16 overflow to Inf not detected at pack time")
+	for _, w := range []float32{inf, nan, math.MaxFloat32} {
+		if PackBBF16(1, 1, []float32{w}).exps.hi != 255 {
+			t.Errorf("non-finite bfloat16 weight %g not detected at pack time", w)
+		}
 	}
 }
 

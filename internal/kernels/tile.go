@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/tensor"
+import (
+	"math"
+
+	"repro/internal/tensor"
+)
 
 // Intel AMX tile geometry (§II-D of the paper): a tile register is 16 rows
 // of 64 bytes. For BF16 that is 16×32 elements; TMUL TDPBF16PS multiplies
@@ -13,63 +17,69 @@ const (
 	TileColsBF16 = 32
 )
 
-// GemmTileBF16 computes C = A·B emulating the AMX TMUL dataflow: inputs
-// are rounded to bfloat16, the matrices are processed in 16×32 (A) and
-// 32×16 (B) tiles, and products are accumulated in FP32. The result is
-// bit-faithful to what an AMX kernel computing in BF16 would produce
-// (up to FP32 accumulation order within a tile column, which we fix as
-// ascending k). It is the serial oracle of the BF16 packed kernel, which
-// must match it bit for bit.
+// GemmTileBF16 computes C = A·B with both operands rounded to bfloat16,
+// under the rule one AMX TDPBF16PS instruction applies — measured on the
+// hardware, and the numerics every kernel over a BF16 pack reproduces bit
+// for bit. It is the serial oracle of those kernels.
+//
+// K is zero-padded to a multiple of 32, and each block of 32 k values,
+// from k = 0 on, is one instruction. Within a block every output element
+// keeps two float32 chains, both starting at +0: e adds the even-k
+// products and o the odd-k products, each in ascending k. The block then
+// ends with c = c + (e + o), c starting at +0. Every addition rounds to
+// nearest even. A chain adds the exact product — it is never rounded,
+// flushed or overflowed on its own — and rounds the sum once, as a fused
+// multiply-add does. bfloat16 denormal inputs read as zero (DAZ), and a
+// denormal result flushes to a zero of its sign (FTZ).
 func GemmTileBF16(m, n, k int, a, b, c []float32) {
 	checkDims(m, n, k, a, b, c)
-	// Pre-round both operands to bf16 once, as a real kernel would convert
-	// (or load pre-converted weights) before issuing TMUL.
 	ab := roundBF16Slice(a[:m*k])
 	bb := roundBF16Slice(b[:k*n])
-	var acc [TileRows * TileRows]float32 // one 16×16 FP32 accumulator tile
-	for i0 := 0; i0 < m; i0 += TileRows {
-		iMax := min(i0+TileRows, m)
-		for j0 := 0; j0 < n; j0 += TileRows {
-			jMax := min(j0+TileRows, n)
-			for idx := range acc {
-				acc[idx] = 0
-			}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var acc float32
 			for p0 := 0; p0 < k; p0 += TileColsBF16 {
-				pMax := min(p0+TileColsBF16, k)
-				// TDPBF16PS: acc[i][j] += Σ_p A[i][p]*B[p][j] over the
-				// 32-deep tile, accumulated in FP32.
-				for i := i0; i < iMax; i++ {
-					arow := ab[i*k:]
-					for p := p0; p < pMax; p++ {
-						av := arow[p]
-						if av == 0 {
-							continue
-						}
-						brow := bb[p*n:]
-						ti := (i - i0) * TileRows
-						for j := j0; j < jMax; j++ {
-							acc[ti+(j-j0)] += av * brow[j]
-						}
+				var chain [2]float32 // e, o
+				for p := p0; p < p0+TileColsBF16; p++ {
+					var av, bv float32 // the zero padding past K
+					if p < k {
+						av, bv = ab[i*k+p], bb[p*n+j]
 					}
+					chain[p%2] = tmulStep(chain[p%2], av, bv)
 				}
+				acc = flushDenormal(acc + flushDenormal(chain[0]+chain[1]))
 			}
-			// Tile store.
-			for i := i0; i < iMax; i++ {
-				ti := (i - i0) * TileRows
-				for j := j0; j < jMax; j++ {
-					c[i*n+j] = acc[ti+(j-j0)]
-				}
-			}
+			c[i*n+j] = acc
 		}
 	}
 }
 
+// roundBF16Slice returns src rounded to bfloat16, denormals read as zero.
 func roundBF16Slice(src []float32) []float32 {
 	dst := make([]float32, len(src))
 	for i, v := range src {
-		dst[i] = tensor.RoundBF16(v)
+		dst[i] = flushDenormal(tensor.RoundBF16(v))
 	}
 	return dst
+}
+
+// flushDenormal returns x, or a zero of x's sign when x is denormal: how
+// TMUL reads a denormal input and writes a denormal result.
+func flushDenormal(x float32) float32 {
+	if b := math.Float32bits(x); b&0x7f800000 == 0 {
+		return math.Float32frombits(b & 0x80000000)
+	}
+	return x
+}
+
+// tmulStep is one step of a TDPBF16PS chain: acc + a·w, rounded once, for
+// bfloat16 a and w that are not denormal. The float64 product is exact (16
+// significant bits, exponents far inside float64's), and so is the sum
+// unless one addend dwarfs the other — by more than 2²⁹, where the smaller
+// cannot reach a float32 rounding boundary and the double rounding is
+// harmless.
+func tmulStep(acc, a, w float32) float32 {
+	return flushDenormal(float32(float64(acc) + float64(a)*float64(w)))
 }
 
 // GemmInt8 computes C = scaleA·scaleB·(Aq·Bq) emulating the AMX INT8 path

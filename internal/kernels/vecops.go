@@ -15,7 +15,7 @@ const vecLanes = 8
 // vecPrefix is how many leading elements of an n-element op the vector
 // routine takes: none without a SIMD level.
 func vecPrefix(n int) int {
-	if simdLevel == "" {
+	if simdLevel == levelGeneric {
 		return 0
 	}
 	return n &^ (vecLanes - 1)
@@ -115,7 +115,7 @@ func AccumRows(out, w, rows []float32, stride int) {
 		return
 	}
 	j := 0
-	if simdLevel != "" {
+	if simdLevel >= levelAVX2 {
 		for ; len(out)-j >= 4*vecLanes; j += 4 * vecLanes {
 			accumRows32(&out[j], &w[0], &rows[j], stride*4, n)
 		}
