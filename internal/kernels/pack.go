@@ -203,12 +203,21 @@ type kernelPath uint8
 const (
 	pathGo     kernelPath = iota // the Go loops
 	pathVector                   // the AVX2 / AVX-512 micro-kernels
+	pathAMX                      // TMUL: BF16 packs, at every M
 )
 
-// path is the kernel path of an m-row GEMM over the pack.
+// path is the kernel path of an m-row GEMM over the pack — for a BF16 pack
+// on the vector kernels, if its activations pass fmaExact.
 func (pb *PackedB) path(m int) kernelPath {
-	if simdLevel == levelGeneric || pb.K == 0 || pb.BF16 {
+	switch {
+	case simdLevel == levelGeneric || pb.K == 0:
 		return pathGo
+	case !pb.BF16:
+		return pathVector
+	case simdLevel == levelAMX:
+		return pathAMX // faster than the vector kernels at every M, one row included
+	case pb.exps.hi == 255:
+		return pathGo // fmaExact refuses non-finite weights, whatever the activations
 	}
 	return pathVector
 }
@@ -220,8 +229,9 @@ type gemm struct {
 	path kernelPath
 	// a is the activation rows: an FP32 pack's as the caller passed them,
 	// K apart, or a BF16 pack's copy rounded to bfloat16, kp apart and
-	// zero-padded.
-	a []float32
+	// zero-padded; on TMUL, an is that copy narrowed to bfloat16 instead.
+	a  []float32
+	an []uint16
 }
 
 // panels computes C rows [i0,i1) × column panels [pn0,pn1). Every output
@@ -231,10 +241,14 @@ type gemm struct {
 func (g *gemm) panels(i0, i1, pn0, pn1 int) {
 	pb := g.pb
 	switch {
+	case g.path == pathAMX:
+		gemmPanelsAMX(i0, i1, pn0, pn1, g.an, pb, g.c)
 	case g.path == pathGo && pb.BF16:
 		gemmPairsGo(i0, i1, pn0, pn1, g.a, pb, g.c)
 	case g.path == pathGo:
 		gemmPackedPanelsGo(i0, i1, pn0, pn1, g.a, pb, g.c)
+	case pb.BF16:
+		gemmPairsSIMD(i0, i1, pn0, pn1, g.a, pb, g.c)
 	case simdLevel >= levelAVX512 && i1-i0 > 1:
 		gemmPanels512(i0, i1, pn0, pn1, g.a, pb, g.c)
 	default:
@@ -242,36 +256,39 @@ func (g *gemm) panels(i0, i1, pn0, pn1 int) {
 	}
 }
 
-// operands returns the activation rows an m-row GEMM over pb reads and the
-// kernel path it takes: an FP32 pack reads a as it is, a BF16 pack a copy of
-// it rounded into ar, which holds at least m·kp values. (It returns rather
-// than fills in a gemm: a store through a pointer would move the callers'
-// stack buffers to the heap.)
-func operands(m int, a, ar []float32, pb *PackedB, generic bool) ([]float32, kernelPath) {
-	path := pb.path(m)
-	if generic {
-		path = pathGo
-	}
-	if !pb.BF16 {
-		return a, path
-	}
-	k, kp := pb.K, padK(pb.K)
-	roundRows(ar[:m*kp], a, m, k, kp)
-	return ar[:m*kp], path
-}
-
 // roundRows rounds the m rows of k activations in a to bfloat16 into dst,
-// kp apart with the padding zeroed.
-func roundRows(dst, a []float32, m, k, kp int) {
-	if k == kp {
-		RoundBF16Into(dst[:m*k], a)
-		return
+// kp apart with the padding zeroed, and returns the exponent range of the
+// rounded values (fmaExact's activation side).
+func roundRows(dst, a []float32, m, k, kp int) expRange {
+	rows, width, stride := m, k, kp
+	if k == kp { // the rows are contiguous on both sides: one pass
+		rows, width, stride = 1, m*k, m*k
 	}
-	for i := 0; i < m; i++ {
-		row := dst[i*kp : (i+1)*kp]
-		RoundBF16Into(row[:k], a[i*k:])
-		clear(row[k:])
+	var lohi [16]uint32 // roundBF16Vec's running minima, then maxima
+	for i := range lohi[:8] {
+		lohi[i] = math.MaxUint32
 	}
+	lo, hi := uint32(math.MaxUint32), uint32(0)
+	for i := 0; i < rows; i++ {
+		row, src := dst[i*stride:i*stride+width], a[i*k:i*k+width]
+		v := vecPrefix(width)
+		if v > 0 {
+			roundBF16Vec(&row[0], &src[0], v, &lohi)
+		}
+		for j := v; j < width; j++ {
+			row[j] = tensor.RoundBF16(src[j])
+			abs := math.Float32bits(row[j]) &^ (1 << 31)
+			lo, hi = min(lo, abs-1), max(hi, abs) // a zero wraps to the top of lo
+		}
+		clear(dst[i*stride+width : (i+1)*stride])
+	}
+	for i := 0; i < 8; i++ {
+		lo, hi = min(lo, lohi[i]), max(hi, lohi[8+i])
+	}
+	if hi == 0 {
+		return noExps
+	}
+	return expRange{lo: uint8((lo + 1) >> 23), hi: uint8(hi >> 23)}
 }
 
 // gemmPackedPanelsGo is an FP32 pack's GEMM in portable Go: the fallback on
@@ -349,8 +366,7 @@ func checkPackedDims(m int, a []float32, pb *PackedB, c []float32) {
 // FP32 packs match GemmNaive bit for bit; BF16 packs match GemmTileBF16
 // bit for bit. This is the serial reference entry point — the hot path
 // uses GemmPackedPooled, which splits over a Pool. Neither allocates in
-// steady state: the bf16-rounded activation copy lives on the stack when
-// it is small (a decode GEMV) and in recycled scratch otherwise.
+// steady state: the rounded activation copy lives in recycled scratch.
 func GemmPacked(m int, a []float32, pb *PackedB, c []float32) {
 	gemmPackedSerial(m, a, pb, c, false)
 }
@@ -363,25 +379,13 @@ func GemmPackedGeneric(m int, a []float32, pb *PackedB, c []float32) {
 }
 
 func gemmPackedSerial(m int, a []float32, pb *PackedB, c []float32, generic bool) {
-	checkPackedDims(m, a, pb, c)
-	g := gemm{pb: pb, c: c}
-	var stack [1024]float32
-	ar := stack[:]
-	if need := m * padK(pb.K); pb.BF16 && need > len(stack) {
-		buf := roundScratch.Get().(*[]float32)
-		defer roundScratch.Put(buf)
-		if cap(*buf) < need {
-			*buf = make([]float32, need)
-		}
-		ar = *buf
-	}
-	g.a, g.path = operands(m, a, ar, pb, generic)
-	g.panels(0, m, 0, pb.Panels())
+	j := serialJobs.Get().(*PackedJob)
+	j.run(nil, m, a, pb, c, generic, 0)
+	serialJobs.Put(j)
 }
 
-// roundScratch recycles GemmPacked's rounded-activation copies that do not
-// fit its stack buffer.
-var roundScratch = sync.Pool{New: func() any { return new([]float32) }}
+// serialJobs recycles GemmPacked's dispatch state and scratch.
+var serialJobs = sync.Pool{New: func() any { return new(PackedJob) }}
 
 // GemvPacked computes y = x·B for a single activation row — the decode
 // GEMV shape the paper identifies as memory-bound.
@@ -391,7 +395,7 @@ func GemvPacked(x []float32, pb *PackedB, y []float32) {
 
 // PackedJob is the reusable dispatch state for pool-parallel packed GEMMs.
 // Keeping it caller-owned (one per scratch arena) makes steady-state
-// dispatch allocation-free: the bf16 rounding buffer and the partition
+// dispatch allocation-free: the bf16 rounding buffers and the partition
 // descriptor are reused across every call.
 type PackedJob struct {
 	g         gemm
@@ -401,6 +405,7 @@ type PackedJob struct {
 	panelsPer int
 
 	ar []float32 // bf16-rounded activation scratch
+	an []uint16  // the same narrowed to bfloat16, for TMUL
 }
 
 // RunPart implements Task: it computes one row band or one column-panel
@@ -421,16 +426,69 @@ func (j *PackedJob) RunPart(part, parts int) {
 	}
 }
 
+// run computes C = A·B over pb on the path the host and, for a BF16 pack,
+// the activations allow (the Go loops if generic), splitting it over p
+// when it is at least minMACs multiply-adds.
+func (j *PackedJob) run(p *Pool, m int, a []float32, pb *PackedB, c []float32, generic bool, minMACs int) {
+	checkPackedDims(m, a, pb, c)
+	j.g = gemm{pb: pb, c: c, a: a, path: pb.path(m)}
+	if generic {
+		j.g.path = pathGo
+	}
+	if pb.BF16 {
+		k, kp := pb.K, padK(pb.K)
+		if j.g.path == pathAMX {
+			j.an = grow(j.an, m*kp)
+			narrowRows(j.an, a, m, k, kp)
+			j.g.a, j.g.an = nil, j.an
+		} else {
+			j.ar = grow(j.ar, m*kp)
+			if !fmaExact(roundRows(j.ar, a, m, k, kp), pb.exps) {
+				j.g.path = pathGo
+			}
+			j.g.a = j.ar
+		}
+	}
+	workers := p.Workers()
+	panels := pb.Panels()
+	j.m = m
+	switch {
+	case workers <= 1 || m*pb.K*panels*PanelCols < minMACs:
+		j.g.panels(0, m, 0, panels)
+	case rowBand(m, workers, j.g.path) > 0:
+		j.byRows, j.rowsPer = true, rowBand(m, workers, j.g.path)
+		p.Run(j, (m+j.rowsPer-1)/j.rowsPer)
+	default:
+		parts := min(workers, panels)
+		j.byRows, j.panelsPer = false, (panels+parts-1)/parts
+		p.Run(j, parts)
+	}
+	j.g = gemm{} // keep no caller slices alive
+}
+
+// grow returns s resized to n, reallocated only when it is too small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // minSplitMACs is the least work (multiply-adds) of an m-row GEMM that
 // GemmPackedPooled hands to the pool: a parked worker takes long enough to
 // wake that, below it, the caller has finished its own part and the
 // worker's before the worker runs, and the GEMM costs what it costs inline
 // plus the dispatch. The break-even is a time, so the count follows the
 // kernel's rate: measured on the 2-vCPU sandbox, about 2²⁰ multiply-adds
-// on the AVX2 kernels — which a single row runs on at every level — and
-// 2²⁴ on the 512-bit tiles (docs/performance.md has the table).
-func minSplitMACs(m int) int {
-	if simdLevel >= levelAVX512 && m > 1 {
+// on the AVX2 kernels — which a single row runs on below the TMUL level —
+// and 2²⁴ on the 512-bit tiles. On TMUL a GEMM is worth splitting once it
+// is compute-bound and long (2²⁶), or bandwidth-bound — its weights past
+// L2, 2²⁰ multiply-adds per row (docs/performance.md has the tables).
+func minSplitMACs(m int, path kernelPath) int {
+	switch {
+	case path == pathAMX:
+		return min(m<<20, 1<<26)
+	case simdLevel >= levelAVX512 && m > 1:
 		return 1 << 24
 	}
 	return 1 << 20
@@ -441,14 +499,19 @@ func minSplitMACs(m int) int {
 const rowBlock = 4
 
 // rowBand is the height of the row bands an m-row GEMM is split into over
-// `workers` workers, or 0 when m is too short to split by rows: every
+// `workers` workers, or 0 when it is to be split by column panels: every
 // worker is to get at least one of the level's tallest register tiles
 // (sixteen rows on the 512-bit tiles), and the band is rounded up to a
 // multiple of its shortest rows × 1 tile, so that only the last band ends
-// in a repeated or recomputed row.
-func rowBand(m, workers int) int {
+// in a repeated or recomputed row. TMUL splits by panels at every M: each
+// worker then streams only its half of the weights, which is what a GEMM
+// big enough to split is bound by.
+func rowBand(m, workers int, path kernelPath) int {
 	tall, step := rowBlock, rowBlock
-	if simdLevel >= levelAVX512 {
+	switch {
+	case path == pathAMX:
+		return 0
+	case simdLevel >= levelAVX512:
 		tall, step = 16, 8
 	}
 	if m < tall*workers {
@@ -466,31 +529,11 @@ func rowBand(m, workers int) int {
 // bit-identical to GemmPacked for any worker count — each output
 // element's accumulation order is fixed.
 func GemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c []float32) {
-	gemmPackedPooled(p, j, m, a, pb, c, minSplitMACs(m))
+	j.run(p, m, a, pb, c, false, minSplitMACs(m, pb.path(m)))
 }
 
 // gemmPackedPooled is GemmPackedPooled with the inline threshold as an
 // argument (the tests send small GEMMs through the splits).
 func gemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c []float32, minMACs int) {
-	checkPackedDims(m, a, pb, c)
-	j.g = gemm{pb: pb, c: c}
-	if need := m * padK(pb.K); pb.BF16 && cap(j.ar) < need {
-		j.ar = make([]float32, need)
-	}
-	j.g.a, j.g.path = operands(m, a, j.ar[:cap(j.ar)], pb, false)
-	workers := p.Workers()
-	panels := pb.Panels()
-	j.m = m
-	switch {
-	case workers <= 1 || m*pb.K*panels*PanelCols < minMACs:
-		j.g.panels(0, m, 0, panels)
-	case rowBand(m, workers) > 0:
-		j.byRows, j.rowsPer = true, rowBand(m, workers)
-		p.Run(j, (m+j.rowsPer-1)/j.rowsPer)
-	default:
-		parts := min(workers, panels)
-		j.byRows, j.panelsPer = false, (panels+parts-1)/parts
-		p.Run(j, parts)
-	}
-	j.g = gemm{} // keep no caller slices alive
+	j.run(p, m, a, pb, c, false, minMACs)
 }

@@ -8,10 +8,11 @@ const (
 	levelGeneric level = iota // the portable Go loops
 	levelAVX2
 	levelAVX512
+	levelAMX // AVX-512 and the TMUL tiles
 )
 
 // levelNames are the levels as SIMDLevel reports them.
-var levelNames = [...]string{"generic", "avx2", "avx512"}
+var levelNames = [...]string{"generic", "avx2", "avx512", "amx"}
 
 // simdLevel is the widest level this host runs, chosen once at start-up
 // from what the CPU and OS report (the package's tests step down with
@@ -19,22 +20,26 @@ var levelNames = [...]string{"generic", "avx2", "avx512"}
 var simdLevel = detectSIMD()
 
 // SIMDLevel reports which packed-GEMM micro-kernels this process runs:
-// "avx512", "avx2", or "generic" for the portable Go loop.
+// "amx", "avx512", "avx2", or "generic" for the portable Go loop.
 func SIMDLevel() string { return levelNames[simdLevel] }
 
 // The instruction mixes a packed GEMM can run as: the Go loop, or a SIMD
-// level's separately rounded multiply and add, or its fused multiply-add.
+// level's separately rounded multiply and add, or its fused multiply-add,
+// or TMUL's TDPBF16PS.
 const (
 	MixGo        = "go"
 	MixAVX2      = "avx2-muladd"
 	MixAVX512    = "avx512-muladd"
 	MixAVX512FMA = "avx512-fma"
+	MixAMX       = "amx-bf16"
 )
 
 // Mixes lists the instruction mixes this process can issue, narrowest
 // first.
 func Mixes() []string {
 	switch simdLevel {
+	case levelAMX:
+		return []string{MixGo, MixAVX2, MixAVX512, MixAVX512FMA, MixAMX}
 	case levelAVX512:
 		return []string{MixGo, MixAVX2, MixAVX512, MixAVX512FMA}
 	case levelAVX2:
@@ -48,9 +53,11 @@ func Mixes() []string {
 // any but contrived ones do) — which of the MulAddPeak ceilings the call
 // is to be held against.
 func (pb *PackedB) Mix(m int) string {
-	switch {
-	case pb.path(m) == pathGo:
+	switch path := pb.path(m); {
+	case path == pathGo:
 		return MixGo
+	case path == pathAMX:
+		return MixAMX
 	case simdLevel == levelAVX2 || m == 1:
 		return MixAVX2
 	case pb.BF16:
@@ -62,8 +69,9 @@ func (pb *PackedB) Mix(m int) string {
 // MulAddPeak executes about iters k-steps of a packed kernel's arithmetic
 // on values that never leave registers or L1 — independent multiplies
 // feeding separate accumulator chains, rounded separately or fused as the
-// mix says — and returns the floating-point operations performed (0 for a
-// mix this process cannot issue). Timed, it is the compute ceiling
+// mix says; for MixAMX, iters rounds of four TDPBF16PS on tiles held in the
+// tile registers — and returns the floating-point operations performed (0
+// for a mix this process cannot issue). Timed, it is the compute ceiling
 // cmd/gemmbench holds a kernel point of that mix against. MixGo is the Go
 // loop over one L1-resident panel.
 func MulAddPeak(iters int, mix string) (flops int64) {

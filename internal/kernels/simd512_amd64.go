@@ -116,3 +116,9 @@ func gemmPanels512(i0, i1, pn0, pn1 int, a []float32, pb *PackedB, c []float32) 
 		}
 	}
 }
+
+// vdpbf16ps is acc += a·b by VDPBF16PS (AVX512_BF16), lane by lane over
+// bfloat16 pairs. No kernel uses it: TestVDPBF16PSRule pins why.
+//
+//go:noescape
+func vdpbf16ps(acc *[16]float32, a, b *[16]uint32)

@@ -324,3 +324,141 @@ TEXT ·mulAddLoop512(SB), NOSPLIT, $0-8
 TEXT ·fmaLoop512(SB), NOSPLIT, $0-8
 	MOVQ iters+0(FP), CX
 	PEAKLOOP(REGFMA)
+
+// BF16 packs, in the pair layout: a pair-row is sixteen 32-bit words,
+// column j's even-k weight in the low half of word j and its odd-k weight
+// in the high half, so one shift and one mask widen the two — in column
+// order. Each output element keeps GemmTileBF16's two chains, e (even k)
+// and o (odd k), as fused multiply-adds from +0 over a block of 32 k, then
+// folds them into c = c + (e + o). The callers run this only where
+// fmaExact proves plain float32 arithmetic gives the rule's bits.
+
+// PAIRROW is one pair-row of the four activation rows R8-R11 (pair index
+// BX: k = 2·BX and 2·BX+1) against the widened weights Z24-Z27 (panel 0
+// even, odd; panel 1 even, odd).
+#define PAIRROW(r, e0, o0, e1, o1) \
+	VFMADD231PS.BCST (r)(BX*8), Z24, e0  \
+	VFMADD231PS.BCST 4(r)(BX*8), Z25, o0 \
+	VFMADD231PS.BCST (r)(BX*8), Z26, e1  \
+	VFMADD231PS.BCST 4(r)(BX*8), Z27, o1
+
+// FOLD is c = c + (e + o), then e and o back to +0.
+#define FOLD(c, e, o) \
+	VADDPS o, e, e \
+	VADDPS e, c, c \
+	VPXORD e, e, e \
+	VPXORD o, o, o
+
+// func tile4x2Pairs(a0, a1, a2, a3 *float32, kp int, w0, w1 unsafe.Pointer, c *float32, n, rows int, masks uint32)
+// The four activation rows R8-R11 (kp values each) against two adjacent
+// panels (SI, DI) into the first DX rows of the 4 × 32 tile at R12, as
+// tile4x2F32 takes them. Registers: c in Z0-Z7, e in Z8-Z15, o in Z16-Z23,
+// row r and panel p at index 2r+p.
+TEXT ·tile4x2Pairs(SB), NOSPLIT, $0-84
+	MOVQ a0+0(FP), R8
+	MOVQ a1+8(FP), R9
+	MOVQ a2+16(FP), R10
+	MOVQ a3+24(FP), R11
+	MOVQ kp+32(FP), CX
+	MOVQ w0+40(FP), SI
+	MOVQ w1+48(FP), DI
+	MOVQ c+56(FP), R12
+	MOVQ n+64(FP), R13
+	MOVQ rows+72(FP), DX
+	MOVL masks+80(FP), AX
+	KMOVW AX, K1
+	SHRL  $16, AX
+	KMOVW AX, K2
+	SHLQ  $2, R13
+	SHRQ  $5, CX
+	VPTERNLOGD $0xff, Z28, Z28, Z28
+	VPSLLD     $16, Z28, Z28 // 0xffff0000
+	ZERO8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	ZERO8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	ZERO8(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	XORQ BX, BX
+
+block:
+	MOVQ $16, AX
+
+pair:
+	VPSLLD $16, (SI), Z24
+	VPANDD (SI), Z28, Z25
+	VPSLLD $16, (DI), Z26
+	VPANDD (DI), Z28, Z27
+	PAIRROW(R8, Z8, Z16, Z9, Z17)
+	PAIRROW(R9, Z10, Z18, Z11, Z19)
+	PAIRROW(R10, Z12, Z20, Z13, Z21)
+	PAIRROW(R11, Z14, Z22, Z15, Z23)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	INCQ BX
+	DECQ AX
+	JNZ  pair
+	FOLD(Z0, Z8, Z16)
+	FOLD(Z1, Z9, Z17)
+	FOLD(Z2, Z10, Z18)
+	FOLD(Z3, Z11, Z19)
+	FOLD(Z4, Z12, Z20)
+	FOLD(Z5, Z13, Z21)
+	FOLD(Z6, Z14, Z22)
+	FOLD(Z7, Z15, Z23)
+	DECQ CX
+	JNZ  block
+	STORE2(STOREF32, Z0, Z1)
+	STORE2(STOREF32, Z2, Z3)
+	STORE2(STOREF32, Z4, Z5)
+	STORE2(STOREF32, Z6, Z7)
+
+done:
+	VZEROUPPER
+	RET
+
+// func narrowBF16(dst *uint16, src *float32, n int)
+// roundBF16Vec on sixteen lanes, keeping each result's upper half: the
+// bits tensor.ToBF16 returns, sixteen to a 32-byte store.
+TEXT ·narrowBF16(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $4, CX
+	VPTERNLOGD $0xff, Z15, Z15, Z15 // all ones
+	VPSRLD     $31, Z15, Z14        // 1
+	VPSRLD     $17, Z15, Z13        // 0x7fff
+	VPSLLD     $16, Z15, Z12        // 0xffff0000
+	VPSLLD     $22, Z14, Z11        // 0x00400000: the quiet bit
+
+narrow:
+	VMOVDQU32 (SI), Z0
+	VPSRLD    $16, Z0, Z1
+	VPANDD    Z14, Z1, Z1
+	VPADDD    Z13, Z0, Z2
+	VPADDD    Z1, Z2, Z2
+	VPANDD    Z12, Z0, Z3
+	VPORD     Z11, Z3, Z3
+	VCMPPS    $3, Z0, Z0, K2
+	VMOVDQA32 Z3, K2, Z2
+	VPSRLD    $16, Z2, Z2
+	VPMOVDW   Z2, (DI)
+	ADDQ      $64, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       narrow
+	VZEROUPPER
+	RET
+
+// func vdpbf16ps(acc *[16]float32, a, b *[16]uint32)
+// acc += a·b by VDPBF16PS (AVX512_BF16), which the kernels do not use: it
+// folds each bfloat16 pair into its lane by a rule of its own (see
+// TestVDPBF16PSRule). go1.24's assembler has no mnemonic for it.
+TEXT ·vdpbf16ps(SB), NOSPLIT, $0-24
+	MOVQ acc+0(FP), AX
+	MOVQ a+8(FP), BX
+	MOVQ b+16(FP), CX
+	VMOVDQU32 (AX), Z0
+	VMOVDQU32 (BX), Z1
+	VMOVDQU32 (CX), Z2
+	BYTE $0x62; BYTE $0xF2; BYTE $0x76; BYTE $0x48; BYTE $0x52; BYTE $0xC2 // VDPBF16PS zmm0, zmm1, zmm2
+	VMOVDQU32 Z0, (AX)
+	VZEROUPPER
+	RET

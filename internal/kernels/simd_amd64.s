@@ -199,3 +199,67 @@ loop:
 done:
 	VZEROUPPER
 	RET
+
+// BF16 packs, in the pair layout (see simd512_amd64.s). PAIRHALF is one
+// pair-row of eight columns at off(base)(AX*1): the even-k weights widened
+// by a shift and the odd-k ones by a mask (Y15), each times its broadcast
+// activation (Y8 even, Y9 odd) into its chain, e or o. Multiply then add:
+// under fmaExact the product is exact, so this is the fused chain's bits.
+#define PAIRHALF(base, off, e, o) \
+	VMOVDQU off(base)(AX*1), Y10 \
+	VPSLLD  $16, Y10, Y11        \
+	VPAND   Y15, Y10, Y10        \
+	VMULPS  Y8, Y11, Y11         \
+	VADDPS  Y11, e, e            \
+	VMULPS  Y9, Y10, Y10         \
+	VADDPS  Y10, o, o
+
+// PAIRFOLD is c = c + (e + o) on eight columns of out at off(DI).
+#define PAIRFOLD(off, e, o) \
+	VADDPS  o, e, e       \
+	VADDPS  off(DI), e, e \
+	VMOVUPS e, off(DI)
+
+// func gemvPairs(a *float32, kp int, w0, w1 *uint32, out *[32]float32)
+// One activation row (kp values) against two panels (R8, R9) into out:
+// GemmTileBF16's two chains per column in Y0-Y7 (panel 0: e and e for
+// columns 0-7 and 8-15, then o and o; panel 1 likewise), folded into out
+// every sixteen pair-rows.
+TEXT ·gemvPairs(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ kp+8(FP), CX
+	MOVQ w0+16(FP), R8
+	MOVQ w1+24(FP), R9
+	MOVQ out+32(FP), DI
+	SHRQ $5, CX
+	BF16MASK
+	VXORPS  Y14, Y14, Y14
+	VMOVUPS Y14, (DI)
+	VMOVUPS Y14, 32(DI)
+	VMOVUPS Y14, 64(DI)
+	VMOVUPS Y14, 96(DI)
+	XORQ    AX, AX
+
+block:
+	ZEROACC
+	MOVQ $16, DX
+
+pair:
+	VBROADCASTSS (SI), Y8
+	VBROADCASTSS 4(SI), Y9
+	PAIRHALF(R8, 0, Y0, Y2)
+	PAIRHALF(R8, 32, Y1, Y3)
+	PAIRHALF(R9, 0, Y4, Y6)
+	PAIRHALF(R9, 32, Y5, Y7)
+	ADDQ $8, SI
+	ADDQ $64, AX
+	DECQ DX
+	JNZ  pair
+	PAIRFOLD(0, Y0, Y2)
+	PAIRFOLD(32, Y1, Y3)
+	PAIRFOLD(64, Y4, Y6)
+	PAIRFOLD(96, Y5, Y7)
+	DECQ CX
+	JNZ  block
+	VZEROUPPER
+	RET

@@ -81,14 +81,19 @@ func drawSIMDCase(seed int64) simdCase {
 	r := rand.New(rand.NewSource(seed))
 	pick := func(v ...int) int { return v[r.Intn(len(v))] }
 	s := simdCase{
-		// Around every tile height (4, 8, 16) and the row-split bounds.
-		m: pick(1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32, 64),
-		k: pick(0, 1, 2, 3, 7, 16, 17, 33, 64, 255, 1000+r.Intn(200)),
+		// Around every tile height (4, 8, 16, and TMUL's band of 32) and the
+		// row-split bounds.
+		m: pick(1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 64, 100, 128),
+		// Around TMUL's block of 32, and long.
+		k: pick(0, 1, 2, 3, 7, 16, 17, 31, 32, 33, 64, 255, 1000+r.Intn(200)),
 		// Around one panel, the 4 × 2 tile's pair, and the GEMV's four and
 		// eight.
 		n:    pick(1, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 97, 127, 128, 129, 1+r.Intn(130)),
 		bf16: r.Intn(2) == 0,
 		off:  r.Intn(8), // float32 slices are only ever 4-byte aligned
+	}
+	if s.m > 32 && s.k > 255 {
+		s.k = 255 // the Go loops take long enough under -race
 	}
 	s.a = randMat(r, s.off+s.m*s.k)[s.off:]
 	s.b = randMat(r, s.k*s.n)
@@ -146,6 +151,7 @@ func (s simdCase) out() []float32 {
 func TestSIMDMatchesGenericQuick(t *testing.T) {
 	// Every draw is small enough that GemmPackedPooled runs it inline; a
 	// threshold of zero sends it through the pool's row and panel splits.
+	// A BF16 draw's Go loop is held to GemmTileBF16 as well.
 	pools := map[string]*Pool{}
 	for _, workers := range []int{1, 2, 3} {
 		pools[fmt.Sprintf("split over %d", workers)] = NewPool(workers)
@@ -162,6 +168,10 @@ func TestSIMDMatchesGenericQuick(t *testing.T) {
 		want := s.out()
 		GemmPackedGeneric(s.m, s.a, pb, want)
 		got := map[string][]float32{"serial": s.out(), "pooled": s.out()}
+		if s.bf16 {
+			got["GemmTileBF16"] = s.out()
+			GemmTileBF16(s.m, s.n, s.k, s.a, s.b, got["GemmTileBF16"])
+		}
 		GemmPacked(s.m, s.a, pb, got["serial"])
 		GemmPackedPooled(pools["split over 3"], &job, s.m, s.a, pb, got["pooled"])
 		for name, p := range pools {

@@ -65,7 +65,8 @@ func AddBias(x, bias []float32) { Add(x, bias) }
 func RoundBF16Into(dst, src []float32) []float32 {
 	n := vecPrefix(len(dst))
 	if n > 0 {
-		roundBF16Vec(&dst[0], &src[:n][0], n)
+		var lohi [16]uint32
+		roundBF16Vec(&dst[0], &src[:n][0], n, &lohi)
 	}
 	RoundBF16IntoGo(dst[n:], src[n:])
 	return dst

@@ -9,8 +9,11 @@ func reluVec(x *float32, n int)
 //go:noescape
 func addVec(dst, src *float32, n int)
 
+// roundBF16Vec also folds the rounded values' magnitudes into lohi (see
+// the routine).
+//
 //go:noescape
-func roundBF16Vec(dst, src *float32, n int)
+func roundBF16Vec(dst, src *float32, n int, lohi *[16]uint32)
 
 // dotRowsVec computes `groups` groups of eight scores: key row r starts
 // strideBytes·r bytes past rows and holds cols (a positive multiple of

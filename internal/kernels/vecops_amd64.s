@@ -41,20 +41,26 @@ add:
 	VZEROUPPER
 	RET
 
-// func roundBF16Vec(dst, src *float32, n int)
+// func roundBF16Vec(dst, src *float32, n int, lohi *[16]uint32)
 // tensor.RoundBF16 on integer lanes: bits + 0x7fff + (bits>>16 & 1), low
 // half cleared; NaN lanes (VCMPPS unordered) take the truncated bits with
-// the quiet bit set instead.
-TEXT ·roundBF16Vec(SB), NOSPLIT, $0-24
+// the quiet bit set instead. It also folds every rounded value's magnitude
+// bits into two running vectors: lohi[:8] takes the unsigned minimum of
+// |v|−1 (a zero wraps to the top and drops out), lohi[8:] the maximum of |v|.
+TEXT ·roundBF16Vec(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
+	MOVQ lohi+24(FP), DX
 	SHRQ $3, CX
-	VPCMPEQD Y15, Y15, Y15
+	VPCMPEQD Y15, Y15, Y15 // all ones
 	VPSRLD   $31, Y15, Y14 // 1
 	VPSRLD   $17, Y15, Y13 // 0x7fff
-	VPSLLD   $16, Y15, Y15 // 0xffff0000
-	VPSLLD   $22, Y14, Y12 // 0x00400000: the quiet bit
+	VPSLLD   $16, Y15, Y12 // 0xffff0000
+	VPSLLD   $22, Y14, Y11 // 0x00400000: the quiet bit
+	VPSRLD   $1, Y15, Y10  // 0x7fffffff
+	VMOVDQU  (DX), Y8
+	VMOVDQU  32(DX), Y9
 
 round:
 	VMOVDQU   (SI), Y0
@@ -62,16 +68,22 @@ round:
 	VPAND     Y14, Y1, Y1
 	VPADDD    Y13, Y0, Y2
 	VPADDD    Y1, Y2, Y2
-	VPAND     Y15, Y2, Y2
-	VPAND     Y15, Y0, Y3
-	VPOR      Y12, Y3, Y3
+	VPAND     Y12, Y2, Y2
+	VPAND     Y12, Y0, Y3
+	VPOR      Y11, Y3, Y3
 	VCMPPS    $3, Y0, Y0, Y4
 	VBLENDVPS Y4, Y3, Y2, Y5
 	VMOVDQU   Y5, (DI)
+	VPAND     Y10, Y5, Y5
+	VPMAXUD   Y5, Y9, Y9
+	VPADDD    Y15, Y5, Y5
+	VPMINUD   Y5, Y8, Y8
 	ADDQ      $32, SI
 	ADDQ      $32, DI
 	DECQ      CX
 	JNZ       round
+	VMOVDQU   Y8, (DX)
+	VMOVDQU   Y9, 32(DX)
 	VZEROUPPER
 	RET
 

@@ -86,6 +86,14 @@ func TestVecOpsMatchGoLoopsQuick(t *testing.T) {
 		inPlace := clone(x)
 		RoundBF16Into(inPlace, inPlace)
 		ok = sameBits(t, "RoundBF16Into in place", seed, want, inPlace) && ok
+		// The BF16 GEMMs' rounding pass: the same values, the padding
+		// zeroed, and the exponent range fmaExact is asked about.
+		padded := c.slice(padK(c.n))
+		if r := roundRows(padded, x, 1, c.n, len(padded)); r != expsOf(want) {
+			t.Errorf("roundRows seed %d: range %+v, want %+v", seed, r, expsOf(want))
+			ok = false
+		}
+		ok = sameBits(t, "roundRows", seed, append(clone(want), make([]float32, len(padded)-c.n)...), padded) && ok
 		// Attention shapes: head dims on and off the vector path, rows at a
 		// stride wider than the head (a KV row holds every head).
 		cols := []int{0, 1, 8, 16, 24, 32, 40, 64, 5, 33}[c.r.Intn(10)]
@@ -113,7 +121,9 @@ func TestVecOpsMatchGoLoopsQuick(t *testing.T) {
 
 // TestRoundBF16IntoEveryExponent sweeps the rounding's edge values — ties,
 // carries into the exponent, overflow to Inf, signalling NaNs with payload
-// only in the dropped half — through the vector routine.
+// only in the dropped half — through the vector routine, the BF16 GEMMs'
+// rounding pass with its exponent range, and (on the 512-bit levels) the
+// narrowing pass TMUL reads.
 func TestRoundBF16IntoEveryExponent(t *testing.T) {
 	var src []float32
 	for exp := uint32(0); exp < 256; exp++ {
@@ -123,13 +133,28 @@ func TestRoundBF16IntoEveryExponent(t *testing.T) {
 			}
 		}
 	}
-	got := make([]float32, len(src))
+	got, ranged := make([]float32, len(src)), make([]float32, len(src))
 	RoundBF16Into(got, src)
+	exps := roundRows(ranged, src, 1, len(src), len(src))
+	var narrowed []uint16
+	if simdLevel >= levelAVX512 {
+		narrowed = make([]uint16, len(src))
+		narrowRows(narrowed, src, 1, len(src), len(src))
+	}
 	for i, v := range src {
-		if want := tensor.RoundBF16(v); math.Float32bits(got[i]) != math.Float32bits(want) {
-			t.Fatalf("RoundBF16Into(%x) = %x, tensor.RoundBF16 %x",
-				math.Float32bits(v), math.Float32bits(got[i]), math.Float32bits(want))
+		want := tensor.RoundBF16(v)
+		for name, g := range map[string]float32{"RoundBF16Into": got[i], "roundRows": ranged[i]} {
+			if math.Float32bits(g) != math.Float32bits(want) {
+				t.Fatalf("%s(%x) = %x, tensor.RoundBF16 %x",
+					name, math.Float32bits(v), math.Float32bits(g), math.Float32bits(want))
+			}
 		}
+		if narrowed != nil && narrowed[i] != uint16(tensor.ToBF16(v)) {
+			t.Fatalf("narrowRows(%x) = %04x, tensor.ToBF16 %04x", math.Float32bits(v), narrowed[i], tensor.ToBF16(v))
+		}
+	}
+	if want := expsOf(got); exps != want {
+		t.Errorf("roundRows range %+v, want %+v", exps, want)
 	}
 }
 
