@@ -55,7 +55,7 @@ type hostBlock struct {
 	TriadMB   int     `json:"triad_working_set_mb"`
 	TriadGBs1 float64 `json:"triad_gbs_1thread"`
 	TriadGBs  float64 `json:"triad_gbs"`
-	// The widest mix's figures (avx512-fma on an AVX-512 host), and the Go
+	// The widest mix's figures (amx-bf16 on a host with AMX), and the Go
 	// loop's on one thread: the keys this block had before it listed every
 	// mix.
 	MulAddGFLOPs1       float64 `json:"muladd_gflops_1thread"`
@@ -284,7 +284,7 @@ const decodeArtifact = "BENCH_decode.json"
 
 // simdRank orders kernels.SIMDLevel() values.
 func simdRank(level string) int {
-	return map[string]int{"generic": 0, "avx2": 1, "avx512": 2}[level]
+	return map[string]int{"generic": 0, "avx2": 1, "avx512": 2, "amx": 3}[level]
 }
 
 // pointKey identifies a kernel point across artifacts.
@@ -324,7 +324,10 @@ func loadBefore(level string) (rows map[pointKey]*kernelRate, simd string, err e
 
 // levelsInOrder reports the first M ≥ 4 point on which a SIMD level is
 // slower than the level below it: the Go loop, the carried level, the
-// running one.
+// running one. A level is held to the carried one only where the two run
+// different instruction mixes: the same mix is the same kernel (an FP32
+// pack's on the amx level is avx512's), and two readings of it differ by
+// the host's drift alone.
 func (rep *benchReport) levelsInOrder() error {
 	for _, pt := range rep.KernelSweep {
 		if pt.M < 4 || rep.Host.SIMD == "generic" {
@@ -337,7 +340,9 @@ func (rep *benchReport) levelsInOrder() error {
 				return fmt.Errorf("kernel sweep: %s: %s (%.1f us) is slower than %s (%.1f us)",
 					name, rep.BeforeSIMD, b.Seconds*1e6, belowName, below*1e6)
 			}
-			below, belowName = b.Seconds, rep.BeforeSIMD+" (carried)"
+			if b.Mix != pt.Packed.Mix {
+				below, belowName = b.Seconds, rep.BeforeSIMD+" (carried)"
+			}
 		}
 		if pt.Packed.Seconds > below {
 			return fmt.Errorf("kernel sweep: %s: %s (%.1f us) is slower than %s (%.1f us)",

@@ -234,7 +234,7 @@ func newStepReplay(w *engine.Weights, pool *kernels.Pool, B, rows, startPos int)
 		for _, l := range []*engine.Linear{&lw.Wq, &lw.Wk, &lw.Wv, &lw.Wo, &lw.W1, &lw.W2} {
 			// The tile tier's own pack: a GEMM over it includes the bf16
 			// rounding pass over its activations, and runs the instruction
-			// mix the engine's does (fused on the 512-bit tiles).
+			// mix the engine's does (TMUL where the host has it).
 			packs = append(packs, kernels.PackBBF16(l.In, l.Out, l.W))
 		}
 		s.packs = append(s.packs, packs)

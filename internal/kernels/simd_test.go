@@ -139,13 +139,15 @@ func (s simdCase) pack() *PackedB {
 }
 
 // out returns a fresh output slice at the case's unaligned offset, filled
-// with a value no GEMM produces so an unwritten element shows.
+// with a value no GEMM produces so an unwritten element shows, and with a
+// guard of the same value past its end (up to its capacity) that no store
+// may reach.
 func (s simdCase) out() []float32 {
-	c := make([]float32, s.off+s.m*s.n)
+	c := make([]float32, s.off+s.m*s.n+2*PanelCols)
 	for i := range c {
 		c[i] = 12345
 	}
-	return c[s.off:]
+	return c[s.off : s.off+s.m*s.n]
 }
 
 func TestSIMDMatchesGenericQuick(t *testing.T) {
@@ -179,6 +181,12 @@ func TestSIMDMatchesGenericQuick(t *testing.T) {
 			gemmPackedPooled(p, &job, s.m, s.a, pb, got[name], 0)
 		}
 		for name, c := range got {
+			for _, v := range c[len(c):cap(c)] {
+				if v != 12345 {
+					t.Errorf("seed %d %s: a store passed the end of C", seed, name)
+					return false
+				}
+			}
 			if i, ok := bitsEqual(want, c); !ok {
 				t.Errorf("seed %d (m=%d k=%d n=%d bf16=%v off=%d) %s: element %d is %x, generic %x",
 					seed, s.m, s.k, s.n, s.bf16, s.off, name, i,
@@ -358,14 +366,17 @@ func TestPackedZeroAlloc(t *testing.T) {
 	a := randMat(r, 32*k)
 	c := make([]float32, 32*n)
 
-	// The serial entry the gemv probe times: the rounded activation copy
-	// must not come from the heap.
-	if allocs := testing.AllocsPerRun(20, func() { GemvPacked(a[:k], pb, c[:n]) }); allocs != 0 {
-		t.Errorf("GemvPacked on a BF16 pack allocated %v times per run, want 0", allocs)
-	}
-	GemmPacked(16, a, pb, c) // too big for the stack buffer: warm the recycled scratch
-	if allocs := testing.AllocsPerRun(20, func() { GemmPacked(16, a, pb, c) }); allocs != 0 {
-		t.Errorf("GemmPacked (recycled scratch) allocated %v times per run, want 0", allocs)
+	// The serial entries, the gemv probe's among them: the dispatch state
+	// and the rounded activation copy come from recycled scratch (a
+	// sync.Pool, which the race detector drains at random on purpose).
+	if !raceEnabled {
+		GemmPacked(16, a, pb, c) // warm the recycled scratch
+		if allocs := testing.AllocsPerRun(20, func() { GemvPacked(a[:k], pb, c[:n]) }); allocs != 0 {
+			t.Errorf("GemvPacked on a BF16 pack allocated %v times per run, want 0", allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { GemmPacked(16, a, pb, c) }); allocs != 0 {
+			t.Errorf("GemmPacked (recycled scratch) allocated %v times per run, want 0", allocs)
+		}
 	}
 
 	// Pool dispatch in both split regimes (unlike

@@ -16,7 +16,7 @@ import (
 // Keys are pkg.Name, or pkg.Receiver.Name for methods.
 var keptTestOnly = map[string]string{
 	// Reference implementations tests compare against.
-	"kernels.GemmTileBF16":  "serial AMX-dataflow oracle the BF16 packed kernel must match bit for bit",
+	"kernels.GemmTileBF16":  "serial oracle of the measured TDPBF16PS rule; every level's BF16 kernels and TMUL itself must match it bit for bit",
 	"tensor.DequantizeInt8": "reference inverse of QuantizeInt8 for the kernel and tensor error-bound tests",
 
 	// Engine entry points ROADMAP item 1 names as the real-lane executor.
