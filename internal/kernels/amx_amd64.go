@@ -70,10 +70,10 @@ func gemmPanelsAMX(i0, i1, pn0, pn1 int, an []uint16, pb *PackedB, c []float32) 
 	}
 	pairs, tail := full/2, pn0+full/2*2
 	chunk := max(1, amxChunkBytes/(8*panelWords))
-	band := func(i, pn, pairs, w0, w1 int) {
+	band := func(i, pn, np, w0, w1 int) { // rows from i against np pairs from panel pn
 		cfg, shape := amxShape(min(2*TileRows, i1-i), w0, w1)
 		amxTiles(&cfg, &an[i*kp], 2*kp, &pb.pairs[pn*panelWords], kp/TileColsBF16,
-			&c[i*n+pn*PanelCols], 4*n, pairs, shape)
+			&c[i*n+pn*PanelCols], 4*n, np, shape)
 	}
 	for p := 0; p < pairs; p += chunk {
 		for i := i0; i < i1; i += 2 * TileRows {

@@ -451,12 +451,12 @@ func (j *PackedJob) run(p *Pool, m int, a []float32, pb *PackedB, c []float32, g
 	}
 	workers := p.Workers()
 	panels := pb.Panels()
-	j.m = m
+	j.m, j.rowsPer = m, rowBand(m, workers, j.g.path)
 	switch {
 	case workers <= 1 || m*pb.K*panels*PanelCols < minMACs:
 		j.g.panels(0, m, 0, panels)
-	case rowBand(m, workers, j.g.path) > 0:
-		j.byRows, j.rowsPer = true, rowBand(m, workers, j.g.path)
+	case j.rowsPer > 0:
+		j.byRows = true
 		p.Run(j, (m+j.rowsPer-1)/j.rowsPer)
 	default:
 		parts := min(workers, panels)
