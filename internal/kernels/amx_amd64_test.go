@@ -230,7 +230,7 @@ func TestAMXThreadsAndPreemption(t *testing.T) {
 				got := make([]float32, m*n)
 				for it := 0; it < 150; it++ {
 					clear(got)
-					job.run(nil, m, a, pb, got, false, 0)
+					gemmPackedPooled(nil, &job, m, a, pb, got, 0)
 					if i, ok := bitsEqual(want, got); !ok {
 						select {
 						case errs <- fmt.Sprintf("wave %d: element %d is %08x, want %08x", wave, i,

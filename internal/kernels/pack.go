@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/tensor"
 )
@@ -222,38 +221,47 @@ func (pb *PackedB) path(m int) kernelPath {
 	return pathVector
 }
 
-// gemm is one packed GEMM C = A·B as its kernels read it.
-type gemm struct {
-	pb   *PackedB
-	c    []float32
-	path kernelPath
-	// a is the activation rows: an FP32 pack's as the caller passed them,
-	// K apart, or a BF16 pack's copy rounded to bfloat16, kp apart and
-	// zero-padded; on TMUL, an is that copy narrowed to bfloat16 instead.
-	a  []float32
-	an []uint16
-}
-
-// panels computes C rows [i0,i1) × column panels [pn0,pn1). Every output
+// gemmPanels computes C rows [i0,i1) × column panels [pn0,pn1) on path. a
+// is the activation rows: an FP32 pack's as the caller passed them, K
+// apart, or a BF16 pack's rounded to bfloat16, kp apart and zero-padded; on
+// TMUL, an is the BF16 pack's narrowed to bfloat16 instead. Every output
 // element's accumulation order is fixed, so any split of the rows and
 // panels gives the same bits: an FP32 pack's is ascending k, bit-identical
 // to GemmNaive, and a BF16 pack's is GemmTileBF16's.
-func (g *gemm) panels(i0, i1, pn0, pn1 int) {
-	pb := g.pb
+func gemmPanels(path kernelPath, i0, i1, pn0, pn1 int, a []float32, an []uint16, pb *PackedB, c []float32) {
 	switch {
-	case g.path == pathAMX:
-		gemmPanelsAMX(i0, i1, pn0, pn1, g.an, pb, g.c)
-	case g.path == pathGo && pb.BF16:
-		gemmPairsGo(i0, i1, pn0, pn1, g.a, pb, g.c)
-	case g.path == pathGo:
-		gemmPackedPanelsGo(i0, i1, pn0, pn1, g.a, pb, g.c)
+	case path == pathAMX:
+		gemmPanelsAMX(i0, i1, pn0, pn1, an, pb, c)
+	case path == pathGo && pb.BF16:
+		gemmPairsGo(i0, i1, pn0, pn1, a, pb, c)
+	case path == pathGo:
+		gemmPackedPanelsGo(i0, i1, pn0, pn1, a, pb, c)
 	case pb.BF16:
-		gemmPairsSIMD(i0, i1, pn0, pn1, g.a, pb, g.c)
+		gemmPairsSIMD(i0, i1, pn0, pn1, a, pb, c)
 	case simdLevel >= levelAVX512 && i1-i0 > 1:
-		gemmPanels512(i0, i1, pn0, pn1, g.a, pb, g.c)
+		gemmPanels512(i0, i1, pn0, pn1, a, pb, c)
 	default:
-		gemmPanelsSIMD(i0, i1, pn0, pn1, g.a, pb, g.c)
+		gemmPanelsSIMD(i0, i1, pn0, pn1, a, pb, c)
 	}
+}
+
+// prepare readies the m activation rows in a for a GEMM over the BF16 pack
+// pb on path, in the job's scratch: on TMUL it narrows them into an,
+// otherwise it rounds them into ar, each kp apart. It returns the path to
+// take — the Go loops if the rounded rows fail fmaExact — and the rows
+// gemmPanels is to read as a.
+func (j *PackedJob) prepare(path kernelPath, m int, a []float32, pb *PackedB) (kernelPath, []float32) {
+	k, kp := pb.K, padK(pb.K)
+	if path == pathAMX {
+		j.an = grow(j.an, m*kp)
+		narrowRows(j.an, a, m, k, kp)
+		return path, nil
+	}
+	j.ar = grow(j.ar, m*kp)
+	if !fmaExact(roundRows(j.ar, a, m, k, kp), pb.exps) {
+		path = pathGo
+	}
+	return path, j.ar
 }
 
 // roundRows rounds the m rows of k activations in a to bfloat16 into dst,
@@ -366,7 +374,8 @@ func checkPackedDims(m int, a []float32, pb *PackedB, c []float32) {
 // FP32 packs match GemmNaive bit for bit; BF16 packs match GemmTileBF16
 // bit for bit. This is the serial reference entry point — the hot path
 // uses GemmPackedPooled, which splits over a Pool. Neither allocates in
-// steady state: the rounded activation copy lives in recycled scratch.
+// steady state: the rounded activation copy lives in a PackedJob's
+// scratch, here one the serial entry points recycle (serialJobs).
 func GemmPacked(m int, a []float32, pb *PackedB, c []float32) {
 	gemmPackedSerial(m, a, pb, c, false)
 }
@@ -379,13 +388,39 @@ func GemmPackedGeneric(m int, a []float32, pb *PackedB, c []float32) {
 }
 
 func gemmPackedSerial(m int, a []float32, pb *PackedB, c []float32, generic bool) {
-	j := serialJobs.Get().(*PackedJob)
-	j.run(nil, m, a, pb, c, generic, 0)
-	serialJobs.Put(j)
+	checkPackedDims(m, a, pb, c)
+	path := pb.path(m)
+	if generic {
+		path = pathGo
+	}
+	if !pb.BF16 {
+		gemmPanels(path, 0, m, 0, pb.Panels(), a, nil, pb, c)
+		return
+	}
+	var j *PackedJob
+	select {
+	case j = <-serialJobs:
+	default:
+		j = new(PackedJob)
+	}
+	path, a = j.prepare(path, m, a, pb)
+	gemmPanels(path, 0, m, 0, pb.Panels(), a, j.an, pb, c)
+	if 4*cap(j.ar)+2*cap(j.an) <= serialKeep {
+		select {
+		case serialJobs <- j:
+		default:
+		}
+	}
 }
 
-// serialJobs recycles GemmPacked's dispatch state and scratch.
-var serialJobs = sync.Pool{New: func() any { return new(PackedJob) }}
+// serialJobs keeps the serial entry points' scratch between calls. It is a
+// free list rather than a sync.Pool, which drops a share of its Puts on
+// purpose under the race detector, so that a steady caller allocates
+// nothing with or without it. It holds two jobs, and none whose scratch
+// has grown past serialKeep bytes.
+var serialJobs = make(chan *PackedJob, 2)
+
+const serialKeep = 1 << 20
 
 // GemvPacked computes y = x·B for a single activation row — the decode
 // GEMV shape the paper identifies as memory-bound.
@@ -398,8 +433,12 @@ func GemvPacked(x []float32, pb *PackedB, y []float32) {
 // dispatch allocation-free: the bf16 rounding buffers and the partition
 // descriptor are reused across every call.
 type PackedJob struct {
-	g         gemm
-	m         int
+	m    int
+	a    []float32 // the rows gemmPanels reads: the caller's, or ar
+	pb   *PackedB
+	c    []float32
+	path kernelPath
+
 	byRows    bool
 	rowsPer   int
 	panelsPer int
@@ -415,55 +454,15 @@ func (j *PackedJob) RunPart(part, parts int) {
 		i0 := part * j.rowsPer
 		i1 := min(i0+j.rowsPer, j.m)
 		if i0 < i1 {
-			j.g.panels(i0, i1, 0, j.g.pb.Panels())
+			gemmPanels(j.path, i0, i1, 0, j.pb.Panels(), j.a, j.an, j.pb, j.c)
 		}
 		return
 	}
 	pn0 := part * j.panelsPer
-	pn1 := min(pn0+j.panelsPer, j.g.pb.Panels())
+	pn1 := min(pn0+j.panelsPer, j.pb.Panels())
 	if pn0 < pn1 {
-		j.g.panels(0, j.m, pn0, pn1)
+		gemmPanels(j.path, 0, j.m, pn0, pn1, j.a, j.an, j.pb, j.c)
 	}
-}
-
-// run computes C = A·B over pb on the path the host and, for a BF16 pack,
-// the activations allow (the Go loops if generic), splitting it over p
-// when it is at least minMACs multiply-adds.
-func (j *PackedJob) run(p *Pool, m int, a []float32, pb *PackedB, c []float32, generic bool, minMACs int) {
-	checkPackedDims(m, a, pb, c)
-	j.g = gemm{pb: pb, c: c, a: a, path: pb.path(m)}
-	if generic {
-		j.g.path = pathGo
-	}
-	if pb.BF16 {
-		k, kp := pb.K, padK(pb.K)
-		if j.g.path == pathAMX {
-			j.an = grow(j.an, m*kp)
-			narrowRows(j.an, a, m, k, kp)
-			j.g.a, j.g.an = nil, j.an
-		} else {
-			j.ar = grow(j.ar, m*kp)
-			if !fmaExact(roundRows(j.ar, a, m, k, kp), pb.exps) {
-				j.g.path = pathGo
-			}
-			j.g.a = j.ar
-		}
-	}
-	workers := p.Workers()
-	panels := pb.Panels()
-	j.m, j.rowsPer = m, rowBand(m, workers, j.g.path)
-	switch {
-	case workers <= 1 || m*pb.K*panels*PanelCols < minMACs:
-		j.g.panels(0, m, 0, panels)
-	case j.rowsPer > 0:
-		j.byRows = true
-		p.Run(j, (m+j.rowsPer-1)/j.rowsPer)
-	default:
-		parts := min(workers, panels)
-		j.byRows, j.panelsPer = false, (panels+parts-1)/parts
-		p.Run(j, parts)
-	}
-	j.g = gemm{} // keep no caller slices alive
 }
 
 // grow returns s resized to n, reallocated only when it is too small.
@@ -529,11 +528,31 @@ func rowBand(m, workers int, path kernelPath) int {
 // bit-identical to GemmPacked for any worker count — each output
 // element's accumulation order is fixed.
 func GemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c []float32) {
-	j.run(p, m, a, pb, c, false, minSplitMACs(m, pb.path(m)))
+	gemmPackedPooled(p, j, m, a, pb, c, minSplitMACs(m, pb.path(m)))
 }
 
 // gemmPackedPooled is GemmPackedPooled with the inline threshold as an
 // argument (the tests send small GEMMs through the splits).
 func gemmPackedPooled(p *Pool, j *PackedJob, m int, a []float32, pb *PackedB, c []float32, minMACs int) {
-	j.run(p, m, a, pb, c, false, minMACs)
+	checkPackedDims(m, a, pb, c)
+	path := pb.path(m)
+	if pb.BF16 {
+		path, a = j.prepare(path, m, a, pb)
+	}
+	workers := p.Workers()
+	panels := pb.Panels()
+	if workers <= 1 || m*pb.K*panels*PanelCols < minMACs {
+		gemmPanels(path, 0, m, 0, panels, a, j.an, pb, c)
+		return
+	}
+	j.m, j.a, j.pb, j.c, j.path = m, a, pb, c, path
+	if j.rowsPer = rowBand(m, workers, path); j.rowsPer > 0 {
+		j.byRows = true
+		p.Run(j, (m+j.rowsPer-1)/j.rowsPer)
+	} else {
+		parts := min(workers, panels)
+		j.byRows, j.panelsPer = false, (panels+parts-1)/parts
+		p.Run(j, parts)
+	}
+	j.a, j.pb, j.c = nil, nil, nil // keep no caller slices alive
 }
