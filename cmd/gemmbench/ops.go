@@ -26,14 +26,16 @@ type opSet struct {
 	round     func(dst, src []float32)
 	dotRows   func(q, rows []float32, stride, n int, scale float32, out []float32)
 	accumRows func(out, w, rows []float32, stride int)
+	softmax   func(x []float32)
+	norm      func(dst, x, gain, bias []float32, eps float32)
 }
 
 var (
 	goOps = opSet{kernels.ReLUGo, kernels.AddGo, kernels.RoundBF16IntoGo,
-		kernels.DotRowsGo, kernels.AccumRowsGo}
+		kernels.DotRowsGo, kernels.AccumRowsGo, kernels.SoftmaxGo, kernels.LayerNormGo}
 	simdOps = opSet{kernels.ReLU, kernels.Add,
 		func(dst, src []float32) { kernels.RoundBF16Into(dst, src) },
-		kernels.DotRows, kernels.AccumRows}
+		kernels.DotRows, kernels.AccumRows, kernels.Softmax, kernels.LayerNorm}
 )
 
 // opRate is one way of running one op: seconds per call (median, spread)
@@ -182,6 +184,41 @@ func opSweep(h hostBlock, reps int) []opPoint {
 		}
 		t = interleave(reps, nil, wv(goOps), wv(simdOps))
 		add(opPoint{Op: "weighted-v", Shape: shape, GoLoop: h.opRate(t[0], calls, bytes), SIMD: h.opRate(t[1], calls, bytes)})
+
+		// Softmax over every head's scores, restored before each timed run
+		// (the calls within one run see the previous call's probabilities).
+		logits := randMat(rng, heads*ctx)
+		probs := make([]float32, heads*ctx)
+		sm := func(ops opSet) func() {
+			return func() {
+				for c := 0; c < calls; c++ {
+					for hh := 0; hh < heads; hh++ {
+						ops.softmax(probs[hh*ctx : (hh+1)*ctx])
+					}
+				}
+			}
+		}
+		smBytes := float64(8 * heads * ctx)
+		t = interleave(reps, func() { copy(probs, logits) }, sm(goOps), sm(simdOps))
+		add(opPoint{Op: "softmax", Shape: fmt.Sprintf("ctx %d, %d heads", ctx, heads),
+			GoLoop: h.opRate(t[0], calls, smBytes), SIMD: h.opRate(t[1], calls, smBytes)})
+	}
+
+	// LayerNorm at the 4×32 prefill's hidden width: [128, d], rows read
+	// from the residual stream and written to the normalized copy.
+	{
+		m, d := 128, cfg.DModel
+		x, y, gain, bias := randMat(rng, m*d), make([]float32, m*d), randMat(rng, d), randMat(rng, d)
+		ln := func(ops opSet) func() {
+			return func() {
+				for i := 0; i < m; i++ {
+					ops.norm(y[i*d:(i+1)*d], x[i*d:(i+1)*d], gain, bias, 1e-5)
+				}
+			}
+		}
+		t := interleave(reps, nil, ln(goOps), ln(simdOps))
+		add(opPoint{Op: "layernorm", Shape: fmt.Sprintf("[%d, %d]", m, d),
+			GoLoop: h.opRate(t[0], 1, float64(8*m*d)), SIMD: h.opRate(t[1], 1, float64(8*m*d))})
 	}
 
 	// Element-wise ops at the 4×32 prefill's FFN width: [128, dff].
@@ -303,7 +340,7 @@ func (a *attnPart) RunPart(part, parts int) {
 		sc := s.scores[part*strip:][:s.startPos+r%s.rows+1]
 		for hh := 0; hh < s.cfg.Heads; hh++ {
 			a.ops.dotRows(s.q[r*d+hh*hd:r*d+(hh+1)*hd], kc[hh*hd:], kvDim, len(sc), scale, sc)
-			kernels.Softmax(sc)
+			a.ops.softmax(sc)
 			out := s.att[r*d+hh*hd : r*d+(hh+1)*hd]
 			for j := range out {
 				out[j] = 0
@@ -320,11 +357,13 @@ func (s *stepReplay) attention(ops opSet) {
 	}
 }
 
-func (s *stepReplay) norm() {
+// norm replays the LayerNorms: each reads the residual stream and writes
+// the normalized rows the next GEMM takes.
+func (s *stepReplay) norm(ops opSet) {
 	d := s.cfg.DModel
 	rowsOf := func(m int, gain, bias []float32) {
 		for i := 0; i < m; i++ {
-			kernels.LayerNorm(s.h[i*d:(i+1)*d], gain, bias, 1e-5)
+			ops.norm(s.h[i*d:(i+1)*d], s.x[i*d:(i+1)*d], gain, bias, 1e-5)
 		}
 	}
 	for i := range s.w.Layers {
@@ -365,8 +404,8 @@ func (s *stepReplay) sampling() {
 	}
 }
 
-// other is what belongs to no class: embedding lookups, the residual
-// copies in front of each norm, and the KV-cache writes.
+// other is what belongs to no class: embedding lookups and the KV-cache
+// writes.
 func (s *stepReplay) other() {
 	m, d, kvDim := s.B*s.rows, s.cfg.DModel, s.cfg.KVDim()
 	for r := 0; r < m; r++ {
@@ -375,8 +414,6 @@ func (s *stepReplay) other() {
 		kernels.Add(s.x[r*d:(r+1)*d], s.w.PosEmb[pos*d:(pos+1)*d])
 	}
 	for layer := range s.packs {
-		copy(s.h, s.x)
-		copy(s.h, s.x)
 		for r := 0; r < m; r++ {
 			off := (s.startPos + r%s.rows) * kvDim
 			copy(s.kc[layer*s.B+r/s.rows][off:off+kvDim], s.q[r*d:])
@@ -396,7 +433,7 @@ func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBrea
 	bd := stepBreakdown{Step: step, MeasuredMs: measured * 1e3, Classes: []classTime{
 		class("linear", func() { s.linear(false) }, func() { s.linear(true) }),
 		class("attention", func() { s.attention(goOps) }, func() { s.attention(simdOps) }),
-		same("norm", s.norm),
+		class("norm", func() { s.norm(goOps) }, func() { s.norm(simdOps) }),
 		class("activation", func() { s.activation(goOps) }, func() { s.activation(simdOps) }),
 		same("sampling", s.sampling),
 		same("other", s.other),

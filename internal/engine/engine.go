@@ -162,14 +162,15 @@ func (e *Engine) linear(ar *arena, m, seqRows int, x []float32, l *Linear, out [
 	}
 }
 
-// normRows normalizes each of the m rows of x in place.
-func (e *Engine) normRows(m int, x, gain, bias []float32) {
+// normRows writes each of the m rows of x normalized into dst (dst may be
+// x).
+func (e *Engine) normRows(m int, dst, x, gain, bias []float32) {
 	d := e.cfg.DModel
 	for i := 0; i < m; i++ {
 		if e.cfg.Family == model.OPT {
-			kernels.LayerNorm(x[i*d:(i+1)*d], gain, bias, 1e-5)
+			kernels.LayerNorm(dst[i*d:(i+1)*d], x[i*d:(i+1)*d], gain, bias, 1e-5)
 		} else {
-			kernels.RMSNorm(x[i*d:(i+1)*d], gain, 1e-5)
+			kernels.RMSNorm(dst[i*d:(i+1)*d], x[i*d:(i+1)*d], gain, 1e-5)
 		}
 	}
 }
@@ -240,8 +241,7 @@ func (e *Engine) forward(ar *arena, caches []KVStore, rows, startPos int) {
 	for layer := range e.w.Layers {
 		lw := &e.w.Layers[layer]
 		// Attention block.
-		copy(h, x)
-		e.normRows(m, h, lw.AttnNormGain, lw.AttnNormBias)
+		e.normRows(m, h, x, lw.AttnNormGain, lw.AttnNormBias)
 		e.linear(ar, m, rows, h, &lw.Wq, ar.q)
 		e.linear(ar, m, rows, h, &lw.Wk, ar.k)
 		e.linear(ar, m, rows, h, &lw.Wv, ar.v)
@@ -263,8 +263,7 @@ func (e *Engine) forward(ar *arena, caches []KVStore, rows, startPos int) {
 		kernels.Add(x, ar.proj[:m*d])
 
 		// Feed-forward block.
-		copy(h, x)
-		e.normRows(m, h, lw.FFNNormGain, lw.FFNNormBias)
+		e.normRows(m, h, x, lw.FFNNormGain, lw.FFNNormBias)
 		if e.cfg.Family == model.LLaMA2 {
 			gate, up := ar.gate[:m*dff], ar.up[:m*dff]
 			e.linear(ar, m, rows, h, &lw.WGate, gate)
@@ -283,15 +282,16 @@ func (e *Engine) forward(ar *arena, caches []KVStore, rows, startPos int) {
 	}
 }
 
-// logits computes the vocabulary logits of the m hidden states in
-// ar.h[:m·d] (which the final norm overwrites) into the arena's reused
-// logits buffer and returns them, [m, vocab]. m never exceeds the batch
-// the arena was sized for: multi-row passes (verification, eval) ask row
-// by row.
-func (e *Engine) logits(ar *arena, m int) []float32 {
+// logits computes the vocabulary logits of the hidden states x ([m, d];
+// x may be ar.h, which the final norm writes either way) into the arena's
+// reused logits buffer and returns them, [m, vocab]. m never exceeds the
+// batch the arena was sized for: multi-row passes (verification, eval) ask
+// row by row.
+func (e *Engine) logits(ar *arena, x []float32) []float32 {
 	d := e.cfg.DModel
+	m := len(x) / d
 	h, out := ar.h[:m*d], ar.logits[:m*e.cfg.Vocab]
-	e.normRows(m, h, e.w.FinalNormGain, e.w.FinalNormBias)
+	e.normRows(m, h, x, e.w.FinalNormGain, e.w.FinalNormBias)
 	if e.cfg.Family == model.OPT { // tied head: logits = TokenEmb · h
 		kernels.GemmPackedPooled(e.pool, &ar.job, m, h, e.w.tiedHead, out)
 	} else {
@@ -314,8 +314,7 @@ func (e *Engine) forwardTokens(ar *arena, caches []KVStore, toks []int, startPos
 // rowLogits returns the logits of hidden row i of ar.x.
 func (e *Engine) rowLogits(ar *arena, i int) []float32 {
 	d := e.cfg.DModel
-	copy(ar.h[:d], ar.x[i*d:(i+1)*d])
-	return e.logits(ar, 1)
+	return e.logits(ar, ar.x[i*d:(i+1)*d])
 }
 
 // Prefill processes the prompts of a batch (all of equal length) and
@@ -389,7 +388,7 @@ func (e *Engine) prefillFrom(s *Session, prompts [][]int, chunk int, sampler *Sa
 	for b := 0; b < B; b++ { // each sequence's last hidden row
 		copy(ar.h[b*d:(b+1)*d], ar.x[(b*n+n-1)*d:(b*n+n)*d])
 	}
-	logits := e.logits(ar, B)
+	logits := e.logits(ar, ar.h[:B*d])
 	next := make([]int, B)
 	for b := range next {
 		next[b] = sampler.Sample(logits[b*e.cfg.Vocab : (b+1)*e.cfg.Vocab])
@@ -427,8 +426,7 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 		e.embed(tok, s.pos, ar.x[b*d:(b+1)*d])
 	}
 	e.forward(ar, s.caches, 1, s.pos)
-	copy(ar.h[:B*d], ar.x[:B*d])
-	logits := e.logits(ar, B)
+	logits := e.logits(ar, ar.x[:B*d])
 	for b := range tokens {
 		ar.next[b] = sampler.Sample(logits[b*vocab : (b+1)*vocab])
 	}

@@ -7,6 +7,10 @@ import (
 	"testing/quick"
 )
 
+// TestSoftmaxSumsToOne holds a softmax row's outputs, summed exactly, to
+// 1 within (⌈n/16⌉ + 6)·2⁻²⁴: an exponential reaches the total through at
+// most ⌈n/16⌉ − 1 lane adds and four folds, and 1/Σ and each product round
+// once more (the extra unit covers second-order terms).
 func TestSoftmaxSumsToOne(t *testing.T) {
 	f := func(vals []float32) bool {
 		if len(vals) == 0 {
@@ -28,10 +32,26 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 			}
 			sum += float64(v)
 		}
-		return math.Abs(sum-1) < 1e-4
+		bound := float64((len(x)+15)/16+6) * 0x1p-24
+		if math.Abs(sum-1) > bound {
+			t.Errorf("n=%d: softmax sums to 1%+g, bound %g", len(x), sum-1, bound)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(33))}); err != nil {
 		t.Error(err)
+	}
+	// Longer rows than quick draws: contexts up to 4096.
+	r := rand.New(rand.NewSource(34))
+	for _, n := range []int{1, 15, 16, 17, 100, 600, 4096} {
+		for _, scale := range []float64{0.1, 3, 40} {
+			vals := make([]float32, n)
+			for i := range vals {
+				vals[i] = float32(r.NormFloat64() * scale)
+			}
+			f(vals)
+		}
 	}
 }
 
@@ -66,7 +86,7 @@ func TestLayerNormZeroMeanUnitVar(t *testing.T) {
 		x[i] = float32(r.NormFloat64()*3 + 7)
 		gain[i] = 1
 	}
-	LayerNorm(x, gain, bias, 1e-5)
+	LayerNorm(x, x, gain, bias, 1e-5)
 	var mean, variance float64
 	for _, v := range x {
 		mean += float64(v)
@@ -83,7 +103,7 @@ func TestLayerNormZeroMeanUnitVar(t *testing.T) {
 
 func TestLayerNormGainBias(t *testing.T) {
 	x := []float32{-1, 1}
-	LayerNorm(x, []float32{2, 2}, []float32{10, 10}, 0)
+	LayerNorm(x, x, []float32{2, 2}, []float32{10, 10}, 0)
 	if math.Abs(float64(x[0]-8)) > 1e-4 || math.Abs(float64(x[1]-12)) > 1e-4 {
 		t.Errorf("gain/bias wrong: %v", x)
 	}
@@ -98,7 +118,7 @@ func TestRMSNormUnitRMS(t *testing.T) {
 		x[i] = float32(r.NormFloat64() * 5)
 		gain[i] = 1
 	}
-	RMSNorm(x, gain, 0)
+	RMSNorm(x, x, gain, 0)
 	var ss float64
 	for _, v := range x {
 		ss += float64(v) * float64(v)
