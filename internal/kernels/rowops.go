@@ -78,6 +78,10 @@ func Exp32(x float32) float32 {
 // Softmax computes an in-place numerically stable softmax over x:
 // e_i = Exp32(x_i − max), then every e_i times 1/Σe.
 func Softmax(x []float32) {
+	if len(x) > 0 && simdLevel >= levelAVX2 {
+		softmaxVec(&x[0], len(x))
+		return
+	}
 	SoftmaxGo(x)
 }
 
@@ -110,6 +114,10 @@ func SoftmaxGo(x []float32) {
 func LayerNorm(dst, x, gain, bias []float32, eps float32) {
 	n := len(x)
 	dst, gain, bias = dst[:n], gain[:n], bias[:n]
+	if n > 0 && simdLevel >= levelAVX2 {
+		layerNormVec(&dst[0], &x[0], &gain[0], &bias[0], n, eps)
+		return
+	}
 	LayerNormGo(dst, x, gain, bias, eps)
 }
 
@@ -139,6 +147,10 @@ func LayerNormGo(dst, x, gain, bias []float32, eps float32) {
 func RMSNorm(dst, x, gain []float32, eps float32) {
 	n := len(x)
 	dst, gain = dst[:n], gain[:n]
+	if n > 0 && simdLevel >= levelAVX2 {
+		rmsNormVec(&dst[0], &x[0], &gain[0], n, eps)
+		return
+	}
 	RMSNormGo(dst, x, gain, eps)
 }
 
@@ -157,7 +169,11 @@ func RMSNormGo(dst, x, gain []float32, eps float32) {
 // SiLU applies x·sigmoid(x) = x / (1 + Exp32(−x)) in place (LLaMA-2 FFN
 // activation).
 func SiLU(x []float32) {
-	SiLUGo(x)
+	n := vecPrefix(len(x))
+	if n > 0 {
+		siluVec(&x[0], n)
+	}
+	SiLUGo(x[n:])
 }
 
 // SiLUGo is SiLU's portable loop.

@@ -132,8 +132,9 @@ func ulpsFrom(got float32, want float64) float64 {
 
 // TestExp32Accuracy holds Exp32 to 2 ulp of math.Exp on a dense sweep of
 // its finite range (every 509th float32 between the cutoffs) and on every
-// float32 within 4096 of each cutoff and of zero, and pins the special
-// values.
+// float32 within 4096 of each cutoff and of zero, pins the special values,
+// and — on a SIMD level — holds the vector exp to Exp32 bit for bit on the
+// same inputs.
 func TestExp32Accuracy(t *testing.T) {
 	var xs []float32
 	for b := uint64(0); b < 1<<32; b += 509 {
@@ -182,10 +183,23 @@ func TestExp32Accuracy(t *testing.T) {
 	if got := Exp32(expLo); got < 0x1p-126 || got > 0x1.0001p-126 {
 		t.Errorf("Exp32(expLo) = %v, want the smallest normal result", got)
 	}
-	for _, bits := range []uint32{0xffc00000, 0x7fc00000, 0x7fc00001} {
+	snan := math.Float32frombits(0x7f800001) // arithmetic would quiet it
+	for _, bits := range []uint32{0xffc00000, 0x7fc00000, 0x7fc00001, math.Float32bits(snan)} {
 		if got := math.Float32bits(Exp32(math.Float32frombits(bits))); got != bits {
 			t.Errorf("Exp32(NaN %#08x) = %#08x, want it unchanged", bits, got)
 		}
 	}
 
+	if simdLevel < levelAVX2 {
+		return
+	}
+	xs = append([]float32{inf, -inf, nan, -nan, snan, math.MaxFloat32, -math.MaxFloat32, denormal, -denormal}, xs...)
+	got := make([]float32, len(xs)&^(vecLanes-1))
+	exp32Vec(&got[0], &xs[0], len(got))
+	for i, x := range xs[:len(got)] {
+		if want := Exp32(x); math.Float32bits(got[i]) != math.Float32bits(want) {
+			t.Fatalf("vector exp(%v = %#08x) = %#08x, Exp32 %#08x",
+				x, math.Float32bits(x), math.Float32bits(got[i]), math.Float32bits(want))
+		}
+	}
 }

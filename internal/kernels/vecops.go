@@ -85,19 +85,44 @@ func RoundBF16IntoGo(dst, src []float32) {
 // rows (a KV cache row holds every head; the caller slices rows to start at
 // its head). The vector routine puts eight keys in the eight lanes —
 // transposing 8×8 blocks of the row layout in registers — so each score is
-// still its own ascending-j sum.
+// still its own ascending-j sum. That also makes a ragged n cheap: the last
+// eight keys run again, overlapping the group before (the overlap recomputes
+// the same bits); fewer than eight keys run as one group over whatever rows
+// follow them in rows, or over a padded copy when rows ends first.
 func DotRows(q, rows []float32, stride, n int, scale float32, out []float32) {
 	checkRows(len(q), len(rows), stride, n, len(out))
-	v := 0
-	if len(q) > 0 && len(q)%vecLanes == 0 {
-		if v = vecPrefix(n); v > 0 {
-			dotRowsVec(&q[0], len(q), &rows[0], stride*4, v/vecLanes, scale, &out[0])
+	cols := len(q)
+	if n == 0 || cols == 0 || cols%vecLanes != 0 || simdLevel == levelGeneric {
+		DotRowsGo(q, rows, stride, n, scale, out)
+		return
+	}
+	if groups := n / vecLanes; groups > 0 {
+		dotRowsVec(&q[0], cols, &rows[0], stride*4, groups, scale, &out[0])
+		if last := n - vecLanes; n%vecLanes != 0 {
+			dotRowsVec(&q[0], cols, &rows[last*stride], stride*4, 1, scale, &out[last])
 		}
+		return
 	}
-	if v < n {
-		DotRowsGo(q, rows[v*stride:], stride, n-v, scale, out[v:])
+	var scores [vecLanes]float32
+	switch {
+	case (vecLanes-1)*stride+cols <= len(rows):
+		dotRowsVec(&q[0], cols, &rows[0], stride*4, 1, scale, &scores[0])
+	case cols <= maxPadCols:
+		var pad [vecLanes * maxPadCols]float32
+		for i := 0; i < n; i++ {
+			copy(pad[i*cols:(i+1)*cols], rows[i*stride:])
+		}
+		dotRowsVec(&q[0], cols, &pad[0], cols*4, 1, scale, &scores[0])
+	default:
+		DotRowsGo(q, rows, stride, n, scale, out)
+		return
 	}
+	copy(out[:n], scores[:])
 }
+
+// maxPadCols is the widest head DotRows pads for fewer than eight keys
+// that end its rows; a wider one takes the Go loop there.
+const maxPadCols = 128
 
 // DotRowsGo is DotRows' portable loop.
 func DotRowsGo(q, rows []float32, stride, n int, scale float32, out []float32) {

@@ -30,3 +30,23 @@ func accumRows32(out, w, rows *float32, strideBytes, n int)
 
 //go:noescape
 func accumRows8(out, w, rows *float32, strideBytes, n int)
+
+// The row ops (rowops.go). softmaxVec, layerNormVec and rmsNormVec take a
+// whole row, n ≥ 1, its tail through a mask; siluVec and exp32Vec take a
+// positive multiple of eight. exp32Vec is the vector Exp32 alone, which
+// the tests sweep.
+
+//go:noescape
+func softmaxVec(x *float32, n int)
+
+//go:noescape
+func layerNormVec(dst, x, gain, bias *float32, n int, eps float32)
+
+//go:noescape
+func rmsNormVec(dst, x, gain *float32, n int, eps float32)
+
+//go:noescape
+func siluVec(x *float32, n int)
+
+//go:noescape
+func exp32Vec(dst, src *float32, n int)

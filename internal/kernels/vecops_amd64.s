@@ -222,3 +222,490 @@ acc8:
 	VMOVUPS Y0, (DI)
 	VZEROUPPER
 	RET
+
+// The row ops of rowops.go under its lane-order rule. A reduction keeps
+// its sixteen lanes in two accumulators, Y8 (lanes 0-7) and Y9 (lanes
+// 8-15): sixteen elements at a time, then an eight-element block into Y8
+// when n mod 16 ≥ 8, then the last n mod 8 elements into the next
+// accumulator through a mask. VMASKMOVPS reads masked-out lanes as +0 and
+// never touches their memory; a lane sum starts at +0 and so is never −0,
+// which makes adding those +0s exact no-ops.
+
+// Exp32's constants, each a float32 bit pattern, in the order EXP8 reads
+// them (rowops.go holds the same values).
+DATA expc<>+0(SB)/4, $0x3fb8aa3b  // log2(e)
+DATA expc<>+4(SB)/4, $0x3f318000  // ln2Hi
+DATA expc<>+8(SB)/4, $0xb95e8083  // ln2Lo
+DATA expc<>+12(SB)/4, $0x3ab43e01 // c6
+DATA expc<>+16(SB)/4, $0x3c091dcd // c5
+DATA expc<>+20(SB)/4, $0x3d2aadac // c4
+DATA expc<>+24(SB)/4, $0x3e2aaa47 // c3
+DATA expc<>+28(SB)/4, $0x3efffffc // c2
+DATA expc<>+32(SB)/4, $0x3f800000 // c1 = c0 = 1
+DATA expc<>+36(SB)/4, $0x42b17217 // expHi
+DATA expc<>+40(SB)/4, $0xc2aeac4f // expLo
+DATA expc<>+44(SB)/4, $0x7f800000 // +Inf
+DATA expc<>+48(SB)/4, $0x80000000 // the sign bit
+GLOBL expc<>(SB), RODATA|NOPTR, $52
+
+// The 32 bytes at tailmask+32−4r select the first r lanes.
+DATA tailmask<>+0(SB)/8, $-1
+DATA tailmask<>+8(SB)/8, $-1
+DATA tailmask<>+16(SB)/8, $-1
+DATA tailmask<>+24(SB)/8, $-1
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+DATA tailmask<>+56(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// TAILMASK loads the mask of the last n mod 8 elements into mask, using AX
+// and DX.
+#define TAILMASK(n, mask) \
+	MOVQ    n, AX                 \
+	ANDQ    $7, AX                \
+	SHLQ    $2, AX                \
+	LEAQ    tailmask<>+32(SB), DX \
+	SUBQ    AX, DX                \
+	VMOVDQU (DX), mask
+
+// FOLD16 folds the sixteen lane sums in lo and hi as (l, l+8), (l, l+4),
+// (l, l+2), (l, l+1), leaving the total in the low lane of xlo (the X form
+// of lo; xhi is hi's).
+#define FOLD16(lo, hi, xlo, xhi) \
+	VADDPS       hi, lo, lo    \
+	VEXTRACTF128 $1, lo, xhi   \
+	VADDPS       xhi, xlo, xlo \
+	VMOVHLPS     xlo, xlo, xhi \
+	VADDPS       xhi, xlo, xlo \
+	VMOVSHDUP    xlo, xhi      \
+	VADDSS       xhi, xlo, xlo
+
+// RECIP sets the low lane of xout to 1 / the low lane of xin.
+#define RECIP(xin, xout) \
+	VMOVSS expc<>+32(SB), xout \
+	VDIVSS xin, xout, xout
+
+// EXP8 sets out to Exp32 of each lane of in (left unchanged), using t1-t3,
+// one rounded operation per step of the Go routine: t1 = n =
+// roundEven(x·log2e), out = r = (x − n·ln2Hi) − n·ln2Lo, t2 = the Horner
+// polynomial in r, plus n in its exponent bits; then lanes above expHi
+// become +Inf, lanes below expLo +0, and NaN lanes x itself.
+#define EXP8(in, out, t1, t2, t3) \
+	VBROADCASTSS expc<>+0(SB), t1  \
+	VMULPS       t1, in, t1        \
+	VROUNDPS     $0, t1, t1        \
+	VBROADCASTSS expc<>+4(SB), t2  \
+	VMULPS       t2, t1, t2        \
+	VSUBPS       t2, in, out       \
+	VBROADCASTSS expc<>+8(SB), t2  \
+	VMULPS       t2, t1, t2        \
+	VSUBPS       t2, out, out      \
+	VCVTPS2DQ    t1, t1            \
+	VPSLLD       $23, t1, t1       \
+	VBROADCASTSS expc<>+12(SB), t2 \
+	VMULPS       out, t2, t2       \
+	VBROADCASTSS expc<>+16(SB), t3 \
+	VADDPS       t3, t2, t2        \
+	VMULPS       out, t2, t2       \
+	VBROADCASTSS expc<>+20(SB), t3 \
+	VADDPS       t3, t2, t2        \
+	VMULPS       out, t2, t2       \
+	VBROADCASTSS expc<>+24(SB), t3 \
+	VADDPS       t3, t2, t2        \
+	VMULPS       out, t2, t2       \
+	VBROADCASTSS expc<>+28(SB), t3 \
+	VADDPS       t3, t2, t2        \
+	VMULPS       out, t2, t2       \
+	VBROADCASTSS expc<>+32(SB), t3 \
+	VADDPS       t3, t2, t2        \
+	VMULPS       out, t2, t2       \
+	VADDPS       t3, t2, t2        \
+	VPADDD       t1, t2, out       \
+	VBROADCASTSS expc<>+36(SB), t1 \
+	VCMPPS       $0x1e, t1, in, t1 \
+	VBROADCASTSS expc<>+44(SB), t2 \
+	VBLENDVPS    t1, t2, out, out  \
+	VBROADCASTSS expc<>+40(SB), t1 \
+	VCMPPS       $0x11, t1, in, t1 \
+	VANDNPS      out, t1, out      \
+	VCMPPS       $3, in, in, t1    \
+	VBLENDVPS    t1, in, out, out
+
+// func exp32Vec(dst, src *float32, n int)
+TEXT ·exp32Vec(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+
+exp:
+	VMOVUPS (SI), Y0
+	EXP8(Y0, Y1, Y2, Y3, Y4)
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     exp
+	VZEROUPPER
+	RET
+
+// func siluVec(x *float32, n int)
+// v / (1 + Exp32(−v)), the negation a sign flip as Go's is (a NaN keeps its
+// payload with the sign inverted).
+TEXT ·siluVec(SB), NOSPLIT, $0-16
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	SHRQ         $3, CX
+	VBROADCASTSS expc<>+48(SB), Y6
+	VBROADCASTSS expc<>+32(SB), Y7
+
+silu:
+	VMOVUPS (SI), Y0
+	VXORPS  Y6, Y0, Y1
+	EXP8(Y1, Y2, Y3, Y4, Y5)
+	VADDPS  Y2, Y7, Y2
+	VDIVPS  Y2, Y0, Y2
+	VMOVUPS Y2, (SI)
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     silu
+	VZEROUPPER
+	RET
+
+// SOFTEXP stores e = Exp32(x − max) over the eight elements at off(SI) and
+// adds it to acc; Y0 holds max.
+#define SOFTEXP(off, acc) \
+	VMOVUPS off(SI), Y1      \
+	VSUBPS  Y0, Y1, Y1       \
+	EXP8(Y1, Y2, Y3, Y4, Y5) \
+	VMOVUPS Y2, off(SI)      \
+	VADDPS  Y2, acc, acc
+
+// SOFTEXPTAIL is SOFTEXP over the lanes of the mask in Y7.
+#define SOFTEXPTAIL(acc) \
+	VMASKMOVPS (SI), Y7, Y1  \
+	VSUBPS     Y0, Y1, Y1    \
+	EXP8(Y1, Y2, Y3, Y4, Y5) \
+	VMASKMOVPS Y2, Y7, (SI)  \
+	VANDPS     Y7, Y2, Y2    \
+	VADDPS     Y2, acc, acc
+
+// func softmaxVec(x *float32, n int)
+// n ≥ 1. The maximum is order-free (its lanes past the end hold x[0]; the
+// sign of a zero maximum cannot change an exponential, and a NaN anywhere
+// makes every output NaN either way); then e = Exp32(x − max) stored and
+// summed by the rule, then x = e · (1/Σe).
+TEXT ·softmaxVec(SB), NOSPLIT, $0-16
+	MOVQ x+0(FP), DI
+	MOVQ n+8(FP), CX
+	TAILMASK(CX, Y7)
+
+	VBROADCASTSS (DI), Y0
+	MOVQ         DI, SI
+	MOVQ         CX, BX
+	SHRQ         $3, BX
+	JZ           smaxtail
+
+smax:
+	VMAXPS (SI), Y0, Y0
+	ADDQ   $32, SI
+	DECQ   BX
+	JNZ    smax
+
+smaxtail:
+	TESTQ      $7, CX
+	JZ         smaxfold
+	VMASKMOVPS (SI), Y7, Y1
+	VBLENDVPS  Y7, Y1, Y0, Y1
+	VMAXPS     Y1, Y0, Y0
+
+smaxfold:
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS       X1, X0, X0
+	VPERMILPS    $0x4e, X0, X1
+	VMAXPS       X1, X0, X0
+	VPERMILPS    $0xb1, X0, X1
+	VMAXPS       X1, X0, X0
+	VBROADCASTSS X0, Y0
+
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	MOVQ   DI, SI
+	MOVQ   CX, BX
+	SHRQ   $4, BX
+	JZ     sexp8
+
+sexp16:
+	SOFTEXP(0, Y8)
+	SOFTEXP(32, Y9)
+	ADDQ $64, SI
+	DECQ BX
+	JNZ  sexp16
+
+sexp8:
+	TESTQ $8, CX
+	JZ    sexptail
+	SOFTEXP(0, Y8)
+	ADDQ  $32, SI
+	TESTQ $7, CX
+	JZ    ssum
+	SOFTEXPTAIL(Y9)
+	JMP   ssum
+
+sexptail:
+	TESTQ $7, CX
+	JZ    ssum
+	SOFTEXPTAIL(Y8)
+
+ssum:
+	FOLD16(Y8, Y9, X8, X9)
+	RECIP(X8, X1)
+	VBROADCASTSS X1, Y1
+	MOVQ         DI, SI
+	MOVQ         CX, BX
+	SHRQ         $3, BX
+	JZ           sscaletail
+
+sscale:
+	VMULPS  (SI), Y1, Y2
+	VMOVUPS Y2, (SI)
+	ADDQ    $32, SI
+	DECQ    BX
+	JNZ     sscale
+
+sscaletail:
+	TESTQ      $7, CX
+	JZ         sdone
+	VMASKMOVPS (SI), Y7, Y2
+	VMULPS     Y2, Y1, Y2
+	VMASKMOVPS Y2, Y7, (SI)
+
+sdone:
+	VZEROUPPER
+	RET
+
+// SQDEV adds (x − mean)², the square rounded, for the eight elements at
+// off(AX) to acc; Y6 holds mean.
+#define SQDEV(off, acc) \
+	VMOVUPS off(AX), Y1 \
+	VSUBPS  Y6, Y1, Y1  \
+	VMULPS  Y1, Y1, Y1  \
+	VADDPS  Y1, acc, acc
+
+// SQDEVTAIL is SQDEV over the lanes of the mask in Y7 (the others' squares
+// are of −mean, so they are masked to +0 before the add).
+#define SQDEVTAIL(acc) \
+	VMASKMOVPS (AX), Y7, Y1 \
+	VSUBPS     Y6, Y1, Y1   \
+	VMULPS     Y1, Y1, Y1   \
+	VANDPS     Y7, Y1, Y1   \
+	VADDPS     Y1, acc, acc
+
+// INVSQRT sets Y5 to 1 / float32(sqrt(float64(X8 + eps))) in every lane,
+// the square root taken in float64 as the Go loop's math.Sqrt is.
+#define INVSQRT(eps) \
+	VADDSS       eps, X8, X8 \
+	VCVTSS2SD    X8, X8, X8  \
+	VSQRTSD      X8, X8, X8  \
+	VCVTSD2SS    X8, X8, X8  \
+	RECIP(X8, X1)            \
+	VBROADCASTSS X1, Y5
+
+// func layerNormVec(dst, x, gain, bias *float32, n int, eps float32)
+// n ≥ 1: mean = Σx / n, variance = Σ(x − mean)² / n, both sums by the rule,
+// inv = 1/float32(sqrt(float64(variance + eps))), then
+// dst = ((x − mean)·inv)·gain + bias, each step rounded.
+TEXT ·layerNormVec(SB), NOSPLIT, $0-44
+	MOVQ       dst+0(FP), DI
+	MOVQ       x+8(FP), SI
+	MOVQ       gain+16(FP), R8
+	MOVQ       bias+24(FP), R9
+	MOVQ       n+32(FP), CX
+	TAILMASK(CX, Y7)
+	VCVTSI2SSQ CX, X10, X10
+
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	MOVQ   SI, AX
+	MOVQ   CX, BX
+	SHRQ   $4, BX
+	JZ     lsum8
+
+lsum16:
+	VADDPS (AX), Y8, Y8
+	VADDPS 32(AX), Y9, Y9
+	ADDQ   $64, AX
+	DECQ   BX
+	JNZ    lsum16
+
+lsum8:
+	TESTQ      $8, CX
+	JZ         lsumtail
+	VADDPS     (AX), Y8, Y8
+	ADDQ       $32, AX
+	TESTQ      $7, CX
+	JZ         lmean
+	VMASKMOVPS (AX), Y7, Y1
+	VADDPS     Y1, Y9, Y9
+	JMP        lmean
+
+lsumtail:
+	TESTQ      $7, CX
+	JZ         lmean
+	VMASKMOVPS (AX), Y7, Y1
+	VADDPS     Y1, Y8, Y8
+
+lmean:
+	FOLD16(Y8, Y9, X8, X9)
+	VDIVSS       X10, X8, X8
+	VBROADCASTSS X8, Y6
+
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	MOVQ   SI, AX
+	MOVQ   CX, BX
+	SHRQ   $4, BX
+	JZ     lvar8
+
+lvar16:
+	SQDEV(0, Y8)
+	SQDEV(32, Y9)
+	ADDQ $64, AX
+	DECQ BX
+	JNZ  lvar16
+
+lvar8:
+	TESTQ $8, CX
+	JZ    lvartail
+	SQDEV(0, Y8)
+	ADDQ  $32, AX
+	TESTQ $7, CX
+	JZ    lvar
+	SQDEVTAIL(Y9)
+	JMP   lvar
+
+lvartail:
+	TESTQ $7, CX
+	JZ    lvar
+	SQDEVTAIL(Y8)
+
+lvar:
+	FOLD16(Y8, Y9, X8, X9)
+	VDIVSS X10, X8, X8
+	INVSQRT(eps+40(FP))
+	MOVQ   CX, BX
+	SHRQ   $3, BX
+	JZ     lnormtail
+
+lnorm:
+	VMOVUPS (SI), Y1
+	VSUBPS  Y6, Y1, Y1
+	VMULPS  Y5, Y1, Y1
+	VMULPS  (R8), Y1, Y1
+	VADDPS  (R9), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	DECQ    BX
+	JNZ     lnorm
+
+lnormtail:
+	TESTQ      $7, CX
+	JZ         ldone
+	VMASKMOVPS (SI), Y7, Y1
+	VMASKMOVPS (R8), Y7, Y2
+	VMASKMOVPS (R9), Y7, Y3
+	VSUBPS     Y6, Y1, Y1
+	VMULPS     Y5, Y1, Y1
+	VMULPS     Y2, Y1, Y1
+	VADDPS     Y3, Y1, Y1
+	VMASKMOVPS Y1, Y7, (DI)
+
+ldone:
+	VZEROUPPER
+	RET
+
+// SQUARE adds x², rounded, for the eight elements at off(AX) to acc (a
+// masked-out lane's 0·0 is +0).
+#define SQUARE(off, acc) \
+	VMOVUPS off(AX), Y1 \
+	VMULPS  Y1, Y1, Y1  \
+	VADDPS  Y1, acc, acc
+
+// func rmsNormVec(dst, x, gain *float32, n int, eps float32)
+// n ≥ 1: inv = 1/float32(sqrt(float64(Σx²/n + eps))), Σx² by the rule,
+// then dst = (x·inv)·gain.
+TEXT ·rmsNormVec(SB), NOSPLIT, $0-36
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ gain+16(FP), R8
+	MOVQ n+24(FP), CX
+	TAILMASK(CX, Y7)
+
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	MOVQ   SI, AX
+	MOVQ   CX, BX
+	SHRQ   $4, BX
+	JZ     rsum8
+
+rsum16:
+	SQUARE(0, Y8)
+	SQUARE(32, Y9)
+	ADDQ $64, AX
+	DECQ BX
+	JNZ  rsum16
+
+rsum8:
+	TESTQ      $8, CX
+	JZ         rsumtail
+	SQUARE(0, Y8)
+	ADDQ       $32, AX
+	TESTQ      $7, CX
+	JZ         rinv
+	VMASKMOVPS (AX), Y7, Y1
+	VMULPS     Y1, Y1, Y1
+	VADDPS     Y1, Y9, Y9
+	JMP        rinv
+
+rsumtail:
+	TESTQ      $7, CX
+	JZ         rinv
+	VMASKMOVPS (AX), Y7, Y1
+	VMULPS     Y1, Y1, Y1
+	VADDPS     Y1, Y8, Y8
+
+rinv:
+	FOLD16(Y8, Y9, X8, X9)
+	VCVTSI2SSQ CX, X10, X10
+	VDIVSS     X10, X8, X8
+	INVSQRT(eps+32(FP))
+	MOVQ       CX, BX
+	SHRQ       $3, BX
+	JZ         rnormtail
+
+rnorm:
+	VMULPS  (SI), Y5, Y1
+	VMULPS  (R8), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	DECQ    BX
+	JNZ     rnorm
+
+rnormtail:
+	TESTQ      $7, CX
+	JZ         rdone
+	VMASKMOVPS (SI), Y7, Y1
+	VMASKMOVPS (R8), Y7, Y2
+	VMULPS     Y1, Y5, Y1
+	VMULPS     Y2, Y1, Y1
+	VMASKMOVPS Y1, Y7, (DI)
+
+rdone:
+	VZEROUPPER
+	RET

@@ -16,3 +16,10 @@ func dotRowsVec(q *float32, cols int, rows *float32, strideBytes, groups int, sc
 
 func accumRows32(out, w, rows *float32, strideBytes, n int) { panic("kernels: no SIMD level") }
 func accumRows8(out, w, rows *float32, strideBytes, n int)  { panic("kernels: no SIMD level") }
+
+func softmaxVec(x *float32, n int) { panic("kernels: no SIMD level") }
+func siluVec(x *float32, n int)    { panic("kernels: no SIMD level") }
+
+func layerNormVec(dst, x, gain, bias *float32, n int, eps float32) { panic("kernels: no SIMD level") }
+func rmsNormVec(dst, x, gain *float32, n int, eps float32)         { panic("kernels: no SIMD level") }
+func exp32Vec(dst, src *float32, n int)                            { panic("kernels: no SIMD level") }
