@@ -5,8 +5,8 @@ package main
 // running llmperfd twice — once with the prefix cache disabled per
 // request, once enabled — and reports the hit rate and the prefill
 // compute the cache saved. Prefill compute is each result's modeled
-// ttft_s less its wall-clock queue_s, summed per pass; the wall part is
-// near zero unless the server queues.
+// ttft_s, summed per pass: the server models it from admission on, so
+// time spent queueing (the wall-clock queue_s) is not in it.
 
 import (
 	"encoding/json"
@@ -22,7 +22,7 @@ import (
 // chatResult aggregates one replay pass.
 type chatResult struct {
 	ok, failed     int
-	prefillSeconds float64 // sum of modeled ttft - queue
+	prefillSeconds float64 // sum of modeled ttft
 	hits           int
 	cachedTokens   int
 	savedSeconds   float64 // server-reported cost-model savings
@@ -75,9 +75,7 @@ func (r *runner) replayChat(trace [][]workload.PrefixRequest, cache map[string]b
 			continue
 		}
 		agg.ok++
-		if p := o.TTFTSeconds - o.QueueSeconds; p > 0 {
-			agg.prefillSeconds += p
-		}
+		agg.prefillSeconds += o.TTFTSeconds
 		if o.CachedTokens > 0 || strings.HasPrefix(o.PrefixCache, "hit") {
 			agg.hits++
 			agg.cachedTokens += o.CachedTokens

@@ -128,8 +128,9 @@ func closedAddr(t *testing.T) string {
 
 // wallValues are the report values the wall clock decides: elapsed
 // time, client-timed latencies and rates, Server-Timing phase
-// durations, the chat prefill (ttft_s minus the wall-timed queue_s)
-// and everything the ramp derives from its calibrated capacity.
+// durations, the chat prefill (modeled ttft_s, but which requests share
+// a batch — and so each ttft_s — is decided by when they arrive) and
+// everything the ramp derives from its calibrated capacity.
 var wallValues = []*regexp.Regexp{
 	regexp.MustCompile(`( )[0-9.]+(s wall)`),
 	regexp.MustCompile(`(p50 |p95 |p99 )[0-9.]+(m?s)`),

@@ -2,18 +2,22 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/gateway"
+	"repro/internal/workload"
 )
 
 // TestConnectionReuse: a closed loop of 64 requests over 8 clients opens
@@ -151,5 +155,44 @@ func TestCalibrationStopsAtTransportError(t *testing.T) {
 	}
 	if n := accepted.Load(); n > 2 {
 		t.Errorf("%d connections from 2 calibration clients", n)
+	}
+}
+
+// TestChatPrefillSumsTTFT: the chat mode's prefill is the sum of the
+// results' ttft_s, which the server models from admission on; the
+// wall-clock queue_s is not taken out of it. The server paces one request
+// at a time in wall time, so the three sessions' requests do queue.
+func TestChatPrefillSumsTTFT(t *testing.T) {
+	h := api.NewServer(newGateway(t, gateway.Config{MaxBatch: 1, Timescale: 0.02}, api.LaneResolver())).Handler()
+	var mu sync.Mutex
+	var ttft, queue float64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var res result
+		if req.URL.Path == "/v1/generate" && rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &res) == nil {
+			mu.Lock()
+			ttft, queue = ttft+res.TTFTSeconds, queue+res.QueueSeconds
+			mu.Unlock()
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+
+	g := workload.NewGenerator(1)
+	g.MeanInputLen, g.MeanOutputLen = 32, 8
+	got := newRunner(srv.URL, "spr", "OPT-13B", 3).replayChat(workload.BySession(g.ChatSessions(3, 2, 128)), nil)
+	if got.ok != 6 || got.failed != 0 {
+		t.Fatalf("%d ok, %d failed; want 6 ok", got.ok, got.failed)
+	}
+	if queue <= 0 {
+		t.Fatal("no request queued: the test needs a server that queues")
+	}
+	if math.Abs(got.prefillSeconds-ttft) > 1e-9*ttft {
+		t.Errorf("prefill %.9fs, want the results' ttft_s summed: %.9fs (queue_s summed: %.6fs)", got.prefillSeconds, ttft, queue)
 	}
 }
