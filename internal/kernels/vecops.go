@@ -87,8 +87,8 @@ func RoundBF16IntoGo(dst, src []float32) {
 // transposing 8×8 blocks of the row layout in registers — so each score is
 // still its own ascending-j sum. That also makes a ragged n cheap: the last
 // eight keys run again, overlapping the group before (the overlap recomputes
-// the same bits); fewer than eight keys run as one group over whatever rows
-// follow them in rows, or over a padded copy when rows ends first.
+// the same bits), and fewer than eight keys run as one group over a padded
+// copy, so nothing past the n rows is read.
 func DotRows(q, rows []float32, stride, n int, scale float32, out []float32) {
 	checkRows(len(q), len(rows), stride, n, len(out))
 	cols := len(q)
@@ -103,25 +103,21 @@ func DotRows(q, rows []float32, stride, n int, scale float32, out []float32) {
 		}
 		return
 	}
-	var scores [vecLanes]float32
-	switch {
-	case (vecLanes-1)*stride+cols <= len(rows):
-		dotRowsVec(&q[0], cols, &rows[0], stride*4, 1, scale, &scores[0])
-	case cols <= maxPadCols:
-		var pad [vecLanes * maxPadCols]float32
-		for i := 0; i < n; i++ {
-			copy(pad[i*cols:(i+1)*cols], rows[i*stride:])
-		}
-		dotRowsVec(&q[0], cols, &pad[0], cols*4, 1, scale, &scores[0])
-	default:
+	if cols > maxPadCols {
 		DotRowsGo(q, rows, stride, n, scale, out)
 		return
 	}
+	var pad [vecLanes * maxPadCols]float32
+	for i := 0; i < n; i++ {
+		copy(pad[i*cols:(i+1)*cols], rows[i*stride:])
+	}
+	var scores [vecLanes]float32
+	dotRowsVec(&q[0], cols, &pad[0], cols*4, 1, scale, &scores[0])
 	copy(out[:n], scores[:])
 }
 
-// maxPadCols is the widest head DotRows pads for fewer than eight keys
-// that end its rows; a wider one takes the Go loop there.
+// maxPadCols is the widest head DotRows pads when it has fewer than eight
+// keys; a wider one takes the Go loop there.
 const maxPadCols = 128
 
 // DotRowsGo is DotRows' portable loop.
