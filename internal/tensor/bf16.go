@@ -64,9 +64,17 @@ func QuantizeInt8Into(dst []int8, src []float32) (scale float32) {
 		return 1
 	}
 	scale = maxAbs / 127
-	inv := 1 / scale
+	if math.IsInf(float64(127*scale), 0) {
+		// maxAbs is within an ulp of MaxFloat32 and scale rounded up:
+		// step it down so that DequantizeInt8 stays finite.
+		scale = math.Nextafter32(scale, 0)
+	}
+	// The quotient and the rounding are float64: in float32, v·(1/scale)
+	// and the +0.5 each round, and a value a few 1e-6 of a step from a half
+	// step could land on the far neighbour.
+	s := float64(scale)
 	for i, v := range src {
-		r := v * inv
+		r := float64(v) / s
 		// Round half away from zero, as VNNI/AMX quantization pipelines do.
 		if r >= 0 {
 			r += 0.5

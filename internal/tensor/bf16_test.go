@@ -125,14 +125,11 @@ func TestQuantizeInt8Zero(t *testing.T) {
 }
 
 func TestQuantizeInt8ErrorBound(t *testing.T) {
-	// Property: q·scale, taken in float64, is within half a quantization
-	// step of the value, plus what float32 rounding inside QuantizeInt8
-	// adds: v·(1/scale) is off by up to 254 units of 2⁻²⁴ of a step (two
-	// roundings of a quotient up to 127) and the +0.5 by up to 128 more, so
-	// 2⁻¹⁵ of a step bounds both. A value that close to a half step can
-	// round to the far neighbour (a bound of half a step alone failed about
-	// one run in 33), and a float32 q·scale can overflow: MaxFloat32
-	// quantizes to 127 with a scale rounded up.
+	// Property: quantization error never exceeds half a quantization step.
+	// It is a property of q and scale, so q·scale and the difference are
+	// taken in float64, where both are exact. DequantizeInt8 is then that
+	// product rounded once to float32, and finite; its rounding can add up
+	// to 127·2⁻²⁴ of a step, so its output is not held to the half step.
 	f := func(vals []float32) bool {
 		for _, v := range vals {
 			if v != v || math.IsInf(float64(v), 0) {
@@ -140,16 +137,24 @@ func TestQuantizeInt8ErrorBound(t *testing.T) {
 			}
 		}
 		q, scale := QuantizeInt8(vals)
+		back := DequantizeInt8(q, scale)
 		for i, v := range vals {
-			if back := float64(q[i]) * float64(scale); math.Abs(back-float64(v)) > float64(scale)*(0.5+0x1p-15) {
-				t.Errorf("%#08x of %d values comes back as %g (scale %g)", math.Float32bits(v), len(vals), back, scale)
+			exact := float64(q[i]) * float64(scale)
+			if math.Abs(exact-float64(v)) > float64(scale)*0.5000001 {
+				t.Errorf("%#08x of %d values quantizes to %d·%g", math.Float32bits(v), len(vals), q[i], scale)
+				return false
+			}
+			if back[i] != float32(exact) || math.IsInf(float64(back[i]), 0) {
+				t.Errorf("%d·%g dequantizes to %g", q[i], scale, back[i])
 				return false
 			}
 		}
 		return true
 	}
-	// Found with the seed below: 0.500009 of a step.
+	// Found with the seed below: a float32 v·(1/scale) and +0.5 put the
+	// second value 0.500009 of a step from its level.
 	f([]float32{math.Float32frombits(0x7f6e8d07), math.Float32frombits(0x7f209966)})
+	// MaxFloat32/127 rounds up, and 127 times it overflowed float32.
 	f([]float32{math.MaxFloat32, 1})
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Error(err)
