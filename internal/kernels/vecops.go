@@ -87,38 +87,20 @@ func RoundBF16IntoGo(dst, src []float32) {
 // transposing 8×8 blocks of the row layout in registers — so each score is
 // still its own ascending-j sum. That also makes a ragged n cheap: the last
 // eight keys run again, overlapping the group before (the overlap recomputes
-// the same bits), and fewer than eight keys run as one group over a padded
-// copy, so nothing past the n rows is read.
+// the same bits). Fewer than eight keys take the Go loop, which gives the
+// same bits.
 func DotRows(q, rows []float32, stride, n int, scale float32, out []float32) {
 	checkRows(len(q), len(rows), stride, n, len(out))
 	cols := len(q)
-	if n == 0 || cols == 0 || cols%vecLanes != 0 || simdLevel == levelGeneric {
+	if n < vecLanes || cols == 0 || cols%vecLanes != 0 || simdLevel == levelGeneric {
 		DotRowsGo(q, rows, stride, n, scale, out)
 		return
 	}
-	if groups := n / vecLanes; groups > 0 {
-		dotRowsVec(&q[0], cols, &rows[0], stride*4, groups, scale, &out[0])
-		if last := n - vecLanes; n%vecLanes != 0 {
-			dotRowsVec(&q[0], cols, &rows[last*stride], stride*4, 1, scale, &out[last])
-		}
-		return
+	dotRowsVec(&q[0], cols, &rows[0], stride*4, n/vecLanes, scale, &out[0])
+	if last := n - vecLanes; n%vecLanes != 0 {
+		dotRowsVec(&q[0], cols, &rows[last*stride], stride*4, 1, scale, &out[last])
 	}
-	if cols > maxPadCols {
-		DotRowsGo(q, rows, stride, n, scale, out)
-		return
-	}
-	var pad [vecLanes * maxPadCols]float32
-	for i := 0; i < n; i++ {
-		copy(pad[i*cols:(i+1)*cols], rows[i*stride:])
-	}
-	var scores [vecLanes]float32
-	dotRowsVec(&q[0], cols, &pad[0], cols*4, 1, scale, &scores[0])
-	copy(out[:n], scores[:])
 }
-
-// maxPadCols is the widest head DotRows pads when it has fewer than eight
-// keys; a wider one takes the Go loop there.
-const maxPadCols = 128
 
 // DotRowsGo is DotRows' portable loop.
 func DotRowsGo(q, rows []float32, stride, n int, scale float32, out []float32) {
