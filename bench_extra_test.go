@@ -108,7 +108,7 @@ func BenchmarkEngineSpeculative(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, st, err = engine.SpeculativeGenerate(target, draft, p, 16, 4)
+		_, st, err = engine.SpeculativeGenerate(target, draft, p, 16, engine.SpecOptions{Lookahead: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,9 +117,11 @@ func BenchmarkEngineSpeculative(b *testing.B) {
 	b.ReportMetric(float64(st.TargetPasses), "target_passes")
 }
 
-// --- paged vs dense engine sessions --------------------------------------------
+// --- one-block vs 8-position-block engine sessions ------------------------------
 
-func benchEngineSession(b *testing.B, paged bool) {
+// benchEngineSession runs a session with KV blocks of `block` positions
+// (0 = one block per layer).
+func benchEngineSession(b *testing.B, block int) {
 	w, err := engine.NewWeights(model.Tiny(model.LLaMA2), 42, tensor.BF16)
 	if err != nil {
 		b.Fatal(err)
@@ -132,12 +134,7 @@ func benchEngineSession(b *testing.B, paged bool) {
 	var kvBytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var s *engine.Session
-		if paged {
-			s = e.NewPagedSession(1, 32, 8)
-		} else {
-			s = e.NewSession(1, 32)
-		}
+		s := e.NewPagedSession(1, 32, block)
 		toks, err := e.Prefill(s, [][]int{p})
 		if err != nil {
 			b.Fatal(err)
@@ -152,8 +149,8 @@ func benchEngineSession(b *testing.B, paged bool) {
 	b.ReportMetric(float64(kvBytes), "kv_bytes")
 }
 
-func BenchmarkEngineDenseSession(b *testing.B) { benchEngineSession(b, false) }
-func BenchmarkEnginePagedSession(b *testing.B) { benchEngineSession(b, true) }
+func BenchmarkEngineOneBlockSession(b *testing.B) { benchEngineSession(b, 0) }
+func BenchmarkEngineBlock8Session(b *testing.B)   { benchEngineSession(b, 8) }
 
 // --- attention over a longer context -----------------------------------------------
 

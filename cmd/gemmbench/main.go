@@ -310,7 +310,7 @@ func runSpec(jsonPath string, short bool) error {
 					st = engine.SpecStats{}
 					for i, prompt := range prompts {
 						rng := rand.New(rand.NewSource(int64(1000*alpha) + int64(i)))
-						out, s, serr := engine.SpeculativeGenerateOpts(target, draft, prompt, newTokens,
+						out, s, serr := engine.SpeculativeGenerate(target, draft, prompt, newTokens,
 							engine.SpecOptions{Lookahead: lookahead,
 								Steer: steerTo(ref[i], rng, alpha, cfg.Vocab)})
 						if serr != nil {

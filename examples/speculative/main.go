@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec, st, err := engine.SpeculativeGenerate(target, draft, prompt, 16, 4)
+	spec, st, err := engine.SpeculativeGenerate(target, draft, prompt, 16, engine.SpecOptions{Lookahead: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,17 +32,18 @@ func main() {
 	fmt.Print("tokens as they arrive: ")
 	start := time.Now()
 	var firstTok time.Duration
-	out, err := eng.GenerateStream([][]int{prompt}, 16, func(seq, step, tok int) bool {
-		if step == 0 {
-			firstTok = time.Since(start)
-		}
-		if s, err := texttoken.Decode([]int{tok}); err == nil && s != "" {
-			fmt.Print(s)
-		} else {
-			fmt.Print("·")
-		}
-		return true
-	})
+	out, _, err := eng.GenerateWith([][]int{prompt}, engine.GenerateOptions{MaxNew: 16,
+		OnToken: func(seq, step, tok int) bool {
+			if step == 0 {
+				firstTok = time.Since(start)
+			}
+			if s, err := texttoken.Decode([]int{tok}); err == nil && s != "" {
+				fmt.Print(s)
+			} else {
+				fmt.Print("·")
+			}
+			return true
+		}})
 	if err != nil {
 		log.Fatal(err)
 	}

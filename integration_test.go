@@ -128,6 +128,10 @@ func TestEngineMatchesOpInventoryShapes(t *testing.T) {
 	cfg := e.Config()
 	const maxSeq = 48
 	s := e.NewSession(2, maxSeq)
+	// Each layer's one block is allocated by the first prefill.
+	if _, err := e.Prefill(s, [][]int{core.Prompt(e, 8, 1), core.Prompt(e, 8, 2)}); err != nil {
+		t.Fatal(err)
+	}
 	// Engine stores FP32; analytics sized at FP32 must match exactly.
 	want := 2 * cfg.KVCacheBytes(maxSeq, 1, tensor.FP32)
 	if s.KVBytes() != want {

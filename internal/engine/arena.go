@@ -76,7 +76,7 @@ func (ar *arena) ensure(e *Engine, batch, seqRows, ctxCap int) {
 type attnJob struct {
 	e        *Engine
 	ar       *arena
-	caches   []KVStore
+	caches   []*PagedKVCache
 	layer    int
 	rows     int // per sequence
 	startPos int

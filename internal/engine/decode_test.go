@@ -30,15 +30,6 @@ func tinyEngineOpts(t *testing.T, f model.Family, opts Options) *Engine {
 	return e
 }
 
-// sessionOf returns a dense session, or a paged one with blocks of `block`
-// positions.
-func sessionOf(e *Engine, paged bool, batch, maxSeq, block int) *Session {
-	if paged {
-		return e.NewPagedSession(batch, maxSeq, block)
-	}
-	return e.NewSession(batch, maxSeq)
-}
-
 func generateTokens(t *testing.T, e *Engine, batch, promptLen, maxNew int) [][]int {
 	t.Helper()
 	prompts := make([][]int, batch)
@@ -107,13 +98,14 @@ func (a passTrace) diff(b passTrace) string {
 }
 
 // TestFusedDecodeMatchesPerSeq is the engine-level invariant, over kernel
-// tier × family × dense/paged: however a sequence is run — alone, stacked
-// with B−1 others in one fused forward pass, prefilled in chunks, or
-// resumed behind an adopted prefix — it produces the same logits bits and
-// the same tokens, for B ∈ {1,3,4} × prompt rows ∈ {1,5,32}. The reference
-// is the same engine running the sequence by itself (B = 1, dense cache,
-// one prefill pass); what those bits are is pinned by the kernel oracles
-// (kernels/pack_test.go) and testdata/golden_tokens.json. (The INT8 tier
+// tier × family × KV block size (one block per layer, or 5 positions):
+// however a sequence is run — alone, stacked with B−1 others in one fused
+// forward pass, prefilled in chunks, or resumed behind an adopted prefix —
+// it produces the same logits bits and the same tokens, for B ∈ {1,3,4} ×
+// prompt rows ∈ {1,5,32}. The reference is the same engine running the
+// sequence by itself (B = 1, one block per layer, one prefill pass); what
+// those bits are is pinned by the kernel oracles (kernels/pack_test.go)
+// and testdata/golden_tokens.json. (The INT8 tier
 // keeps one activation scale per sequence's row block, so a chunked or
 // resumed prefill is a different quantization there; it is held to fused
 // == per-sequence only.)
@@ -141,10 +133,8 @@ func TestFusedDecodeMatchesPerSeq(t *testing.T) {
 				}
 				return ref
 			}
-			for _, paged := range []bool{false, true} {
-				session := func(batch int) *Session {
-					return sessionOf(e, paged, batch, maxSeq, 5) // blocks off the vector width
-				}
+			for _, block := range []int{0, 5} { // 5: blocks off the vector width
+				session := func(batch int) *Session { return e.NewPagedSession(batch, maxSeq, block) }
 				for _, shape := range shapes {
 					B, rows := shape[0], shape[1]
 					prompts := make([][]int, B)
@@ -155,8 +145,8 @@ func TestFusedDecodeMatchesPerSeq(t *testing.T) {
 						t.Helper()
 						for b, got := range tracePass(t, e, s, steps, fill) {
 							if d := want(rows, b).diff(got); d != "" {
-								t.Fatalf("%s/%s paged=%v B=%d rows=%d: %s, seq %d: %s",
-									f, k, paged, B, rows, how, b, d)
+								t.Fatalf("%s/%s block=%d B=%d rows=%d: %s, seq %d: %s",
+									f, k, block, B, rows, how, b, d)
 							}
 						}
 					}
@@ -167,7 +157,7 @@ func TestFusedDecodeMatchesPerSeq(t *testing.T) {
 					}
 					s = session(B)
 					check("chunked", s, func() ([]int, error) { return e.PrefillChunked(s, prompts, 3, nil) })
-					if paged && rows > 1 {
+					if rows > 1 {
 						parent := session(B)
 						prefixes := make([][]int, B)
 						for b := range prefixes {
@@ -188,7 +178,8 @@ func TestFusedDecodeMatchesPerSeq(t *testing.T) {
 	}
 }
 
-// TestFusedDecodePagedSession checks the fused path over paged KV caches.
+// TestFusedDecodePagedSession checks the fused path over blocks of 4
+// positions against one block per layer.
 func TestFusedDecodePagedSession(t *testing.T) {
 	e := tinyEngineOpts(t, model.LLaMA2, Options{Kernel: KernelBlocked})
 	p := prompt(e, 6, 7)
@@ -221,14 +212,14 @@ func TestFusedDecodePagedSession(t *testing.T) {
 // TestDecodeStepZeroAlloc is the acceptance criterion: once the arena is
 // warm, a steady-state fused decode step performs ZERO heap allocations —
 // including the logits, which are served from the arena as a reused view.
-// A paged session allocates when a step opens a new block and at no other
-// time; its blocks here are wide enough that no measured step does.
+// A session allocates when a step opens a new block and at no other time;
+// the small blocks here are wide enough that no measured step does.
 func TestDecodeStepZeroAlloc(t *testing.T) {
 	for _, k := range allKernelTiers {
 		for _, f := range []model.Family{model.OPT, model.LLaMA2} {
-			for _, paged := range []bool{false, true} {
+			for _, block := range []int{0, 32} {
 				e := tinyEngineOpts(t, f, Options{Kernel: k})
-				s := sessionOf(e, paged, 4, e.Config().MaxSeq, 32)
+				s := e.NewPagedSession(4, e.Config().MaxSeq, block)
 				prompts := make([][]int, 4)
 				for b := range prompts {
 					prompts[b] = prompt(e, 4, int64(b+1))
@@ -251,7 +242,7 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 					}
 				})
 				if allocs != 0 {
-					t.Errorf("%s/%s paged=%v: DecodeStep allocated %v times per step, want 0", f, k, paged, allocs)
+					t.Errorf("%s/%s block=%d: DecodeStep allocated %v times per step, want 0", f, k, block, allocs)
 				}
 			}
 		}
@@ -261,14 +252,14 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 // TestPrefillAllocsDoNotScaleWithDepth extends the guard to prefill: a
 // session's first pass sizes its caches and arena, and after that nothing
 // is allocated per layer or per linear — no rounding buffer, no score
-// strip, no scratch matrix — so, the KV store's own allocations aside (a
-// paged cache has tables and blocks per layer), a model three times as
-// deep allocates exactly as often; and a multi-row pass on the warm
-// session allocates only its result.
+// strip, no scratch matrix — so, the KV cache's own allocations aside (its
+// tables and blocks per layer), a model three times as deep allocates
+// exactly as often; and a multi-row pass on the warm session allocates
+// only its result.
 func TestPrefillAllocsDoNotScaleWithDepth(t *testing.T) {
-	const maxSeq, block = 32, 16
+	const maxSeq = 32
 	for _, k := range allKernelTiers {
-		for _, paged := range []bool{false, true} {
+		for _, block := range []int{0, 16} {
 			var allocs [2]float64
 			for i, layers := range []int{2, 6} {
 				cfg := model.Tiny(model.OPT)
@@ -282,14 +273,14 @@ func TestPrefillAllocsDoNotScaleWithDepth(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				session := func(batch int) *Session { return sessionOf(e, paged, batch, maxSeq, block) }
+				session := func(batch int) *Session { return e.NewPagedSession(batch, maxSeq, block) }
 				prompts := [][]int{prompt(e, 12, 1), prompt(e, 12, 2), prompt(e, 12, 3)}
 				allocs[i] = testing.AllocsPerRun(5, func() {
 					if _, err := e.Prefill(session(len(prompts)), prompts); err != nil {
 						t.Fatal(err)
 					}
 				})
-				// What the session and its KV stores allocate by themselves:
+				// What the session and its KV caches allocate by themselves:
 				// the prompt touches each layer's first block only.
 				row := make([]float32, cfg.KVDim())
 				allocs[i] -= testing.AllocsPerRun(5, func() {
@@ -309,12 +300,12 @@ func TestPrefillAllocsDoNotScaleWithDepth(t *testing.T) {
 					}
 				})
 				if verify != 1 {
-					t.Errorf("%s paged=%v: warm VerifyRows allocated %v times, want 1 (its result)", k, paged, verify)
+					t.Errorf("%s block=%d: warm VerifyRows allocated %v times, want 1 (its result)", k, block, verify)
 				}
 			}
 			if allocs[0] != allocs[1] || allocs[0] > 40 {
-				t.Errorf("%s paged=%v: prefill allocated %v times at 2 layers, %v at 6; want equal and small",
-					k, paged, allocs[0], allocs[1])
+				t.Errorf("%s block=%d: prefill allocated %v times at 2 layers, %v at 6; want equal and small",
+					k, block, allocs[0], allocs[1])
 			}
 		}
 	}

@@ -11,22 +11,7 @@ import (
 	"repro/internal/tensor"
 )
 
-var (
-	errMaxNew    = errors.New("engine: maxNew must be positive")
-	errNoPrompts = errors.New("engine: no prompts")
-)
-
-// lapTimer measures consecutive phase durations.
-type lapTimer struct{ last time.Time }
-
-func newTimer() *lapTimer { return &lapTimer{last: time.Now()} }
-
-func (t *lapTimer) lap() float64 {
-	now := time.Now()
-	d := now.Sub(t.last).Seconds()
-	t.last = now
-	return d
-}
+var errMaxNew = errors.New("engine: maxNew must be positive")
 
 // Options configures the execution of forward passes.
 type Options struct {
@@ -91,31 +76,29 @@ func (e *Engine) Config() model.Config { return e.cfg }
 // Session holds the per-request state of a batch of sequences generated in
 // lockstep (homogeneous lengths, as in the paper's workloads).
 type Session struct {
-	caches []KVStore
+	caches []*PagedKVCache
 	pos    int   // committed tokens per sequence
 	ar     arena // reused scratch for every forward pass on this session
 }
 
-// NewSession allocates dense KV caches for a batch of sequences.
+// NewSession allocates KV caches of one block per layer for a batch of
+// sequences: the dense layout, each layer's block allocated on its first
+// write. Like every session it can be forked (ForkPagedSession).
 func (e *Engine) NewSession(batch, maxSeq int) *Session {
-	if maxSeq <= 0 || maxSeq > e.cfg.MaxSeq {
-		maxSeq = e.cfg.MaxSeq
-	}
-	s := &Session{caches: make([]KVStore, batch)}
-	for i := range s.caches {
-		s.caches[i] = NewKVCache(e.cfg.Layers, e.cfg.KVDim(), maxSeq)
-	}
-	return s
+	return e.NewPagedSession(batch, maxSeq, 0)
 }
 
 // NewPagedSession allocates paged KV caches (vLLM-style lazy blocks of
-// blockSize positions). Generation is bit-identical to a dense session;
-// only the allocation pattern differs.
+// blockSize positions; 0 means one block per layer). Generation is
+// bit-identical at every block size; only the allocation pattern differs.
 func (e *Engine) NewPagedSession(batch, maxSeq, blockSize int) *Session {
 	if maxSeq <= 0 || maxSeq > e.cfg.MaxSeq {
 		maxSeq = e.cfg.MaxSeq
 	}
-	s := &Session{caches: make([]KVStore, batch)}
+	if blockSize <= 0 {
+		blockSize = maxSeq
+	}
+	s := &Session{caches: make([]*PagedKVCache, batch)}
 	for i := range s.caches {
 		s.caches[i] = NewPagedKVCache(e.cfg.Layers, e.cfg.KVDim(), maxSeq, blockSize)
 	}
@@ -188,7 +171,7 @@ func (e *Engine) embed(token, pos int, dst []float32) {
 // pos (attending to cache positions 0..pos), writing the result to att.
 // scores is scratch of at least pos+1 values. Keys and values are read in
 // the cache's contiguous runs.
-func (e *Engine) attnRow(cache KVStore, layer, pos int, q, att, scores []float32) {
+func (e *Engine) attnRow(cache *PagedKVCache, layer, pos int, q, att, scores []float32) {
 	hd, kvDim := e.cfg.HeadDim(), e.cfg.KVDim()
 	groups := e.cfg.Heads / e.cfg.KVHeads
 	scale := float32(1 / math.Sqrt(float64(hd)))
@@ -233,7 +216,7 @@ func (e *Engine) attnRow(cache KVStore, layer, pos int, q, att, scores []float32
 // and fans the (sequence, row) pairs out over the worker pool. All scratch
 // comes from the arena: a warm forward pass performs no heap allocation.
 // Results are bit-identical for any batching of the same sequences.
-func (e *Engine) forward(ar *arena, caches []KVStore, rows, startPos int) {
+func (e *Engine) forward(ar *arena, caches []*PagedKVCache, rows, startPos int) {
 	d, kvDim, dff, hd := e.cfg.DModel, e.cfg.KVDim(), e.cfg.DFF, e.cfg.HeadDim()
 	m := len(caches) * rows
 	x, h := ar.x[:m*d], ar.h[:m*d]
@@ -300,15 +283,24 @@ func (e *Engine) logits(ar *arena, x []float32) []float32 {
 	return out
 }
 
-// forwardTokens runs toks, at positions startPos.., through the network
-// for the one sequence whose cache is caches[0], sizing the arena first.
-func (e *Engine) forwardTokens(ar *arena, caches []KVStore, toks []int, startPos int) {
-	d := e.cfg.DModel
-	ar.ensure(e, 1, len(toks), caches[0].Cap())
-	for i, tok := range toks {
-		e.embed(tok, startPos+i, ar.x[i*d:(i+1)*d])
+// forwardTokens runs toks through the network at positions s.Pos().. of
+// the session's first sequence, writing (not committing) their KV rows.
+// Tokens outside the vocabulary or past the session's capacity are an
+// error before anything runs.
+func (e *Engine) forwardTokens(s *Session, toks []int) error {
+	if err := e.checkTokens(toks); err != nil {
+		return err
 	}
-	e.forward(ar, caches[:1], len(toks), startPos)
+	if err := s.checkContext(s.pos + len(toks)); err != nil {
+		return err
+	}
+	d, ar := e.cfg.DModel, &s.ar
+	ar.ensure(e, 1, len(toks), s.caches[0].Cap())
+	for i, tok := range toks {
+		e.embed(tok, s.pos+i, ar.x[i*d:(i+1)*d])
+	}
+	e.forward(ar, s.caches[:1], len(toks), s.pos)
+	return nil
 }
 
 // rowLogits returns the logits of hidden row i of ar.x.
@@ -479,33 +471,71 @@ func (s Stats) TPOT() float64 {
 // Generate runs greedy generation of maxNew tokens for a batch of equal-
 // length prompts, returning the generated tokens per sequence and timing.
 func (e *Engine) Generate(prompts [][]int, maxNew int) ([][]int, Stats, error) {
-	if maxNew <= 0 {
+	return e.GenerateWith(prompts, GenerateOptions{MaxNew: maxNew})
+}
+
+// TokenCallback receives each newly generated token (sequence index,
+// step, token). Returning false stops that sequence's generation early.
+type TokenCallback func(seq, step, token int) bool
+
+// GenerateOptions controls generation.
+type GenerateOptions struct {
+	MaxNew int
+	// Sampler selects tokens; nil means greedy.
+	Sampler *Sampler
+	// OnToken, when non-nil, sees each token as it is produced — the
+	// serving path's token-by-token delivery, and its stop condition: a
+	// sequence whose callback returns false ends before that token.
+	OnToken TokenCallback
+	// PrefillChunk processes the prompt in chunks of this many tokens
+	// (Sarathi-style chunked prefill; 0 = whole prompt at once). The
+	// result is bit-identical to unchunked prefill — chunking bounds the
+	// latency impact of long prompts on co-scheduled decodes.
+	PrefillChunk int
+}
+
+// GenerateWith is the engine's generation loop: one prefill, then decode
+// steps until every sequence has MaxNew tokens or was stopped by OnToken.
+func (e *Engine) GenerateWith(prompts [][]int, opts GenerateOptions) ([][]int, Stats, error) {
+	if opts.MaxNew <= 0 {
 		return nil, Stats{}, errMaxNew
 	}
 	if len(prompts) == 0 {
-		return nil, Stats{}, errNoPrompts
+		return nil, Stats{}, fmt.Errorf("engine: no prompts")
 	}
-	s := e.NewSession(len(prompts), len(prompts[0])+maxNew)
+	if opts.PrefillChunk < 0 {
+		return nil, Stats{}, fmt.Errorf("engine: negative prefill chunk %d", opts.PrefillChunk)
+	}
+	s := e.NewSession(len(prompts), len(prompts[0])+opts.MaxNew)
 
 	start := time.Now()
-	toks, err := e.Prefill(s, prompts)
+	toks, err := e.prefillSample(s, prompts, opts.PrefillChunk, opts.Sampler)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	stats := Stats{PrefillSeconds: time.Since(start).Seconds(), TokensOut: maxNew}
+	stats := Stats{PrefillSeconds: time.Since(start).Seconds(), TokensOut: opts.MaxNew}
 
-	out := make([][]int, len(prompts))
-	for b := range out {
-		out[b] = append(out[b], toks[b])
-	}
 	decodeStart := time.Now()
-	for step := 1; step < maxNew; step++ {
-		toks, err = e.DecodeStep(s, toks)
-		if err != nil {
-			return nil, Stats{}, err
+	out := make([][]int, len(prompts))
+	stopped := make([]bool, len(prompts))
+	live := len(prompts)
+	for step := 0; ; step++ {
+		for b, tok := range toks {
+			if stopped[b] {
+				continue
+			}
+			if opts.OnToken != nil && !opts.OnToken(b, step, tok) {
+				stopped[b] = true
+				live--
+				continue
+			}
+			out[b] = append(out[b], tok)
 		}
-		for b := range out {
-			out[b] = append(out[b], toks[b])
+		if step+1 == opts.MaxNew || live == 0 {
+			break
+		}
+		if toks, err = e.decodeSample(s, toks, opts.Sampler); err != nil {
+			return nil, Stats{}, err
 		}
 	}
 	stats.DecodeSeconds = time.Since(decodeStart).Seconds()

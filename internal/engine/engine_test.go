@@ -181,7 +181,11 @@ func TestGQA(t *testing.T) {
 	if cfg.KVHeads >= cfg.Heads {
 		t.Fatal("tiny llama must exercise GQA")
 	}
+	// The one block per layer is allocated by the first prefill.
 	s := e.NewSession(1, 32)
+	if _, err := e.Prefill(s, [][]int{prompt(e, 8, 13)}); err != nil {
+		t.Fatal(err)
+	}
 	wantBytes := int64(cfg.Layers) * 2 * int64(32*cfg.KVDim()) * 4
 	if s.KVBytes() != wantBytes {
 		t.Errorf("KV bytes = %d, want %d", s.KVBytes(), wantBytes)
@@ -269,6 +273,39 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if s.Pos() != 8 || s.caches[0].Len() != 8 {
 		t.Errorf("rejected decode moved the session to %d (cache %d)", s.Pos(), s.caches[0].Len())
+	}
+}
+
+// TestCapacityIsAnError: every pass that would run past its session's
+// capacity, or past the model's maximum context, returns an error instead
+// of writing out of bounds.
+func TestCapacityIsAnError(t *testing.T) {
+	e := tinyEngine(t, model.OPT, KernelBlocked)
+	maxSeq := e.Config().MaxSeq
+	for name, call := range map[string]func() error{
+		"VerifyRows past the session": func() error {
+			s := e.NewSession(1, 8)
+			if _, err := e.Prefill(s, [][]int{prompt(e, 6, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := e.VerifyRows(s, []int{1, 2, 3, 4, 5})
+			return err
+		},
+		"Perplexity past MaxSeq": func() error {
+			_, err := e.Perplexity(prompt(e, maxSeq+3, 2))
+			return err
+		},
+		// A self-draft accepts every proposal, 5 tokens a cycle, so the
+		// cycle at 51 tokens fits its draft steps in the 64 positions and
+		// the verify pass is the first to overflow.
+		"SpeculativeGenerate past MaxSeq": func() error {
+			_, _, err := SpeculativeGenerate(e, e, prompt(e, 10, 3), maxSeq-4, SpecOptions{Lookahead: 4})
+			return err
+		},
+	} {
+		if call() == nil {
+			t.Errorf("%s: no error", name)
+		}
 	}
 }
 

@@ -99,6 +99,8 @@ func TestPerplexityValidation(t *testing.T) {
 	}
 }
 
+// TestGenerateStream: OnToken sees every token, in order, as it is
+// produced, and the output is what Generate returns.
 func TestGenerateStream(t *testing.T) {
 	e := tinyEngine(t, model.OPT, KernelBlocked)
 	p := prompt(e, 8, 85)
@@ -106,11 +108,15 @@ func TestGenerateStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var streamed [][]int = make([][]int, 2)
-	out, err := e.GenerateStream([][]int{p, p}, 6, func(seq, step, tok int) bool {
-		streamed[seq] = append(streamed[seq], tok)
-		return true
-	})
+	streamed := make([][]int, 2)
+	out, _, err := e.GenerateWith([][]int{p, p}, GenerateOptions{MaxNew: 6,
+		OnToken: func(seq, step, tok int) bool {
+			if step != len(streamed[seq]) {
+				t.Errorf("seq %d: step %d after %d tokens", seq, step, len(streamed[seq]))
+			}
+			streamed[seq] = append(streamed[seq], tok)
+			return true
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +130,14 @@ func TestGenerateStream(t *testing.T) {
 }
 
 // TestGenerateStreamEarlyStop: a callback returning false must stop that
-// sequence only.
+// sequence only, and the rejected token is not part of its output.
 func TestGenerateStreamEarlyStop(t *testing.T) {
 	e := tinyEngine(t, model.OPT, KernelBlocked)
 	p := prompt(e, 8, 86)
-	out, err := e.GenerateStream([][]int{p, p}, 6, func(seq, step, tok int) bool {
-		return !(seq == 0 && step == 2) // stop sequence 0 at step 2
-	})
+	out, _, err := e.GenerateWith([][]int{p, p}, GenerateOptions{MaxNew: 6,
+		OnToken: func(seq, step, tok int) bool {
+			return !(seq == 0 && step == 2) // stop sequence 0 at step 2
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +147,41 @@ func TestGenerateStreamEarlyStop(t *testing.T) {
 	if len(out[1]) != 6 {
 		t.Errorf("running sequence has %d tokens, want 6", len(out[1]))
 	}
+	// Stopping every sequence at its first token ends generation there.
+	out, _, err = e.GenerateWith([][]int{p, p}, GenerateOptions{MaxNew: 6,
+		OnToken: func(int, int, int) bool { return false }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out[0]) != 0 || len(out[1]) != 0 {
+		t.Errorf("sequences stopped at step 0 produced %v", out)
+	}
 }
 
+// TestGenerateStreamValidation: a rejected call never reaches OnToken.
 func TestGenerateStreamValidation(t *testing.T) {
 	e := tinyEngine(t, model.OPT, KernelBlocked)
-	if _, err := e.GenerateStream(nil, 4, func(int, int, int) bool { return true }); err == nil {
-		t.Error("no prompts must fail")
+	onToken := func(int, int, int) bool {
+		t.Error("OnToken called by a rejected generation")
+		return true
 	}
-	if _, err := e.GenerateStream([][]int{{1}}, 0, func(int, int, int) bool { return true }); err == nil {
-		t.Error("zero maxNew must fail")
-	}
-	if _, err := e.GenerateStream([][]int{{1}}, 4, nil); err == nil {
-		t.Error("nil callback must fail")
+	for name, call := range map[string]func() error{
+		"no prompts": func() error {
+			_, _, err := e.GenerateWith(nil, GenerateOptions{MaxNew: 4, OnToken: onToken})
+			return err
+		},
+		"zero maxNew": func() error {
+			_, _, err := e.GenerateWith([][]int{{1}}, GenerateOptions{OnToken: onToken})
+			return err
+		},
+		"out-of-vocab prompt": func() error {
+			_, _, err := e.GenerateWith([][]int{{-1}}, GenerateOptions{MaxNew: 4, OnToken: onToken})
+			return err
+		},
+	} {
+		if call() == nil {
+			t.Errorf("%s must fail", name)
+		}
 	}
 }
 

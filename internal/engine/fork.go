@@ -12,23 +12,18 @@ import "fmt"
 
 // ForkPagedSession returns a new session whose KV caches alias the first
 // prefix positions of src copy-on-write (whole blocks shared, the
-// partial boundary block copied). src must be a paged session with at
-// least prefix committed positions; it stays usable and is never mutated
+// partial boundary block copied). src may be any session with at least
+// prefix committed positions; it stays usable and is never mutated
 // through the fork. The fork resumes at position prefix — finish its
 // prompt with PrefillResume before decoding.
 func (e *Engine) ForkPagedSession(src *Session, prefix int) (*Session, error) {
 	if prefix <= 0 || prefix > src.pos {
 		return nil, fmt.Errorf("engine: fork prefix %d outside (0,%d]", prefix, src.pos)
 	}
-	s := &Session{caches: make([]KVStore, len(src.caches)), pos: prefix}
-	for i, store := range src.caches {
-		pc, ok := store.(*PagedKVCache)
-		if !ok {
-			return nil, fmt.Errorf("engine: fork requires a paged session (cache %d is %T)", i, store)
-		}
-		f := NewPagedKVCache(pc.layers, pc.kvDim, pc.maxSeq, pc.blockSize)
-		f.AdoptPrefix(pc, prefix)
-		s.caches[i] = f
+	s := &Session{caches: make([]*PagedKVCache, len(src.caches)), pos: prefix}
+	for i, c := range src.caches {
+		s.caches[i] = NewPagedKVCache(c.layers, c.kvDim, c.maxSeq, c.blockSize)
+		s.caches[i].AdoptPrefix(c, prefix)
 	}
 	return s, nil
 }

@@ -64,11 +64,11 @@ func TestForkedPrefixBitIdenticalAcrossKernels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pc := fork.caches[0].(*PagedKVCache)
+				pc := fork.caches[0]
 				if pc.SharedBlocks() == 0 {
 					t.Fatal("fork adopted no shared blocks — it is a cold prefill in disguise")
 				}
-				if owned, cold := pc.AllocatedBlocks(), cold.caches[0].(*PagedKVCache).AllocatedBlocks(); owned >= cold {
+				if owned, cold := pc.AllocatedBlocks(), cold.caches[0].AllocatedBlocks(); owned >= cold {
 					t.Errorf("fork owns %d blocks, no fewer than the cold session's %d", owned, cold)
 				}
 				got := generateVia(t, e, fork, steps, func() ([]int, error) {

@@ -3,8 +3,8 @@ package engine
 // golden_test.go pins "numerics unchanged" as a committed check: greedy
 // token ids on the bench-shaped model (4 layers × d256, seed 42) for both
 // families, recorded once per numerics class (FP32 or BF16 tiers) in
-// testdata/golden_tokens.json. Every packed tier × dense/paged session must
-// reproduce its class's ids. Regenerate (only when a numerics change is
+// testdata/golden_tokens.json. Every packed tier × KV block size (one block
+// per layer, or 12 positions) must reproduce its class's ids. Regenerate (only when a numerics change is
 // intended) with
 //
 //	go test ./internal/engine/ -run TestGoldenTokens -args -update-golden
@@ -121,8 +121,8 @@ func TestGoldenTokens(t *testing.T) {
 			// The keys date from when a flash-attention class sat beside
 			// this one; the entries have not been regenerated since.
 			key := fmt.Sprintf("%s/%s/flash=false", fam.name, tier.class)
-			for _, paged := range []bool{false, true} {
-				s := sessionOf(e, paged, goldenBatch, goldenPrompt+goldenNew, 12)
+			for _, block := range []int{0, 12} {
+				s := e.NewPagedSession(goldenBatch, goldenPrompt+goldenNew, block)
 				got := generateOn(t, e, s, prompts, goldenNew)
 				if want, ok := golden[key]; !ok {
 					if !*updateGolden {
@@ -130,11 +130,11 @@ func TestGoldenTokens(t *testing.T) {
 					}
 					golden[key] = got
 				} else if !reflect.DeepEqual(got.Tokens, want.Tokens) {
-					t.Errorf("%s tier=%s paged=%v: tokens differ from golden\n got %v\nwant %v",
-						key, tier.k, paged, got.Tokens, want.Tokens)
+					t.Errorf("%s tier=%s block=%d: tokens differ from golden\n got %v\nwant %v",
+						key, tier.k, block, got.Tokens, want.Tokens)
 				} else if runtime.GOARCH == "amd64" && got.LogitsFNV != want.LogitsFNV {
-					t.Errorf("%s tier=%s paged=%v: final logits hash %s, golden %s",
-						key, tier.k, paged, got.LogitsFNV, want.LogitsFNV)
+					t.Errorf("%s tier=%s block=%d: final logits hash %s, golden %s",
+						key, tier.k, block, got.LogitsFNV, want.LogitsFNV)
 				}
 			}
 		}

@@ -2,12 +2,15 @@ package engine
 
 import "fmt"
 
-// PagedKVCache is the functional counterpart of vLLM's PagedAttention
-// storage (and of the allocation policy package kvpool models at fleet
-// scale): the KV cache is split into fixed-size blocks of positions,
-// allocated lazily as the sequence grows. A request that reserves a long
-// maximum context but generates little occupies only the blocks it
-// actually touched — the property behind the Fig 7 capacity argument.
+// PagedKVCache is the engine's KV cache: the key and value vectors of one
+// sequence for all layers, the de-facto decode optimization whose
+// footprint the paper analyzes (§II-B). It is the functional counterpart
+// of vLLM's PagedAttention storage (and of the allocation policy package
+// kvpool models at fleet scale): each layer is split into fixed-size
+// blocks of positions, allocated lazily as the sequence grows. A request
+// that reserves a long maximum context but generates little occupies only
+// the blocks it actually touched — the property behind the Fig 7 capacity
+// argument. One block per layer is the dense layout.
 type PagedKVCache struct {
 	layers    int
 	kvDim     int
@@ -100,9 +103,12 @@ func (c *PagedKVCache) Put(layer, pos int, key, value []float32) {
 	copy(c.v[layer][b][off:off+c.kvDim], value)
 }
 
-// Run returns the key and value rows from pos to the end of its block.
-// The block must have been written (reading an untouched block panics,
-// catching misuse early).
+// Run returns the key and value rows of one layer from pos to the end of
+// its block, row-major [n, kvDim], n ≥ 1: attention walks a context run
+// by run. Rows written by Put are readable before ExtendTo commits them
+// (speculative verification depends on this). The block must have been
+// written (reading an untouched block panics, catching misuse early);
+// rows of a written block that were never put are garbage.
 func (c *PagedKVCache) Run(layer, pos int) (k, v []float32) {
 	c.check(layer, pos)
 	b := pos / c.blockSize

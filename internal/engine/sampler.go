@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -85,78 +84,4 @@ func (s *Sampler) Sample(logits []float32) int {
 		}
 	}
 	return idx[keep-1]
-}
-
-// GenerateOptions controls sampled generation.
-type GenerateOptions struct {
-	MaxNew int
-	// Sampler selects tokens; nil means greedy.
-	Sampler *Sampler
-	// Stop enables early stopping on StopToken (the zero value never
-	// stops early, so token 0 remains usable).
-	Stop      bool
-	StopToken int
-	// PrefillChunk processes the prompt in chunks of this many tokens
-	// (Sarathi-style chunked prefill; 0 = whole prompt at once). The
-	// result is bit-identical to unchunked prefill — chunking bounds the
-	// latency impact of long prompts on co-scheduled decodes.
-	PrefillChunk int
-}
-
-func (o GenerateOptions) stops(tok int) bool {
-	return o.Stop && tok == o.StopToken
-}
-
-// GenerateWith runs generation with sampling, early stopping, and
-// optional chunked prefill. Output per sequence ends at (and excludes)
-// the stop token.
-func (e *Engine) GenerateWith(prompts [][]int, opts GenerateOptions) ([][]int, Stats, error) {
-	if opts.MaxNew <= 0 {
-		return nil, Stats{}, errMaxNew
-	}
-	if len(prompts) == 0 {
-		return nil, Stats{}, errNoPrompts
-	}
-	if opts.PrefillChunk < 0 {
-		return nil, Stats{}, fmt.Errorf("engine: negative prefill chunk %d", opts.PrefillChunk)
-	}
-	s := e.NewSession(len(prompts), len(prompts[0])+opts.MaxNew)
-
-	timer := newTimer()
-	toks, err := e.prefillSample(s, prompts, opts.PrefillChunk, opts.Sampler)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{PrefillSeconds: timer.lap(), TokensOut: opts.MaxNew}
-
-	out := make([][]int, len(prompts))
-	done := make([]bool, len(prompts))
-	liveCount := 0
-	for b := range out {
-		if opts.stops(toks[b]) {
-			done[b] = true
-			continue
-		}
-		out[b] = append(out[b], toks[b])
-		liveCount++
-	}
-	for step := 1; step < opts.MaxNew && liveCount > 0; step++ {
-		toks, err = e.decodeSample(s, toks, opts.Sampler)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		for b := range out {
-			if done[b] {
-				continue
-			}
-			if opts.stops(toks[b]) {
-				done[b] = true
-				liveCount--
-				continue
-			}
-			out[b] = append(out[b], toks[b])
-		}
-	}
-	stats.DecodeSeconds = timer.lap()
-	return out, stats, nil
 }

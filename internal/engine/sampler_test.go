@@ -76,20 +76,35 @@ func TestSamplerDistribution(t *testing.T) {
 	}
 }
 
+// TestGenerateWithGreedyMatchesGenerate: the generation loop with no
+// sampler makes the same calls as Prefill followed by DecodeSteps.
 func TestGenerateWithGreedyMatchesGenerate(t *testing.T) {
 	e := tinyEngine(t, model.OPT, KernelBlocked)
 	p := prompt(e, 10, 21)
-	want, _, err := e.Generate([][]int{p}, 6)
+	s := e.NewSession(1, 16)
+	toks, err := e.Prefill(s, [][]int{p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := e.GenerateWith([][]int{p}, GenerateOptions{MaxNew: 6})
-	if err != nil {
-		t.Fatal(err)
+	want := []int{toks[0]}
+	for len(want) < 6 {
+		if toks, err = e.DecodeStep(s, toks); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, toks[0])
 	}
-	for i := range want[0] {
-		if got[0][i] != want[0][i] {
-			t.Fatalf("greedy GenerateWith diverged at %d", i)
+	for _, gen := range []func() ([][]int, Stats, error){
+		func() ([][]int, Stats, error) { return e.Generate([][]int{p}, 6) },
+		func() ([][]int, Stats, error) { return e.GenerateWith([][]int{p}, GenerateOptions{MaxNew: 6}) },
+	} {
+		got, _, err := gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[0][i] != want[i] {
+				t.Fatalf("greedy generation diverged from Prefill+DecodeStep at %d", i)
+			}
 		}
 	}
 }
@@ -120,6 +135,8 @@ func TestChunkedPrefillEquivalence(t *testing.T) {
 	}
 }
 
+// TestStopToken: an OnToken that rejects a stop token truncates the output
+// before it, and the zero-value options never stop early.
 func TestStopToken(t *testing.T) {
 	e := tinyEngine(t, model.OPT, KernelBlocked)
 	p := prompt(e, 8, 23)
@@ -130,8 +147,8 @@ func TestStopToken(t *testing.T) {
 	// Stop on the second generated token: output must be truncated before
 	// it.
 	stop := full[0][1]
-	got, _, err := e.GenerateWith([][]int{p},
-		GenerateOptions{MaxNew: 6, Stop: true, StopToken: stop})
+	got, _, err := e.GenerateWith([][]int{p}, GenerateOptions{MaxNew: 6,
+		OnToken: func(_, _, tok int) bool { return tok != stop }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +160,7 @@ func TestStopToken(t *testing.T) {
 	if len(got[0]) >= len(full[0]) {
 		t.Errorf("stopped output length %d not shorter than %d", len(got[0]), len(full[0]))
 	}
-	// Without Stop set, token 0 must never terminate generation.
+	// Without OnToken, no token terminates generation.
 	got, _, err = e.GenerateWith([][]int{p}, GenerateOptions{MaxNew: 6})
 	if err != nil {
 		t.Fatal(err)

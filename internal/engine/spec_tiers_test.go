@@ -1,7 +1,7 @@
 package engine
 
 // spec_tiers_test.go asserts speculative decoding's defining invariant on
-// every kernel tier and session variant: greedy output through the
+// every kernel tier and KV block size: greedy output through the
 // draft+verify path is bit-identical to the same engine's own greedy
 // generation — the verification pass and the plain decode path run the
 // same kernels.
@@ -36,8 +36,10 @@ func TestSpeculativeBitIdenticalOnAllTiers(t *testing.T) {
 
 	const maxNew, lookahead = 12, 3
 	for _, kern := range allKernelTiers {
-		for _, paged := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/paged=%v", kern, paged), func(t *testing.T) {
+		// paged=false is one block per layer (the dense layout), paged=true
+		// blocks of 8 positions.
+		for _, block := range []int{0, 8} {
+			t.Run(fmt.Sprintf("%s/paged=%v", kern, block > 0), func(t *testing.T) {
 				target, err := New(tw, Options{Kernel: kern})
 				if err != nil {
 					t.Fatal(err)
@@ -51,8 +53,8 @@ func TestSpeculativeBitIdenticalOnAllTiers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, st, err := SpeculativeGenerateOpts(target, draft, p, maxNew,
-					SpecOptions{Lookahead: lookahead, Paged: paged, BlockSize: 8})
+				got, st, err := SpeculativeGenerate(target, draft, p, maxNew,
+					SpecOptions{Lookahead: lookahead, BlockSize: block})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +87,7 @@ func TestSpeculativeSteeringPreservesGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := SpeculativeGenerateOpts(target, draft, p, 12, SpecOptions{
+	got, st, err := SpeculativeGenerate(target, draft, p, 12, SpecOptions{
 		Lookahead: 4,
 		Steer:     func(outLen, i, proposed int) int { return (proposed + 1) % target.cfg.Vocab },
 	})

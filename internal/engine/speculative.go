@@ -34,13 +34,12 @@ func (s SpecStats) AcceptanceRate() float64 {
 	return float64(s.Accepted) / float64(s.Proposed)
 }
 
-// SpecOptions tunes SpeculativeGenerateOpts beyond the plain lookahead.
+// SpecOptions configures SpeculativeGenerate.
 type SpecOptions struct {
 	// Lookahead is the draft proposal length k per cycle.
 	Lookahead int
-	// Paged allocates paged KV sessions (vLLM-style blocks) for both
-	// engines instead of dense caches; BlockSize defaults to 16.
-	Paged     bool
+	// BlockSize is the KV block size of both engines' sessions; 0 means
+	// one block per layer.
 	BlockSize int
 	// Steer, when non-nil, rewrites each draft proposal before
 	// verification: it receives the output length so far, the proposal
@@ -54,16 +53,10 @@ type SpecOptions struct {
 }
 
 // SpeculativeGenerate generates maxNew tokens for a single prompt using
-// draft to propose lookahead batches of k tokens and the target engine to
-// verify them greedily. Both engines must share the vocabulary. The
+// draft to propose batches of opts.Lookahead tokens and the target engine
+// to verify them greedily. Both engines must share the vocabulary. The
 // returned tokens are identical to target.Generate's greedy output.
-func SpeculativeGenerate(target, draft *Engine, prompt []int, maxNew, k int) ([]int, SpecStats, error) {
-	return SpeculativeGenerateOpts(target, draft, prompt, maxNew, SpecOptions{Lookahead: k})
-}
-
-// SpeculativeGenerateOpts is SpeculativeGenerate with session and
-// steering control (see SpecOptions).
-func SpeculativeGenerateOpts(target, draft *Engine, prompt []int, maxNew int, opts SpecOptions) ([]int, SpecStats, error) {
+func SpeculativeGenerate(target, draft *Engine, prompt []int, maxNew int, opts SpecOptions) ([]int, SpecStats, error) {
 	var st SpecStats
 	k := opts.Lookahead
 	if maxNew <= 0 {
@@ -77,18 +70,8 @@ func SpeculativeGenerateOpts(target, draft *Engine, prompt []int, maxNew int, op
 			draft.cfg.Vocab, target.cfg.Vocab)
 	}
 	maxSeq := len(prompt) + maxNew + k + 1
-	var ts, ds *Session
-	if opts.Paged {
-		bs := opts.BlockSize
-		if bs <= 0 {
-			bs = 16
-		}
-		ts = target.NewPagedSession(1, maxSeq, bs)
-		ds = draft.NewPagedSession(1, maxSeq, bs)
-	} else {
-		ts = target.NewSession(1, maxSeq)
-		ds = draft.NewSession(1, maxSeq)
-	}
+	ts := target.NewPagedSession(1, maxSeq, opts.BlockSize)
+	ds := draft.NewPagedSession(1, maxSeq, opts.BlockSize)
 
 	// Both models prefill the prompt; the target's greedy token is the
 	// first output.
@@ -151,7 +134,7 @@ func SpeculativeGenerateOpts(target, draft *Engine, prompt []int, maxNew int, op
 		newTokens := append(append([]int{}, proposal[:accepted]...), targetNext[accepted])
 		// Commit exactly the consumed rows into the target cache: the row
 		// for out's last token plus the accepted proposals.
-		ts.rollback(ts.pos + 1 + accepted)
+		ts.Commit(ts.pos + 1 + accepted)
 		for _, tok := range newTokens {
 			out = append(out, tok)
 			if len(out) == maxNew {
@@ -170,10 +153,9 @@ func SpeculativeGenerateOpts(target, draft *Engine, prompt []int, maxNew int, op
 // accepted prefix via Commit (or discards by committing the old
 // position).
 func (e *Engine) VerifyRows(s *Session, toks []int) ([]int, error) {
-	if err := e.checkTokens(toks); err != nil {
+	if err := e.forwardTokens(s, toks); err != nil {
 		return nil, err
 	}
-	e.forwardTokens(&s.ar, s.caches, toks, s.pos)
 	next := make([]int, len(toks))
 	for i := range next {
 		next[i] = kernels.Argmax(e.rowLogits(&s.ar, i))
@@ -192,9 +174,6 @@ func (s *Session) Commit(n int) {
 	}
 	s.pos = n
 }
-
-// rollback is the historical internal name for Commit.
-func (s *Session) rollback(n int) { s.Commit(n) }
 
 // syncDraft replays target-accepted tokens the draft has not processed
 // yet, so the draft cache always reflects the accepted sequence.

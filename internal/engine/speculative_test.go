@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/model"
@@ -43,7 +44,7 @@ func TestSpeculativeMatchesGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 2, 3, 5, 8} {
-		got, st, err := SpeculativeGenerate(target, draft, p, 12, k)
+		got, st, err := SpeculativeGenerate(target, draft, p, 12, SpecOptions{Lookahead: k})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -74,7 +75,7 @@ func TestSpeculativeSelfDraftAcceptsEverything(t *testing.T) {
 	draft, _ := New(w, Options{Kernel: KernelBlocked})
 	p := prompt(target, 8, 43)
 	const maxNew, k = 13, 4
-	out, st, err := SpeculativeGenerate(target, draft, p, maxNew, k)
+	out, st, err := SpeculativeGenerate(target, draft, p, maxNew, SpecOptions{Lookahead: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSpeculativeSelfDraftAcceptsEverything(t *testing.T) {
 func TestSpeculativePartialAcceptance(t *testing.T) {
 	target, draft := specEngines(t, 999)
 	p := prompt(target, 12, 44)
-	_, st, err := SpeculativeGenerate(target, draft, p, 16, 4)
+	_, st, err := SpeculativeGenerate(target, draft, p, 16, SpecOptions{Lookahead: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestSpeculativeLlama(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := SpeculativeGenerate(target, draft, p, 10, 3)
+	got, _, err := SpeculativeGenerate(target, draft, p, 10, SpecOptions{Lookahead: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,38 +144,37 @@ func TestSpeculativeLlama(t *testing.T) {
 func TestSpeculativeValidation(t *testing.T) {
 	target, draft := specEngines(t, 7)
 	p := prompt(target, 4, 46)
-	if _, _, err := SpeculativeGenerate(target, draft, p, 0, 2); err == nil {
+	if _, _, err := SpeculativeGenerate(target, draft, p, 0, SpecOptions{Lookahead: 2}); err == nil {
 		t.Error("zero maxNew must fail")
 	}
-	if _, _, err := SpeculativeGenerate(target, draft, p, 4, 0); err == nil {
+	if _, _, err := SpeculativeGenerate(target, draft, p, 4, SpecOptions{Lookahead: 0}); err == nil {
 		t.Error("zero lookahead must fail")
 	}
 	other := model.Tiny(model.LLaMA2)
 	other.Vocab = 53 // genuinely different vocabulary
 	ow, _ := NewWeights(other, 1, tensor.FP32)
 	oe, _ := New(ow, Options{Kernel: KernelBlocked})
-	if _, _, err := SpeculativeGenerate(target, oe, p, 4, 2); err == nil {
+	if _, _, err := SpeculativeGenerate(target, oe, p, 4, SpecOptions{Lookahead: 2}); err == nil {
 		t.Error("vocab mismatch must fail")
 	}
 }
 
+// TestKVCacheTruncate: speculation's rollback keeps the rows below the
+// new length, and re-extending over them finds them intact.
 func TestKVCacheTruncate(t *testing.T) {
-	c := NewKVCache(1, 2, 4)
-	c.Put(0, 0, []float32{1, 2}, []float32{3, 4})
-	c.Put(0, 1, []float32{5, 6}, []float32{7, 8})
-	c.ExtendTo(2)
-	c.Truncate(1)
-	if c.Len() != 1 {
-		t.Error("truncate failed")
-	}
-	c.ExtendTo(2) // re-extend over retained data
-	if c.keys(0)[2] != 5 {
-		t.Error("data must survive truncate+extend")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("truncate beyond length must panic")
+	for _, block := range blockSizes(4) {
+		c := NewPagedKVCache(1, 2, 4, block)
+		c.Put(0, 0, []float32{1, 2}, []float32{3, 4})
+		c.Put(0, 1, []float32{5, 6}, []float32{7, 8})
+		c.ExtendTo(2)
+		c.Truncate(1)
+		if c.Len() != 1 {
+			t.Errorf("block %d: truncate failed", block)
 		}
-	}()
-	c.Truncate(3)
+		c.ExtendTo(2) // re-extend over retained data
+		if k, _ := committed(c, 0); k[2] != 5 {
+			t.Errorf("block %d: data must survive truncate+extend", block)
+		}
+		mustPanic(t, fmt.Sprintf("block %d: truncate beyond length", block), func() { c.Truncate(3) })
+	}
 }

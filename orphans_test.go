@@ -23,14 +23,13 @@ var keptTestOnly = map[string]string{
 	"engine.Engine.PrefillResume":    "prefill over an adopted prefix: a radix-cache hit on a real lane",
 	"engine.Engine.ForkPagedSession": "copy-on-write fork of real KV pages for shared prefixes",
 	"engine.Engine.PrefillChunked":   "Sarathi chunk executor for serve.Plan.PrefillLen",
-	"engine.Engine.GenerateWith":     "sampled generation for the API's temperature / top-p fields",
 	"engine.NewSampler":              "constructor of the Sampler GenerateWith takes",
 
 	// Invariant probes: tests read internal state through them.
 	"kvpool.Pool.BlockRef":                "reference count of one block, for CoW and conservation checks",
 	"kvpool.Sequence.WriteLast":           "the write that triggers copy-on-write in the sharing tests",
 	"govern.Lease.Held":                   "blocks a lease holds, for KV conservation checks",
-	"engine.PagedKVCache.AllocatedBlocks": "page accounting checked against the dense cache",
+	"engine.PagedKVCache.AllocatedBlocks": "page accounting: lazy allocation, truncation and fork ownership",
 	"engine.PagedKVCache.SharedBlocks":    "fork sharing checked before and after divergence",
 	"prefixcache.Tree.Keys":               "tree contents for the recount property test",
 	"metrics.Histogram.Quantile":          "gateway tests read batch-size and latency histograms through it",
