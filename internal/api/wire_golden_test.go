@@ -5,8 +5,8 @@ package api
 // streamed with include_usage) on an analytic lane and on a tiny-* engine
 // lane, a prefix-cache hit, seeded speculation, cluster attribution, the
 // brownout header, every error code with its Retry-After / Allow headers,
-// the mid-stream error envelope, the /v1/simulate, /v1/autotune and
-// /v1/platforms bodies, and GET /v1/debug/state after a group's traffic.
+// the mid-stream error envelope, the /v1/simulate and /v1/platforms
+// bodies, and GET /v1/debug/state after a group's traffic.
 // Only volatile values are masked (see mask);
 // modeled values on analytic lanes stay exact. `make wire-golden`
 // rewrites testdata/wire.txt (on purpose only).
@@ -215,7 +215,7 @@ func wireGroups() []wireGroup {
 		post("completions icl cache", "/v1/completions", complBody+`,"platform":"icl","memmode":"cache"}`),
 		post("completions bad priority", "/v1/completions", complBody+`,"priority":"urgent"}`),
 
-		// /v1/simulate, /v1/autotune and /v1/platforms.
+		// /v1/simulate and /v1/platforms.
 		post("simulate spr", "/v1/simulate", `{"platform":"spr","model":"OPT-30B","batch":4}`),
 		post("simulate zeros", "/v1/simulate", `{"platform":"spr","model":"OPT-13B","batch":0,"in":0,"out":0,"cores":0}`),
 		post("simulate icl", "/v1/simulate", `{"platform":"icl","model":"OPT-13B"}`),
@@ -246,12 +246,6 @@ func wireGroups() []wireGroup {
 		post("simulate not json", "/v1/simulate", `not json`),
 		post("simulate text/plain", "/v1/simulate", `{}`, "Content-Type: text/plain"),
 		exchange{name: "simulate GET", method: http.MethodGet, path: "/v1/simulate?platform=spr&model=OPT-30B"},
-		post("autotune", "/v1/autotune", `{"model":"LLaMA2-13B","objective":"throughput","top":3}`),
-		post("autotune defaults", "/v1/autotune", `{"model":"OPT-13B","top":2}`),
-		post("autotune unknown model", "/v1/autotune", `{"model":"nope"}`),
-		post("autotune unknown objective", "/v1/autotune", `{"model":"OPT-13B","objective":"weird"}`),
-		post("autotune negative top", "/v1/autotune", `{"model":"OPT-13B","top":-1}`),
-		exchange{name: "autotune GET", method: http.MethodGet, path: "/v1/autotune?model=OPT-13B"},
 		exchange{name: "platforms", method: http.MethodGet, path: "/v1/platforms"},
 		state,
 	)
