@@ -1,15 +1,16 @@
 // Package api exposes the simulator over HTTP as a JSON service — the
-// shape a capacity-planning dashboard or load generator consumes. All
-// traffic flows through a gateway (internal/gateway) that provides a
+// shape a capacity-planning dashboard or load generator consumes.
+// Generation flows through a gateway (internal/gateway) that provides a
 // bounded queue with 429 backpressure, batched execution, per-request
-// cancellation, graceful drain and metrics.
+// cancellation, graceful drain and metrics. /v1/simulate and the
+// registry endpoints are pure functions answered on the handler
+// goroutine, outside that queue.
 //
 // The route table (routes) lists every endpoint once; it drives both the
 // mux and the GET /v1/ index. docs/api.md has schemas and examples.
 package api
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -17,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/hw"
@@ -73,7 +73,6 @@ func (s *Server) routes() []route {
 		{get, "/v1/models", s.handleModels, "model presets the paper evaluates"},
 		{get, "/v1/platforms", s.handlePlatforms, "platform registry (CPUs and GPUs of Tables I-II)"},
 		{post, "/v1/simulate", s.handleSimulate, "price one inference point (platform, model, batch, in, out)"},
-		{post, "/v1/autotune", s.handleAutotune, "search CPU configurations for an objective"},
 		{post, "/v1/generate", s.handleGenerate, `serve one generation request through the batching gateway; "stream": true delivers per-token SSE chunks (data: {...}, data: [DONE])`},
 		{post, "/v1/chat/completions", s.handleChatCompletions, `OpenAI-compatible chat completions (usage, finish_reason); "stream": true delivers chat.completion.chunk SSE`},
 		{post, "/v1/completions", s.handleCompletions, "OpenAI-compatible legacy text completions alias, sharing /v1/generate validation and streaming"},
@@ -333,22 +332,10 @@ type simResponse struct {
 	CoreUtilization float64 `json:"core_utilization,omitempty"`
 }
 
-// unary runs fn as one job under the backend's admission control and
-// worker pool. It writes the error response — the mapped gateway refusal,
-// or fn's error with status and code — and reports whether fn succeeded.
-func (s *Server) unary(w http.ResponseWriter, r *http.Request, status int, code string, fn func() error) bool {
-	var err error
-	if gwErr := s.gw.Do(r.Context(), func(context.Context) error { err = fn(); return nil }); gwErr != nil {
-		s.writeGatewayError(w, gwErr)
-		return false
-	}
-	if err != nil {
-		writeError(w, status, code, err)
-		return false
-	}
-	return true
-}
-
+// handleSimulate prices one point on the platform model. The model is a
+// pure function that takes microseconds, so it runs here rather than
+// through the backend: it takes no worker slot and never gets a gateway
+// 429 or 503.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -360,11 +347,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	var res core.Result
-	if !s.unary(w, r, http.StatusUnprocessableEntity, CodeUnprocessable, func() (err error) {
-		res, err = t.Simulate(m, req.Batch, req.InputLen, req.OutputLen)
-		return err
-	}) {
+	res, err := t.Simulate(m, req.Batch, req.InputLen, req.OutputLen)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, simResponse{
@@ -376,80 +361,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		LLCMPKI:         res.Counters.LLCMPKI,
 		CoreUtilization: res.Counters.CoreUtilization,
 	})
-}
-
-func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
-	var req AutotuneRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	if req.InputLen == 0 {
-		req.InputLen = 128
-	}
-	if req.OutputLen == 0 {
-		req.OutputLen = 32
-	}
-	if req.Top == 0 {
-		req.Top = 5
-	}
-	if req.InputLen < 0 || req.OutputLen < 0 || req.Top < 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("in, out and top must be positive"))
-		return
-	}
-	m, err := core.ModelByName(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	var obj autotune.Objective
-	switch req.Objective {
-	case "", "e2e":
-		obj = autotune.MinE2ELatency
-	case "throughput":
-		obj = autotune.MaxThroughput
-	case "ttft":
-		obj = autotune.MinTTFT
-	default:
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("unknown objective %q (want e2e, throughput or ttft)", req.Objective))
-		return
-	}
-	var cands []autotune.Candidate
-	if !s.unary(w, r, http.StatusUnprocessableEntity, CodeUnprocessable, func() (err error) {
-		cands, err = autotune.Tune(autotune.DefaultSpace(), autotune.Request{
-			Model: m, InputLen: req.InputLen, OutputLen: req.OutputLen, Objective: obj,
-		})
-		return err
-	}) {
-		return
-	}
-	if req.Top < len(cands) {
-		cands = cands[:req.Top]
-	}
-	resp := make([]tuneResponse, len(cands))
-	for i, c := range cands {
-		resp[i] = tuneResponse{
-			Config: c.Setup.Name(), Cores: c.Setup.Cores, Batch: c.Batch,
-			TTFTMillis:      c.Result.Latency.TTFT * 1e3,
-			TPOTMillis:      c.Result.Latency.TPOT * 1e3,
-			E2ESeconds:      c.Result.Latency.E2E,
-			TokensPerSecond: c.Result.Throughput.E2E,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// tuneResponse is one autotune candidate in JSON form.
-type tuneResponse struct {
-	Config          string  `json:"config"`
-	Cores           int     `json:"cores"`
-	Batch           int     `json:"batch"`
-	TTFTMillis      float64 `json:"ttft_ms"`
-	TPOTMillis      float64 `json:"tpot_ms"`
-	E2ESeconds      float64 `json:"e2e_s"`
-	TokensPerSecond float64 `json:"tokens_per_second"`
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {

@@ -265,7 +265,6 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"POST", "/v1/models", "GET"},
 		{"DELETE", "/v1/simulate", "POST"},
 		{"GET", "/v1/simulate?platform=spr&model=OPT-30B", "POST"},
-		{"GET", "/v1/autotune?model=LLaMA2-13B", "POST"},
 		{"GET", "/v1/generate", "POST"},
 		{"POST", "/v1/debug/state", "GET"},
 	}
@@ -285,13 +284,13 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 // TestUnknownPath404: unmatched paths, including the status and
-// reproduction endpoints /v1/debug/state and cmd/repro replaced, answer
-// the generic 404.
+// reproduction endpoints /v1/debug/state and cmd/repro replaced (the
+// tuner's one front end is `repro autotune`), answer the generic 404.
 func TestUnknownPath404(t *testing.T) {
 	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
 	for _, path := range []string{"/v2/nope", "/v1/kv", "/v1/cache", "/v1/overload",
-		"/v1/cluster", "/v1/experiments", "/v1/experiments/fig18", "/v1/scorecard"} {
+		"/v1/cluster", "/v1/experiments", "/v1/experiments/fig18", "/v1/scorecard", "/v1/autotune"} {
 		resp, body := doOn(t, srv, http.MethodGet, path, "")
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s: status %d", path, resp.StatusCode)
@@ -299,39 +298,6 @@ func TestUnknownPath404(t *testing.T) {
 		}
 		if code, msg := errEnvelope(t, body); code != CodeNotFound || !strings.HasPrefix(msg, "no such endpoint") {
 			t.Errorf("%s: %s %q, want the generic 404", path, code, msg)
-		}
-	}
-}
-
-func TestAutotune(t *testing.T) {
-	srv := httptest.NewServer(NewServer(nil).Handler())
-	defer srv.Close()
-	resp, body := doOn(t, srv, "POST", "/v1/autotune",
-		`{"model":"LLaMA2-13B","objective":"throughput","top":3}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var cands []map[string]any
-	if err := json.Unmarshal(body, &cands); err != nil || len(cands) != 3 {
-		t.Fatalf("autotune body: %v %s", err, body)
-	}
-	if cands[0]["config"] != "quad_flat" {
-		t.Errorf("best config %v, want quad_flat", cands[0]["config"])
-	}
-	if cands[0]["batch"].(float64) != 32 {
-		t.Errorf("throughput objective should pick batch 32, got %v", cands[0]["batch"])
-	}
-	for _, bad := range []struct{ name, body string }{
-		{"bad model", `{"model":"nope"}`},
-		{"bad objective", `{"model":"OPT-13B","objective":"weird"}`},
-		{"negative top", `{"model":"OPT-13B","top":-1}`},
-	} {
-		resp, body = doOn(t, srv, "POST", "/v1/autotune", bad.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s status %d", bad.name, resp.StatusCode)
-		}
-		if code, _ := errEnvelope(t, body); code != CodeBadRequest {
-			t.Errorf("%s code %q", bad.name, code)
 		}
 	}
 }

@@ -23,9 +23,8 @@ import (
 // its replicas with health-aware failover.
 type Backend interface {
 	// Generate serves one generation request (optionally streaming
-	// through req.Sink) and Do runs one unary job.
+	// through req.Sink). It is the only work the backend admits.
 	Generate(ctx context.Context, req gateway.Request) (gateway.Result, error)
-	Do(ctx context.Context, fn func(context.Context) error) error
 
 	// Observability and control surfaces.
 	Registry() *metrics.Registry

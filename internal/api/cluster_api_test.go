@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/gateway"
 	"repro/internal/govern"
 )
@@ -216,5 +217,59 @@ func TestClusterStateReportsReplicaKV(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("serving replica %q not in the cluster state: %s", served, keys["cluster"])
+	}
+}
+
+// TestSimulateLeavesHalfOpenTrialFree: on a one-replica cluster whose
+// replica is half-open after an outage, /v1/simulate takes no trial slot,
+// so the next generation request is the trial and readmits the replica.
+func TestSimulateLeavesHalfOpenTrialFree(t *testing.T) {
+	inj := faults.New(1)
+	r, err := cluster.New(cluster.Config{
+		Replicas: 1,
+		Factory: func(id string) (*gateway.Gateway, error) {
+			return gateway.New(gateway.Config{Injector: inj}, stubResolver(stubCost{})), nil
+		},
+		Injector:      inj,
+		ProbeInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = r.Shutdown(ctx)
+	})
+	srv := httptest.NewServer(NewServer(r).Handler())
+	t.Cleanup(srv.Close)
+
+	awaitState := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for r.Snapshot().Replicas[0].State != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica never reached %s", want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := inj.Arm(faults.Rule{Class: faults.ReplicaDown, Site: cluster.FaultSite, Lane: "r0"}); err != nil {
+		t.Fatal(err)
+	}
+	awaitState("down")
+	inj.Disarm()
+	awaitState("half-open")
+
+	resp, body := doOn(t, srv, http.MethodPost, "/v1/simulate", `{"platform":"spr","model":"OPT-13B"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = doOn(t, srv, http.MethodPost, "/v1/generate", `{"platform":"spr","model":"OPT-13B","out":2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("generate after a half-open simulate: status %d: %s", resp.StatusCode, body)
+	}
+	if st := r.Snapshot().Replicas[0].State; st != "healthy" {
+		t.Errorf("replica %s after a successful trial, want healthy", st)
 	}
 }

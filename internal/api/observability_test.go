@@ -181,7 +181,7 @@ func TestTracesListing(t *testing.T) {
 func TestUnsupportedMediaType415(t *testing.T) {
 	srv := httptest.NewServer(NewServer(nil).Handler())
 	defer srv.Close()
-	for _, path := range []string{"/v1/generate", "/v1/simulate", "/v1/autotune"} {
+	for _, path := range []string{"/v1/generate", "/v1/simulate"} {
 		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)

@@ -131,15 +131,6 @@ type SimulateRequest struct {
 	OutputLen int `json:"out"`   // default 32
 }
 
-// AutotuneRequest is the body of POST /v1/autotune.
-type AutotuneRequest struct {
-	Model     string `json:"model"`
-	Objective string `json:"objective"` // e2e | throughput | ttft
-	InputLen  int    `json:"in"`        // default 128
-	OutputLen int    `json:"out"`       // default 32
-	Top       int    `json:"top"`       // default 5
-}
-
 // GenerateRequest is the body of POST /v1/generate: one generation
 // request served through the gateway's batching scheduler. Platform is a
 // registry key, or "tiny-opt"/"tiny-llama" to execute on the real

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,6 +161,55 @@ func TestRetryAfterDerivedOn429(t *testing.T) {
 		if status := <-results; status != http.StatusOK {
 			t.Errorf("backlogged request finished with %d", status)
 		}
+	}
+}
+
+// TestSimulateBypassesTheGateway: /v1/simulate prices on the handler
+// goroutine, so with the gateway's one worker held by a wedged lane it
+// still answers at once, and it is not counted as admitted work.
+func TestSimulateBypassesTheGateway(t *testing.T) {
+	gate := make(chan struct{})
+	gw := gateway.New(gateway.Config{MaxBatch: 1, Workers: 1,
+		WatchdogBudget: -1}, // the gated prefill must be allowed to block
+		stubResolver(stubCost{gate: gate}))
+	srv := httptest.NewServer(NewServer(gw).Handler())
+	defer srv.Close()
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
+	defer openGate()
+
+	generated := make(chan int, 1)
+	go func() {
+		resp, _ := doOn(t, srv, http.MethodPost, "/v1/generate", `{"platform":"spr","model":"OPT-13B"}`)
+		generated <- resp.StatusCode
+	}()
+	inflight := gw.Registry().Gauge("gateway_inflight", "")
+	deadline := time.Now().Add(5 * time.Second)
+	for inflight.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("generation request never took the worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	admitted := gw.Registry().Counter("gateway_admitted_total", "")
+	before := admitted.Value()
+
+	client := &http.Client{Timeout: time.Second}
+	resp, err := client.Post(srv.URL+"/v1/simulate", "application/json",
+		strings.NewReader(`{"platform":"spr","model":"OPT-30B","batch":4}`))
+	if err != nil {
+		t.Fatalf("simulate with every worker held: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate status %d, want 200", resp.StatusCode)
+	}
+	if got := admitted.Value(); got != before {
+		t.Errorf("gateway_admitted_total %d -> %d across a simulate, want unchanged", before, got)
+	}
+	openGate()
+	if status := <-generated; status != http.StatusOK {
+		t.Errorf("wedged generation finished with %d", status)
 	}
 }
 

@@ -476,34 +476,6 @@ func (r *Router) RetryAfterSeconds() int {
 	return best
 }
 
-// Do runs a unary job on a routable replica, failing over once if the
-// first replica fails at the replica level mid-job.
-func (r *Router) Do(ctx context.Context, fn func(context.Context) error) error {
-	if r.Draining() {
-		return gateway.ErrDraining
-	}
-	var lastErr error
-	tried := map[string]bool{}
-	for attempt := 0; attempt < 2; attempt++ {
-		rep, err := r.pickFor(nil, tried)
-		if err != nil {
-			if lastErr != nil {
-				return lastErr
-			}
-			return err
-		}
-		tried[rep.id] = true
-		err = r.runOnReplica(ctx, rep, func(dctx context.Context) error {
-			return rep.gateway().Do(dctx, fn)
-		})
-		if err == nil || !retryable(err) || ctx.Err() != nil {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
-}
-
 // runOnReplica executes fn under the replica's forced-down watch: if the
 // replica is forced down mid-call the work is cancelled and the error is
 // rewritten to ErrReplicaDown so callers can fail over.

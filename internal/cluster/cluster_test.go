@@ -390,21 +390,6 @@ func TestEjectionAfterConsecutiveErrors(t *testing.T) {
 	}
 }
 
-func TestUnaryDoFailsOver(t *testing.T) {
-	tc := newTestCluster(t, 2, nil)
-	mustArm(t, tc.inj, faults.Rule{Class: faults.ReplicaDown, Site: FaultSite, Lane: "r0"})
-	waitFor(t, "r0 down", func() bool { return tc.r.replicas[0].stateNow() == down })
-	for i := 0; i < 4; i++ {
-		ran := false
-		if err := tc.r.Do(context.Background(), func(context.Context) error {
-			ran = true
-			return nil
-		}); err != nil || !ran {
-			t.Fatalf("Do %d: err=%v ran=%v", i, err, ran)
-		}
-	}
-}
-
 // TestSharedRegistryAcrossReplicas guards the aggregate-metrics
 // contract: replica gateways share one registry without panicking or
 // double-registering, and cluster_* instruments coexist with gateway_*.

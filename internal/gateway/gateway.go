@@ -3,12 +3,11 @@
 // admission control in front of the priced (or measured) inference
 // iterations.
 //
-// Requests enter through Generate (token-generation jobs batched per
-// lane) or Do (unary calculator jobs such as one-shot simulations). Both
-// paths share a bounded queue: when it is full, submissions are rejected
-// immediately with ErrQueueFull, which the API layer maps to HTTP 429 —
-// backpressure instead of unbounded buffering (the paper's serving
-// context, §II-C/§VII).
+// Requests enter through Generate, the one admission path: token-
+// generation jobs batched per lane behind a bounded queue. When it is
+// full, submissions are rejected immediately with ErrQueueFull, which the
+// API layer maps to HTTP 429 — backpressure instead of unbounded
+// buffering (the paper's serving context, §II-C/§VII).
 //
 // Generation jobs are grouped into lanes keyed by (platform, model,
 // configuration). Each lane owns a serve.CostModel and runs Orca-style
@@ -90,8 +89,8 @@ func (p Policy) String() string {
 
 // Config tunes the gateway.
 type Config struct {
-	// MaxQueue bounds requests waiting for execution across all lanes
-	// and the unary pool; submissions beyond it get ErrQueueFull.
+	// MaxQueue bounds requests waiting for execution across all lanes;
+	// submissions beyond it get ErrQueueFull.
 	// Default 256.
 	MaxQueue int
 	// MaxBatch is the per-lane in-flight sequence limit. Default 8.
@@ -101,7 +100,7 @@ type Config struct {
 	// PrefillChunk is the chunk size (tokens) under the Chunked policy.
 	// Default 64.
 	PrefillChunk int
-	// Workers bounds concurrently executing lanes plus unary jobs.
+	// Workers bounds concurrently executing lanes.
 	// Default 4.
 	Workers int
 	// Timescale, when positive, makes lanes sleep iterationCost ×
@@ -389,7 +388,7 @@ func newInstruments(r *metrics.Registry) instruments {
 		failed:     r.Counter("gateway_failed_total", "requests failed in execution"),
 		iters:      r.Counter("gateway_iterations_total", "scheduler iterations executed"),
 		queueDepth: r.Gauge("gateway_queue_depth", "requests waiting for execution"),
-		inflight:   r.Gauge("gateway_inflight", "sequences being decoded plus running unary jobs"),
+		inflight:   r.Gauge("gateway_inflight", "sequences being decoded"),
 		lanes:      r.Gauge("gateway_active_lanes", "lanes currently executing"),
 		queueWait:  r.Histogram("gateway_queue_wait_seconds", "real time from submission to execution start", lat),
 		ttft:       r.Histogram("gateway_ttft_seconds", "modeled time to first token", lat),
@@ -453,7 +452,7 @@ type Gateway struct {
 	// satSince anchors sustained queue saturation: set when the queue
 	// reaches capacity, cleared when it drains below half (overload.go).
 	satSince time.Time
-	wg       sync.WaitGroup // lane goroutines and unary jobs
+	wg       sync.WaitGroup // lane goroutines
 
 	// Drain-rate estimator feeding Retry-After hints (guarded by mu).
 	retryAt        time.Time
@@ -733,70 +732,6 @@ func (g *Gateway) newLaneLocked(key string) (*lane, error) {
 	g.initLaneSpec(l)
 	g.lanes[key] = l
 	return l, nil
-}
-
-// Do runs a unary job (e.g. a one-shot simulation) under the gateway's
-// admission control and worker pool. The queue wait and execution time
-// feed the same histograms as generation traffic.
-func (g *Gateway) Do(ctx context.Context, fn func(context.Context) error) error {
-	tr := trace.FromContext(ctx)
-	g.mu.Lock()
-	if g.draining {
-		g.mu.Unlock()
-		g.m.rejected.Inc()
-		tr.SetError(ErrDraining)
-		return ErrDraining
-	}
-	if g.waiting >= g.cfg.MaxQueue {
-		g.mu.Unlock()
-		g.m.rejected.Inc()
-		tr.SetError(ErrQueueFull)
-		return ErrQueueFull
-	}
-	g.waiting++
-	g.wg.Add(1)
-	g.mu.Unlock()
-	g.m.queueDepth.Inc()
-	g.m.admitted.Inc()
-	defer g.wg.Done()
-
-	start := time.Now()
-	release := func() {
-		g.mu.Lock()
-		g.waiting--
-		g.mu.Unlock()
-		g.m.queueDepth.Dec()
-	}
-	select {
-	case g.slots <- struct{}{}:
-	case <-ctx.Done():
-		release()
-		g.m.canceled.Inc()
-		tr.SetError(ctx.Err())
-		return ctx.Err()
-	}
-	release()
-	defer func() { <-g.slots }()
-
-	admit := time.Now()
-	tr.Add(trace.SpanData{Name: trace.PhaseQueue, Start: start, End: admit})
-	g.m.queueWait.Observe(admit.Sub(start).Seconds())
-	g.m.inflight.Inc()
-	defer g.m.inflight.Dec()
-	err := fn(ctx)
-	tr.Add(trace.SpanData{Name: trace.PhaseHandler, Start: admit, End: time.Now()})
-	g.m.wall.Observe(time.Since(start).Seconds())
-	switch {
-	case err == nil:
-		g.m.completed.Inc()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		g.m.canceled.Inc()
-		tr.SetError(err)
-	default:
-		g.m.failed.Inc()
-		tr.SetError(err)
-	}
-	return err
 }
 
 // ensureRunningLocked spawns the lane scheduler if idle. Callers hold g.mu.

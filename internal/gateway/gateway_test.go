@@ -274,37 +274,6 @@ func TestResolverErrorRejects(t *testing.T) {
 	}
 }
 
-func TestUnaryDo(t *testing.T) {
-	g := New(Config{MaxQueue: 4, Workers: 2}, nil)
-	var ran atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := g.Do(context.Background(), func(context.Context) error {
-				ran.Add(1)
-				return nil
-			})
-			if err != nil && !errors.Is(err, ErrQueueFull) {
-				t.Errorf("Do: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if ran.Load() == 0 {
-		t.Fatal("no unary jobs ran")
-	}
-	if err := g.Do(context.Background(), func(context.Context) error {
-		return errors.New("boom")
-	}); err == nil {
-		t.Fatal("expected propagated error")
-	}
-	if g.Registry().Counter("gateway_failed_total", "").Value() != 1 {
-		t.Error("failed counter not incremented")
-	}
-}
-
 func TestMetricsExposition(t *testing.T) {
 	g := New(Config{}, fixedResolver(fakeCost{pre: 0.01, dec: 0.001}))
 	if _, err := g.Generate(context.Background(), Request{Lane: "l", InputLen: 32, OutputLen: 4}); err != nil {
