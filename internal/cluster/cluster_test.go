@@ -249,6 +249,124 @@ func TestReplicaRecoversThroughHalfOpen(t *testing.T) {
 	}
 }
 
+// TestHalfOpenTrialReleasedOnAnyOutcome: a half-open replica's trial
+// slot is freed by every outcome of the trial, and an outcome that is
+// not charged to health (cancel, a load rejection, a hedge arm that lost
+// the race) leaves the replica half-open for the next trial rather than
+// unroutable for good or readmitted on another replica's success.
+func TestHalfOpenTrialReleasedOnAnyOutcome(t *testing.T) {
+	cases := []struct {
+		name     string
+		replicas int
+		probe    int // the replica taken through an outage to half-open
+		// latched, when set, builds every replica gateway from it with
+		// prefills waiting on the case's latch.
+		latched *gateway.Config
+		mutate  func(*Config)
+		trial   func(t *testing.T, tc *testCluster, lc *latchCost)
+	}{
+		{
+			name: "cancel", replicas: 1,
+			latched: &gateway.Config{MaxQueue: 8, MaxBatch: 8, Workers: 1},
+			trial: func(t *testing.T, tc *testCluster, lc *latchCost) {
+				ctx, cancel := context.WithCancel(context.Background())
+				go func() { <-lc.entered; cancel() }()
+				if _, err := tc.r.Generate(ctx, genReq()); !errors.Is(err, context.Canceled) {
+					t.Fatalf("trial err = %v, want context.Canceled", err)
+				}
+				close(lc.gate)
+			},
+		},
+		{
+			name: "queue-full", replicas: 1,
+			latched: &gateway.Config{MaxQueue: 1, MaxBatch: 1, Workers: 1},
+			mutate:  func(cfg *Config) { cfg.MaxFailovers = -1 },
+			trial: func(t *testing.T, tc *testCluster, lc *latchCost) {
+				// Fill the replica's gateway directly: one request holds
+				// the lane in its prefill, a second fills the queue.
+				gw := tc.r.replicas[0].gateway()
+				var wg sync.WaitGroup
+				defer wg.Wait()
+				defer close(lc.gate)
+				for i := 0; i < 2; i++ {
+					wg.Add(1)
+					go func() { defer wg.Done(); _, _ = gw.Generate(context.Background(), genReq()) }()
+					if i == 0 {
+						<-lc.entered
+					}
+				}
+				waitFor(t, "replica queue full", func() bool { return gw.QueueDepth() == 1 })
+				if _, err := tc.r.Generate(context.Background(), genReq()); !errors.Is(err, gateway.ErrQueueFull) {
+					t.Fatalf("trial err = %v, want ErrQueueFull", err)
+				}
+			},
+		},
+		{
+			name: "hedge-loser", replicas: 2, probe: 1,
+			mutate: func(cfg *Config) { cfg.HedgeAfter = 5 * time.Millisecond },
+			trial: func(t *testing.T, tc *testCluster, _ *latchCost) {
+				// Both replicas are slow, r1 (half-open) ten times more:
+				// whichever is primary, the r0 arm wins and r1's loses.
+				mustArm(t, tc.inj,
+					faults.Rule{Class: faults.ReplicaSlow, Site: FaultSite, Lane: "r0", DelayMillis: 30},
+					faults.Rule{Class: faults.ReplicaSlow, Site: FaultSite, Lane: "r1", DelayMillis: 300},
+				)
+				waitFor(t, "slow conditions visible", func() bool {
+					return tc.r.replicas[0].slowNs.Load() > 0 && tc.r.replicas[1].slowNs.Load() > 0
+				})
+				res, err := tc.r.Generate(context.Background(), genReq())
+				if err != nil || res.Replica != "r0" {
+					t.Fatalf("hedged request: replica %q err %v, want a win on r0", res.Replica, err)
+				}
+				if tc.r.m.hedges.Value() != 1 {
+					t.Fatalf("hedges = %d, want 1", tc.r.m.hedges.Value())
+				}
+				tc.inj.Disarm()
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lc := &latchCost{fakeCost: fakeCost{pre: 0.001, dec: 0.0001},
+				entered: make(chan struct{}, 1), gate: make(chan struct{})}
+			tc := newTestCluster(t, c.replicas, func(cfg *Config) {
+				if c.latched != nil {
+					cfg.Factory = func(string) (*gateway.Gateway, error) {
+						gw := *c.latched
+						gw.Registry, gw.Injector = cfg.Registry, cfg.Injector
+						return gateway.New(gw, func(string) (serve.CostModel, error) { return lc, nil }), nil
+					}
+				}
+				if c.mutate != nil {
+					c.mutate(cfg)
+				}
+			})
+			rep := tc.r.replicas[c.probe]
+			mustArm(t, tc.inj, faults.Rule{Class: faults.ReplicaDown, Site: FaultSite, Lane: rep.id})
+			waitFor(t, "replica down", func() bool { return rep.stateNow() == down })
+			tc.inj.Disarm()
+			waitFor(t, "replica half-open", func() bool { return rep.stateNow() == halfOpen })
+
+			c.trial(t, tc, lc)
+			waitFor(t, "trial slot released", func() bool {
+				rep.mu.Lock()
+				defer rep.mu.Unlock()
+				return !rep.trial
+			})
+			if st := rep.stateNow(); st != halfOpen {
+				t.Fatalf("state after an uncharged trial = %v, want half-open", st)
+			}
+			// The next trial reaches the replica and readmits it.
+			waitFor(t, "replica readmitted", func() bool {
+				if _, err := tc.r.Generate(context.Background(), genReq()); err != nil {
+					t.Fatalf("request after the trial: %v", err)
+				}
+				return rep.stateNow() == healthy
+			})
+		})
+	}
+}
+
 func TestRetryBudgetExhaustionStopsFailover(t *testing.T) {
 	tc := newTestCluster(t, 2, func(cfg *Config) {
 		cfg.RetryBudget = 1

@@ -284,15 +284,9 @@ func (r *Router) dispatch(ctx context.Context, rep *replica, req gateway.Request
 	if r.hedgeEligible(rep, req, attempt) {
 		res, err = r.hedgedDispatch(ctx, rep, req)
 	} else {
-		err = r.runOnReplica(ctx, rep, func(dctx context.Context) error {
-			var derr error
-			res, derr = rep.gateway().Generate(dctx, req)
-			return derr
-		})
+		res, err = r.generateOn(ctx, rep, req)
 	}
-	elapsed := time.Since(start)
-	r.m.routeLatency.Observe(elapsed.Seconds())
-	r.observeOutcome(rep, err, elapsed)
+	r.m.routeLatency.Observe(time.Since(start).Seconds())
 	r.ejectLatencyOutliers()
 	if tr := req.Trace; tr != nil {
 		tr.Add(trace.SpanData{
@@ -304,6 +298,22 @@ func (r *Router) dispatch(ctx context.Context, rep *replica, req gateway.Request
 			},
 		})
 	}
+	return res, err
+}
+
+// generateOn runs req on rep under the forced-down watch and feeds the
+// outcome into rep's passive health. Each hedge arm reports its own
+// outcome, so a losing arm's cancel frees its half-open trial slot
+// instead of being credited with the winner's success.
+func (r *Router) generateOn(ctx context.Context, rep *replica, req gateway.Request) (gateway.Result, error) {
+	start := time.Now()
+	var res gateway.Result
+	err := r.runOnReplica(ctx, rep, func(dctx context.Context) error {
+		var derr error
+		res, derr = rep.gateway().Generate(dctx, req)
+		return derr
+	})
+	r.observeOutcome(rep, err, time.Since(start))
 	return res, err
 }
 
@@ -343,12 +353,7 @@ func (r *Router) hedgedDispatch(ctx context.Context, primary *replica,
 	defer cancelAll()
 	outcomes := make(chan hedgeOutcome, 2)
 	run := func(rep *replica, hedge bool) {
-		var res gateway.Result
-		err := r.runOnReplica(rctx, rep, func(dctx context.Context) error {
-			var derr error
-			res, derr = rep.gateway().Generate(dctx, req)
-			return derr
-		})
+		res, err := r.generateOn(rctx, rep, req)
 		outcomes <- hedgeOutcome{res: res, err: err, rep: rep, hedge: hedge}
 	}
 	entry := time.Now()
@@ -375,7 +380,6 @@ func (r *Router) hedgedDispatch(ctx context.Context, primary *replica,
 						r.m.hedgeWins.Inc()
 						o.res.Hedged = true
 						o.res.Replica = o.rep.id
-						r.observeOutcome(o.rep, nil, time.Since(hedgeStart))
 					}
 				}
 				return o.res, nil

@@ -79,10 +79,13 @@ func (r *Router) probeReplica(rep *replica, now time.Time) {
 // (readmitting a half-open replica); replica-level failures grow the
 // streak and eject at the threshold. Client-caused errors (bad request,
 // context canceled) and load rejections (queue full, shedding) are not
-// charged — they say nothing about replica health.
+// charged — they say nothing about replica health. Every outcome frees
+// a half-open replica's trial slot; an uncharged one leaves it half-open
+// for the next trial.
 func (r *Router) observeOutcome(rep *replica, err error, elapsed time.Duration) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
+	rep.trial = false
 	if err == nil {
 		rep.served.Add(1)
 		rep.consec = 0
@@ -96,7 +99,6 @@ func (r *Router) observeOutcome(rep *replica, err error, elapsed time.Duration) 
 		rep.samples++
 		if rep.state == halfOpen {
 			rep.state = healthy
-			rep.trial = false
 			r.m.readmissions.Inc()
 			r.log.Info("cluster: replica readmitted", "replica", rep.id)
 		}
@@ -110,7 +112,6 @@ func (r *Router) observeOutcome(rep *replica, err error, elapsed time.Duration) 
 	if rep.state == halfOpen {
 		// Failed trial: back to ejected for another cooloff.
 		rep.state = ejected
-		rep.trial = false
 		rep.ejectedUntil = time.Now().Add(r.cfg.EjectCooloff)
 		r.m.ejections.Inc()
 		r.log.Warn("cluster: replica failed half-open trial", "replica", rep.id, "error", err)
