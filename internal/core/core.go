@@ -175,7 +175,7 @@ func TinyEngine(family string, kernel engine.Kernel) (*engine.Engine, error) {
 }
 
 // TinyEngineWith is TinyEngine with full Options control — callers can
-// share a kernels.Pool across engines (gateway lanes) or attach hooks.
+// share a kernels.Pool across engines (gateway lanes).
 // With draft set it builds the tiny-* lane's speculative companion
 // instead: the same family and widths (verification needs the target's
 // vocabulary) but a single transformer layer with its own weights, so a

@@ -23,24 +23,6 @@ type Options struct {
 	// lets several engines — e.g. all gateway lanes — share a single set of
 	// workers instead of oversubscribing the machine.
 	Pool *kernels.Pool
-	// Hooks receive phase-completion callbacks from forward passes, so
-	// callers (tracing, profiling) can attribute measured engine time
-	// without wrapping every call site. Nil hooks are skipped.
-	Hooks Hooks
-}
-
-// Hooks are optional observers of the engine's execution phases. They run
-// synchronously on the calling goroutine after the phase completes, so
-// implementations must be fast and must not call back into the engine.
-type Hooks struct {
-	// OnPrefill fires after a successful prompt prefill (monolithic or
-	// chunked) with the batch size, prompt length in tokens, and the
-	// measured wall time of the phase.
-	OnPrefill func(batch, promptLen int, elapsed time.Duration)
-	// OnDecodeStep fires after each successful decode step with the batch
-	// size, the context position the step consumed (tokens already
-	// committed), and the measured wall time of the step.
-	OnDecodeStep func(batch, pos int, elapsed time.Duration)
 }
 
 // Engine executes forward passes for one set of weights.
@@ -358,7 +340,6 @@ func (e *Engine) prefillFrom(s *Session, prompts [][]int, chunk int, sampler *Sa
 	if err := s.checkContext(rows); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	from := s.pos
 	if chunk <= 0 || chunk > rows-from {
 		chunk = rows - from
@@ -385,9 +366,6 @@ func (e *Engine) prefillFrom(s *Session, prompts [][]int, chunk int, sampler *Sa
 	for b := range next {
 		next[b] = sampler.Sample(logits[b*e.cfg.Vocab : (b+1)*e.cfg.Vocab])
 	}
-	if h := e.opts.Hooks.OnPrefill; h != nil {
-		h(B, rows-from, time.Since(start))
-	}
 	return next, nil
 }
 
@@ -410,7 +388,6 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 	if err := s.checkContext(s.pos + 1); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	B, d, vocab := len(tokens), e.cfg.DModel, e.cfg.Vocab
 	ar := &s.ar
 	ar.ensure(e, B, 1, s.caches[0].Cap())
@@ -421,9 +398,6 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 	logits := e.logits(ar, ar.x[:B*d])
 	for b := range tokens {
 		ar.next[b] = sampler.Sample(logits[b*vocab : (b+1)*vocab])
-	}
-	if h := e.opts.Hooks.OnDecodeStep; h != nil {
-		h(B, s.pos, time.Since(start))
 	}
 	s.Commit(s.pos + 1)
 	// ar.next is a reused view, valid until the next decode step; callers
