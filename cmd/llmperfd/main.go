@@ -128,23 +128,9 @@ func main() {
 		traceCfg.Output = f
 	}
 
-	var gov *govern.Governor
-	if *kvGovern {
-		switch *kvMode {
-		case "optimistic", "conservative":
-		default:
-			fmt.Fprintf(os.Stderr, "llmperfd: unknown -kv-mode %q (want optimistic or conservative)\n", *kvMode)
-			os.Exit(2)
-		}
-		gov = govern.New(govern.Config{
-			Specs:         api.PoolSpecResolver(*kvBlock, int64(*kvBudgetMB)<<20),
-			Conservative:  *kvMode == "conservative",
-			HighWatermark: *kvHigh,
-			LowWatermark:  *kvLow,
-			QuotaTokens:   *kvQuota,
-			EnableCache:   *kvCache,
-			Registry:      reg,
-		})
+	if *kvGovern && *kvMode != "optimistic" && *kvMode != "conservative" {
+		fmt.Fprintf(os.Stderr, "llmperfd: unknown -kv-mode %q (want optimistic or conservative)\n", *kvMode)
+		os.Exit(2)
 	}
 
 	// Speculative decoding: -draft-model switches lanes to the speculation-
@@ -179,12 +165,12 @@ func main() {
 	// newGateway builds one gateway instance; cluster mode calls it once
 	// per replica (each with its own lanes and KV governor, sharing the
 	// registry, tracer, logger and fault injector), single mode once.
+	// Each replica governs its own KV pools: sharing one governor would
+	// double-count admissions across independent lanes.
 	newGateway := func(id string) *gateway.Gateway {
-		g := gov
-		if *kvGovern && *replicas > 1 {
-			// Each replica governs its own KV pools; sharing one governor
-			// would double-count admissions across independent lanes.
-			g = govern.New(govern.Config{
+		var gov *govern.Governor
+		if *kvGovern {
+			gov = govern.New(govern.Config{
 				Specs:         api.PoolSpecResolver(*kvBlock, int64(*kvBudgetMB)<<20),
 				Conservative:  *kvMode == "conservative",
 				HighWatermark: *kvHigh,
@@ -213,7 +199,7 @@ func main() {
 			Workers:      *workers,
 			Timescale:    *timescale,
 			Injector:     inj,
-			Governor:     g,
+			Governor:     gov,
 			Overload:     oc,
 			Spec:         specCfg,
 			Fallback:     api.FallbackResolver(),
