@@ -130,7 +130,9 @@ stream-demo:
 # router, run a clean wave (even replica spread), kill r1 mid-load via
 # the faults admin endpoint (the wave shows failovers rescuing requests
 # routed at the dead replica), then disarm and verify /v1/debug/state
-# reports all 3 replicas healthy again.
+# reports all 3 replicas in state "healthy" again (the "healthy" count
+# there includes half-open replicas, so it cannot see a stuck trial; only
+# replica entries carry a "state" key).
 CLUSTER_DEMO_ADDR ?= 127.0.0.1:18083
 cluster-demo:
 	$(GO) build -o /tmp/llmperfd-cluster ./cmd/llmperfd
@@ -156,9 +158,11 @@ cluster-demo:
 	sleep 1; \
 	/tmp/llmperf-cluster -url http://$(CLUSTER_DEMO_ADDR) -n 48 -concurrency 8 \
 	    -model OPT-13B -in 128 -out 8 || st=1; \
-	curl -s "http://$(CLUSTER_DEMO_ADDR)/v1/debug/state" | grep -q '"healthy":3' \
+	healthy=$$(curl -s "http://$(CLUSTER_DEMO_ADDR)/v1/debug/state" \
+	    | grep -o '"state":"[a-z-]*"' | grep -c '"state":"healthy"'); \
+	[ "$$healthy" = 3 ] \
 	    && echo "recovery: all 3 replicas healthy" \
-	    || { echo "recovery FAILED: cluster not back to 3 healthy replicas"; st=1; }; \
+	    || { echo "recovery FAILED: $$healthy of 3 replicas in state healthy"; st=1; }; \
 	kill $$pid; wait $$pid 2>/dev/null; exit $$st
 
 # Prefix-cache demo: boot llmperfd with the radix KV cache on, replay a
@@ -303,8 +307,8 @@ results-md:
 	$(GO) test ./internal/experiments ./cmd/repro -run Golden -update
 
 # The one way to regenerate the wire golden (every generation surface's
-# status, headers and body, the error envelopes, /v1/simulate, /v1/autotune
-# and /v1/platforms) and the recorded llmperf / serve outputs after a
+# status, headers and body, the error envelopes, /v1/simulate and
+# /v1/platforms) and the recorded llmperf / serve outputs after a
 # deliberate API or CLI change; `go test` holds all three byte for byte.
 wire-golden:
 	$(GO) test ./internal/api ./cmd/llmperf ./cmd/serve -run Golden -update

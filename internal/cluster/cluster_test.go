@@ -269,12 +269,20 @@ func TestHalfOpenTrialReleasedOnAnyOutcome(t *testing.T) {
 			name: "cancel", replicas: 1,
 			latched: &gateway.Config{MaxQueue: 8, MaxBatch: 8, Workers: 1},
 			trial: func(t *testing.T, tc *testCluster, lc *latchCost) {
+				defer close(lc.gate)
 				ctx, cancel := context.WithCancel(context.Background())
-				go func() { <-lc.entered; cancel() }()
-				if _, err := tc.r.Generate(ctx, genReq()); !errors.Is(err, context.Canceled) {
+				defer cancel()
+				errc := make(chan error, 1)
+				go func() { _, err := tc.r.Generate(ctx, genReq()); errc <- err }()
+				select {
+				case <-lc.entered:
+				case err := <-errc:
+					t.Fatalf("trial ended before its prefill: %v", err)
+				}
+				cancel()
+				if err := <-errc; !errors.Is(err, context.Canceled) {
 					t.Fatalf("trial err = %v, want context.Canceled", err)
 				}
-				close(lc.gate)
 			},
 		},
 		{

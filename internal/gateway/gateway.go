@@ -3,11 +3,11 @@
 // admission control in front of the priced (or measured) inference
 // iterations.
 //
-// Requests enter through Generate, the one admission path: token-
-// generation jobs batched per lane behind a bounded queue. When it is
-// full, submissions are rejected immediately with ErrQueueFull, which the
-// API layer maps to HTTP 429 — backpressure instead of unbounded
-// buffering (the paper's serving context, §II-C/§VII).
+// Requests enter through Generate, the one admission path: generation
+// jobs batched per lane behind a bounded queue. When it is full,
+// submissions are rejected immediately with ErrQueueFull, which the API
+// layer maps to HTTP 429 — backpressure instead of unbounded buffering
+// (the paper's serving context, §II-C/§VII).
 //
 // Generation jobs are grouped into lanes keyed by (platform, model,
 // configuration). Each lane owns a serve.CostModel and runs Orca-style
