@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet fmt-check test check bench-build kernels-portable chaos chaos-cluster chaos-overload bench \
-        bench-decode bench-decode-short bench-spec bench-spec-short bench-serving bench-serving-short figures \
+        bench-decode bench-decode-short bench-spec bench-spec-short bench-serving bench-serving-short bench-pairs figures \
         scorecard results-md wire-golden examples trace-demo memdemo stream-demo cluster-demo \
         cache-demo overload-demo clean
 
@@ -291,6 +291,17 @@ bench-serving-short:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench $(SERVING_BENCH) -benchmem -benchtime 2000x $(SERVING_PKGS) 2>/dev/null | \
 	    $(GO) run ./cmd/gemmbench -serving -short -json .bench_build/BENCH_serving.json
+
+# The repository benchmark in N alternating pairs, SECONDS each, of
+# workload W on commit REV (a git worktree under .bench_build/) and on this
+# checkout: per end-to-end metric, each side's median and quartiles, the
+# change, the pairs won and the gain rule. Fails if a run is not correct.
+REV ?= HEAD~1
+W ?= engine-decode
+N ?= 10
+SECONDS ?= 30
+bench-pairs:
+	bash scripts/benchpairs.sh $(REV) $(W) $(N) $(SECONDS)
 
 # Regenerate every table and figure of the evaluation as text.
 figures:

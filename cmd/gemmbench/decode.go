@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -168,6 +169,9 @@ type enginePoint struct {
 	Reps       int     `json:"reps"`
 	DecodeTokS float64 `json:"fused_decode_toks"`
 	PrefillS   float64 `json:"fused_prefill_seconds"`
+	// DecodeTokSBefore is the committed artifact's rate for this point
+	// (its own before, once it has one): carried, not measured.
+	DecodeTokSBefore float64 `json:"fused_decode_toks_before,omitempty"`
 }
 
 // benchReport is the BENCH_decode.json schema.
@@ -322,6 +326,20 @@ func loadBefore(level string) (rows map[pointKey]*kernelRate, simd string, err e
 	return rows, simd, nil
 }
 
+// engineBefore reads the rates engine_sweep rows carry as
+// fused_decode_toks_before out of the committed artifact, by family/batch.
+func engineBefore() map[string]float64 {
+	rows := map[string]float64{}
+	var committed benchReport
+	if data, err := os.ReadFile(decodeArtifact); err != nil || json.Unmarshal(data, &committed) != nil {
+		return rows
+	}
+	for _, pt := range committed.EngineSweep {
+		rows[fmt.Sprintf("%s/%d", pt.Family, pt.Batch)] = cmp.Or(pt.DecodeTokSBefore, pt.DecodeTokS)
+	}
+	return rows
+}
+
 // levelsInOrder reports the first M ≥ 4 point on which a SIMD level is
 // slower than the level below it: the Go loop, the carried level, the
 // running one. A level is held to the carried one only where the two run
@@ -470,7 +488,8 @@ func runDecode(jsonPath string, short bool) error {
 	rep.OpSweep = opSweep(*h, reps)
 
 	fmt.Printf("\ntiny-engine decode throughput  (prompt 8, %d new tokens, median of %d reps)\n", newTokens, reps)
-	fmt.Printf("%-8s %-20s %6s  %12s  %12s\n", "family", "kernel", "batch", "decode tok/s", "prefill ms")
+	fmt.Printf("%-8s %-20s %6s  %12s  %12s  %12s\n", "family", "kernel", "batch", "before tok/s", "decode tok/s", "prefill ms")
+	carried := engineBefore()
 	families := []model.Family{model.LLaMA2}
 	if !short {
 		families = append(families, model.OPT)
@@ -499,9 +518,10 @@ func runDecode(jsonPath string, short bool) error {
 				return err
 			}
 			pt := enginePoint{Family: famName, Kernel: kern.String(), Batch: batch,
-				PromptLen: 8, NewTokens: newTokens, Reps: reps, DecodeTokS: tokS, PrefillS: pre}
+				PromptLen: 8, NewTokens: newTokens, Reps: reps, DecodeTokS: tokS, PrefillS: pre,
+				DecodeTokSBefore: carried[fmt.Sprintf("%s/%d", famName, batch)]}
 			rep.EngineSweep = append(rep.EngineSweep, pt)
-			fmt.Printf("%-8s %-20s %6d  %12.1f  %12.3f\n", famName, pt.Kernel, batch, tokS, pre*1e3)
+			fmt.Printf("%-8s %-20s %6d  %12.1f  %12.1f  %12.3f\n", famName, pt.Kernel, batch, pt.DecodeTokSBefore, tokS, pre*1e3)
 		}
 	}
 

@@ -481,6 +481,7 @@ func stepBreakdowns(reps int) ([]stepBreakdown, error) {
 	// decode is the batch-4 one).
 	decodeStep := func(batch int) float64 {
 		s := eng.NewSession(batch, decodeCtx+stepsPerRep*reps+2)
+		defer s.Release()
 		toks, err := eng.Prefill(s, prompts(batch, decodeCtx))
 		if err != nil {
 			stepErr = err
@@ -494,7 +495,8 @@ func stepBreakdowns(reps int) ([]stepBreakdown, error) {
 	}
 	decode1, decode4 := decodeStep(1), decodeStep(4)
 	// Prefill as a serving loop sees it: a new session per request, on
-	// memory the collector has already recycled (hence the warm-up).
+	// the KV blocks and arena the previous one released (hence the
+	// warm-up).
 	batch := prompts(4, 32)
 	const warmUp = 12
 	var prefills []float64
@@ -507,6 +509,7 @@ func stepBreakdowns(reps int) ([]stepBreakdown, error) {
 		if r >= warmUp {
 			prefills = append(prefills, time.Since(start).Seconds())
 		}
+		s.Release()
 	}
 	if stepErr != nil {
 		return nil, stepErr

@@ -12,6 +12,7 @@ import (
 )
 
 var errMaxNew = errors.New("engine: maxNew must be positive")
+var errReleased = errors.New("engine: session used after Release")
 
 // Options configures the execution of forward passes.
 type Options struct {
@@ -27,10 +28,13 @@ type Options struct {
 
 // Engine executes forward passes for one set of weights.
 type Engine struct {
-	cfg  model.Config
-	w    *Weights
-	opts Options
-	pool *kernels.Pool // persistent workers; nil means serial execution
+	cfg    model.Config
+	w      *Weights
+	opts   Options
+	pool   *kernels.Pool   // persistent workers; nil means serial execution
+	rope   []float32       // kernels.RoPETable over MaxSeq (LLaMA-2 only)
+	blocks blockLists      // released sessions' KV blocks
+	arenas freeList[arena] // and arenas, for new sessions to reuse
 }
 
 // New returns an engine over the given weights. The INT8 kernel requires
@@ -49,7 +53,12 @@ func New(w *Weights, opts Options) (*Engine, error) {
 		pool = kernels.NewPool(0)
 	}
 	w.ensurePacked(opts.Kernel)
-	return &Engine{cfg: w.Config, w: w, opts: opts, pool: pool}, nil
+	e := &Engine{cfg: w.Config, w: w, opts: opts, pool: pool, blocks: blockLists{m: map[int]*freeList[kvBlock]{}}}
+	e.arenas.pool.New = func() any { return new(arena) }
+	if e.cfg.Family == model.LLaMA2 {
+		e.rope = kernels.RoPETable(e.cfg.MaxSeq, e.cfg.HeadDim())
+	}
+	return e, nil
 }
 
 // Config returns the model configuration the engine runs.
@@ -58,9 +67,24 @@ func (e *Engine) Config() model.Config { return e.cfg }
 // Session holds the per-request state of a batch of sequences generated in
 // lockstep (homogeneous lengths, as in the paper's workloads).
 type Session struct {
+	e      *Engine
 	caches []*PagedKVCache
-	pos    int   // committed tokens per sequence
-	ar     arena // reused scratch for every forward pass on this session
+	pos    int    // committed tokens per sequence
+	ar     *arena // reused scratch for every forward pass; nil once released
+}
+
+// Release hands the session's KV blocks (those no fork still holds) and
+// arena back for later sessions to reuse. Every later pass on the session
+// returns an error; releasing twice is a no-op.
+func (s *Session) Release() {
+	if s.ar == nil {
+		return
+	}
+	for _, c := range s.caches {
+		c.Truncate(0)
+	}
+	s.e.arenas.put(s.ar)
+	s.ar = nil
 }
 
 // NewSession allocates KV caches of one block per layer for a batch of
@@ -80,9 +104,10 @@ func (e *Engine) NewPagedSession(batch, maxSeq, blockSize int) *Session {
 	if blockSize <= 0 {
 		blockSize = maxSeq
 	}
-	s := &Session{caches: make([]*PagedKVCache, batch)}
+	s := &Session{e: e, caches: make([]*PagedKVCache, batch), ar: e.arenas.get()}
 	for i := range s.caches {
 		s.caches[i] = NewPagedKVCache(e.cfg.Layers, e.cfg.KVDim(), maxSeq, blockSize)
+		s.caches[i].free = e.blocks.of(2 * blockSize * e.cfg.KVDim())
 	}
 	return s
 }
@@ -212,12 +237,13 @@ func (e *Engine) forward(ar *arena, caches []*PagedKVCache, rows, startPos int) 
 		e.linear(ar, m, rows, h, &lw.Wv, ar.v)
 		for r := 0; r < m; r++ {
 			pos := startPos + r%rows
-			if e.cfg.Family == model.LLaMA2 {
+			if e.rope != nil {
+				rot := e.rope[pos*hd : (pos+1)*hd]
 				for head := 0; head < e.cfg.Heads; head++ {
-					kernels.RoPE(ar.q[r*d+head*hd:r*d+(head+1)*hd], pos, hd)
+					kernels.RoPERotate(ar.q[r*d+head*hd:r*d+(head+1)*hd], rot)
 				}
 				for head := 0; head < e.cfg.KVHeads; head++ {
-					kernels.RoPE(ar.k[r*kvDim+head*hd:r*kvDim+(head+1)*hd], pos, hd)
+					kernels.RoPERotate(ar.k[r*kvDim+head*hd:r*kvDim+(head+1)*hd], rot)
 				}
 			}
 			caches[r/rows].Put(layer, pos, ar.k[r*kvDim:(r+1)*kvDim], ar.v[r*kvDim:(r+1)*kvDim])
@@ -276,7 +302,7 @@ func (e *Engine) forwardTokens(s *Session, toks []int) error {
 	if err := s.checkContext(s.pos + len(toks)); err != nil {
 		return err
 	}
-	d, ar := e.cfg.DModel, &s.ar
+	d, ar := e.cfg.DModel, s.ar
 	ar.ensure(e, 1, len(toks), s.caches[0].Cap())
 	for i, tok := range toks {
 		e.embed(tok, s.pos+i, ar.x[i*d:(i+1)*d])
@@ -345,7 +371,7 @@ func (e *Engine) prefillFrom(s *Session, prompts [][]int, chunk int, sampler *Sa
 		chunk = rows - from
 	}
 	B, d := len(prompts), e.cfg.DModel
-	ar := &s.ar
+	ar := s.ar
 	ar.ensure(e, B, chunk, s.caches[0].Cap())
 	n := chunk
 	for lo := from; lo < rows; lo += n {
@@ -389,7 +415,7 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 		return nil, err
 	}
 	B, d, vocab := len(tokens), e.cfg.DModel, e.cfg.Vocab
-	ar := &s.ar
+	ar := s.ar
 	ar.ensure(e, B, 1, s.caches[0].Cap())
 	for b, tok := range tokens {
 		e.embed(tok, s.pos, ar.x[b*d:(b+1)*d])
@@ -400,14 +426,17 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 		ar.next[b] = sampler.Sample(logits[b*vocab : (b+1)*vocab])
 	}
 	s.Commit(s.pos + 1)
-	// ar.next is a reused view, valid until the next decode step; callers
-	// needing to retain it copy (Generate appends element-wise).
+	// ar.next is a reused view, valid until the next decode step or Release;
+	// callers needing to retain it copy (Generate appends element-wise).
 	return ar.next[:B], nil
 }
 
-// checkContext rejects a pass that would leave the session holding ctx
-// tokens per sequence when its KV caches were sized for fewer.
+// checkContext rejects a pass on a released session, or one that would
+// leave it holding ctx tokens per sequence, more than its caches hold.
 func (s *Session) checkContext(ctx int) error {
+	if s.ar == nil {
+		return errReleased
+	}
 	if c := s.caches[0].Cap(); ctx > c {
 		return fmt.Errorf("engine: context %d exceeds capacity %d", ctx, c)
 	}
@@ -428,7 +457,7 @@ func (e *Engine) checkTokens(toks []int) error {
 type Stats struct {
 	PrefillSeconds float64
 	DecodeSeconds  float64
-	TokensOut      int
+	TokensOut      int // steps run: the prefill's, then one per decode step
 }
 
 // TTFT returns the measured time to first token.
@@ -481,16 +510,20 @@ func (e *Engine) GenerateWith(prompts [][]int, opts GenerateOptions) ([][]int, S
 		return nil, Stats{}, fmt.Errorf("engine: negative prefill chunk %d", opts.PrefillChunk)
 	}
 	s := e.NewSession(len(prompts), len(prompts[0])+opts.MaxNew)
+	defer s.Release()
 
 	start := time.Now()
 	toks, err := e.prefillSample(s, prompts, opts.PrefillChunk, opts.Sampler)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	stats := Stats{PrefillSeconds: time.Since(start).Seconds(), TokensOut: opts.MaxNew}
+	stats := Stats{PrefillSeconds: time.Since(start).Seconds()}
 
 	decodeStart := time.Now()
 	out := make([][]int, len(prompts))
+	for b := range out {
+		out[b] = make([]int, 0, min(opts.MaxNew, s.caches[0].Cap()))
+	}
 	stopped := make([]bool, len(prompts))
 	live := len(prompts)
 	for step := 0; ; step++ {
@@ -506,6 +539,7 @@ func (e *Engine) GenerateWith(prompts [][]int, opts GenerateOptions) ([][]int, S
 			out[b] = append(out[b], tok)
 		}
 		if step+1 == opts.MaxNew || live == 0 {
+			stats.TokensOut = step + 1
 			break
 		}
 		if toks, err = e.decodeSample(s, toks, opts.Sampler); err != nil {

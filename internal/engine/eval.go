@@ -27,13 +27,14 @@ func (e *Engine) Perplexity(seq []int) (EvalResult, error) {
 		return EvalResult{}, fmt.Errorf("engine: perplexity needs ≥2 tokens, got %d", len(seq))
 	}
 	s := e.NewSession(1, len(seq))
+	defer s.Release()
 	if err := e.forwardTokens(s, seq); err != nil {
 		return EvalResult{}, err
 	}
 
 	res := EvalResult{Tokens: len(seq) - 1, WorstTokenLP: 0}
 	for i := 0; i+1 < len(seq); i++ {
-		lps := logSoftmax(e.rowLogits(&s.ar, i))
+		lps := logSoftmax(e.rowLogits(s.ar, i))
 		lp := lps[seq[i+1]]
 		res.TotalLogProb += lp
 		if lp < res.WorstTokenLP {

@@ -17,14 +17,17 @@ import "fmt"
 // through the fork. The fork resumes at position prefix — finish its
 // prompt with PrefillResume before decoding.
 func (e *Engine) ForkPagedSession(src *Session, prefix int) (*Session, error) {
+	if src.ar == nil {
+		return nil, errReleased
+	}
 	if prefix <= 0 || prefix > src.pos {
 		return nil, fmt.Errorf("engine: fork prefix %d outside (0,%d]", prefix, src.pos)
 	}
-	s := &Session{caches: make([]*PagedKVCache, len(src.caches)), pos: prefix}
+	s := e.NewPagedSession(src.Batch(), src.caches[0].maxSeq, src.caches[0].blockSize)
 	for i, c := range src.caches {
-		s.caches[i] = NewPagedKVCache(c.layers, c.kvDim, c.maxSeq, c.blockSize)
 		s.caches[i].AdoptPrefix(c, prefix)
 	}
+	s.pos = prefix
 	return s, nil
 }
 

@@ -1,31 +1,76 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // PagedKVCache is the engine's KV cache: the key and value vectors of one
 // sequence for all layers, the de-facto decode optimization whose
 // footprint the paper analyzes (§II-B). It is the functional counterpart
 // of vLLM's PagedAttention storage (and of the allocation policy package
-// kvpool models at fleet scale): each layer is split into fixed-size
-// blocks of positions, allocated lazily as the sequence grows. A request
-// that reserves a long maximum context but generates little occupies only
-// the blocks it actually touched — the property behind the Fig 7 capacity
-// argument. One block per layer is the dense layout.
+// kvpool models at fleet scale): a table of each layer's fixed-size
+// blocks of positions, taken lazily from a free list as the sequence
+// grows. A request that reserves a long maximum context but generates
+// little holds only the blocks it touched — the property behind the Fig 7
+// capacity argument. One block per layer is the dense layout. Blocks are
+// reference-counted: AdoptPrefix shares them, a Put copies one another
+// table holds (copy-on-write), and the last release frees it, unzeroed.
 type PagedKVCache struct {
-	layers    int
-	kvDim     int
-	blockSize int
-	maxSeq    int
-	n         int
-	// k and v are [layer][block] → []float32 of blockSize×kvDim values,
-	// nil until first touched.
-	k, v      [][][]float32
-	allocated int // blocks this cache owns across layers (K and V pairs)
-	// shared marks blocks aliased from another cache by AdoptPrefix.
-	// They are read-only until a Put copies them (copy-on-write) and are
-	// not counted in allocated or Bytes — the source cache owns them.
-	shared  [][]bool
-	sharedN int
+	layers, kvDim, blockSize, maxSeq int
+	n, blocks                        int        // committed positions; blocks per layer
+	table                            []*kvBlock // [layer·blocks + block]
+	free                             *freeList[kvBlock]
+}
+
+// kvBlock is one page (a layer's keys, then values) and its holders.
+type kvBlock struct {
+	refs atomic.Int32
+	kv   []float32
+}
+
+// freeList recycles values through a sync.Pool, so the collector bounds
+// idle retention. Holding nothing, it skips the pool, which allocates on
+// first use after each collection: allocations must not follow the GC.
+type freeList[T any] struct {
+	pool sync.Pool
+	idle atomic.Int64
+}
+
+func (f *freeList[T]) get() *T {
+	if f.idle.Add(-1) < 0 {
+		f.idle.Add(1)
+		return f.pool.New().(*T)
+	}
+	return f.pool.Get().(*T)
+}
+
+func (f *freeList[T]) put(v *T) {
+	f.idle.Add(1)
+	f.pool.Put(v)
+}
+
+// blockLists keys free lists by block length, per engine or standalone.
+type blockLists struct {
+	mu sync.Mutex
+	m  map[int]*freeList[kvBlock]
+}
+
+var (
+	standalone  = blockLists{m: map[int]*freeList[kvBlock]{}}
+	poisonFreed bool // tests: fill freed blocks with NaN, so reading one shows
+)
+
+func (b *blockLists) of(n int) *freeList[kvBlock] {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.m[n] == nil {
+		b.m[n] = new(freeList[kvBlock])
+		b.m[n].pool.New = func() any { return &kvBlock{kv: make([]float32, n)} }
+	}
+	return b.m[n]
 }
 
 // NewPagedKVCache builds an empty paged cache.
@@ -34,18 +79,8 @@ func NewPagedKVCache(layers, kvDim, maxSeq, blockSize int) *PagedKVCache {
 		panic(fmt.Sprintf("engine: non-positive KV block size %d", blockSize))
 	}
 	blocks := (maxSeq + blockSize - 1) / blockSize
-	c := &PagedKVCache{
-		layers: layers, kvDim: kvDim, blockSize: blockSize, maxSeq: maxSeq,
-		k:      make([][][]float32, layers),
-		v:      make([][][]float32, layers),
-		shared: make([][]bool, layers),
-	}
-	for l := 0; l < layers; l++ {
-		c.k[l] = make([][]float32, blocks)
-		c.v[l] = make([][]float32, blocks)
-		c.shared[l] = make([]bool, blocks)
-	}
-	return c
+	return &PagedKVCache{layers: layers, kvDim: kvDim, blockSize: blockSize, maxSeq: maxSeq,
+		blocks: blocks, table: make([]*kvBlock, layers*blocks), free: standalone.of(2 * blockSize * kvDim)}
 }
 
 // Len returns the committed length; Cap the maximum.
@@ -54,53 +89,76 @@ func (c *PagedKVCache) Len() int { return c.n }
 // Cap returns the maximum number of positions.
 func (c *PagedKVCache) Cap() int { return c.maxSeq }
 
-// AllocatedBlocks returns how many (K,V) block pairs this cache owns.
-func (c *PagedKVCache) AllocatedBlocks() int { return c.allocated }
+// AllocatedBlocks returns how many (K,V) blocks this cache alone holds.
+func (c *PagedKVCache) AllocatedBlocks() int { return c.held(false) }
 
-// SharedBlocks returns how many (K,V) block pairs are currently aliased
-// from another cache via AdoptPrefix and not yet copied on write.
-func (c *PagedKVCache) SharedBlocks() int { return c.sharedN }
+// SharedBlocks returns how many (K,V) blocks this cache holds together
+// with another (AdoptPrefix shares them) and has not copied on write.
+func (c *PagedKVCache) SharedBlocks() int { return c.held(true) }
 
-// Bytes returns the footprint of the allocated blocks (FP32 storage).
-func (c *PagedKVCache) Bytes() int64 {
-	return int64(c.allocated) * int64(c.blockSize*c.kvDim) * 4 * 2
+func (c *PagedKVCache) held(shared bool) (n int) {
+	for _, blk := range c.table {
+		if blk != nil && (blk.refs.Load() > 1) == shared {
+			n++
+		}
+	}
+	return n
 }
 
-func (c *PagedKVCache) check(layer, pos int) {
+// Bytes returns the footprint of the blocks this cache alone holds.
+func (c *PagedKVCache) Bytes() int64 {
+	return int64(c.held(false)) * int64(c.blockSize*c.kvDim) * 4 * 2
+}
+
+func (c *PagedKVCache) check(layer, pos int) int {
 	if layer < 0 || layer >= c.layers {
 		panic(fmt.Sprintf("engine: kv layer %d out of [0,%d)", layer, c.layers))
 	}
 	if pos < 0 || pos >= c.maxSeq {
 		panic(fmt.Sprintf("engine: kv position %d out of [0,%d)", pos, c.maxSeq))
 	}
+	return layer*c.blocks + pos/c.blockSize
 }
 
-// Put stores one position's key/value, allocating its block on first
-// touch.
+// writable makes table entry i a block no other table holds: a free one on
+// first touch, or a copy while shared (the cache's one copy path).
+func (c *PagedKVCache) writable(i int) *kvBlock {
+	old := c.table[i]
+	if old != nil && old.refs.Load() == 1 {
+		return old
+	}
+	blk := c.free.get()
+	blk.refs.Store(1)
+	if old != nil {
+		copy(blk.kv, old.kv)
+		c.drop(i)
+	}
+	c.table[i] = blk
+	return blk
+}
+
+// drop releases table entry i's reference; the last one frees the block.
+func (c *PagedKVCache) drop(i int) {
+	blk := c.table[i]
+	c.table[i] = nil
+	if blk != nil && blk.refs.Add(-1) == 0 {
+		for j := 0; poisonFreed && j < len(blk.kv); j++ {
+			blk.kv[j] = float32(math.NaN())
+		}
+		c.free.put(blk)
+	}
+}
+
+// Put stores one position's key/value, taking its block on first touch.
 func (c *PagedKVCache) Put(layer, pos int, key, value []float32) {
-	c.check(layer, pos)
+	i := c.check(layer, pos)
 	if len(key) != c.kvDim || len(value) != c.kvDim {
 		panic(fmt.Sprintf("engine: kv put dim %d/%d, want %d", len(key), len(value), c.kvDim))
 	}
-	b := pos / c.blockSize
-	if c.k[layer][b] == nil {
-		c.k[layer][b] = make([]float32, c.blockSize*c.kvDim)
-		c.v[layer][b] = make([]float32, c.blockSize*c.kvDim)
-		c.allocated++
-	} else if c.shared[layer][b] {
-		// Copy-on-write: never mutate a block another cache owns.
-		nk := make([]float32, len(c.k[layer][b]))
-		nv := make([]float32, len(c.v[layer][b]))
-		copy(nk, c.k[layer][b])
-		copy(nv, c.v[layer][b])
-		c.k[layer][b], c.v[layer][b] = nk, nv
-		c.shared[layer][b] = false
-		c.sharedN--
-		c.allocated++
-	}
-	off := (pos % c.blockSize) * c.kvDim
-	copy(c.k[layer][b][off:off+c.kvDim], key)
-	copy(c.v[layer][b][off:off+c.kvDim], value)
+	kv := c.writable(i).kv
+	off, half := (pos%c.blockSize)*c.kvDim, c.blockSize*c.kvDim
+	copy(kv[off:off+c.kvDim], key)
+	copy(kv[half+off:half+off+c.kvDim], value)
 }
 
 // Run returns the key and value rows of one layer from pos to the end of
@@ -110,13 +168,12 @@ func (c *PagedKVCache) Put(layer, pos int, key, value []float32) {
 // written (reading an untouched block panics, catching misuse early);
 // rows of a written block that were never put are garbage.
 func (c *PagedKVCache) Run(layer, pos int) (k, v []float32) {
-	c.check(layer, pos)
-	b := pos / c.blockSize
-	if c.k[layer][b] == nil {
+	blk := c.table[c.check(layer, pos)]
+	if blk == nil {
 		panic(fmt.Sprintf("engine: read of unwritten kv block at layer %d pos %d", layer, pos))
 	}
-	off := (pos % c.blockSize) * c.kvDim
-	return c.k[layer][b][off:], c.v[layer][b][off:]
+	off, half := (pos%c.blockSize)*c.kvDim, c.blockSize*c.kvDim
+	return blk.kv[off:half], blk.kv[half+off:]
 }
 
 // ExtendTo commits positions up to n (exclusive).
@@ -128,41 +185,29 @@ func (c *PagedKVCache) ExtendTo(n int) {
 }
 
 // Truncate discards committed positions beyond n. Blocks past the new
-// length are released (freeing their memory), except the partial boundary
-// block.
+// length are released, except the partial boundary block.
 func (c *PagedKVCache) Truncate(n int) {
 	if n < 0 || n > c.n {
 		panic(fmt.Sprintf("engine: truncate to %d outside [0,%d]", n, c.n))
 	}
 	c.n = n
 	firstFree := (n + c.blockSize - 1) / c.blockSize
-	for l := 0; l < c.layers; l++ {
-		for b := firstFree; b < len(c.k[l]); b++ {
-			if c.k[l][b] != nil {
-				c.k[l][b], c.v[l][b] = nil, nil
-				if c.shared[l][b] {
-					// Dropping an aliased block releases the reference,
-					// not memory this cache owns.
-					c.shared[l][b] = false
-					c.sharedN--
-				} else {
-					c.allocated--
-				}
-			}
+	for i := range c.table {
+		if i%c.blocks >= firstFree {
+			c.drop(i)
 		}
 	}
 }
 
 // AdoptPrefix aliases the first prefix positions of src into c, which
 // must be empty and share src's geometry. Whole blocks are shared by
-// reference and marked copy-on-write — a later Put into one copies it
-// first, so neither cache can corrupt the other — while the partial
-// boundary block is copied eagerly (the adopting sequence appends into
-// it immediately). This is the functional analog of kvpool's Fork: a
-// prefix-cache hit adopts the retained blocks instead of recomputing
-// their prefill.
+// reference (a later Put into one copies it first, so neither cache can
+// corrupt the other); the partial boundary block, which the adopting
+// sequence appends into next, is copied now. This is the functional analog
+// of kvpool's Fork: a prefix-cache hit adopts the retained blocks instead
+// of recomputing their prefill.
 func (c *PagedKVCache) AdoptPrefix(src *PagedKVCache, prefix int) {
-	if c.n != 0 || c.allocated != 0 || c.sharedN != 0 {
+	if c.n != 0 || c.held(false)+c.held(true) != 0 {
 		panic("engine: AdoptPrefix into a non-empty cache")
 	}
 	if c.layers != src.layers || c.kvDim != src.kvDim || c.blockSize != src.blockSize {
@@ -173,21 +218,14 @@ func (c *PagedKVCache) AdoptPrefix(src *PagedKVCache, prefix int) {
 	}
 	whole, rem := prefix/c.blockSize, prefix%c.blockSize
 	for l := 0; l < c.layers; l++ {
-		for b := 0; b < whole; b++ {
-			if src.k[l][b] == nil {
-				continue
+		for b := 0; b < whole+min(rem, 1); b++ {
+			if blk := src.table[l*src.blocks+b]; blk != nil {
+				blk.refs.Add(1)
+				c.table[l*c.blocks+b] = blk
+				if b == whole {
+					c.writable(l*c.blocks + b)
+				}
 			}
-			c.k[l][b], c.v[l][b] = src.k[l][b], src.v[l][b]
-			c.shared[l][b] = true
-			c.sharedN++
-		}
-		if rem > 0 && src.k[l][whole] != nil {
-			nk := make([]float32, len(src.k[l][whole]))
-			nv := make([]float32, len(src.v[l][whole]))
-			copy(nk, src.k[l][whole])
-			copy(nv, src.v[l][whole])
-			c.k[l][whole], c.v[l][whole] = nk, nv
-			c.allocated++
 		}
 	}
 	c.n = prefix

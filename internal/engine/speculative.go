@@ -72,6 +72,8 @@ func SpeculativeGenerate(target, draft *Engine, prompt []int, maxNew int, opts S
 	maxSeq := len(prompt) + maxNew + k + 1
 	ts := target.NewPagedSession(1, maxSeq, opts.BlockSize)
 	ds := draft.NewPagedSession(1, maxSeq, opts.BlockSize)
+	defer ts.Release()
+	defer ds.Release()
 
 	// Both models prefill the prompt; the target's greedy token is the
 	// first output.
@@ -92,10 +94,7 @@ func SpeculativeGenerate(target, draft *Engine, prompt []int, maxNew int, opts S
 		if err := syncDraft(draft, ds, prompt, out); err != nil {
 			return nil, st, err
 		}
-		lookahead := k
-		if rem := maxNew - len(out); lookahead > rem {
-			lookahead = rem
-		}
+		lookahead := min(k, maxNew-len(out))
 		proposal := make([]int, 0, lookahead)
 		last := out[len(out)-1]
 		for i := 0; i < lookahead; i++ {
@@ -131,16 +130,11 @@ func SpeculativeGenerate(target, draft *Engine, prompt []int, maxNew int, opts S
 			accepted++
 		}
 		st.Accepted += accepted
-		newTokens := append(append([]int{}, proposal[:accepted]...), targetNext[accepted])
 		// Commit exactly the consumed rows into the target cache: the row
-		// for out's last token plus the accepted proposals.
+		// for out's last token plus the accepted proposals. The mismatch
+		// (or bonus) token may run out one past maxNew; the return trims it.
 		ts.Commit(ts.pos + 1 + accepted)
-		for _, tok := range newTokens {
-			out = append(out, tok)
-			if len(out) == maxNew {
-				break
-			}
-		}
+		out = append(append(out, proposal[:accepted]...), targetNext[accepted])
 	}
 	return out[:maxNew], st, nil
 }
@@ -158,7 +152,7 @@ func (e *Engine) VerifyRows(s *Session, toks []int) ([]int, error) {
 	}
 	next := make([]int, len(toks))
 	for i := range next {
-		next[i] = kernels.Argmax(e.rowLogits(&s.ar, i))
+		next[i] = kernels.Argmax(e.rowLogits(s.ar, i))
 	}
 	return next, nil
 }
@@ -187,10 +181,8 @@ func syncDraft(draft *Engine, ds *Session, prompt, out []int) error {
 		ds.pos = want
 		return nil
 	}
-	full := append(append([]int{}, prompt...), out...)
-	for ds.pos < want {
-		tok := full[ds.pos] // the sequence token belonging at cache position ds.pos
-		if _, err := draft.DecodeStep(ds, []int{tok}); err != nil {
+	for ds.pos < want { // feed the accepted token that belongs at ds.pos
+		if _, err := draft.DecodeStep(ds, []int{out[ds.pos-len(prompt)]}); err != nil {
 			return err
 		}
 	}

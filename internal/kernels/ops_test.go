@@ -187,6 +187,33 @@ func TestRoPEPositionZeroIsIdentity(t *testing.T) {
 	}
 }
 
+// TestRoPETableMatchesRoPE: rotating by a table row is RoPE at that
+// position, bit for bit (the engine's golden logits rest on it).
+func TestRoPETableMatchesRoPE(t *testing.T) {
+	const maxSeq, d = 512, 32
+	table := RoPETable(maxSeq, d)
+	f := func(seed int64, posRaw uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		pos := int(posRaw) % maxSeq
+		x := make([]float32, d)
+		for i := range x {
+			x[i] = float32(r.NormFloat64())
+		}
+		y := append([]float32(nil), x...)
+		RoPE(x, pos, d)
+		RoPERotate(y, table[pos*d:(pos+1)*d])
+		for i := range x {
+			if math.Float32bits(x[i]) != math.Float32bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAddBiasAddScale(t *testing.T) {
 	x := []float32{1, 2}
 	AddBias(x, []float32{10, 20})

@@ -73,6 +73,7 @@ func (c *engineCost) price(prefill bool, batch, length int) (float64, error) {
 		prompts[b] = p
 	}
 	s := c.e.NewSession(batch, length+1)
+	defer s.Release()
 	if prefill {
 		start := time.Now()
 		_, err := c.e.Prefill(s, prompts)

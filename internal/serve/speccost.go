@@ -153,6 +153,7 @@ func (c *specEngineCost) VerifyCost(batch, ctxLen, rows int) (float64, error) {
 		toks[i] = c.rng.Intn(cfg.Vocab)
 	}
 	s := c.target.NewSession(1, ctx+rows+1)
+	defer s.Release()
 	if _, err := c.target.Prefill(s, [][]int{prompt}); err != nil {
 		c.mu.Unlock()
 		return 0, err
