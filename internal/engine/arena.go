@@ -5,8 +5,8 @@ import (
 	"repro/internal/model"
 )
 
-// arena is the scratch of the forward pass, one per Session. Every buffer
-// is grow-only and reused across calls, so a warm prefill or decode step
+// arena is the scratch of the forward pass, one per live Session (Release
+// hands it to the next). Buffers are grow-only and reused, so a warm step
 // performs no per-layer heap allocation — the paper's decode phase is
 // memory-bandwidth-bound, and allocator traffic plus GC pressure on top of
 // it is pure overhead. The arena also owns the reusable packed-GEMM
