@@ -286,7 +286,8 @@ bench-serving:
 	    $(GO) run ./cmd/gemmbench -serving -json BENCH_serving.json
 
 # CI-sized variant: a fixed, small iteration count, one run each; JSON
-# under .bench_build/. Fails if a benchmark fails or none ran.
+# under .bench_build/. Fails if a benchmark fails or none ran, or if one
+# allocates more per op than its committed `after` row.
 bench-serving-short:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench $(SERVING_BENCH) -benchmem -benchtime 2000x $(SERVING_PKGS) 2>/dev/null | \

@@ -115,7 +115,10 @@ func parseBench(r io.Reader) ([]servingBench, error) {
 }
 
 // runServing reads a benchmark run from stdin and writes the report: the
-// run is the `after` side, or with before set the parent commit's.
+// run is the `after` side, or with before set the parent commit's. A short
+// run is CI's allocation gate: it fails when a benchmark allocates more
+// per op than its committed `after` row. Only allocations are gated; time
+// and bytes vary with the host.
 func runServing(jsonPath string, short, before bool) error {
 	measured, err := parseBench(os.Stdin)
 	if err != nil {
@@ -135,8 +138,13 @@ func runServing(jsonPath string, short, before bool) error {
 		other[b.Package+" "+b.Name] = b
 	}
 	rep := servingReport{Host: thisHost(), Short: short}
+	var over []string
 	for _, b := range measured {
 		old := other[b.Package+" "+b.Name]
+		if short && !before && old.After != nil && b.After.AllocsPerOp > old.After.AllocsPerOp {
+			over = append(over, fmt.Sprintf("%s %s: %.0f allocs/op, committed %.0f",
+				b.Package, b.Name, b.After.AllocsPerOp, old.After.AllocsPerOp))
+		}
 		if before {
 			b.Before, b.After = b.After, old.After
 		} else {
@@ -156,12 +164,18 @@ func runServing(jsonPath string, short, before bool) error {
 		}
 		fmt.Println()
 	}
-	if jsonPath == "" {
-		return nil
+	if jsonPath != "" {
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+	if len(over) > 0 {
+		return fmt.Errorf("allocations above the committed %s rows:\n  %s",
+			servingArtifact, strings.Join(over, "\n  "))
 	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return nil
 }

@@ -101,18 +101,12 @@ type Config struct {
 
 	// ProbeInterval is the active health-check period. Default 100ms.
 	ProbeInterval time.Duration
-	// EjectThreshold ejects a replica after this many consecutive
-	// replica-level dispatch errors. Default 3.
-	EjectThreshold int
 	// EjectCooloff is how long a passively ejected replica waits before
 	// half-open probing. Default 2s.
 	EjectCooloff time.Duration
 	// SlowFactor ejects a replica whose success-latency EWMA exceeds
 	// SlowFactor times the best healthy replica's EWMA. Default 4.
 	SlowFactor float64
-	// MinSamples is the EWMA observation floor before latency-outlier
-	// ejection may trigger. Default 8.
-	MinSamples int
 
 	// MaxFailovers bounds re-dispatch attempts per request beyond the
 	// first. Default 2; negative disables failover.
@@ -133,13 +127,6 @@ type Config struct {
 	// second replica if the first has not resolved within this delay.
 	// 0 disables hedging.
 	HedgeAfter time.Duration
-	// HedgeMaxOut caps the output length of hedge-eligible requests:
-	// hedging pays double compute, which only makes sense for short
-	// prefill-dominated jobs. Default 4.
-	HedgeMaxOut int
-	// KVLoadWeight scales KV-pool utilization against queue depth in the
-	// least-loaded policy's load score. Default 8.
-	KVLoadWeight float64
 	// Seed drives backoff jitter. Default 1.
 	Seed int64
 }
@@ -160,17 +147,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 100 * time.Millisecond
 	}
-	if c.EjectThreshold <= 0 {
-		c.EjectThreshold = 3
-	}
 	if c.EjectCooloff <= 0 {
 		c.EjectCooloff = 2 * time.Second
 	}
 	if c.SlowFactor <= 0 {
 		c.SlowFactor = 4
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
 	}
 	if c.MaxFailovers == 0 {
 		c.MaxFailovers = 2
@@ -186,12 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 250 * time.Millisecond
-	}
-	if c.HedgeMaxOut <= 0 {
-		c.HedgeMaxOut = 4
-	}
-	if c.KVLoadWeight <= 0 {
-		c.KVLoadWeight = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -491,12 +491,12 @@ func TestEjectionAfterConsecutiveErrors(t *testing.T) {
 	tc := newTestCluster(t, 2, nil)
 	rep := tc.r.replicas[0]
 	boom := fmt.Errorf("kaput: %w", gateway.ErrLanePanic)
-	for i := 0; i < tc.r.cfg.EjectThreshold; i++ {
+	for i := 0; i < ejectThreshold; i++ {
 		tc.r.observeOutcome(rep, boom, time.Millisecond)
 	}
 	if st := rep.stateNow(); st != ejected {
 		t.Fatalf("after %d consecutive errors state = %v, want ejected",
-			tc.r.cfg.EjectThreshold, st)
+			ejectThreshold, st)
 	}
 	// Load rejections never eject: they are backpressure, not sickness.
 	rep2 := tc.r.replicas[1]

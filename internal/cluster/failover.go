@@ -317,6 +317,11 @@ func (r *Router) generateOn(ctx context.Context, rep *replica, req gateway.Reque
 	return res, err
 }
 
+// hedgeMaxOut caps the output length of hedge-eligible requests: hedging
+// pays double compute, which only makes sense for short prefill-dominated
+// jobs.
+const hedgeMaxOut = 4
+
 // hedgeEligible restricts hedging to first attempts of short,
 // non-streamed requests: duplicating a stream would need cross-replica
 // token reconciliation, and duplicating a long decode doubles the most
@@ -328,7 +333,7 @@ func (r *Router) hedgeEligible(primary *replica, req gateway.Request, attempt in
 	return r.cfg.HedgeAfter > 0 &&
 		attempt == 0 &&
 		req.Sink == nil &&
-		req.OutputLen <= r.cfg.HedgeMaxOut &&
+		req.OutputLen <= hedgeMaxOut &&
 		primary.gateway().BrownoutLevel() < overload.LevelNoHedge
 }
 

@@ -4,6 +4,15 @@ import (
 	"time"
 )
 
+const (
+	// ejectThreshold ejects a replica after this many consecutive
+	// replica-level dispatch errors.
+	ejectThreshold = 3
+	// minSamples is the EWMA observation floor before latency-outlier
+	// ejection may trigger.
+	minSamples = 8
+)
+
 // healthLoop is the router's active checker: every ProbeInterval it
 // reconciles each replica's state against the fault injector's standing
 // replica conditions and the passive ejection timers. Passive signals
@@ -117,7 +126,7 @@ func (r *Router) observeOutcome(rep *replica, err error, elapsed time.Duration) 
 		r.log.Warn("cluster: replica failed half-open trial", "replica", rep.id, "error", err)
 		return
 	}
-	if rep.state == healthy && rep.consec >= r.cfg.EjectThreshold {
+	if rep.state == healthy && rep.consec >= ejectThreshold {
 		rep.state = ejected
 		rep.ejectedUntil = time.Now().Add(r.cfg.EjectCooloff)
 		r.m.ejections.Inc()
@@ -128,7 +137,7 @@ func (r *Router) observeOutcome(rep *replica, err error, elapsed time.Duration) 
 
 // ejectLatencyOutliers compares success-latency EWMAs across healthy
 // replicas and ejects any whose EWMA exceeds SlowFactor times the best,
-// once both sides have MinSamples observations. Called opportunistically
+// once both sides have minSamples observations. Called opportunistically
 // from the dispatch path (not the timer) so it only runs under traffic,
 // where the EWMAs are fresh.
 func (r *Router) ejectLatencyOutliers() {
@@ -140,7 +149,7 @@ func (r *Router) ejectLatencyOutliers() {
 	best := 0.0
 	for _, rep := range r.replicas {
 		rep.mu.Lock()
-		if rep.state == healthy && rep.samples >= r.cfg.MinSamples && rep.ewmaMs > 0 {
+		if rep.state == healthy && rep.samples >= minSamples && rep.ewmaMs > 0 {
 			pool = append(pool, obs{rep, rep.ewmaMs})
 			if best == 0 || rep.ewmaMs < best {
 				best = rep.ewmaMs

@@ -47,7 +47,7 @@ func ParsePolicy(name string) (Policy, error) {
 	case "", "round-robin", "rr":
 		return RoundRobin(), nil
 	case "least-loaded", "ll":
-		return LeastLoaded(0), nil
+		return LeastLoaded(), nil
 	case "weighted", "slo", "slo-weighted":
 		return Weighted(), nil
 	default:
@@ -87,31 +87,27 @@ type cursorBinder interface{ bindCursor(func() uint64) }
 
 // llPolicy routes to the replica with the lowest load score.
 type llPolicy struct {
-	kvWeight float64
-	tie      func() uint64
+	tie func() uint64
 }
 
+// kvLoadWeight is what a full KV pool weighs in the least-loaded score:
+// eight queued requests, since admission past the high watermark risks
+// preemption storms rather than mere queueing delay.
+const kvLoadWeight = 8
+
 // LeastLoaded routes to the replica with the smallest
-// queueDepth + kvWeight·kvUtilization score, breaking ties
-// round-robin. kvWeight ≤ 0 selects the default (8): a full KV pool
-// weighs like eight queued requests, since admission past the high
-// watermark risks preemption storms rather than mere queueing delay.
-// Shedding replicas are max-penalized instead of excluded so a fully
-// shedding cluster still routes (and returns honest 429s) rather than
-// failing closed.
-func LeastLoaded(kvWeight float64) Policy {
-	if kvWeight <= 0 {
-		kvWeight = 8
-	}
-	return &llPolicy{kvWeight: kvWeight}
-}
+// queueDepth + kvLoadWeight·kvUtilization score, breaking ties
+// round-robin. Shedding replicas are max-penalized instead of excluded so
+// a fully shedding cluster still routes (and returns honest 429s) rather
+// than failing closed.
+func LeastLoaded() Policy { return &llPolicy{} }
 
 func (p *llPolicy) Name() string { return "least-loaded" }
 
 func (p *llPolicy) bindCursor(next func() uint64) { p.tie = next }
 
 func (p *llPolicy) score(c Candidate) float64 {
-	s := float64(c.QueueDepth) + p.kvWeight*c.KVUtilization
+	s := float64(c.QueueDepth) + kvLoadWeight*c.KVUtilization
 	if c.Shedding {
 		s += 1000
 	}

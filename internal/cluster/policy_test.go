@@ -90,7 +90,7 @@ func TestLeastLoadedPolicy(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			p := LeastLoaded(0)
+			p := LeastLoaded()
 			if got := p.Pick(nil, tt.cs).ID; got != tt.want {
 				t.Fatalf("pick = %s, want %s", got, tt.want)
 			}
@@ -99,7 +99,7 @@ func TestLeastLoadedPolicy(t *testing.T) {
 }
 
 func TestLeastLoadedTieRotation(t *testing.T) {
-	p := LeastLoaded(0)
+	p := LeastLoaded()
 	var n uint64
 	p.(*llPolicy).bindCursor(func() uint64 { n++; return n - 1 })
 	cs := cands(

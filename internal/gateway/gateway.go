@@ -156,11 +156,8 @@ type Config struct {
 	Logger *slog.Logger
 
 	// CrashLimit quarantines a lane after this many recovered panics
-	// inside CrashWindow. Default 3.
+	// inside crashWindow (30s). Default 3.
 	CrashLimit int
-	// CrashWindow is the sliding window for counting lane crashes.
-	// Default 30s.
-	CrashWindow time.Duration
 	// QuarantinePeriod is how long a quarantined lane rejects
 	// submissions before it may serve again. Default 10s.
 	QuarantinePeriod time.Duration
@@ -207,9 +204,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CrashLimit <= 0 {
 		c.CrashLimit = 3
-	}
-	if c.CrashWindow <= 0 {
-		c.CrashWindow = 30 * time.Second
 	}
 	if c.QuarantinePeriod <= 0 {
 		c.QuarantinePeriod = 10 * time.Second

@@ -167,6 +167,10 @@ func (l *lane) requeueLocked(js ...*job) {
 	l.queue = slices.Insert(l.queue, i, js...)
 }
 
+// crashWindow is the sliding window in which Config.CrashLimit recovered
+// panics quarantine a lane.
+const crashWindow = 30 * time.Second
+
 // runLane supervises the lane scheduler: it reruns laneSession until the
 // lane parks cleanly, restarting after recovered panics with exponential
 // backoff and quarantining the lane once crashes exceed the limit inside
@@ -187,7 +191,7 @@ func (g *Gateway) runLane(l *lane) {
 		// The session panicked and was recovered. Restart or quarantine.
 		now := time.Now()
 		l.crashes = append(l.crashes, now)
-		cutoff := now.Add(-g.cfg.CrashWindow)
+		cutoff := now.Add(-crashWindow)
 		kept := l.crashes[:0]
 		for _, c := range l.crashes {
 			if c.After(cutoff) {
@@ -403,7 +407,7 @@ func (g *Gateway) iterate(l *lane) (float64, error) {
 	}
 	if np > 0 {
 		var err error
-		preCost, pre, err = g.priceIteration(l, true, np, p.PrefillLen)
+		preCost, pre, err = g.pricedCall(l, pricedShape{prefill: true, batch: np, length: p.PrefillLen})
 		if err != nil {
 			return 0, err
 		}

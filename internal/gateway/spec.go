@@ -69,7 +69,6 @@ func (c *SpecConfig) withDefaults() SpecConfig {
 // laneSpec is a lane's speculative state, owned by the lane goroutine
 // except adapt (internally locked) which metrics snapshots may read.
 type laneSpec struct {
-	cm    serve.SpecCostModel
 	rng   *rand.Rand
 	adapt *specdec.Adaptive
 	alpha float64
@@ -92,15 +91,13 @@ func (g *Gateway) initLaneSpec(l *lane) {
 	if g.cfg.Spec == nil || g.cfg.Policy == Chunked {
 		return
 	}
-	scm, ok := l.cost.(serve.SpecCostModel)
-	if !ok {
+	if _, ok := l.cost.(serve.SpecCostModel); !ok {
 		return
 	}
 	sc := g.cfg.Spec.withDefaults()
 	h := fnv.New64a()
 	h.Write([]byte(l.key))
 	l.spec = &laneSpec{
-		cm:    scm,
 		rng:   rand.New(rand.NewSource(sc.Seed ^ int64(h.Sum64()))),
 		adapt: specdec.NewAdaptive(sc.Lookahead),
 		alpha: sc.Acceptance,
@@ -132,7 +129,7 @@ func (g *Gateway) priceDecode(l *lane, seqs []*seq, maxCtx int) (cost float64, i
 			return cost, info, counts, err
 		}
 	}
-	cost, info, err = g.priceIteration(l, false, len(seqs), maxCtx)
+	cost, info, err = g.pricedCall(l, pricedShape{batch: len(seqs), length: maxCtx})
 	return cost, info, nil, err
 }
 
@@ -193,24 +190,7 @@ func (g *Gateway) speculate(l *lane, seqs []*seq, maxCtx int) (float64, priceInf
 	// over k+1 rows — through the resilience weave. A fallback model
 	// cannot price a draft, so degraded pricing charges a plain decode
 	// step and the cycle commits one token per sequence.
-	// The closures read locals only: a call the watchdog abandons keeps
-	// running after the lane has moved on to its next cycle.
-	batch, cycleK, cm := len(seqs), sp.k, sp.cm
-	var fallback func() (float64, error)
-	if l.fallback != nil {
-		fallback = func() (float64, error) { return l.fallback.DecodeStepCost(batch, maxCtx) }
-	}
-	cost, info, err := g.pricedCall(l, siteDecode, func() (float64, error) {
-		d, derr := cm.DraftStepCost(batch, maxCtx)
-		if derr != nil {
-			return 0, derr
-		}
-		v, verr := cm.VerifyCost(batch, maxCtx, cycleK+1)
-		if verr != nil {
-			return 0, verr
-		}
-		return float64(cycleK)*d + v, nil
-	}, fallback)
+	cost, info, err := g.pricedCall(l, pricedShape{batch: len(seqs), length: maxCtx, k: sp.k})
 	if err != nil {
 		return 0, info, nil, err
 	}

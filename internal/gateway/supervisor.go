@@ -131,46 +131,68 @@ type priceInfo struct {
 	model      serve.CostModel
 }
 
-// priceIteration prices one prefill or decode call for the lane, weaving
-// in fault injection, the watchdog, the breaker and the degraded-mode
-// fallback. The returned priceInfo reports whether the cost came from the
-// fallback and which model priced it.
-func (g *Gateway) priceIteration(l *lane, prefill bool, batch, length int) (float64, priceInfo, error) {
-	site := siteDecode
-	primary := func() (float64, error) { return l.cost.DecodeStepCost(batch, length) }
-	if prefill {
-		site = sitePrefill
-		primary = func() (float64, error) { return l.cost.PrefillCost(batch, length) }
-	}
-	var fallback func() (float64, error)
-	if l.fallback != nil {
-		fallback = func() (float64, error) {
-			if prefill {
-				return l.fallback.PrefillCost(batch, length)
-			}
-			return l.fallback.DecodeStepCost(batch, length)
-		}
-	}
-	return g.pricedCall(l, site, primary, fallback)
+// pricedShape is one priced call: a prefill, a plain decode step, or —
+// when k > 0 — a speculation cycle of k draft steps plus one fused
+// verification pass over k+1 rows. It travels by value, so a call the
+// watchdog abandons keeps pricing its own copy after the lane moves on.
+type pricedShape struct {
+	prefill          bool
+	batch, length, k int
 }
 
-// pricedCall runs one priced call through the lane's resilience weave:
-// fault injection at site, the watchdog deadline, the circuit breaker,
-// and — when the primary fails or the breaker is open — the degraded-mode
-// fallback (nil when the lane has none). The speculative scheduler routes
-// its cycle pricing through here too, so chaos faults, watchdog requeues
-// and breaker trips behave identically with and without speculation.
-func (g *Gateway) pricedCall(l *lane, site string, primary, fallback func() (float64, error)) (float64, priceInfo, error) {
-	info := priceInfo{start: time.Now(), site: site, model: l.cost}
+// site is the injection site the shape is priced under: a speculation
+// cycle replaces decode steps, so it is priced as one.
+func (s pricedShape) site() string {
+	if s.prefill {
+		return sitePrefill
+	}
+	return siteDecode
+}
+
+// price prices the shape on m. A cycle (k > 0) is only priced on a lane
+// whose primary model is a serve.SpecCostModel (spec.go).
+func (s pricedShape) price(m serve.CostModel) (float64, error) {
+	switch {
+	case s.prefill:
+		return m.PrefillCost(s.batch, s.length)
+	case s.k == 0:
+		return m.DecodeStepCost(s.batch, s.length)
+	}
+	sm := m.(serve.SpecCostModel)
+	d, err := sm.DraftStepCost(s.batch, s.length)
+	if err != nil {
+		return 0, err
+	}
+	v, err := sm.VerifyCost(s.batch, s.length, s.k+1)
+	if err != nil {
+		return 0, err
+	}
+	return float64(s.k)*d + v, nil
+}
+
+// run prices the shape on m after the faults armed at its site.
+func (s pricedShape) run(inj *faults.Injector, lane string, m serve.CostModel) (float64, error) {
+	if err := inj.Apply(s.site(), lane); err != nil {
+		return 0, err
+	}
+	return s.price(m)
+}
+
+// pricedCall prices one shape through the lane's resilience weave: fault
+// injection at the shape's site, the watchdog deadline, the circuit
+// breaker, and — when the primary fails or the breaker is open — the
+// degraded-mode fallback, which prices the same shape as a plain step
+// (k = 0: a fallback cannot price a draft). Plain and speculative
+// iterations share it, so chaos faults, watchdog requeues and breaker
+// trips behave identically with and without speculation. The returned
+// priceInfo reports whether the cost came from the fallback and which
+// model priced it.
+func (g *Gateway) pricedCall(l *lane, s pricedShape) (float64, priceInfo, error) {
+	info := priceInfo{start: time.Now(), site: s.site(), model: l.cost}
 	var cost float64
 	var err error
 	if l.br.allowPrimary(info.start) {
-		cost, err = g.watchdogCall(l, func() (float64, error) {
-			if ierr := g.inj.Apply(site, l.key); ierr != nil {
-				return 0, ierr
-			}
-			return primary()
-		})
+		cost, err = g.watchdogCall(l, s)
 		info.end = time.Now()
 		if err == nil {
 			if l.br.onSuccess() {
@@ -190,17 +212,18 @@ func (g *Gateway) pricedCall(l *lane, site string, primary, fallback func() (flo
 			g.m.breakerOpenLanes.Inc()
 			g.log.Warn("gateway: breaker opened", "lane", l.key, "err", err)
 		}
-		if fallback == nil {
+		if l.fallback == nil {
 			return 0, info, err
 		}
 		// Primary failed but a fallback exists: serve this very call
 		// degraded rather than failing the batch.
-	} else if fallback == nil {
+	} else if l.fallback == nil {
 		info.end = info.start
 		return 0, info, fmt.Errorf("%w: lane %s", ErrLaneBroken, l.key)
 	}
 	info.model = l.fallback
-	cost, err = fallback()
+	s.k = 0
+	cost, err = s.price(l.fallback)
 	info.end = time.Now()
 	if err != nil {
 		return 0, info, err
@@ -262,7 +285,7 @@ type priced struct {
 // the lane's scheduler goroutine and lives from the session's first priced
 // call until the lane parks (or a call times out, which abandons it).
 type watchdog struct {
-	calls chan func() (float64, error) // nil while no worker is running
+	calls chan pricedShape // nil while no worker is running
 	done  chan priced
 	timer *time.Timer // stopped and drained between calls
 }
@@ -275,49 +298,51 @@ func (w *watchdog) retire() {
 	}
 }
 
-// pricingWorker runs a lane's priced calls one at a time until calls is
-// closed. done has room for one result, so a worker the lane abandoned
-// delivers into the void and exits.
-func pricingWorker(lane string, calls <-chan func() (float64, error), done chan<- priced) {
-	for f := range calls {
-		done <- runPriced(lane, f)
+// pricingWorker prices a lane's shapes on its primary model m, one at a
+// time, until calls is closed. done has room for one result, so a worker
+// the lane abandoned delivers into the void and exits.
+func pricingWorker(lane string, inj *faults.Injector, m serve.CostModel, calls <-chan pricedShape, done chan<- priced) {
+	for s := range calls {
+		done <- runPriced(lane, inj, m, s)
 	}
 }
 
 // runPriced runs one priced call. A panic inside it is converted to a
 // PanicError instead of crashing the process: cost-model panics are
 // failures, not process events.
-func runPriced(lane string, f func() (float64, error)) (p priced) {
+func runPriced(lane string, inj *faults.Injector, m serve.CostModel, s pricedShape) (p priced) {
 	defer func() {
 		if r := recover(); r != nil {
 			p = priced{0, &PanicError{Lane: lane, Value: r}}
 		}
 	}()
-	c, err := f()
+	c, err := s.run(inj, lane, m)
 	return priced{c, err}
 }
 
-// watchdogCall runs one priced call on the lane's pricing worker under
-// the watchdog deadline. A call that overruns the budget is abandoned
-// together with its worker (which exits when the call finally returns;
-// the next call starts a fresh one) and reported as ErrWatchdogTimeout so
-// the scheduler can cancel and requeue the batch.
-func (g *Gateway) watchdogCall(l *lane, f func() (float64, error)) (float64, error) {
+// watchdogCall prices one shape on the lane's primary model, on its
+// pricing worker under the watchdog deadline. A call that overruns the
+// budget is abandoned together with its worker (which exits when the call
+// finally returns; the next call starts a fresh one) and reported as
+// ErrWatchdogTimeout so the scheduler can cancel and requeue the batch.
+// With the watchdog disabled the call runs inline, and its panics reach
+// the lane supervisor.
+func (g *Gateway) watchdogCall(l *lane, s pricedShape) (float64, error) {
 	budget := g.cfg.WatchdogBudget
 	if budget <= 0 {
-		return f()
+		return s.run(g.inj, l.key, l.cost)
 	}
 	w := &l.wd
 	if w.calls == nil {
-		w.calls, w.done = make(chan func() (float64, error)), make(chan priced, 1)
-		go pricingWorker(l.key, w.calls, w.done)
+		w.calls, w.done = make(chan pricedShape), make(chan priced, 1)
+		go pricingWorker(l.key, g.inj, l.cost, w.calls, w.done)
 	}
 	if w.timer == nil {
 		w.timer = time.NewTimer(budget)
 	} else {
 		w.timer.Reset(budget)
 	}
-	w.calls <- f
+	w.calls <- s
 	select {
 	case p := <-w.done:
 		// go.mod predates Go 1.23's timers: a Reset is only safe on a

@@ -15,18 +15,44 @@ import (
 	"repro/internal/metrics"
 )
 
+// scriptedCost prices a decode step at its context length, except at
+// two lengths the tests script: wedgeLen blocks until release is closed
+// (and closes returned once it has), panicLen panics.
+type scriptedCost struct {
+	fakeCost
+	release, returned chan struct{}
+}
+
+const wedgeLen, panicLen = -1, -2
+
+func (c scriptedCost) DecodeStepCost(batch, ctx int) (float64, error) {
+	switch ctx {
+	case wedgeLen:
+		defer close(c.returned)
+		<-c.release
+	case panicLen:
+		panic("cost model bug")
+	}
+	return float64(ctx), nil
+}
+
+// scriptedLane is a lane of a gateway with the given watchdog budget,
+// whose primary model is c.
+func scriptedLane(t *testing.T, budget time.Duration, c scriptedCost) (*Gateway, *lane) {
+	t.Helper()
+	g := New(Config{WatchdogBudget: budget, Registry: metrics.NewRegistry()}, fixedResolver(c))
+	return g, iterLane(t, g)
+}
+
+// step is a decode step whose scripted price is ctx.
+func step(ctx int) pricedShape { return pricedShape{batch: 1, length: ctx} }
+
 func TestWatchdogTimeoutAbandonsWorker(t *testing.T) {
-	g := New(Config{WatchdogBudget: 20 * time.Millisecond, Registry: metrics.NewRegistry()},
-		fixedResolver(fakeCost{}))
-	l := iterLane(t, g)
+	cost := scriptedCost{release: make(chan struct{}), returned: make(chan struct{})}
+	g, l := scriptedLane(t, 20*time.Millisecond, cost)
 	defer l.wd.retire()
 
-	release, returned := make(chan struct{}), make(chan struct{})
-	_, err := g.watchdogCall(l, func() (float64, error) {
-		defer close(returned)
-		<-release
-		return 1, nil
-	})
+	_, err := g.watchdogCall(l, step(wedgeLen))
 	if !errors.Is(err, ErrWatchdogTimeout) {
 		t.Fatalf("overrunning call returned %v, want ErrWatchdogTimeout", err)
 	}
@@ -36,15 +62,15 @@ func TestWatchdogTimeoutAbandonsWorker(t *testing.T) {
 	// The next call must not queue behind the wedged one, nor see its
 	// late result or a stale timer tick.
 	for i := 0; i < 3; i++ {
-		c, err := g.watchdogCall(l, func() (float64, error) { return 42, nil })
+		c, err := g.watchdogCall(l, step(42))
 		if err != nil || c != 42 {
 			t.Fatalf("call %d after the timeout returned (%v, %v), want (42, nil)", i, c, err)
 		}
 	}
 	fresh := l.wd.calls
-	close(release)
-	<-returned
-	if c, err := g.watchdogCall(l, func() (float64, error) { return 7, nil }); err != nil || c != 7 {
+	close(cost.release)
+	<-cost.returned
+	if c, err := g.watchdogCall(l, step(7)); err != nil || c != 7 {
 		t.Fatalf("call after the abandoned one returned gave (%v, %v), want (7, nil)", c, err)
 	}
 	if l.wd.calls != fresh {
@@ -53,21 +79,19 @@ func TestWatchdogTimeoutAbandonsWorker(t *testing.T) {
 }
 
 func TestWatchdogPanicKeepsWorker(t *testing.T) {
-	g := New(Config{WatchdogBudget: time.Second, Registry: metrics.NewRegistry()},
-		fixedResolver(fakeCost{}))
-	l := iterLane(t, g)
+	g, l := scriptedLane(t, time.Second, scriptedCost{})
 	defer l.wd.retire()
 
-	if _, err := g.watchdogCall(l, func() (float64, error) { return 1, nil }); err != nil {
+	if _, err := g.watchdogCall(l, step(1)); err != nil {
 		t.Fatal(err)
 	}
 	worker := l.wd.calls
-	_, err := g.watchdogCall(l, func() (float64, error) { panic("cost model bug") })
+	_, err := g.watchdogCall(l, step(panicLen))
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Lane != l.key || pe.Value != "cost model bug" {
 		t.Fatalf("panicking call returned %v, want a PanicError carrying the value", err)
 	}
-	if c, err := g.watchdogCall(l, func() (float64, error) { return 3, nil }); err != nil || c != 3 {
+	if c, err := g.watchdogCall(l, step(3)); err != nil || c != 3 {
 		t.Fatalf("call after the panic returned (%v, %v), want (3, nil)", c, err)
 	}
 	if l.wd.calls != worker {

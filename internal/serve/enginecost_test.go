@@ -23,36 +23,42 @@ func tinyEngine(t *testing.T) *engine.Engine {
 }
 
 func TestEngineCostPricesPositive(t *testing.T) {
-	cost := NewEngineCost(tinyEngine(t))
-	pre, err := cost.PrefillCost(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre <= 0 {
-		t.Errorf("prefill cost %g, want > 0", pre)
-	}
-	dec, err := cost.DecodeStepCost(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec <= 0 {
-		t.Errorf("decode cost %g, want > 0", dec)
-	}
-	// Memoized: same shape must return the identical cached price.
-	pre2, err := cost.PrefillCost(2, 16)
-	if err != nil || pre2 != pre {
-		t.Errorf("memoization broken: %g vs %g (%v)", pre2, pre, err)
+	e := tinyEngine(t)
+	cost, spec := NewEngineCost(e), NewSpecEngineCost(e, e)
+	for _, tc := range []struct {
+		name  string
+		price func() (float64, error)
+	}{
+		{"prefill", func() (float64, error) { return cost.PrefillCost(2, 16) }},
+		{"decode", func() (float64, error) { return cost.DecodeStepCost(2, 16) }},
+		{"verify", func() (float64, error) { return spec.VerifyCost(2, 16, 3) }},
+	} {
+		c, err := tc.price()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c <= 0 {
+			t.Errorf("%s cost %g, want > 0", tc.name, c)
+		}
+		// Memoized: same shape must return the identical cached price.
+		if again, err := tc.price(); err != nil || again != c {
+			t.Errorf("%s memoization broken: %g vs %g (%v)", tc.name, again, c, err)
+		}
 	}
 }
 
 func TestEngineCostClampsLongContexts(t *testing.T) {
-	cost := NewEngineCost(tinyEngine(t))
+	e := tinyEngine(t)
+	cost, spec := NewEngineCost(e), NewSpecEngineCost(e, e)
 	// Far beyond tiny MaxSeq (64): must clamp, not error.
 	if _, err := cost.PrefillCost(1, 4096); err != nil {
 		t.Fatalf("long prefill: %v", err)
 	}
 	if _, err := cost.DecodeStepCost(1, 4096); err != nil {
 		t.Fatalf("long decode: %v", err)
+	}
+	if _, err := spec.VerifyCost(1, 4096, 5); err != nil {
+		t.Fatalf("long verify: %v", err)
 	}
 }
 

@@ -37,7 +37,7 @@ type CostModel interface {
 // phase. The gateway attaches these reports to trace spans, so a slow
 // request can be attributed to LLC misses or memory-boundedness the way
 // the paper attributes whole runs. Models without counter emulation
-// (measured engines, GPUs) simply don't implement it.
+// (measured engines, GPUs) report none.
 type CounterModel interface {
 	// PhaseCounters returns the counter report for the same phase shape
 	// PrefillCost/DecodeStepCost price, and whether one is available.
