@@ -52,9 +52,12 @@ kernels-portable:
 
 # Chaos drills: fault injection, lane supervision, degraded-mode serving
 # and KV memory-pressure governance (TestChaosMemPressure) under
-# concurrent load, always with the race detector.
+# concurrent load, always with the race detector. The second run repeats
+# the watchdog and inline-pricing tests, so an ordering race between
+# arming a fault rule and a memo hit priced on the lane shows up.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/gateway/ ./internal/faults/
+	$(GO) test -race -count=10 -run 'TestWatchdog|TestInline|TestMemo' ./internal/gateway/
 
 # Cluster chaos drills: replica-down under 64 concurrent mixed
 # streamed/buffered clients (exactly one outcome per request, no token

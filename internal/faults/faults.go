@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -124,6 +125,17 @@ func ParseClass(s string) (Class, error) {
 	default:
 		return 0, fmt.Errorf("faults: unknown class %q (want latency, stall, panic, cost-error, mem-pressure, replica-down, replica-slow, replica-flap or load-spike)", s)
 	}
+}
+
+// standing reports whether the class is a standing condition, queried
+// with Pressure, Outage or Spike for as long as it stays armed, rather
+// than a fault that fires at an Apply.
+func (c Class) standing() bool {
+	switch c {
+	case MemPressure, ReplicaDown, ReplicaSlow, ReplicaFlap, LoadSpike:
+		return true
+	}
+	return false
 }
 
 // MarshalJSON renders the class name.
@@ -284,6 +296,10 @@ type Injector struct {
 	seed  int64
 	rng   *rand.Rand
 	rules []ruleState
+	// firing and standing count the armed rules of each kind. They are
+	// written under mu, with rules, and read without it, so a query
+	// with nothing of its kind armed takes no lock.
+	firing, standing atomic.Int32
 
 	total    *metrics.Counter
 	byClass  map[Class]*metrics.Counter
@@ -333,9 +349,15 @@ func (i *Injector) Arm(rules ...Rule) error {
 	i.rng = rand.New(rand.NewSource(i.seed))
 	i.rules = make([]ruleState, len(rules))
 	now := time.Now()
+	var standing int32
 	for idx, r := range rules {
 		i.rules[idx] = ruleState{Rule: r, armedAt: now}
+		if r.Class.standing() {
+			standing++
+		}
 	}
+	i.firing.Store(int32(len(rules)) - standing)
+	i.standing.Store(standing)
 	if i.armed != nil {
 		i.armed.Set(int64(len(rules)))
 	}
@@ -347,6 +369,8 @@ func (i *Injector) Disarm() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.rules = nil
+	i.firing.Store(0)
+	i.standing.Store(0)
 	if i.armed != nil {
 		i.armed.Set(0)
 	}
@@ -354,12 +378,14 @@ func (i *Injector) Disarm() {
 
 // Armed reports whether any rules are active.
 func (i *Injector) Armed() bool {
-	if i == nil {
-		return false
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return len(i.rules) > 0
+	return i.Firing() || i.holding()
+}
+
+// Firing reports, without taking the injector's lock, whether a rule that
+// fires at Apply (latency, stall, panic, cost-error) is armed. While none
+// is, Apply is a no-op at every site.
+func (i *Injector) Firing() bool {
+	return i != nil && i.firing.Load() > 0
 }
 
 // Snapshot returns the current rules and counters.
@@ -380,9 +406,11 @@ func (i *Injector) Snapshot() Status {
 // Apply evaluates every armed rule against (site, lane). Latency and
 // Stall fires sleep here; a Panic fire panics with an *Injected value; a
 // CostError fire returns an *Injected error. Sleeps and the panic happen
-// outside the injector's lock, so a recovered panic never wedges it.
+// outside the injector's lock, so a recovered panic never wedges it. With
+// no firing rule armed it returns at once, without the lock: the lane
+// calls it every iteration.
 func (i *Injector) Apply(site, lane string) error {
-	if i == nil {
+	if !i.Firing() {
 		return nil
 	}
 	var sleep time.Duration
@@ -391,10 +419,8 @@ func (i *Injector) Apply(site, lane string) error {
 	i.mu.Lock()
 	for idx := range i.rules {
 		r := &i.rules[idx]
-		if r.Class == MemPressure || r.Class == ReplicaDown ||
-			r.Class == ReplicaSlow || r.Class == ReplicaFlap ||
-			r.Class == LoadSpike {
-			continue // standing conditions, queried via Pressure/Outage/Spike
+		if r.Class.standing() {
+			continue // queried via Pressure/Outage/Spike
 		}
 		if !r.matches(site, lane) {
 			continue
@@ -446,6 +472,12 @@ func (i *Injector) Apply(site, lane string) error {
 	return nil
 }
 
+// holding reports, without taking the lock, whether a standing rule is
+// armed: with none, Pressure, Spike and Outage have nothing to report.
+func (i *Injector) holding() bool {
+	return i != nil && i.standing.Load() > 0
+}
+
 // Pressure returns the capacity fraction withheld at (site, lane) by
 // armed mem-pressure rules: the sum of matching rules' fractions, capped
 // at 1. Unlike firing classes, a mem-pressure rule exerts its effect for
@@ -454,7 +486,7 @@ func (i *Injector) Apply(site, lane string) error {
 // first query that observes a rule's pressure as its fire, so snapshots
 // show standing rules taking effect.
 func (i *Injector) Pressure(site, lane string) float64 {
-	if i == nil {
+	if !i.holding() {
 		return 0
 	}
 	i.mu.Lock()
@@ -490,7 +522,7 @@ func (i *Injector) Pressure(site, lane string) float64 {
 // each query counts as an evaluation, and the first query that observes
 // a rule's effect counts as its fire.
 func (i *Injector) Spike(site, lane string) float64 {
-	if i == nil {
+	if !i.holding() {
 		return 0
 	}
 	i.mu.Lock()
@@ -529,7 +561,7 @@ func (i *Injector) Spike(site, lane string) float64 {
 // polls. Nil-safe; each query counts as an evaluation, and the first
 // query that observes a rule's effect counts as its fire.
 func (i *Injector) Outage(site, lane string) (down bool, slow time.Duration) {
-	if i == nil {
+	if !i.holding() {
 		return false, 0
 	}
 	i.mu.Lock()

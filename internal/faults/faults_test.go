@@ -181,6 +181,90 @@ func TestConcurrentApplyIsSafe(t *testing.T) {
 	}
 }
 
+// TestFiringCountsByKind: Firing sees only rules that fire at Apply, so a
+// standing condition alone leaves Apply a lock-free no-op while Pressure
+// still reports it.
+func TestFiringCountsByKind(t *testing.T) {
+	i := New(1)
+	pressure := Rule{Class: MemPressure, Site: "govern.kv", Fraction: 0.5}
+	if err := i.Arm(pressure); err != nil {
+		t.Fatal(err)
+	}
+	if !i.Armed() || i.Firing() {
+		t.Fatalf("mem-pressure alone: Armed %v Firing %v, want true false", i.Armed(), i.Firing())
+	}
+	if err := i.Apply("cost.decode", "l"); err != nil {
+		t.Fatal(err)
+	}
+	if f := i.Pressure("govern.kv", "l"); f != 0.5 {
+		t.Fatalf("pressure %g, want 0.5", f)
+	}
+	if err := i.Arm(pressure, Rule{Class: CostError, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !i.Firing() {
+		t.Fatal("a cost-error rule is armed but Firing is false")
+	}
+	if err := i.Apply("cost.decode", "l"); err == nil {
+		t.Fatal("armed cost-error rule did not fire")
+	}
+	i.Disarm()
+	if i.Armed() || i.Firing() || i.Pressure("govern.kv", "l") != 0 {
+		t.Fatal("disarmed injector still reports rules")
+	}
+}
+
+// TestChaosArmRacesQueries re-arms and disarms while Apply and Pressure run on
+// other goroutines (run under -race): every query sees either the rule set
+// before a swap or the one after it, never a count of one and the rules
+// of the other.
+func TestChaosArmRacesQueries(t *testing.T) {
+	i := New(3).Instrument(metrics.NewRegistry())
+	sets := [][]Rule{
+		{{Class: CostError, Site: "cost.decode", Every: 1}},
+		{{Class: MemPressure, Site: "govern.kv", Fraction: 0.25}},
+		{{Class: CostError, Site: "cost.decode", Every: 1}, {Class: MemPressure, Site: "govern.kv", Fraction: 0.25}},
+		nil,
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var inj *Injected
+				if err := i.Apply("cost.decode", "l"); err != nil && !errors.As(err, &inj) {
+					t.Errorf("Apply returned %v", err)
+				}
+				if f := i.Pressure("govern.kv", "l"); f != 0 && f != 0.25 {
+					t.Errorf("Pressure returned %g", f)
+				}
+			}
+		}()
+	}
+	for n := 0; n < 2000; n++ {
+		if rules := sets[n%len(sets)]; rules == nil {
+			i.Disarm()
+		} else if err := i.Arm(rules...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := i.Arm(sets[0]...); err != nil {
+		t.Fatal(err)
+	}
+	if i.Apply("cost.decode", "l") == nil || i.Pressure("govern.kv", "l") != 0 {
+		t.Error("after the race, a cost-error rule alone is not what the injector reports")
+	}
+}
+
 func TestMetricsExported(t *testing.T) {
 	reg := metrics.NewRegistry()
 	i := New(1).Instrument(reg)

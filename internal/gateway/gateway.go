@@ -166,8 +166,10 @@ type Config struct {
 	RestartBackoff    time.Duration
 	RestartBackoffMax time.Duration
 	// WatchdogBudget is the wall-clock deadline for one priced call
-	// (prefill or decode); an overrunning batch is cancelled and
-	// requeued. Default 10s; negative disables the watchdog.
+	// (prefill or decode) that can block — a memo hit priced while no
+	// firing fault rule is armed cannot; an overrunning batch is
+	// cancelled and requeued. Default 10s; negative disables the
+	// watchdog.
 	WatchdogBudget time.Duration
 	// MaxRequeues bounds how often one job may be requeued by the
 	// watchdog before it fails. Default 2; negative disables requeueing.

@@ -14,9 +14,10 @@ package gateway
 // The scheduler runs under a supervisor (runLane): a panic anywhere in
 // the iteration loop fails only the in-flight requests with a typed
 // PanicError, then the lane restarts with exponential backoff; a lane
-// that keeps crashing is quarantined. Priced calls run under a watchdog
-// and a circuit breaker (supervisor.go), so a wedged or failing cost
-// model degrades onto the fallback model instead of stalling the lane.
+// that keeps crashing is quarantined. Priced calls that can block run
+// under a watchdog, and every priced call under a circuit breaker
+// (supervisor.go), so a wedged or failing cost model degrades onto the
+// fallback model instead of stalling the lane.
 
 import (
 	"context"
@@ -555,12 +556,20 @@ func (g *Gateway) iterSpans(s *seq, phase trace.SpanData, end time.Time, cost fl
 }
 
 // iterCounters derives the counter analogs for one priced iteration, once,
-// when at least one participating sequence is being traced. The lookup
-// shares the cost model's pricing memo, so it never re-simulates.
+// when at least one participating sequence is being traced. A call the
+// memo answered carries its quote; any other reads the memo of the model
+// that priced it, which holds the shape now, so it never re-simulates.
 func iterCounters(parts []*seq, info priceInfo, prefill bool, batch, length int) *trace.Counters {
 	for _, s := range parts {
 		if s.Job.j.req.Trace != nil {
-			return counterAnalogs(info.model, prefill, batch, length)
+			q, ok := info.quote, info.cached
+			if !ok {
+				q, ok = info.model.Cached(prefill, batch, length, 0)
+			}
+			if !ok {
+				return nil
+			}
+			return counterAnalogs(q)
 		}
 	}
 	return nil

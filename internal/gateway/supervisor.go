@@ -122,13 +122,16 @@ func (b *breaker) onFailure(now time.Time, threshold int, openFor time.Duration)
 // priceInfo describes how one priced call was served, so the scheduler can
 // attach pricing spans and counter analogs to the traces of the sequences
 // that rode the iteration: whether the fallback served it, the wall-clock
-// window of the call, the injection site, and the model that produced the
-// price (primary or fallback).
+// window of the call, the injection site, the model that produced the
+// price (primary or fallback), and — when the primary's memo answered on
+// the lane goroutine — the quote that read returned.
 type priceInfo struct {
 	degraded   bool
 	start, end time.Time
 	site       string
 	model      serve.CostModel
+	quote      serve.Quote
+	cached     bool
 }
 
 // pricedShape is one priced call: a prefill, a plain decode step, or —
@@ -167,7 +170,7 @@ func (s pricedShape) price(m serve.CostModel) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return float64(s.k)*d + v, nil
+	return serve.CycleSeconds(s.k, d, v), nil
 }
 
 // run prices the shape on m after the faults armed at its site.
@@ -192,7 +195,7 @@ func (g *Gateway) pricedCall(l *lane, s pricedShape) (float64, priceInfo, error)
 	var cost float64
 	var err error
 	if l.br.allowPrimary(info.start) {
-		cost, err = g.watchdogCall(l, s)
+		cost, err = g.primaryCall(l, s, &info)
 		info.end = time.Now()
 		if err == nil {
 			if l.br.onSuccess() {
@@ -233,25 +236,35 @@ func (g *Gateway) pricedCall(l *lane, s pricedShape) (float64, priceInfo, error)
 	return cost, info, nil
 }
 
-// counterAnalogs asks the model that priced an iteration for the phase's
-// emulated hardware counters (LLC MPKI, core utilization, memory-bound
-// fraction, UPI utilization). Models that cannot emulate counters —
-// measured engines, GPU models — yield nil, and the span simply carries
-// timing only.
-func counterAnalogs(m serve.CostModel, prefill bool, batch, length int) *trace.Counters {
-	cm, ok := m.(serve.CounterModel)
-	if !ok {
-		return nil
+// primaryCall prices s on the lane's primary model. A shape the model's
+// memo already holds is read on the lane goroutine, unless a firing fault
+// rule is armed: a memo read cannot block, so it needs no watchdog, and
+// with no firing rule there is nothing to inject. Every other call — a
+// memo miss, a model without a memo, any call while a latency, stall,
+// panic or cost-error rule is armed — goes to the watchdog.
+func (g *Gateway) primaryCall(l *lane, s pricedShape, info *priceInfo) (float64, error) {
+	if !g.inj.Firing() {
+		if q, ok := l.cost.Cached(s.prefill, s.batch, s.length, s.k); ok {
+			info.quote, info.cached = q, true
+			return q.Seconds, nil
+		}
 	}
-	rep, ok := cm.PhaseCounters(prefill, batch, length)
-	if !ok {
+	return g.watchdogCall(l, s)
+}
+
+// counterAnalogs converts a phase's counter report into the emulated
+// hardware counters (LLC MPKI, core utilization, memory-bound fraction,
+// UPI utilization) a span carries. A quote without a report — measured
+// engines, GPU models — yields nil, and the span carries timing only.
+func counterAnalogs(q serve.Quote) *trace.Counters {
+	if !q.HasCounters {
 		return nil
 	}
 	return &trace.Counters{
-		LLCMPKI:             rep.LLCMPKI,
-		CoreUtilization:     rep.CoreUtilization,
-		MemoryBoundFraction: rep.MemoryBoundFraction,
-		UPIUtilization:      rep.UPIUtilization,
+		LLCMPKI:             q.Counters.LLCMPKI,
+		CoreUtilization:     q.Counters.CoreUtilization,
+		MemoryBoundFraction: q.Counters.MemoryBoundFraction,
+		UPIUtilization:      q.Counters.UPIUtilization,
 	}
 }
 
@@ -280,10 +293,12 @@ type priced struct {
 	err error
 }
 
-// watchdog is a lane's pricing worker: the goroutine priced calls run on
-// so the lane can give up on one that overruns its budget. It is owned by
-// the lane's scheduler goroutine and lives from the session's first priced
-// call until the lane parks (or a call times out, which abandons it).
+// watchdog is a lane's pricing worker: the goroutine priced calls that can
+// block run on, so the lane can give up on one that overruns its budget.
+// It is owned by the lane's scheduler goroutine and lives from the
+// session's first such call until the lane parks (or a call times out,
+// which abandons it); a session whose every call is a memo hit starts
+// none.
 type watchdog struct {
 	calls chan pricedShape // nil while no worker is running
 	done  chan priced

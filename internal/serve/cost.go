@@ -34,36 +34,50 @@ type costKey struct {
 	batch, length, rows int
 }
 
-// priced is one memoized pricing result: the phase seconds plus, when the
-// underlying model emulates hardware counters, the phase's counter report.
-type priced struct {
-	seconds     float64
-	counters    counters.Report
-	hasCounters bool
+// phaseKey is the key of a prefill or of a plain decode step.
+func phaseKey(prefill bool, batch, length int) costKey {
+	k := costKey{phase: phaseDecode, batch: batch, length: length}
+	if prefill {
+		k.phase = phasePrefill
+	}
+	return k
 }
 
-// memoCost wraps a raw pricing function with a concurrency-safe memo.
-type memoCost struct {
-	mu    sync.Mutex
-	memo  map[costKey]priced
-	price func(costKey) (priced, error)
-}
-
-// get prices k once. Decode and verification contexts are bucketed here,
-// so price sees a bucketed length for every phase but prefill.
-func (m *memoCost) get(k costKey) (priced, error) {
+// bucketed is the key k is memoized under: decode and verification
+// contexts are quantized to ctxBucket, prefill lengths are exact.
+func (k costKey) bucketed() costKey {
 	if k.phase != phasePrefill {
 		k.length = (k.length + ctxBucket - 1) / ctxBucket * ctxBucket
 	}
+	return k
+}
+
+// memoCost wraps a raw pricing function with a concurrency-safe memo.
+// Its lock is never held while pricing, so a read of the memo cannot
+// block behind a slow price.
+type memoCost struct {
+	mu    sync.Mutex
+	memo  map[costKey]Quote
+	price func(costKey) (Quote, error)
+}
+
+// read returns the memo entry of a bucketed key.
+func (m *memoCost) read(k costKey) (Quote, bool) {
 	m.mu.Lock()
-	if v, ok := m.memo[k]; ok {
-		m.mu.Unlock()
+	v, ok := m.memo[k]
+	m.mu.Unlock()
+	return v, ok
+}
+
+// get prices k once. price sees the bucketed key.
+func (m *memoCost) get(k costKey) (Quote, error) {
+	k = k.bucketed()
+	if v, ok := m.read(k); ok {
 		return v, nil
 	}
-	m.mu.Unlock()
 	v, err := m.price(k)
 	if err != nil {
-		return priced{}, err
+		return Quote{}, err
 	}
 	m.mu.Lock()
 	m.memo[k] = v
@@ -72,27 +86,32 @@ func (m *memoCost) get(k costKey) (priced, error) {
 }
 
 func (m *memoCost) PrefillCost(batch, inputLen int) (float64, error) {
-	v, err := m.get(costKey{phase: phasePrefill, batch: batch, length: inputLen})
-	return v.seconds, err
+	v, err := m.get(phaseKey(true, batch, inputLen))
+	return v.Seconds, err
 }
 
 func (m *memoCost) DecodeStepCost(batch, ctxLen int) (float64, error) {
-	v, err := m.get(costKey{phase: phaseDecode, batch: batch, length: ctxLen})
-	return v.seconds, err
+	v, err := m.get(phaseKey(false, batch, ctxLen))
+	return v.Seconds, err
+}
+
+// Cached implements CostModel from the memo alone. A plain model prices
+// no speculation cycle, so k > 0 is never cached here.
+func (m *memoCost) Cached(prefill bool, batch, length, k int) (Quote, bool) {
+	if k > 0 {
+		return Quote{}, false
+	}
+	return m.read(phaseKey(prefill, batch, length).bucketed())
 }
 
 // PhaseCounters implements CounterModel. The lookup shares the pricing
 // memo, so attaching counters to an already-priced span costs a map hit.
 func (m *memoCost) PhaseCounters(prefill bool, batch, length int) (counters.Report, bool) {
-	k := costKey{phase: phaseDecode, batch: batch, length: length}
-	if prefill {
-		k.phase = phasePrefill
-	}
-	v, err := m.get(k)
-	if err != nil || !v.hasCounters {
+	v, err := m.get(phaseKey(prefill, batch, length))
+	if err != nil || !v.HasCounters {
 		return counters.Report{}, false
 	}
-	return v.counters, true
+	return v.Counters, true
 }
 
 // NewCPUCost prices server iterations on a modeled CPU configuration. The
@@ -103,11 +122,11 @@ func (m *memoCost) PhaseCounters(prefill bool, batch, length int) (counters.Repo
 // compute and KV IO scale with rows.
 func NewCPUCost(setup memsim.Config, m model.Config) CostModel {
 	return &memoCost{
-		memo: map[costKey]priced{},
-		price: func(k costKey) (priced, error) {
+		memo: map[costKey]Quote{},
+		price: func(k costKey) (Quote, error) {
 			if k.phase == phaseVerify {
 				s, err := specdec.VerifySeconds(m, setup, k.batch, max(k.length, 1), k.rows)
-				return priced{seconds: s}, err
+				return Quote{Seconds: s}, err
 			}
 			prefill := k.phase == phasePrefill
 			run := perfmodel.CPURun{Model: m, Setup: setup, Batch: k.batch,
@@ -117,7 +136,7 @@ func NewCPUCost(setup memsim.Config, m model.Config) CostModel {
 			}
 			res, err := run.Simulate()
 			if err != nil {
-				return priced{}, err
+				return Quote{}, err
 			}
 			seconds := res.PrefillSeconds
 			if !prefill {
@@ -125,9 +144,9 @@ func NewCPUCost(setup memsim.Config, m model.Config) CostModel {
 			}
 			rep, err := run.PhaseCounters(prefill)
 			if err != nil {
-				return priced{}, err
+				return Quote{}, err
 			}
-			return priced{seconds: seconds, counters: rep, hasCounters: true}, nil
+			return Quote{Seconds: seconds, Counters: rep, HasCounters: true}, nil
 		},
 	}
 }
@@ -137,8 +156,8 @@ func NewCPUCost(setup memsim.Config, m model.Config) CostModel {
 // CPU counter analogs.
 func NewGPUCost(g hw.GPU, m model.Config) CostModel {
 	return &memoCost{
-		memo: map[costKey]priced{},
-		price: func(k costKey) (priced, error) {
+		memo: map[costKey]Quote{},
+		price: func(k costKey) (Quote, error) {
 			prefill := k.phase == phasePrefill
 			outLen := 2
 			if prefill {
@@ -149,17 +168,17 @@ func NewGPUCost(g hw.GPU, m model.Config) CostModel {
 			if resident.Fits() {
 				res, err := resident.Simulate()
 				if prefill {
-					return priced{seconds: res.PrefillSeconds}, err
+					return Quote{Seconds: res.PrefillSeconds}, err
 				}
-				return priced{seconds: res.DecodeSeconds}, err
+				return Quote{Seconds: res.DecodeSeconds}, err
 			}
 			res, err := offload.Run{GPU: g, Host: hw.SPRMax9468, Model: m,
 				Batch: k.batch, InputLen: k.length, OutputLen: outLen,
 				Weights: tensor.BF16}.Simulate()
 			if prefill {
-				return priced{seconds: res.PrefillSeconds}, err
+				return Quote{Seconds: res.PrefillSeconds}, err
 			}
-			return priced{seconds: res.DecodeSeconds}, err
+			return Quote{Seconds: res.DecodeSeconds}, err
 		},
 	}
 }

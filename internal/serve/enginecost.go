@@ -23,11 +23,11 @@ import (
 func NewEngineCost(e *engine.Engine) CostModel {
 	var mu sync.Mutex // engine sessions are cheap but the engine is shared
 	rng := rand.New(rand.NewSource(1))
-	return &memoCost{memo: map[costKey]priced{}, price: func(k costKey) (priced, error) {
+	return &memoCost{memo: map[costKey]Quote{}, price: func(k costKey) (Quote, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		s, err := measure(e, rng, k)
-		return priced{seconds: s}, err
+		return Quote{Seconds: s}, err
 	}}
 }
 

@@ -50,3 +50,6 @@ func (a *analyticFallback) DecodeStepCost(batch, ctxLen int) (float64, error) {
 	}
 	return a.m.DecodeStepFLOPs(ctxLen, batch) / a.flopsPS, nil
 }
+
+// Cached implements CostModel: the fallback keeps no memo.
+func (a *analyticFallback) Cached(bool, int, int, int) (Quote, bool) { return Quote{}, false }

@@ -30,14 +30,30 @@ type CostModel interface {
 	// DecodeStepCost returns the seconds of one decode iteration for
 	// `batch` sequences whose longest context is ctxLen.
 	DecodeStepCost(batch, ctxLen int) (float64, error)
+	// Cached returns the price of a call an earlier call already priced,
+	// without pricing anything: a prefill, a decode step (k = 0) or, on
+	// a SpecCostModel, a speculation cycle of k draft steps and one
+	// verification pass. ok is false for a shape the model has not priced
+	// yet, and always for a model that keeps no memo. It never waits on a
+	// price being computed.
+	Cached(prefill bool, batch, length, k int) (q Quote, ok bool)
+}
+
+// Quote is one memoized price: the seconds and, when the model emulates
+// hardware counters, the phase's counter report (see CounterModel).
+type Quote struct {
+	Seconds     float64
+	Counters    counters.Report
+	HasCounters bool
 }
 
 // CounterModel is optionally implemented by cost models that can report
 // the emulated hardware counters (internal/counters) behind a priced
-// phase. The gateway attaches these reports to trace spans, so a slow
-// request can be attributed to LLC misses or memory-boundedness the way
-// the paper attributes whole runs. Models without counter emulation
-// (measured engines, GPUs) report none.
+// phase. The gateway attaches these reports to trace spans — it reads
+// them from the same memo entry Cached returns — so a slow request can be
+// attributed to LLC misses or memory-boundedness the way the paper
+// attributes whole runs. Models without counter emulation (measured
+// engines, GPUs) report none.
 type CounterModel interface {
 	// PhaseCounters returns the counter report for the same phase shape
 	// PrefillCost/DecodeStepCost price, and whether one is available.

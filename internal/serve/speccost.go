@@ -54,5 +54,32 @@ func (c specCost) DraftStepCost(batch, ctxLen int) (float64, error) {
 
 func (c specCost) VerifyCost(batch, ctxLen, rows int) (float64, error) {
 	v, err := c.get(costKey{phase: phaseVerify, batch: batch, length: ctxLen, rows: max(rows, 1)})
-	return v.seconds, err
+	return v.Seconds, err
+}
+
+// Cached implements CostModel for the target's phases and, when k > 0,
+// for a whole speculation cycle: the draft's cached step and the target's
+// cached verification over k+1 rows, composed by CycleSeconds. A cycle is
+// not a phase the models emulate, so it carries no counters.
+func (c specCost) Cached(prefill bool, batch, length, k int) (Quote, bool) {
+	if k == 0 {
+		return c.memoCost.Cached(prefill, batch, length, 0)
+	}
+	d, ok := c.draft.Cached(false, batch, length, 0)
+	if !ok {
+		return Quote{}, false
+	}
+	v, ok := c.read(costKey{phase: phaseVerify, batch: batch, length: length, rows: k + 1}.bucketed())
+	if !ok {
+		return Quote{}, false
+	}
+	return Quote{Seconds: CycleSeconds(k, d.Seconds, v.Seconds)}, true
+}
+
+// CycleSeconds is the price of one speculation cycle: k draft steps of
+// draft seconds each plus one verification pass of verify seconds.
+// Pricing a cycle and reading it back from the memos both go through it,
+// so the two agree to the bit.
+func CycleSeconds(k int, draft, verify float64) float64 {
+	return float64(k)*draft + verify
 }
