@@ -12,6 +12,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/gateway"
@@ -243,6 +246,72 @@ func TestCacheEndpoints404WhenDisabled(t *testing.T) {
 		}
 		if code, _ := errEnvelope(t, raw); code != CodeNotFound {
 			t.Errorf("flush code %q, want %q", code, CodeNotFound)
+		}
+	}
+}
+
+// TestStateCacheCountsMatchResponses replays the wire golden's cache
+// group and holds the state document to what the responses reported: a
+// hit per response that adopted cached tokens, a miss per response whose
+// cache lookup ran (its cache_lookup phase) and adopted nothing, and
+// hit_tokens the sum of the responses' cached_tokens — in the aggregate
+// and in the lane entry.
+func TestStateCacheCountsMatchResponses(t *testing.T) {
+	var group wireGroup
+	for _, g := range wireGroups() {
+		if g.name == "cache" {
+			group = g
+		}
+	}
+	h := NewServer(group.backend(t)).Handler()
+	cachedTokens := regexp.MustCompile(`"cached_tokens":([0-9]+)`)
+	var hits, misses, tokens uint64
+	var doc struct{ Cache govern.CacheStatus }
+	for _, c := range group.calls {
+		method := c.method
+		if method == "" {
+			method = http.MethodPost
+		}
+		req := httptest.NewRequest(method, c.path, strings.NewReader(c.body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", c.name, rec.Code)
+		}
+		if c.path == "/v1/debug/state" {
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var cached uint64
+		if m := cachedTokens.FindStringSubmatch(rec.Body.String()); m != nil {
+			cached, _ = strconv.ParseUint(m[1], 10, 64)
+		}
+		header := rec.Header().Get("X-Prefix-Cache")
+		if header != "" && strings.HasPrefix(header, "hit") != (cached > 0) {
+			t.Fatalf("%s: X-Prefix-Cache %q with cached_tokens %d", c.name, header, cached)
+		}
+		switch {
+		case cached > 0:
+			hits++
+			tokens += cached
+		case strings.Contains(rec.Header().Get("Server-Timing"), "cache_lookup"):
+			misses++
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("cache group served %d hits and %d misses; it must exercise both", hits, misses)
+	}
+	cs := doc.Cache
+	if len(cs.Lanes) != 1 {
+		t.Fatalf("state has %d cache lanes, want 1", len(cs.Lanes))
+	}
+	lane := cs.Lanes[0]
+	for _, got := range [][3]uint64{{cs.Hits, cs.Misses, cs.HitTokens}, {lane.Hits, lane.Misses, lane.HitTokens}} {
+		if got != [3]uint64{hits, misses, tokens} {
+			t.Errorf("state reports hits/misses/hit_tokens %v, responses %v", got, [3]uint64{hits, misses, tokens})
 		}
 	}
 }

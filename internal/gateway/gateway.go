@@ -361,10 +361,9 @@ type instruments struct {
 	breakerOpened, breakerClosed       *metrics.Counter
 	quarantinedLanes, breakerOpenLanes *metrics.Gauge
 
-	// Prefix-cache instruments (memory.go, lane.go).
-	cacheHits, cacheMisses *metrics.Counter
-	cacheTokens            *metrics.Counter
-	cacheSaved             *metrics.Histogram
+	// Prefix-cache savings (memory.go); hits and misses are the
+	// governor's govern_cache_* series.
+	cacheSaved *metrics.Histogram
 
 	// Overload-control instruments (overload.go).
 	classShed, deadlineEvicted, brownoutCapped *metrics.Counter
@@ -412,10 +411,7 @@ func newInstruments(r *metrics.Registry) instruments {
 		quarantinedLanes: r.Gauge("gateway_quarantined_lanes", "lanes currently quarantined"),
 		breakerOpenLanes: r.Gauge("gateway_breaker_open_lanes", "lanes whose circuit breaker is open or half-open"),
 
-		cacheHits:   r.Counter("gateway_cache_hits_total", "admissions whose prompt prefix was served from the KV prefix cache"),
-		cacheMisses: r.Counter("gateway_cache_misses_total", "cache-eligible admissions that found no usable prefix"),
-		cacheTokens: r.Counter("gateway_cache_cached_tokens_total", "prompt tokens served from the prefix cache instead of prefill"),
-		cacheSaved:  r.Histogram("gateway_cache_prefill_saved_seconds", "prefill model-seconds saved per cache-hit request", lat),
+		cacheSaved: r.Histogram("gateway_cache_prefill_saved_seconds", "prefill model-seconds saved per cache-hit request", lat),
 
 		classShed:       r.Counter("gateway_class_shed_total", "requests shed class-ordered by overload control (queued victims evicted or batch refused under brownout)"),
 		deadlineEvicted: r.Counter("gateway_deadline_evicted_total", "queued requests evicted at dequeue because their deadline could no longer be met"),

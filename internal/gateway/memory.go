@@ -34,7 +34,7 @@ func (g *Gateway) claim(j *job) serve.Memory {
 	if j.req.CacheDisabled || !g.gov.CacheEnabled() || len(j.req.Prefix) == 0 {
 		return j.lease
 	}
-	return prefixClaim{j.lease, g, j}
+	return prefixClaim{j.lease, j}
 }
 
 // prefixClaim is a lease whose admission reservation first adopts
@@ -42,12 +42,11 @@ func (g *Gateway) claim(j *job) serve.Memory {
 // how many prompt tokens that covered.
 type prefixClaim struct {
 	*govern.Lease
-	g *Gateway
 	j *job
 }
 
 func (c prefixClaim) Reserve(tokens int) error {
-	g, j := c.g, c.j
+	j := c.j
 	start := time.Now()
 	cached, err := c.ReserveWithPrefix(j.req.Prefix, tokens,
 		j.req.InputLen, j.req.MinPrefixTokens)
@@ -64,12 +63,6 @@ func (c prefixClaim) Reserve(tokens int) error {
 		return err
 	}
 	j.cached = cached
-	if cached > 0 {
-		g.m.cacheHits.Inc()
-		g.m.cacheTokens.Add(uint64(cached))
-	} else {
-		g.m.cacheMisses.Inc()
-	}
 	return nil
 }
 

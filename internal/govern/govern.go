@@ -117,24 +117,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// laneState is one lane's pool with its governance bookkeeping.
+// laneState is one lane's pool with its governance bookkeeping. The
+// fields below the tree are the lane's own facts, counted where they are
+// decided and read under Governor.mu; the pool and the tree keep theirs.
 type laneState struct {
-	key         string
-	pool        *kvpool.Pool
-	tree        *prefixcache.Tree // nil unless Config.EnableCache
+	key  string
+	pool *kvpool.Pool
+	tree *prefixcache.Tree // nil unless Config.EnableCache
+
 	pressure    float64
 	shedding    bool
 	preemptions int
-
-	// Per-lane instruments with delta cursors for the pool's monotonic
-	// counters (the registry has no labels, so names embed the lane key).
-	total, free, effective, shedGauge    *metrics.Gauge
-	allocsC, cowC, preemptsC             *metrics.Counter
-	lastAllocs, lastCoW                  int
-	cacheHitsC, cacheMissC               *metrics.Counter
-	cacheTokC, cacheEvictC               *metrics.Counter
-	cacheRetainedG                       *metrics.Gauge
-	lastHits, lastMiss, lastTok, lastEvt uint64
+	// Cache outcomes of successful reservations (ReserveWithPrefix).
+	hits, misses, hitTokens uint64
 }
 
 // Governor places every lane of a gateway under a finite KV budget.
@@ -146,29 +141,60 @@ type Governor struct {
 	clients   map[string]int // client → in-flight KV tokens
 	shedCount int            // lanes currently shedding
 
-	shedTotal, quotaRejects, preemptTotal *metrics.Counter
-	sheddingLanes, governedLanes          *metrics.Gauge
+	shedTotal, quotaRejects *metrics.Counter
 }
 
 // New returns a governor. It panics if cfg.Specs is nil — a governor
 // without pool sizing cannot admit anything.
+//
+// Every series but the two admission-reject counters is a read-through
+// (metrics.Registry.CounterFunc / GaugeFunc) of the counter that keeps
+// its fact, so /metrics and Snapshot cannot disagree, and governors
+// sharing a registry (cluster replicas) report sums.
 func New(cfg Config) *Governor {
 	if cfg.Specs == nil {
 		panic("govern: Config.Specs is required")
 	}
 	cfg = cfg.withDefaults()
 	r := cfg.Registry
-	return &Governor{
+	g := &Governor{
 		cfg:     cfg,
 		lanes:   map[string]*laneState{},
 		clients: map[string]int{},
 
-		shedTotal:     r.Counter("govern_shed_total", "admissions shed above the KV high watermark (503)"),
-		quotaRejects:  r.Counter("govern_quota_rejected_total", "admissions rejected by per-client token quotas (429)"),
-		preemptTotal:  r.Counter("govern_preemptions_total", "sequences preempted back to the queue on KV exhaustion"),
-		sheddingLanes: r.Gauge("govern_shedding_lanes", "lanes currently above the KV high watermark"),
-		governedLanes: r.Gauge("govern_lanes", "lanes under KV governance"),
+		shedTotal:    r.Counter("govern_shed_total", "admissions shed above the KV high watermark (503)"),
+		quotaRejects: r.Counter("govern_quota_rejected_total", "admissions rejected by per-client token quotas (429)"),
 	}
+	r.CounterFunc("govern_preemptions_total", "KV preemptions across lanes, whether requeued or failed", g.sum(func(ls *laneState) int64 { return int64(ls.preemptions) }))
+	r.GaugeFunc("govern_shedding_lanes", "lanes currently above the KV high watermark", g.locked(func() int64 { return int64(g.shedCount) }))
+	r.GaugeFunc("govern_lanes", "lanes under KV governance", g.locked(func() int64 { return int64(len(g.lanes)) }))
+	if cfg.EnableCache {
+		r.CounterFunc("govern_cache_hits_total", "reservations that adopted a cached prefix", g.sum(func(ls *laneState) int64 { return int64(ls.hits) }))
+		r.CounterFunc("govern_cache_misses_total", "cache-eligible reservations that adopted nothing", g.sum(func(ls *laneState) int64 { return int64(ls.misses) }))
+		r.CounterFunc("govern_cache_hit_tokens_total", "prompt tokens adopted from the prefix cache", g.sum(func(ls *laneState) int64 { return int64(ls.hitTokens) }))
+		r.CounterFunc("govern_cache_evictions_total", "prefix-cache blocks evicted", g.sum(func(ls *laneState) int64 { return int64(ls.tree.Stats().Evictions) }))
+	}
+	return g
+}
+
+// locked wraps a read of governor state for a read-through series.
+func (g *Governor) locked(read func() int64) func() int64 {
+	return func() int64 {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return read()
+	}
+}
+
+// sum is a read-through of one lane fact summed over the lanes.
+func (g *Governor) sum(read func(*laneState) int64) func() int64 {
+	return g.locked(func() int64 {
+		var n int64
+		for _, ls := range g.lanes {
+			n += read(ls)
+		}
+		return n
+	})
 }
 
 // Conservative reports the admission mode (see Config.Conservative).
@@ -213,106 +239,77 @@ func (g *Governor) laneLocked(lane string) (*laneState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("govern: sizing lane %s: %w", lane, err)
 	}
-	r := g.cfg.Registry
-	sfx := sanitizeMetric(lane)
-	ls := &laneState{
-		key:       lane,
-		pool:      pool,
-		total:     r.Gauge("govern_kv_blocks_total_"+sfx, "KV pool capacity in blocks, lane "+lane),
-		free:      r.Gauge("govern_kv_blocks_free_"+sfx, "free KV blocks, lane "+lane),
-		effective: r.Gauge("govern_kv_blocks_effective_"+sfx, "usable KV blocks under mem-pressure, lane "+lane),
-		shedGauge: r.Gauge("govern_kv_shedding_"+sfx, "1 while the lane sheds above the high watermark, lane "+lane),
-		allocsC:   r.Counter("govern_kv_allocs_total_"+sfx, "KV block allocations, lane "+lane),
-		cowC:      r.Counter("govern_kv_cow_copies_total_"+sfx, "copy-on-write block copies, lane "+lane),
-		preemptsC: r.Counter("govern_kv_preemptions_total_"+sfx, "sequences preempted on KV exhaustion, lane "+lane),
-	}
+	ls := &laneState{key: lane, pool: pool}
 	if g.cfg.EnableCache {
 		ls.tree = prefixcache.New(pool)
-		ls.cacheHitsC = r.Counter("govern_cache_hits_total_"+sfx, "prefix-cache lookup hits, lane "+lane)
-		ls.cacheMissC = r.Counter("govern_cache_misses_total_"+sfx, "prefix-cache lookup misses, lane "+lane)
-		ls.cacheTokC = r.Counter("govern_cache_hit_tokens_total_"+sfx, "prompt tokens served from the prefix cache, lane "+lane)
-		ls.cacheEvictC = r.Counter("govern_cache_evictions_total_"+sfx, "prefix-cache blocks evicted, lane "+lane)
-		ls.cacheRetainedG = r.Gauge("govern_cache_retained_blocks_"+sfx, "pool blocks retained by the prefix cache, lane "+lane)
 	}
 	g.lanes[lane] = ls
-	g.governedLanes.Inc()
+	g.registerLane(ls)
 	g.evalLocked(ls)
 	return ls, nil
 }
 
-// evalLocked refreshes a lane's exported pool statistics and applies the
-// watermark hysteresis: utilization of the *effective* (pressure-shrunk)
-// capacity at or above HighWatermark starts shedding; at or below
-// LowWatermark it stops. Callers hold g.mu.
+// registerLane publishes a lane's series as read-throughs of the pool's
+// and the tree's stats and of the lane's own fields. The flat registry
+// has no labels, so names embed the lane key.
+func (g *Governor) registerLane(ls *laneState) {
+	r, sfx, of := g.cfg.Registry, "_"+sanitizeMetric(ls.key), ", lane "+ls.key
+	pool := func(read func(kvpool.Stats) int) func() int64 {
+		return func() int64 { return int64(read(ls.pool.Stats())) }
+	}
+	r.GaugeFunc("govern_kv_blocks_total"+sfx, "KV pool capacity in blocks"+of, pool(func(s kvpool.Stats) int { return s.TotalBlocks }))
+	r.GaugeFunc("govern_kv_blocks_free"+sfx, "free KV blocks"+of, pool(func(s kvpool.Stats) int { return s.FreeBlocks }))
+	r.GaugeFunc("govern_kv_blocks_effective"+sfx, "usable KV blocks under mem-pressure"+of, pool(func(s kvpool.Stats) int { return s.EffectiveBlocks }))
+	r.CounterFunc("govern_kv_allocs_total"+sfx, "KV block allocations"+of, pool(func(s kvpool.Stats) int { return s.Allocations }))
+	r.CounterFunc("govern_kv_preemptions_total"+sfx, "KV preemptions, whether requeued or failed"+of, g.locked(func() int64 { return int64(ls.preemptions) }))
+	r.GaugeFunc("govern_kv_shedding"+sfx, "1 while the lane sheds above the high watermark"+of, g.locked(func() int64 {
+		if ls.shedding {
+			return 1
+		}
+		return 0
+	}))
+	if ls.tree == nil {
+		return
+	}
+	r.CounterFunc("govern_cache_hits_total"+sfx, "reservations that adopted a cached prefix"+of, g.locked(func() int64 { return int64(ls.hits) }))
+	r.CounterFunc("govern_cache_misses_total"+sfx, "cache-eligible reservations that adopted nothing"+of, g.locked(func() int64 { return int64(ls.misses) }))
+	r.CounterFunc("govern_cache_hit_tokens_total"+sfx, "prompt tokens adopted from the prefix cache"+of, g.locked(func() int64 { return int64(ls.hitTokens) }))
+	r.CounterFunc("govern_cache_evictions_total"+sfx, "prefix-cache blocks evicted"+of, func() int64 { return int64(ls.tree.Stats().Evictions) })
+	r.GaugeFunc("govern_cache_retained_blocks"+sfx, "pool blocks retained by the prefix cache"+of, func() int64 { return int64(ls.tree.Stats().RetainedBlocks) })
+}
+
+// utilization is the share of a pool's effective (pressure-shrunk)
+// capacity in use. A pool with no effective capacity is saturated by
+// definition, so a lane under total pressure sheds until it lifts.
+func utilization(st kvpool.Stats) float64 {
+	if st.EffectiveBlocks <= 0 {
+		return 1
+	}
+	return float64(st.TotalBlocks-st.FreeBlocks) / float64(st.EffectiveBlocks)
+}
+
+// evalLocked applies the watermark hysteresis after a pool change:
+// utilization at or above HighWatermark starts shedding, at or below
+// LowWatermark stops it. A caching lane first evicts cold cache down to
+// the low mark, before it sheds live traffic (pinned paths are skipped,
+// and adopted prefixes keep their blocks via pool refcounts, so eviction
+// never breaks an in-flight request). Callers hold g.mu.
 func (g *Governor) evalLocked(ls *laneState) {
 	st := ls.pool.Stats()
-	ls.total.Set(int64(st.TotalBlocks))
-	ls.free.Set(int64(st.FreeBlocks))
-	ls.effective.Set(int64(st.EffectiveBlocks))
-	if d := st.Allocations - ls.lastAllocs; d > 0 {
-		ls.allocsC.Add(uint64(d))
-		ls.lastAllocs = st.Allocations
-	}
-	if d := st.CoWCopies - ls.lastCoW; d > 0 {
-		ls.cowC.Add(uint64(d))
-		ls.lastCoW = st.CoWCopies
-	}
-	if ls.tree != nil {
-		// Watermark pressure evicts cold cache before it sheds live
-		// traffic: above the high mark, drop LRU retained blocks until
-		// usage would fall to the low mark (pinned paths are skipped,
-		// and adopted forks keep their blocks via pool refcounts, so
-		// eviction never breaks an in-flight request).
-		used := st.TotalBlocks - st.FreeBlocks
-		if st.EffectiveBlocks > 0 &&
-			float64(used)/float64(st.EffectiveBlocks) >= g.cfg.HighWatermark {
-			target := int(g.cfg.LowWatermark * float64(st.EffectiveBlocks))
-			if excess := used - target; excess > 0 {
-				if ls.tree.EvictLRU(excess) > 0 {
-					st = ls.pool.Stats()
-				}
-			}
+	util := utilization(st)
+	if ls.tree != nil && st.EffectiveBlocks > 0 && util >= g.cfg.HighWatermark {
+		target := int(g.cfg.LowWatermark * float64(st.EffectiveBlocks))
+		if excess := st.TotalBlocks - st.FreeBlocks - target; excess > 0 && ls.tree.EvictLRU(excess) > 0 {
+			util = utilization(ls.pool.Stats())
 		}
-		cs := ls.tree.Stats()
-		if d := cs.Hits - ls.lastHits; d > 0 {
-			ls.cacheHitsC.Add(d)
-			ls.lastHits = cs.Hits
-		}
-		if d := cs.Misses - ls.lastMiss; d > 0 {
-			ls.cacheMissC.Add(d)
-			ls.lastMiss = cs.Misses
-		}
-		if d := cs.HitTokens - ls.lastTok; d > 0 {
-			ls.cacheTokC.Add(d)
-			ls.lastTok = cs.HitTokens
-		}
-		if d := cs.Evictions - ls.lastEvt; d > 0 {
-			ls.cacheEvictC.Add(d)
-			ls.lastEvt = cs.Evictions
-		}
-		ls.cacheRetainedG.Set(int64(cs.RetainedBlocks))
-	}
-
-	used := st.TotalBlocks - st.FreeBlocks
-	util := 1.0 // a zero effective pool is saturated by definition
-	if st.EffectiveBlocks > 0 {
-		util = float64(used) / float64(st.EffectiveBlocks)
-	} else if used == 0 && st.TotalBlocks > 0 {
-		// Nothing held and nothing usable: stay shedding until pressure
-		// lifts, except a lane that never admitted anything.
-		util = 1.0
 	}
 	switch {
 	case !ls.shedding && util >= g.cfg.HighWatermark:
 		ls.shedding = true
-		ls.shedGauge.Set(1)
 		g.shedCount++
-		g.sheddingLanes.Inc()
 	case ls.shedding && util <= g.cfg.LowWatermark:
 		ls.shedding = false
-		ls.shedGauge.Set(0)
 		g.shedCount--
-		g.sheddingLanes.Dec()
 	}
 }
 
@@ -403,7 +400,6 @@ type LaneStatus struct {
 	Pressure        float64 `json:"pressure,omitempty"`
 	Shedding        bool    `json:"shedding,omitempty"`
 	Allocations     int     `json:"allocations"`
-	CoWCopies       int     `json:"cow_copies"`
 	Preemptions     int     `json:"preemptions"`
 }
 
@@ -442,36 +438,52 @@ func (g *Governor) Snapshot() Status {
 	}
 	for _, ls := range g.lanes {
 		ps := ls.pool.Stats()
-		used := ps.TotalBlocks - ps.FreeBlocks
-		var util float64
-		if ps.EffectiveBlocks > 0 {
-			util = float64(used) / float64(ps.EffectiveBlocks)
-		} else if used > 0 {
-			util = 1
-		}
-		lst := LaneStatus{
+		st.Lanes = append(st.Lanes, LaneStatus{
 			Lane: ls.key, BlockSize: ls.pool.BlockSize(),
 			TotalBlocks: ps.TotalBlocks, FreeBlocks: ps.FreeBlocks,
-			EffectiveBlocks: ps.EffectiveBlocks, Utilization: util,
+			EffectiveBlocks: ps.EffectiveBlocks, Utilization: utilization(ps),
 			Pressure: ls.pressure, Shedding: ls.shedding,
-			Allocations: ps.Allocations, CoWCopies: ps.CoWCopies,
-			Preemptions: ls.preemptions,
-		}
-		st.Lanes = append(st.Lanes, lst)
+			Allocations: ps.Allocations, Preemptions: ls.preemptions,
+		})
 	}
 	sort.Slice(st.Lanes, func(a, b int) bool { return st.Lanes[a].Lane < st.Lanes[b].Lane })
 	return st
+}
+
+// Utilization is the highest lane utilization (as in Snapshot), 0 for a
+// nil governor or one without lanes — the cluster router's KV load.
+func (g *Governor) Utilization() float64 {
+	if g == nil {
+		return 0
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var max float64
+	for _, ls := range g.lanes {
+		if u := utilization(ls.pool.Stats()); u > max {
+			max = u
+		}
+	}
+	return max
 }
 
 // CacheEnabled reports whether lanes carry prefix-cache trees. Nil-safe.
 func (g *Governor) CacheEnabled() bool { return g != nil && g.cfg.EnableCache }
 
 // CacheLaneStatus is one lane's prefix-cache snapshot (the cache
-// section of GET /v1/debug/state).
+// section of GET /v1/debug/state): the tree's size and churn, and the
+// lane's reservation outcomes.
 type CacheLaneStatus struct {
-	Lane string `json:"lane"`
-	prefixcache.Stats
-	HitRate float64 `json:"hit_rate"`
+	Lane           string  `json:"lane"`
+	Nodes          int     `json:"nodes"`
+	RetainedBlocks int     `json:"retained_blocks"`
+	PinnedBlocks   int     `json:"pinned_blocks"`
+	Hits           uint64  `json:"hits"`
+	Misses         uint64  `json:"misses"`
+	HitTokens      uint64  `json:"hit_tokens"`
+	Insertions     uint64  `json:"insertions"`
+	Evictions      uint64  `json:"evictions"`
+	HitRate        float64 `json:"hit_rate"`
 }
 
 // CacheStatus aggregates prefix-cache state across lanes.
@@ -499,22 +511,31 @@ func (g *Governor) CacheSnapshot() CacheStatus {
 		if ls.tree == nil {
 			continue
 		}
-		cs := ls.tree.Stats()
-		st.Nodes += cs.Nodes
-		st.RetainedBlocks += cs.RetainedBlocks
-		st.Hits += cs.Hits
-		st.Misses += cs.Misses
-		st.HitTokens += cs.HitTokens
-		st.Evictions += cs.Evictions
+		ts := ls.tree.Stats()
+		st.Nodes += ts.Nodes
+		st.RetainedBlocks += ts.RetainedBlocks
+		st.Hits += ls.hits
+		st.Misses += ls.misses
+		st.HitTokens += ls.hitTokens
+		st.Evictions += ts.Evictions
 		st.Lanes = append(st.Lanes, CacheLaneStatus{
-			Lane: ls.key, Stats: cs, HitRate: cs.HitRate(),
+			Lane: ls.key, Nodes: ts.Nodes, RetainedBlocks: ts.RetainedBlocks,
+			PinnedBlocks: ts.PinnedBlocks, Hits: ls.hits, Misses: ls.misses,
+			HitTokens: ls.hitTokens, Insertions: ts.Insertions,
+			Evictions: ts.Evictions, HitRate: hitRate(ls.hits, ls.misses),
 		})
 	}
-	if n := st.Hits + st.Misses; n > 0 {
-		st.HitRate = float64(st.Hits) / float64(n)
-	}
+	st.HitRate = hitRate(st.Hits, st.Misses)
 	sort.Slice(st.Lanes, func(a, b int) bool { return st.Lanes[a].Lane < st.Lanes[b].Lane })
 	return st
+}
+
+// hitRate is hits over cache-eligible reservations, 0 before any.
+func hitRate(hits, misses uint64) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
 }
 
 // FlushCache drops every unpinned cache entry across all lanes and
@@ -569,97 +590,95 @@ func (l *Lease) Reserve(tokens int) error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	if l.released {
-		l.mu.Unlock()
-		return fmt.Errorf("govern: reserve on a released lease")
-	}
-	if l.alloc != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("govern: lease already holds a reservation")
-	}
-	s := l.ls.pool.NewSequence()
-	err := s.Append(tokens)
-	if err == nil {
-		l.alloc = s
-	}
-	l.mu.Unlock()
+	_, err := l.reserve(nil, tokens, 0, 0)
 	l.note()
 	return err
 }
 
 // ReserveWithPrefix is Reserve with a prefix-cache lookup: the request's
 // prompt, described as hashable segments, is matched against the lane's
-// radix tree, matched blocks are adopted copy-on-write, and only the
-// remainder is freshly allocated. tokens is the reservation size (prompt,
-// or full context under conservative admission); promptTokens is the
-// prompt length the segments describe. It returns how many prompt tokens
-// the cache covered (0 on a miss, on a match shorter than minPrefix, or
-// when caching is off). At least one prompt token is always left to
-// prefill — the last position's logits seed decode — so cached <
-// promptTokens always holds. On exhaustion it evicts LRU cache entries
-// once and retries; a reservation that still fails holds nothing.
+// radix tree, matched blocks are adopted, and only the remainder is
+// freshly allocated. tokens is the reservation size (prompt, or full
+// context under conservative admission); promptTokens is the prompt
+// length the segments describe. It returns how many prompt tokens the
+// cache covered (0 on a miss, on a match shorter than minPrefix, or when
+// caching is off). At least one prompt token is always left to prefill —
+// the last position's logits seed decode — so cached < promptTokens
+// always holds. On exhaustion it evicts LRU cache entries once and
+// retries; a reservation that still fails holds nothing.
+//
+// This is where a cache outcome is decided, so it is counted here: a
+// successful reservation of a cache-eligible request (caching on, a
+// non-empty prefix) is a hit when it adopted a prefix and a miss when
+// it did not.
 func (l *Lease) ReserveWithPrefix(segs []prefixcache.Segment, tokens, promptTokens, minPrefix int) (int, error) {
 	if l == nil {
 		return 0, nil
 	}
-	tree := l.ls.tree
-	if tree == nil || len(segs) == 0 {
+	if l.ls.tree == nil || len(segs) == 0 {
 		return 0, l.Reserve(tokens)
 	}
 	if promptTokens > tokens {
 		promptTokens = tokens
 	}
-	bs := l.ls.pool.BlockSize()
-	keys := prefixcache.BlockKeys(segs, bs)
-	if len(keys) == 0 {
-		return 0, l.Reserve(tokens)
+	keys := prefixcache.BlockKeys(segs, l.ls.pool.BlockSize())
+	cached, err := l.reserve(keys, tokens, promptTokens, minPrefix)
+	l.g.mu.Lock()
+	if err == nil && cached > 0 {
+		l.ls.hits++
+		l.ls.hitTokens += uint64(cached)
+	} else if err == nil {
+		l.ls.misses++
 	}
+	l.g.evalLocked(l.ls)
+	l.g.mu.Unlock()
+	return cached, err
+}
+
+// reserve allocates the lease's sequence: tokens of context, of which
+// the longest cached prefix of keys (whole blocks, below promptTokens and
+// at least minPrefix) is adopted rather than allocated. With keys, an
+// exhausted pool first reclaims cold cache and retries once. It returns
+// the adopted token count; a failed reservation holds nothing.
+func (l *Lease) reserve(keys []uint64, tokens, promptTokens, minPrefix int) (int, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.released {
-		l.mu.Unlock()
 		return 0, fmt.Errorf("govern: reserve on a released lease")
 	}
 	if l.alloc != nil {
-		l.mu.Unlock()
 		return 0, fmt.Errorf("govern: lease already holds a reservation")
 	}
-	m := tree.Lookup(keys)
+	pool, tree, bs := l.ls.pool, l.ls.tree, l.ls.pool.BlockSize()
 	cached := 0
 	var s *kvpool.Sequence
-	if m != nil {
-		nblocks := len(m.Blocks)
-		if limit := (promptTokens - 1) / bs; nblocks > limit {
-			nblocks = limit
-		}
-		if nblocks > 0 && nblocks*bs >= minPrefix {
-			adopted, err := l.ls.pool.AdoptPrefix(m.Blocks[:nblocks], nblocks*bs)
-			if err == nil {
-				s = adopted
-				cached = nblocks * bs
+	if len(keys) > 0 {
+		m := tree.Lookup(keys)
+		defer m.Release() // the path stays pinned through the allocation
+		if m != nil {
+			nblocks := min(len(m.Blocks), (promptTokens-1)/bs)
+			if nblocks > 0 && nblocks*bs >= minPrefix {
+				if adopted, err := pool.AdoptPrefix(m.Blocks[:nblocks], nblocks*bs); err == nil {
+					s, cached = adopted, nblocks*bs
+				}
 			}
 		}
 	}
 	if s == nil {
-		s = l.ls.pool.NewSequence()
+		s = pool.NewSequence()
 	}
 	err := s.Append(tokens - cached)
+	if err != nil && len(keys) > 0 && tree.EvictLRU((tokens+bs-1)/bs) > 0 {
+		err = s.Append(tokens - cached) // reclaimed cold cache: retry once
+	}
 	if err != nil {
-		// Exhaustion with cold cache retained: reclaim and retry once.
-		if tree.EvictLRU((tokens+bs-1)/bs) > 0 {
-			err = s.Append(tokens - cached)
+		if cached > 0 {
+			_ = s.Free() // drop the adopted references; hold nothing
 		}
+		return 0, err
 	}
-	if err != nil && cached > 0 {
-		_ = s.Free() // drop the adopted references; hold nothing
-		cached = 0
-	} else if err == nil {
-		l.alloc = s
-	}
-	m.Release()
-	l.mu.Unlock()
-	l.note()
-	return cached, err
+	l.alloc = s
+	return cached, nil
 }
 
 // DonatePrefix offers the reservation's prompt blocks to the lane's
@@ -756,8 +775,6 @@ func (l *Lease) Preempt() {
 	l.releaseBlocks()
 	l.g.mu.Lock()
 	l.ls.preemptions++
-	l.ls.preemptsC.Inc()
-	l.g.preemptTotal.Inc()
 	l.g.mu.Unlock()
 }
 

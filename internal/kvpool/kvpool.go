@@ -3,8 +3,12 @@
 // growing linearly with batch × sequence length until it dominates memory
 // (§III, Fig 7); contiguous per-sequence preallocation wastes most of that
 // reservation on requests that finish early. Paging the cache into fixed
-// blocks allocated on demand — with copy-on-write sharing of common
+// blocks allocated on demand — with reference-counted sharing of common
 // prefixes — lets a memory budget admit far more concurrent sequences.
+//
+// The pool holds no KV data: it is the block accounting the live
+// gateway's governor (internal/govern) and the simulator charge against.
+// The engine's PagedKVCache owns the real pages and their copy-on-write.
 package kvpool
 
 import (
@@ -17,7 +21,7 @@ import (
 
 // Pool manages a fixed budget of KV-cache blocks. A block holds BlockSize
 // token positions of K and V for every layer of the model. Blocks are
-// reference-counted so sequences can share prefix blocks copy-on-write.
+// reference-counted so sequences can share prefix blocks.
 //
 // A Pool is safe for concurrent use: sequences owned by different
 // goroutines may allocate, fork and free against the same pool (the live
@@ -35,8 +39,7 @@ type Pool struct {
 	refs     []int // refcount per block; 0 = free
 	freeList []int
 
-	allocs    int // statistics
-	cowCopies int
+	allocs int // statistics
 }
 
 // BytesPerBlock returns the memory one block occupies.
@@ -103,16 +106,6 @@ func (p *Pool) EffectiveBlocks() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.limit
-}
-
-// Utilization returns the fraction of blocks in use.
-func (p *Pool) Utilization() float64 {
-	if p.total == 0 {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return 1 - float64(len(p.freeList))/float64(p.total)
 }
 
 // availableLocked returns how many blocks may be allocated right now:
@@ -218,9 +211,10 @@ func (s *Sequence) WastedSlots() int {
 	return len(s.blocks)*s.pool.blockSize - s.tokens
 }
 
-// Fork creates a copy-on-write child sharing every block (prefix sharing
-// for beam search or common system prompts). The child starts at the same
-// token length; diverging appends allocate fresh blocks. Multiple
+// Fork creates a child sharing every block (prefix sharing for beam
+// search or common system prompts). The child starts at the same token
+// length; appends allocate fresh blocks once the shared ones are full
+// (the pool counts capacity, not contents). Multiple
 // goroutines may Fork the same parent concurrently as long as none of
 // them mutates it at the same time.
 func (s *Sequence) Fork() (*Sequence, error) {
@@ -239,34 +233,6 @@ func (s *Sequence) Fork() (*Sequence, error) {
 		tokens: s.tokens,
 	}
 	return child, nil
-}
-
-// WriteLast marks the last block as written. If the block is shared
-// (ref > 1), it is copied first (copy-on-write) so siblings keep their
-// version; the method returns whether a copy happened.
-func (s *Sequence) WriteLast() (copied bool, err error) {
-	p := s.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s.freed {
-		return false, fmt.Errorf("kvpool: write to freed sequence")
-	}
-	if len(s.blocks) == 0 {
-		return false, fmt.Errorf("kvpool: write to empty sequence")
-	}
-	last := len(s.blocks) - 1
-	id := s.blocks[last]
-	if p.refs[id] == 1 {
-		return false, nil
-	}
-	fresh, err := p.allocBlockLocked()
-	if err != nil {
-		return false, err
-	}
-	p.releaseBlockLocked(id) // drop our shared reference
-	s.blocks[last] = fresh
-	p.cowCopies++
-	return true, nil
 }
 
 // RetainBlocks takes an extra reference on each listed block so a holder
@@ -307,13 +273,13 @@ func (p *Pool) BlockRef(id int) int {
 	return p.refs[id]
 }
 
-// AdoptPrefix builds a new sequence that shares the given prefix blocks
-// copy-on-write, taking one reference on each — a cross-request Fork for
-// the prefix cache, where the donor sequence may already be gone and only
-// the radix tree keeps the blocks alive. tokens is the prefix length the
-// adopted blocks cover; it must fit exactly in the listed blocks so that
-// subsequent Appends never write into a shared partially-filled block
-// without CoW. Every listed block must be live.
+// AdoptPrefix builds a new sequence that shares the given prefix blocks,
+// taking one reference on each — a cross-request Fork for the prefix
+// cache, where the donor sequence may already be gone and only the radix
+// tree keeps the blocks alive. tokens is the prefix length the adopted
+// blocks cover; it must fill the listed blocks exactly, so subsequent
+// Appends always open fresh blocks instead of growing into a shared one.
+// Every listed block must be live.
 func (p *Pool) AdoptPrefix(blocks []int, tokens int) (*Sequence, error) {
 	if tokens < 0 || tokens > len(blocks)*p.blockSize {
 		return nil, fmt.Errorf("kvpool: adopt of %d tokens over %d blocks", tokens, len(blocks))
@@ -343,8 +309,7 @@ func (p *Pool) AdoptPrefix(blocks []int, tokens int) (*Sequence, error) {
 //
 // Audit note (fork/preempt interaction): a forked or adopted child that
 // is preempted-by-recompute before its first decode step frees here
-// having never called WriteLast, so every one of its block references is
-// still a shared reference. releaseBlockLocked only returns a block to
+// holding only shared references. releaseBlockLocked only returns a block to
 // the free list when its count reaches zero, so the parent (or the
 // prefix tree's retained reference) keeps the block alive and the
 // child's early death leaks nothing — see TestForkPreemptBeforeDecode.
@@ -368,7 +333,6 @@ type Stats struct {
 	TotalBlocks, FreeBlocks int
 	EffectiveBlocks         int
 	Allocations             int
-	CoWCopies               int
 }
 
 // Stats returns a snapshot.
@@ -377,8 +341,7 @@ func (p *Pool) Stats() Stats {
 	defer p.mu.Unlock()
 	return Stats{
 		TotalBlocks: p.total, FreeBlocks: len(p.freeList),
-		EffectiveBlocks: p.limit,
-		Allocations:     p.allocs, CoWCopies: p.cowCopies,
+		EffectiveBlocks: p.limit, Allocations: p.allocs,
 	}
 }
 

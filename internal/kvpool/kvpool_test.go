@@ -30,7 +30,7 @@ func newPool(t *testing.T, blocks int) *Pool {
 
 func TestPoolSizing(t *testing.T) {
 	p := newPool(t, 8)
-	if p.FreeBlocks() != 8 || p.Utilization() != 0 {
+	if st := p.Stats(); st.FreeBlocks != 8 || st.EffectiveBlocks != 8 || st.Allocations != 0 {
 		t.Error("fresh pool state wrong")
 	}
 	if _, err := New(model.Config{}, tensor.BF16, 16, 1<<20); err == nil {
@@ -110,9 +110,6 @@ func TestFreeAndDoubleFree(t *testing.T) {
 	if _, err := s.Fork(); err == nil {
 		t.Error("fork after free must fail")
 	}
-	if _, err := s.WriteLast(); err == nil {
-		t.Error("write after free must fail")
-	}
 }
 
 func TestForkSharesBlocks(t *testing.T) {
@@ -143,39 +140,6 @@ func TestForkSharesBlocks(t *testing.T) {
 	}
 	if p.FreeBlocks() != 8 {
 		t.Error("all blocks must return after both free")
-	}
-}
-
-func TestCopyOnWrite(t *testing.T) {
-	p := newPool(t, 8)
-	parent := p.NewSequence()
-	if err := parent.Append(20); err != nil { // 2 blocks, last shared
-		t.Fatal(err)
-	}
-	child, err := parent.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	copied, err := child.WriteLast()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !copied {
-		t.Fatal("write to a shared block must copy")
-	}
-	if child.Blocks()[1] == parent.Blocks()[1] {
-		t.Error("child must own a fresh last block after CoW")
-	}
-	if child.Blocks()[0] != parent.Blocks()[0] {
-		t.Error("unwritten prefix block must stay shared")
-	}
-	// A second write needs no copy.
-	copied, err = child.WriteLast()
-	if err != nil || copied {
-		t.Errorf("second write must be in place: copied=%v err=%v", copied, err)
-	}
-	if p.Stats().CoWCopies != 1 {
-		t.Errorf("CoW count = %d, want 1", p.Stats().CoWCopies)
 	}
 }
 
@@ -210,8 +174,8 @@ func TestPagedAdmitsMoreSequences(t *testing.T) {
 	}
 }
 
-// TestBlockAccountingProperty: any interleaving of appends, forks, CoW
-// writes and frees conserves blocks (free + Σ unique refs == total, no
+// TestBlockAccountingProperty: any interleaving of appends, forks and
+// frees conserves blocks (free + Σ unique refs == total, no
 // negative refcounts — enforced by panic on violation).
 func TestBlockAccountingProperty(t *testing.T) {
 	f := func(script []uint8) bool {
@@ -238,19 +202,15 @@ func TestBlockAccountingProperty(t *testing.T) {
 						live = append(live, c)
 					}
 				}
-			case 3: // CoW write or free
+			case 3: // free
 				if len(live) == 0 {
 					continue
 				}
 				i := int(op) % len(live)
-				if op%8 < 4 {
-					_, _ = live[i].WriteLast()
-				} else {
-					if live[i].Free() != nil {
-						return false
-					}
-					live = append(live[:i], live[i+1:]...)
+				if live[i].Free() != nil {
+					return false
 				}
+				live = append(live[:i], live[i+1:]...)
 			}
 		}
 		for _, s := range live {
@@ -268,8 +228,8 @@ func TestBlockAccountingProperty(t *testing.T) {
 // TestConcurrentForkCoW is the beam-search race drill, meaningful under
 // -race: many goroutines concurrently fork the same prefilled root (an
 // unmutated parent may be forked concurrently per the Sequence contract),
-// then diverge on their private children — CoW-writing the shared tail,
-// appending, and freeing — while readers hammer the pool's stats. Block
+// then diverge on their private children — appending past the shared
+// tail and freeing — while readers hammer the pool's stats. Block
 // accounting must balance exactly when everyone is done.
 func TestConcurrentForkCoW(t *testing.T) {
 	const beams = 16
@@ -290,8 +250,6 @@ func TestConcurrentForkCoW(t *testing.T) {
 				return
 			default:
 				_ = p.Stats()
-				_ = p.FreeBlocks()
-				_ = p.Utilization()
 			}
 		}
 	}()
@@ -307,17 +265,8 @@ func TestConcurrentForkCoW(t *testing.T) {
 				errCh <- err
 				return
 			}
-			// First write lands on the shared tail block and must copy;
-			// subsequent growth and writes are private to this beam.
-			if _, err := child.WriteLast(); err != nil {
-				errCh <- err
-				return
-			}
+			// Growth past the shared tail block is private to this beam.
 			if err := child.Append(16); err != nil {
-				errCh <- err
-				return
-			}
-			if _, err := child.WriteLast(); err != nil {
 				errCh <- err
 				return
 			}
@@ -332,9 +281,8 @@ func TestConcurrentForkCoW(t *testing.T) {
 			t.Fatalf("beam %d: %v", i, err)
 		}
 	}
-	st := p.Stats()
-	if st.CoWCopies != beams {
-		t.Errorf("CoW copies = %d, want %d (one per beam's first shared-tail write)", st.CoWCopies, beams)
+	if st := p.Stats(); st.Allocations != 2+beams {
+		t.Errorf("allocations = %d, want %d (the root's two, one per beam)", st.Allocations, 2+beams)
 	}
 	if err := root.Free(); err != nil {
 		t.Fatal(err)
@@ -350,15 +298,11 @@ func TestNegativeAppend(t *testing.T) {
 	if err := s.Append(-1); err == nil {
 		t.Error("negative append must fail")
 	}
-	if _, err := s.WriteLast(); err == nil {
-		t.Error("write to empty sequence must fail")
-	}
 }
 
 // TestForkPreemptBeforeDecode is the regression test for the fork/free
 // refcount audit: a forked child that is preempted-by-recompute before
-// its first decode step (so it never called WriteLast) frees only its
-// shared references. The parent's blocks must survive with their counts
+// its first decode step frees only its shared references. The parent's blocks must survive with their counts
 // restored, and once the parent frees too the pool must be exactly full.
 func TestForkPreemptBeforeDecode(t *testing.T) {
 	p := newPool(t, 8)

@@ -227,6 +227,41 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
+// readThrough is an instrument whose value is computed at scrape time
+// from the counters where its fact is kept. Every caller registering the
+// name adds one fn; the series reports their sum.
+type readThrough struct {
+	help, kind string
+	fns        []func() int64
+}
+
+// CounterFunc registers a read-through counter: fn is called at every
+// scrape, with no registry lock held, and must never decrease.
+// Registering the name again adds fn, and the series reports the sum —
+// the shape for one fact kept by several owners (a lane per replica).
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	r.readThrough(name, help, "counter", fn)
+}
+
+// GaugeFunc registers a read-through gauge, summed like CounterFunc.
+func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
+	r.readThrough(name, help, "gauge", fn)
+}
+
+func (r *Registry) readThrough(name, help, kind string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.byN[name]; ok {
+		rt, ok := m.(*readThrough)
+		if !ok || rt.kind != kind {
+			panic(fmt.Sprintf("metrics: %q registered as %T, not a read-through %s", name, m, kind))
+		}
+		rt.fns = append(rt.fns, fn)
+		return
+	}
+	r.register(name, &readThrough{help: help, kind: kind, fns: []func() int64{fn}})
+}
+
 func (r *Registry) register(name string, m any) {
 	r.byN[name] = m
 	r.order = append(r.order, name)
@@ -239,6 +274,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	names := append([]string(nil), r.order...)
 	byN := make(map[string]any, len(r.byN))
 	for k, v := range r.byN {
+		if rt, ok := v.(*readThrough); ok {
+			// Copy so a concurrent registration cannot grow fns under the
+			// scrape; the fns themselves run below, unlocked.
+			c := *rt
+			v = &c
+		}
 		byN[k] = v
 	}
 	r.mu.Unlock()
@@ -257,6 +298,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 			if _, err := fmt.Fprintf(w, "%s %d\n", name, m.Value()); err != nil {
+				return err
+			}
+		case *readThrough:
+			if err := writeHeader(w, name, m.help, m.kind); err != nil {
+				return err
+			}
+			var v int64
+			for _, fn := range m.fns {
+				v += fn()
+			}
+			if _, err := fmt.Fprintf(w, "%s %d\n", name, v); err != nil {
 				return err
 			}
 		case *Histogram:

@@ -139,3 +139,33 @@ func TestBucketHelpers(t *testing.T) {
 		t.Fatalf("latency buckets %d", n)
 	}
 }
+
+// TestReadThroughSums: a read-through series is the sum of every fn
+// registered under its name, read at scrape time without the registry
+// lock (an fn that touches the registry would deadlock otherwise).
+func TestReadThroughSums(t *testing.T) {
+	r := NewRegistry()
+	free := []int64{54, 63}
+	for i := range free {
+		r.GaugeFunc("kv_free", "free blocks", func() int64 { return free[i] })
+	}
+	r.CounterFunc("hits_total", "hits", func() int64 { return int64(r.Counter("backing_total", "").Value()) })
+	r.Counter("backing_total", "").Add(7)
+	free[1] = 60
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE kv_free gauge\nkv_free 114\n", "# TYPE hits_total counter\nhits_total 7\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a read-through gauge reused as a counter must panic")
+		}
+	}()
+	r.CounterFunc("kv_free", "", func() int64 { return 0 })
+}

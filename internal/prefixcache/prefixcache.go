@@ -103,25 +103,15 @@ type node struct {
 	pins     int   // live readers forked from a path through this node
 }
 
-// Stats is a point-in-time summary of one tree.
+// Stats is a point-in-time summary of one tree. Lookups are not counted
+// here: a matched prefix is a hit only once a reservation adopts it, so
+// the governor counts hits and misses where it decides that.
 type Stats struct {
-	Nodes          int    `json:"nodes"`
-	RetainedBlocks int    `json:"retained_blocks"`
-	PinnedBlocks   int    `json:"pinned_blocks"`
-	Hits           uint64 `json:"hits"`
-	Misses         uint64 `json:"misses"`
-	HitTokens      uint64 `json:"hit_tokens"`
-	Insertions     uint64 `json:"insertions"`
-	Evictions      uint64 `json:"evictions"`
-}
-
-// HitRate returns hits / lookups, or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	n := s.Hits + s.Misses
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(n)
+	Nodes          int
+	RetainedBlocks int
+	PinnedBlocks   int
+	Insertions     uint64
+	Evictions      uint64
 }
 
 // Tree is one lane's prefix index over its kvpool. All methods are safe
@@ -139,10 +129,8 @@ type Tree struct {
 	// nodes, so they leave it alone.
 	pinned int
 
-	hits, misses uint64
-	hitTokens    uint64
-	insertions   uint64
-	evictions    uint64
+	insertions uint64
+	evictions  uint64
 }
 
 // Pool is the slice of kvpool.Pool the tree needs; *kvpool.Pool satisfies
@@ -195,19 +183,15 @@ func (t *Tree) Lookup(keys []uint64) *Match {
 		cur = next
 	}
 	if cur == t.root {
-		t.misses++
 		return nil
 	}
-	t.hits++
-	tokens := cur.depth * t.pool.BlockSize()
-	t.hitTokens += uint64(tokens)
 	for n := cur; n != t.root; n = n.parent {
 		if n.pins == 0 {
 			t.pinned++
 		}
 		n.pins++
 	}
-	return &Match{t: t, tip: cur, Blocks: blocks, Tokens: tokens}
+	return &Match{t: t, tip: cur, Blocks: blocks, Tokens: cur.depth * t.pool.BlockSize()}
 }
 
 // Release unpins the match's path. Idempotent.
@@ -360,7 +344,7 @@ func (t *Tree) RetainedBlocks() int {
 	return len(t.index)
 }
 
-// Stats returns a snapshot of tree size and hit/eviction counters.
+// Stats returns a snapshot of tree size and insertion/eviction counters.
 func (t *Tree) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -368,9 +352,6 @@ func (t *Tree) Stats() Stats {
 		Nodes:          len(t.index),
 		RetainedBlocks: len(t.index),
 		PinnedBlocks:   t.pinned,
-		Hits:           t.hits,
-		Misses:         t.misses,
-		HitTokens:      t.hitTokens,
 		Insertions:     t.insertions,
 		Evictions:      t.evictions,
 	}

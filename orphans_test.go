@@ -27,7 +27,6 @@ var keptTestOnly = map[string]string{
 
 	// Invariant probes: tests read internal state through them.
 	"kvpool.Pool.BlockRef":                "reference count of one block, for CoW and conservation checks",
-	"kvpool.Sequence.WriteLast":           "the write that triggers copy-on-write in the sharing tests",
 	"govern.Lease.Held":                   "blocks a lease holds, for KV conservation checks",
 	"engine.PagedKVCache.AllocatedBlocks": "page accounting: lazy allocation, truncation and fork ownership",
 	"engine.PagedKVCache.SharedBlocks":    "fork sharing checked before and after divergence",
