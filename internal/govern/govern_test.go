@@ -2,6 +2,8 @@ package govern
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/kvpool"
@@ -352,4 +354,127 @@ func TestCachedReserveExhaustionRetry(t *testing.T) {
 		t.Fatalf("different group must miss, got %d cached", cached)
 	}
 	l2.Release()
+}
+
+// TestSharedRegistrySeriesAreSums puts two governors (two cluster
+// replicas) on one registry, drives hits, misses, preemption, shedding
+// and quota rejects through them, and holds every govern_* series on the
+// scrape to the sum of the two governors' Snapshot and CacheSnapshot
+// values; the two admission-reject counters, which no snapshot carries,
+// are held to the rejects the test saw.
+func TestSharedRegistrySeriesAreSums(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var shed, quota int64
+	govs := make([]*Governor, 2)
+	for i := range govs {
+		g := New(Config{Specs: specFor(32+16*i, 16), EnableCache: true, QuotaTokens: 500,
+			HighWatermark: 0.5, LowWatermark: 0.25, Registry: reg})
+		govs[i] = g
+		admit := func(lane, client string, in, out int) *Lease {
+			l, err := g.Admit(lane, client, in, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+		// A miss that donates, then a hit on the donated prefix.
+		for range 2 {
+			l := admit("a|x", "c", 64, 8)
+			if _, err := l.ReserveWithPrefix(segsFor("sys", 48, 16), 64, 64, 0); err != nil {
+				t.Fatal(err)
+			}
+			l.DonatePrefix(segsFor("sys", 48, 16))
+			l.Release()
+		}
+		if i == 1 {
+			l := admit("b", "p", 32, 8)
+			if err := l.Reserve(32); err != nil {
+				t.Fatal(err)
+			}
+			l.Preempt()
+			l.Release()
+		}
+		// Quota: 400 tokens in flight, another 400 is over 500.
+		held := admit("a|x", "q", 400, 0)
+		if _, err := g.Admit("a|x", "q", 400, 0); !errors.Is(err, ErrQuotaExceeded) {
+			t.Fatalf("governor %d: over-quota admit = %v", i, err)
+		}
+		quota++
+		held.Release()
+		// Lane b of the first governor holds 19 of 32 blocks: it sheds.
+		if i == 0 {
+			if err := admit("b", "s", 300, 0).Reserve(300); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.Admit("b", "t", 16, 0); !errors.Is(err, ErrShedding) {
+				t.Fatalf("admit above the high watermark = %v, want ErrShedding", err)
+			}
+			shed++
+		}
+	}
+
+	want := map[string]int64{"govern_shed_total": shed, "govern_quota_rejected_total": quota}
+	add := func(name string, v int64) { want[name] += v }
+	for _, g := range govs {
+		st, cs := g.Snapshot(), g.CacheSnapshot()
+		add("govern_lanes", int64(len(st.Lanes)))
+		for _, l := range st.Lanes {
+			sfx, shedding := "_"+sanitizeMetric(l.Lane), int64(0)
+			if l.Shedding {
+				shedding = 1
+			}
+			add("govern_kv_blocks_total"+sfx, int64(l.TotalBlocks))
+			add("govern_kv_blocks_free"+sfx, int64(l.FreeBlocks))
+			add("govern_kv_blocks_effective"+sfx, int64(l.EffectiveBlocks))
+			add("govern_kv_allocs_total"+sfx, int64(l.Allocations))
+			add("govern_kv_preemptions_total"+sfx, int64(l.Preemptions))
+			add("govern_kv_shedding"+sfx, shedding)
+			add("govern_preemptions_total", int64(l.Preemptions))
+			add("govern_shedding_lanes", shedding)
+		}
+		for _, l := range cs.Lanes {
+			sfx := "_" + sanitizeMetric(l.Lane)
+			add("govern_cache_hits_total"+sfx, int64(l.Hits))
+			add("govern_cache_misses_total"+sfx, int64(l.Misses))
+			add("govern_cache_hit_tokens_total"+sfx, int64(l.HitTokens))
+			add("govern_cache_evictions_total"+sfx, int64(l.Evictions))
+			add("govern_cache_retained_blocks"+sfx, int64(l.RetainedBlocks))
+		}
+		add("govern_cache_hits_total", int64(cs.Hits))
+		add("govern_cache_misses_total", int64(cs.Misses))
+		add("govern_cache_hit_tokens_total", int64(cs.HitTokens))
+		add("govern_cache_evictions_total", int64(cs.Evictions))
+	}
+	if want["govern_cache_hits_total"] != 2 || want["govern_preemptions_total"] != 1 || want["govern_shedding_lanes"] != 1 {
+		t.Fatalf("scenario did not produce its hits, preemption and shedding lane: %v", want)
+	}
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		name, v, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "govern_") {
+			continue
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		got[name] = n
+	}
+	for name, v := range got {
+		if w, ok := want[name]; !ok {
+			t.Errorf("%s = %d on /metrics, but no snapshot field backs it", name, v)
+		} else if v != w {
+			t.Errorf("%s = %d on /metrics, snapshots sum to %d", name, v, w)
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s missing from /metrics", name)
+		}
+	}
 }

@@ -125,8 +125,8 @@ func TestStatsMatchRecount(t *testing.T) {
 	}
 }
 
-// BenchmarkStats2k is Tree.Stats on a 2048-block tree — the call the
-// governor makes on every lease grow.
+// BenchmarkStats2k is Tree.Stats on a 2048-block tree — the read behind
+// every cache series scrape and every state snapshot.
 func BenchmarkStats2k(b *testing.B) {
 	tree := New(&countingPool{refs: map[int]int{}})
 	for c := 0; c < 256; c++ {
