@@ -262,8 +262,6 @@ type Router struct {
 	m        instruments
 	replicas []*replica
 
-	rrNext atomic.Uint64 // shared monotonic cursor for cursor-bound policies
-
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -309,9 +307,6 @@ func New(cfg Config) (*Router, error) {
 			id: id, weight: w, gw: gw, downCh: make(chan struct{}),
 		})
 	}
-	if b, ok := cfg.Policy.(cursorBinder); ok {
-		b.bindCursor(func() uint64 { return r.rrNext.Add(1) - 1 })
-	}
 	r.m.replicas.Set(int64(len(r.replicas)))
 	r.m.healthyReplicas.Set(int64(len(r.replicas)))
 	r.wg.Add(1)
@@ -335,9 +330,6 @@ func (r *Router) Registry() *metrics.Registry { return r.cfg.Registry }
 
 // Tracer exposes the shared tracer (for /v1/traces).
 func (r *Router) Tracer() *trace.Tracer { return r.cfg.Tracer }
-
-// Logger exposes the router's structured logger.
-func (r *Router) Logger() *slog.Logger { return r.log }
 
 // Injector exposes the shared fault injector (for /v1/admin/faults).
 func (r *Router) Injector() *faults.Injector { return r.inj }
@@ -642,20 +634,4 @@ func (r *Router) Snapshot() Status {
 		st.Replicas = append(st.Replicas, rs)
 	}
 	return st
-}
-
-// kvUtilization is the max lane KV-pool utilization on one gateway, 0
-// without a governor.
-func kvUtilization(gw *gateway.Gateway) float64 {
-	gov := gw.Governor()
-	if gov == nil {
-		return 0
-	}
-	var max float64
-	for _, lane := range gov.Snapshot().Lanes {
-		if lane.Utilization > max {
-			max = lane.Utilization
-		}
-	}
-	return max
 }

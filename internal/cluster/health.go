@@ -212,7 +212,7 @@ func (r *Router) routable(tried map[string]bool) []Candidate {
 			ID:            rep.id,
 			Weight:        rep.weight,
 			QueueDepth:    gw.QueueDepth(),
-			KVUtilization: kvUtilization(gw),
+			KVUtilization: gw.Governor().Utilization(),
 			Shedding:      gw.MemoryPressure(),
 			BrownoutLevel: gw.BrownoutLevel(),
 			EWMAMillis:    ewma,

@@ -55,10 +55,7 @@ func ParsePolicy(name string) (Policy, error) {
 	}
 }
 
-type rrPolicy struct {
-	ctr  atomic.Uint64
-	next func() uint64
-}
+type rrPolicy struct{ next atomic.Uint64 }
 
 // RoundRobin cycles through routable replicas in order; unhealthy
 // replicas are not candidates, so rotation naturally skips them.
@@ -68,27 +65,13 @@ func RoundRobin() Policy { return &rrPolicy{} }
 func (p *rrPolicy) Name() string { return "round-robin" }
 
 func (p *rrPolicy) Pick(req *gateway.Request, candidates []Candidate) Candidate {
-	var n uint64
-	if p.next != nil {
-		n = p.next()
-	} else {
-		n = p.ctr.Add(1) - 1
-	}
+	n := p.next.Add(1) - 1
 	return candidates[int(n%uint64(len(candidates)))]
 }
 
-// bindCursor lets the router supply its shared cursor so rotation stays
-// stable if the policy instance is ever swapped or inspected.
-func (p *rrPolicy) bindCursor(next func() uint64) { p.next = next }
-
-// cursorBinder is implemented by policies that want the router's shared
-// monotonic cursor (round-robin rotation, least-loaded tie-breaking).
-type cursorBinder interface{ bindCursor(func() uint64) }
-
-// llPolicy routes to the replica with the lowest load score.
-type llPolicy struct {
-	tie func() uint64
-}
+// llPolicy routes to the replica with the lowest load score; tie counts
+// the ties it has broken.
+type llPolicy struct{ tie atomic.Uint64 }
 
 // kvLoadWeight is what a full KV pool weighs in the least-loaded score:
 // eight queued requests, since admission past the high watermark risks
@@ -103,8 +86,6 @@ const kvLoadWeight = 8
 func LeastLoaded() Policy { return &llPolicy{} }
 
 func (p *llPolicy) Name() string { return "least-loaded" }
-
-func (p *llPolicy) bindCursor(next func() uint64) { p.tie = next }
 
 func (p *llPolicy) score(c Candidate) float64 {
 	s := float64(c.QueueDepth) + kvLoadWeight*c.KVUtilization
@@ -131,10 +112,10 @@ func (p *llPolicy) Pick(req *gateway.Request, candidates []Candidate) Candidate 
 			ties++
 		}
 	}
-	if ties > 1 && p.tie != nil {
+	if ties > 1 {
 		// Rotate among the tied minimum so idle replicas share warm-up
 		// traffic instead of piling onto the lowest index.
-		k := int(p.tie() % uint64(ties))
+		k := int((p.tie.Add(1) - 1) % uint64(ties))
 		for _, c := range candidates {
 			if p.score(c) == bestScore {
 				if k == 0 {

@@ -100,8 +100,6 @@ func TestLeastLoadedPolicy(t *testing.T) {
 
 func TestLeastLoadedTieRotation(t *testing.T) {
 	p := LeastLoaded()
-	var n uint64
-	p.(*llPolicy).bindCursor(func() uint64 { n++; return n - 1 })
 	cs := cands(
 		Candidate{Index: 0, ID: "r0"},
 		Candidate{Index: 1, ID: "r1"},
