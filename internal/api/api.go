@@ -53,9 +53,6 @@ func NewServer(gw Backend) *Server {
 	}
 }
 
-// Gateway returns the server's backend (for shutdown wiring).
-func (s *Server) Gateway() Backend { return s.gw }
-
 // route is one row of the route table: the methods it allows, its mux
 // pattern, its handler and its line in the /v1/ index.
 type route struct {

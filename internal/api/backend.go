@@ -9,7 +9,6 @@ package api
 
 import (
 	"context"
-	"log/slog"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -29,7 +28,6 @@ type Backend interface {
 	// Observability and control surfaces.
 	Registry() *metrics.Registry
 	Tracer() *trace.Tracer
-	Logger() *slog.Logger
 	Injector() *faults.Injector
 	// State is the operator state document GET /v1/debug/state serves;
 	// FlushCache empties the prefix cache (ok false when nothing caches).

@@ -43,8 +43,6 @@ type (
 	Result = metrics.Result
 	// GPU is a GPU platform description.
 	GPU = hw.GPU
-	// CPU is a CPU platform description.
-	CPU = hw.CPU
 )
 
 // ModelByName resolves a preset by its paper name (e.g. "LLaMA2-13B").

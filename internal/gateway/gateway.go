@@ -487,10 +487,6 @@ func (g *Gateway) Registry() *metrics.Registry { return g.cfg.Registry }
 // records at /v1/traces and starts a trace per HTTP request against it.
 func (g *Gateway) Tracer() *trace.Tracer { return g.tracer }
 
-// Logger exposes the gateway's structured logger so the layers above log
-// into the same stream.
-func (g *Gateway) Logger() *slog.Logger { return g.log }
-
 // Injector exposes the gateway's fault injector (nil when chaos is
 // disabled); the API layer serves it at /v1/admin/faults.
 func (g *Gateway) Injector() *faults.Injector { return g.inj }

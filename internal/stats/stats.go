@@ -47,11 +47,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// Speedup returns baseline/improved, the latency speedup convention.
-func Speedup(baseline, improved float64) float64 {
-	if improved == 0 {
-		return math.Inf(1)
-	}
-	return baseline / improved
-}

@@ -55,12 +55,3 @@ func TestMax(t *testing.T) {
 		t.Error("max wrong")
 	}
 }
-
-func TestSpeedup(t *testing.T) {
-	if Speedup(10, 2) != 5 {
-		t.Error("speedup wrong")
-	}
-	if !math.IsInf(Speedup(1, 0), 1) {
-		t.Error("speedup by zero must be +Inf")
-	}
-}

@@ -50,16 +50,6 @@ func (b Batch) OutputLen() int {
 	return m
 }
 
-// Fixed returns a homogeneous batch of n identical requests, the paper's
-// standard workload shape.
-func Fixed(n, inputLen, outputLen int) Batch {
-	reqs := make([]Request, n)
-	for i := range reqs {
-		reqs[i] = Request{ID: i, InputLen: inputLen, OutputLen: outputLen}
-	}
-	return Batch{Requests: reqs}
-}
-
 // LengthDist selects how request lengths are sampled around their means.
 type LengthDist int
 

@@ -5,13 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestFixedBatch(t *testing.T) {
-	b := Fixed(4, 128, 32)
-	if b.Size() != 4 || b.InputLen() != 128 || b.OutputLen() != 32 {
-		t.Errorf("fixed batch wrong: %+v", b)
-	}
-}
-
 func TestEmptyBatch(t *testing.T) {
 	var b Batch
 	if b.Size() != 0 || b.InputLen() != 0 || b.OutputLen() != 0 {
