@@ -100,14 +100,6 @@ func (p *Pool) SetEffectiveCapacity(n int) {
 	p.mu.Unlock()
 }
 
-// EffectiveBlocks returns the current usable-block cap (total when no
-// pressure is applied).
-func (p *Pool) EffectiveBlocks() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.limit
-}
-
 // availableLocked returns how many blocks may be allocated right now:
 // the free list, further capped by the effective-capacity limit.
 func (p *Pool) availableLocked() int {
@@ -188,13 +180,6 @@ func (s *Sequence) Append(n int) error {
 	}
 	s.tokens = needTokens
 	return nil
-}
-
-// Tokens returns the sequence's current length in tokens.
-func (s *Sequence) Tokens() int {
-	s.pool.mu.Lock()
-	defer s.pool.mu.Unlock()
-	return s.tokens
 }
 
 // Blocks returns the sequence's block table (not to be modified).

@@ -47,8 +47,8 @@ func TestAppendAllocatesBlocks(t *testing.T) {
 	if err := s.Append(10); err != nil { // 10 tokens → 1 block of 16
 		t.Fatal(err)
 	}
-	if len(s.Blocks()) != 1 || s.Tokens() != 10 || s.WastedSlots() != 6 {
-		t.Errorf("state: blocks=%d tokens=%d wasted=%d", len(s.Blocks()), s.Tokens(), s.WastedSlots())
+	if len(s.Blocks()) != 1 || s.tokens != 10 || s.WastedSlots() != 6 {
+		t.Errorf("state: blocks=%d tokens=%d wasted=%d", len(s.Blocks()), s.tokens, s.WastedSlots())
 	}
 	if err := s.Append(6); err != nil { // fills the block exactly
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestExhaustionAtomic(t *testing.T) {
 		t.Fatalf("expected ErrOutOfBlocks, got %v", err)
 	}
 	// Failed append must not leak state.
-	if s2.Tokens() != 0 || len(s2.Blocks()) != 0 {
+	if s2.tokens != 0 || len(s2.Blocks()) != 0 {
 		t.Error("failed append mutated sequence")
 	}
 	if err := s.Free(); err != nil {
@@ -125,7 +125,7 @@ func TestForkSharesBlocks(t *testing.T) {
 	if p.FreeBlocks() != 6 {
 		t.Errorf("fork must not allocate: free=%d", p.FreeBlocks())
 	}
-	if child.Tokens() != 32 {
+	if child.tokens != 32 {
 		t.Error("child must inherit length")
 	}
 	// Freeing the parent keeps shared blocks alive for the child.
@@ -363,8 +363,8 @@ func TestRetainAdoptRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adopted.Tokens() != 32 || len(adopted.Blocks()) != 2 {
-		t.Fatalf("adopted: tokens=%d blocks=%d", adopted.Tokens(), len(adopted.Blocks()))
+	if adopted.tokens != 32 || len(adopted.Blocks()) != 2 {
+		t.Fatalf("adopted: tokens=%d blocks=%d", adopted.tokens, len(adopted.Blocks()))
 	}
 	if err := adopted.Append(20); err != nil { // grows fresh blocks only
 		t.Fatal(err)

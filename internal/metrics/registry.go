@@ -82,16 +82,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Mean returns the mean observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Quantile estimates the p-quantile (0 ≤ p ≤ 1) by interpolating within
 // the bucket that holds the target rank. Samples beyond the last finite
 // bound report that bound. Returns 0 when the histogram is empty.

@@ -225,15 +225,6 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Sampled reports whether the trace was selected for retention at start
-// (errored and degraded traces are retained regardless).
-func (t *Trace) Sampled() bool {
-	if t == nil {
-		return false
-	}
-	return t.sampled
-}
-
 // SetLane records the gateway lane serving the request.
 func (t *Trace) SetLane(lane string) {
 	if t == nil {

@@ -29,7 +29,7 @@ func TestStrideSamplingIsExact(t *testing.T) {
 		const n = 100
 		var sampled int
 		for i := 0; i < n; i++ {
-			if tr.Start("req").Sampled() {
+			if tr.Start("req").sampled {
 				sampled++
 			}
 		}
@@ -138,7 +138,7 @@ func TestNilTraceAndTracerAreSafe(t *testing.T) {
 	tc.Add(SpanData{Name: PhaseQueue})
 	tc.Event("fault", time.Now(), nil)
 	tc.Finish()
-	if tc.ID() != "" || tc.Sampled() || tc.PhaseSeconds() != nil {
+	if tc.ID() != "" || tc.PhaseSeconds() != nil {
 		t.Error("nil trace leaked state")
 	}
 	if _, found := tr.Get("x"); found {
