@@ -403,7 +403,7 @@ func newInstruments(r *metrics.Registry) instruments {
 		quarantines:      r.Counter("gateway_lane_quarantines_total", "lanes quarantined after repeated crashes"),
 		watchdogTimeouts: r.Counter("gateway_watchdog_timeouts_total", "priced calls cancelled by the iteration watchdog"),
 		requeued:         r.Counter("gateway_requeued_total", "requests requeued after a watchdog cancellation"),
-		preempted:        r.Counter("gateway_preempted_total", "sequences preempted on KV exhaustion and requeued for recompute"),
+		preempted:        r.Counter("gateway_preempted_total", "KV preemptions requeued for recompute (govern_preemptions_total also counts those failed past the requeue budget)"),
 		degraded:         r.Counter("gateway_degraded_total", "requests completed in degraded mode (fallback cost model)"),
 		degradedIters:    r.Counter("gateway_degraded_iterations_total", "iterations priced by a fallback cost model"),
 		breakerOpened:    r.Counter("gateway_breaker_opened_total", "lane circuit breakers tripped closed to open"),
