@@ -79,7 +79,7 @@ type llPolicy struct{ tie atomic.Uint64 }
 const kvLoadWeight = 8
 
 // LeastLoaded routes to the replica with the smallest
-// queueDepth + kvLoadWeight·kvUtilization score, breaking ties
+// queueDepth + kvLoadWeight·KVUtilization score, breaking ties
 // round-robin. Shedding replicas are max-penalized instead of excluded so
 // a fully shedding cluster still routes (and returns honest 429s) rather
 // than failing closed.

@@ -2,8 +2,11 @@ package govern
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/kvpool"
@@ -476,5 +479,76 @@ func TestSharedRegistrySeriesAreSums(t *testing.T) {
 		if _, ok := got[name]; !ok {
 			t.Errorf("%s missing from /metrics", name)
 		}
+	}
+}
+
+// TestScrapeDuringTraffic scrapes the registry while leases reserve
+// through the cache, grow, preempt and release on several goroutines
+// (meaningful under -race: the read-through series read lane state and
+// the pool and tree stats concurrently with governance). Once traffic
+// stops, the scrape agrees with the snapshots.
+func TestScrapeDuringTraffic(t *testing.T) {
+	reg := metrics.NewRegistry()
+	g := New(Config{Specs: specFor(64, 16), EnableCache: true, Registry: reg})
+	stop := make(chan struct{})
+	scraped := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					scraped <- err
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				l, err := g.Admit("lane", "c", 48, 16)
+				if err != nil {
+					continue // shedding under the burst is an outcome, not a failure
+				}
+				segs := segsFor(fmt.Sprintf("g%d", i%5), 32, 16)
+				if _, err := l.ReserveWithPrefix(segs, 48, 48, 0); err == nil {
+					l.DonatePrefix(segs)
+					_ = l.Grow(8)
+					if i%7 == 0 {
+						l.Preempt()
+					}
+				}
+				l.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	st, cs := g.Snapshot().Lanes[0], g.CacheSnapshot()
+	for _, want := range []string{
+		fmt.Sprintf("govern_kv_allocs_total_lane %d\n", st.Allocations),
+		fmt.Sprintf("govern_preemptions_total %d\n", st.Preemptions),
+		fmt.Sprintf("govern_cache_hits_total %d\n", cs.Hits),
+		fmt.Sprintf("govern_cache_misses_total %d\n", cs.Misses),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("scrape after traffic lacks %q", want)
+		}
+	}
+	if cs.Hits+cs.Misses == 0 || st.Preemptions == 0 {
+		t.Fatalf("traffic produced no cache outcomes or preemptions: %+v %+v", cs, st)
 	}
 }
