@@ -76,13 +76,6 @@ func New(cfg model.Config, dt tensor.DType, blockSize int, budgetBytes int64) (*
 // TotalBlocks returns the pool capacity in blocks.
 func (p *Pool) TotalBlocks() int { return p.total }
 
-// FreeBlocks returns the currently unallocated block count.
-func (p *Pool) FreeBlocks() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.freeList)
-}
-
 // SetEffectiveCapacity caps the usable blocks at n, clamped to [0, total].
 // Blocks already allocated beyond the cap stay allocated; new allocations
 // fail with ErrOutOfBlocks until usage falls under the cap again. This is

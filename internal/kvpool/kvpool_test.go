@@ -62,8 +62,8 @@ func TestAppendAllocatesBlocks(t *testing.T) {
 	if len(s.Blocks()) != 2 {
 		t.Error("17th token must open block 2")
 	}
-	if p.FreeBlocks() != 2 {
-		t.Errorf("pool free = %d, want 2", p.FreeBlocks())
+	if p.Stats().FreeBlocks != 2 {
+		t.Errorf("pool free = %d, want 2", p.Stats().FreeBlocks)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestFreeAndDoubleFree(t *testing.T) {
 	if err := s.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeBlocks() != 4 {
+	if p.Stats().FreeBlocks != 4 {
 		t.Error("free must return all blocks")
 	}
 	if err := s.Free(); err == nil {
@@ -122,8 +122,8 @@ func TestForkSharesBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeBlocks() != 6 {
-		t.Errorf("fork must not allocate: free=%d", p.FreeBlocks())
+	if p.Stats().FreeBlocks != 6 {
+		t.Errorf("fork must not allocate: free=%d", p.Stats().FreeBlocks)
 	}
 	if child.tokens != 32 {
 		t.Error("child must inherit length")
@@ -132,13 +132,13 @@ func TestForkSharesBlocks(t *testing.T) {
 	if err := parent.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeBlocks() != 6 {
+	if p.Stats().FreeBlocks != 6 {
 		t.Error("shared blocks must survive parent free")
 	}
 	if err := child.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeBlocks() != 8 {
+	if p.Stats().FreeBlocks != 8 {
 		t.Error("all blocks must return after both free")
 	}
 }
@@ -218,7 +218,7 @@ func TestBlockAccountingProperty(t *testing.T) {
 				return false
 			}
 		}
-		return p.FreeBlocks() == p.TotalBlocks()
+		return p.Stats().FreeBlocks == p.TotalBlocks()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -287,8 +287,8 @@ func TestConcurrentForkCoW(t *testing.T) {
 	if err := root.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeBlocks() != p.TotalBlocks() {
-		t.Errorf("block accounting drifted: free=%d total=%d", p.FreeBlocks(), p.TotalBlocks())
+	if p.Stats().FreeBlocks != p.TotalBlocks() {
+		t.Errorf("block accounting drifted: free=%d total=%d", p.Stats().FreeBlocks, p.TotalBlocks())
 	}
 }
 
@@ -328,14 +328,14 @@ func TestForkPreemptBeforeDecode(t *testing.T) {
 			t.Fatalf("block %d ref %d after child preempt, want 1", id, got)
 		}
 	}
-	if p.FreeBlocks() != 5 {
-		t.Fatalf("free=%d after child preempt, want 5", p.FreeBlocks())
+	if p.Stats().FreeBlocks != 5 {
+		t.Fatalf("free=%d after child preempt, want 5", p.Stats().FreeBlocks)
 	}
 	if err := parent.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeBlocks() != 8 {
-		t.Fatalf("free=%d after both frees, want 8 (refcount leak)", p.FreeBlocks())
+	if p.Stats().FreeBlocks != 8 {
+		t.Fatalf("free=%d after both frees, want 8 (refcount leak)", p.Stats().FreeBlocks)
 	}
 }
 
@@ -384,8 +384,8 @@ func TestRetainAdoptRelease(t *testing.T) {
 	if err := adopted.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeBlocks() != 8 {
-		t.Fatalf("free=%d at end, want 8", p.FreeBlocks())
+	if p.Stats().FreeBlocks != 8 {
+		t.Fatalf("free=%d at end, want 8", p.Stats().FreeBlocks)
 	}
 	// A partial last block must be rejected — adopting it would let the
 	// child write into shared storage without CoW.

@@ -92,7 +92,7 @@ func TestInsertLookupEvict(t *testing.T) {
 	if err := donor.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if free := p.FreeBlocks(); free != 12 {
+	if free := p.Stats().FreeBlocks; free != 12 {
 		t.Fatalf("free=%d with tree retaining 4, want 12", free)
 	}
 
@@ -127,8 +127,8 @@ func TestInsertLookupEvict(t *testing.T) {
 	if err := adopted.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeBlocks() != 16 {
-		t.Fatalf("free=%d at end, want 16 (leak)", p.FreeBlocks())
+	if p.Stats().FreeBlocks != 16 {
+		t.Fatalf("free=%d at end, want 16 (leak)", p.Stats().FreeBlocks)
 	}
 
 	if st := tree.Stats(); st.Evictions != 4 || st.Insertions != 4 {
@@ -171,8 +171,8 @@ func TestLRUOrderAndFlush(t *testing.T) {
 	if n := tree.Flush(); n != tree.Stats().Nodes+n-tree.RetainedBlocks() && tree.RetainedBlocks() != 0 {
 		t.Errorf("flush left %d retained", tree.RetainedBlocks())
 	}
-	if p.FreeBlocks() != 16 {
-		t.Fatalf("free=%d after flush, want 16", p.FreeBlocks())
+	if p.Stats().FreeBlocks != 16 {
+		t.Fatalf("free=%d after flush, want 16", p.Stats().FreeBlocks)
 	}
 }
 
@@ -277,8 +277,8 @@ func TestCacheAccountingProperty(t *testing.T) {
 			}
 		}
 		tree.Flush()
-		if p.FreeBlocks() != blocks {
-			t.Logf("seed=%d: %d free at drain, want %d", seed, p.FreeBlocks(), blocks)
+		if p.Stats().FreeBlocks != blocks {
+			t.Logf("seed=%d: %d free at drain, want %d", seed, p.Stats().FreeBlocks, blocks)
 			return false
 		}
 		return true

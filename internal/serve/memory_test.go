@@ -43,7 +43,7 @@ func TestMemoryAwareServesEverything(t *testing.T) {
 	if len(cs) != 20 {
 		t.Fatalf("served %d of 20", len(cs))
 	}
-	if s.Pool.FreeBlocks() != s.Pool.TotalBlocks() {
+	if s.Pool.Stats().FreeBlocks != s.Pool.TotalBlocks() {
 		t.Error("all blocks must return to the pool")
 	}
 }

@@ -39,7 +39,7 @@ func TestOptimisticServesEverything(t *testing.T) {
 			t.Fatalf("negative metrics: %+v", c)
 		}
 	}
-	if s.Pool.FreeBlocks() != s.Pool.TotalBlocks() {
+	if s.Pool.Stats().FreeBlocks != s.Pool.TotalBlocks() {
 		t.Error("blocks leaked")
 	}
 }
@@ -133,9 +133,9 @@ func TestOptimisticCompletionProperty(t *testing.T) {
 			}
 			seen[c.Request.ID] = true
 		}
-		if s.Pool.FreeBlocks() != s.Pool.TotalBlocks() {
+		if s.Pool.Stats().FreeBlocks != s.Pool.TotalBlocks() {
 			t.Logf("seed %d: leaked blocks (%d free of %d)", seed,
-				s.Pool.FreeBlocks(), s.Pool.TotalBlocks())
+				s.Pool.Stats().FreeBlocks, s.Pool.TotalBlocks())
 			return false
 		}
 		return true

@@ -31,7 +31,6 @@ var keptTestOnly = map[string]string{
 
 	// Invariant probes: tests read internal state through them.
 	"kvpool.Pool.BlockRef":                "reference count of one block, for sharing and conservation checks",
-	"kvpool.Pool.FreeBlocks":              "free-block count, for conservation checks in kvpool, prefixcache and serve",
 	"govern.Lease.Held":                   "blocks a lease holds, for KV conservation checks",
 	"engine.PagedKVCache.AllocatedBlocks": "page accounting: lazy allocation, truncation and fork ownership",
 	"engine.PagedKVCache.SharedBlocks":    "fork sharing checked before and after divergence",
