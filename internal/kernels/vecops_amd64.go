@@ -31,6 +31,37 @@ func accumRows32(out, w, rows *float32, strideBytes, n int)
 //go:noescape
 func accumRows8(out, w, rows *float32, strideBytes, n int)
 
+// The head block's routines (attn.go). transposeKeys8 writes eight key
+// rows strideBytes apart, cols a positive multiple of eight, into kt as
+// cols columns of eight, colBytes apart. scoreRowsVec scores `rows` ≥ 1
+// query rows against the transposed group (cols ≥ 1), storing the first
+// `lanes` scores of each. accumRowsBlock8 adds eight rows' weighted sums
+// over n ≥ 1 value rows, then row i's next min(i, tri) ones, to cols8
+// blocks of eight columns. scoreRows16 and accumRowsBlock16 are the
+// AVX-512 forms, over groups of sixteen keys and blocks of sixteen
+// columns.
+//
+//go:noescape
+func transposeKeys8(kt, keys *float32, strideBytes, cols, colBytes int)
+
+//go:noescape
+func scoreRows16(kt *float32, cols int, q *float32, qStrideBytes, rows int, scale float32, s *float32, sStrideBytes, lanes int)
+
+//go:noescape
+func accumRowsBlock16(out *float32, outStrideBytes int, w *float32, wStrideBytes int, vals *float32, valStrideBytes, n, tri, cols16 int)
+
+//go:noescape
+func scoreRowsVec(kt *float32, cols int, q *float32, qStrideBytes, rows int, scale float32, s *float32, sStrideBytes, lanes int)
+
+// softmaxRows16 is softmaxVec over `groups` groups of four rows
+// strideBytes apart, row r n0+r ≥ 1 elements long, on AVX-512.
+//
+//go:noescape
+func softmaxRows16(x *float32, strideBytes, groups, n0 int)
+
+//go:noescape
+func accumRowsBlock8(out *float32, outStrideBytes int, w *float32, wStrideBytes int, vals *float32, valStrideBytes, n, tri, cols8 int)
+
 // The row ops (rowops.go). softmaxVec, layerNormVec and rmsNormVec take a
 // whole row, n ≥ 1, its tail through a mask; siluVec and exp32Vec take a
 // positive multiple of eight. exp32Vec is the vector Exp32 alone, which

@@ -709,3 +709,830 @@ rnormtail:
 rdone:
 	VZEROUPPER
 	RET
+
+// The head block's routines (attn.go). Scores keep the keys in the lanes
+// as dotRowsVec does, with the transpose done once per group instead of
+// once per query row; weighted sums keep head-dim columns in the lanes as
+// accumRows8 does, for eight output rows per value-row load.
+
+// func transposeKeys8(kt, keys *float32, strideBytes, cols, colBytes int)
+TEXT ·transposeKeys8(SB), NOSPLIT, $0-40
+	MOVQ kt+0(FP), DI
+	MOVQ keys+8(FP), AX
+	MOVQ strideBytes+16(FP), R8
+	MOVQ cols+24(FP), CX
+	MOVQ colBytes+32(FP), R13
+	SHRQ $3, CX
+	LEAQ (R8)(R8*2), R10   // 3·stride
+	LEAQ (R8)(R8*4), R11   // 5·stride
+	LEAQ (R10)(R8*4), R12  // 7·stride
+	LEAQ (R13)(R13*2), R9  // 3·colBytes
+	LEAQ (R13)(R13*4), DX  // 5·colBytes
+	LEAQ (R9)(R13*4), BX   // 7·colBytes
+
+tblock:
+	LOAD4X8(0, Y0, Y1, Y2, Y3, X0, X1, X2, X3)
+	LOAD4X8(16, Y4, Y5, Y6, Y7, X4, X5, X6, X7)
+	TRANSPOSE4(Y0, Y1, Y2, Y3)
+	TRANSPOSE4(Y4, Y5, Y6, Y7)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(R13*1)
+	VMOVUPS Y2, (DI)(R13*2)
+	VMOVUPS Y3, (DI)(R9*1)
+	VMOVUPS Y4, (DI)(R13*4)
+	VMOVUPS Y5, (DI)(DX*1)
+	VMOVUPS Y6, (DI)(R9*2)
+	VMOVUPS Y7, (DI)(BX*1)
+	ADDQ    $32, AX
+	LEAQ    (DI)(R13*8), DI
+	DECQ    CX
+	JNZ     tblock
+	VZEROUPPER
+	RET
+
+// SCORESTEP adds q_r[j]·(the group's column j, in Y15) to acc, the query
+// value at mem.
+#define SCORESTEP(mem, acc, tmp) \
+	VBROADCASTSS mem, tmp       \
+	VMULPS       Y15, tmp, tmp  \
+	VADDPS       tmp, acc, acc
+
+// SCORESTORE scales acc and stores its lanes under the mask in Y14 at
+// (BX), then steps BX to the next score row.
+#define SCORESTORE(acc) \
+	VMULPS     Y13, acc, acc  \
+	VMASKMOVPS acc, Y14, (BX) \
+	ADDQ       R9, BX
+
+// func scoreRowsVec(kt *float32, cols int, q *float32, qStrideBytes, rows int, scale float32, s *float32, sStrideBytes, lanes int)
+// Eight query rows at a time, one accumulator each, so eight independent
+// chains share every column load; each lane is the scalar dot product's
+// ascending-j sum, then times scale. When the rows do not come in eights
+// the last block is moved back to overlap the one before (recomputing
+// the same bits); fewer than eight rows in all go one at a time.
+TEXT ·scoreRowsVec(SB), NOSPLIT, $0-72
+	MOVQ         cols+8(FP), DX
+	MOVQ         q+16(FP), R13
+	MOVQ         qStrideBytes+24(FP), R8
+	MOVQ         rows+32(FP), AX
+	VBROADCASTSS scale+40(FP), Y13
+	MOVQ         s+48(FP), DI
+	MOVQ         sStrideBytes+56(FP), R9
+	MOVQ         lanes+64(FP), CX
+	SHLQ         $2, CX
+	LEAQ         tailmask<>+32(SB), BX
+	SUBQ         CX, BX
+	VMOVDQU      (BX), Y14        // the first `lanes` lanes
+	LEAQ         (R8)(R8*2), R10  // 3·qStride
+	LEAQ         (R8)(R8*4), R11  // 5·qStride
+	LEAQ         (R10)(R8*4), R12 // 7·qStride
+	CMPQ         AX, $8
+	JLT          srow
+
+sblock:
+	MOVQ   kt+0(FP), SI
+	MOVQ   R13, BX
+	MOVQ   DX, CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+scol:
+	VMOVUPS (SI), Y15
+	SCORESTEP((BX), Y0, Y8)
+	SCORESTEP((BX)(R8*1), Y1, Y9)
+	SCORESTEP((BX)(R8*2), Y2, Y10)
+	SCORESTEP((BX)(R10*1), Y3, Y11)
+	SCORESTEP((BX)(R8*4), Y4, Y12)
+	SCORESTEP((BX)(R11*1), Y5, Y8)
+	SCORESTEP((BX)(R10*2), Y6, Y9)
+	SCORESTEP((BX)(R12*1), Y7, Y10)
+	ADDQ $32, SI
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  scol
+
+	MOVQ DI, BX
+	SCORESTORE(Y0)
+	SCORESTORE(Y1)
+	SCORESTORE(Y2)
+	SCORESTORE(Y3)
+	SCORESTORE(Y4)
+	SCORESTORE(Y5)
+	SCORESTORE(Y6)
+	SCORESTORE(Y7)
+	LEAQ (R13)(R8*8), R13
+	LEAQ (DI)(R9*8), DI
+	SUBQ $8, AX
+	CMPQ AX, $8
+	JGE  sblock
+	TESTQ AX, AX
+	JZ   sdone8
+
+	// 1-7 rows left after at least eight: back up to the last eight.
+	MOVQ  $8, CX
+	SUBQ  AX, CX
+	MOVQ  CX, BX
+	IMULQ R8, BX
+	SUBQ  BX, R13
+	IMULQ R9, CX
+	SUBQ  CX, DI
+	MOVQ  $8, AX
+	JMP   sblock
+
+srow:
+	MOVQ   kt+0(FP), SI
+	MOVQ   R13, BX
+	MOVQ   DX, CX
+	VXORPS Y0, Y0, Y0
+
+srowcol:
+	VBROADCASTSS (BX), Y8
+	VMULPS       (SI), Y8, Y8
+	VADDPS       Y8, Y0, Y0
+	ADDQ         $32, SI
+	ADDQ         $4, BX
+	DECQ         CX
+	JNZ          srowcol
+	VMULPS       Y13, Y0, Y0
+	VMASKMOVPS   Y0, Y14, (DI)
+	ADDQ         R8, R13
+	ADDQ         R9, DI
+	DECQ         AX
+	JNZ          srow
+
+sdone8:
+	VZEROUPPER
+	RET
+
+// WSTEP adds w_r[k] (at mem) times the value row's eight columns (in Y8)
+// to acc.
+#define WSTEP(mem, acc, tmp) \
+	VBROADCASTSS mem, tmp      \
+	VMULPS       Y8, tmp, tmp  \
+	VADDPS       tmp, acc, acc
+
+// WROWS loads or stores the eight output rows' accumulators Y0-Y7 at DI,
+// `stride` apart, through AX.
+#define WROWS(OP, stride) \
+	MOVQ DI, AX                       \
+	OP(Y0, (AX))                     \
+	ADDQ stride, AX                   \
+	OP(Y1, (AX))                     \
+	ADDQ stride, AX                   \
+	OP(Y2, (AX))                     \
+	ADDQ stride, AX                   \
+	OP(Y3, (AX))                     \
+	ADDQ stride, AX                   \
+	OP(Y4, (AX))                     \
+	ADDQ stride, AX                   \
+	OP(Y5, (AX))                     \
+	ADDQ stride, AX                   \
+	OP(Y6, (AX))                     \
+	ADDQ stride, AX                   \
+	OP(Y7, (AX))
+
+#define LOADROW(y, mem) VMOVUPS mem, y
+#define STOREROW(y, mem) VMOVUPS y, mem
+
+// func accumRowsBlock8(out *float32, outStrideBytes int, w *float32, wStrideBytes int, vals *float32, valStrideBytes, n, tri, cols8 int)
+// Per block of eight columns: the eight output rows in Y0-Y7, then for
+// each of the n value rows every output row adds its weight times it; then
+// the causal triangle, value row n+e going to rows e+1..7 for e < tri.
+// Every element is accumRows8's ascending-k chain.
+TEXT ·accumRowsBlock8(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ wStrideBytes+24(FP), R8
+	MOVQ valStrideBytes+40(FP), R9
+	MOVQ n+48(FP), DX
+	MOVQ tri+56(FP), R13
+	LEAQ (R8)(R8*2), R10  // 3·wStride
+	LEAQ (R8)(R8*4), R11  // 5·wStride
+	LEAQ (R10)(R8*4), R12 // 7·wStride
+
+wblock:
+	WROWS(LOADROW, outStrideBytes+8(FP))
+	MOVQ DI, SI           // this column block of the value rows
+	SUBQ out+0(FP), SI
+	ADDQ vals+32(FP), SI
+	MOVQ w+16(FP), BX
+	MOVQ DX, CX
+
+wkey:
+	VMOVUPS (SI), Y8
+	WSTEP((BX), Y0, Y9)
+	WSTEP((BX)(R8*1), Y1, Y10)
+	WSTEP((BX)(R8*2), Y2, Y11)
+	WSTEP((BX)(R10*1), Y3, Y12)
+	WSTEP((BX)(R8*4), Y4, Y13)
+	WSTEP((BX)(R11*1), Y5, Y14)
+	WSTEP((BX)(R10*2), Y6, Y15)
+	WSTEP((BX)(R12*1), Y7, Y9)
+	ADDQ $4, BX
+	ADDQ R9, SI
+	DECQ CX
+	JNZ  wkey
+
+	CMPQ R13, $0
+	JEQ  wstore
+	VMOVUPS (SI), Y8
+	WSTEP((BX)(R8*1), Y1, Y10)
+	WSTEP((BX)(R8*2), Y2, Y11)
+	WSTEP((BX)(R10*1), Y3, Y12)
+	WSTEP((BX)(R8*4), Y4, Y13)
+	WSTEP((BX)(R11*1), Y5, Y14)
+	WSTEP((BX)(R10*2), Y6, Y15)
+	WSTEP((BX)(R12*1), Y7, Y9)
+	CMPQ R13, $1
+	JEQ  wstore
+	ADDQ $4, BX
+	ADDQ R9, SI
+	VMOVUPS (SI), Y8
+	WSTEP((BX)(R8*2), Y2, Y11)
+	WSTEP((BX)(R10*1), Y3, Y12)
+	WSTEP((BX)(R8*4), Y4, Y13)
+	WSTEP((BX)(R11*1), Y5, Y14)
+	WSTEP((BX)(R10*2), Y6, Y15)
+	WSTEP((BX)(R12*1), Y7, Y9)
+	CMPQ R13, $2
+	JEQ  wstore
+	ADDQ $4, BX
+	ADDQ R9, SI
+	VMOVUPS (SI), Y8
+	WSTEP((BX)(R10*1), Y3, Y12)
+	WSTEP((BX)(R8*4), Y4, Y13)
+	WSTEP((BX)(R11*1), Y5, Y14)
+	WSTEP((BX)(R10*2), Y6, Y15)
+	WSTEP((BX)(R12*1), Y7, Y9)
+	CMPQ R13, $3
+	JEQ  wstore
+	ADDQ $4, BX
+	ADDQ R9, SI
+	VMOVUPS (SI), Y8
+	WSTEP((BX)(R8*4), Y4, Y13)
+	WSTEP((BX)(R11*1), Y5, Y14)
+	WSTEP((BX)(R10*2), Y6, Y15)
+	WSTEP((BX)(R12*1), Y7, Y9)
+	CMPQ R13, $4
+	JEQ  wstore
+	ADDQ $4, BX
+	ADDQ R9, SI
+	VMOVUPS (SI), Y8
+	WSTEP((BX)(R11*1), Y5, Y14)
+	WSTEP((BX)(R10*2), Y6, Y15)
+	WSTEP((BX)(R12*1), Y7, Y9)
+	CMPQ R13, $5
+	JEQ  wstore
+	ADDQ $4, BX
+	ADDQ R9, SI
+	VMOVUPS (SI), Y8
+	WSTEP((BX)(R10*2), Y6, Y15)
+	WSTEP((BX)(R12*1), Y7, Y9)
+	CMPQ R13, $6
+	JEQ  wstore
+	ADDQ $4, BX
+	ADDQ R9, SI
+	VMOVUPS (SI), Y8
+	WSTEP((BX)(R12*1), Y7, Y9)
+
+wstore:
+	WROWS(STOREROW, outStrideBytes+8(FP))
+	ADDQ $32, DI
+	MOVQ DI, AX
+	SUBQ out+0(FP), AX
+	MOVQ cols8+64(FP), CX
+	SHLQ $5, CX
+	CMPQ AX, CX
+	JLT  wblock
+	VZEROUPPER
+	RET
+
+// EXP16 is EXP8 on a ZMM register: the same rounded steps with the
+// constants as embedded broadcasts, the special lanes blended under K6.
+#define EXP16(in, out, t1, t2) \
+	VMULPS.BCST  expc<>+0(SB), in, t1   \
+	VRNDSCALEPS  $0, t1, t1             \
+	VMULPS.BCST  expc<>+4(SB), t1, t2   \
+	VSUBPS       t2, in, out            \
+	VMULPS.BCST  expc<>+8(SB), t1, t2   \
+	VSUBPS       t2, out, out           \
+	VCVTPS2DQ    t1, t1                 \
+	VPSLLD       $23, t1, t1            \
+	VMULPS.BCST  expc<>+12(SB), out, t2 \
+	VADDPS.BCST  expc<>+16(SB), t2, t2  \
+	VMULPS       out, t2, t2            \
+	VADDPS.BCST  expc<>+20(SB), t2, t2  \
+	VMULPS       out, t2, t2            \
+	VADDPS.BCST  expc<>+24(SB), t2, t2  \
+	VMULPS       out, t2, t2            \
+	VADDPS.BCST  expc<>+28(SB), t2, t2  \
+	VMULPS       out, t2, t2            \
+	VADDPS.BCST  expc<>+32(SB), t2, t2  \
+	VMULPS       out, t2, t2            \
+	VADDPS.BCST  expc<>+32(SB), t2, t2  \
+	VPADDD       t1, t2, out            \
+	VCMPPS.BCST  $0x1e, expc<>+36(SB), in, K6 \
+	VBROADCASTSS expc<>+44(SB), K6, out \
+	VCMPPS.BCST  $0x11, expc<>+40(SB), in, K6 \
+	VPXORD       out, out, K6, out      \
+	VCMPPS       $3, in, in, K6         \
+	VMOVAPS      in, K6, out
+
+// TAILMASKS sets K1 to the first min(r, 16) lanes and K2 to the first
+// r − min(r, 16), for r = (BX mod 16) + i: row i's elements past the
+// group's common 16-element blocks. Uses AX, CX, DX and R11.
+#define TAILMASKS(i) \
+	MOVQ    BX, AX       \
+	ANDQ    $15, AX      \
+	ADDQ    $i, AX       \
+	MOVQ    AX, CX       \
+	MOVQ    $16, R11     \
+	CMPQ    CX, R11      \
+	CMOVQGT R11, CX      \
+	SUBQ    CX, AX       \
+	MOVL    $1, DX       \
+	SHLL    CX, DX       \
+	DECL    DX           \
+	KMOVW   DX, K1       \
+	MOVQ    AX, CX       \
+	MOVL    $1, DX       \
+	SHLL    CX, DX       \
+	DECL    DX           \
+	KMOVW   DX, K2
+
+// ROWMAX folds the sixteen lanes of zmax to their maximum, broadcast back;
+// xmax and ymax are its narrower forms, X8/Y8 scratch.
+#define ROWMAX(zmax, ymax, xmax) \
+	VEXTRACTF64X4 $1, zmax, Y8   \
+	VMAXPS        Y8, ymax, ymax \
+	VEXTRACTF128  $1, ymax, X8   \
+	VMAXPS        X8, xmax, xmax \
+	VPERMILPS     $0x4e, xmax, X8 \
+	VMAXPS        X8, xmax, xmax \
+	VPERMILPS     $0xb1, xmax, X8 \
+	VMAXPS        X8, xmax, xmax \
+	VBROADCASTSS  xmax, zmax
+
+// ROWINV sets zinv to 1/(the sixteen lane sums of zacc folded as FOLD16
+// folds them), broadcast; yacc, xacc, xinv are narrower forms, X8/Y8
+// scratch.
+#define ROWINV(zacc, yacc, xacc, zinv, xinv) \
+	VEXTRACTF64X4 $1, zacc, Y8   \
+	VADDPS        Y8, yacc, yacc \
+	VEXTRACTF128  $1, yacc, X8   \
+	VADDPS        X8, xacc, xacc \
+	VMOVHLPS      xacc, xacc, X8 \
+	VADDPS        X8, xacc, xacc \
+	VMOVSHDUP     xacc, X8       \
+	VADDSS        X8, xacc, xacc \
+	RECIP(xacc, xinv)            \
+	VBROADCASTSS  xinv, zinv
+
+// SMEXP sets zout to e = Exp32(x − max) over the sixteen elements at mem
+// (zmax holds max) and adds it to zacc, all under mask k (K7: every lane).
+#define SMEXP(mem, k, zmax, zacc, zin, zout, t1, t2) \
+	VMOVUPS.Z mem, k, zin          \
+	VSUBPS    zmax, zin, zin       \
+	EXP16(zin, zout, t1, t2)       \
+	VADDPS    zout, zacc, k, zacc
+
+// SMSCALE stores ze·zinv to the sixteen elements at mem under mask k.
+#define SMSCALE(ze, k, zinv, mem) \
+	VMULPS  ze, zinv, ze \
+	VMOVUPS ze, k, mem
+
+// func softmaxRows16(x *float32, strideBytes, groups, n0 int)
+// Softmax over `groups` groups of four rows, strideBytes apart, row r
+// n0+r elements long, one ZMM per sixteen elements: the 16-lane rule in
+// one register, so each row gets softmaxVec's bits. A group's four rows go
+// through each phase together — maximum, exponentials and sums, scaling —
+// so their exponential chains overlap. The rows' common 16-element blocks
+// run unmasked; each row's last one or two blocks run under TAILMASKS,
+// a second one only where the row has one.
+TEXT ·softmaxRows16(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), DI
+	MOVQ strideBytes+8(FP), R8
+	MOVQ groups+16(FP), R9
+	MOVQ n0+24(FP), BX
+	LEAQ (R8)(R8*2), R10 // 3·stride
+	KXNORW K0, K0, K7    // every lane
+
+sgroup:
+	MOVQ BX, R12
+	SHRQ $4, R12         // blocks every row of the group fills
+
+	// Maximum, its lanes starting at the row's first element.
+	VBROADCASTSS (DI), Z0
+	VBROADCASTSS (DI)(R8*1), Z1
+	VBROADCASTSS (DI)(R8*2), Z2
+	VBROADCASTSS (DI)(R10*1), Z3
+	MOVQ         DI, SI
+	MOVQ         R12, CX
+	TESTQ        CX, CX
+	JZ           smtail
+
+smfull:
+	VMAXPS (SI), Z0, Z0
+	VMAXPS (SI)(R8*1), Z1, Z1
+	VMAXPS (SI)(R8*2), Z2, Z2
+	VMAXPS (SI)(R10*1), Z3, Z3
+	ADDQ   $64, SI
+	DECQ   CX
+	JNZ    smfull
+
+smtail:
+	TAILMASKS(0)
+	VMAXPS (SI), Z0, K1, Z0
+	TAILMASKS(1)
+	VMAXPS   (SI)(R8*1), Z1, K1, Z1
+	KORTESTW K2, K2
+	JZ       smtail2
+	VMAXPS   64(SI)(R8*1), Z1, K2, Z1
+
+smtail2:
+	TAILMASKS(2)
+	VMAXPS   (SI)(R8*2), Z2, K1, Z2
+	KORTESTW K2, K2
+	JZ       smtail3
+	VMAXPS   64(SI)(R8*2), Z2, K2, Z2
+
+smtail3:
+	TAILMASKS(3)
+	VMAXPS   (SI)(R10*1), Z3, K1, Z3
+	KORTESTW K2, K2
+	JZ       smfold
+	VMAXPS   64(SI)(R10*1), Z3, K2, Z3
+
+smfold:
+	ROWMAX(Z0, Y0, X0)
+	ROWMAX(Z1, Y1, X1)
+	ROWMAX(Z2, Y2, X2)
+	ROWMAX(Z3, Y3, X3)
+
+	// Exponentials, stored and summed.
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ   DI, SI
+	MOVQ   R12, CX
+	TESTQ  CX, CX
+	JZ     setail
+
+sefull:
+	SMEXP((SI), K7, Z0, Z4, Z10, Z11, Z12, Z13)
+	VMOVUPS Z11, (SI)
+	SMEXP((SI)(R8*1), K7, Z1, Z5, Z14, Z15, Z16, Z17)
+	VMOVUPS Z15, (SI)(R8*1)
+	SMEXP((SI)(R8*2), K7, Z2, Z6, Z18, Z19, Z20, Z21)
+	VMOVUPS Z19, (SI)(R8*2)
+	SMEXP((SI)(R10*1), K7, Z3, Z7, Z22, Z23, Z24, Z25)
+	VMOVUPS Z23, (SI)(R10*1)
+	ADDQ    $64, SI
+	DECQ    CX
+	JNZ     sefull
+
+	// The last blocks' exponentials stay in registers until scaled: a
+	// masked store does not forward to the load that would read them back.
+setail:
+	TAILMASKS(0)
+	SMEXP((SI), K1, Z0, Z4, Z10, Z11, Z12, Z13)
+	TAILMASKS(1)
+	SMEXP((SI)(R8*1), K1, Z1, Z5, Z14, Z15, Z16, Z17)
+	KORTESTW K2, K2
+	JZ       setail2
+	SMEXP(64(SI)(R8*1), K2, Z1, Z5, Z26, Z27, Z16, Z17)
+
+setail2:
+	TAILMASKS(2)
+	SMEXP((SI)(R8*2), K1, Z2, Z6, Z18, Z19, Z20, Z21)
+	KORTESTW K2, K2
+	JZ       setail3
+	SMEXP(64(SI)(R8*2), K2, Z2, Z6, Z28, Z29, Z20, Z21)
+
+setail3:
+	TAILMASKS(3)
+	SMEXP((SI)(R10*1), K1, Z3, Z7, Z22, Z23, Z24, Z25)
+	KORTESTW K2, K2
+	JZ       sesum
+	SMEXP(64(SI)(R10*1), K2, Z3, Z7, Z30, Z31, Z24, Z25)
+
+sesum:
+	ROWINV(Z4, Y4, X4, Z0, X0)
+	ROWINV(Z5, Y5, X5, Z1, X1)
+	ROWINV(Z6, Y6, X6, Z2, X2)
+	ROWINV(Z7, Y7, X7, Z3, X3)
+
+	// Scaling: the tail blocks from their registers, first (SI still
+	// points at them), then the common blocks from memory.
+	TAILMASKS(0)
+	SMSCALE(Z11, K1, Z0, (SI))
+	TAILMASKS(1)
+	SMSCALE(Z15, K1, Z1, (SI)(R8*1))
+	KORTESTW K2, K2
+	JZ       sstail2
+	SMSCALE(Z27, K2, Z1, 64(SI)(R8*1))
+
+sstail2:
+	TAILMASKS(2)
+	SMSCALE(Z19, K1, Z2, (SI)(R8*2))
+	KORTESTW K2, K2
+	JZ       sstail3
+	SMSCALE(Z29, K2, Z2, 64(SI)(R8*2))
+
+sstail3:
+	TAILMASKS(3)
+	SMSCALE(Z23, K1, Z3, (SI)(R10*1))
+	KORTESTW K2, K2
+	JZ       ssbody
+	SMSCALE(Z31, K2, Z3, 64(SI)(R10*1))
+
+ssbody:
+	MOVQ  DI, SI
+	MOVQ  R12, CX
+	TESTQ CX, CX
+	JZ    sgnext
+
+ssfull:
+	VMOVUPS (SI), Z10
+	SMSCALE(Z10, K7, Z0, (SI))
+	VMOVUPS (SI)(R8*1), Z11
+	SMSCALE(Z11, K7, Z1, (SI)(R8*1))
+	VMOVUPS (SI)(R8*2), Z12
+	SMSCALE(Z12, K7, Z2, (SI)(R8*2))
+	VMOVUPS (SI)(R10*1), Z13
+	SMSCALE(Z13, K7, Z3, (SI)(R10*1))
+	ADDQ    $64, SI
+	DECQ    CX
+	JNZ     ssfull
+
+sgnext:
+	LEAQ (DI)(R8*4), DI
+	ADDQ $4, BX
+	DECQ R9
+	JNZ  sgroup
+	VZEROUPPER
+	RET
+
+// The head block's AVX-512 forms: sixteen keys, or sixteen head-dim
+// columns, per ZMM register, the query or weight an embedded broadcast
+// operand; every lane runs the same rounded multiply then add as the AVX2
+// forms' lanes.
+
+// SCORESTEP16 adds q_r[j] (at mem) times the group's column j (in Z31) to
+// acc.
+#define SCORESTEP16(mem, acc, tmp) \
+	VMULPS.BCST mem, Z31, tmp \
+	VADDPS      tmp, acc, acc
+
+// SCORESTORE16 scales acc and stores its lanes under K1 at (BX), then
+// steps BX to the next score row.
+#define SCORESTORE16(acc) \
+	VMULPS  Z30, acc, acc \
+	VMOVUPS acc, K1, (BX) \
+	ADDQ    R9, BX
+
+// func scoreRows16(kt *float32, cols int, q *float32, qStrideBytes, rows int, scale float32, s *float32, sStrideBytes, lanes int)
+// scoreRowsVec for a group of sixteen keys, kt[16j+i] = key_i[j].
+TEXT ·scoreRows16(SB), NOSPLIT, $0-72
+	MOVQ         cols+8(FP), DX
+	MOVQ         q+16(FP), R13
+	MOVQ         qStrideBytes+24(FP), R8
+	MOVQ         rows+32(FP), AX
+	VBROADCASTSS scale+40(FP), Z30
+	MOVQ         s+48(FP), DI
+	MOVQ         sStrideBytes+56(FP), R9
+	MOVQ         lanes+64(FP), CX
+	MOVL         $1, BX
+	SHLL         CX, BX
+	DECL         BX
+	KMOVW        BX, K1            // the first `lanes` lanes
+	LEAQ         (R8)(R8*2), R10  // 3·qStride
+	LEAQ         (R8)(R8*4), R11  // 5·qStride
+	LEAQ         (R10)(R8*4), R12 // 7·qStride
+	CMPQ         AX, $8
+	JLT          s16row
+
+s16block:
+	MOVQ   kt+0(FP), SI
+	MOVQ   R13, BX
+	MOVQ   DX, CX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+s16col:
+	VMOVUPS (SI), Z31
+	SCORESTEP16((BX), Z0, Z8)
+	SCORESTEP16((BX)(R8*1), Z1, Z9)
+	SCORESTEP16((BX)(R8*2), Z2, Z10)
+	SCORESTEP16((BX)(R10*1), Z3, Z11)
+	SCORESTEP16((BX)(R8*4), Z4, Z12)
+	SCORESTEP16((BX)(R11*1), Z5, Z13)
+	SCORESTEP16((BX)(R10*2), Z6, Z14)
+	SCORESTEP16((BX)(R12*1), Z7, Z15)
+	ADDQ $64, SI
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  s16col
+
+	MOVQ DI, BX
+	SCORESTORE16(Z0)
+	SCORESTORE16(Z1)
+	SCORESTORE16(Z2)
+	SCORESTORE16(Z3)
+	SCORESTORE16(Z4)
+	SCORESTORE16(Z5)
+	SCORESTORE16(Z6)
+	SCORESTORE16(Z7)
+	LEAQ  (R13)(R8*8), R13
+	LEAQ  (DI)(R9*8), DI
+	SUBQ  $8, AX
+	CMPQ  AX, $8
+	JGE   s16block
+	TESTQ AX, AX
+	JZ    s16done
+
+	// 1-7 rows left after at least eight: back up to the last eight.
+	MOVQ  $8, CX
+	SUBQ  AX, CX
+	MOVQ  CX, BX
+	IMULQ R8, BX
+	SUBQ  BX, R13
+	IMULQ R9, CX
+	SUBQ  CX, DI
+	MOVQ  $8, AX
+	JMP   s16block
+
+s16row:
+	MOVQ   kt+0(FP), SI
+	MOVQ   R13, BX
+	MOVQ   DX, CX
+	VPXORD Z0, Z0, Z0
+
+s16rowcol:
+	VMOVUPS     (SI), Z31
+	VMULPS.BCST (BX), Z31, Z8
+	VADDPS      Z8, Z0, Z0
+	ADDQ        $64, SI
+	ADDQ        $4, BX
+	DECQ        CX
+	JNZ         s16rowcol
+	VMULPS      Z30, Z0, Z0
+	VMOVUPS     Z0, K1, (DI)
+	ADDQ        R8, R13
+	ADDQ        R9, DI
+	DECQ        AX
+	JNZ         s16row
+
+s16done:
+	VZEROUPPER
+	RET
+
+// WSTEP16 adds w_r[k] (at mem) times the value row's sixteen columns (in
+// Z31) to acc.
+#define WSTEP16(mem, acc, tmp) \
+	VMULPS.BCST mem, Z31, tmp \
+	VADDPS      tmp, acc, acc
+
+#define LOADROW16(z, mem) VMOVUPS mem, z
+#define STOREROW16(z, mem) VMOVUPS z, mem
+
+// WROWS16 loads or stores the eight output rows' accumulators Z0-Z7 at
+// DI, `stride` apart, through AX.
+#define WROWS16(OP, stride) \
+	MOVQ DI, AX      \
+	OP(Z0, (AX))     \
+	ADDQ stride, AX  \
+	OP(Z1, (AX))     \
+	ADDQ stride, AX  \
+	OP(Z2, (AX))     \
+	ADDQ stride, AX  \
+	OP(Z3, (AX))     \
+	ADDQ stride, AX  \
+	OP(Z4, (AX))     \
+	ADDQ stride, AX  \
+	OP(Z5, (AX))     \
+	ADDQ stride, AX  \
+	OP(Z6, (AX))     \
+	ADDQ stride, AX  \
+	OP(Z7, (AX))
+
+// func accumRowsBlock16(out *float32, outStrideBytes int, w *float32, wStrideBytes int, vals *float32, valStrideBytes, n, tri, cols16 int)
+// accumRowsBlock8 over blocks of sixteen columns.
+TEXT ·accumRowsBlock16(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ wStrideBytes+24(FP), R8
+	MOVQ valStrideBytes+40(FP), R9
+	MOVQ n+48(FP), DX
+	MOVQ tri+56(FP), R13
+	LEAQ (R8)(R8*2), R10  // 3·wStride
+	LEAQ (R8)(R8*4), R11  // 5·wStride
+	LEAQ (R10)(R8*4), R12 // 7·wStride
+
+w16block:
+	WROWS16(LOADROW16, outStrideBytes+8(FP))
+	MOVQ DI, SI           // this column block of the value rows
+	SUBQ out+0(FP), SI
+	ADDQ vals+32(FP), SI
+	MOVQ w+16(FP), BX
+	MOVQ DX, CX
+
+w16key:
+	VMOVUPS (SI), Z31
+	WSTEP16((BX), Z0, Z8)
+	WSTEP16((BX)(R8*1), Z1, Z9)
+	WSTEP16((BX)(R8*2), Z2, Z10)
+	WSTEP16((BX)(R10*1), Z3, Z11)
+	WSTEP16((BX)(R8*4), Z4, Z12)
+	WSTEP16((BX)(R11*1), Z5, Z13)
+	WSTEP16((BX)(R10*2), Z6, Z14)
+	WSTEP16((BX)(R12*1), Z7, Z15)
+	ADDQ $4, BX
+	ADDQ R9, SI
+	DECQ CX
+	JNZ  w16key
+
+	CMPQ    R13, $0
+	JEQ     w16store
+	VMOVUPS (SI), Z31
+	WSTEP16((BX)(R8*1), Z1, Z9)
+	WSTEP16((BX)(R8*2), Z2, Z10)
+	WSTEP16((BX)(R10*1), Z3, Z11)
+	WSTEP16((BX)(R8*4), Z4, Z12)
+	WSTEP16((BX)(R11*1), Z5, Z13)
+	WSTEP16((BX)(R10*2), Z6, Z14)
+	WSTEP16((BX)(R12*1), Z7, Z15)
+	CMPQ    R13, $1
+	JEQ     w16store
+	ADDQ    $4, BX
+	ADDQ    R9, SI
+	VMOVUPS (SI), Z31
+	WSTEP16((BX)(R8*2), Z2, Z10)
+	WSTEP16((BX)(R10*1), Z3, Z11)
+	WSTEP16((BX)(R8*4), Z4, Z12)
+	WSTEP16((BX)(R11*1), Z5, Z13)
+	WSTEP16((BX)(R10*2), Z6, Z14)
+	WSTEP16((BX)(R12*1), Z7, Z15)
+	CMPQ    R13, $2
+	JEQ     w16store
+	ADDQ    $4, BX
+	ADDQ    R9, SI
+	VMOVUPS (SI), Z31
+	WSTEP16((BX)(R10*1), Z3, Z11)
+	WSTEP16((BX)(R8*4), Z4, Z12)
+	WSTEP16((BX)(R11*1), Z5, Z13)
+	WSTEP16((BX)(R10*2), Z6, Z14)
+	WSTEP16((BX)(R12*1), Z7, Z15)
+	CMPQ    R13, $3
+	JEQ     w16store
+	ADDQ    $4, BX
+	ADDQ    R9, SI
+	VMOVUPS (SI), Z31
+	WSTEP16((BX)(R8*4), Z4, Z12)
+	WSTEP16((BX)(R11*1), Z5, Z13)
+	WSTEP16((BX)(R10*2), Z6, Z14)
+	WSTEP16((BX)(R12*1), Z7, Z15)
+	CMPQ    R13, $4
+	JEQ     w16store
+	ADDQ    $4, BX
+	ADDQ    R9, SI
+	VMOVUPS (SI), Z31
+	WSTEP16((BX)(R11*1), Z5, Z13)
+	WSTEP16((BX)(R10*2), Z6, Z14)
+	WSTEP16((BX)(R12*1), Z7, Z15)
+	CMPQ    R13, $5
+	JEQ     w16store
+	ADDQ    $4, BX
+	ADDQ    R9, SI
+	VMOVUPS (SI), Z31
+	WSTEP16((BX)(R10*2), Z6, Z14)
+	WSTEP16((BX)(R12*1), Z7, Z15)
+	CMPQ    R13, $6
+	JEQ     w16store
+	ADDQ    $4, BX
+	ADDQ    R9, SI
+	VMOVUPS (SI), Z31
+	WSTEP16((BX)(R12*1), Z7, Z15)
+
+w16store:
+	WROWS16(STOREROW16, outStrideBytes+8(FP))
+	ADDQ $64, DI
+	MOVQ DI, AX
+	SUBQ out+0(FP), AX
+	MOVQ cols16+64(FP), CX
+	SHLQ $6, CX
+	CMPQ AX, CX
+	JLT  w16block
+	VZEROUPPER
+	RET

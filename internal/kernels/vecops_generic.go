@@ -17,8 +17,30 @@ func dotRowsVec(q *float32, cols int, rows *float32, strideBytes, groups int, sc
 func accumRows32(out, w, rows *float32, strideBytes, n int) { panic("kernels: no SIMD level") }
 func accumRows8(out, w, rows *float32, strideBytes, n int)  { panic("kernels: no SIMD level") }
 
+func transposeKeys8(kt, keys *float32, strideBytes, cols, colBytes int) {
+	panic("kernels: no SIMD level")
+}
+
+func scoreRows16(kt *float32, cols int, q *float32, qStrideBytes, rows int, scale float32, s *float32, sStrideBytes, lanes int) {
+	panic("kernels: no SIMD level")
+}
+
+func accumRowsBlock16(out *float32, outStrideBytes int, w *float32, wStrideBytes int, vals *float32, valStrideBytes, n, tri, cols16 int) {
+	panic("kernels: no SIMD level")
+}
+
+func scoreRowsVec(kt *float32, cols int, q *float32, qStrideBytes, rows int, scale float32, s *float32, sStrideBytes, lanes int) {
+	panic("kernels: no SIMD level")
+}
+
+func accumRowsBlock8(out *float32, outStrideBytes int, w *float32, wStrideBytes int, vals *float32, valStrideBytes, n, tri, cols8 int) {
+	panic("kernels: no SIMD level")
+}
+
 func softmaxVec(x *float32, n int) { panic("kernels: no SIMD level") }
-func siluVec(x *float32, n int)    { panic("kernels: no SIMD level") }
+
+func softmaxRows16(x *float32, strideBytes, groups, n0 int) { panic("kernels: no SIMD level") }
+func siluVec(x *float32, n int)                             { panic("kernels: no SIMD level") }
 
 func layerNormVec(dst, x, gain, bias *float32, n int, eps float32) { panic("kernels: no SIMD level") }
 func rmsNormVec(dst, x, gain *float32, n int, eps float32)         { panic("kernels: no SIMD level") }
