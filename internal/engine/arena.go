@@ -11,7 +11,7 @@ import (
 // memory-bandwidth-bound, and allocator traffic plus GC pressure on top of
 // it is pure overhead. The arena also owns the reusable packed-GEMM
 // dispatch state (job, with its bf16 rounding buffer) and the attention
-// fan-out descriptor (attn), keeping pool dispatch allocation-free too.
+// dispatch descriptor (attn), keeping pool dispatch allocation-free too.
 type arena struct {
 	x      []float32 // [rows, d] residual stream
 	h      []float32 // [rows, d] normed hidden
@@ -23,11 +23,13 @@ type arena struct {
 	up     []float32 // [rows, dff]
 	gate   []float32 // [rows, dff], LLaMA-2 only
 	logits []float32 // [batch, vocab] — never [rows, vocab]: multi-row passes ask row by row
-	scores []float32 // [workers, ctxCap] attention score scratch, one strip per pool part
+	scores []float32 // [workers, scoreLen] attention scores, one strip per pool part
+	kt     []float32 // [workers, 16·headDim] one transposed key group per pool part
 	xq     []int8    // [seqRows, max(d,dff)] one sequence's int8 activations
 	next   []int     // [batch] sampled tokens, reused view
 
 	rows, batch, seqRows, ctxCap int
+	scoreLen                     int // a strip: min(seqRows, attnTile) rows of ctxCap
 
 	job  kernels.PackedJob
 	attn attnJob
@@ -36,7 +38,8 @@ type arena struct {
 // ensure sizes the arena for a forward pass over `batch` sequences of
 // seqRows rows each, attending over at most ctxCap positions. Sizing
 // scores to the KV cache *capacity* (not the current context) means no
-// buffer grows as decode advances.
+// buffer grows as decode advances; one strip holds a head block's rows at
+// a row stride of ctxCap.
 func (ar *arena) ensure(e *Engine, batch, seqRows, ctxCap int) {
 	d, kvDim, dff := e.cfg.DModel, e.cfg.KVDim(), e.cfg.DFF
 	if rows := batch * seqRows; rows > ar.rows {
@@ -62,17 +65,22 @@ func (ar *arena) ensure(e *Engine, batch, seqRows, ctxCap int) {
 		ar.seqRows = seqRows
 		ar.xq = make([]int8, seqRows*max(d, dff))
 	}
-	if ctxCap > ar.ctxCap {
-		ar.ctxCap = ctxCap
-		ar.scores = make([]float32, e.pool.Workers()*ctxCap)
+	if ar.kt == nil {
+		ar.kt = make([]float32, e.pool.Workers()*16*e.cfg.HeadDim())
+	}
+	ar.ctxCap = max(ar.ctxCap, ctxCap)
+	if n := min(seqRows, attnTile) * ar.ctxCap; n > ar.scoreLen {
+		ar.scoreLen = n
+		ar.scores = make([]float32, e.pool.Workers()*n)
 	}
 }
 
-// attnJob fans one layer's causal attention out over the worker pool. The
-// linear layers run as fused GEMMs, but attention reads each sequence's
-// own KV cache, so the B·rows independent (sequence, row) attentions are
-// the natural parallel unit. Part p takes pairs p, p+parts, …: a row's
-// cost grows with its position, and striding spreads that evenly.
+// attnTile is the most query rows one head block takes: a longer pass's
+// rows go through in tiles, so a strip of scores stays attnTile·ctxCap.
+const attnTile = 64
+
+// attnJob runs one layer's attention, a HeadBlock pass per (sequence,
+// head). Part p takes pairs p, p+parts, …, on its own strip of scratch.
 type attnJob struct {
 	e        *Engine
 	ar       *arena
@@ -84,11 +92,8 @@ type attnJob struct {
 
 // RunPart implements kernels.Task.
 func (j *attnJob) RunPart(part, parts int) {
-	e, ar := j.e, j.ar
-	d := e.cfg.DModel
-	for r := part; r < len(j.caches)*j.rows; r += parts {
-		cache, pos := j.caches[r/j.rows], j.startPos+r%j.rows
-		e.attnRow(cache, j.layer, pos, ar.q[r*d:(r+1)*d], ar.att[r*d:(r+1)*d],
-			ar.scores[part*ar.ctxCap:(part+1)*ar.ctxCap])
+	heads := j.e.cfg.Heads
+	for u := part; u < len(j.caches)*heads; u += parts {
+		j.e.attendHead(j.ar, part, j.caches[u/heads], j.layer, u/heads, u%heads, j.rows, j.startPos)
 	}
 }

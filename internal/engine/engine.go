@@ -33,6 +33,7 @@ type Engine struct {
 	opts   Options
 	pool   *kernels.Pool   // persistent workers; nil means serial execution
 	rope   []float32       // kernels.RoPETable over MaxSeq (LLaMA-2 only)
+	scale  float32         // attention's 1/√headDim
 	blocks blockLists      // released sessions' KV blocks
 	arenas freeList[arena] // and arenas, for new sessions to reuse
 }
@@ -53,7 +54,8 @@ func New(w *Weights, opts Options) (*Engine, error) {
 		pool = kernels.NewPool(0)
 	}
 	w.ensurePacked(opts.Kernel)
-	e := &Engine{cfg: w.Config, w: w, opts: opts, pool: pool, blocks: blockLists{m: map[int]*freeList[kvBlock]{}}}
+	e := &Engine{cfg: w.Config, w: w, opts: opts, pool: pool, blocks: blockLists{m: map[int]*freeList[kvBlock]{}},
+		scale: float32(1 / math.Sqrt(float64(w.Config.HeadDim())))}
 	e.arenas.pool.New = func() any { return new(arena) }
 	if e.cfg.Family == model.LLaMA2 {
 		e.rope = kernels.RoPETable(e.cfg.MaxSeq, e.cfg.HeadDim())
@@ -174,34 +176,75 @@ func (e *Engine) embed(token, pos int, dst []float32) {
 	}
 }
 
-// attnRow computes causal attention for the single query row q at position
-// pos (attending to cache positions 0..pos), writing the result to att.
-// scores is scratch of at least pos+1 values. Keys and values are read in
-// the cache's contiguous runs.
-func (e *Engine) attnRow(cache *PagedKVCache, layer, pos int, q, att, scores []float32) {
-	hd, kvDim := e.cfg.HeadDim(), e.cfg.KVDim()
-	groups := e.cfg.Heads / e.cfg.KVHeads
-	scale := float32(1 / math.Sqrt(float64(hd)))
+// attention runs one layer's causal attention over the pass's rows: one
+// kernels.HeadBlock pass per (sequence, head), inline unless the layer's
+// work passes minSplitAttnMACs, then fanned out over the pool with the
+// (sequence, head) pairs as the unit.
+func (e *Engine) attention(ar *arena, caches []*PagedKVCache, layer, rows, startPos int) {
+	if attendOverride != nil {
+		attendOverride(e, ar, caches, layer, rows, startPos)
+		return
+	}
+	units := len(caches) * e.cfg.Heads
+	// Each unit's scores and weighted sums: hd multiply-adds per (row, key).
+	macs := units * 2 * e.cfg.HeadDim() * (rows*startPos + rows*(rows+1)/2)
+	parts := 1
+	if macs >= minSplitAttnMACs(rows) {
+		parts = min(units, e.pool.Workers())
+	}
+	ar.attn = attnJob{e: e, ar: ar, caches: caches, layer: layer, rows: rows, startPos: startPos}
+	e.pool.Run(&ar.attn, parts)
+	ar.attn.caches = nil // keep no caller slice alive
+}
 
-	sc := scores[:pos+1] // causal: attend to positions ≤ pos
-	for h := 0; h < e.cfg.Heads; h++ {
-		off := h / groups * hd
-		qv := q[h*hd : (h+1)*hd]
-		for t := 0; t < len(sc); {
+// attendOverride, when a test sets it, runs each layer's attention in
+// place of this dispatch: the per-row oracle, or a forced split.
+var attendOverride func(e *Engine, ar *arena, caches []*PagedKVCache, layer, rows, startPos int)
+
+// minSplitAttnMACs is the least attention work (multiply-adds, over every
+// head of every sequence) of a layer with `rows` rows per sequence that
+// goes to the pool. A parked worker takes long enough to wake that, below
+// it, the caller has finished the layer by the time the worker would have
+// helped, as with kernels' minSplitMACs for a GEMM. The break-even is a
+// time — measured on the 2-vCPU sandbox, about 250 µs of inline work — so
+// the count follows the rate of what runs: the head blocks of a multi-row
+// pass do 9–20 GMAC/s (2²²), a decode step's one-row blocks, which are the
+// per-row ops, 3.5–5 (2²⁰). docs/performance.md has the measurement.
+func minSplitAttnMACs(rows int) int {
+	if rows == 1 {
+		return 1 << 20
+	}
+	return 1 << 22
+}
+
+// attendHead computes head `head` of sequence b's causal attention for
+// the pass's rows, at most attnTile query rows per HeadBlock, into ar.att,
+// on part `part`'s scratch. Keys and values are read in the cache's
+// contiguous runs.
+func (e *Engine) attendHead(ar *arena, part int, cache *PagedKVCache, layer, b, head, rows, startPos int) {
+	d, hd, kvDim := e.cfg.DModel, e.cfg.HeadDim(), e.cfg.KVDim()
+	off := head / (e.cfg.Heads / e.cfg.KVHeads) * hd
+	scores := ar.scores[part*ar.scoreLen : (part+1)*ar.scoreLen]
+	kt := ar.kt[part*16*hd : (part+1)*16*hd]
+	for r0 := 0; r0 < rows; r0 += attnTile {
+		row := (b*rows+r0)*d + head*hd
+		blk := kernels.HeadBlock{Rows: min(attnTile, rows-r0), Start: startPos + r0, Cols: hd, Scale: e.scale,
+			Q: ar.q[row:], QStride: d, S: scores, SStride: ar.ctxCap, Out: ar.att[row:], OutStride: d, KT: kt}
+		ctx := blk.Start + blk.Rows
+		for t := 0; t < ctx; {
 			k, _ := cache.Run(layer, t)
-			n := min(len(k)/kvDim, len(sc)-t)
-			kernels.DotRows(qv, k[off:], kvDim, n, scale, sc[t:])
+			n := min(len(k)/kvDim, ctx-t)
+			blk.Scores(k[off:], kvDim, t, n)
 			t += n
 		}
-		kernels.Softmax(sc)
-		out := att[h*hd : (h+1)*hd]
-		for j := range out {
-			out[j] = 0
+		blk.Softmax()
+		for r := 0; r < blk.Rows; r++ {
+			clear(ar.att[row+r*d:][:hd])
 		}
-		for t := 0; t < len(sc); {
+		for t := 0; t < ctx; {
 			_, v := cache.Run(layer, t)
-			n := min(len(v)/kvDim, len(sc)-t)
-			kernels.AccumRows(out, sc[t:t+n], v[off:], kvDim)
+			n := min(len(v)/kvDim, ctx-t)
+			blk.Accum(v[off:], kvDim, t, n)
 			t += n
 		}
 	}
@@ -220,7 +263,7 @@ func (e *Engine) attnRow(cache *PagedKVCache, layer, pos int, q, att, scores []f
 // linear layer runs ONCE per layer as a single GEMM (the weights stream
 // from memory once per layer instead of once per sequence — the paper's
 // arithmetic-intensity lever); attention reads each sequence's own cache
-// and fans the (sequence, row) pairs out over the worker pool. All scratch
+// in one pass per (sequence, head) over all the rows. All scratch
 // comes from the arena: a warm forward pass performs no heap allocation.
 // Results are bit-identical for any batching of the same sequences.
 func (e *Engine) forward(ar *arena, caches []*PagedKVCache, rows, startPos int) {
@@ -248,8 +291,7 @@ func (e *Engine) forward(ar *arena, caches []*PagedKVCache, rows, startPos int) 
 			}
 			caches[r/rows].Put(layer, pos, ar.k[r*kvDim:(r+1)*kvDim], ar.v[r*kvDim:(r+1)*kvDim])
 		}
-		ar.attn = attnJob{e: e, ar: ar, caches: caches, layer: layer, rows: rows, startPos: startPos}
-		e.pool.Run(&ar.attn, min(m, e.pool.Workers()))
+		e.attention(ar, caches, layer, rows, startPos)
 		e.linear(ar, m, rows, ar.att, &lw.Wo, ar.proj)
 		kernels.Add(x, ar.proj[:m*d])
 
