@@ -533,6 +533,7 @@ func (r *Router) RestartReplica(ctx context.Context, id string) error {
 		return fmt.Errorf("cluster: rebuilding replica %s: %w", id, err)
 	}
 	rep.mu.Lock()
+	old := rep.gw
 	rep.gw = gw
 	rep.state = healthy
 	rep.consec, rep.ewmaMs, rep.samples = 0, 0, 0
@@ -541,6 +542,9 @@ func (r *Router) RestartReplica(ctx context.Context, id string) error {
 		rep.downCh = make(chan struct{})
 	}
 	rep.mu.Unlock()
+	// The replaced governor's series leave the shared registry, or its
+	// gauges would go on counting next to its successor's.
+	old.Governor().Retire()
 	r.m.restarts.Inc()
 	r.log.Info("cluster: restarted replica", "replica", id)
 	r.refreshHealthyGauge()

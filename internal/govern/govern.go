@@ -142,6 +142,8 @@ type Governor struct {
 	shedCount int            // lanes currently shedding
 
 	shedTotal, quotaRejects *metrics.Counter
+	series                  []*metrics.Func // the read-throughs, until Retire
+	retired                 bool
 }
 
 // New returns a governor. It panics if cfg.Specs is nil — a governor
@@ -165,14 +167,17 @@ func New(cfg Config) *Governor {
 		shedTotal:    r.Counter("govern_shed_total", "admissions shed above the KV high watermark (503)"),
 		quotaRejects: r.Counter("govern_quota_rejected_total", "admissions rejected by per-client token quotas (429)"),
 	}
-	r.CounterFunc("govern_preemptions_total", "KV preemptions across lanes, whether requeued or failed", g.sum(func(ls *laneState) int64 { return int64(ls.preemptions) }))
-	r.GaugeFunc("govern_shedding_lanes", "lanes currently above the KV high watermark", g.locked(func() int64 { return int64(g.shedCount) }))
-	r.GaugeFunc("govern_lanes", "lanes under KV governance", g.locked(func() int64 { return int64(len(g.lanes)) }))
+	g.series = []*metrics.Func{
+		r.CounterFunc("govern_preemptions_total", "KV preemptions across lanes, whether requeued or failed", g.sum(func(ls *laneState) int64 { return int64(ls.preemptions) })),
+		r.GaugeFunc("govern_shedding_lanes", "lanes currently above the KV high watermark", g.locked(func() int64 { return int64(g.shedCount) })),
+		r.GaugeFunc("govern_lanes", "lanes under KV governance", g.locked(func() int64 { return int64(len(g.lanes)) })),
+	}
 	if cfg.EnableCache {
-		r.CounterFunc("govern_cache_hits_total", "reservations that adopted a cached prefix", g.sum(func(ls *laneState) int64 { return int64(ls.hits) }))
-		r.CounterFunc("govern_cache_misses_total", "cache-eligible reservations that adopted nothing", g.sum(func(ls *laneState) int64 { return int64(ls.misses) }))
-		r.CounterFunc("govern_cache_hit_tokens_total", "prompt tokens adopted from the prefix cache", g.sum(func(ls *laneState) int64 { return int64(ls.hitTokens) }))
-		r.CounterFunc("govern_cache_evictions_total", "prefix-cache blocks evicted", g.sum(func(ls *laneState) int64 { return int64(ls.tree.Stats().Evictions) }))
+		g.series = append(g.series,
+			r.CounterFunc("govern_cache_hits_total", "reservations that adopted a cached prefix", g.sum(func(ls *laneState) int64 { return int64(ls.hits) })),
+			r.CounterFunc("govern_cache_misses_total", "cache-eligible reservations that adopted nothing", g.sum(func(ls *laneState) int64 { return int64(ls.misses) })),
+			r.CounterFunc("govern_cache_hit_tokens_total", "prompt tokens adopted from the prefix cache", g.sum(func(ls *laneState) int64 { return int64(ls.hitTokens) })),
+			r.CounterFunc("govern_cache_evictions_total", "prefix-cache blocks evicted", g.sum(func(ls *laneState) int64 { return int64(ls.tree.Stats().Evictions) })))
 	}
 	return g
 }
@@ -250,32 +255,55 @@ func (g *Governor) laneLocked(lane string) (*laneState, error) {
 }
 
 // registerLane publishes a lane's series as read-throughs of the pool's
-// and the tree's stats and of the lane's own fields. The flat registry
-// has no labels, so names embed the lane key.
+// and the tree's stats and of the lane's own fields, unless the governor
+// is retired. The flat registry has no labels, so names embed the lane
+// key. Callers hold g.mu.
 func (g *Governor) registerLane(ls *laneState) {
+	if g.retired {
+		return
+	}
 	r, sfx, of := g.cfg.Registry, "_"+sanitizeMetric(ls.key), ", lane "+ls.key
+	keep := func(f *metrics.Func) { g.series = append(g.series, f) }
 	pool := func(read func(kvpool.Stats) int) func() int64 {
 		return func() int64 { return int64(read(ls.pool.Stats())) }
 	}
-	r.GaugeFunc("govern_kv_blocks_total"+sfx, "KV pool capacity in blocks"+of, pool(func(s kvpool.Stats) int { return s.TotalBlocks }))
-	r.GaugeFunc("govern_kv_blocks_free"+sfx, "free KV blocks"+of, pool(func(s kvpool.Stats) int { return s.FreeBlocks }))
-	r.GaugeFunc("govern_kv_blocks_effective"+sfx, "usable KV blocks under mem-pressure"+of, pool(func(s kvpool.Stats) int { return s.EffectiveBlocks }))
-	r.CounterFunc("govern_kv_allocs_total"+sfx, "KV block allocations"+of, pool(func(s kvpool.Stats) int { return s.Allocations }))
-	r.CounterFunc("govern_kv_preemptions_total"+sfx, "KV preemptions, whether requeued or failed"+of, g.locked(func() int64 { return int64(ls.preemptions) }))
-	r.GaugeFunc("govern_kv_shedding"+sfx, "1 while the lane sheds above the high watermark"+of, g.locked(func() int64 {
+	keep(r.GaugeFunc("govern_kv_blocks_total"+sfx, "KV pool capacity in blocks"+of, pool(func(s kvpool.Stats) int { return s.TotalBlocks })))
+	keep(r.GaugeFunc("govern_kv_blocks_free"+sfx, "free KV blocks"+of, pool(func(s kvpool.Stats) int { return s.FreeBlocks })))
+	keep(r.GaugeFunc("govern_kv_blocks_effective"+sfx, "usable KV blocks under mem-pressure"+of, pool(func(s kvpool.Stats) int { return s.EffectiveBlocks })))
+	keep(r.CounterFunc("govern_kv_allocs_total"+sfx, "KV block allocations"+of, pool(func(s kvpool.Stats) int { return s.Allocations })))
+	keep(r.CounterFunc("govern_kv_preemptions_total"+sfx, "KV preemptions, whether requeued or failed"+of, g.locked(func() int64 { return int64(ls.preemptions) })))
+	keep(r.GaugeFunc("govern_kv_shedding"+sfx, "1 while the lane sheds above the high watermark"+of, g.locked(func() int64 {
 		if ls.shedding {
 			return 1
 		}
 		return 0
-	}))
+	})))
 	if ls.tree == nil {
 		return
 	}
-	r.CounterFunc("govern_cache_hits_total"+sfx, "reservations that adopted a cached prefix"+of, g.locked(func() int64 { return int64(ls.hits) }))
-	r.CounterFunc("govern_cache_misses_total"+sfx, "cache-eligible reservations that adopted nothing"+of, g.locked(func() int64 { return int64(ls.misses) }))
-	r.CounterFunc("govern_cache_hit_tokens_total"+sfx, "prompt tokens adopted from the prefix cache"+of, g.locked(func() int64 { return int64(ls.hitTokens) }))
-	r.CounterFunc("govern_cache_evictions_total"+sfx, "prefix-cache blocks evicted"+of, func() int64 { return int64(ls.tree.Stats().Evictions) })
-	r.GaugeFunc("govern_cache_retained_blocks"+sfx, "pool blocks retained by the prefix cache"+of, func() int64 { return int64(ls.tree.Stats().RetainedBlocks) })
+	keep(r.CounterFunc("govern_cache_hits_total"+sfx, "reservations that adopted a cached prefix"+of, g.locked(func() int64 { return int64(ls.hits) })))
+	keep(r.CounterFunc("govern_cache_misses_total"+sfx, "cache-eligible reservations that adopted nothing"+of, g.locked(func() int64 { return int64(ls.misses) })))
+	keep(r.CounterFunc("govern_cache_hit_tokens_total"+sfx, "prompt tokens adopted from the prefix cache"+of, g.locked(func() int64 { return int64(ls.hitTokens) })))
+	keep(r.CounterFunc("govern_cache_evictions_total"+sfx, "prefix-cache blocks evicted"+of, func() int64 { return int64(ls.tree.Stats().Evictions) }))
+	keep(r.GaugeFunc("govern_cache_retained_blocks"+sfx, "pool blocks retained by the prefix cache"+of, func() int64 { return int64(ls.tree.Stats().RetainedBlocks) }))
+}
+
+// Retire takes the governor's read-through series off its registry, for
+// a governor being replaced (a cluster replica's restart): its gauges stop
+// counting and its counters keep their last values, so a registry shared
+// with other governors goes on reporting sums over the live ones. Lanes
+// the governor opens afterwards publish nothing. Safe on nil.
+func (g *Governor) Retire() {
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	series := g.series
+	g.series, g.retired = nil, true
+	g.mu.Unlock()
+	for _, f := range series { // a counter's last read takes g.mu
+		f.Retire()
+	}
 }
 
 // utilization is the share of a pool's effective (pressure-shrunk)

@@ -219,26 +219,36 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 
 // readThrough is an instrument whose value is computed at scrape time
 // from the counters where its fact is kept. Every caller registering the
-// name adds one fn; the series reports their sum.
+// name adds one fn; the series reports their sum, plus the last values of
+// retired counter registrations.
 type readThrough struct {
 	help, kind string
-	fns        []func() int64
+	fns        []*Func
+	retired    int64
+}
+
+// Func is one read-through registration (CounterFunc, GaugeFunc); Retire
+// ends it.
+type Func struct {
+	r  *Registry
+	rt *readThrough
+	fn func() int64
 }
 
 // CounterFunc registers a read-through counter: fn is called at every
 // scrape, with no registry lock held, and must never decrease.
 // Registering the name again adds fn, and the series reports the sum —
 // the shape for one fact kept by several owners (a lane per replica).
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.readThrough(name, help, "counter", fn)
+func (r *Registry) CounterFunc(name, help string, fn func() int64) *Func {
+	return r.readThrough(name, help, "counter", fn)
 }
 
 // GaugeFunc registers a read-through gauge, summed like CounterFunc.
-func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.readThrough(name, help, "gauge", fn)
+func (r *Registry) GaugeFunc(name, help string, fn func() int64) *Func {
+	return r.readThrough(name, help, "gauge", fn)
 }
 
-func (r *Registry) readThrough(name, help, kind string, fn func() int64) {
+func (r *Registry) readThrough(name, help, kind string, fn func() int64) *Func {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.byN[name]; ok {
@@ -246,10 +256,39 @@ func (r *Registry) readThrough(name, help, kind string, fn func() int64) {
 		if !ok || rt.kind != kind {
 			panic(fmt.Sprintf("metrics: %q registered as %T, not a read-through %s", name, m, kind))
 		}
-		rt.fns = append(rt.fns, fn)
-		return
+		f := &Func{r: r, rt: rt, fn: fn}
+		rt.fns = append(rt.fns, f)
+		return f
 	}
-	r.register(name, &readThrough{help: help, kind: kind, fns: []func() int64{fn}})
+	rt := &readThrough{help: help, kind: kind}
+	f := &Func{r: r, rt: rt, fn: fn}
+	rt.fns = []*Func{f}
+	r.register(name, rt)
+	return f
+}
+
+// Retire ends the registration, for an owner that is going away (a
+// replaced replica's governor): a gauge stops counting it, and a counter
+// keeps its last value, read now, so the series never goes backwards.
+// Retiring twice is a no-op.
+func (f *Func) Retire() {
+	var last int64
+	if f.rt.kind == "counter" {
+		last = f.fn() // with no registry lock held, as a scrape calls it
+	}
+	f.r.mu.Lock()
+	defer f.r.mu.Unlock()
+	// A new slice: a scrape in flight holds the old one.
+	fns := make([]*Func, 0, len(f.rt.fns))
+	for _, g := range f.rt.fns {
+		if g != f {
+			fns = append(fns, g)
+		}
+	}
+	if len(fns) < len(f.rt.fns) {
+		f.rt.fns = fns
+		f.rt.retired += last
+	}
 }
 
 func (r *Registry) register(name string, m any) {
@@ -294,9 +333,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if err := writeHeader(w, name, m.help, m.kind); err != nil {
 				return err
 			}
-			var v int64
-			for _, fn := range m.fns {
-				v += fn()
+			v := m.retired
+			for _, f := range m.fns {
+				v += f.fn()
 			}
 			if _, err := fmt.Fprintf(w, "%s %d\n", name, v); err != nil {
 				return err

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -168,4 +170,85 @@ func TestReadThroughSums(t *testing.T) {
 		}
 	}()
 	r.CounterFunc("kv_free", "", func() int64 { return 0 })
+}
+
+// TestRetireReadThrough: a retired gauge registration leaves its series'
+// sum; a retired counter registration keeps the value it had when retired,
+// so the series never goes backwards; retiring twice changes nothing.
+func TestRetireReadThrough(t *testing.T) {
+	r := NewRegistry()
+	hits := []int64{5, 9}
+	var gauges, counters []*Func
+	for i := range hits {
+		gauges = append(gauges, r.GaugeFunc("kv_free", "", func() int64 { return 10 * hits[i] }))
+		counters = append(counters, r.CounterFunc("hits_total", "", func() int64 { return hits[i] }))
+	}
+	gauges[0].Retire()
+	counters[0].Retire()
+	counters[0].Retire()
+	hits[0], hits[1] = 100, 11 // the retired owner's fn is not read again
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nkv_free 110\n", "\nhits_total 16\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestRetireDuringScrape retires read-throughs while other goroutines
+// scrape and register (meaningful under -race): a scrape reads a
+// consistent set of registrations, and once every owner but the last has
+// retired, the sums are the last owner's plus the retired counters' values.
+func TestRetireDuringScrape(t *testing.T) {
+	r := NewRegistry()
+	const owners = 16
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := r.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var retire sync.WaitGroup
+	for i := range owners {
+		g := r.GaugeFunc("live", "", func() int64 { return 1 })
+		c := r.CounterFunc("done_total", "", func() int64 { return int64(i) })
+		if i == owners-1 {
+			continue
+		}
+		retire.Add(1)
+		go func() {
+			defer retire.Done()
+			g.Retire()
+			c.Retire()
+		}()
+	}
+	retire.Wait()
+	close(stop)
+	wg.Wait()
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nlive 1\n", fmt.Sprintf("\ndone_total %d\n", owners*(owners-1)/2)} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
 }
