@@ -63,10 +63,13 @@ type opPoint struct {
 	BlockedK *opRate `json:"position_blocked_k,omitempty"`
 }
 
-// classTime is one operator class's share of a step.
+// classTime is one operator class's share of a step. BeforeMs, on the
+// attention class, is the way the engine ran it before the head blocks:
+// the per-row vector ops, fanned out over the pool per (sequence, row).
 type classTime struct {
 	Class    string  `json:"class"`
 	GoLoopMs float64 `json:"go_loop_ms"`
+	BeforeMs float64 `json:"before_ms,omitempty"`
 	SIMDMs   float64 `json:"simd_ms"`
 	Share    float64 `json:"share_of_simd_sum"`
 }
@@ -204,6 +207,38 @@ func opSweep(h hostBlock, reps int) []opPoint {
 			GoLoop: h.opRate(t[0], calls, smBytes), SIMD: h.opRate(t[1], calls, smBytes)})
 	}
 
+	// Prefill attention as the engine runs it: one sequence's 32-row
+	// prompt, every head a HeadBlock over its keys and values — scores,
+	// softmax, weighted V — the Go loops against the shipped routines.
+	{
+		const rows = 32
+		d := cfg.DModel
+		q, kc, vc := randMat(rng, rows*d), randMat(rng, rows*kvDim), randMat(rng, rows*kvDim)
+		att, sc, kt := make([]float32, rows*d), make([]float32, rows*rows), make([]float32, 16*hd)
+		scale := float32(1 / math.Sqrt(float64(hd)))
+		block := func(goLoops bool) func() {
+			return func() {
+				for hh := 0; hh < heads; hh++ {
+					b := kernels.HeadBlock{Rows: rows, Cols: hd, Scale: scale, Q: q[hh*hd:], QStride: d,
+						S: sc, SStride: rows, Out: att[hh*hd:], OutStride: d, KT: kt}
+					if goLoops {
+						b.ScoresGo(kc[hh*hd:], kvDim, 0, rows)
+						b.SoftmaxGo()
+						b.AccumGo(vc[hh*hd:], kvDim, 0, rows)
+					} else {
+						b.Scores(kc[hh*hd:], kvDim, 0, rows)
+						b.Softmax()
+						b.Accum(vc[hh*hd:], kvDim, 0, rows)
+					}
+				}
+			}
+		}
+		bytes := float64(4 * (2*rows*kvDim + 2*rows*d)) // keys and values, queries in, outputs out
+		t := interleave(reps, nil, block(true), block(false))
+		add(opPoint{Op: "prefill-attn", Shape: fmt.Sprintf("%d rows, %d heads × %d", rows, heads, hd),
+			GoLoop: h.opRate(t[0], 1, bytes), SIMD: h.opRate(t[1], 1, bytes)})
+	}
+
 	// LayerNorm at the 4×32 prefill's hidden width: [128, d], rows read
 	// from the residual stream and written to the normalized copy.
 	{
@@ -256,6 +291,8 @@ type stepReplay struct {
 	ups      [][]float32 // per layer: FFN activations for ReLU, restored by resetUps
 	upSrc    []float32
 	scores   []float32
+	// blockScores and kt are the head blocks' scratch.
+	blockScores, kt []float32
 
 	x, h, q, att, proj, up, logits []float32
 }
@@ -287,6 +324,7 @@ func newStepReplay(w *engine.Weights, pool *kernels.Pool, B, rows, startPos int)
 	s.up = randMat(rng, m*dff)
 	s.logits = make([]float32, B*cfg.Vocab)
 	s.scores = make([]float32, pool.Workers()*(startPos+rows))
+	s.blockScores, s.kt = make([]float32, rows*(startPos+rows)), make([]float32, 16*cfg.HeadDim())
 	s.upSrc = randMat(rng, m*dff)
 	for range w.Layers {
 		s.ups = append(s.ups, make([]float32, m*dff))
@@ -322,8 +360,9 @@ func (s *stepReplay) linear(fused bool) {
 	kernels.GemmPackedPooled(s.pool, &s.job, s.B, s.h, s.head, s.logits)
 }
 
-// attnPart is the engine's attention fan-out: part p takes (sequence, row)
-// pairs p, p+parts, ….
+// attnPart is the per-row attention: part p takes (sequence, row) pairs
+// p, p+parts, …, each row's heads on the per-row ops — the engine's way
+// before the head blocks (and, on the Go loops, before PR 15).
 type attnPart struct {
 	s     *stepReplay
 	ops   opSet
@@ -354,6 +393,31 @@ func (s *stepReplay) attention(ops opSet) {
 	m := s.B * s.rows
 	for layer := range s.packs {
 		s.pool.Run(&attnPart{s, ops, layer}, min(m, s.pool.Workers()))
+	}
+}
+
+// headBlocks is the shipped attention: one kernels.HeadBlock pass per
+// (sequence, head) over the step's rows, inline, as the engine runs these
+// shapes (their work is below its split threshold).
+func (s *stepReplay) headBlocks() {
+	d, hd, kvDim := s.cfg.DModel, s.cfg.HeadDim(), s.cfg.KVDim()
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	ctx := s.startPos + s.rows
+	for layer := range s.packs {
+		for b := 0; b < s.B; b++ {
+			kc, vc := s.kc[layer*s.B+b], s.vc[layer*s.B+b]
+			for hh := 0; hh < s.cfg.Heads; hh++ {
+				row := b*s.rows*d + hh*hd
+				blk := kernels.HeadBlock{Rows: s.rows, Start: s.startPos, Cols: hd, Scale: scale,
+					Q: s.q[row:], QStride: d, S: s.blockScores, SStride: ctx, Out: s.att[row:], OutStride: d, KT: s.kt}
+				blk.Scores(kc[hh*hd:], kvDim, 0, ctx)
+				blk.Softmax()
+				for r := 0; r < s.rows; r++ {
+					clear(s.att[row+r*d:][:hd])
+				}
+				blk.Accum(vc[hh*hd:], kvDim, 0, ctx)
+			}
+		}
 	}
 }
 
@@ -432,12 +496,15 @@ func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBrea
 	same := func(name string, f func()) classTime { return class(name, f, f) }
 	bd := stepBreakdown{Step: step, MeasuredMs: measured * 1e3, Classes: []classTime{
 		class("linear", func() { s.linear(false) }, func() { s.linear(true) }),
-		class("attention", func() { s.attention(goOps) }, func() { s.attention(simdOps) }),
+		class("attention", func() { s.attention(goOps) }, s.headBlocks),
 		class("norm", func() { s.norm(goOps) }, func() { s.norm(simdOps) }),
 		class("activation", func() { s.activation(goOps) }, func() { s.activation(simdOps) }),
 		same("sampling", s.sampling),
 		same("other", s.other),
 	}}
+	// The attention class's before, timed against the shipped way.
+	t := interleave(reps, nil, func() { s.attention(simdOps) }, s.headBlocks)
+	bd.Classes[1].BeforeMs = median(t[0]) * 1e3
 	for _, c := range bd.Classes {
 		bd.SumMs += c.SIMDMs
 	}
@@ -446,8 +513,12 @@ func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBrea
 	for i := range bd.Classes {
 		c := &bd.Classes[i]
 		c.Share = c.SIMDMs / bd.SumMs
-		fmt.Printf("  %-20s  go loop %8.3f ms   shipped %8.3f ms   %5.1f %% of the step\n",
-			c.Class, c.GoLoopMs, c.SIMDMs, 100*c.Share)
+		before := ""
+		if c.BeforeMs > 0 {
+			before = fmt.Sprintf("   (per-row ops fanned out %.3f ms)", c.BeforeMs)
+		}
+		fmt.Printf("  %-20s  go loop %8.3f ms   shipped %8.3f ms   %5.1f %% of the step%s\n",
+			c.Class, c.GoLoopMs, c.SIMDMs, 100*c.Share, before)
 	}
 	return bd
 }
