@@ -362,7 +362,7 @@ func (s *stepReplay) linear(fused bool) {
 
 // attnPart is the per-row attention: part p takes (sequence, row) pairs
 // p, p+parts, …, each row's heads on the per-row ops — the engine's way
-// before the head blocks (and, on the Go loops, before PR 15).
+// before the head blocks (and, on the Go loops, before the vector ops).
 type attnPart struct {
 	s     *stepReplay
 	ops   opSet
@@ -494,17 +494,16 @@ func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBrea
 		return classTime{Class: name, GoLoopMs: median(t[0]) * 1e3, SIMDMs: median(t[1]) * 1e3}
 	}
 	same := func(name string, f func()) classTime { return class(name, f, f) }
+	attention := class("attention", func() { s.attention(goOps) }, s.headBlocks)
+	attention.BeforeMs = median(interleave(reps, nil, func() { s.attention(simdOps) }, s.headBlocks)[0]) * 1e3
 	bd := stepBreakdown{Step: step, MeasuredMs: measured * 1e3, Classes: []classTime{
 		class("linear", func() { s.linear(false) }, func() { s.linear(true) }),
-		class("attention", func() { s.attention(goOps) }, s.headBlocks),
+		attention,
 		class("norm", func() { s.norm(goOps) }, func() { s.norm(simdOps) }),
 		class("activation", func() { s.activation(goOps) }, func() { s.activation(simdOps) }),
 		same("sampling", s.sampling),
 		same("other", s.other),
 	}}
-	// The attention class's before, timed against the shipped way.
-	t := interleave(reps, nil, func() { s.attention(simdOps) }, s.headBlocks)
-	bd.Classes[1].BeforeMs = median(t[0]) * 1e3
 	for _, c := range bd.Classes {
 		bd.SumMs += c.SIMDMs
 	}

@@ -206,7 +206,7 @@ var attendOverride func(e *Engine, ar *arena, caches []*PagedKVCache, layer, row
 // goes to the pool. A parked worker takes long enough to wake that, below
 // it, the caller has finished the layer by the time the worker would have
 // helped, as with kernels' minSplitMACs for a GEMM. The break-even is a
-// time — measured on the 2-vCPU sandbox, about 250 µs of inline work — so
+// time — measured on a two-vCPU host, about 250 µs of inline work — so
 // the count follows the rate of what runs: the head blocks of a multi-row
 // pass do 9–20 GMAC/s (2²²), a decode step's one-row blocks, which are the
 // per-row ops, 3.5–5 (2²⁰). docs/performance.md has the measurement.
