@@ -138,9 +138,13 @@ func transposeKeys(kt, keys []float32, stride, m, lanes, cols int) {
 func (b *HeadBlock) Softmax() {
 	b.check()
 	r := 0
-	if g := b.Rows / 4; simdLevel >= levelAVX512 && g > 0 {
-		softmaxRows16(&b.S[0], b.SStride*4, g, b.Start+1)
-		r = 4 * g
+	switch {
+	case simdLevel >= levelAVX512 && b.Rows >= 4:
+		softmaxRows16(&b.S[0], b.SStride*4, b.Rows/4, b.Start+1)
+		r = b.Rows &^ 3
+	case simdLevel == levelAVX2 && b.Rows >= 2:
+		softmaxRows8(&b.S[0], b.SStride*4, b.Rows/2, b.Start+1)
+		r = b.Rows &^ 1
 	}
 	for ; r < b.Rows; r++ {
 		Softmax(b.sRow(r))

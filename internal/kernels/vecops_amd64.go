@@ -54,10 +54,14 @@ func accumRowsBlock16(out *float32, outStrideBytes int, w *float32, wStrideBytes
 func scoreRowsVec(kt *float32, cols int, q *float32, qStrideBytes, rows int, scale float32, s *float32, sStrideBytes, lanes int)
 
 // softmaxRows16 is softmaxVec over `groups` groups of four rows
-// strideBytes apart, row r n0+r ≥ 1 elements long, on AVX-512.
+// strideBytes apart, row r n0+r ≥ 1 elements long, on AVX-512;
+// softmaxRows8 over pairs of rows, on AVX2.
 //
 //go:noescape
 func softmaxRows16(x *float32, strideBytes, groups, n0 int)
+
+//go:noescape
+func softmaxRows8(x *float32, strideBytes, pairs, n0 int)
 
 //go:noescape
 func accumRowsBlock8(out *float32, outStrideBytes int, w *float32, wStrideBytes int, vals *float32, valStrideBytes, n, tri, cols8 int)

@@ -1536,3 +1536,192 @@ w16store:
 	JLT  w16block
 	VZEROUPPER
 	RET
+
+// TAILK sets R10 to min(r, 8) and R11 to r − R10, for r = (BX mod 16) + i:
+// how many of row i's elements past the pair's common 16-element blocks
+// fall in its next eight, and in the eight after. Uses AX.
+#define TAILK(i) \
+	MOVQ    BX, R10  \
+	ANDQ    $15, R10 \
+	ADDQ    $i, R10  \
+	MOVQ    R10, R11 \
+	MOVQ    $8, AX   \
+	CMPQ    R10, AX  \
+	CMOVQGT AX, R10  \
+	SUBQ    R10, R11
+
+// LANEMASK loads into y the mask of the first k lanes (k in a register,
+// 0-8), using AX and DX.
+#define LANEMASK(k, y) \
+	MOVQ    k, AX                 \
+	SHLQ    $2, AX                \
+	LEAQ    tailmask<>+32(SB), DX \
+	SUBQ    AX, DX                \
+	VMOVDQU (DX), y
+
+// MAXTAIL folds the lanes of the mask at mem into ymax (the others read
+// as ymax itself).
+#define MAXTAIL(mem, mask, ymax) \
+	VMASKMOVPS mem, mask, Y12       \
+	VBLENDVPS  mask, Y12, ymax, Y12 \
+	VMAXPS     Y12, ymax, ymax
+
+// MAXFOLD8 folds the eight lanes of y (x its X form, xt scratch) to
+// their maximum, broadcast back.
+#define MAXFOLD8(y, x, xt) \
+	VEXTRACTF128 $1, y, xt   \
+	VMAXPS       xt, x, x    \
+	VPERMILPS    $0x4e, x, xt \
+	VMAXPS       xt, x, x    \
+	VPERMILPS    $0xb1, x, xt \
+	VMAXPS       xt, x, x    \
+	VBROADCASTSS x, y
+
+// SMEXP8 stores e = Exp32(x − max) over the eight elements at mem (ymax
+// holds max) and adds it to acc; SMEXP8TAIL does so under mask, the
+// other lanes adding +0.
+#define SMEXP8(mem, ymax, acc) \
+	VMOVUPS mem, Y7               \
+	VSUBPS  ymax, Y7, Y7          \
+	EXP8(Y7, Y8, Y9, Y10, Y11)    \
+	VMOVUPS Y8, mem               \
+	VADDPS  Y8, acc, acc
+
+#define SMEXP8TAIL(mem, mask, ymax, acc) \
+	VMASKMOVPS mem, mask, Y7      \
+	VSUBPS     ymax, Y7, Y7       \
+	EXP8(Y7, Y8, Y9, Y10, Y11)    \
+	VMASKMOVPS Y8, mask, mem      \
+	VANDPS     mask, Y8, Y8       \
+	VADDPS     Y8, acc, acc
+
+// SCALE8 multiplies the eight elements at mem by yinv; SCALE8TAIL under
+// mask.
+#define SCALE8(mem, yinv) \
+	VMULPS  mem, yinv, Y7 \
+	VMOVUPS Y7, mem
+
+#define SCALE8TAIL(mem, mask, yinv) \
+	VMASKMOVPS mem, mask, Y7 \
+	VMULPS     Y7, yinv, Y7  \
+	VMASKMOVPS Y7, mask, mem
+
+// func softmaxRows8(x *float32, strideBytes, pairs, n0 int)
+// softmaxVec over `pairs` pairs of rows, strideBytes apart, row r n0+r
+// elements long. A pair's two rows go through each phase together —
+// maximum, exponentials and sums, scaling — so their exponential chains
+// overlap. Each row keeps softmaxVec's lanes: its 8-element chunks
+// alternate between two accumulators (the 16-lane rule); the pair's
+// common 16-element blocks run unmasked, each row's last two chunks under
+// masks (one or both empty where the row ends sooner).
+TEXT ·softmaxRows8(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), DI
+	MOVQ strideBytes+8(FP), R8
+	MOVQ pairs+16(FP), R9
+	MOVQ n0+24(FP), BX
+
+pgroup:
+	MOVQ BX, R12
+	SHRQ $4, R12 // 16-element blocks both rows fill
+
+	// Maximum, its lanes starting at the row's first element.
+	VBROADCASTSS (DI), Y0
+	VBROADCASTSS (DI)(R8*1), Y1
+	MOVQ         DI, SI
+	MOVQ         R12, CX
+	TESTQ        CX, CX
+	JZ           pmtail
+
+pmfull:
+	VMAXPS (SI), Y0, Y0
+	VMAXPS (SI)(R8*1), Y1, Y1
+	VMAXPS 32(SI), Y0, Y0
+	VMAXPS 32(SI)(R8*1), Y1, Y1
+	ADDQ   $64, SI
+	DECQ   CX
+	JNZ    pmfull
+
+pmtail:
+	TAILK(0)
+	LANEMASK(R10, Y6)
+	MAXTAIL((SI), Y6, Y0)
+	LANEMASK(R11, Y6)
+	MAXTAIL(32(SI), Y6, Y0)
+	TAILK(1)
+	LANEMASK(R10, Y6)
+	MAXTAIL((SI)(R8*1), Y6, Y1)
+	LANEMASK(R11, Y6)
+	MAXTAIL(32(SI)(R8*1), Y6, Y1)
+	MAXFOLD8(Y0, X0, X12)
+	MAXFOLD8(Y1, X1, X12)
+
+	// Exponentials, stored and summed: row 0 into Y2/Y3, row 1 into Y4/Y5.
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	MOVQ   DI, SI
+	MOVQ   R12, CX
+	TESTQ  CX, CX
+	JZ     petail
+
+pefull:
+	SMEXP8((SI), Y0, Y2)
+	SMEXP8((SI)(R8*1), Y1, Y4)
+	SMEXP8(32(SI), Y0, Y3)
+	SMEXP8(32(SI)(R8*1), Y1, Y5)
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  pefull
+
+petail:
+	TAILK(0)
+	LANEMASK(R10, Y6)
+	SMEXP8TAIL((SI), Y6, Y0, Y2)
+	LANEMASK(R11, Y6)
+	SMEXP8TAIL(32(SI), Y6, Y0, Y3)
+	TAILK(1)
+	LANEMASK(R10, Y6)
+	SMEXP8TAIL((SI)(R8*1), Y6, Y1, Y4)
+	LANEMASK(R11, Y6)
+	SMEXP8TAIL(32(SI)(R8*1), Y6, Y1, Y5)
+	FOLD16(Y2, Y3, X2, X3)
+	RECIP(X2, X12)
+	VBROADCASTSS X12, Y2
+	FOLD16(Y4, Y5, X4, X5)
+	RECIP(X4, X12)
+	VBROADCASTSS X12, Y4
+
+	// Scaling.
+	MOVQ  DI, SI
+	MOVQ  R12, CX
+	TESTQ CX, CX
+	JZ    pstail
+
+psfull:
+	SCALE8((SI), Y2)
+	SCALE8((SI)(R8*1), Y4)
+	SCALE8(32(SI), Y2)
+	SCALE8(32(SI)(R8*1), Y4)
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  psfull
+
+pstail:
+	TAILK(0)
+	LANEMASK(R10, Y6)
+	SCALE8TAIL((SI), Y6, Y2)
+	LANEMASK(R11, Y6)
+	SCALE8TAIL(32(SI), Y6, Y2)
+	TAILK(1)
+	LANEMASK(R10, Y6)
+	SCALE8TAIL((SI)(R8*1), Y6, Y4)
+	LANEMASK(R11, Y6)
+	SCALE8TAIL(32(SI)(R8*1), Y6, Y4)
+
+	LEAQ (DI)(R8*2), DI
+	ADDQ $2, BX
+	DECQ R9
+	JNZ  pgroup
+	VZEROUPPER
+	RET

@@ -40,6 +40,7 @@ func accumRowsBlock8(out *float32, outStrideBytes int, w *float32, wStrideBytes 
 func softmaxVec(x *float32, n int) { panic("kernels: no SIMD level") }
 
 func softmaxRows16(x *float32, strideBytes, groups, n0 int) { panic("kernels: no SIMD level") }
+func softmaxRows8(x *float32, strideBytes, pairs, n0 int)   { panic("kernels: no SIMD level") }
 func siluVec(x *float32, n int)                             { panic("kernels: no SIMD level") }
 
 func layerNormVec(dst, x, gain, bias *float32, n int, eps float32) { panic("kernels: no SIMD level") }
