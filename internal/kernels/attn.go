@@ -11,11 +11,12 @@ package kernels
 // Every number is the per-row ops': row r's scores are DotRows' over its
 // visible keys, its probabilities Softmax's over them, and its output
 // AccumRows' over them run by run, bit for bit. What the block changes is
-// the work around the arithmetic. Each group of eight keys is transposed
-// once and scored against every row that sees it, eight rows × a
-// register's keys (eight, or sixteen on AVX-512) at a time; Softmax runs the rows in one call (on AVX-512, four rows'
-// exponential chains interleaved); each value row is loaded once per
-// eight output rows. The causal triangle is handled inside: a row never
+// the work around the arithmetic. Each group of keys is transposed once
+// and scored against every row that sees it, eight rows × a register's
+// keys (eight, or sixteen on AVX-512) at a time; Softmax runs the rows in
+// one call, their exponential chains interleaved (four rows at a time on
+// AVX-512, two on AVX2); each value row is loaded once per eight output
+// rows. The causal triangle is handled inside: a row never
 // reads a probability past its own position. A one-row block (a decode
 // step) is the per-row ops themselves.
 type HeadBlock struct {
