@@ -63,13 +63,10 @@ type opPoint struct {
 	BlockedK *opRate `json:"position_blocked_k,omitempty"`
 }
 
-// classTime is one operator class's share of a step. BeforeMs, on the
-// attention class, is the way the engine ran it before the head blocks:
-// the per-row vector ops, fanned out over the pool per (sequence, row).
+// classTime is one operator class's share of a step.
 type classTime struct {
 	Class    string  `json:"class"`
 	GoLoopMs float64 `json:"go_loop_ms"`
-	BeforeMs float64 `json:"before_ms,omitempty"`
 	SIMDMs   float64 `json:"simd_ms"`
 	Share    float64 `json:"share_of_simd_sum"`
 }
@@ -290,7 +287,6 @@ type stepReplay struct {
 	kc, vc   [][]float32 // per layer × sequence: [ctxCap, kvDim]
 	ups      [][]float32 // per layer: FFN activations for ReLU, restored by resetUps
 	upSrc    []float32
-	scores   []float32
 	// blockScores and kt are the head blocks' scratch.
 	blockScores, kt []float32
 
@@ -323,7 +319,6 @@ func newStepReplay(w *engine.Weights, pool *kernels.Pool, B, rows, startPos int)
 	s.att, s.proj = randMat(rng, m*d), randMat(rng, m*d)
 	s.up = randMat(rng, m*dff)
 	s.logits = make([]float32, B*cfg.Vocab)
-	s.scores = make([]float32, pool.Workers()*(startPos+rows))
 	s.blockScores, s.kt = make([]float32, rows*(startPos+rows)), make([]float32, 16*cfg.HeadDim())
 	s.upSrc = randMat(rng, m*dff)
 	for range w.Layers {
@@ -360,46 +355,11 @@ func (s *stepReplay) linear(fused bool) {
 	kernels.GemmPackedPooled(s.pool, &s.job, s.B, s.h, s.head, s.logits)
 }
 
-// attnPart is the per-row attention: part p takes (sequence, row) pairs
-// p, p+parts, …, each row's heads on the per-row ops — the engine's way
-// before the head blocks (and, on the Go loops, before the vector ops).
-type attnPart struct {
-	s     *stepReplay
-	ops   opSet
-	layer int
-}
-
-func (a *attnPart) RunPart(part, parts int) {
-	s := a.s
-	d, hd, kvDim := s.cfg.DModel, s.cfg.HeadDim(), s.cfg.KVDim()
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	strip := s.startPos + s.rows
-	for r := part; r < s.B*s.rows; r += parts {
-		kc, vc := s.kc[a.layer*s.B+r/s.rows], s.vc[a.layer*s.B+r/s.rows]
-		sc := s.scores[part*strip:][:s.startPos+r%s.rows+1]
-		for hh := 0; hh < s.cfg.Heads; hh++ {
-			a.ops.dotRows(s.q[r*d+hh*hd:r*d+(hh+1)*hd], kc[hh*hd:], kvDim, len(sc), scale, sc)
-			a.ops.softmax(sc)
-			out := s.att[r*d+hh*hd : r*d+(hh+1)*hd]
-			for j := range out {
-				out[j] = 0
-			}
-			a.ops.accumRows(out, sc, vc[hh*hd:], kvDim)
-		}
-	}
-}
-
-func (s *stepReplay) attention(ops opSet) {
-	m := s.B * s.rows
-	for layer := range s.packs {
-		s.pool.Run(&attnPart{s, ops, layer}, min(m, s.pool.Workers()))
-	}
-}
-
-// headBlocks is the shipped attention: one kernels.HeadBlock pass per
-// (sequence, head) over the step's rows, inline, as the engine runs these
-// shapes (their work is below its split threshold).
-func (s *stepReplay) headBlocks() {
+// headBlocks is the attention: one kernels.HeadBlock pass per (sequence,
+// head) over the step's rows, inline, as the engine runs these shapes
+// (their work is below its split threshold), on the block's Go loops or
+// as shipped.
+func (s *stepReplay) headBlocks(goLoops bool) {
 	d, hd, kvDim := s.cfg.DModel, s.cfg.HeadDim(), s.cfg.KVDim()
 	scale := float32(1 / math.Sqrt(float64(hd)))
 	ctx := s.startPos + s.rows
@@ -410,12 +370,16 @@ func (s *stepReplay) headBlocks() {
 				row := b*s.rows*d + hh*hd
 				blk := kernels.HeadBlock{Rows: s.rows, Start: s.startPos, Cols: hd, Scale: scale,
 					Q: s.q[row:], QStride: d, S: s.blockScores, SStride: ctx, Out: s.att[row:], OutStride: d, KT: s.kt}
-				blk.Scores(kc[hh*hd:], kvDim, 0, ctx)
-				blk.Softmax()
+				scores, softmax, accum := blk.Scores, blk.Softmax, blk.Accum
+				if goLoops {
+					scores, softmax, accum = blk.ScoresGo, blk.SoftmaxGo, blk.AccumGo
+				}
+				scores(kc[hh*hd:], kvDim, 0, ctx)
+				softmax()
 				for r := 0; r < s.rows; r++ {
 					clear(s.att[row+r*d:][:hd])
 				}
-				blk.Accum(vc[hh*hd:], kvDim, 0, ctx)
+				accum(vc[hh*hd:], kvDim, 0, ctx)
 			}
 		}
 	}
@@ -494,11 +458,9 @@ func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBrea
 		return classTime{Class: name, GoLoopMs: median(t[0]) * 1e3, SIMDMs: median(t[1]) * 1e3}
 	}
 	same := func(name string, f func()) classTime { return class(name, f, f) }
-	attention := class("attention", func() { s.attention(goOps) }, s.headBlocks)
-	attention.BeforeMs = median(interleave(reps, nil, func() { s.attention(simdOps) }, s.headBlocks)[0]) * 1e3
 	bd := stepBreakdown{Step: step, MeasuredMs: measured * 1e3, Classes: []classTime{
 		class("linear", func() { s.linear(false) }, func() { s.linear(true) }),
-		attention,
+		class("attention", func() { s.headBlocks(true) }, func() { s.headBlocks(false) }),
 		class("norm", func() { s.norm(goOps) }, func() { s.norm(simdOps) }),
 		class("activation", func() { s.activation(goOps) }, func() { s.activation(simdOps) }),
 		same("sampling", s.sampling),
@@ -512,12 +474,8 @@ func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBrea
 	for i := range bd.Classes {
 		c := &bd.Classes[i]
 		c.Share = c.SIMDMs / bd.SumMs
-		before := ""
-		if c.BeforeMs > 0 {
-			before = fmt.Sprintf("   (per-row ops fanned out %.3f ms)", c.BeforeMs)
-		}
-		fmt.Printf("  %-20s  go loop %8.3f ms   shipped %8.3f ms   %5.1f %% of the step%s\n",
-			c.Class, c.GoLoopMs, c.SIMDMs, 100*c.Share, before)
+		fmt.Printf("  %-20s  go loop %8.3f ms   shipped %8.3f ms   %5.1f %% of the step\n",
+			c.Class, c.GoLoopMs, c.SIMDMs, 100*c.Share)
 	}
 	return bd
 }

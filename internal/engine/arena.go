@@ -23,8 +23,8 @@ type arena struct {
 	up     []float32 // [rows, dff]
 	gate   []float32 // [rows, dff], LLaMA-2 only
 	logits []float32 // [batch, vocab] — never [rows, vocab]: multi-row passes ask row by row
-	scores []float32 // [workers, scoreLen] attention scores, one strip per pool part
-	kt     []float32 // [workers, 16·headDim] one transposed key group per pool part
+	scores []float32 // [parts, scoreLen] attention scores, one strip per pool part
+	kt     []float32 // [parts, 16·headDim] one transposed key group per pool part
 	xq     []int8    // [seqRows, max(d,dff)] one sequence's int8 activations
 	next   []int     // [batch] sampled tokens, reused view
 
@@ -39,7 +39,8 @@ type arena struct {
 // seqRows rows each, attending over at most ctxCap positions. Sizing
 // scores to the KV cache *capacity* (not the current context) means no
 // buffer grows as decode advances; one strip holds a head block's rows at
-// a row stride of ctxCap.
+// a row stride of ctxCap. It sizes one pool part's strip: a pass that
+// splits its attention grows the rest (strips).
 func (ar *arena) ensure(e *Engine, batch, seqRows, ctxCap int) {
 	d, kvDim, dff := e.cfg.DModel, e.cfg.KVDim(), e.cfg.DFF
 	if rows := batch * seqRows; rows > ar.rows {
@@ -65,13 +66,22 @@ func (ar *arena) ensure(e *Engine, batch, seqRows, ctxCap int) {
 		ar.seqRows = seqRows
 		ar.xq = make([]int8, seqRows*max(d, dff))
 	}
-	if ar.kt == nil {
-		ar.kt = make([]float32, e.pool.Workers()*16*e.cfg.HeadDim())
-	}
 	ar.ctxCap = max(ar.ctxCap, ctxCap)
 	if n := min(seqRows, attnTile) * ar.ctxCap; n > ar.scoreLen {
 		ar.scoreLen = n
-		ar.scores = make([]float32, e.pool.Workers()*n)
+		ar.scores = make([]float32, n)
+	}
+	ar.strips(1, e.cfg.HeadDim())
+}
+
+// strips makes room for `parts` strips of attention scratch, keeping what
+// is there when it already fits.
+func (ar *arena) strips(parts, headDim int) {
+	if n := parts * ar.scoreLen; n > len(ar.scores) {
+		ar.scores = make([]float32, n)
+	}
+	if n := parts * 16 * headDim; n > len(ar.kt) {
+		ar.kt = make([]float32, n)
 	}
 }
 

@@ -57,8 +57,10 @@ func perRowAttention(e *Engine, ar *arena, caches []*PagedKVCache, layer, rows, 
 // whatever their size: the split path, which the threshold keeps test
 // shapes from.
 func splitAttention(e *Engine, ar *arena, caches []*PagedKVCache, layer, rows, startPos int) {
+	parts := min(len(caches)*e.cfg.Heads, e.pool.Workers())
+	ar.strips(parts, e.cfg.HeadDim())
 	ar.attn = attnJob{e: e, ar: ar, caches: caches, layer: layer, rows: rows, startPos: startPos}
-	e.pool.Run(&ar.attn, min(len(caches)*e.cfg.Heads, e.pool.Workers()))
+	e.pool.Run(&ar.attn, parts)
 }
 
 // withAttention runs f with each layer's attention done by attend (nil:
@@ -177,4 +179,40 @@ func TestHeadBlocksMatchPerRowAttention(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestArenaGrowsStripsOnlyToSplit holds a session's arena to one strip of
+// attention scratch while its passes run inline, and to a strip per pool
+// part once one fans out.
+func TestArenaGrowsStripsOnlyToSplit(t *testing.T) {
+	pool := kernels.NewPool(3)
+	defer pool.Close()
+	w, err := NewWeights(model.Tiny(model.OPT), 42, tensor.FP32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(w, Options{Kernel: KernelParallel, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hd := e.cfg.HeadDim()
+	strips := func(name string, ar *arena, want int) {
+		t.Helper()
+		if len(ar.scores) != want*ar.scoreLen || len(ar.kt) != want*16*hd {
+			t.Errorf("%s: %d score and %d transpose floats, want %d strips of %d and %d", name,
+				len(ar.scores), len(ar.kt), want, ar.scoreLen, 16*hd)
+		}
+	}
+	s := e.NewPagedSession(1, 24, 0)
+	defer s.Release()
+	if _, err := e.Prefill(s, [][]int{prompt(e, 20, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	strips("inline prefill", s.ar, 1)
+	withAttention(splitAttention, func() {
+		if _, err := e.DecodeStep(s, []int{1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	strips("split decode step", s.ar, 3)
 }

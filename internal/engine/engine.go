@@ -189,8 +189,9 @@ func (e *Engine) attention(ar *arena, caches []*PagedKVCache, layer, rows, start
 	// Each unit's scores and weighted sums: hd multiply-adds per (row, key).
 	macs := units * 2 * e.cfg.HeadDim() * (rows*startPos + rows*(rows+1)/2)
 	parts := 1
-	if macs >= minSplitAttnMACs(rows) {
+	if macs >= minSplitAttnMACs {
 		parts = min(units, e.pool.Workers())
+		ar.strips(parts, e.cfg.HeadDim())
 	}
 	ar.attn = attnJob{e: e, ar: ar, caches: caches, layer: layer, rows: rows, startPos: startPos}
 	e.pool.Run(&ar.attn, parts)
@@ -202,20 +203,16 @@ func (e *Engine) attention(ar *arena, caches []*PagedKVCache, layer, rows, start
 var attendOverride func(e *Engine, ar *arena, caches []*PagedKVCache, layer, rows, startPos int)
 
 // minSplitAttnMACs is the least attention work (multiply-adds, over every
-// head of every sequence) of a layer with `rows` rows per sequence that
-// goes to the pool. A parked worker takes long enough to wake that, below
-// it, the caller has finished the layer by the time the worker would have
-// helped, as with kernels' minSplitMACs for a GEMM. The break-even is a
-// time — measured on a two-vCPU host, about 250 µs of inline work — so
-// the count follows the rate of what runs: the head blocks of a multi-row
-// pass do 9–20 GMAC/s (2²²), a decode step's one-row blocks, which are the
-// per-row ops, 3.5–5 (2²⁰). docs/performance.md has the measurement.
-func minSplitAttnMACs(rows int) int {
-	if rows == 1 {
-		return 1 << 20
-	}
-	return 1 << 22
-}
+// head of every sequence) of a layer that goes to the pool. A parked
+// worker takes long enough to wake that, below it, the caller has
+// finished the layer by the time the worker would have helped, as with
+// kernels' minSplitMACs for a GEMM. The break-even is a time — measured
+// on a two-vCPU host, about 250 µs of inline work — and the head blocks
+// of a multi-row pass run 9–20 GMAC/s there, so 2²² multiply-adds. A
+// decode step's one-row blocks run slower per multiply-add, so they stay
+// inline a little past the break-even; no benchmark shape comes near it.
+// docs/performance.md has the measurement.
+const minSplitAttnMACs = 1 << 22
 
 // attendHead computes head `head` of sequence b's causal attention for
 // the pass's rows, at most attnTile query rows per HeadBlock, into ar.att,

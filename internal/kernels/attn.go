@@ -18,7 +18,8 @@ package kernels
 // AVX-512, two on AVX2); each value row is loaded once per eight output
 // rows. The causal triangle is handled inside: a row never
 // reads a probability past its own position. A one-row block (a decode
-// step) is the per-row ops themselves.
+// step) is the per-row ops themselves, which check their own operands, so
+// it skips the block's checks.
 type HeadBlock struct {
 	Rows  int // query rows, at positions Start, Start+1, …
 	Start int
@@ -77,11 +78,11 @@ func (b *HeadBlock) outRow(r int) []float32 { return b.Out[r*b.OutStride:][:b.Co
 // `stride` apart) for every row that sees them: S[r·SStride+t+i] =
 // Dot(q_r, key_i)·Scale, DotRows' bits.
 func (b *HeadBlock) Scores(keys []float32, stride, t, n int) {
-	b.checkRun(keys, stride, t, n)
 	if b.Rows == 1 { // a decode step: no other row to share a transpose with
-		DotRows(b.Q[:b.Cols], keys, stride, n, b.Scale, b.S[t:])
+		DotRows(b.Q[:b.Cols], keys, stride, n, b.Scale, b.S[t:b.ctx()])
 		return
 	}
+	b.checkRun(keys, stride, t, n)
 	if simdLevel == levelGeneric || b.Cols == 0 {
 		b.ScoresGo(keys, stride, t, n)
 		return
@@ -137,6 +138,10 @@ func transposeKeys(kt, keys []float32, stride, m, lanes, cols int) {
 // Softmax turns every row's scores into probabilities, each row exactly
 // as Softmax does it.
 func (b *HeadBlock) Softmax() {
+	if b.Rows == 1 {
+		Softmax(b.sRow(0))
+		return
+	}
 	b.check()
 	r := 0
 	switch {
@@ -166,6 +171,10 @@ func (b *HeadBlock) SoftmaxGo() {
 // position. Called run by run from position 0 onto zeroed rows, it gives
 // AccumRows' bits for the whole context.
 func (b *HeadBlock) Accum(vals []float32, stride, t, n int) {
+	if b.Rows == 1 {
+		AccumRows(b.outRow(0), b.S[t:t+n:b.ctx()], vals, stride)
+		return
+	}
 	b.checkRun(vals, stride, t, n)
 	r := b.firstRow(t)
 	if simdLevel >= levelAVX2 && b.Cols >= vecLanes {

@@ -163,6 +163,21 @@ func TestHeadBlockPanicsOutOfRange(t *testing.T) {
 	b = fits()
 	b.OutStride = 7
 	mustPanic("output stride below cols", func() { b.Accum(keys, 8, 0, 6) })
+
+	// A one-row block leaves the checks to the per-row ops.
+	one := HeadBlock{Rows: 1, Start: 5, Cols: 8, Scale: 1, Q: make([]float32, 8), QStride: 8,
+		S: make([]float32, 8), SStride: 8, Out: make([]float32, 8), OutStride: 8}
+	one.Scores(keys, 8, 0, 6) // exactly fits
+	one.Softmax()
+	one.Accum(keys, 8, 0, 6)
+	mustPanic("one row: run past the context", func() { one.Scores(keys, 8, 1, 6) })
+	mustPanic("one row: accumulated past the context", func() { one.Accum(keys, 8, 1, 6) })
+	mustPanic("one row: keys too short", func() { one.Scores(keys[:40], 8, 0, 6) })
+	mustPanic("one row: values too short", func() { one.Accum(keys[:40], 8, 0, 6) })
+	one.Out = make([]float32, 7)
+	mustPanic("one row: output too short", func() { one.Accum(keys, 8, 0, 6) })
+	one.S = make([]float32, 5)
+	mustPanic("one row: scores too short", func() { one.Softmax() })
 }
 
 // TestHeadBlockSoftmaxMatchesSoftmax drives the block's softmax with the
