@@ -209,9 +209,10 @@ var attendOverride func(e *Engine, ar *arena, caches []*PagedKVCache, layer, row
 // kernels' minSplitMACs for a GEMM. The break-even is a time — measured
 // on a two-vCPU host, about 250 µs of inline work — and the head blocks
 // of a multi-row pass run 9–20 GMAC/s there, so 2²² multiply-adds. A
-// decode step's one-row blocks run slower per multiply-add, so they stay
-// inline a little past the break-even; no benchmark shape comes near it.
-// docs/performance.md has the measurement.
+// decode step's one-row blocks run 3.5–5 GMAC/s, so they reach it only
+// well past 250 µs; the two decode shapes measured below it lost or tied
+// split. No benchmark shape comes near it. docs/performance.md has the
+// measurement.
 const minSplitAttnMACs = 1 << 22
 
 // attendHead computes head `head` of sequence b's causal attention for
