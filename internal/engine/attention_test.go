@@ -183,11 +183,14 @@ func TestHeadBlocksMatchPerRowAttention(t *testing.T) {
 
 // TestArenaGrowsStripsOnlyToSplit holds a session's arena to one strip of
 // attention scratch while its passes run inline, and to a strip per pool
-// part once one fans out.
+// part once the engine's own dispatch splits one (a prompt long enough to
+// pass minSplitAttnMACs), whose logits still match the per-row oracle.
 func TestArenaGrowsStripsOnlyToSplit(t *testing.T) {
 	pool := kernels.NewPool(3)
 	defer pool.Close()
-	w, err := NewWeights(model.Tiny(model.OPT), 42, tensor.FP32)
+	cfg := model.Tiny(model.OPT)
+	cfg.MaxSeq = 300
+	w, err := NewWeights(cfg, 42, tensor.FP32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +199,14 @@ func TestArenaGrowsStripsOnlyToSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	hd := e.cfg.HeadDim()
+	prefill := func(n int) (*Session, []float32) {
+		t.Helper()
+		s := e.NewPagedSession(1, n, 0)
+		if _, err := e.Prefill(s, [][]int{prompt(e, n, 5)}); err != nil {
+			t.Fatal(err)
+		}
+		return s, append([]float32(nil), s.ar.logits[:e.cfg.Vocab]...)
+	}
 	strips := func(name string, ar *arena, want int) {
 		t.Helper()
 		if len(ar.scores) != want*ar.scoreLen || len(ar.kt) != want*16*hd {
@@ -203,16 +214,25 @@ func TestArenaGrowsStripsOnlyToSplit(t *testing.T) {
 				len(ar.scores), len(ar.kt), want, ar.scoreLen, 16*hd)
 		}
 	}
-	s := e.NewPagedSession(1, 24, 0)
-	defer s.Release()
-	if _, err := e.Prefill(s, [][]int{prompt(e, 20, 5)}); err != nil {
-		t.Fatal(err)
-	}
+	s, _ := prefill(20)
 	strips("inline prefill", s.ar, 1)
-	withAttention(splitAttention, func() {
-		if _, err := e.DecodeStep(s, []int{1}); err != nil {
-			t.Fatal(err)
-		}
+	s.Release()
+
+	const long = 256
+	if macs := e.cfg.Heads * 2 * hd * long * (long + 1) / 2; macs < minSplitAttnMACs {
+		t.Fatalf("a %d-token prompt is %d attention MACs per layer, below the split at %d", long, macs, minSplitAttnMACs)
+	}
+	s, got := prefill(long)
+	strips("split prefill", s.ar, 3)
+	s.Release()
+	var want []float32
+	withAttention(perRowAttention, func() {
+		s, want = prefill(long)
+		s.Release()
 	})
-	strips("split decode step", s.ar, 3)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("split prefill: logit %d is %x, per-row oracle %x", i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
 }
