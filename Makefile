@@ -245,19 +245,21 @@ bench: bench-decode
 
 # This host's measured roofline (STREAM triad GB/s, and a GFLOP/s ceiling
 # per instruction mix the SIMD level can issue), the decode-shape kernel
-# sweep against it (packed Go loop | the level below, carried from the
-# committed file | packed SIMD + pool, GFLOP/s and GB/s each), the vector
-# op sweep (Go loop | SIMD), the operator-class breakdown of two decode
-# steps and of a prefill, and tiny-engine decode tok/s by batch. Writes
-# BENCH_decode.json; fails if a kernel point reads above 105 % of its
-# mix's ceiling, if a SIMD level is slower than the one below it on an
-# M >= 4 row, or if a SIMD op is slower than its Go loop.
+# sweep against it (packed Go loop | the level below the host's | packed
+# SIMD + pool, GFLOP/s and GB/s each, all three timed in the same
+# interleaved rounds), the vector op sweep (Go loop | SIMD), the
+# operator-class breakdown of two decode steps and of a prefill, and
+# tiny-engine decode tok/s by batch. Writes BENCH_decode.json; fails if a
+# kernel point reads above 105 % of its mix's ceiling or if a SIMD op is
+# slower than its Go loop, and notes a SIMD level slower than the one
+# below it on an M >= 4 row.
 bench-decode:
 	$(GO) run ./cmd/gemmbench -decode -json BENCH_decode.json
 
-# CI-sized variant: smaller shapes, fewer reps, the same three checks. Its
-# JSON goes under the gitignored .bench_build/ so the committed full-size
-# artifact is not overwritten.
+# CI-sized variant: smaller shapes, fewer reps, the same checks, and a
+# SIMD level slower than the one below it fails the run. Its JSON goes
+# under the gitignored .bench_build/ so the committed full-size artifact
+# is not overwritten.
 bench-decode-short:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/gemmbench -decode -short -json .bench_build/BENCH_decode.json
@@ -275,32 +277,31 @@ bench-spec-short:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/gemmbench -spec -short -json .bench_build/BENCH_specdec.json
 
+# The base commit bench-serving and bench-pairs compare this checkout
+# with, checked out in a git worktree under .bench_build/.
+REV ?= HEAD~1
+
 # Serving-path layer baselines: one decode iteration of a live lane
 # (batch 1 and 8, traced and untraced), the API's feed -> SSE relay per
 # token, Tree.Stats and Lease.Grow with 2048 blocks cached, and one
-# 64-token trace added and finished. Rewrites the `after` rows of
-# BENCH_serving.json; the `before` rows are the parent commit's, taken by
-# piping the same `go test` run in a checkout of the parent into
-# `gemmbench -serving -before` (docs/performance.md).
-SERVING_BENCH = 'BenchmarkLaneIteration|BenchmarkStreamTokens|BenchmarkStats2k|BenchmarkGrow2k|BenchmarkAddFinish'
-SERVING_PKGS = ./internal/gateway ./internal/api ./internal/prefixcache ./internal/govern ./internal/trace
+# 64-token trace added and finished. Both sides in one session
+# (scripts/benchserving.sh): five alternating `go test -count 1` rounds
+# of REV and of this checkout, whose medians are BENCH_serving.json's
+# `before` and `after` rows.
 bench-serving:
-	$(GO) test -run '^$$' -bench $(SERVING_BENCH) -benchmem -count 5 $(SERVING_PKGS) 2>/dev/null | \
-	    $(GO) run ./cmd/gemmbench -serving -json BENCH_serving.json
+	bash scripts/benchserving.sh $(REV) 5 BENCH_serving.json
 
-# CI-sized variant: a fixed, small iteration count, one run each; JSON
-# under .bench_build/. Fails if a benchmark fails or none ran, or if one
-# allocates more per op than its committed `after` row.
+# CI-sized variant: one round of each side at a fixed, small iteration
+# count; JSON under .bench_build/. Fails if a benchmark fails or none ran,
+# or if one allocates more per op than its committed `after` row. CI runs
+# it with REV=HEAD, as a shallow checkout has no HEAD~1.
 bench-serving-short:
-	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench $(SERVING_BENCH) -benchmem -benchtime 2000x $(SERVING_PKGS) 2>/dev/null | \
-	    $(GO) run ./cmd/gemmbench -serving -short -json .bench_build/BENCH_serving.json
+	bash scripts/benchserving.sh $(REV) 1 .bench_build/BENCH_serving.json -short
 
 # The repository benchmark in N alternating pairs, SECONDS each, of
-# workload W on commit REV (a git worktree under .bench_build/) and on this
-# checkout: per end-to-end metric, each side's median and quartiles, the
-# change, the pairs won and the gain rule. Fails if a run is not correct.
-REV ?= HEAD~1
+# workload W on commit REV and on this checkout: per end-to-end metric,
+# each side's median and quartiles, the change, the pairs won and the gain
+# rule. Fails if a run is not correct.
 W ?= engine-decode
 N ?= 10
 SECONDS ?= 30

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -56,12 +55,6 @@ type hostBlock struct {
 	TriadMB   int     `json:"triad_working_set_mb"`
 	TriadGBs1 float64 `json:"triad_gbs_1thread"`
 	TriadGBs  float64 `json:"triad_gbs"`
-	// The widest mix's figures (amx-bf16 on a host with AMX), and the Go
-	// loop's on one thread: the keys this block had before it listed every
-	// mix.
-	MulAddGFLOPs1       float64 `json:"muladd_gflops_1thread"`
-	MulAddGFLOPs        float64 `json:"muladd_gflops"`
-	MulAddScalarGFLOPs1 float64 `json:"muladd_scalar_gflops_1thread"`
 	// Mixes has one ceiling per mix, narrowest first; a kernel point is
 	// held against the ceiling of the mix its kernel runs as.
 	Mixes []mixCeiling `json:"mix_ceilings"`
@@ -114,9 +107,6 @@ func (h *hostBlock) readPeaks(short bool) {
 		h.readPeak(mix, 1, 3, iters)
 		h.readPeak(mix, h.GOMAXPROCS, 3, iters)
 	}
-	widest := h.Mixes[len(h.Mixes)-1]
-	h.MulAddGFLOPs1, h.MulAddGFLOPs = widest.GFLOPs1, widest.GFLOPs
-	h.MulAddScalarGFLOPs1 = h.ceiling(kernels.MixGo).GFLOPs1
 }
 
 // kernelRate is one way of computing one kernel point: the median of the
@@ -137,9 +127,8 @@ type kernelRate struct {
 }
 
 // kernelPoint is one decode-shape GEMM, M rows × a [k,n] weight, computed
-// on every SIMD level there are numbers for: the Go loop, the level below
-// the running one as the committed artifact recorded it (PackedBefore),
-// and the running level.
+// on three SIMD levels in the same interleaved rounds: the Go loop, the
+// level below the host's (benchReport.BelowSIMD) and the host's.
 type kernelPoint struct {
 	Tier         string     `json:"tier"`
 	M            int        `json:"m"`
@@ -148,12 +137,10 @@ type kernelPoint struct {
 	WeightMB     float64    `json:"weight_mb"` // packed bytes streamed per call
 	Reps         int        `json:"reps"`
 	PackedScalar kernelRate `json:"packed_scalar"` // packed, portable Go loop, serial
-	// PackedBefore is the committed artifact's `packed` row for this point
-	// when that artifact was taken at a lower SIMD level than this run's
-	// (benchReport.BeforeSIMD), carried over, not measured; a run at the
-	// artifact's own level carries its packed_before through.
-	PackedBefore *kernelRate `json:"packed_before,omitempty"`
-	Packed       kernelRate  `json:"packed"` // packed as shipped: micro-kernel + pool
+	// PackedBelow is the same pack as the level below the host's ships it
+	// (micro-kernel + pool); absent where that level is the Go loop.
+	PackedBelow *kernelRate `json:"packed_below,omitempty"`
+	Packed      kernelRate  `json:"packed"` // packed as shipped: micro-kernel + pool
 	// SIMDSpeedup is packed_scalar / packed.
 	SIMDSpeedup float64 `json:"simd_speedup"`
 }
@@ -169,17 +156,14 @@ type enginePoint struct {
 	Reps       int     `json:"reps"`
 	DecodeTokS float64 `json:"fused_decode_toks"`
 	PrefillS   float64 `json:"fused_prefill_seconds"`
-	// DecodeTokSBefore is the committed artifact's rate for this point
-	// (its own before, once it has one): carried, not measured.
-	DecodeTokSBefore float64 `json:"fused_decode_toks_before,omitempty"`
 }
 
 // benchReport is the BENCH_decode.json schema.
 type benchReport struct {
 	Host  hostBlock `json:"host"`
 	Short bool      `json:"short"`
-	// BeforeSIMD is the level the packed_before rows were measured at.
-	BeforeSIMD  string        `json:"packed_before_simd,omitempty"`
+	// BelowSIMD is the level the packed_below rows ran at.
+	BelowSIMD   string        `json:"below_simd,omitempty"`
 	KernelSweep []kernelPoint `json:"kernel_sweep"`
 	// OpSweep and StepBreakdown cover the non-GEMM half of a step (ops.go).
 	OpSweep       []opPoint       `json:"op_sweep"`
@@ -270,7 +254,10 @@ func (rep *benchReport) holdToCeilings() error {
 	var err error
 	for i := range rep.KernelSweep {
 		pt := &rep.KernelSweep[i]
-		for _, r := range []*kernelRate{&pt.PackedScalar, &pt.Packed} {
+		for _, r := range []*kernelRate{&pt.PackedScalar, pt.PackedBelow, &pt.Packed} {
+			if r == nil {
+				continue
+			}
 			c := rep.Host.ceiling(r.Mix)
 			r.PctMulAdd = 100 * r.GFLOPs / c.Ceiling
 			if r.PctMulAdd > overCeiling && err == nil {
@@ -282,70 +269,26 @@ func (rep *benchReport) holdToCeilings() error {
 	return err
 }
 
-// decodeArtifact is the committed file the packed_before rows are carried
-// from.
-const decodeArtifact = "BENCH_decode.json"
+// levelBelow maps a SIMD level to the one below it, as kernels.LimitSIMD
+// names them: the level of the packed_below rows. The avx2 level has none
+// there: the one below it is the Go loop, which packed_scalar times.
+var levelBelow = map[string]string{"amx": "avx512", "avx512": "avx2"}
 
-// simdRank orders kernels.SIMDLevel() values.
-func simdRank(level string) int {
-	return map[string]int{"generic": 0, "avx2": 1, "avx512": 2, "amx": 3}[level]
-}
-
-// pointKey identifies a kernel point across artifacts.
-type pointKey struct {
-	tier    string
-	m, k, n int
-}
-
-// loadBefore reads the rows a run at `level` carries as packed_before out
-// of the committed artifact: its packed rows when it was taken at a lower
-// level (which is then the level returned), else the packed_before rows it
-// carries itself.
-func loadBefore(level string) (rows map[pointKey]*kernelRate, simd string, err error) {
-	data, err := os.ReadFile(decodeArtifact)
-	if err != nil {
-		return nil, "", nil // no artifact to carry from
+// atLevel has the kernels run at level, one kernels.LimitSIMD takes, until
+// the next call.
+func atLevel(level string) {
+	if err := kernels.LimitSIMD(level); err != nil {
+		panic(err)
 	}
-	var committed benchReport
-	if err := json.Unmarshal(data, &committed); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", decodeArtifact, err)
-	}
-	lower := simdRank(committed.Host.SIMD) < simdRank(level)
-	simd = committed.BeforeSIMD
-	if lower {
-		simd = committed.Host.SIMD
-	}
-	rows = map[pointKey]*kernelRate{}
-	for _, old := range committed.KernelSweep {
-		before := old.PackedBefore
-		if lower {
-			before = &old.Packed
-		}
-		rows[pointKey{old.Tier, old.M, old.K, old.N}] = before
-	}
-	return rows, simd, nil
-}
-
-// engineBefore reads the rates engine_sweep rows carry as
-// fused_decode_toks_before out of the committed artifact, by family/batch.
-func engineBefore() map[string]float64 {
-	rows := map[string]float64{}
-	var committed benchReport
-	if data, err := os.ReadFile(decodeArtifact); err != nil || json.Unmarshal(data, &committed) != nil {
-		return rows
-	}
-	for _, pt := range committed.EngineSweep {
-		rows[fmt.Sprintf("%s/%d", pt.Family, pt.Batch)] = cmp.Or(pt.DecodeTokSBefore, pt.DecodeTokS)
-	}
-	return rows
 }
 
 // levelsInOrder reports the first M ≥ 4 point on which a SIMD level is
-// slower than the level below it: the Go loop, the carried level, the
-// running one. A level is held to the carried one only where the two run
-// different instruction mixes: the same mix is the same kernel (an FP32
-// pack's on the amx level is avx512's), and two readings of it differ by
-// the host's drift alone.
+// slower than the level below it: the Go loop, the level below the host's,
+// the host's, all timed in the same rounds. The host's level is held to the
+// one below only where the two run different instruction mixes: the same
+// mix is the same kernel (an FP32 pack's on the amx level is avx512's), and
+// two readings of it differ by noise alone — those rows are the file's own
+// A/A noise floor.
 func (rep *benchReport) levelsInOrder() error {
 	for _, pt := range rep.KernelSweep {
 		if pt.M < 4 || rep.Host.SIMD == "generic" {
@@ -353,13 +296,13 @@ func (rep *benchReport) levelsInOrder() error {
 		}
 		name := fmt.Sprintf("%s %d×%d M=%d", pt.Tier, pt.K, pt.N, pt.M)
 		below, belowName := pt.PackedScalar.Seconds, "the Go loop"
-		if b := pt.PackedBefore; b != nil && simdRank(rep.BeforeSIMD) > 0 {
+		if b := pt.PackedBelow; b != nil {
 			if b.Seconds > below {
 				return fmt.Errorf("kernel sweep: %s: %s (%.1f us) is slower than %s (%.1f us)",
-					name, rep.BeforeSIMD, b.Seconds*1e6, belowName, below*1e6)
+					name, rep.BelowSIMD, b.Seconds*1e6, belowName, below*1e6)
 			}
 			if b.Mix != pt.Packed.Mix {
-				below, belowName = b.Seconds, rep.BeforeSIMD+" (carried)"
+				below, belowName = b.Seconds, rep.BelowSIMD
 			}
 		}
 		if pt.Packed.Seconds > below {
@@ -395,26 +338,29 @@ func runDecode(jsonPath string, short bool) error {
 	}
 	rep := benchReport{Host: measureHost(short), Short: short, StepBreakdown: steps}
 	h := &rep.Host
-	before, beforeSIMD, err := loadBefore(h.SIMD)
-	if err != nil {
-		return err
-	}
-	rep.BeforeSIMD = beforeSIMD
+	rep.BelowSIMD = levelBelow[h.SIMD]
 	fmt.Printf("host  %s/%s  GOMAXPROCS=%d  triad %.1f GB/s (1 thread %.1f)\n",
 		h.GOARCH, h.SIMD, h.GOMAXPROCS, h.TriadGBs, h.TriadGBs1)
 
 	// Every point is built first and the repetitions then go round all of
 	// them (interleave), so that a point's samples are seconds apart: the
 	// sandbox's slow phases last longer than a point's seven back-to-back
-	// runs would, and would otherwise sink whole rows.
+	// runs would, and would otherwise sink whole rows — and so that the
+	// level below is read in the same rounds as the host's, not in another
+	// session's.
 	rng := rand.New(rand.NewSource(1))
 	pool := kernels.NewPool(0)
 	defer pool.Close()
+	perPoint := 2 // runs: the Go loop, as shipped, and the level below if any
+	if rep.BelowSIMD != "" {
+		perPoint = 3
+	}
 	var (
-		runs  []func() // per point: the Go loop, then as shipped
-		mixes []string // the mix each of runs executes as
-		work  [][2]float64
-		// shippedCalls is how many GEMMs a run of the shipped side makes.
+		runs   []func() // perPoint per point
+		levels []string // the SIMD level each of runs executes at
+		mixes  []string // and the mix it executes as
+		work   [][2]float64
+		// shippedCalls is how many GEMMs a run of a SIMD side makes.
 		shippedCalls []int
 	)
 	for _, sh := range shapes {
@@ -429,49 +375,62 @@ func runDecode(jsonPath string, short bool) error {
 			for _, m := range ms {
 				a, c := randMat(rng, m*k), make([]float32, m*n)
 				rep.KernelSweep = append(rep.KernelSweep, kernelPoint{Tier: tierName, M: m, K: k, N: n, Reps: reps,
-					WeightMB: float64(pb.Bytes()) / (1 << 20), PackedBefore: before[pointKey{tierName, m, k, n}]})
-				// A timed run of the fast side is a few calls back to back when
+					WeightMB: float64(pb.Bytes()) / (1 << 20)})
+				// A timed run of a SIMD side is a few calls back to back when
 				// one is short (an M = 8 GEMM is 30 µs): long enough for a clock
 				// that has just changed licence to have settled.
 				calls := max(1, min(16, (1<<23)/(m*k*n)))
-				runs = append(runs,
-					func() { kernels.GemmPackedGeneric(m, a, pb, c) },
-					func() {
-						for range calls {
-							kernels.GemmPackedPooled(pool, job, m, a, pb, c)
-						}
-					})
-				shippedCalls = append(shippedCalls, calls)
+				shipped := func() {
+					for range calls {
+						kernels.GemmPackedPooled(pool, job, m, a, pb, c)
+					}
+				}
+				runs = append(runs, func() { kernels.GemmPackedGeneric(m, a, pb, c) }, shipped)
+				levels = append(levels, h.SIMD, h.SIMD)
 				mixes = append(mixes, kernels.MixGo, pb.Mix(m))
+				if below := rep.BelowSIMD; below != "" {
+					atLevel(below)
+					runs, levels, mixes = append(runs, shipped), append(levels, below), append(mixes, pb.Mix(m))
+					atLevel(h.SIMD)
+				}
+				shippedCalls = append(shippedCalls, calls)
 				work = append(work, [2]float64{
 					2 * float64(m) * float64(n) * float64(k),  // flops
 					float64(pb.Bytes()) + float64(4*m*(k+n))}) // bytes: weights + activations in, outputs out
 			}
 		}
 	}
-	next := 0
-	times := interleave(reps, func() {
-		// A short reading of the coming run's ceiling, right beside it; then
-		// the run once untimed if it is the fast one, so that it is timed as
-		// the back-to-back repetitions of earlier artifacts were: operands
-		// as warm as their size allows.
-		i := next % len(runs)
+	times := interleave(reps, func(i int) {
+		// The coming run's level; a short reading of its ceiling, right
+		// beside it; then the run once untimed if it is a SIMD side, so that
+		// it is timed as the back-to-back repetitions of earlier artifacts
+		// were: operands as warm as their size allows.
+		atLevel(levels[i])
 		h.readPeak(mixes[i], 1, 1, 200_000)
-		if i%2 == 1 {
+		if i%perPoint != 0 {
 			runs[i]()
 		}
-		next++
 	}, runs...)
+	atLevel(h.SIMD)
 	fmt.Printf("decode-shape kernel sweep  (median of %d interleaved reps; GFLOP/s | GB/s)\n", reps)
 	fmt.Printf("%-13s %-10s %3s  %15s  %15s  %15s  %7s\n",
-		"tier", "k×n", "M", "packed scalar", "before: "+beforeSIMD, "packed", "vs scal")
+		"tier", "k×n", "M", "packed scalar", "below: "+rep.BelowSIMD, "packed", "vs scal")
 	for i := range rep.KernelSweep {
 		pt := &rep.KernelSweep[i]
-		pt.PackedScalar = h.rate(mixes[2*i], times[2*i], work[i][0], work[i][1])
-		for j := range times[2*i+1] {
-			times[2*i+1][j] /= float64(shippedCalls[i])
+		side := func(j int) kernelRate { // run j of the point's, per GEMM
+			r := perPoint*i + j
+			if j > 0 {
+				for t := range times[r] {
+					times[r][t] /= float64(shippedCalls[i])
+				}
+			}
+			return h.rate(mixes[r], times[r], work[i][0], work[i][1])
 		}
-		pt.Packed = h.rate(mixes[2*i+1], times[2*i+1], work[i][0], work[i][1])
+		pt.PackedScalar, pt.Packed = side(0), side(1)
+		if perPoint == 3 {
+			below := side(2)
+			pt.PackedBelow = &below
+		}
 		pt.SIMDSpeedup = pt.PackedScalar.Seconds / pt.Packed.Seconds
 		cell := func(r *kernelRate) string {
 			if r == nil {
@@ -481,15 +440,14 @@ func runDecode(jsonPath string, short bool) error {
 		}
 		fmt.Printf("%-13s %-10s %3d  %15s  %15s  %15s  %6.1fx\n",
 			pt.Tier, fmt.Sprintf("%d×%d", pt.K, pt.N), pt.M,
-			cell(&pt.PackedScalar), cell(pt.PackedBefore), cell(&pt.Packed), pt.SIMDSpeedup)
+			cell(&pt.PackedScalar), cell(pt.PackedBelow), cell(&pt.Packed), pt.SIMDSpeedup)
 	}
 
 	fmt.Printf("\nvector op sweep  (median of %d reps; per call: Go loop | as shipped)\n", reps)
 	rep.OpSweep = opSweep(*h, reps)
 
 	fmt.Printf("\ntiny-engine decode throughput  (prompt 8, %d new tokens, median of %d reps)\n", newTokens, reps)
-	fmt.Printf("%-8s %-20s %6s  %12s  %12s  %12s\n", "family", "kernel", "batch", "before tok/s", "decode tok/s", "prefill ms")
-	carried := engineBefore()
+	fmt.Printf("%-8s %-20s %6s  %12s  %12s\n", "family", "kernel", "batch", "decode tok/s", "prefill ms")
 	families := []model.Family{model.LLaMA2}
 	if !short {
 		families = append(families, model.OPT)
@@ -518,10 +476,9 @@ func runDecode(jsonPath string, short bool) error {
 				return err
 			}
 			pt := enginePoint{Family: famName, Kernel: kern.String(), Batch: batch,
-				PromptLen: 8, NewTokens: newTokens, Reps: reps, DecodeTokS: tokS, PrefillS: pre,
-				DecodeTokSBefore: carried[fmt.Sprintf("%s/%d", famName, batch)]}
+				PromptLen: 8, NewTokens: newTokens, Reps: reps, DecodeTokS: tokS, PrefillS: pre}
 			rep.EngineSweep = append(rep.EngineSweep, pt)
-			fmt.Printf("%-8s %-20s %6d  %12.1f  %12.1f  %12.3f\n", famName, pt.Kernel, batch, pt.DecodeTokSBefore, tokS, pre*1e3)
+			fmt.Printf("%-8s %-20s %6d  %12.1f  %12.3f\n", famName, pt.Kernel, batch, tokS, pre*1e3)
 		}
 	}
 
@@ -547,10 +504,9 @@ func runDecode(jsonPath string, short bool) error {
 	if ceilErr != nil {
 		return ceilErr
 	}
-	// The carried level's numbers are another run's, and the sandbox drifts
-	// by a third between runs: the order is enforced where the gap between
-	// levels is structural (the -short sweep's M = 8 rows, 2-3×) and
-	// reported where a wide row can close it (blocked-fp32 at M ≥ 64).
+	// The order is enforced where the gap between levels is structural (the
+	// -short sweep's M = 8 rows, 2-3×) and reported on the full sweep, whose
+	// rows past L2 put a level's lead inside the rounds' spread.
 	if err := rep.levelsInOrder(); err != nil {
 		if short {
 			return err

@@ -9,24 +9,26 @@
 // With -decode it instead measures this host's roofline (a STREAM-triad
 // GB/s, and a GFLOP/s ceiling for every instruction mix the SIMD level can
 // issue) and sweeps decode and prefill shapes (M ∈ {1,4,8,16,32,64,128})
-// against it: the packed GEMM on the portable Go loop and the packed GEMM
-// as shipped (SIMD micro-kernel + pool), each as achieved GFLOP/s and GB/s
-// and held to the ceiling of the mix it runs as, with the level below's
-// numbers carried over from the committed BENCH_decode.json. It also
-// sweeps the vector ops around the GEMMs (attention score and weighted-V,
-// ReLU, bias add, bf16 rounding: Go loop vs SIMD), breaks a batch-1 and a
+// against it: the packed GEMM on the portable Go loop, as the SIMD level
+// below the host's ships it, and as shipped (SIMD micro-kernel + pool),
+// all three timed in the same interleaved rounds, each as achieved GFLOP/s
+// and GB/s and held to the ceiling of the mix it runs as. It also sweeps
+// the vector ops around the GEMMs (attention score and weighted-V, ReLU,
+// bias add, bf16 rounding: Go loop vs SIMD), breaks a batch-1 and a
 // batch-4 decode step and a 4×32 prefill of the benchmark's model down by
 // operator class, and runs the tiny functional engine end to end — the
 // software analog of the paper's throughput-vs-batch curves. The run fails
-// if a point reads above 105 % of its ceiling, if a SIMD level loses to the
-// one below it on an M ≥ 4 row, or if a SIMD op loses to its Go loop. -json
-// writes the results to a file (the perf-trajectory artifact `make bench`
-// stores as BENCH_decode.json).
+// if a point reads above 105 % of its ceiling or a SIMD op loses to its Go
+// loop; a SIMD level that loses to the one below it on an M ≥ 4 row fails
+// the -short run and is reported by the full one. -json writes the results
+// to a file (the perf-trajectory artifact `make bench` stores as
+// BENCH_decode.json).
 //
-// With -serving it measures nothing itself: it reads the `go test -bench`
-// output of the serving-path layer benchmarks on stdin and files it as the
-// after (or, with -before, the parent commit's before) rows of
-// BENCH_serving.json (`make bench-serving`).
+// With -serving it measures nothing itself: it files two `go test -bench`
+// outputs of the serving-path layer benchmarks, a base commit's and this
+// checkout's, taken in alternating rounds of one session, as the before
+// and after rows of BENCH_serving.json (`make bench-serving`, which runs
+// scripts/benchserving.sh).
 //
 // Usage:
 //
@@ -34,7 +36,7 @@
 //	gemmbench -sizes 128,256 -reps 5
 //	gemmbench -decode -json BENCH_decode.json
 //	gemmbench -decode -short         # CI-sized variant
-//	go test -run '^$' -bench ... -benchmem ./internal/... | gemmbench -serving -json BENCH_serving.json
+//	gemmbench -serving -json BENCH_serving.json base.txt change.txt
 package main
 
 import (
@@ -44,6 +46,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -78,12 +81,11 @@ func main() {
 	spec := flag.Bool("spec", false, "run the speculative-decoding sweep (draft+verify vs fused greedy baseline across kernel tiers and acceptance rates)")
 	jsonOut := flag.String("json", "", "write decode sweep results to this JSON file")
 	short := flag.Bool("short", false, "CI-sized decode sweep (smaller shapes, fewer reps)")
-	serving := flag.Bool("serving", false, "read `go test -bench` output of the serving-path layer benchmarks on stdin and write it as before/after rows")
-	before := flag.Bool("before", false, "with -serving: stdin is the parent commit's run (fills the before rows)")
+	serving := flag.Bool("serving", false, "file two `go test -bench` outputs of the serving-path layer benchmarks, named as arguments (base, then this checkout), as before/after rows")
 	flag.Parse()
 
 	if *serving {
-		if err := runServing(*jsonOut, *short, *before); err != nil {
+		if err := runServing(*jsonOut, *short, flag.Args()); err != nil {
 			fmt.Fprintln(os.Stderr, "gemmbench:", err)
 			os.Exit(1)
 		}
@@ -320,7 +322,7 @@ func runSpec(jsonPath string, short bool) error {
 						st.Proposed += s.Proposed
 						st.Accepted += s.Accepted
 						st.TargetPasses += s.TargetPasses
-						if !equalInts(out, ref[i]) {
+						if !slices.Equal(out, ref[i]) {
 							identical = false
 						}
 					}
@@ -468,18 +470,6 @@ func steerTo(ref []int, rng *rand.Rand, alpha float64, vocab int) func(outLen, i
 		}
 		return wrong
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func bestOf(reps int, f func()) float64 {

@@ -87,17 +87,23 @@ type stepBreakdown struct {
 
 // interleave times each of fs reps times, round-robin so that a slow
 // phase of the host falls on all of them alike, after one untimed round.
-// prep (optional) runs untimed before every call: in-place ops get their
-// operands restored. It returns each f's sorted wall times.
-func interleave(reps int, prep func(), fs ...func()) [][]float64 {
+// Every other round goes backwards, so that no f always runs right after
+// the same one. prep (optional) runs untimed before every call, given the
+// index of the f to come: in-place ops get their operands restored. It
+// returns each f's sorted wall times.
+func interleave(reps int, prep func(i int), fs ...func()) [][]float64 {
 	times := make([][]float64, len(fs))
 	for r := 0; r <= reps; r++ {
-		for i, f := range fs {
+		for j := range fs {
+			i := j
+			if r%2 == 1 {
+				i = len(fs) - 1 - j
+			}
 			if prep != nil {
-				prep()
+				prep(i)
 			}
 			start := time.Now()
-			f()
+			fs[i]()
 			if r > 0 {
 				times[i] = append(times[i], time.Since(start).Seconds())
 			}
@@ -199,7 +205,7 @@ func opSweep(h hostBlock, reps int) []opPoint {
 			}
 		}
 		smBytes := float64(8 * heads * ctx)
-		t = interleave(reps, func() { copy(probs, logits) }, sm(goOps), sm(simdOps))
+		t = interleave(reps, func(int) { copy(probs, logits) }, sm(goOps), sm(simdOps))
 		add(opPoint{Op: "softmax", Shape: fmt.Sprintf("ctx %d, %d heads", ctx, heads),
 			GoLoop: h.opRate(t[0], calls, smBytes), SIMD: h.opRate(t[1], calls, smBytes)})
 	}
@@ -257,14 +263,14 @@ func opSweep(h hostBlock, reps int) []opPoint {
 	m, dff := 128, cfg.DFF
 	n := m * dff
 	src, dst, bias := randMat(rng, n), make([]float32, n), randMat(rng, dff)
-	elementwise := func(op string, prep func(), f func(ops opSet)) {
+	elementwise := func(op string, prep func(int), f func(ops opSet)) {
 		t := interleave(reps, prep, func() { f(goOps) }, func() { f(simdOps) })
 		add(opPoint{Op: op, Shape: fmt.Sprintf("[%d, %d]", m, dff),
 			GoLoop: h.opRate(t[0], 1, float64(8*n)), SIMD: h.opRate(t[1], 1, float64(8*n))})
 	}
 	// ReLU works in place and its Go loop branches on the sign: restore the
 	// operand each time, or every call after the first sees no negatives.
-	elementwise("relu", func() { copy(dst, src) }, func(ops opSet) { ops.relu(dst) })
+	elementwise("relu", func(int) { copy(dst, src) }, func(ops opSet) { ops.relu(dst) })
 	elementwise("bias-add", nil, func(ops opSet) {
 		for i := 0; i < m; i++ {
 			ops.add(dst[i*dff:(i+1)*dff], bias)
@@ -454,7 +460,7 @@ func (s *stepReplay) other() {
 // engine's step.
 func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBreakdown {
 	class := func(name string, goLoop, shipped func()) classTime {
-		t := interleave(reps, s.resetUps, goLoop, shipped)
+		t := interleave(reps, func(int) { s.resetUps() }, goLoop, shipped)
 		return classTime{Class: name, GoLoopMs: median(t[0]) * 1e3, SIMDMs: median(t[1]) * 1e3}
 	}
 	same := func(name string, f func()) classTime { return class(name, f, f) }

@@ -3,9 +3,9 @@ package main
 // serving.go turns `go test -bench` output of the serving-path layer
 // benchmarks (gateway lane iteration, API token streaming, prefix-cache
 // stats, governor lease grow, trace add/finish) into BENCH_serving.json:
-// per benchmark a `before` row measured at the parent commit and an
-// `after` row measured at this one. One run fills one side; the other
-// side's rows are carried over from the committed artifact.
+// per benchmark a `before` row measured at a base commit and an `after`
+// row measured at this checkout, both taken in one session in alternating
+// rounds (scripts/benchserving.sh) and handed over as two files.
 
 import (
 	"bufio"
@@ -19,8 +19,8 @@ import (
 	"strings"
 )
 
-// servingArtifact is the committed file the rows of the side a run does
-// not measure are read from.
+// servingArtifact is the committed file a short run's allocations are
+// held to.
 const servingArtifact = "BENCH_serving.json"
 
 // servingRow is one side of one benchmark: medians over the runs.
@@ -43,7 +43,7 @@ type servingBench struct {
 }
 
 // servingReport is the BENCH_serving.json schema. Host describes the
-// machine of the latest run; Short marks a CI-sized one.
+// machine both sides ran on; Short marks a CI-sized run.
 type servingReport struct {
 	Host       hostID         `json:"host"`
 	Short      bool           `json:"short"`
@@ -114,46 +114,66 @@ func parseBench(r io.Reader) ([]servingBench, error) {
 	return out, nil
 }
 
-// runServing reads a benchmark run from stdin and writes the report: the
-// run is the `after` side, or with before set the parent commit's. A short
-// run is CI's allocation gate: it fails when a benchmark allocates more
-// per op than its committed `after` row. Only allocations are gated; time
-// and bytes vary with the host.
-func runServing(jsonPath string, short, before bool) error {
-	measured, err := parseBench(os.Stdin)
-	if err != nil {
-		return err
+// mergeSides files the base run's rows as the before side of the change
+// run's benchmarks, in the change run's order. A benchmark the base does
+// not have gets no before row; one only the base has is dropped.
+func mergeSides(base, change []servingBench) []servingBench {
+	before := map[string]*servingRow{}
+	for _, b := range base {
+		before[b.Package+" "+b.Name] = b.After
 	}
-	if len(measured) == 0 {
-		return fmt.Errorf("no benchmark lines on stdin (pipe `go test -run '^$' -bench ... -benchmem` into -serving)")
+	out := make([]servingBench, 0, len(change))
+	for _, b := range change {
+		b.Before = before[b.Package+" "+b.Name]
+		if b.Before != nil && b.After.NsPerOp > 0 {
+			b.Speedup = b.Before.NsPerOp / b.After.NsPerOp
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// runServing files two benchmark runs of one session, the base's and this
+// checkout's, as the before and after rows of the report. A short run is
+// CI's allocation gate: it fails when a benchmark allocates more per op
+// than its committed `after` row. Only allocations are gated; they do not
+// vary between runs, where time and bytes vary with the host.
+func runServing(jsonPath string, short bool, files []string) error {
+	if len(files) != 2 {
+		return fmt.Errorf("-serving takes two files, the base's and this checkout's `go test -bench` output (scripts/benchserving.sh)")
+	}
+	var sides [2][]servingBench // base, change
+	for i, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		sides[i], err = parseBench(f)
+		f.Close()
+		if err == nil && len(sides[i]) == 0 {
+			err = fmt.Errorf("no benchmark lines")
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
 	}
 	var committed servingReport
-	if data, err := os.ReadFile(servingArtifact); err == nil {
+	if data, err := os.ReadFile(servingArtifact); err == nil && short {
 		if err := json.Unmarshal(data, &committed); err != nil {
 			return fmt.Errorf("%s: %w", servingArtifact, err)
 		}
 	}
-	other := map[string]servingBench{}
+	old := map[string]*servingRow{}
 	for _, b := range committed.Benchmarks {
-		other[b.Package+" "+b.Name] = b
+		old[b.Package+" "+b.Name] = b.After
 	}
-	rep := servingReport{Host: thisHost(), Short: short}
+	rep := servingReport{Host: thisHost(), Short: short, Benchmarks: mergeSides(sides[0], sides[1])}
 	var over []string
-	for _, b := range measured {
-		old := other[b.Package+" "+b.Name]
-		if short && !before && old.After != nil && b.After.AllocsPerOp > old.After.AllocsPerOp {
+	for _, b := range rep.Benchmarks {
+		if o := old[b.Package+" "+b.Name]; o != nil && b.After.AllocsPerOp > o.AllocsPerOp {
 			over = append(over, fmt.Sprintf("%s %s: %.0f allocs/op, committed %.0f",
-				b.Package, b.Name, b.After.AllocsPerOp, old.After.AllocsPerOp))
+				b.Package, b.Name, b.After.AllocsPerOp, o.AllocsPerOp))
 		}
-		if before {
-			b.Before, b.After = b.After, old.After
-		} else {
-			b.Before = old.Before
-		}
-		if b.Before != nil && b.After != nil && b.After.NsPerOp > 0 {
-			b.Speedup = b.Before.NsPerOp / b.After.NsPerOp
-		}
-		rep.Benchmarks = append(rep.Benchmarks, b)
 		fmt.Printf("%-28s %-40s", strings.TrimPrefix(b.Package, "repro/internal/"), b.Name)
 		for _, side := range []*servingRow{b.Before, b.After} {
 			if side == nil {

@@ -135,7 +135,16 @@ func TestShutdownDrainsOverHTTP(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(10 * time.Millisecond)
+	// Drain only once a request is in: a fixed sleep can fire before any
+	// is admitted, and then every one of them is refused.
+	admitted := gw.Registry().Counter("gateway_admitted_total", "")
+	deadline := time.Now().Add(10 * time.Second)
+	for admitted.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no request was admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := gw.Shutdown(ctx); err != nil {

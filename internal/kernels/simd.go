@@ -1,5 +1,10 @@
 package kernels
 
+import (
+	"fmt"
+	"slices"
+)
+
 // level is a set of micro-kernels the packed GEMM can run on; each includes
 // the ones below it.
 type level uint8
@@ -14,14 +19,27 @@ const (
 // levelNames are the levels as SIMDLevel reports them.
 var levelNames = [...]string{"generic", "avx2", "avx512", "amx"}
 
-// simdLevel is the widest level this host runs, chosen once at start-up
-// from what the CPU and OS report (the package's tests step down with
-// -simd).
-var simdLevel = detectSIMD()
+// hostLevel is the widest level this host runs, chosen once at start-up
+// from what the CPU and OS report; simdLevel is the level the kernels run
+// at, the host's unless LimitSIMD lowered it.
+var hostLevel = detectSIMD()
+var simdLevel = hostLevel
 
 // SIMDLevel reports which packed-GEMM micro-kernels this process runs:
 // "amx", "avx512", "avx2", or "generic" for the portable Go loop.
 func SIMDLevel() string { return levelNames[simdLevel] }
+
+// LimitSIMD has every kernel run at the named level (one of SIMDLevel's
+// names) or at the host's, whichever is lower, until the next call. No
+// kernel may be running meanwhile.
+func LimitSIMD(name string) error {
+	want := slices.Index(levelNames[:], name)
+	if want < 0 {
+		return fmt.Errorf("kernels: SIMD level %q is not one of %v", name, levelNames)
+	}
+	simdLevel = min(hostLevel, level(want))
+	return nil
+}
 
 // The instruction mixes a packed GEMM can run as: the Go loop, or a SIMD
 // level's separately rounded multiply and add, or its fused multiply-add,

@@ -29,14 +29,39 @@ func TestMain(m *testing.M) {
 		*forceSIMD = "generic"
 	}
 	if *forceSIMD != "" {
-		want := slices.Index(levelNames[:], *forceSIMD)
-		if want < 0 {
-			fmt.Fprintf(os.Stderr, "-simd=%s: not one of %v\n", *forceSIMD, levelNames)
+		if err := LimitSIMD(*forceSIMD); err != nil {
+			fmt.Fprintln(os.Stderr, "-simd:", err)
 			os.Exit(2)
 		}
-		simdLevel = min(simdLevel, level(want))
 	}
 	os.Exit(m.Run())
+}
+
+// TestLimitSIMD holds LimitSIMD to its contract: an unknown name is an
+// error that leaves the level alone, a level above the host's is clamped
+// to the host's, and a lower one is taken and can be undone.
+func TestLimitSIMD(t *testing.T) {
+	was := SIMDLevel()
+	t.Cleanup(func() {
+		if err := LimitSIMD(was); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := LimitSIMD("sse9"); err == nil || SIMDLevel() != was {
+		t.Errorf("LimitSIMD(sse9) = %v, level %s; want an error and level %s", err, SIMDLevel(), was)
+	}
+	if err := LimitSIMD("amx"); err != nil || SIMDLevel() != levelNames[hostLevel] {
+		t.Errorf("LimitSIMD(amx) = %v, level %s; want the host's %s", err, SIMDLevel(), levelNames[hostLevel])
+	}
+	if err := LimitSIMD("generic"); err != nil || SIMDLevel() != "generic" {
+		t.Errorf("LimitSIMD(generic) = %v, level %s; want generic", err, SIMDLevel())
+	}
+	// On a host at the top level only a lower host shows the clamp.
+	defer func(h level) { hostLevel = h }(hostLevel)
+	hostLevel = levelGeneric
+	if err := LimitSIMD("amx"); err != nil || SIMDLevel() != "generic" {
+		t.Errorf("LimitSIMD(amx) on a generic host = %v, level %s; want generic", err, SIMDLevel())
+	}
 }
 
 func TestSIMDLevelReported(t *testing.T) {
