@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build vet fmt-check test check bench-build kernels-portable chaos chaos-cluster chaos-overload bench \
         bench-decode bench-decode-short bench-spec bench-spec-short bench-serving bench-serving-short bench-pairs figures \
         scorecard results-md wire-golden examples trace-demo memdemo stream-demo cluster-demo \
-        cache-demo overload-demo clean
+        cache-demo overload-demo loc clean
 
 all: build vet test
 
@@ -248,11 +248,12 @@ bench: bench-decode
 # sweep against it (packed Go loop | the level below the host's | packed
 # SIMD + pool, GFLOP/s and GB/s each, all three timed in the same
 # interleaved rounds), the vector op sweep (Go loop | SIMD), the
-# operator-class breakdown of two decode steps and of a prefill, and
-# tiny-engine decode tok/s by batch. Writes BENCH_decode.json; fails if a
-# kernel point reads above 105 % of its mix's ceiling or if a SIMD op is
-# slower than its Go loop, and notes a SIMD level slower than the one
-# below it on an M >= 4 row.
+# operator-class breakdown of two decode steps and of a prefill on OPT and
+# GQA LLaMA (the engine's own class clocks), and tiny-engine decode tok/s
+# by batch. Writes BENCH_decode.json; fails if a kernel point reads above
+# 105 % of its mix's ceiling, if a SIMD op is slower than its Go loop or
+# if a step leaves more than 10 % of its time to no class, and notes a
+# SIMD level slower than the one below it on an M >= 4 row.
 bench-decode:
 	$(GO) run ./cmd/gemmbench -decode -json BENCH_decode.json
 
@@ -328,6 +329,19 @@ results-md:
 # deliberate API or CLI change; `go test` holds all three byte for byte.
 wire-golden:
 	$(GO) test ./internal/api ./cmd/llmperf ./cmd/serve -run Golden -update
+
+# Non-test Go and assembly lines outside bench/ (and outside hidden
+# directories such as .bench_build/), per package directory, then the
+# totals: the count the net-negative LOC goal is kept in, the same way in
+# every change.
+loc:
+	@find . -path './.*' -prune -o -path ./bench -prune -o -type f \
+	    \( -name '*.s' -o -name '*.go' ! -name '*_test.go' \) -print | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); dirs[d] = 1; \
+	        if ($$2 ~ /\.s$$/) { asm[d] += $$1; ta += $$1 } else { go[d] += $$1; tg += $$1 } } \
+	    END { printf "%7s %6s  %s\n", "go", "asm", "package"; \
+	        for (d in dirs) printf "%7d %6d  %s\n", go[d], asm[d], substr(d, 3) | "sort -k3"; \
+	        close("sort -k3"); printf "%7d %6d  total\n", tg, ta }'
 
 examples:
 	for ex in quickstart chatbot batch_analytics numa_tuning capacity_planner \

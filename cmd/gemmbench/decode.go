@@ -14,7 +14,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/model"
 	"repro/internal/tensor"
-	"repro/internal/workload"
 )
 
 // hostID names the machine a BENCH_*.json artifact was taken on.
@@ -165,7 +164,8 @@ type benchReport struct {
 	// BelowSIMD is the level the packed_below rows ran at.
 	BelowSIMD   string        `json:"below_simd,omitempty"`
 	KernelSweep []kernelPoint `json:"kernel_sweep"`
-	// OpSweep and StepBreakdown cover the non-GEMM half of a step (ops.go).
+	// OpSweep times the vector ops around the GEMMs (ops.go);
+	// StepBreakdown splits whole engine steps by operator class (steps.go).
 	OpSweep       []opPoint       `json:"op_sweep"`
 	StepBreakdown []stepBreakdown `json:"step_breakdown"`
 	EngineSweep   []enginePoint   `json:"engine_sweep"`
@@ -446,14 +446,17 @@ func runDecode(jsonPath string, short bool) error {
 	fmt.Printf("\nvector op sweep  (median of %d reps; per call: Go loop | as shipped)\n", reps)
 	rep.OpSweep = opSweep(*h, reps)
 
-	fmt.Printf("\ntiny-engine decode throughput  (prompt 8, %d new tokens, median of %d reps)\n", newTokens, reps)
-	fmt.Printf("%-8s %-20s %6s  %12s  %12s\n", "family", "kernel", "batch", "decode tok/s", "prefill ms")
+	// The engine points, like the kernel points, are built first and timed
+	// round-robin, so that the rows of one take compare.
 	families := []model.Family{model.LLaMA2}
 	if !short {
 		families = append(families, model.OPT)
 	}
+	kern := engine.KernelTileBF16
+	var gens []func()
+	var decode, prefill [][]float64
+	var genErr error
 	for _, fam := range families {
-		kern := engine.KernelTileBF16
 		w, err := engine.NewWeights(model.Tiny(fam), 42, tensor.BF16)
 		if err != nil {
 			return err
@@ -467,19 +470,34 @@ func runDecode(jsonPath string, short bool) error {
 			famName = "llama"
 		}
 		for _, batch := range batches {
-			prompts := make([][]int, batch)
-			for i := range prompts {
-				prompts[i] = workload.NewGenerator(int64(i+1)).Prompt(8, w.Config.Vocab)
-			}
-			tokS, pre, err := decodeTokS(eng, prompts, newTokens, reps)
-			if err != nil {
-				return err
-			}
-			pt := enginePoint{Family: famName, Kernel: kern.String(), Batch: batch,
-				PromptLen: 8, NewTokens: newTokens, Reps: reps, DecodeTokS: tokS, PrefillS: pre}
-			rep.EngineSweep = append(rep.EngineSweep, pt)
-			fmt.Printf("%-8s %-20s %6d  %12.1f  %12.3f\n", famName, pt.Kernel, batch, tokS, pre*1e3)
+			prompts := seededPrompts(batch, 8, w.Config.Vocab)
+			i := len(gens)
+			decode, prefill = append(decode, nil), append(prefill, nil)
+			gens = append(gens, func() {
+				_, st, err := eng.Generate(prompts, newTokens)
+				if err != nil {
+					genErr = err
+				}
+				decode[i], prefill[i] = append(decode[i], st.DecodeSeconds), append(prefill[i], st.PrefillSeconds)
+			})
+			rep.EngineSweep = append(rep.EngineSweep, enginePoint{Family: famName, Kernel: kern.String(), Batch: batch,
+				PromptLen: 8, NewTokens: newTokens, Reps: reps})
 		}
+	}
+	interleave(reps, nil, gens...)
+	if genErr != nil {
+		return genErr
+	}
+	fmt.Printf("\ntiny-engine decode throughput  (prompt 8, %d new tokens, median of %d interleaved reps)\n", newTokens, reps)
+	fmt.Printf("%-8s %-20s %6s  %12s  %12s\n", "family", "kernel", "batch", "decode tok/s", "prefill ms")
+	for i := range rep.EngineSweep {
+		pt := &rep.EngineSweep[i]
+		// The first run of each is interleave's untimed round.
+		d, p := decode[i][1:], prefill[i][1:]
+		sort.Float64s(d)
+		sort.Float64s(p)
+		pt.DecodeTokS, pt.PrefillS = float64(pt.Batch*(newTokens-1))/median(d), median(p)
+		fmt.Printf("%-8s %-20s %6d  %12.1f  %12.3f\n", pt.Family, pt.Kernel, pt.Batch, pt.DecodeTokS, pt.PrefillS*1e3)
 	}
 
 	// The ceilings are final only now: read them once more, then hold every
@@ -513,6 +531,14 @@ func runDecode(jsonPath string, short bool) error {
 		}
 		fmt.Println("note:", err)
 	}
+	// A breakdown that leaves much of a step to no class does not say
+	// where the step went.
+	for _, bd := range rep.StepBreakdown {
+		if bd.UnattributedShare > maxUnattributed {
+			return fmt.Errorf("step breakdown: %s %s leaves %.1f %% of its %.3f ms unattributed (at most %.0f %%)",
+				bd.Model, bd.Step, 100*bd.UnattributedShare, bd.MeasuredMs, 100*maxUnattributed)
+		}
+	}
 	// A vector routine that loses to the loop it replaces is a regression,
 	// whatever the sweep's noise: fail the run (CI runs the -short one).
 	if h.SIMD != "generic" {
@@ -524,20 +550,4 @@ func runDecode(jsonPath string, short bool) error {
 		}
 	}
 	return nil
-}
-
-// decodeTokS measures decode tokens/second and prefill seconds for one
-// engine as the medians over `reps` Generate runs.
-func decodeTokS(e *engine.Engine, prompts [][]int, maxNew, reps int) (tokS, prefill float64, err error) {
-	decode, pre := make([]float64, reps), make([]float64, reps)
-	for r := 0; r < reps; r++ {
-		_, st, gerr := e.Generate(prompts, maxNew)
-		if gerr != nil {
-			return 0, 0, gerr
-		}
-		decode[r], pre[r] = st.DecodeSeconds, st.PrefillSeconds
-	}
-	sort.Float64s(decode)
-	sort.Float64s(pre)
-	return float64(len(prompts)*(maxNew-1)) / median(decode), median(pre), nil
 }

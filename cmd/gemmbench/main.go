@@ -15,12 +15,14 @@
 // and GB/s and held to the ceiling of the mix it runs as. It also sweeps
 // the vector ops around the GEMMs (attention score and weighted-V, ReLU,
 // bias add, bf16 rounding: Go loop vs SIMD), breaks a batch-1 and a
-// batch-4 decode step and a 4×32 prefill of the benchmark's model down by
-// operator class, and runs the tiny functional engine end to end — the
-// software analog of the paper's throughput-vs-batch curves. The run fails
-// if a point reads above 105 % of its ceiling or a SIMD op loses to its Go
-// loop; a SIMD level that loses to the one below it on an M ≥ 4 row fails
-// the -short run and is reported by the full one. -json writes the results
+// batch-4 decode step and a 4×32 prefill of the benchmark's OPT model and
+// of a GQA LLaMA of its widths down by operator class, read off the
+// engine's own class clocks, and runs the tiny functional engine end to
+// end — the software analog of the paper's throughput-vs-batch curves.
+// The run fails if a point reads above 105 % of its ceiling, a SIMD op
+// loses to its Go loop or a step leaves more than 10 % of its time to no
+// class; a SIMD level that loses to the one below it on an M ≥ 4 row
+// fails the -short run and is reported by the full one. -json writes the results
 // to a file (the perf-trajectory artifact `make bench` stores as
 // BENCH_decode.json).
 //
@@ -285,10 +287,7 @@ func runSpec(jsonPath string, short bool) error {
 			return err
 		}
 		for _, batch := range batches {
-			prompts := make([][]int, batch)
-			for i := range prompts {
-				prompts[i] = workload.NewGenerator(int64(i+1)).Prompt(promptLen, cfg.Vocab)
-			}
+			prompts := seededPrompts(batch, promptLen, cfg.Vocab)
 			// Fused greedy baseline: one batched Generate, wall-timed
 			// end to end; its outputs are the steering reference and the
 			// bit-identity oracle.
@@ -483,6 +482,15 @@ func bestOf(reps int, f func()) float64 {
 		}
 	}
 	return best
+}
+
+// seededPrompts returns batch prompts of n tokens, prompt i from seed i+1.
+func seededPrompts(batch, n, vocab int) [][]int {
+	p := make([][]int, batch)
+	for i := range p {
+		p[i] = workload.NewGenerator(int64(i+1)).Prompt(n, vocab)
+	}
+	return p
 }
 
 func randMat(r *rand.Rand, n int) []float32 {

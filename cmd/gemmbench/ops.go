@@ -7,17 +7,19 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/kernels"
 	"repro/internal/model"
-	"repro/internal/tensor"
-	"repro/internal/workload"
 )
 
-// stepModel is the model the op sweep and the step breakdown are shaped
-// after: the repository benchmark's (bench/engine.go).
-var stepModel = model.Config{Name: "bench-OPT", Family: model.OPT,
-	Layers: 4, DModel: 256, Heads: 8, KVHeads: 8, DFF: 1024, Vocab: 2048, MaxSeq: 512}
+// stepModels are the models the step breakdown runs: the repository
+// benchmark's OPT (bench/engine.go), which the op sweep is shaped after
+// too, and a LLaMA-2 of the same widths with grouped-query attention (8
+// query heads over 2 KV heads), so that RoPE, SwiGLU and GQA are broken
+// down as well.
+var stepModels = []model.Config{
+	{Name: "bench-OPT", Family: model.OPT, Layers: 4, DModel: 256, Heads: 8, KVHeads: 8, DFF: 1024, Vocab: 2048, MaxSeq: 512},
+	{Name: "bench-LLaMA-GQA", Family: model.LLaMA2, Layers: 4, DModel: 256, Heads: 8, KVHeads: 2, DFF: 1024, Vocab: 2048, MaxSeq: 512},
+}
 
 // opSet is the vector ops one way: the Go loops, or as shipped.
 type opSet struct {
@@ -63,28 +65,6 @@ type opPoint struct {
 	BlockedK *opRate `json:"position_blocked_k,omitempty"`
 }
 
-// classTime is one operator class's share of a step.
-type classTime struct {
-	Class    string  `json:"class"`
-	GoLoopMs float64 `json:"go_loop_ms"`
-	SIMDMs   float64 `json:"simd_ms"`
-	Share    float64 `json:"share_of_simd_sum"`
-}
-
-// stepBreakdown decomposes one engine step into operator classes, each
-// class's operators replayed alone at the step's shapes over the step's
-// working set (every layer's own weights and KV rows, so a class streams
-// what the step streams). go_loop is the way before PR 15: Go-loop ops
-// and one GEMM per sequence; simd is the shipped way. MeasuredMs is the
-// real engine's step; SumMs/MeasuredMs says how much of it the replay
-// accounts for.
-type stepBreakdown struct {
-	Step       string      `json:"step"`
-	Classes    []classTime `json:"classes"`
-	SumMs      float64     `json:"simd_sum_ms"`
-	MeasuredMs float64     `json:"measured_step_ms"`
-}
-
 // interleave times each of fs reps times, round-robin so that a slow
 // phase of the host falls on all of them alike, after one untimed round.
 // Every other round goes backwards, so that no f always runs right after
@@ -125,7 +105,7 @@ func (h hostBlock) opRate(times []float64, calls int, bytes float64) opRate {
 
 // opSweep times every vector op as a Go loop and as shipped.
 func opSweep(h hostBlock, reps int) []opPoint {
-	cfg := stepModel
+	cfg := stepModels[0]
 	hd, kvDim, heads := cfg.HeadDim(), cfg.KVDim(), cfg.Heads
 	rng := rand.New(rand.NewSource(2))
 	var pts []opPoint
@@ -278,281 +258,4 @@ func opSweep(h hostBlock, reps int) []opPoint {
 	})
 	elementwise("bf16-round", nil, func(ops opSet) { ops.round(dst, src) })
 	return pts
-}
-
-// stepReplay holds one step's working set for the class replays.
-type stepReplay struct {
-	cfg      model.Config
-	B, rows  int // sequences × new rows each
-	startPos int
-	w        *engine.Weights
-	packs    [][]*kernels.PackedB // per layer: Wq Wk Wv Wo W1 W2, as the tile tier packs them
-	head     *kernels.PackedB
-	pool     *kernels.Pool
-	job      kernels.PackedJob
-	kc, vc   [][]float32 // per layer × sequence: [ctxCap, kvDim]
-	ups      [][]float32 // per layer: FFN activations for ReLU, restored by resetUps
-	upSrc    []float32
-	// blockScores and kt are the head blocks' scratch.
-	blockScores, kt []float32
-
-	x, h, q, att, proj, up, logits []float32
-}
-
-func newStepReplay(w *engine.Weights, pool *kernels.Pool, B, rows, startPos int) *stepReplay {
-	cfg := w.Config
-	d, dff, m := cfg.DModel, cfg.DFF, B*rows
-	rng := rand.New(rand.NewSource(3))
-	s := &stepReplay{cfg: cfg, B: B, rows: rows, startPos: startPos, w: w, pool: pool}
-	for i := range w.Layers {
-		lw := &w.Layers[i]
-		var packs []*kernels.PackedB
-		for _, l := range []*engine.Linear{&lw.Wq, &lw.Wk, &lw.Wv, &lw.Wo, &lw.W1, &lw.W2} {
-			// The tile tier's own pack: a GEMM over it includes the bf16
-			// rounding pass over its activations, and runs the instruction
-			// mix the engine's does (TMUL where the host has it).
-			packs = append(packs, kernels.PackBBF16(l.In, l.Out, l.W))
-		}
-		s.packs = append(s.packs, packs)
-		ctxCap := startPos + rows
-		for b := 0; b < B; b++ {
-			s.kc = append(s.kc, randMat(rng, ctxCap*cfg.KVDim()))
-			s.vc = append(s.vc, randMat(rng, ctxCap*cfg.KVDim()))
-		}
-	}
-	s.head = kernels.PackBTrans(d, cfg.Vocab, w.TokenEmb)
-	s.x, s.h, s.q = randMat(rng, m*d), randMat(rng, m*d), randMat(rng, m*d)
-	s.att, s.proj = randMat(rng, m*d), randMat(rng, m*d)
-	s.up = randMat(rng, m*dff)
-	s.logits = make([]float32, B*cfg.Vocab)
-	s.blockScores, s.kt = make([]float32, rows*(startPos+rows)), make([]float32, 16*cfg.HeadDim())
-	s.upSrc = randMat(rng, m*dff)
-	for range w.Layers {
-		s.ups = append(s.ups, make([]float32, m*dff))
-	}
-	return s
-}
-
-// resetUps restores the operands ReLU flattens (its Go loop branches on
-// the sign, so it must not see its own output).
-func (s *stepReplay) resetUps() {
-	for _, up := range s.ups {
-		copy(up, s.upSrc)
-	}
-}
-
-// linear runs the step's GEMMs: stacked into one M = B·rows call per
-// Linear, or (the prefill before PR 15) one call per sequence.
-func (s *stepReplay) linear(fused bool) {
-	m, calls := s.B*s.rows, 1
-	if !fused {
-		m, calls = s.rows, s.B
-	}
-	for range calls {
-		for _, p := range s.packs {
-			kernels.GemmPackedPooled(s.pool, &s.job, m, s.h, p[0], s.q)
-			kernels.GemmPackedPooled(s.pool, &s.job, m, s.h, p[1], s.att)
-			kernels.GemmPackedPooled(s.pool, &s.job, m, s.h, p[2], s.proj)
-			kernels.GemmPackedPooled(s.pool, &s.job, m, s.att, p[3], s.proj)
-			kernels.GemmPackedPooled(s.pool, &s.job, m, s.h, p[4], s.up)
-			kernels.GemmPackedPooled(s.pool, &s.job, m, s.up, p[5], s.proj)
-		}
-	}
-	kernels.GemmPackedPooled(s.pool, &s.job, s.B, s.h, s.head, s.logits)
-}
-
-// headBlocks is the attention: one kernels.HeadBlock pass per (sequence,
-// head) over the step's rows, inline, as the engine runs these shapes
-// (their work is below its split threshold), on the block's Go loops or
-// as shipped.
-func (s *stepReplay) headBlocks(goLoops bool) {
-	d, hd, kvDim := s.cfg.DModel, s.cfg.HeadDim(), s.cfg.KVDim()
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	ctx := s.startPos + s.rows
-	for layer := range s.packs {
-		for b := 0; b < s.B; b++ {
-			kc, vc := s.kc[layer*s.B+b], s.vc[layer*s.B+b]
-			for hh := 0; hh < s.cfg.Heads; hh++ {
-				row := b*s.rows*d + hh*hd
-				blk := kernels.HeadBlock{Rows: s.rows, Start: s.startPos, Cols: hd, Scale: scale,
-					Q: s.q[row:], QStride: d, S: s.blockScores, SStride: ctx, Out: s.att[row:], OutStride: d, KT: s.kt}
-				scores, softmax, accum := blk.Scores, blk.Softmax, blk.Accum
-				if goLoops {
-					scores, softmax, accum = blk.ScoresGo, blk.SoftmaxGo, blk.AccumGo
-				}
-				scores(kc[hh*hd:], kvDim, 0, ctx)
-				softmax()
-				for r := 0; r < s.rows; r++ {
-					clear(s.att[row+r*d:][:hd])
-				}
-				accum(vc[hh*hd:], kvDim, 0, ctx)
-			}
-		}
-	}
-}
-
-// norm replays the LayerNorms: each reads the residual stream and writes
-// the normalized rows the next GEMM takes.
-func (s *stepReplay) norm(ops opSet) {
-	d := s.cfg.DModel
-	rowsOf := func(m int, gain, bias []float32) {
-		for i := 0; i < m; i++ {
-			ops.norm(s.h[i*d:(i+1)*d], s.x[i*d:(i+1)*d], gain, bias, 1e-5)
-		}
-	}
-	for i := range s.w.Layers {
-		lw := &s.w.Layers[i]
-		rowsOf(s.B*s.rows, lw.AttnNormGain, lw.AttnNormBias)
-		rowsOf(s.B*s.rows, lw.FFNNormGain, lw.FFNNormBias)
-	}
-	rowsOf(s.B, s.w.FinalNormGain, s.w.FinalNormBias)
-}
-
-// activation replays ReLU and the bias and residual adds. (The bf16
-// rounding pass in front of every tile-tier GEMM is part of the GEMM call,
-// in the engine and here; the op sweep times it alone.)
-func (s *stepReplay) activation(ops opSet) {
-	biasRows := func(x, bias []float32) {
-		for i := 0; i < len(x); i += len(bias) {
-			ops.add(x[i:i+len(bias)], bias)
-		}
-	}
-	for i := range s.w.Layers {
-		lw := &s.w.Layers[i]
-		up := s.ups[i]
-		biasRows(s.q, lw.Wq.Bias)
-		biasRows(s.proj, lw.Wk.Bias)
-		biasRows(s.proj, lw.Wv.Bias)
-		biasRows(s.proj, lw.Wo.Bias)
-		ops.add(s.x, s.proj)
-		biasRows(up, lw.W1.Bias)
-		ops.relu(up)
-		biasRows(s.proj, lw.W2.Bias)
-		ops.add(s.x, s.proj)
-	}
-}
-
-func (s *stepReplay) sampling() {
-	for b := 0; b < s.B; b++ {
-		kernels.Argmax(s.logits[b*s.cfg.Vocab : (b+1)*s.cfg.Vocab])
-	}
-}
-
-// other is what belongs to no class: embedding lookups and the KV-cache
-// writes.
-func (s *stepReplay) other() {
-	m, d, kvDim := s.B*s.rows, s.cfg.DModel, s.cfg.KVDim()
-	for r := 0; r < m; r++ {
-		pos := s.startPos + r%s.rows
-		copy(s.x[r*d:(r+1)*d], s.w.TokenEmb[r*d:])
-		kernels.Add(s.x[r*d:(r+1)*d], s.w.PosEmb[pos*d:(pos+1)*d])
-	}
-	for layer := range s.packs {
-		for r := 0; r < m; r++ {
-			off := (s.startPos + r%s.rows) * kvDim
-			copy(s.kc[layer*s.B+r/s.rows][off:off+kvDim], s.q[r*d:])
-			copy(s.vc[layer*s.B+r/s.rows][off:off+kvDim], s.att[r*d:])
-		}
-	}
-}
-
-// breakdown times every class both ways and sets them beside the real
-// engine's step.
-func (s *stepReplay) breakdown(step string, reps int, measured float64) stepBreakdown {
-	class := func(name string, goLoop, shipped func()) classTime {
-		t := interleave(reps, func(int) { s.resetUps() }, goLoop, shipped)
-		return classTime{Class: name, GoLoopMs: median(t[0]) * 1e3, SIMDMs: median(t[1]) * 1e3}
-	}
-	same := func(name string, f func()) classTime { return class(name, f, f) }
-	bd := stepBreakdown{Step: step, MeasuredMs: measured * 1e3, Classes: []classTime{
-		class("linear", func() { s.linear(false) }, func() { s.linear(true) }),
-		class("attention", func() { s.headBlocks(true) }, func() { s.headBlocks(false) }),
-		class("norm", func() { s.norm(goOps) }, func() { s.norm(simdOps) }),
-		class("activation", func() { s.activation(goOps) }, func() { s.activation(simdOps) }),
-		same("sampling", s.sampling),
-		same("other", s.other),
-	}}
-	for _, c := range bd.Classes {
-		bd.SumMs += c.SIMDMs
-	}
-	fmt.Printf("\n%s  (median of %d; measured engine step %.3f ms, classes sum to %.3f ms)\n",
-		step, reps, bd.MeasuredMs, bd.SumMs)
-	for i := range bd.Classes {
-		c := &bd.Classes[i]
-		c.Share = c.SIMDMs / bd.SumMs
-		fmt.Printf("  %-20s  go loop %8.3f ms   shipped %8.3f ms   %5.1f %% of the step\n",
-			c.Class, c.GoLoopMs, c.SIMDMs, 100*c.Share)
-	}
-	return bd
-}
-
-// stepBreakdowns decomposes the benchmark's three engine steps: a batch-1
-// and a batch-4 decode step in mid-generation and a 4 × 32 prefill.
-func stepBreakdowns(reps int) ([]stepBreakdown, error) {
-	w, err := engine.NewWeights(stepModel, 42, tensor.BF16)
-	if err != nil {
-		return nil, err
-	}
-	pool := kernels.NewPool(0)
-	defer pool.Close()
-	eng, err := engine.New(w, engine.Options{Kernel: engine.KernelTileBF16Parallel, Pool: pool})
-	if err != nil {
-		return nil, err
-	}
-	prompts := func(batch, n int) [][]int {
-		p := make([][]int, batch)
-		for i := range p {
-			p[i] = workload.NewGenerator(int64(i+1)).Prompt(n, stepModel.Vocab)
-		}
-		return p
-	}
-
-	const decodeCtx = 48  // the middle of engine-decode's 16 → 80
-	const stepsPerRep = 4 // a step is short: take the median over more of them
-	var stepErr error
-	// decodeStep is the median step of `batch` sequences decoding together
-	// from decodeCtx tokens of context each (engine-batch's fused M = 4
-	// decode is the batch-4 one).
-	decodeStep := func(batch int) float64 {
-		s := eng.NewSession(batch, decodeCtx+stepsPerRep*reps+2)
-		defer s.Release()
-		toks, err := eng.Prefill(s, prompts(batch, decodeCtx))
-		if err != nil {
-			stepErr = err
-			return 0
-		}
-		return median(interleave(stepsPerRep*reps, nil, func() {
-			if toks, err = eng.DecodeStep(s, toks); err != nil {
-				stepErr = err
-			}
-		})[0])
-	}
-	decode1, decode4 := decodeStep(1), decodeStep(4)
-	// Prefill as a serving loop sees it: a new session per request, on
-	// the KV blocks and arena the previous one released (hence the
-	// warm-up).
-	batch := prompts(4, 32)
-	const warmUp = 12
-	var prefills []float64
-	for r := 0; r < warmUp+reps; r++ {
-		s := eng.NewSession(4, 40)
-		start := time.Now()
-		if _, err := eng.Prefill(s, batch); err != nil {
-			stepErr = err
-		}
-		if r >= warmUp {
-			prefills = append(prefills, time.Since(start).Seconds())
-		}
-		s.Release()
-	}
-	if stepErr != nil {
-		return nil, stepErr
-	}
-	sort.Float64s(prefills)
-	prefill := median(prefills)
-	return []stepBreakdown{
-		newStepReplay(w, pool, 1, 1, decodeCtx).breakdown(fmt.Sprintf("decode_b1_ctx%d", decodeCtx), reps, decode1),
-		newStepReplay(w, pool, 4, 1, decodeCtx).breakdown(fmt.Sprintf("decode_b4_ctx%d", decodeCtx), reps, decode4),
-		newStepReplay(w, pool, 4, 32, 0).breakdown("prefill_4x32", reps, prefill),
-	}, nil
 }

@@ -125,7 +125,7 @@ func attnTrace(t *testing.T, e *Engine, bs int) map[string][]float32 {
 
 	must(e.VerifyRows(src, prompts[2][:9]))
 	for i := 0; i < 9; i++ {
-		keep("verify", e.rowLogits(src.ar, i))
+		keep("verify", e.rowLogits(src, i))
 	}
 	fork.Release()
 	src.Release()

@@ -73,7 +73,13 @@ type Session struct {
 	caches []*PagedKVCache
 	pos    int    // committed tokens per sequence
 	ar     *arena // reused scratch for every forward pass; nil once released
+	clock  classClock
 }
+
+// Classes returns the wall time the session's calls (prefill, decode,
+// verification) have spent in the engine so far, by operator class. It
+// stays readable after Release.
+func (s *Session) Classes() ClassTimes { return s.clock.times }
 
 // Release hands the session's KV blocks (those no fork still holds) and
 // arena back for later sessions to reuse. Every later pass on the session
@@ -249,13 +255,15 @@ func (e *Engine) attendHead(ar *arena, part int, cache *PagedKVCache, layer, b, 
 }
 
 // forward runs all decoder blocks over `rows` new tokens, at positions
-// startPos.., of each of the B = len(caches) sequences, filling their KV
-// caches (positions are written, not committed). It is the engine's one
+// startPos.., of each of the session's first B sequences, filling their KV
+// caches (positions are written, not committed), and adds each operator
+// class's time to the session's clock. It is the engine's one
 // forward pass: prefill (rows = the prompt or a chunk of it), speculative
 // verification and eval (B = 1), and decode (rows = 1) differ only in
 // shape. ar.x holds the embeddings on entry and the final hidden states on
 // return, [B·rows, d] with sequence b's rows at b·rows..; the arena must
-// have been sized by ensure(e, B, rows, ·).
+// have been sized by ensure(e, B, rows, ·). Whatever ran since the
+// previous lap (checks, arena sizing, the embeddings) stays unattributed.
 //
 // The B·rows hidden rows are stacked into one activation matrix so every
 // linear layer runs ONCE per layer as a single GEMM (the weights stream
@@ -264,22 +272,25 @@ func (e *Engine) attendHead(ar *arena, part int, cache *PagedKVCache, layer, b, 
 // in one pass per (sequence, head) over all the rows. All scratch
 // comes from the arena: a warm forward pass performs no heap allocation.
 // Results are bit-identical for any batching of the same sequences.
-func (e *Engine) forward(ar *arena, caches []*PagedKVCache, rows, startPos int) {
+func (e *Engine) forward(s *Session, B, rows, startPos int) {
 	d, kvDim, dff, hd := e.cfg.DModel, e.cfg.KVDim(), e.cfg.DFF, e.cfg.HeadDim()
-	m := len(caches) * rows
+	ar, caches, clk := s.ar, s.caches[:B], &s.clock
+	m := B * rows
 	x, h := ar.x[:m*d], ar.h[:m*d]
 
+	clk.skip()
 	for layer := range e.w.Layers {
 		lw := &e.w.Layers[layer]
 		// Attention block.
 		e.normRows(m, h, x, lw.AttnNormGain, lw.AttnNormBias)
+		clk.lap(ClassNorm)
 		e.linear(ar, m, rows, h, &lw.Wq, ar.q)
 		e.linear(ar, m, rows, h, &lw.Wk, ar.k)
 		e.linear(ar, m, rows, h, &lw.Wv, ar.v)
-		for r := 0; r < m; r++ {
-			pos := startPos + r%rows
-			if e.rope != nil {
-				rot := e.rope[pos*hd : (pos+1)*hd]
+		clk.lap(ClassLinear)
+		if e.rope != nil {
+			for r := 0; r < m; r++ {
+				rot := e.rope[(startPos+r%rows)*hd:][:hd]
 				for head := 0; head < e.cfg.Heads; head++ {
 					kernels.RoPERotate(ar.q[r*d+head*hd:r*d+(head+1)*hd], rot)
 				}
@@ -287,29 +298,43 @@ func (e *Engine) forward(ar *arena, caches []*PagedKVCache, rows, startPos int) 
 					kernels.RoPERotate(ar.k[r*kvDim+head*hd:r*kvDim+(head+1)*hd], rot)
 				}
 			}
-			caches[r/rows].Put(layer, pos, ar.k[r*kvDim:(r+1)*kvDim], ar.v[r*kvDim:(r+1)*kvDim])
+			clk.lap(ClassRoPE)
 		}
+		for r := 0; r < m; r++ {
+			caches[r/rows].Put(layer, startPos+r%rows, ar.k[r*kvDim:(r+1)*kvDim], ar.v[r*kvDim:(r+1)*kvDim])
+		}
+		clk.lap(ClassKVWrite)
 		e.attention(ar, caches, layer, rows, startPos)
+		clk.lap(ClassAttention)
 		e.linear(ar, m, rows, ar.att, &lw.Wo, ar.proj)
+		clk.lap(ClassLinear)
 		kernels.Add(x, ar.proj[:m*d])
+		clk.lap(ClassResidual)
 
 		// Feed-forward block.
 		e.normRows(m, h, x, lw.FFNNormGain, lw.FFNNormBias)
+		clk.lap(ClassNorm)
 		if e.cfg.Family == model.LLaMA2 {
 			gate, up := ar.gate[:m*dff], ar.up[:m*dff]
 			e.linear(ar, m, rows, h, &lw.WGate, gate)
-			kernels.SiLU(gate)
 			e.linear(ar, m, rows, h, &lw.W1, up)
+			clk.lap(ClassLinear)
+			kernels.SiLU(gate)
 			for i := range gate {
 				gate[i] *= up[i]
 			}
+			clk.lap(ClassActivation)
 			e.linear(ar, m, rows, gate, &lw.W2, ar.proj)
 		} else {
 			e.linear(ar, m, rows, h, &lw.W1, ar.up)
+			clk.lap(ClassLinear)
 			kernels.ReLU(ar.up[:m*dff])
+			clk.lap(ClassActivation)
 			e.linear(ar, m, rows, ar.up, &lw.W2, ar.proj)
 		}
+		clk.lap(ClassLinear)
 		kernels.Add(x, ar.proj[:m*d])
+		clk.lap(ClassResidual)
 	}
 }
 
@@ -317,17 +342,19 @@ func (e *Engine) forward(ar *arena, caches []*PagedKVCache, rows, startPos int) 
 // x may be ar.h, which the final norm writes either way) into the arena's
 // reused logits buffer and returns them, [m, vocab]. m never exceeds the
 // batch the arena was sized for: multi-row passes (verification, eval) ask
-// row by row.
-func (e *Engine) logits(ar *arena, x []float32) []float32 {
-	d := e.cfg.DModel
+// row by row. The norm and the head are laps of the session's clock.
+func (e *Engine) logits(s *Session, x []float32) []float32 {
+	d, ar := e.cfg.DModel, s.ar
 	m := len(x) / d
 	h, out := ar.h[:m*d], ar.logits[:m*e.cfg.Vocab]
 	e.normRows(m, h, x, e.w.FinalNormGain, e.w.FinalNormBias)
+	s.clock.lap(ClassNorm)
 	if e.cfg.Family == model.OPT { // tied head: logits = TokenEmb · h
 		kernels.GemmPackedPooled(e.pool, &ar.job, m, h, e.w.tiedHead, out)
 	} else {
 		e.linear(ar, m, 1, h, &e.w.LMHead, out)
 	}
+	s.clock.lap(ClassLinear)
 	return out
 }
 
@@ -347,14 +374,15 @@ func (e *Engine) forwardTokens(s *Session, toks []int) error {
 	for i, tok := range toks {
 		e.embed(tok, s.pos+i, ar.x[i*d:(i+1)*d])
 	}
-	e.forward(ar, s.caches[:1], len(toks), s.pos)
+	e.forward(s, 1, len(toks), s.pos)
 	return nil
 }
 
-// rowLogits returns the logits of hidden row i of ar.x.
-func (e *Engine) rowLogits(ar *arena, i int) []float32 {
+// rowLogits returns the logits of hidden row i of the session's last
+// forward pass.
+func (e *Engine) rowLogits(s *Session, i int) []float32 {
 	d := e.cfg.DModel
-	return e.logits(ar, ar.x[i*d:(i+1)*d])
+	return e.logits(s, s.ar.x[i*d:(i+1)*d])
 }
 
 // Prefill processes the prompts of a batch (all of equal length) and
@@ -388,6 +416,8 @@ func (e *Engine) prefillSample(s *Session, prompts [][]int, chunk int, sampler *
 // the whole batch per forward pass, at most chunk positions at a time
 // (0 = all at once), and samples each sequence's first output token.
 func (e *Engine) prefillFrom(s *Session, prompts [][]int, chunk int, sampler *Sampler) ([]int, error) {
+	s.clock.begin()
+	defer s.clock.end()
 	if len(prompts) != s.Batch() {
 		return nil, fmt.Errorf("engine: %d prompts for batch %d", len(prompts), s.Batch())
 	}
@@ -421,17 +451,19 @@ func (e *Engine) prefillFrom(s *Session, prompts [][]int, chunk int, sampler *Sa
 				e.embed(tok, lo+i, ar.x[(b*n+i)*d:(b*n+i+1)*d])
 			}
 		}
-		e.forward(ar, s.caches, n, lo)
+		e.forward(s, B, n, lo)
 		s.Commit(lo + n)
 	}
 	for b := 0; b < B; b++ { // each sequence's last hidden row
 		copy(ar.h[b*d:(b+1)*d], ar.x[(b*n+n-1)*d:(b*n+n)*d])
 	}
-	logits := e.logits(ar, ar.h[:B*d])
+	s.clock.skip()
+	logits := e.logits(s, ar.h[:B*d])
 	next := make([]int, B)
 	for b := range next {
 		next[b] = sampler.Sample(logits[b*e.cfg.Vocab : (b+1)*e.cfg.Vocab])
 	}
+	s.clock.lap(ClassSampling)
 	return next, nil
 }
 
@@ -442,6 +474,8 @@ func (e *Engine) DecodeStep(s *Session, tokens []int) ([]int, error) {
 }
 
 func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int, error) {
+	s.clock.begin()
+	defer s.clock.end()
 	if len(tokens) != s.Batch() {
 		return nil, fmt.Errorf("engine: %d tokens for batch %d", len(tokens), s.Batch())
 	}
@@ -460,11 +494,12 @@ func (e *Engine) decodeSample(s *Session, tokens []int, sampler *Sampler) ([]int
 	for b, tok := range tokens {
 		e.embed(tok, s.pos, ar.x[b*d:(b+1)*d])
 	}
-	e.forward(ar, s.caches, 1, s.pos)
-	logits := e.logits(ar, ar.x[:B*d])
+	e.forward(s, B, 1, s.pos)
+	logits := e.logits(s, ar.x[:B*d])
 	for b := range tokens {
 		ar.next[b] = sampler.Sample(logits[b*vocab : (b+1)*vocab])
 	}
+	s.clock.lap(ClassSampling)
 	s.Commit(s.pos + 1)
 	// ar.next is a reused view, valid until the next decode step or Release;
 	// callers needing to retain it copy (Generate appends element-wise).
@@ -498,6 +533,8 @@ type Stats struct {
 	PrefillSeconds float64
 	DecodeSeconds  float64
 	TokensOut      int // steps run: the prefill's, then one per decode step
+	// Classes splits the engine's part of both phases by operator class.
+	Classes ClassTimes
 }
 
 // TTFT returns the measured time to first token.
@@ -587,5 +624,6 @@ func (e *Engine) GenerateWith(prompts [][]int, opts GenerateOptions) ([][]int, S
 		}
 	}
 	stats.DecodeSeconds = time.Since(decodeStart).Seconds()
+	stats.Classes = s.Classes()
 	return out, stats, nil
 }

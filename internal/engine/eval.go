@@ -18,6 +18,8 @@ type EvalResult struct {
 	AvgLogProb   float64
 	Perplexity   float64
 	WorstTokenLP float64 // most surprising single token
+	// Classes splits the evaluation's time in the engine by operator class.
+	Classes ClassTimes
 }
 
 // Perplexity computes teacher-forced perplexity of seq (at least two
@@ -28,13 +30,15 @@ func (e *Engine) Perplexity(seq []int) (EvalResult, error) {
 	}
 	s := e.NewSession(1, len(seq))
 	defer s.Release()
+	s.clock.begin()
 	if err := e.forwardTokens(s, seq); err != nil {
 		return EvalResult{}, err
 	}
 
 	res := EvalResult{Tokens: len(seq) - 1, WorstTokenLP: 0}
 	for i := 0; i+1 < len(seq); i++ {
-		lps := logSoftmax(e.rowLogits(s.ar, i))
+		lps := logSoftmax(e.rowLogits(s, i))
+		s.clock.lap(ClassSampling)
 		lp := lps[seq[i+1]]
 		res.TotalLogProb += lp
 		if lp < res.WorstTokenLP {
@@ -43,6 +47,8 @@ func (e *Engine) Perplexity(seq []int) (EvalResult, error) {
 	}
 	res.AvgLogProb = res.TotalLogProb / float64(res.Tokens)
 	res.Perplexity = math.Exp(-res.AvgLogProb)
+	s.clock.end()
+	res.Classes = s.Classes()
 	return res, nil
 }
 

@@ -147,12 +147,15 @@ func SpeculativeGenerate(target, draft *Engine, prompt []int, maxNew int, opts S
 // accepted prefix via Commit (or discards by committing the old
 // position).
 func (e *Engine) VerifyRows(s *Session, toks []int) ([]int, error) {
+	s.clock.begin()
+	defer s.clock.end()
 	if err := e.forwardTokens(s, toks); err != nil {
 		return nil, err
 	}
 	next := make([]int, len(toks))
 	for i := range next {
-		next[i] = kernels.Argmax(e.rowLogits(s.ar, i))
+		next[i] = kernels.Argmax(e.rowLogits(s, i))
+		s.clock.lap(ClassSampling)
 	}
 	return next, nil
 }
