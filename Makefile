@@ -325,10 +325,11 @@ results-md:
 
 # The one way to regenerate the wire golden (every generation surface's
 # status, headers and body, the error envelopes, /v1/simulate and
-# /v1/platforms) and the recorded llmperf / serve outputs after a
-# deliberate API or CLI change; `go test` holds all three byte for byte.
+# /v1/platforms), the exported trace record and the recorded llmperf /
+# serve outputs after a deliberate API, trace or CLI change; `go test`
+# holds each byte for byte.
 wire-golden:
-	$(GO) test ./internal/api ./cmd/llmperf ./cmd/serve -run Golden -update
+	$(GO) test ./internal/api ./internal/trace ./cmd/llmperf ./cmd/serve -run Golden -update
 
 # Non-test Go and assembly lines outside bench/ (and outside hidden
 # directories such as .bench_build/), per package directory, then the

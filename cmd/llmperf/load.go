@@ -69,7 +69,6 @@ type result struct {
 	Replica             string  `json:"replica"`
 	Failovers           int     `json:"failovers"`
 	Hedged              bool    `json:"hedged"`
-	Speculation         string  `json:"speculation"`
 }
 
 // outcome is one request as the client saw it.
@@ -123,7 +122,7 @@ func (r *runner) do(q request) outcome {
 		o.err = json.NewDecoder(resp.Body).Decode(&o.result)
 		o.done = o.err == nil
 		o.phases = trace.ParseServerTiming(h.Get("Server-Timing"))
-		o.Replica, o.Speculation, o.PrefixCache = h.Get("X-Replica-ID"), h.Get("X-Speculation"), h.Get("X-Prefix-Cache")
+		o.Replica, o.PrefixCache = h.Get("X-Replica-ID"), h.Get("X-Prefix-Cache")
 		o.Failovers, _ = strconv.Atoi(h.Get("X-Failovers")) // absent outside a cluster
 		o.Hedged = h.Get("X-Hedged") == "true"
 	}
@@ -321,11 +320,11 @@ func (r *runner) load(w io.Writer, q request, n int) {
 // requests: how a clustered llmperfd spread them and the failover and
 // hedging it took (silent without X-Replica-ID, i.e. one gateway), where
 // their server-side time went per Server-Timing phase (queueing, batch
-// formation, prefill, decode, ...), and the speculation they ran.
+// formation, prefill, decode, ...).
 func printAttribution(w io.Writer, done []outcome) {
 	replicas := map[string]int{}
 	phases := map[string][]float64{}
-	var failovers, hedged, on, off, proposed, accepted, passes int
+	var failovers, hedged int
 	for _, o := range done {
 		if o.Replica != "" {
 			replicas[o.Replica]++
@@ -338,17 +337,6 @@ func printAttribution(w io.Writer, done []outcome) {
 		// the breakdown table reports seconds.
 		for name, ms := range o.phases {
 			phases[name] = append(phases[name], ms/1e3)
-		}
-		// X-Speculation: "on;proposed=N;accepted=N;passes=N" or "off";
-		// a malformed header counts the fields read before the fault.
-		switch state, _, _ := strings.Cut(o.Speculation, ";"); state {
-		case "":
-		case "on":
-			var p, a, n int
-			fmt.Sscanf(o.Speculation, "on;proposed=%d;accepted=%d;passes=%d", &p, &a, &n)
-			on, proposed, accepted, passes = on+1, proposed+p, accepted+a, passes+n
-		default:
-			off++
 		}
 	}
 	if len(replicas) > 0 {
@@ -383,19 +371,6 @@ func printAttribution(w io.Writer, done []outcome) {
 		for _, name := range names {
 			printPercentiles(w, fmt.Sprintf("    %-12s %8d ", name, len(phases[name]))+"%9.3fs %9.3fs %9.3fs\n", 1, phases[name])
 		}
-	}
-	// How much of the decode work the draft proposed, how much the
-	// target accepted, and the verification passes it cost; silent
-	// without a draft model.
-	if on+off > 0 {
-		fmt.Fprintln(w, "  speculation (X-Speculation):")
-		fmt.Fprintf(w, "    requests     : %d speculative, %d plain\n", on, off)
-	}
-	if passes > 0 {
-		fmt.Fprintf(w, "    acceptance   : %.1f%% (%d of %d proposed)\n",
-			100*float64(accepted)/float64(max(proposed, 1)), accepted, proposed)
-		fmt.Fprintf(w, "    accepted run : %.2f tokens mean per verify pass\n", float64(accepted)/float64(passes))
-		fmt.Fprintf(w, "    verify passes: %d (%.2f per speculative request)\n", passes, float64(passes)/float64(max(on, 1)))
 	}
 }
 

@@ -2,11 +2,10 @@ package main
 
 // load_test.go pins the load generator (-url): what each mode prints
 // against an in-process llmperfd — a single gateway, a 2-replica router
-// with and without a draining replica, a -draft-model lane, a gateway
-// paced in wall time for -ramp, and an address nobody listens on — plus
-// the error exits. Only the values the wall clock decides are masked
-// (see maskWall). `make wire-golden` rewrites testdata/load.txt (on
-// purpose only).
+// with and without a draining replica, a gateway paced in wall time for
+// -ramp, and an address nobody listens on — plus the error exits. Only
+// the values the wall clock decides are masked (see maskWall). `make
+// wire-golden` rewrites testdata/load.txt (on purpose only).
 
 import (
 	"bytes"
@@ -93,13 +92,6 @@ func loadGroups() []loadGroup {
 		{"cluster r1 draining", newRouter(true), [][]string{
 			{"-n", "8", "-concurrency", "1"},
 			{"-stream", "-n", "4", "-concurrency", "1"},
-		}},
-		{"draft-model", func(t *testing.T) api.Backend {
-			return newGateway(t, gateway.Config{Spec: &gateway.SpecConfig{Lookahead: 4, Acceptance: 0.8, Seed: 1}},
-				api.SpecLaneResolver("OPT-1.3B"))
-		}, [][]string{
-			{"-n", "4", "-concurrency", "1", "-out", "16"},
-			{"-stream", "-n", "4", "-concurrency", "1", "-out", "8"},
 		}},
 		{"paced", func(t *testing.T) api.Backend {
 			return newGateway(t, gateway.Config{Timescale: 0.02}, api.LaneResolver())

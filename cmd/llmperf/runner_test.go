@@ -81,13 +81,11 @@ func TestReadSSE(t *testing.T) {
 		want       result
 	}{
 		{"clean stream with include_usage", wireBody(t, "analytic / generate stream+usage"), 4, true,
-			result{PrefixCache: "miss", Speculation: "off"}},
+			result{PrefixCache: "miss"}},
 		{"cluster-attributed terminal event", wireBody(t, "cluster / generate stream"), 4, true,
-			result{PrefixCache: "miss", Speculation: "off", Replica: "r0"}},
+			result{PrefixCache: "miss", Replica: "r0"}},
 		{"prefix-cache hit", wireBody(t, "cache / generate hit stream"), 2, true,
-			result{PrefixCache: "hit;tokens=64", Speculation: "off", CachedTokens: 64}},
-		{"speculation", wireBody(t, "spec / generate stream"), 8, true,
-			result{PrefixCache: "miss", Speculation: "on;proposed=10;accepted=3;passes=4"}},
+			result{PrefixCache: "hit;tokens=64", CachedTokens: 64}},
 		{"mid-stream error envelope", wireBody(t, "mid-stream error / generate stream"), 2, false, result{}},
 		{"line over 64 KiB", long, 1, true, result{}},
 	} {

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/gateway"
 	"repro/internal/govern"
@@ -63,9 +62,6 @@ func main() {
 	kvCache := flag.Bool("kv-cache", true, "prefix-aware radix KV cache: requests sharing a prompt prefix skip its prefill (requires -kv-govern)")
 	kvHigh := flag.Float64("kv-high", 0.95, "KV utilization high watermark: shed new work (503) at or above it")
 	kvLow := flag.Float64("kv-low", 0.75, "KV utilization low watermark: stop shedding at or below it")
-	draftModel := flag.String("draft-model", "", "draft model name enabling speculative decoding (e.g. OPT-1.3B; tiny-* lanes use a built-in 1-layer draft)")
-	specK := flag.Int("spec-k", 4, "max draft proposal length per speculation cycle (requires -draft-model)")
-	specAccept := flag.Float64("spec-accept", 0.8, "modeled per-token draft acceptance rate α (requires -draft-model)")
 	overloadCtl := flag.Bool("overload", true, "overload control: SLO-class admission priorities, adaptive concurrency limiting, brownout degradation ladder")
 	sloInteractive := flag.Duration("slo-interactive-ttft", 500*time.Millisecond, "interactive-class TTFT SLO target for the adaptive limiter")
 	sloStandard := flag.Duration("slo-standard-ttft", 2*time.Second, "standard-class TTFT SLO target for the adaptive limiter")
@@ -133,34 +129,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Speculative decoding: -draft-model switches lanes to the speculation-
-	// capable resolver and arms the gateway's cycle scheduler. The draft
-	// name is validated at boot so a typo fails fast instead of breaking
-	// every analytic lane at its first request (tiny-* lanes use a built-in
-	// one-layer draft and ignore the name).
-	laneResolver := api.LaneResolver()
-	var specCfg *gateway.SpecConfig
-	if *draftModel != "" {
-		if _, err := core.ModelByName(*draftModel); err != nil {
-			fmt.Fprintf(os.Stderr, "llmperfd: -draft-model: %v\n", err)
-			os.Exit(2)
-		}
-		if *specK < 1 {
-			fmt.Fprintf(os.Stderr, "llmperfd: -spec-k must be at least 1, got %d\n", *specK)
-			os.Exit(2)
-		}
-		if *specAccept <= 0 || *specAccept > 1 {
-			fmt.Fprintf(os.Stderr, "llmperfd: -spec-accept must be in (0, 1], got %g\n", *specAccept)
-			os.Exit(2)
-		}
-		laneResolver = api.SpecLaneResolver(*draftModel)
-		specCfg = &gateway.SpecConfig{
-			Lookahead:  *specK,
-			Acceptance: *specAccept,
-			Seed:       *faultSeed,
-		}
-	}
-
 	tracer := trace.New(traceCfg)
 	// newGateway builds one gateway instance; cluster mode calls it once
 	// per replica (each with its own lanes and KV governor, sharing the
@@ -201,12 +169,11 @@ func main() {
 			Injector:     inj,
 			Governor:     gov,
 			Overload:     oc,
-			Spec:         specCfg,
 			Fallback:     api.FallbackResolver(),
 			Registry:     reg,
 			Tracer:       tracer,
 			Logger:       logger.With("replica", id),
-		}, laneResolver)
+		}, api.LaneResolver())
 	}
 
 	var backend api.Backend
@@ -274,12 +241,8 @@ func main() {
 	if *overloadCtl {
 		overloadDesc = "on"
 	}
-	specDesc := "off"
-	if specCfg != nil {
-		specDesc = fmt.Sprintf("%s,k=%d,accept=%g", *draftModel, *specK, *specAccept)
-	}
-	fmt.Printf("llmperfd listening on %s (queue=%d batch=%d policy=%s workers=%d trace-sample=%g kv=%s overload=%s spec=%s cluster=%s)\n",
-		*addr, *queue, *maxBatch, pol, *workers, *traceSample, kvDesc, overloadDesc, specDesc, topo)
+	fmt.Printf("llmperfd listening on %s (queue=%d batch=%d policy=%s workers=%d trace-sample=%g kv=%s overload=%s cluster=%s)\n",
+		*addr, *queue, *maxBatch, pol, *workers, *traceSample, kvDesc, overloadDesc, topo)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

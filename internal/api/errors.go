@@ -57,10 +57,6 @@ const (
 	// 400): an unparseable cache object, unknown option fields, or a
 	// negative min_prefix_tokens.
 	CodeInvalidCacheParam = "invalid_cache_param"
-	// CodeInvalidSpecParam rejects malformed speculative-decoding options
-	// (HTTP 400): an unparseable speculation object, unknown option
-	// fields, or a negative lookahead.
-	CodeInvalidSpecParam = "invalid_spec_param"
 	// CodeNotAcceptable rejects an impossible Accept/stream combination
 	// (HTTP 406): a streaming request whose Accept excludes
 	// text/event-stream, or a buffered request that only accepts it.

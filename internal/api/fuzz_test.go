@@ -45,7 +45,8 @@ func FuzzGenerateBody(f *testing.F) {
 		`{"platform":"tiny-opt","priority":""}`,
 		`{"platform":"tiny-opt","cache":{"min_prefix_tokens":-5}}`,
 		`{"platform":"tiny-opt","priority":42}`,
-		// Speculation options, valid and not.
+		// Unknown-field inputs: a speculation field, object or not, is
+		// rejected by the strict decoder.
 		`{"platform":"tiny-opt","speculation":{"enabled":false}}`,
 		`{"platform":"tiny-opt","speculation":{"lookahead":2}}`,
 		`{"platform":"tiny-opt","speculation":{"lookahead":-1}}`,

@@ -41,7 +41,6 @@ func TestResolversShareMalformedKeyError(t *testing.T) {
 	pools := PoolSpecResolver(16, 0)
 	resolvers := map[string]func(string) error{
 		"LaneResolver":     func(k string) error { _, err := LaneResolver()(k); return err },
-		"SpecLaneResolver": func(k string) error { _, err := SpecLaneResolver("OPT-1.3B")(k); return err },
 		"PoolSpecResolver": func(k string) error { _, err := pools(k); return err },
 		"FallbackResolver": func(k string) error { _, err := FallbackResolver()(k); return err },
 	}

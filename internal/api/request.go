@@ -158,12 +158,6 @@ type GenerateRequest struct {
 	// out, "min_prefix_tokens" discards short matches). Kept raw so
 	// malformed options produce the typed invalid_cache_param error.
 	Cache json.RawMessage `json:"cache"`
-	// Speculation tunes speculative decoding per request on lanes whose
-	// server runs with a draft model ({"enabled": false} opts out,
-	// "lookahead" caps the per-cycle proposal length below the server's
-	// -spec-k). Kept raw so malformed options produce the typed
-	// invalid_spec_param error.
-	Speculation json.RawMessage `json:"speculation"`
 	// Priority is the request's SLO class (interactive | standard |
 	// batch; default standard). It orders queue admission and selects
 	// shedding victims under overload: batch work is shed before
@@ -197,27 +191,11 @@ type cacheOptions struct {
 // disabled reports whether the options opt the request out.
 func (c cacheOptions) disabled() bool { return c.Enabled != nil && !*c.Enabled }
 
-// specOptions is the decoded form of the speculation body field.
-type specOptions struct {
-	// Enabled opts the request out of speculative decoding when false:
-	// its sequences decode one token per iteration even on a lane with a
-	// draft. Absent means enabled.
-	Enabled *bool `json:"enabled"`
-	// Lookahead caps this request's per-cycle draft proposal length below
-	// the server's configured maximum; 0 means no per-request cap.
-	Lookahead int `json:"lookahead"`
-}
-
-// disabled reports whether the options opt the request out.
-func (s specOptions) disabled() bool { return s.Enabled != nil && !*s.Enabled }
-
 // Malformed per-request options; handlers map each to HTTP 400 with its
-// typed code (invalid_stream_param, invalid_cache_param,
-// invalid_spec_param).
+// typed code (invalid_stream_param, invalid_cache_param).
 var (
 	errInvalidStreamParam = errors.New("invalid stream parameter")
 	errInvalidCacheParam  = errors.New("invalid cache parameter")
-	errInvalidSpecParam   = errors.New("invalid speculation parameter")
 )
 
 // absent reports an option field left out or sent as null.
@@ -256,16 +234,6 @@ func parseCacheOptions(raw json.RawMessage) (opts cacheOptions, err error) {
 	if err == nil && opts.MinPrefixTokens < 0 {
 		err = fmt.Errorf("%w: cache.min_prefix_tokens must be non-negative, got %d",
 			errInvalidCacheParam, opts.MinPrefixTokens)
-	}
-	return opts, err
-}
-
-// parseSpecOptions validates the speculation body field.
-func parseSpecOptions(raw json.RawMessage) (opts specOptions, err error) {
-	err = decodeOption(raw, "speculation", errInvalidSpecParam, &opts)
-	if err == nil && opts.Lookahead < 0 {
-		err = fmt.Errorf("%w: speculation.lookahead must be non-negative, got %d",
-			errInvalidSpecParam, opts.Lookahead)
 	}
 	return opts, err
 }
@@ -452,18 +420,7 @@ var sharedLanePool = sync.OnceValue(func() *kernels.Pool { return kernels.NewPoo
 // the gateway's bridge back into the simulation substrates: analytic
 // platform models for the paper's evaluation hardware, and the real
 // functional engine for tiny-* lanes.
-func LaneResolver() gateway.Resolver { return SpecLaneResolver("") }
-
-// SpecLaneResolver is LaneResolver with draft-model speculation when
-// draftModel is set: lanes that can price a draft return a
-// serve.SpecCostModel, which the gateway detects and upgrades to
-// draft-assisted decode cycles. Tiny-* lanes pair the measured target
-// engine with a one-layer draft of the same family (draftModel only
-// switches it on — the engines must share a vocabulary); analytic CPU
-// lanes price the named registry draft model on the lane's platform. GPU
-// lanes keep plain pricing — the paper's CPU-side speculation argument
-// doesn't transfer, and the GPU model has no draft calibration.
-func SpecLaneResolver(draftModel string) gateway.Resolver {
+func LaneResolver() gateway.Resolver {
 	return func(key string) (serve.CostModel, error) {
 		l, err := resolveLane(key)
 		if err != nil {
@@ -471,29 +428,16 @@ func SpecLaneResolver(draftModel string) gateway.Resolver {
 		}
 		switch {
 		case l.tiny:
-			opts := engine.Options{Kernel: engine.KernelTileBF16Parallel, Pool: sharedLanePool()}
-			target, err := core.TinyEngineWith(l.model.Family, false, opts)
+			e, err := core.TinyEngineWith(l.model.Family,
+				engine.Options{Kernel: engine.KernelTileBF16Parallel, Pool: sharedLanePool()})
 			if err != nil {
 				return nil, err
 			}
-			if draftModel == "" {
-				return serve.NewEngineCost(target), nil
-			}
-			draft, err := core.TinyEngineWith(l.model.Family, true, opts)
-			if err != nil {
-				return nil, err
-			}
-			return serve.NewSpecEngineCost(target, draft), nil
+			return serve.NewEngineCost(e), nil
 		case l.target.Entry.Kind == hw.GPUPlatform:
 			return serve.NewGPUCost(*l.target.Entry.GPU, l.model), nil
-		case draftModel == "":
-			return serve.NewCPUCost(l.target.Setup, l.model), nil
 		}
-		dm, err := core.ModelByName(draftModel)
-		if err != nil {
-			return nil, fmt.Errorf("api: draft model: %w", err)
-		}
-		return serve.NewSpecCPUCost(l.target.Setup, l.model, dm), nil
+		return serve.NewCPUCost(l.target.Setup, l.model), nil
 	}
 }
 

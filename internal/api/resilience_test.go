@@ -31,7 +31,7 @@ func (c stubCost) PrefillCost(batch, in int) (float64, error) {
 	return 0.001, nil
 }
 func (c stubCost) DecodeStepCost(batch, ctx int) (float64, error) { return 0.0001, nil }
-func (stubCost) Cached(bool, int, int, int) (serve.Quote, bool)   { return serve.Quote{}, false }
+func (stubCost) Cached(bool, int, int) (serve.Quote, bool)        { return serve.Quote{}, false }
 
 func stubResolver(c serve.CostModel) gateway.Resolver {
 	return func(string) (serve.CostModel, error) { return c, nil }
@@ -258,7 +258,7 @@ func (brokenCost) PrefillCost(batch, in int) (float64, error) {
 func (brokenCost) DecodeStepCost(batch, ctx int) (float64, error) {
 	return 0, errors.New("engine wedged")
 }
-func (brokenCost) Cached(bool, int, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
+func (brokenCost) Cached(bool, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
 
 func TestFallbackResolverScope(t *testing.T) {
 	r := FallbackResolver()

@@ -213,11 +213,10 @@ func (s *Server) serveGeneration(w http.ResponseWriter, r *http.Request, admit t
 	}
 	opts, serr := parseStreamOptions(req.Stream, req.StreamOptions)
 	copts, cerr := parseCacheOptions(req.Cache)
-	sopts, perr := parseSpecOptions(req.Speculation)
 	for _, o := range []struct {
 		err  error
 		code string
-	}{{serr, CodeInvalidStreamParam}, {cerr, CodeInvalidCacheParam}, {perr, CodeInvalidSpecParam}} {
+	}{{serr, CodeInvalidStreamParam}, {cerr, CodeInvalidCacheParam}} {
 		if o.err != nil {
 			writeError(w, http.StatusBadRequest, o.code, o.err)
 			return
@@ -251,8 +250,6 @@ func (s *Server) serveGeneration(w http.ResponseWriter, r *http.Request, admit t
 		Prefix:          req.prefixSegments(),
 		CacheDisabled:   copts.disabled(),
 		MinPrefixTokens: copts.MinPrefixTokens,
-		SpecDisabled:    sopts.disabled(),
-		SpecLookahead:   sopts.Lookahead,
 	}
 	if req.Stream {
 		s.streamGeneration(ctx, w, r, greq, shape, opts)
@@ -270,7 +267,6 @@ func (s *Server) serveGeneration(w http.ResponseWriter, r *http.Request, admit t
 	}
 	setReplicaHeaders(w, res)
 	w.Header().Set("X-Prefix-Cache", prefixCacheValue(res))
-	w.Header().Set("X-Speculation", speculationValue(res))
 	if res.TraceID == "" {
 		res.TraceID = tr.ID()
 	}
@@ -325,18 +321,6 @@ func prefixCacheValue(res gateway.Result) string {
 		return fmt.Sprintf("hit;tokens=%d", res.CachedTokens)
 	}
 	return "miss"
-}
-
-// speculationValue renders the result's speculative-decoding outcome in
-// the X-Speculation header format: "on;proposed=N;accepted=N;passes=N"
-// when any of the request's decode cycles ran draft-assisted, "off"
-// otherwise (no draft configured, opted out, or suspended throughout).
-func speculationValue(res gateway.Result) string {
-	if res.SpecPasses == 0 {
-		return "off"
-	}
-	return fmt.Sprintf("on;proposed=%d;accepted=%d;passes=%d",
-		res.SpecProposed, res.SpecAccepted, res.SpecPasses)
 }
 
 // streamGeneration runs the request through the gateway with a token
@@ -491,13 +475,11 @@ type generateTokenEvent struct {
 
 // generateResultEvent is /v1/generate's terminal SSE chunk: the buffered
 // result tagged with an object type so stream parsers can switch on it.
-// PrefixCache and Speculation are the in-band equivalents of the
-// X-Prefix-Cache and X-Speculation headers — headers are long committed
-// by then.
+// PrefixCache is the in-band equivalent of the X-Prefix-Cache header —
+// headers are long committed by then.
 type generateResultEvent struct {
 	Object      string `json:"object"` // "generate.result"
 	PrefixCache string `json:"prefix_cache"`
-	Speculation string `json:"speculation"`
 	gateway.Result
 }
 
@@ -517,8 +499,7 @@ func (generateShape) token(ev gateway.TokenEvent) any {
 
 func (generateShape) terminal(res gateway.Result, includeUsage bool) []any {
 	out := []any{generateResultEvent{Object: "generate.result",
-		PrefixCache: prefixCacheValue(res), Speculation: speculationValue(res),
-		Result: res}}
+		PrefixCache: prefixCacheValue(res), Result: res}}
 	if includeUsage {
 		out = append(out, map[string]any{
 			"object": "generate.usage",

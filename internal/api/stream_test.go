@@ -28,7 +28,7 @@ type slowCost struct{}
 
 func (slowCost) PrefillCost(batch, in int) (float64, error)     { return 0.002, nil }
 func (slowCost) DecodeStepCost(batch, ctx int) (float64, error) { return 0.005, nil }
-func (slowCost) Cached(bool, int, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
+func (slowCost) Cached(bool, int, int) (serve.Quote, bool)      { return serve.Quote{}, false }
 
 // streamServer is a fast stub-priced API server for wire-format tests.
 func streamServer(t *testing.T) *httptest.Server {

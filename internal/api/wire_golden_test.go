@@ -3,7 +3,7 @@ package api
 // wire_golden_test.go pins the bytes the API puts on the wire: status,
 // headers and body of every generation surface (buffered, streamed,
 // streamed with include_usage) on an analytic lane and on a tiny-* engine
-// lane, a prefix-cache hit, seeded speculation, cluster attribution, the
+// lane, a prefix-cache hit, cluster attribution, the
 // brownout header, every error code with its Retry-After / Allow headers,
 // the mid-stream error envelope, the /v1/simulate and /v1/platforms
 // bodies, and GET /v1/debug/state after a group's traffic.
@@ -144,7 +144,7 @@ func wireGroups() []wireGroup {
 			`{"platform":"spr","model":"OPT-13B","in":80,"out":2,"prefix_group":"g","prefix_tokens":64}`),
 		post("generate priority", "/v1/generate", genBody+`,"priority":"interactive"}`, "X-SLO-Class: interactive"),
 		post("generate deadline", "/v1/generate", genBody+`}`, "X-Request-Deadline: 5s"),
-		post("generate opt-outs", "/v1/generate", genBody+`,"cache":{"enabled":false,"min_prefix_tokens":0},"speculation":{"enabled":false,"lookahead":2}}`),
+		post("generate opt-outs", "/v1/generate", genBody+`,"cache":{"enabled":false,"min_prefix_tokens":0}}`),
 		post("chat system+user", "/v1/chat/completions",
 			`{"model":"OPT-13B","platform":"spr","max_completion_tokens":3,"max_tokens":9,"temperature":0.7,"top_p":"high","seed":[1],"messages":[{"role":"system","content":"be brief"},{"role":"user","content":"hi"}]}`),
 		post("completions icl", "/v1/completions", `{"model":"OPT-13B","prompt":"hello","max_tokens":2,"platform":"icl"}`),
@@ -172,9 +172,6 @@ func wireGroups() []wireGroup {
 		post("generate bad cache", "/v1/generate", genBody+`,"cache":{"enabled":"no"}}`),
 		post("generate unknown cache option", "/v1/generate", genBody+`,"cache":{"enabeld":false}}`),
 		post("generate negative min_prefix_tokens", "/v1/generate", genBody+`,"cache":{"min_prefix_tokens":-1}}`),
-		post("generate bad speculation", "/v1/generate", genBody+`,"speculation":"yes"}`),
-		post("generate negative lookahead", "/v1/generate", genBody+`,"speculation":{"lookahead":-1}}`),
-		post("generate unknown speculation option", "/v1/generate", genBody+`,"speculation":{"lookhaed":3}}`),
 		post("generate unknown priority", "/v1/generate", genBody+`,"priority":"urgent"}`),
 		post("generate unknown class header", "/v1/generate", genBody+`}`, "X-SLO-Class: urgent"),
 		post("generate class disagreement", "/v1/generate", genBody+`,"priority":"interactive"}`, "X-SLO-Class: batch"),
@@ -186,6 +183,7 @@ func wireGroups() []wireGroup {
 		post("generate malformed", "/v1/generate", genBody+`,`),
 		post("generate trailing data", "/v1/generate", genBody+`} x`),
 		post("generate unknown field", "/v1/generate", `{"bogus":1}`),
+		post("generate speculation field", "/v1/generate", genBody+`,"speculation":{"enabled":false}}`),
 		post("generate wrong type", "/v1/generate", `{"in":"many"}`),
 		post("generate text/plain", "/v1/generate", genBody+`}`, "Content-Type: text/plain"),
 		exchange{name: "generate GET", method: http.MethodGet, path: "/v1/generate"},
@@ -282,16 +280,6 @@ func wireGroups() []wireGroup {
 		state,
 	}
 
-	spec := []exchange{
-		post("generate", "/v1/generate", `{"platform":"spr","model":"OPT-13B","in":64,"out":16}`),
-		post("generate stream", "/v1/generate", `{"platform":"spr","model":"OPT-13B","in":64,"out":8,"stream":true}`),
-		post("generate lookahead 1", "/v1/generate", `{"platform":"spr","model":"OPT-13B","in":64,"out":8,"speculation":{"lookahead":1}}`),
-		post("generate opted out", "/v1/generate", `{"platform":"spr","model":"OPT-13B","in":64,"out":8,"speculation":{"enabled":false}}`),
-		post("generate gpu lane", "/v1/generate", `{"platform":"h100","model":"OPT-13B","in":64,"out":8}`),
-		post("chat", "/v1/chat/completions", chatBody+`}`),
-		exchange{name: "generate tiny-opt", path: "/v1/generate", body: `{"platform":"tiny-opt","in":16,"out":4}`, engine: true},
-	}
-
 	clustered := []exchange{
 		post("generate r0", "/v1/generate", genBody+`}`),
 		post("generate r1", "/v1/generate", genBody+`}`),
@@ -315,10 +303,6 @@ func wireGroups() []wireGroup {
 			gov := govern.New(govern.Config{Specs: PoolSpecResolver(16, 0), EnableCache: true})
 			return newGateway(t, gateway.Config{Governor: gov}, LaneResolver())
 		}, cached},
-		{"spec", func(t *testing.T) Backend {
-			return newGateway(t, gateway.Config{Spec: &gateway.SpecConfig{Lookahead: 4, Acceptance: 0.8, Seed: 1}},
-				SpecLaneResolver("OPT-1.3B"))
-		}, spec},
 		{"cluster", func(t *testing.T) Backend {
 			r, err := cluster.New(cluster.Config{Replicas: 2,
 				Factory: func(id string) (*gateway.Gateway, error) {

@@ -19,7 +19,7 @@ type fakeCost struct{ pre, dec float64 }
 
 func (f fakeCost) PrefillCost(batch, in int) (float64, error)     { return f.pre, nil }
 func (f fakeCost) DecodeStepCost(batch, ctx int) (float64, error) { return f.dec, nil }
-func (fakeCost) Cached(bool, int, int, int) (serve.Quote, bool)   { return serve.Quote{}, false }
+func (fakeCost) Cached(bool, int, int) (serve.Quote, bool)        { return serve.Quote{}, false }
 
 // latchCost blocks every prefill on a gate, letting a test wedge one
 // replica's lane while others serve. It signals entered when a prefill

@@ -169,21 +169,13 @@ func TinyEngine(family string, kernel engine.Kernel) (*engine.Engine, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown family %q (want opt or llama)", family)
 	}
-	return TinyEngineWith(f, false, engine.Options{Kernel: kernel})
+	return TinyEngineWith(f, engine.Options{Kernel: kernel})
 }
 
 // TinyEngineWith is TinyEngine with full Options control — callers can
 // share a kernels.Pool across engines (gateway lanes).
-// With draft set it builds the tiny-* lane's speculative companion
-// instead: the same family and widths (verification needs the target's
-// vocabulary) but a single transformer layer with its own weights, so a
-// draft step is a small fraction of a target step.
-func TinyEngineWith(f model.Family, draft bool, opts engine.Options) (*engine.Engine, error) {
-	cfg, seed := model.Tiny(f), int64(42)
-	if draft {
-		cfg.Layers, seed = 1, 43
-	}
-	w, err := engine.NewWeights(cfg, seed, tensor.BF16)
+func TinyEngineWith(f model.Family, opts engine.Options) (*engine.Engine, error) {
+	w, err := engine.NewWeights(model.Tiny(f), 42, tensor.BF16)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/memsim"
-	"repro/internal/model"
 )
 
 func TestSimulateCPU(t *testing.T) {
@@ -118,21 +117,6 @@ func TestTargetSimulate(t *testing.T) {
 		if err != nil || got.Latency != want.Latency {
 			t.Errorf("%s: Simulate %+v, direct %+v (%v)", key, got.Latency, want.Latency, err)
 		}
-	}
-}
-
-func TestTinyDraftEngine(t *testing.T) {
-	target, err := TinyEngineWith(model.LLaMA2, false, engine.Options{Kernel: engine.KernelTileBF16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	draft, err := TinyEngineWith(model.LLaMA2, true, engine.Options{Kernel: engine.KernelTileBF16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc, dc := target.Config(), draft.Config()
-	if dc.Layers != 1 || tc.Layers <= 1 || dc.Vocab != tc.Vocab || dc.DModel != tc.DModel {
-		t.Errorf("draft %+v does not pair with target %+v", dc, tc)
 	}
 }
 

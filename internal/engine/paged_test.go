@@ -337,3 +337,51 @@ func TestSpeculativeOnPagedStore(t *testing.T) {
 		t.Errorf("pos = %d, want 9", s.pos)
 	}
 }
+
+// BenchmarkPagedPut times one Put of a bench-model row (kvDim 256: 1 KiB
+// of keys and 1 KiB of values, SetBytes 2 KiB) into a 4-layer cache of 512
+// positions, one block per layer as sessions lay it out:
+//   - rewrite puts into rows of one block already written (warm lines);
+//   - fresh walks positions through every layer's block as decode steps
+//     do, and at the end of a walk hands the blocks back (Truncate(0)), so
+//     the next walk takes them fresh from the free list, as a session
+//     started after another's Release does;
+//   - first-touch walks the same way, but every walk's blocks come from an
+//     empty free list, as a new engine's first session's do: memory no
+//     Put has written yet.
+func BenchmarkPagedPut(b *testing.B) {
+	const layers, kvDim, maxSeq = 4, 256, 512
+	key, value := make([]float32, kvDim), make([]float32, kvDim)
+	b.Run("rewrite", func(b *testing.B) {
+		c := NewPagedKVCache(layers, kvDim, maxSeq, maxSeq)
+		c.Put(0, 0, key, value)
+		b.SetBytes(2 * kvDim * 4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Put(0, i%4, key, value)
+		}
+	})
+	walk := func(b *testing.B, restart func(*PagedKVCache) *PagedKVCache) {
+		c := NewPagedKVCache(layers, kvDim, maxSeq, maxSeq)
+		b.SetBytes(2 * kvDim * 4)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pos := i / layers % maxSeq
+			if pos == 0 && i%layers == 0 {
+				c = restart(c)
+			}
+			c.Put(i%layers, pos, key, value)
+		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		walk(b, func(c *PagedKVCache) *PagedKVCache { c.Truncate(0); return c })
+	})
+	b.Run("first-touch", func(b *testing.B) {
+		walk(b, func(*PagedKVCache) *PagedKVCache {
+			c := NewPagedKVCache(layers, kvDim, maxSeq, maxSeq)
+			c.free = (&blockLists{m: map[int]*freeList[kvBlock]{}}).of(2 * maxSeq * kvDim)
+			return c
+		})
+	})
+}

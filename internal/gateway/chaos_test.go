@@ -286,7 +286,7 @@ func (f *flakyCost) DecodeStepCost(batch, ctx int) (float64, error) {
 	}
 	return f.fakeCost.DecodeStepCost(batch, ctx)
 }
-func (*flakyCost) Cached(bool, int, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
+func (*flakyCost) Cached(bool, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
 
 func TestChaosBreakerTripsAndHeals(t *testing.T) {
 	primary := &flakyCost{fakeCost: fakeCost{pre: 0.002, dec: 0.0005}}

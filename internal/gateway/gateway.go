@@ -138,13 +138,6 @@ type Config struct {
 	// capacity before the gateway reports itself saturated (flipping
 	// /readyz and the cluster shedding signal). Default 500ms.
 	SaturationWindow time.Duration
-	// Spec, when non-nil, enables draft-assisted speculative decoding on
-	// lanes whose cost model implements serve.SpecCostModel (spec.go):
-	// decode iterations become speculation cycles — k draft steps plus
-	// one fused verification pass — committing the accepted run through
-	// the exactly-once token path. Lanes whose model cannot price a draft
-	// decode plainly; nil disables speculation everywhere.
-	Spec *SpecConfig
 
 	// Tracer records per-request phase spans. When nil a default tracer
 	// is created over Registry (sample rate 1), so traces are always
@@ -272,14 +265,6 @@ type Request struct {
 	// MinPrefixTokens discards cache matches shorter than this many
 	// tokens (the API's "cache":{"min_prefix_tokens":N}).
 	MinPrefixTokens int
-	// SpecDisabled opts this request out of speculative decoding (the
-	// API's "speculation":{"enabled":false}); its sequences commit one
-	// token per cycle even when the lane speculates.
-	SpecDisabled bool
-	// SpecLookahead, when positive, caps the draft proposal length for
-	// this request's sequences below the lane's adaptive k (the API's
-	// "speculation":{"lookahead":N}). 0 means the lane default.
-	SpecLookahead int
 }
 
 // Result reports one served request. Queue and wall times are measured
@@ -324,17 +309,6 @@ type Result struct {
 	// the platform cost model at the request's actual batch size.
 	CachedTokens        int     `json:"cached_tokens"`
 	PrefillSavedSeconds float64 `json:"prefill_saved_s,omitempty"`
-
-	// Speculative-decoding attribution (spec.go), zero when the lane
-	// never speculated for this request: SpecProposed/SpecAccepted count
-	// draft-proposed tokens and those the verification kept, and
-	// SpecPasses counts fused verification passes the request rode
-	// (plain greedy decoding would need one pass per token). The API
-	// layer surfaces them as the X-Speculation header and in the
-	// terminal SSE event.
-	SpecProposed int `json:"spec_proposed,omitempty"`
-	SpecAccepted int `json:"spec_accepted,omitempty"`
-	SpecPasses   int `json:"spec_passes,omitempty"`
 }
 
 // Resolver builds the cost model for a lane key on first use.
@@ -367,10 +341,6 @@ type instruments struct {
 
 	// Overload-control instruments (overload.go).
 	classShed, deadlineEvicted, brownoutCapped *metrics.Counter
-
-	// Speculative-decoding instruments (spec.go).
-	specCycles, specProposed, specAccepted *metrics.Counter
-	specSuspended                          *metrics.Counter
 }
 
 func newInstruments(r *metrics.Registry) instruments {
@@ -416,11 +386,6 @@ func newInstruments(r *metrics.Registry) instruments {
 		classShed:       r.Counter("gateway_class_shed_total", "requests shed class-ordered by overload control (queued victims evicted or batch refused under brownout)"),
 		deadlineEvicted: r.Counter("gateway_deadline_evicted_total", "queued requests evicted at dequeue because their deadline could no longer be met"),
 		brownoutCapped:  r.Counter("gateway_brownout_capped_total", "batch-class requests whose output length was capped by the brownout ladder"),
-
-		specCycles:    r.Counter("gateway_spec_cycles_total", "speculative decode cycles executed (k draft steps + one fused verification pass)"),
-		specProposed:  r.Counter("gateway_spec_proposed_total", "draft-proposed tokens across speculative cycles"),
-		specAccepted:  r.Counter("gateway_spec_accepted_total", "draft-proposed tokens the verification pass accepted"),
-		specSuspended: r.Counter("gateway_spec_suspended_total", "decode iterations where speculation was suspended (brownout rung, open breaker, or degraded pricing)"),
 	}
 }
 
@@ -717,7 +682,6 @@ func (g *Gateway) newLaneLocked(key string) (*lane, error) {
 			l.fallback = fb
 		}
 	}
-	g.initLaneSpec(l)
 	g.lanes[key] = l
 	return l, nil
 }

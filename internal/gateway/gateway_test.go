@@ -21,7 +21,7 @@ func (f fakeCost) PrefillCost(batch, in int) (float64, error) {
 	return f.pre * float64(in) / 128, nil
 }
 func (f fakeCost) DecodeStepCost(batch, ctx int) (float64, error) { return f.dec, nil }
-func (fakeCost) Cached(bool, int, int, int) (serve.Quote, bool)   { return serve.Quote{}, false }
+func (fakeCost) Cached(bool, int, int) (serve.Quote, bool)        { return serve.Quote{}, false }
 
 // gatedCost blocks prefills until the gate is closed or fed.
 type gatedCost struct{ gate chan struct{} }
@@ -31,7 +31,7 @@ func (g gatedCost) PrefillCost(batch, in int) (float64, error) {
 	return 0.01, nil
 }
 func (g gatedCost) DecodeStepCost(batch, ctx int) (float64, error) { return 0.001, nil }
-func (gatedCost) Cached(bool, int, int, int) (serve.Quote, bool)   { return serve.Quote{}, false }
+func (gatedCost) Cached(bool, int, int) (serve.Quote, bool)        { return serve.Quote{}, false }
 
 func fixedResolver(c serve.CostModel) Resolver {
 	return func(string) (serve.CostModel, error) { return c, nil }

@@ -95,7 +95,7 @@ func TestInlineAfterBlockedMiss(t *testing.T) {
 	}
 	close(cost.release)
 	waitFor(t, func() bool {
-		_, ok := cost.Cached(false, shape.batch, shape.length, 0)
+		_, ok := cost.Cached(false, shape.batch, shape.length)
 		return ok
 	})
 	c, info, err := g.pricedCall(l, shape)
@@ -155,8 +155,7 @@ func scriptedLaneOver(t *testing.T, budget time.Duration, inj *faults.Injector, 
 
 // TestMemoLookupMatchesPrice: what a model's memo answers for a shape is
 // what pricing the shape returned, to the bit — for every cost model the
-// lanes run, for prefill, plain decode and speculation cycles, at
-// contexts that are not bucket-aligned — and a shape not yet priced is
+// lanes run, for prefill and decode, at contexts that are not bucket-aligned — and a shape not yet priced is
 // not answered at all.
 func TestMemoLookupMatchesPrice(t *testing.T) {
 	w, err := engine.NewWeights(model.Tiny(model.OPT), 42, tensor.BF16)
@@ -172,8 +171,7 @@ func TestMemoLookupMatchesPrice(t *testing.T) {
 		"cpu":         serve.NewCPUCost(setup, model.OPT13B),
 		"gpu":         serve.NewGPUCost(hw.H100, model.OPT13B),
 		"engine":      serve.NewEngineCost(e),
-		"spec-cpu":    serve.NewSpecCPUCost(setup, model.OPT13B, model.OPT125M),
-		"spec-engine": serve.NewSpecEngineCost(e, e),
+		"cpu-opt125m": serve.NewCPUCost(setup, model.OPT125M),
 	}
 	shapes := []pricedShape{
 		{prefill: true, batch: 1, length: 17},
@@ -181,37 +179,27 @@ func TestMemoLookupMatchesPrice(t *testing.T) {
 		{batch: 1, length: 1},
 		{batch: 3, length: 33},
 		{batch: 2, length: 50},
-		{batch: 1, length: 31, k: 1},
-		{batch: 2, length: 45, k: 3},
-		{batch: 1, length: 7, k: 4},
 	}
 	for name, m := range models {
-		_, spec := m.(serve.SpecCostModel)
 		for _, s := range shapes {
-			if s.k > 0 && !spec {
-				continue
-			}
-			if _, ok := m.Cached(s.prefill, s.batch, s.length, s.k); ok {
+			if _, ok := m.Cached(s.prefill, s.batch, s.length); ok {
 				t.Fatalf("%s %+v: answered before it was priced", name, s)
 			}
 			p, err := s.price(m)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, s, err)
 			}
-			q, ok := m.Cached(s.prefill, s.batch, s.length, s.k)
+			q, ok := m.Cached(s.prefill, s.batch, s.length)
 			if !ok || math.Float64bits(q.Seconds) != math.Float64bits(p) {
 				t.Errorf("%s %+v: memo answers (%v, %v), pricing gave %v", name, s, q.Seconds, ok, p)
 			}
 			if !s.prefill { // a context in the same bucket reads the same entry
 				s.length++
-				if q2, ok := m.Cached(s.prefill, s.batch, s.length, s.k); s.length%32 != 1 &&
+				if q2, ok := m.Cached(s.prefill, s.batch, s.length); s.length%32 != 1 &&
 					(!ok || math.Float64bits(q2.Seconds) != math.Float64bits(p)) {
 					t.Errorf("%s %+v: same-bucket context answers (%v, %v), want %v", name, s, q2.Seconds, ok, p)
 				}
 			}
-		}
-		if _, ok := m.Cached(false, 3, 33, 2); ok && !spec {
-			t.Errorf("%s: a plain model answered a speculation cycle", name)
 		}
 	}
 }

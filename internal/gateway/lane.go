@@ -87,12 +87,6 @@ type job struct {
 	// model-seconds that adoption avoided, fixed at prefill pricing.
 	cached int
 	saved  float64
-	// Speculative-decoding attribution (spec.go): draft tokens proposed
-	// for this job, those verification accepted, and the fused passes it
-	// rode. Job-level so they survive requeues, like emitted.
-	specProposed int
-	specAccepted int
-	specPasses   int
 }
 
 // attempt is the lane's per-execution-attempt state, hung off the
@@ -131,10 +125,6 @@ type lane struct {
 	wd       watchdog
 	crashes  []time.Time
 	restarts int
-
-	// spec is the lane's speculative-decoding state (spec.go); nil when
-	// the gateway or this lane's cost model doesn't support speculation.
-	spec *laneSpec
 
 	vclock float64
 }
@@ -370,10 +360,10 @@ func (g *Gateway) dropCanceledLocked(queue []*job) []*job {
 
 // iterate runs one iteration of the lane's batch: evict sequences whose
 // client went away, let the core plan (requeueing the victims it
-// preempted), price the planned shapes — a decode step or speculation
-// cycle for the running batch, a batched prefill or one prefill chunk for
-// the joining sequences — advance the virtual clock by the sum, commit,
-// and deliver what the commit produced. Joiners are in the batch from
+// preempted), price the planned shapes — a decode step for the running
+// batch, a batched prefill or one prefill chunk for the joining
+// sequences — advance the virtual clock by the sum, commit, and deliver
+// what the commit produced. Joiners are in the batch from
 // admission on, so an error or panic mid-iteration fails (or requeues)
 // them with the rest. It returns the iteration's modeled cost.
 func (g *Gateway) iterate(l *lane) (float64, error) {
@@ -397,10 +387,10 @@ func (g *Gateway) iterate(l *lane) (float64, error) {
 
 	var iter, decCost, preCost float64
 	var dec, pre priceInfo
-	var counts []int // tokens per decoding sequence; nil means one each
 	if nd > 0 {
 		var err error
-		if decCost, dec, counts, err = g.priceDecode(l, p.Decode, p.DecodeCtx); err != nil {
+		decCost, dec, err = g.pricedCall(l, pricedShape{batch: nd, length: p.DecodeCtx})
+		if err != nil {
 			return 0, err
 		}
 		iter += decCost
@@ -415,34 +405,22 @@ func (g *Gateway) iterate(l *lane) (float64, error) {
 		iter += preCost
 	}
 	l.vclock += iter
-	b.Commit(p, counts)
+	b.Commit(p)
 	now := time.Now()
 
-	var decCnt *trace.Counters // a speculation cycle is not a phase the models emulate
-	if counts == nil {
-		decCnt = iterCounters(p.Decode, dec, false, nd, p.DecodeCtx)
-	}
-	for i, s := range p.Decode {
-		n := 1
-		if counts != nil {
-			n = counts[i]
-		}
+	decCnt := iterCounters(p.Decode, dec, false, nd, p.DecodeCtx)
+	for _, s := range p.Decode {
 		s.Job.degraded = s.Job.degraded || dec.degraded
-		if counts != nil && l.spec.proposed[i] > 0 {
-			g.noteSpeculated(l, s, i, now, decCost, dec)
-		} else if s.Job.j.req.Trace != nil {
+		if s.Job.j.req.Trace != nil {
 			g.iterSpans(s, trace.SpanData{Name: trace.PhaseDecode, Counters: decCnt,
 				Fixed: trace.FixedAttrs{}.With(trace.AttrToken, s.Produced()).
 					With(trace.AttrBatch, nd).With(trace.AttrCtx, s.Ctx())},
 				now, decCost, dec)
 		}
-		g.emitTokens(l, s, n, nd, dec.degraded, now)
+		g.emitToken(l, s, nd, dec.degraded, now)
 		if s.Done() {
 			g.completeSeq(l, s)
 		}
-	}
-	if counts != nil {
-		g.noteCycle(l)
 	}
 
 	preCnt := iterCounters(p.Prefill, pre, true, np, p.PrefillLen)
@@ -462,7 +440,7 @@ func (g *Gateway) iterate(l *lane) (float64, error) {
 		// primary may be the reason the lane is degraded.
 		g.noteCacheHit(s.Job.j, pre.model, np, now)
 		g.donatePrefix(s.Job.j)
-		g.emitTokens(l, s, 1, inflight, s.Job.degraded, now)
+		g.emitToken(l, s, inflight, s.Job.degraded, now)
 		if s.Done() {
 			g.completeSeq(l, s)
 		}
@@ -497,9 +475,6 @@ func (g *Gateway) completeSeq(l *lane, s *seq) {
 		res.TokensPerSecond = float64(j.req.OutputLen) / e2e
 	}
 	res.PrefillSavedSeconds = j.saved
-	res.SpecProposed = j.specProposed
-	res.SpecAccepted = j.specAccepted
-	res.SpecPasses = j.specPasses
 	if j.brownout {
 		res.FinishReason = "brownout"
 	}
@@ -564,7 +539,7 @@ func iterCounters(parts []*seq, info priceInfo, prefill bool, batch, length int)
 		if s.Job.j.req.Trace != nil {
 			q, ok := info.quote, info.cached
 			if !ok {
-				q, ok = info.model.Cached(prefill, batch, length, 0)
+				q, ok = info.model.Cached(prefill, batch, length)
 			}
 			if !ok {
 				return nil

@@ -40,7 +40,7 @@ func (shapeCost) DecodeStepCost(batch, ctxLen int) (float64, error) {
 	b, n := float64(batch), float64(ctxLen)
 	return 1.9e-2*(1+0.3*(b-1)) + 1.1e-5*n*b, nil
 }
-func (shapeCost) Cached(bool, int, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
+func (shapeCost) Cached(bool, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
 
 // replayed is what one request of a replay produced.
 type replayed struct {
@@ -236,7 +236,7 @@ func (c *countingFailCost) DecodeStepCost(batch, ctx int) (float64, error) {
 	c.calls++
 	return 0, fmt.Errorf("primary is down")
 }
-func (*countingFailCost) Cached(bool, int, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
+func (*countingFailCost) Cached(bool, int, int) (serve.Quote, bool) { return serve.Quote{}, false }
 
 // TestChunkedCacheHitSavingUsesPricingModel: cache-hit attribution prices
 // the saved prefill on the model that priced the iteration. A chunked

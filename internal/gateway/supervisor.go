@@ -134,17 +134,15 @@ type priceInfo struct {
 	cached     bool
 }
 
-// pricedShape is one priced call: a prefill, a plain decode step, or —
-// when k > 0 — a speculation cycle of k draft steps plus one fused
-// verification pass over k+1 rows. It travels by value, so a call the
-// watchdog abandons keeps pricing its own copy after the lane moves on.
+// pricedShape is one priced call: a prefill or a decode step. It travels
+// by value, so a call the watchdog abandons keeps pricing its own copy
+// after the lane moves on.
 type pricedShape struct {
-	prefill          bool
-	batch, length, k int
+	prefill       bool
+	batch, length int
 }
 
-// site is the injection site the shape is priced under: a speculation
-// cycle replaces decode steps, so it is priced as one.
+// site is the injection site the shape is priced under.
 func (s pricedShape) site() string {
 	if s.prefill {
 		return sitePrefill
@@ -152,25 +150,12 @@ func (s pricedShape) site() string {
 	return siteDecode
 }
 
-// price prices the shape on m. A cycle (k > 0) is only priced on a lane
-// whose primary model is a serve.SpecCostModel (spec.go).
+// price prices the shape on m.
 func (s pricedShape) price(m serve.CostModel) (float64, error) {
-	switch {
-	case s.prefill:
+	if s.prefill {
 		return m.PrefillCost(s.batch, s.length)
-	case s.k == 0:
-		return m.DecodeStepCost(s.batch, s.length)
 	}
-	sm := m.(serve.SpecCostModel)
-	d, err := sm.DraftStepCost(s.batch, s.length)
-	if err != nil {
-		return 0, err
-	}
-	v, err := sm.VerifyCost(s.batch, s.length, s.k+1)
-	if err != nil {
-		return 0, err
-	}
-	return serve.CycleSeconds(s.k, d, v), nil
+	return m.DecodeStepCost(s.batch, s.length)
 }
 
 // run prices the shape on m after the faults armed at its site.
@@ -184,10 +169,7 @@ func (s pricedShape) run(inj *faults.Injector, lane string, m serve.CostModel) (
 // pricedCall prices one shape through the lane's resilience weave: fault
 // injection at the shape's site, the watchdog deadline, the circuit
 // breaker, and — when the primary fails or the breaker is open — the
-// degraded-mode fallback, which prices the same shape as a plain step
-// (k = 0: a fallback cannot price a draft). Plain and speculative
-// iterations share it, so chaos faults, watchdog requeues and breaker
-// trips behave identically with and without speculation. The returned
+// degraded-mode fallback, which prices the same shape. The returned
 // priceInfo reports whether the cost came from the fallback and which
 // model priced it.
 func (g *Gateway) pricedCall(l *lane, s pricedShape) (float64, priceInfo, error) {
@@ -225,7 +207,6 @@ func (g *Gateway) pricedCall(l *lane, s pricedShape) (float64, priceInfo, error)
 		return 0, info, fmt.Errorf("%w: lane %s", ErrLaneBroken, l.key)
 	}
 	info.model = l.fallback
-	s.k = 0
 	cost, err = s.price(l.fallback)
 	info.end = time.Now()
 	if err != nil {
@@ -244,7 +225,7 @@ func (g *Gateway) pricedCall(l *lane, s pricedShape) (float64, priceInfo, error)
 // panic or cost-error rule is armed — goes to the watchdog.
 func (g *Gateway) primaryCall(l *lane, s pricedShape, info *priceInfo) (float64, error) {
 	if !g.inj.Firing() {
-		if q, ok := l.cost.Cached(s.prefill, s.batch, s.length, s.k); ok {
+		if q, ok := l.cost.Cached(s.prefill, s.batch, s.length); ok {
 			info.quote, info.cached = q, true
 			return q.Seconds, nil
 		}

@@ -25,9 +25,6 @@ type Counter struct {
 // Inc adds one to the counter.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (which must be non-negative) to the counter.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 

@@ -12,8 +12,9 @@ import (
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "total requests")
-	c.Inc()
-	c.Add(4)
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
@@ -71,7 +72,10 @@ func TestHistogramEmptyAndOverflow(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "a help").Add(3)
+	a := r.Counter("a_total", "a help")
+	a.Inc()
+	a.Inc()
+	a.Inc()
 	r.Gauge("b", "").Set(-2)
 	h := r.Histogram("c_seconds", "c help", []float64{0.5, 1})
 	h.Observe(0.2)
@@ -152,7 +156,9 @@ func TestReadThroughSums(t *testing.T) {
 		r.GaugeFunc("kv_free", "free blocks", func() int64 { return free[i] })
 	}
 	r.CounterFunc("hits_total", "hits", func() int64 { return int64(r.Counter("backing_total", "").Value()) })
-	r.Counter("backing_total", "").Add(7)
+	for i := 0; i < 7; i++ {
+		r.Counter("backing_total", "").Inc()
+	}
 	free[1] = 60
 
 	var sb strings.Builder

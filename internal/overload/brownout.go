@@ -103,17 +103,6 @@ func (c *Controller) Evaluate(pressure float64, now time.Time) (level, step int)
 	return c.level, step
 }
 
-// Level is the current brownout ladder level. It does not advance the
-// ladder; pair with Evaluate where a live pressure sample is available.
-func (c *Controller) Level() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.level
-}
-
 // ShedsClass reports whether a class is refused admission at a level:
 // only batch, and only at LevelShedBatch.
 func ShedsClass(level int, cls Class) bool {

@@ -102,7 +102,7 @@ func TestBrownoutLadderStepsAndHysteresis(t *testing.T) {
 	now := time.Now()
 	// Sustained pressure climbs one rung per StepUp, never skipping.
 	prev := 0
-	for i := 0; i < 200 && c.Level() < LevelShedBatch; i++ {
+	for i := 0; i < 200 && c.Snapshot().BrownoutLevel < LevelShedBatch; i++ {
 		now = now.Add(2 * time.Millisecond)
 		level, step := c.Evaluate(1.0, now)
 		if step > 1 || level-prev > 1 {
@@ -110,8 +110,8 @@ func TestBrownoutLadderStepsAndHysteresis(t *testing.T) {
 		}
 		prev = level
 	}
-	if c.Level() != LevelShedBatch {
-		t.Fatalf("ladder stuck at %d under sustained pressure", c.Level())
+	if c.Snapshot().BrownoutLevel != LevelShedBatch {
+		t.Fatalf("ladder stuck at %d under sustained pressure", c.Snapshot().BrownoutLevel)
 	}
 	// Pressure inside the hysteresis band holds the level indefinitely.
 	for i := 0; i < 50; i++ {
@@ -121,14 +121,14 @@ func TestBrownoutLadderStepsAndHysteresis(t *testing.T) {
 		}
 	}
 	// Clear pressure descends one rung per StepDown back to nominal.
-	for i := 0; i < 200 && c.Level() > LevelNominal; i++ {
+	for i := 0; i < 200 && c.Snapshot().BrownoutLevel > LevelNominal; i++ {
 		now = now.Add(2 * time.Millisecond)
 		if _, step := c.Evaluate(0.0, now); step > 0 {
 			t.Fatal("ladder climbed while pressure was clear")
 		}
 	}
-	if c.Level() != LevelNominal {
-		t.Fatalf("ladder stuck at %d after pressure cleared", c.Level())
+	if c.Snapshot().BrownoutLevel != LevelNominal {
+		t.Fatalf("ladder stuck at %d after pressure cleared", c.Snapshot().BrownoutLevel)
 	}
 	if st := c.Snapshot(); st.BrownoutSteps != 2*LevelShedBatch {
 		t.Errorf("step counter %d, want %d", st.BrownoutSteps, 2*LevelShedBatch)
@@ -164,7 +164,7 @@ func TestSnapshotShape(t *testing.T) {
 		t.Errorf("per-class counters not reflected: %+v", st.Classes)
 	}
 	var nilC *Controller
-	if nilC.Snapshot().Enabled || !nilC.Acquire(Batch) || nilC.Level() != 0 {
+	if nilC.Snapshot().Enabled || !nilC.Acquire(Batch) || nilC.Snapshot().BrownoutLevel != 0 {
 		t.Error("nil controller not inert")
 	}
 	nilC.Release(Batch)

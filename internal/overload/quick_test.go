@@ -18,7 +18,7 @@ func TestQuickLadderNeverSkipsRungs(t *testing.T) {
 	prop := func(samples []uint8) bool {
 		c := New(cfg)
 		now := time.Unix(0, 0)
-		prev := c.Level()
+		prev := c.Snapshot().BrownoutLevel
 		for _, s := range samples {
 			// Sample pressures across [0, 1] and steps across 1..8ms so
 			// the sequence crosses both hysteresis timers.
@@ -51,7 +51,7 @@ func TestQuickLadderMonotoneStepDownAfterPressureClears(t *testing.T) {
 			now = now.Add(time.Duration(1+s%8) * time.Millisecond)
 			c.Evaluate(float64(s%101)/100, now)
 		}
-		prev := c.Level()
+		prev := c.Snapshot().BrownoutLevel
 		sawDown := false
 		for i := 0; i < 4*(maxLevel+1); i++ {
 			now = now.Add(cfg.StepDown)
@@ -65,7 +65,7 @@ func TestQuickLadderMonotoneStepDownAfterPressureClears(t *testing.T) {
 			prev = level
 		}
 		// And recovery completes: enough clear samples reach nominal.
-		return prev == LevelNominal && (sawDown || c.Level() == LevelNominal)
+		return prev == LevelNominal && (sawDown || c.Snapshot().BrownoutLevel == LevelNominal)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -194,25 +194,20 @@ func (b *Batch[J]) Next() *Plan[J] {
 }
 
 // Commit applies a priced plan. Each decoding sequence advances by one
-// token, or by counts[i] when counts is non-nil (a speculation cycle
-// commits its accepted run plus the bonus token). Each prefilling sequence
+// token. Each prefilling sequence
 // advances by the planned length; one whose prompt is now complete has
 // its first output token and starts decoding. A sequence whose last token
 // this was leaves the batch with its blocks released. Afterwards the
 // driver reads the outcome off the plan's sequences: Produced, Prefilling,
 // Done.
-func (b *Batch[J]) Commit(p *Plan[J], counts []int) {
+func (b *Batch[J]) Commit(p *Plan[J]) {
 	moved := false // some sequence finished, or finished its prompt
-	for i, s := range p.Decode {
-		n := 1
-		if counts != nil {
-			n = counts[i]
+	for _, s := range p.Decode {
+		if s.remaining < 1 {
+			panic(fmt.Sprintf("serve: commit of a token with %d remaining", s.remaining))
 		}
-		if n < 1 || n > s.remaining {
-			panic(fmt.Sprintf("serve: commit of %d tokens with %d remaining", n, s.remaining))
-		}
-		s.ctx += n
-		s.remaining -= n
+		s.ctx++
+		s.remaining--
 		moved = moved || s.remaining == 0
 	}
 	for _, s := range p.Prefill {

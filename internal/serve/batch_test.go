@@ -42,28 +42,24 @@ type propSeq = Seq[*propReq]
 
 // TestBatchProperties drives the core alone through seeded random
 // schedules — arrivals trickling in, cancellations through Remove, a
-// finite memory, commit counts of 1…k tokens — and checks after every
-// step what both drivers rely on.
+// finite memory — and checks after every step what both drivers rely on.
 func TestBatchProperties(t *testing.T) {
 	for _, chunk := range []int{0, 8} {
 		for _, mem := range []string{"none", "conservative", "optimistic"} {
-			for _, k := range []int{1, 4} {
-				name := fmt.Sprintf("chunk%d/%s/k%d", chunk, mem, k)
-				t.Run(name, func(t *testing.T) {
-					preempted := 0
-					for seed := int64(1); seed <= 40; seed++ {
-						preempted += runBatchSchedule(t, seed, chunk, mem, k)
-					}
-					if mem == "optimistic" && preempted == 0 {
-						t.Error("no schedule preempted: the pool is too large to test anything")
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("chunk%d/%s", chunk, mem), func(t *testing.T) {
+				preempted := 0
+				for seed := int64(1); seed <= 40; seed++ {
+					preempted += runBatchSchedule(t, seed, chunk, mem)
+				}
+				if mem == "optimistic" && preempted == 0 {
+					t.Error("no schedule preempted: the pool is too large to test anything")
+				}
+			})
 		}
 	}
 }
 
-func runBatchSchedule(t *testing.T, seed int64, chunk int, mem string, k int) (preempted int) {
+func runBatchSchedule(t *testing.T, seed int64, chunk int, mem string) (preempted int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const capacity, maxBatch = 96, 6
@@ -198,30 +194,15 @@ func runBatchSchedule(t *testing.T, seed int64, chunk int, mem string, k int) (p
 			continue
 		}
 
-		// Commit 1…k tokens per decoding sequence, as a speculation cycle
-		// would: the extra rows need memory the driver grows itself.
-		var counts []int
 		before := make([]int, len(p.Decode))
 		for i, s := range p.Decode {
 			before[i] = s.Produced()
-			n := 1 + rng.Intn(min(k, s.Out-s.Produced()))
-			if n > 1 && mem == "optimistic" && s.Mem.Grow(n-1) != nil {
-				n = 1
-			}
-			counts = append(counts, n)
 		}
-		if k == 1 {
-			counts = nil
-		}
-		b.Commit(p, counts)
+		b.Commit(p)
 		for i, s := range p.Decode {
-			n := 1
-			if counts != nil {
-				n = counts[i]
-			}
-			if s.Produced() != before[i]+n {
-				fail("request %d produced %d tokens after committing %d on top of %d",
-					s.Job.id, s.Produced(), n, before[i])
+			if s.Produced() != before[i]+1 {
+				fail("request %d produced %d tokens after committing one on top of %d",
+					s.Job.id, s.Produced(), before[i])
 			}
 		}
 		for _, set := range [][]*propSeq{p.Decode, p.Prefill} {
@@ -277,7 +258,7 @@ func steadyBatch() *Batch[int] {
 			panic(err)
 		}
 	}
-	b.Commit(b.Next(), nil) // the joint prefill
+	b.Commit(b.Next()) // the joint prefill
 	return b
 }
 
@@ -293,7 +274,7 @@ func BenchmarkBatchIteration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := batch.Next()
 		sinkCtx = p.DecodeCtx
-		batch.Commit(p, nil)
+		batch.Commit(p)
 	}
 }
 
@@ -301,10 +282,8 @@ func BenchmarkBatchIteration(b *testing.B) {
 // plan and victim slices are reused, there is no per-iteration map.
 func TestBatchIterationAllocs(t *testing.T) {
 	batch := steadyBatch()
-	counts := []int{1, 2, 1, 3, 1, 1, 2, 1}
 	if n := testing.AllocsPerRun(200, func() {
-		batch.Commit(batch.Next(), nil)
-		batch.Commit(batch.Next(), counts)
+		batch.Commit(batch.Next())
 		_ = batch.All()
 	}); n != 0 {
 		t.Errorf("steady-state iteration allocates %.1f objects, want 0", n)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/offload"
 	"repro/internal/perfmodel"
-	"repro/internal/specdec"
 	"repro/internal/tensor"
 )
 
@@ -23,15 +22,12 @@ type phase uint8
 const (
 	phasePrefill phase = iota
 	phaseDecode
-	// phaseVerify is one fused pass over rows rows per sequence: the
-	// speculative proposals plus the carry token (speccost.go).
-	phaseVerify
 )
 
-// costKey is one priced shape. rows is 0 except for verification.
+// costKey is one priced shape.
 type costKey struct {
-	phase               phase
-	batch, length, rows int
+	phase         phase
+	batch, length int
 }
 
 // phaseKey is the key of a prefill or of a plain decode step.
@@ -43,10 +39,10 @@ func phaseKey(prefill bool, batch, length int) costKey {
 	return k
 }
 
-// bucketed is the key k is memoized under: decode and verification
-// contexts are quantized to ctxBucket, prefill lengths are exact.
+// bucketed is the key k is memoized under: decode contexts are quantized
+// to ctxBucket, prefill lengths are exact.
 func (k costKey) bucketed() costKey {
-	if k.phase != phasePrefill {
+	if k.phase == phaseDecode {
 		k.length = (k.length + ctxBucket - 1) / ctxBucket * ctxBucket
 	}
 	return k
@@ -95,12 +91,8 @@ func (m *memoCost) DecodeStepCost(batch, ctxLen int) (float64, error) {
 	return v.Seconds, err
 }
 
-// Cached implements CostModel from the memo alone. A plain model prices
-// no speculation cycle, so k > 0 is never cached here.
-func (m *memoCost) Cached(prefill bool, batch, length, k int) (Quote, bool) {
-	if k > 0 {
-		return Quote{}, false
-	}
+// Cached implements CostModel from the memo alone.
+func (m *memoCost) Cached(prefill bool, batch, length int) (Quote, bool) {
 	return m.read(phaseKey(prefill, batch, length).bucketed())
 }
 
@@ -117,17 +109,11 @@ func (m *memoCost) PhaseCounters(prefill bool, batch, length int) (counters.Repo
 // NewCPUCost prices server iterations on a modeled CPU configuration. The
 // returned model also implements CounterModel: every priced prefill and
 // decode step carries the emulated counter report of the platform that
-// priced it. Its verification passes, priced only when NewSpecCPUCost
-// wraps it, use the specdec roofline: weights stream once per pass,
-// compute and KV IO scale with rows.
+// priced it.
 func NewCPUCost(setup memsim.Config, m model.Config) CostModel {
 	return &memoCost{
 		memo: map[costKey]Quote{},
 		price: func(k costKey) (Quote, error) {
-			if k.phase == phaseVerify {
-				s, err := specdec.VerifySeconds(m, setup, k.batch, max(k.length, 1), k.rows)
-				return Quote{Seconds: s}, err
-			}
 			prefill := k.phase == phasePrefill
 			run := perfmodel.CPURun{Model: m, Setup: setup, Batch: k.batch,
 				InputLen: k.length, OutputLen: 2, Weights: tensor.BF16}

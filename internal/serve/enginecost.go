@@ -4,7 +4,7 @@ package serve
 // functional engine and timing it, instead of consulting the analytic
 // platform model. This lets the serving policies (continuous, chunked) and
 // the gateway run against a real transformer at laptop scale: every
-// prefill, decode-step and verification cost is a measured wall-clock
+// prefill and decode-step cost is a measured wall-clock
 // duration of real GEMMs, attention and sampling. Costs are memoized like
 // the analytic models, so a long trace pays for each distinct shape once.
 
@@ -33,33 +33,20 @@ func NewEngineCost(e *engine.Engine) CostModel {
 
 // measure runs the measured workload of one shape. For prefill it times
 // Prefill over a batch of sampled prompts; for decode it first rebuilds
-// length tokens of KV state, then times exactly one DecodeStep. For
-// verification it rebuilds one sequence's KV state and times one
-// VerifyRows pass over k.rows rows: batched verification runs per
-// sequence (the fused pass packs one sequence's rows), so the measurement
-// multiplies by the batch.
+// length tokens of KV state, then times exactly one DecodeStep.
 func measure(e *engine.Engine, rng *rand.Rand, k costKey) (float64, error) {
 	cfg := e.Config()
 	batch := max(k.batch, 1)
-	seqs, maxCtx := batch, cfg.MaxSeq-1
-	if k.phase == phaseVerify {
-		seqs, maxCtx = 1, cfg.MaxSeq-k.rows-1
-	}
-	length := max(min(k.length, maxCtx), 1)
+	length := max(min(k.length, cfg.MaxSeq-1), 1)
 
-	sample := func(n int) []int {
-		toks := make([]int, n)
-		for i := range toks {
-			toks[i] = rng.Intn(cfg.Vocab)
-		}
-		return toks
-	}
-	prompts := make([][]int, seqs)
+	prompts := make([][]int, batch)
 	for b := range prompts {
-		prompts[b] = sample(length)
+		prompts[b] = make([]int, length)
+		for i := range prompts[b] {
+			prompts[b][i] = rng.Intn(cfg.Vocab)
+		}
 	}
-	rows := sample(k.rows)
-	s := e.NewSession(seqs, length+k.rows+1)
+	s := e.NewSession(batch, length+1)
 	defer s.Release()
 	if k.phase == phasePrefill {
 		start := time.Now()
@@ -71,10 +58,6 @@ func measure(e *engine.Engine, rng *rand.Rand, k costKey) (float64, error) {
 		return 0, err
 	}
 	start := time.Now()
-	if k.phase == phaseDecode {
-		_, err = e.DecodeStep(s, toks)
-		return time.Since(start).Seconds(), err
-	}
-	_, err = e.VerifyRows(s, rows)
-	return time.Since(start).Seconds() * float64(batch), err
+	_, err = e.DecodeStep(s, toks)
+	return time.Since(start).Seconds(), err
 }

@@ -24,14 +24,13 @@ func tinyEngine(t *testing.T) *engine.Engine {
 
 func TestEngineCostPricesPositive(t *testing.T) {
 	e := tinyEngine(t)
-	cost, spec := NewEngineCost(e), NewSpecEngineCost(e, e)
+	cost := NewEngineCost(e)
 	for _, tc := range []struct {
 		name  string
 		price func() (float64, error)
 	}{
 		{"prefill", func() (float64, error) { return cost.PrefillCost(2, 16) }},
 		{"decode", func() (float64, error) { return cost.DecodeStepCost(2, 16) }},
-		{"verify", func() (float64, error) { return spec.VerifyCost(2, 16, 3) }},
 	} {
 		c, err := tc.price()
 		if err != nil {
@@ -49,16 +48,13 @@ func TestEngineCostPricesPositive(t *testing.T) {
 
 func TestEngineCostClampsLongContexts(t *testing.T) {
 	e := tinyEngine(t)
-	cost, spec := NewEngineCost(e), NewSpecEngineCost(e, e)
+	cost := NewEngineCost(e)
 	// Far beyond tiny MaxSeq (64): must clamp, not error.
 	if _, err := cost.PrefillCost(1, 4096); err != nil {
 		t.Fatalf("long prefill: %v", err)
 	}
 	if _, err := cost.DecodeStepCost(1, 4096); err != nil {
 		t.Fatalf("long decode: %v", err)
-	}
-	if _, err := spec.VerifyCost(1, 4096, 5); err != nil {
-		t.Fatalf("long verify: %v", err)
 	}
 }
 

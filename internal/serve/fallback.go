@@ -52,4 +52,4 @@ func (a *analyticFallback) DecodeStepCost(batch, ctxLen int) (float64, error) {
 }
 
 // Cached implements CostModel: the fallback keeps no memo.
-func (a *analyticFallback) Cached(bool, int, int, int) (Quote, bool) { return Quote{}, false }
+func (a *analyticFallback) Cached(bool, int, int) (Quote, bool) { return Quote{}, false }

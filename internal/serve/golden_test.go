@@ -40,7 +40,7 @@ func (shapeCost) DecodeStepCost(batch, ctxLen int) (float64, error) {
 	b, n := float64(batch), float64(ctxLen)
 	return 1.9e-2*(1+0.3*(b-1)) + 1.1e-5*n*b, nil
 }
-func (shapeCost) Cached(bool, int, int, int) (Quote, bool) { return Quote{}, false }
+func (shapeCost) Cached(bool, int, int) (Quote, bool) { return Quote{}, false }
 
 // goldenCase is one recorded run. Completions are in request-ID order,
 // each as the Float64bits of QueueWait, TTFT, E2E and Finish.

@@ -30,13 +30,11 @@ type CostModel interface {
 	// DecodeStepCost returns the seconds of one decode iteration for
 	// `batch` sequences whose longest context is ctxLen.
 	DecodeStepCost(batch, ctxLen int) (float64, error)
-	// Cached returns the price of a call an earlier call already priced,
-	// without pricing anything: a prefill, a decode step (k = 0) or, on
-	// a SpecCostModel, a speculation cycle of k draft steps and one
-	// verification pass. ok is false for a shape the model has not priced
-	// yet, and always for a model that keeps no memo. It never waits on a
-	// price being computed.
-	Cached(prefill bool, batch, length, k int) (q Quote, ok bool)
+	// Cached returns the price of a prefill or decode step an earlier
+	// call already priced, without pricing anything. ok is false for a
+	// shape the model has not priced yet, and always for a model that
+	// keeps no memo. It never waits on a price being computed.
+	Cached(prefill bool, batch, length int) (q Quote, ok bool)
 }
 
 // Quote is one memoized price: the seconds and, when the model emulates
@@ -382,7 +380,7 @@ func (s *Server) runIterations(b *Batch[simReq], trace []workload.Request) ([]Co
 		}
 		clock += iter
 		s.MaxIterationSeconds = max(s.MaxIterationSeconds, iter)
-		b.Commit(p, nil)
+		b.Commit(p)
 
 		for _, q := range p.Decode {
 			if q.Done() {

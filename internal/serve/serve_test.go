@@ -35,7 +35,7 @@ func (c fixedCost) PrefillCost(batch, inputLen int) (float64, error) {
 func (c fixedCost) DecodeStepCost(batch, ctxLen int) (float64, error) {
 	return c.decodeStep * soften(batch), nil
 }
-func (fixedCost) Cached(bool, int, int, int) (Quote, bool) { return Quote{}, false }
+func (fixedCost) Cached(bool, int, int) (Quote, bool) { return Quote{}, false }
 
 func testTrace(n int, rate float64, seed int64) []workload.Request {
 	g := workload.NewGenerator(seed)

@@ -11,7 +11,6 @@ package specdec
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/memsim"
 	"repro/internal/model"
@@ -144,89 +143,6 @@ func VerifySecondsDT(m model.Config, setup memsim.Config, batch, ctx, rows int, 
 	}
 	t += setup.CPU.StepOverheadMS / 1e3
 	return t, nil
-}
-
-// Adaptive picks the lookahead k from an EWMA of the observed acceptance
-// rate. Speculation only pays when the draft agrees with the target often
-// enough to amortize its own steps, so the controller starts optimistic at
-// the configured maximum, tracks acceptance per verification cycle, and
-// shrinks k — all the way to 1 when α is poor — as the estimate degrades.
-// Safe for concurrent use.
-type Adaptive struct {
-	mu     sync.Mutex
-	maxK   int
-	alpha  float64
-	warmed bool
-}
-
-const (
-	// adaptiveEWMAWeight is the weight of the newest cycle's acceptance.
-	adaptiveEWMAWeight = 0.2
-	// adaptiveFloor is the acceptance below which speculation is priced as
-	// pure overhead and the lookahead collapses to 1.
-	adaptiveFloor = 0.3
-)
-
-// NewAdaptive returns a controller bounded by maxK (clamped to ≥ 1).
-func NewAdaptive(maxK int) *Adaptive {
-	if maxK < 1 {
-		maxK = 1
-	}
-	return &Adaptive{maxK: maxK}
-}
-
-// Observe folds one verification cycle's outcome into the estimate.
-func (a *Adaptive) Observe(proposed, accepted int) {
-	if proposed <= 0 {
-		return
-	}
-	rate := float64(accepted) / float64(proposed)
-	a.mu.Lock()
-	if !a.warmed {
-		a.alpha, a.warmed = rate, true
-	} else {
-		a.alpha += adaptiveEWMAWeight * (rate - a.alpha)
-	}
-	a.mu.Unlock()
-}
-
-// Acceptance returns the current EWMA estimate (the optimistic 1.0 before
-// any observation).
-func (a *Adaptive) Acceptance() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.warmed {
-		return 1
-	}
-	return a.alpha
-}
-
-// K returns the lookahead to use for the next cycle: maxK before any
-// observation, 1 below the acceptance floor, and otherwise the k that
-// balances expected accepted run length against drafting overhead —
-// 1 + round(α/(1-α)), the mean geometric run length — clamped to
-// [1, maxK].
-func (a *Adaptive) K() int {
-	a.mu.Lock()
-	alpha, warmed := a.alpha, a.warmed
-	a.mu.Unlock()
-	if !warmed {
-		return a.maxK
-	}
-	if alpha < adaptiveFloor {
-		return 1
-	}
-	if alpha >= 1 {
-		return a.maxK
-	}
-	k := 1 + int(alpha/(1-alpha)+0.5)
-	if k > a.maxK {
-		k = a.maxK
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
 }
 
 func (r Run) validate() error {

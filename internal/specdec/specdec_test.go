@@ -176,47 +176,6 @@ func TestVerifyScalesWithContext(t *testing.T) {
 	}
 }
 
-func TestAdaptiveLookahead(t *testing.T) {
-	a := NewAdaptive(8)
-	if a.K() != 8 {
-		t.Errorf("unwarmed K = %d, want optimistic max 8", a.K())
-	}
-	if a.Acceptance() != 1 {
-		t.Errorf("unwarmed acceptance = %g, want 1", a.Acceptance())
-	}
-	// Sustained poor acceptance collapses the lookahead to 1.
-	for i := 0; i < 50; i++ {
-		a.Observe(8, 0)
-	}
-	if a.K() != 1 {
-		t.Errorf("K after zero acceptance = %d, want 1", a.K())
-	}
-	// Sustained good acceptance grows it back toward the cap.
-	for i := 0; i < 50; i++ {
-		a.Observe(8, 8)
-	}
-	if a.K() != 8 {
-		t.Errorf("K after perfect acceptance = %d, want 8", a.K())
-	}
-	// Mid acceptance lands strictly between.
-	b := NewAdaptive(8)
-	for i := 0; i < 50; i++ {
-		b.Observe(10, 7)
-	}
-	if k := b.K(); k < 2 || k > 5 {
-		t.Errorf("K at α≈0.7 = %d, want in [2,5]", k)
-	}
-	if math.Abs(b.Acceptance()-0.7) > 0.02 {
-		t.Errorf("EWMA acceptance = %g, want ≈ 0.7", b.Acceptance())
-	}
-	// Observing nothing changes nothing.
-	prev := b.K()
-	b.Observe(0, 0)
-	if b.K() != prev {
-		t.Errorf("Observe(0,0) moved K from %d to %d", prev, b.K())
-	}
-}
-
 func TestValidation(t *testing.T) {
 	r := run(0.8, 0)
 	if _, err := r.Simulate(); err == nil {

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/record_golden.json")
+var update = flag.Bool("update", false, "rewrite testdata/record_golden.json")
 
 const goldenPath = "testdata/record_golden.json"
 
@@ -68,8 +68,6 @@ func goldenSpans(typed bool) []SpanData {
 		pricing(SpanData{Start: at(116), End: at(117), ModelSeconds: 0.013}, SiteDecode, true),
 		decode(SpanData{Start: at(115), End: at(120), ModelSeconds: 0.013}, 3, 8, 2047, true),
 		pricing(SpanData{Start: at(121), End: at(122), ModelSeconds: 0.031}, SiteDecode, false),
-		{Name: PhaseSpeculative, Start: at(120), End: at(125), ModelSeconds: 0.031, Attrs: map[string]string{
-			"k": "4", "proposed": "4", "accepted": "3", "committed": "4", "batch": "8", "ctx": "70"}},
 		{Name: "fault", Start: at(125), End: at(125), Attrs: map[string]string{
 			"fault.class": "cost-error", "fault.site": "cost.decode", "fault.lane": "spr|OPT-13B|0||", "fault.fire": "1"}},
 		{Name: PhaseHandler, Start: at(0), End: at(130), Attrs: map[string]string{
@@ -124,7 +122,7 @@ func TestRecordGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.WriteByte('\n')
-	if *updateGolden {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -58,16 +58,12 @@ const (
 	// token count and the prefill model-seconds the hit saved.
 	PhaseCacheLookup = "cache_lookup"
 	PhaseCacheHit    = "cache_hit"
-	// PhaseSpeculative spans one draft-assisted decode cycle (gateway
-	// spec.go): k draft steps plus one fused verification pass, committing
-	// the accepted run. Attrs carry k, proposed, accepted and committed.
-	PhaseSpeculative = "speculative"
 )
 
 // PhaseOrder is the canonical rendering order for phase breakdowns.
 var PhaseOrder = []string{PhaseAdmission, PhaseRoute, PhaseFailover,
 	PhaseHedge, PhaseQueue, PhaseCacheLookup, PhaseCacheHit, PhaseBatch,
-	PhasePrefill, PhaseDecode, PhaseSpeculative, PhaseFirstToken,
+	PhasePrefill, PhaseDecode, PhaseFirstToken,
 	PhasePreempted, PhasePricing}
 
 // Counters are the per-span hardware-counter analogs, mirroring the

@@ -39,7 +39,6 @@ var keptTestOnly = map[string]string{
 	"metrics.Histogram.Count":             "gateway tests count latency observations through it",
 	"engine.PagedKVCache.Len":             "cache length across prefill, fork, adopt and rejected steps",
 	"faults.Injector.Armed":               "the lock-free armed counts (firing plus standing rules), checked against the rule list",
-	"specdec.Adaptive.Acceptance":         "the controller's smoothed acceptance estimate, checked for warm-up and convergence",
 
 	// Operator actions with no in-repo caller.
 	"cluster.Router.RollingRestart": "drain-and-restart drill an operator runs; chaos-tested",
