@@ -3,8 +3,8 @@ package api
 // wire_golden_test.go pins the bytes the API puts on the wire: status,
 // headers and body of every generation surface (buffered, streamed,
 // streamed with include_usage) on an analytic lane and on a tiny-* engine
-// lane, a prefix-cache hit, cluster attribution, the
-// brownout header, every error code with its Retry-After / Allow headers,
+// lane, a prefix-cache hit, cluster attribution, the brownout header,
+// every error code with its Retry-After / Allow headers,
 // the mid-stream error envelope, the /v1/simulate and /v1/platforms
 // bodies, and GET /v1/debug/state after a group's traffic.
 // Only volatile values are masked (see mask);

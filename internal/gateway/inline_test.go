@@ -155,8 +155,8 @@ func scriptedLaneOver(t *testing.T, budget time.Duration, inj *faults.Injector, 
 
 // TestMemoLookupMatchesPrice: what a model's memo answers for a shape is
 // what pricing the shape returned, to the bit — for every cost model the
-// lanes run, for prefill and decode, at contexts that are not bucket-aligned — and a shape not yet priced is
-// not answered at all.
+// lanes run, for prefill and decode, at contexts that are not
+// bucket-aligned — and a shape not yet priced is not answered at all.
 func TestMemoLookupMatchesPrice(t *testing.T) {
 	w, err := engine.NewWeights(model.Tiny(model.OPT), 42, tensor.BF16)
 	if err != nil {

@@ -72,10 +72,9 @@ func TestHistogramEmptyAndOverflow(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("a_total", "a help")
-	a.Inc()
-	a.Inc()
-	a.Inc()
+	for i := 0; i < 3; i++ {
+		r.Counter("a_total", "a help").Inc()
+	}
 	r.Gauge("b", "").Set(-2)
 	h := r.Histogram("c_seconds", "c help", []float64{0.5, 1})
 	h.Observe(0.2)

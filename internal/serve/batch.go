@@ -194,12 +194,11 @@ func (b *Batch[J]) Next() *Plan[J] {
 }
 
 // Commit applies a priced plan. Each decoding sequence advances by one
-// token. Each prefilling sequence
-// advances by the planned length; one whose prompt is now complete has
-// its first output token and starts decoding. A sequence whose last token
-// this was leaves the batch with its blocks released. Afterwards the
-// driver reads the outcome off the plan's sequences: Produced, Prefilling,
-// Done.
+// token. Each prefilling sequence advances by the planned length; one
+// whose prompt is now complete has its first output token and starts
+// decoding. A sequence whose last token this was leaves the batch with
+// its blocks released. Afterwards the driver reads the outcome off the
+// plan's sequences: Produced, Prefilling, Done.
 func (b *Batch[J]) Commit(p *Plan[J]) {
 	moved := false // some sequence finished, or finished its prompt
 	for _, s := range p.Decode {

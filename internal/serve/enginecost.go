@@ -4,9 +4,9 @@ package serve
 // functional engine and timing it, instead of consulting the analytic
 // platform model. This lets the serving policies (continuous, chunked) and
 // the gateway run against a real transformer at laptop scale: every
-// prefill and decode-step cost is a measured wall-clock
-// duration of real GEMMs, attention and sampling. Costs are memoized like
-// the analytic models, so a long trace pays for each distinct shape once.
+// prefill and decode-step cost is a measured wall-clock duration of real
+// GEMMs, attention and sampling. Costs are memoized like the analytic
+// models, so a long trace pays for each distinct shape once.
 
 import (
 	"math/rand"
