@@ -237,11 +237,12 @@ overload-demo:
 	else echo "overload-demo: interactive goodput held at $$on% of peak under 2x load (baseline $$off%)"; fi; \
 	exit $$st
 
-# One benchmark per paper table/figure plus kernel/engine/ablation benches,
-# then the decode sweep, which rewrites the perf trajectory artifact
-# BENCH_decode.json.
+# The decode sweep, which rewrites the perf trajectory artifact
+# BENCH_decode.json, then the layer benchmarks inside internal/. The
+# paper's tables and figures are RESULTS.md's (`make results-md`), not a
+# benchmark's.
 bench: bench-decode
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./internal/...
 
 # This host's measured roofline (STREAM triad GB/s, and a GFLOP/s ceiling
 # per instruction mix the SIMD level can issue), the decode-shape kernel
@@ -255,7 +256,7 @@ bench: bench-decode
 # if a step leaves more than 10 % of its time to no class, and notes a
 # SIMD level slower than the one below it on an M >= 4 row.
 bench-decode:
-	$(GO) run ./cmd/gemmbench -decode -json BENCH_decode.json
+	$(GO) run ./cmd/gemmbench -json BENCH_decode.json
 
 # CI-sized variant: smaller shapes, fewer reps, the same checks, and a
 # SIMD level slower than the one below it fails the run. Its JSON goes
@@ -263,17 +264,18 @@ bench-decode:
 # is not overwritten.
 bench-decode-short:
 	mkdir -p .bench_build
-	$(GO) run ./cmd/gemmbench -decode -short -json .bench_build/BENCH_decode.json
+	$(GO) run ./cmd/gemmbench -short -json .bench_build/BENCH_decode.json
 
 # Speculative decoding sweep: measured draft+verify vs fused greedy
-# baseline across kernel tiers and acceptance rates (bit-identity asserted
-# per point), plus the modeled roofline sweep on the paper platform where
-# memory-bound decode makes speculation pay. Writes BENCH_specdec.json.
+# baseline across kernel tiers and acceptance rates, bit-identity asserted
+# per point. Writes BENCH_specdec.json. What speculation gains on the
+# paper's memory-bound CPU is specdec.Run's, held to >= 1.5x (BF16 tile
+# tier, batch 1) by `go test ./internal/specdec`.
 bench-spec:
 	$(GO) run ./cmd/gemmbench -spec -json BENCH_specdec.json
 
-# CI-sized variant: one kernel tier, one acceptance rate, same modeled
-# sweep and the same >= 1.5x tile-tier self-check; JSON under .bench_build/.
+# CI-sized variant: one kernel tier, one acceptance rate, the same
+# bit-identity check; JSON under .bench_build/.
 bench-spec-short:
 	mkdir -p .bench_build
 	$(GO) run ./cmd/gemmbench -spec -short -json .bench_build/BENCH_specdec.json

@@ -1,13 +1,5 @@
-// Command gemmbench measures the repository's real GEMM kernels on the
-// current machine — the functional analog of Fig 1. It reports GFLOP/s
-// for the naive triple loop and for the packed GEMM that ships — on the
-// portable Go loop, on this host's SIMD micro-kernel, and on the
-// micro-kernel split over the worker pool — across matrix sizes, showing
-// the same qualitative structure the paper measures across ISAs: the
-// packed, vectorized, parallel kernels pull ahead as matrices grow.
-//
-// With -decode it instead measures this host's roofline (a STREAM-triad
-// GB/s, and a GFLOP/s ceiling for every instruction mix the SIMD level can
+// Command gemmbench measures this host's roofline (a STREAM-triad GB/s,
+// and a GFLOP/s ceiling for every instruction mix the SIMD level can
 // issue) and sweeps decode and prefill shapes (M ∈ {1,4,8,16,32,64,128})
 // against it: the packed GEMM on the portable Go loop, as the SIMD level
 // below the host's ships it, and as shipped (SIMD micro-kernel + pool),
@@ -22,9 +14,16 @@
 // The run fails if a point reads above 105 % of its ceiling, a SIMD op
 // loses to its Go loop or a step leaves more than 10 % of its time to no
 // class; a SIMD level that loses to the one below it on an M ≥ 4 row
-// fails the -short run and is reported by the full one. -json writes the results
-// to a file (the perf-trajectory artifact `make bench` stores as
-// BENCH_decode.json).
+// fails the -short run and is reported by the full one. -json writes the
+// results to a file (the perf-trajectory artifact `make bench-decode`
+// stores as BENCH_decode.json).
+//
+// With -spec it instead runs the real speculative decoder (a draft's
+// proposals, steered to each acceptance rate, verified in one fused pass)
+// against the fused greedy baseline on every kernel tier, wall-timed, and
+// fails unless every point's output is bit-identical to the baseline's
+// (BENCH_specdec.json). What speculation would gain on the paper's CPU is
+// priced by internal/specdec, not here.
 //
 // With -serving it measures nothing itself: it files two `go test -bench`
 // outputs of the serving-path layer benchmarks, a base commit's and this
@@ -34,10 +33,9 @@
 //
 // Usage:
 //
-//	gemmbench                        # default sizes 64..512
-//	gemmbench -sizes 128,256 -reps 5
-//	gemmbench -decode -json BENCH_decode.json
-//	gemmbench -decode -short         # CI-sized variant
+//	gemmbench -json BENCH_decode.json
+//	gemmbench -short                 # CI-sized variant
+//	gemmbench -spec -json BENCH_specdec.json
 //	gemmbench -serving -json BENCH_serving.json base.txt change.txt
 package main
 
@@ -49,110 +47,34 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/hw"
 	"repro/internal/kernels"
-	"repro/internal/memsim"
 	"repro/internal/model"
-	"repro/internal/perfmodel"
-	"repro/internal/specdec"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
-// tier is one way of computing C = A·B for square n: the naive loop reads
-// row-major b, the packed kernels its load-time pack pb.
-type tier struct {
-	name string
-	run  func(n int, a, b []float32, pb *kernels.PackedB, c []float32)
-}
-
-// allTiers are the engine's kernel tiers, in the order the sweeps report.
-var allTiers = []engine.Kernel{engine.KernelBlocked, engine.KernelParallel,
-	engine.KernelTileBF16, engine.KernelTileBF16Parallel, engine.KernelInt8}
-
 func main() {
-	sizesFlag := flag.String("sizes", "64,128,256,512", "comma-separated square sizes")
-	reps := flag.Int("reps", 3, "repetitions per measurement (best is kept)")
-	withNaive := flag.Bool("naive", true, "include the naive kernel (slow at large sizes)")
-	decode := flag.Bool("decode", false, "run the decode-shape sweep (host roofline per instruction mix, packed GEMM Go loop vs SIMD + pool, vector ops, step breakdown)")
 	spec := flag.Bool("spec", false, "run the speculative-decoding sweep (draft+verify vs fused greedy baseline across kernel tiers and acceptance rates)")
-	jsonOut := flag.String("json", "", "write decode sweep results to this JSON file")
-	short := flag.Bool("short", false, "CI-sized decode sweep (smaller shapes, fewer reps)")
+	jsonOut := flag.String("json", "", "write the results to this JSON file")
+	short := flag.Bool("short", false, "CI-sized sweep (smaller shapes, fewer reps)")
 	serving := flag.Bool("serving", false, "file two `go test -bench` outputs of the serving-path layer benchmarks, named as arguments (base, then this checkout), as before/after rows")
 	flag.Parse()
 
-	if *serving {
-		if err := runServing(*jsonOut, *short, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "gemmbench:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *serving:
+		err = runServing(*jsonOut, *short, flag.Args())
+	case *spec:
+		err = runSpec(*jsonOut, *short)
+	default:
+		err = runDecode(*jsonOut, *short)
 	}
-
-	if *decode {
-		if err := runDecode(*jsonOut, *short); err != nil {
-			fmt.Fprintln(os.Stderr, "gemmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *spec {
-		if err := runSpec(*jsonOut, *short); err != nil {
-			fmt.Fprintln(os.Stderr, "gemmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	sizes, err := ints(*sizesFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gemmbench:", err)
 		os.Exit(1)
-	}
-	pool := kernels.NewPool(0)
-	defer pool.Close()
-	var job kernels.PackedJob
-	simd := kernels.SIMDLevel()
-	tiers := []tier{
-		{"packed go loop", func(n int, a, _ []float32, pb *kernels.PackedB, c []float32) { kernels.GemmPackedGeneric(n, a, pb, c) }},
-		{"packed " + simd, func(n int, a, _ []float32, pb *kernels.PackedB, c []float32) { kernels.GemmPacked(n, a, pb, c) }},
-		{fmt.Sprintf("packed %s+pool(%d)", simd, pool.Workers()), func(n int, a, _ []float32, pb *kernels.PackedB, c []float32) {
-			kernels.GemmPackedPooled(pool, &job, n, a, pb, c)
-		}},
-	}
-	if *withNaive {
-		tiers = append([]tier{{"naive", func(n int, a, b []float32, _ *kernels.PackedB, c []float32) { kernels.GemmNaive(n, n, n, a, b, c) }}}, tiers...)
-	}
-
-	fmt.Printf("%-8s", "size")
-	for _, t := range tiers {
-		fmt.Printf("  %18s", t.name)
-	}
-	fmt.Println("   (GFLOP/s, best of", *reps, "reps)")
-
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range sizes {
-		a, b, c := randMat(rng, n*n), randMat(rng, n*n), make([]float32, n*n)
-		pb := kernels.PackB(n, n, b)
-		fmt.Printf("%-8d", n)
-		for _, t := range tiers {
-			best := 0.0
-			for r := 0; r < *reps; r++ {
-				start := time.Now()
-				t.run(n, a, b, pb, c)
-				el := time.Since(start).Seconds()
-				if g := 2 * float64(n) * float64(n) * float64(n) / el / 1e9; g > best {
-					best = g
-				}
-			}
-			fmt.Printf("  %18.2f", best)
-		}
-		fmt.Println()
 	}
 }
 
@@ -173,55 +95,29 @@ type specPoint struct {
 	BitIdentical  bool    `json:"bit_identical"`
 }
 
-// modeledPoint is one roofline-model point: plain greedy decode vs a
-// speculation cycle (k draft steps + one fused (k+1)-row verification
-// pass) priced on the paper platform, per kernel tier's weight dtype.
-type modeledPoint struct {
-	Kernel        string  `json:"kernel"`
-	Dtype         string  `json:"dtype"`
-	Batch         int     `json:"batch"`
-	Alpha         float64 `json:"alpha"`
-	Lookahead     int     `json:"lookahead"`
-	BaselineTokS  float64 `json:"baseline_toks"`
-	SpecTokS      float64 `json:"spec_toks"`
-	Speedup       float64 `json:"speedup"`
-	TokensPerPass float64 `json:"tokens_per_pass"`
-	DraftShare    float64 `json:"draft_share"`
-}
-
-// specReport is the BENCH_specdec.json schema. Measured is the wall-clock
-// sweep on this host's kernels (its job is the bit-identity proof and the
-// honest cost accounting: the bench model fits the last-level cache, where
-// batch-1 decode is not bandwidth-bound and a (k+1)-row verification costs
-// several decode steps). Modeled prices the same cycle on the
-// paper's memory-bound CPU (SPR roofline), the regime Figs 9-12 put real
-// CPU decode in and the one where fused verification pays.
+// specReport is the BENCH_specdec.json schema: the wall-clock sweep on
+// this host's kernels. Its job is the bit-identity proof and the honest
+// cost accounting: the bench model fits the last-level cache, where
+// batch-1 decode is not bandwidth-bound and a (k+1)-row verification
+// costs several decode steps.
 type specReport struct {
-	GOMAXPROCS    int            `json:"gomaxprocs"`
-	Short         bool           `json:"short"`
-	DModel        int            `json:"d_model"`
-	Layers        int            `json:"layers"`
-	DraftLayers   int            `json:"draft_layers"`
-	Lookahead     int            `json:"lookahead"`
-	MeasuredNote  string         `json:"measured_note"`
-	Measured      []specPoint    `json:"measured"`
-	ModeledTarget string         `json:"modeled_target"`
-	ModeledDraft  string         `json:"modeled_draft"`
-	ModeledNote   string         `json:"modeled_note"`
-	Modeled       []modeledPoint `json:"modeled"`
+	GOMAXPROCS   int         `json:"gomaxprocs"`
+	Short        bool        `json:"short"`
+	DModel       int         `json:"d_model"`
+	Layers       int         `json:"layers"`
+	DraftLayers  int         `json:"draft_layers"`
+	Lookahead    int         `json:"lookahead"`
+	MeasuredNote string      `json:"measured_note"`
+	Measured     []specPoint `json:"measured"`
 }
 
-// runSpec sweeps speculative decoding two ways. The measured sweep runs
-// the real engines (draft proposals, steered acceptance, fused multi-row
-// verification) against the fused greedy baseline, wall-timed — its job
-// is proving bit-identity on every kernel tier and charging the honest
-// cost: verification FLOPs scale with rows, so where batch-1 decode is not
-// bandwidth-bound (a model that fits the last-level cache) speculation
-// loses wall-clock, as the roofline predicts. The modeled sweep prices the
-// identical cycle on the paper's CPU (SPR, Figs 9-12), where decode streams
-// all weights from memory per token and the (k+1)-row verification pass
-// streams them once — the memory-bound regime where speculation
-// pays; that sweep carries the headline speedups. Steering pins the
+// runSpec runs the real engines (draft proposals, steered acceptance,
+// fused multi-row verification) against the fused greedy baseline,
+// wall-timed. Its job is proving bit-identity on every kernel tier and
+// charging the honest cost: verification FLOPs scale with rows, so where
+// batch-1 decode is not bandwidth-bound (a model that fits the last-level
+// cache) speculation loses wall-clock, as the roofline predicts; the
+// memory-bound regime where it pays is specdec.Run's. Steering pins the
 // measured acceptance at each α while the draft still runs honestly for
 // cost; greedy output stays bit-identical to the baseline regardless of
 // steering, which each point asserts.
@@ -233,7 +129,8 @@ func runSpec(jsonPath string, short bool) error {
 	newTokens := 32
 	promptLen := 16
 	reps := 2
-	tiers := allTiers
+	tiers := []engine.Kernel{engine.KernelBlocked, engine.KernelParallel,
+		engine.KernelTileBF16, engine.KernelTileBF16Parallel, engine.KernelInt8}
 	if short {
 		cfg.Layers, cfg.DModel, cfg.DFF = 6, 192, 768
 		batches = []int{1, 2}
@@ -254,10 +151,7 @@ func runSpec(jsonPath string, short bool) error {
 			"honestly. Speculation pays only where batch-1 decode is " +
 			"bandwidth-bound; this 25 MB bench model sits in a server's " +
 			"last-level cache, where a (k+1)-row verification costs " +
-			"several decode steps",
-		ModeledNote: "roofline on the paper's memory-bound CPU: decode streams " +
-			"all weights per token, fused verification streams them once per " +
-			"(k+1)-row pass — the regime where speculation pays"}
+			"several decode steps"}
 	pool := kernels.NewPool(0)
 	defer pool.Close()
 
@@ -350,10 +244,6 @@ func runSpec(jsonPath string, short bool) error {
 		}
 	}
 
-	if err := runSpecModeled(&rep, batches, alphas, lookahead); err != nil {
-		return err
-	}
-
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -363,88 +253,6 @@ func runSpec(jsonPath string, short bool) error {
 			return err
 		}
 		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// specTierDtype maps a kernel tier to the weight dtype it streams: the
-// fp32 tiers read 4-byte weights, the BF16 tile tiers 2, and the int8
-// tier 1 — the bytes fused verification amortizes across rows.
-func specTierDtype(k engine.Kernel) tensor.DType {
-	switch k {
-	case engine.KernelBlocked, engine.KernelParallel:
-		return tensor.FP32
-	case engine.KernelInt8:
-		return tensor.INT8
-	default:
-		return tensor.BF16
-	}
-}
-
-// runSpecModeled prices the speculation cycle on the paper platform (SPR
-// Max 9468, flat memory, SNC4) for OPT-13B with an OPT-1.3B draft, per
-// kernel tier's weight dtype. It hard-fails if the tile tier at batch 1
-// and α ≥ 0.7 models below 1.5× — the headline this artifact exists to
-// show; a regression in the verification pricing would silently erase it.
-func runSpecModeled(rep *specReport, batches []int, alphas []float64, lookahead int) error {
-	setup := memsim.Config{CPU: hw.SPRMax9468, Cores: 48,
-		Mem: memsim.Flat, Cluster: memsim.Quad}
-	target, draft := model.OPT13B, model.OPT1B3
-	const ctx = 128
-	rep.ModeledTarget, rep.ModeledDraft = target.Name, draft.Name
-
-	step := func(m model.Config, batch int, dt tensor.DType) (float64, error) {
-		res, err := perfmodel.CPURun{Model: m, Setup: setup, Batch: batch,
-			InputLen: ctx, OutputLen: 2, Weights: dt}.Simulate()
-		return res.DecodeSeconds, err
-	}
-
-	fmt.Printf("\nmodeled roofline sweep  (%s target, %s draft, %s, ctx=%d, k=%d)\n",
-		target.Name, draft.Name, setup.CPU.Name, ctx, lookahead)
-	fmt.Printf("%-22s %6s %6s %6s  %14s  %14s  %8s  %8s\n",
-		"kernel", "dtype", "batch", "alpha", "baseline tok/s", "spec tok/s", "speedup", "tok/pass")
-	for _, kern := range allTiers {
-		dt := specTierDtype(kern)
-		for _, batch := range batches {
-			targetStep, err := step(target, batch, dt)
-			if err != nil {
-				return err
-			}
-			draftStep, err := step(draft, batch, dt)
-			if err != nil {
-				return err
-			}
-			verify, err := specdec.VerifySecondsDT(target, setup, batch, ctx, lookahead+1, dt)
-			if err != nil {
-				return err
-			}
-			for _, alpha := range alphas {
-				e := specdec.ExpectedTokensPerCycle(alpha, lookahead)
-				cycle := float64(lookahead)*draftStep + verify
-				pt := modeledPoint{
-					Kernel: kern.String(), Dtype: dt.String(),
-					Batch: batch, Alpha: alpha, Lookahead: lookahead,
-					BaselineTokS:  float64(batch) / targetStep,
-					SpecTokS:      float64(batch) * e / cycle,
-					Speedup:       targetStep * e / cycle,
-					TokensPerPass: e,
-					DraftShare:    float64(lookahead) * draftStep / cycle,
-				}
-				rep.Modeled = append(rep.Modeled, pt)
-				fmt.Printf("%-22s %6s %6d %6.2f  %14.1f  %14.1f  %7.2fx  %8.2f\n",
-					pt.Kernel, pt.Dtype, batch, alpha,
-					pt.BaselineTokS, pt.SpecTokS, pt.Speedup, e)
-			}
-		}
-	}
-
-	for _, pt := range rep.Modeled {
-		if pt.Batch == 1 && pt.Alpha >= 0.7 && pt.Speedup < 1.5 &&
-			(pt.Kernel == engine.KernelTileBF16.String() ||
-				pt.Kernel == engine.KernelTileBF16Parallel.String()) {
-			return fmt.Errorf("modeled tile-tier speedup %.2fx at batch 1 alpha %.2f, want >= 1.5x",
-				pt.Speedup, pt.Alpha)
-		}
 	}
 	return nil
 }
@@ -499,19 +307,4 @@ func randMat(r *rand.Rand, n int) []float32 {
 		m[i] = float32(r.NormFloat64())
 	}
 	return m
-}
-
-func ints(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if n < 1 {
-			return nil, fmt.Errorf("size must be positive, got %d", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -13,7 +13,7 @@ import (
 
 // tinyEngineOpts builds an engine over Tiny weights with full Options
 // control.
-func tinyEngineOpts(t *testing.T, f model.Family, opts Options) *Engine {
+func tinyEngineOpts(t testing.TB, f model.Family, opts Options) *Engine {
 	t.Helper()
 	cfg := model.Tiny(f)
 	w, err := NewWeights(cfg, 42, tensor.FP32)

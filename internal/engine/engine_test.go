@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-func tinyEngine(t *testing.T, f model.Family, k Kernel) *Engine {
+func tinyEngine(t testing.TB, f model.Family, k Kernel) *Engine {
 	t.Helper()
 	return tinyEngineOpts(t, f, Options{Kernel: k})
 }
@@ -332,6 +332,19 @@ func TestKernelString(t *testing.T) {
 	for k, want := range names {
 		if k.String() != want {
 			t.Errorf("%d: %q", k, k.String())
+		}
+	}
+}
+
+// BenchmarkChunkedPrefill times a 32-token prompt prefilled in 8-token
+// chunks, then four decode steps.
+func BenchmarkChunkedPrefill(b *testing.B) {
+	e := tinyEngine(b, model.OPT, KernelBlocked)
+	p := prompt(e, 32, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.GenerateWith([][]int{p}, GenerateOptions{MaxNew: 4, PrefillChunk: 8}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -198,3 +198,16 @@ func TestLogSoftmax(t *testing.T) {
 		t.Error("ordering not preserved")
 	}
 }
+
+// BenchmarkPerplexity times one teacher-forced evaluation pass over a
+// 32-token sequence.
+func BenchmarkPerplexity(b *testing.B) {
+	e := tinyEngine(b, model.OPT, KernelBlocked)
+	seq := prompt(e, 32, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Perplexity(seq); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -97,21 +98,46 @@ func TestSpeculativeSelfDraftAcceptsEverything(t *testing.T) {
 	}
 }
 
-// TestSpeculativePartialAcceptance: an unrelated draft must still yield
-// correct output with acceptance strictly below 1 (otherwise the test
-// setup is degenerate).
+// TestSpeculativePartialAcceptance: a draft steered to propose the
+// target's greedy token everywhere but one fixed index per cycle is
+// accepted exactly up to that index, and the output is still the
+// target's greedy output.
 func TestSpeculativePartialAcceptance(t *testing.T) {
 	target, draft := specEngines(t, 999)
 	p := prompt(target, 12, 44)
-	_, st, err := SpeculativeGenerate(target, draft, p, 16, SpecOptions{Lookahead: 4})
+	const maxNew, k, wrongAt = 16, 4, 2
+	want, _, err := target.Generate([][]int{p}, maxNew)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.AcceptanceRate() >= 1.0 {
-		t.Skipf("draft coincidentally perfect (acceptance %.2f)", st.AcceptanceRate())
+	ref := want[0]
+	steer := func(outLen, i, _ int) int {
+		if i == wrongAt {
+			return (ref[outLen+i] + 1) % target.Config().Vocab
+		}
+		return ref[outLen+i]
 	}
-	if st.Accepted > st.Proposed {
-		t.Errorf("accepted %d > proposed %d", st.Accepted, st.Proposed)
+	got, st, err := SpeculativeGenerate(target, draft, p, maxNew, SpecOptions{Lookahead: k, Steer: steer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, ref) {
+		t.Fatalf("steered speculation %v, greedy %v", got, ref)
+	}
+	// Each cycle proposes min(k, tokens left) and keeps the proposals
+	// before wrongAt (all of them when the cycle is shorter), then the
+	// target's own token.
+	var proposed, accepted int
+	for n := 1; n < maxNew; {
+		la := min(k, maxNew-n)
+		acc := min(wrongAt, la)
+		proposed, accepted, n = proposed+la, accepted+acc, n+acc+1
+	}
+	if st.Proposed != proposed || st.Accepted != accepted {
+		t.Errorf("proposed %d, accepted %d; want %d, %d", st.Proposed, st.Accepted, proposed, accepted)
+	}
+	if a := st.AcceptanceRate(); a <= 0 || a >= 1 {
+		t.Errorf("acceptance %.2f, want strictly between 0 and 1", a)
 	}
 }
 

@@ -256,3 +256,13 @@ func TestValidation(t *testing.T) {
 		t.Error("invalid model must fail")
 	}
 }
+
+// BenchmarkSimulate times pricing one offloaded OPT-66B point.
+func BenchmarkSimulate(b *testing.B) {
+	r := run(hw.H100, model.OPT66B, 8)
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Simulate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

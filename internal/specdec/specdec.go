@@ -58,6 +58,13 @@ func (r Run) Simulate() (Result, error) {
 	if err := r.validate(); err != nil {
 		return Result{}, err
 	}
+	// Verification is one target pass over k+1 rows: weight streaming is
+	// unchanged (the memory-bound term) and compute scales with rows. In
+	// the memory-bound regime this stays ≈ one decode step.
+	verify, err := verifySeconds(r.Target, r.Setup, r.Batch, r.InputLen, r.Lookahead+1)
+	if err != nil {
+		return Result{}, fmt.Errorf("specdec: verify pass: %w", err)
+	}
 	// Per-step decode costs of target and draft on the same platform.
 	stepCost := func(m model.Config) (float64, error) {
 		res, err := perfmodel.CPURun{Model: m, Setup: r.Setup, Batch: r.Batch,
@@ -72,11 +79,6 @@ func (r Run) Simulate() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Verification is one target pass over k+1 rows: weight streaming is
-	// unchanged (the memory-bound term) and compute scales with rows —
-	// price it as a decode step whose compute-bound ops run (k+1)×. In
-	// the memory-bound regime this stays ≈ targetStep.
-	verify := r.verifyCost(targetStep)
 
 	e := ExpectedTokensPerCycle(r.Acceptance, r.Lookahead)
 	cycle := float64(r.Lookahead)*draftStep + verify
@@ -94,16 +96,7 @@ func (r Run) Simulate() (Result, error) {
 	return res, nil
 }
 
-// verifyCost prices the (k+1)-row verification pass.
-func (r Run) verifyCost(targetStep float64) float64 {
-	t, err := VerifySeconds(r.Target, r.Setup, r.Batch, r.InputLen, r.Lookahead+1)
-	if err != nil {
-		return targetStep // conservative fallback
-	}
-	return t
-}
-
-// VerifySeconds prices one fused verification pass of `rows` rows over a
+// verifySeconds prices one fused verification pass of `rows` rows over a
 // single sequence at KV context ctx, with BF16 weights (the paper's
 // default dtype). Per op the roofline is
 //
@@ -111,21 +104,11 @@ func (r Run) verifyCost(targetStep float64) float64 {
 //
 // — the weights stream exactly once regardless of the row count (that is
 // the whole point of fused verification), while compute and the
-// activation/KV traffic scale with the rows. An earlier version charged
-// the undivided memory term unscaled, which under-priced long-context
-// verification where KV reads dominate; the serving path charges this
-// exact formula, so the analytic Result and live accounting reconcile.
-func VerifySeconds(m model.Config, setup memsim.Config, batch, ctx, rows int) (float64, error) {
-	return VerifySecondsDT(m, setup, batch, ctx, rows, tensor.BF16)
-}
-
-// VerifySecondsDT is VerifySeconds with an explicit weight dtype, for
-// pricing verification on quantized (INT8) or unquantized (FP32) kernel
-// tiers: the dtype scales the streamed weight bytes, which is exactly the
-// term fused verification amortizes.
-func VerifySecondsDT(m model.Config, setup memsim.Config, batch, ctx, rows int, dt tensor.DType) (float64, error) {
+// activation/KV traffic scale with the rows (the KV term dominates at
+// long contexts).
+func verifySeconds(m model.Config, setup memsim.Config, batch, ctx, rows int) (float64, error) {
 	run := perfmodel.CPURun{Model: m, Setup: setup, Batch: batch,
-		InputLen: ctx, OutputLen: 2, Weights: dt}
+		InputLen: ctx, OutputLen: 2, Weights: tensor.BF16}
 	ops, err := run.Analyze(model.Decode, 1, ctx)
 	if err != nil {
 		return 0, err

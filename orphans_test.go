@@ -20,6 +20,7 @@ import (
 // Keys are pkg.Name, or pkg.Receiver.Name for methods.
 var keptTestOnly = map[string]string{
 	// Reference implementations tests compare against.
+	"kernels.GemmNaive":     "FP32 oracle: the pack tests hold every FP32 pack to it bit for bit",
 	"kernels.GemmTileBF16":  "serial oracle of the measured TDPBF16PS rule; every level's BF16 kernels and TMUL itself must match it bit for bit",
 	"tensor.DequantizeInt8": "reference inverse of QuantizeInt8 for the kernel and tensor error-bound tests",
 
