@@ -250,8 +250,9 @@ bench: bench-decode
 # SIMD + pool, GFLOP/s and GB/s each, all three timed in the same
 # interleaved rounds), the vector op sweep (Go loop | SIMD), the
 # operator-class breakdown of two decode steps and of a prefill on OPT and
-# GQA LLaMA (the engine's own class clocks), and tiny-engine decode tok/s
-# by batch. Writes BENCH_decode.json; fails if a kernel point reads above
+# GQA LLaMA (the engine's own class clocks), the benchmark model's build
+# split (weights, rounding, each tier's packing), and tiny-engine decode
+# tok/s by batch. Writes BENCH_decode.json; fails if a kernel point reads above
 # 105 % of its mix's ceiling, if a SIMD op is slower than its Go loop or
 # if a step leaves more than 10 % of its time to no class, and notes a
 # SIMD level slower than the one below it on an M >= 4 row.

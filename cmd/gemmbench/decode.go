@@ -169,6 +169,9 @@ type benchReport struct {
 	OpSweep       []opPoint       `json:"op_sweep"`
 	StepBreakdown []stepBreakdown `json:"step_breakdown"`
 	EngineSweep   []enginePoint   `json:"engine_sweep"`
+	// BuildSplit is the benchmark model's construction, step by step
+	// (build.go).
+	BuildSplit buildSplit `json:"build_split"`
 }
 
 // onThreads runs f on `threads` goroutines at once and returns the wall
@@ -445,6 +448,9 @@ func runDecode(jsonPath string, short bool) error {
 
 	fmt.Printf("\nvector op sweep  (median of %d reps; per call: Go loop | as shipped)\n", reps)
 	rep.OpSweep = opSweep(*h, reps)
+	if rep.BuildSplit, err = measureBuild(reps); err != nil {
+		return err
+	}
 
 	// The engine points, like the kernel points, are built first and timed
 	// round-robin, so that the rows of one take compare.

@@ -6,11 +6,12 @@
 // all three timed in the same interleaved rounds, each as achieved GFLOP/s
 // and GB/s and held to the ceiling of the mix it runs as. It also sweeps
 // the vector ops around the GEMMs (attention score and weighted-V, ReLU,
-// bias add, bf16 rounding: Go loop vs SIMD), breaks a batch-1 and a
-// batch-4 decode step and a 4×32 prefill of the benchmark's OPT model and
-// of a GQA LLaMA of its widths down by operator class, read off the
-// engine's own class clocks, and runs the tiny functional engine end to
-// end — the software analog of the paper's throughput-vs-batch curves.
+// bias add, bf16 rounding, the SwiGLU gate product, BF16 weight packing:
+// Go loop vs SIMD), breaks a batch-1 and a batch-4 decode step and a 4×32
+// prefill of the benchmark's OPT model and of a GQA LLaMA of its widths
+// down by operator class, read off the engine's own class clocks, splits
+// the benchmark model's construction into its steps (weights, rounding,
+// each tier's packing), and runs the tiny functional engine end to end — the software analog of the paper's throughput-vs-batch curves.
 // The run fails if a point reads above 105 % of its ceiling, a SIMD op
 // loses to its Go loop or a step leaves more than 10 % of its time to no
 // class; a SIMD level that loses to the one below it on an M ≥ 4 row

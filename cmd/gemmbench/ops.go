@@ -30,14 +30,18 @@ type opSet struct {
 	accumRows func(out, w, rows []float32, stride int)
 	softmax   func(x []float32)
 	norm      func(dst, x, gain, bias []float32, eps float32)
+	mul       func(dst, src []float32)
+	packBF16  func(k, n int, b []float32) *kernels.PackedB
 }
 
 var (
 	goOps = opSet{kernels.ReLUGo, kernels.AddGo, kernels.RoundBF16IntoGo,
-		kernels.DotRowsGo, kernels.AccumRowsGo, kernels.SoftmaxGo, kernels.LayerNormGo}
+		kernels.DotRowsGo, kernels.AccumRowsGo, kernels.SoftmaxGo, kernels.LayerNormGo,
+		kernels.MulGo, kernels.PackBBF16Go}
 	simdOps = opSet{kernels.ReLU, kernels.Add,
 		func(dst, src []float32) { kernels.RoundBF16Into(dst, src) },
-		kernels.DotRows, kernels.AccumRows, kernels.Softmax, kernels.LayerNorm}
+		kernels.DotRows, kernels.AccumRows, kernels.Softmax, kernels.LayerNorm,
+		kernels.Mul, kernels.PackBBF16}
 )
 
 // opRate is one way of running one op: seconds per call (median, spread)
@@ -257,5 +261,21 @@ func opSweep(h hostBlock, reps int) []opPoint {
 		}
 	})
 	elementwise("bf16-round", nil, func(ops opSet) { ops.round(dst, src) })
+	// The SwiGLU gate times its up projection, restored each time (the
+	// product would otherwise run to zero or Inf).
+	up := randMat(rng, n)
+	elementwise("mul", func(int) { copy(dst, src) }, func(ops opSet) { ops.mul(dst, up) })
+
+	// Packing the bench model's FFN weight for the tile tiers, as engine
+	// construction does once per linear: float32 in, bfloat16 pairs out.
+	{
+		k, n := cfg.DModel, cfg.DFF
+		b := randMat(rng, k*n)
+		pack := func(ops opSet) func() { return func() { ops.packBF16(k, n, b) } }
+		t := interleave(reps, nil, pack(goOps), pack(simdOps))
+		bytes := float64(6 * k * n)
+		add(opPoint{Op: "pack-bf16", Shape: fmt.Sprintf("%d × %d", k, n),
+			GoLoop: h.opRate(t[0], 1, bytes), SIMD: h.opRate(t[1], 1, bytes)})
+	}
 	return pts
 }

@@ -86,16 +86,24 @@ func generateOn(t *testing.T, e *Engine, s *Session, prompts [][]int, maxNew int
 	return goldenEntry{Tokens: out, LogitsFNV: fmt.Sprintf("%016x", h.Sum64())}
 }
 
+// readGolden returns testdata/golden_tokens.json's entries.
+func readGolden(t *testing.T) map[string]goldenEntry {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]goldenEntry{}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
 func TestGoldenTokens(t *testing.T) {
 	golden := map[string]goldenEntry{}
 	if !*updateGolden {
-		data, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &golden); err != nil {
-			t.Fatal(err)
-		}
+		golden = readGolden(t)
 	}
 	tiers := []struct {
 		k     Kernel

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/kernels"
@@ -65,24 +66,45 @@ func (k Kernel) String() string {
 	}
 }
 
-// Linear is one weight matrix with optional bias and an optional INT8
-// shadow for the quantized path. Weights are stored row-major [In, Out] so
-// that Y = X·W. The unexported pack fields hold panel-packed shadows built
-// once at engine construction (Weights.ensurePacked).
+// Linear is one weight matrix W (In rows, Out columns, so that Y = X·W)
+// with optional bias and an optional INT8 shadow for the quantized path.
+// The weights are held once, in the model's dtype: float32, or a BF16
+// model's bfloat16 bits. Every tier derives its layout from that one
+// store — the panel packs built at engine construction
+// (Weights.ensurePacked) and the INT8 shadow (Quantize).
 type Linear struct {
 	In, Out int
-	W       []float32
 	Bias    []float32 // nil for bias-free families
-	Q       []int8    // int8 shadow, populated by Quantize
-	QScale  float32
+	// Q is the INT8 shadow, populated by Quantize, stored transposed
+	// ([Out, In]: row j holds output j's weights along K), the layout
+	// kernels.GemmInt8 reads.
+	Q      []int8
+	QScale float32
+
+	w32 []float32 // an FP32 model's weights, row-major [In, Out]
+	w16 []uint16  // a BF16 model's, as bfloat16 bits (w32 is then nil)
 
 	pf32  *kernels.PackedB // FP32 panel pack (blocked/parallel tiers)
 	pbf16 *kernels.PackedB // BF16 pre-rounded panel pack (tile tiers)
 }
 
+// held reports whether the layer exists (LLaMA-2's gate and untied head
+// only).
+func (l *Linear) held() bool { return l.w32 != nil || l.w16 != nil }
+
 // Quantize populates the INT8 shadow representation.
 func (l *Linear) Quantize() {
-	l.Q, l.QScale = tensor.QuantizeInt8(l.W)
+	wt := make([]float32, l.In*l.Out) // W transposed
+	for p := 0; p < l.In; p++ {
+		for j := 0; j < l.Out; j++ {
+			if l.w16 != nil {
+				wt[j*l.In+p] = math.Float32frombits(uint32(l.w16[p*l.Out+j]) << 16)
+			} else {
+				wt[j*l.In+p] = l.w32[p*l.Out+j]
+			}
+		}
+	}
+	l.Q, l.QScale = tensor.QuantizeInt8(wt)
 }
 
 // packFor returns the packed shadow matching the kernel tier's numerics,
@@ -96,6 +118,34 @@ func (l *Linear) packFor(k Kernel) *kernels.PackedB {
 	default:
 		return nil
 	}
+}
+
+// packer returns the job that builds the pack the kernel tier reads, or
+// nil when there is none to build.
+func (l *Linear) packer(k Kernel) func() {
+	switch k {
+	case KernelTileBF16, KernelTileBF16Parallel:
+		if l.pbf16 == nil {
+			return func() {
+				if l.w16 != nil {
+					l.pbf16 = kernels.PackBBF16Bits(l.In, l.Out, l.w16)
+				} else {
+					l.pbf16 = kernels.PackBBF16(l.In, l.Out, l.w32)
+				}
+			}
+		}
+	case KernelBlocked, KernelParallel:
+		if l.pf32 == nil {
+			return func() {
+				if l.w16 != nil {
+					l.pf32 = kernels.PackBBits(l.In, l.Out, l.w16)
+				} else {
+					l.pf32 = kernels.PackB(l.In, l.Out, l.w32)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // LayerWeights holds one decoder block's parameters.
@@ -125,45 +175,47 @@ type Weights struct {
 // ensurePacked builds the panel-packed weight shadows the given kernel
 // tier consumes: BF16 pre-rounded packs for the tile tiers, FP32 packs for
 // the blocked/parallel tiers, and (for OPT) an FP32 pack of the transposed
-// token embedding used as the tied logits head by every tier. Packing runs
-// once per precision class — repeat calls and engines sharing one Weights
-// are no-ops — and is guarded by a mutex so concurrent engine construction
-// is safe.
-func (w *Weights) ensurePacked(k Kernel) {
+// token embedding used as the tied logits head by every tier. The packs
+// are the parts of one Run on pool, largest first (serially when pool is
+// nil). Packing runs once per precision class — repeat calls and engines
+// sharing one Weights are no-ops — and is guarded by a mutex so
+// concurrent engine construction is safe.
+func (w *Weights) ensurePacked(k Kernel, pool *kernels.Pool) {
 	w.packMu.Lock()
 	defer w.packMu.Unlock()
-	pack := func(l *Linear) {
-		if l.W == nil {
-			return
-		}
-		switch k {
-		case KernelTileBF16, KernelTileBF16Parallel:
-			if l.pbf16 == nil {
-				l.pbf16 = kernels.PackBBF16(l.In, l.Out, l.W)
-			}
-		case KernelBlocked, KernelParallel:
-			if l.pf32 == nil {
-				l.pf32 = kernels.PackB(l.In, l.Out, l.W)
-			}
+	var jobs packJobs
+	for _, l := range w.linears() {
+		if f := l.packer(k); f != nil {
+			jobs = append(jobs, packJob{l.In * l.Out, f})
 		}
 	}
-	for i := range w.Layers {
-		lw := &w.Layers[i]
-		for _, l := range []*Linear{&lw.Wq, &lw.Wk, &lw.Wv, &lw.Wo, &lw.W1, &lw.WGate, &lw.W2} {
-			pack(l)
-		}
-	}
-	pack(&w.LMHead)
 	if w.Config.Family == model.OPT && w.tiedHead == nil {
 		// The tied head is computed in FP32 by every kernel tier, so its
 		// pack is always FP32.
-		w.tiedHead = kernels.PackBTrans(w.Config.DModel, w.Config.Vocab, w.TokenEmb)
+		d, vocab := w.Config.DModel, w.Config.Vocab
+		jobs = append(jobs, packJob{d * vocab, func() { w.tiedHead = kernels.PackBTrans(d, vocab, w.TokenEmb) }})
 	}
+	slices.SortStableFunc(jobs, func(a, b packJob) int { return b.size - a.size })
+	pool.Run(jobs, len(jobs))
 }
+
+// packJob builds one pack of size weights.
+type packJob struct {
+	size int
+	run  func()
+}
+
+// packJobs runs one pack per part.
+type packJobs []packJob
+
+func (j packJobs) RunPart(part, _ int) { j[part].run() }
 
 // NewWeights initializes deterministic random weights at the scale typical
 // of trained transformers (N(0, 0.02)), optionally rounding to BF16 so the
-// stored values match what an AMX pipeline would hold.
+// stored values match what an AMX pipeline would hold. The values are one
+// serial math/rand stream; a BF16 model keeps its linear weights as
+// bfloat16 bits, narrowed from the stream in one vector pass per tensor,
+// and its other tensors rounded in place.
 func NewWeights(cfg model.Config, seed int64, dt tensor.DType) (*Weights, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -171,15 +223,18 @@ func NewWeights(cfg model.Config, seed int64, dt tensor.DType) (*Weights, error)
 	rng := rand.New(rand.NewSource(seed))
 	d, kv, dff := cfg.DModel, cfg.KVDim(), cfg.DFF
 	hasBias := cfg.Family == model.OPT
+	bf16 := dt == tensor.BF16
 
+	normal := func(dst []float32, scale float64) []float32 {
+		for i := range dst {
+			dst[i] = float32(rng.NormFloat64() * scale)
+		}
+		return dst
+	}
 	randSlice := func(n int, scale float64) []float32 {
-		s := make([]float32, n)
-		for i := range s {
-			v := float32(rng.NormFloat64() * scale)
-			if dt == tensor.BF16 {
-				v = tensor.RoundBF16(v)
-			}
-			s[i] = v
+		s := normal(make([]float32, n), scale)
+		if bf16 {
+			kernels.RoundBF16Into(s, s)
 		}
 		return s
 	}
@@ -190,8 +245,19 @@ func NewWeights(cfg model.Config, seed int64, dt tensor.DType) (*Weights, error)
 		}
 		return s
 	}
+	var stream []float32 // a BF16 linear's values before they are narrowed
 	lin := func(in, out int) Linear {
-		l := Linear{In: in, Out: out, W: randSlice(in*out, 0.02/math.Sqrt(float64(in)/128))}
+		l := Linear{In: in, Out: out}
+		scale := 0.02 / math.Sqrt(float64(in)/128)
+		if bf16 {
+			if cap(stream) < in*out {
+				stream = make([]float32, in*out)
+			}
+			l.w16 = make([]uint16, in*out)
+			kernels.NarrowBF16(l.w16, normal(stream[:in*out], scale))
+		} else {
+			l.w32 = randSlice(in*out, scale)
+		}
 		if hasBias {
 			l.Bias = make([]float32, out) // zero biases, still exercised
 		}
@@ -227,18 +293,19 @@ func NewWeights(cfg model.Config, seed int64, dt tensor.DType) (*Weights, error)
 	return w, nil
 }
 
-// QuantizeAll populates INT8 shadows on every linear layer.
-func (w *Weights) QuantizeAll() {
+// linears returns every linear layer the model holds.
+func (w *Weights) linears() []*Linear {
+	var ls []*Linear
 	for i := range w.Layers {
 		lw := &w.Layers[i]
-		for _, l := range []*Linear{&lw.Wq, &lw.Wk, &lw.Wv, &lw.Wo, &lw.W1, &lw.W2} {
-			l.Quantize()
-		}
-		if lw.WGate.W != nil {
-			lw.WGate.Quantize()
-		}
+		ls = append(ls, &lw.Wq, &lw.Wk, &lw.Wv, &lw.Wo, &lw.W1, &lw.WGate, &lw.W2)
 	}
-	if w.LMHead.W != nil {
-		w.LMHead.Quantize()
+	return slices.DeleteFunc(append(ls, &w.LMHead), func(l *Linear) bool { return !l.held() })
+}
+
+// QuantizeAll populates INT8 shadows on every linear layer.
+func (w *Weights) QuantizeAll() {
+	for _, l := range w.linears() {
+		l.Quantize()
 	}
 }

@@ -178,12 +178,129 @@ func PackB(k, n int, b []float32) *PackedB {
 }
 
 // PackBBF16 packs B pre-rounded to bfloat16, the load-time conversion an
-// AMX pipeline performs once instead of per GEMM call.
+// AMX pipeline performs once instead of per GEMM call: each pair of rows is
+// narrowed with NarrowBF16 and interleaved by packPairs. It is bit for bit
+// PackBBF16Go, the Go loop it runs as on hosts without a SIMD level.
 func PackBBF16(k, n int, b []float32) *PackedB {
 	if len(b) < k*n {
 		panic(fmt.Sprintf("kernels: PackBBF16 %dx%d: slice too short (%d)", k, n, len(b)))
 	}
+	if simdLevel == levelGeneric {
+		return packInto(k, n, b, n, 1, true)
+	}
+	return packPairs(k, n, func(p int, scratch []uint16) []uint16 {
+		NarrowBF16(scratch, b[p*n:(p+1)*n])
+		return scratch
+	})
+}
+
+// PackBBF16Go is PackBBF16 on the portable Go loop whatever the host
+// supports: the oracle the vector pack is tested against, and the baseline
+// of its row in BENCH_decode.json's op sweep.
+func PackBBF16Go(k, n int, b []float32) *PackedB {
+	if len(b) < k*n {
+		panic(fmt.Sprintf("kernels: PackBBF16Go %dx%d: slice too short (%d)", k, n, len(b)))
+	}
 	return packInto(k, n, b, n, 1, true)
+}
+
+// PackBBF16Bits is PackBBF16 over weights already held as bfloat16 bits
+// (row-major k×n, tensor.ToBF16's values): a BF16 model's one store.
+func PackBBF16Bits(k, n int, b []uint16) *PackedB {
+	if len(b) < k*n {
+		panic(fmt.Sprintf("kernels: PackBBF16Bits %dx%d: slice too short (%d)", k, n, len(b)))
+	}
+	return packPairs(k, n, func(p int, _ []uint16) []uint16 { return b[p*n : (p+1)*n] })
+}
+
+// PackBBits is PackB over weights held as bfloat16 bits (row-major k×n):
+// FP32 numerics, and the 16-bit storage PackB picks for such weights,
+// built without widening them.
+func PackBBits(k, n int, b []uint16) *PackedB {
+	if len(b) < k*n {
+		panic(fmt.Sprintf("kernels: PackBBits %dx%d: slice too short (%d)", k, n, len(b)))
+	}
+	panels := (n + PanelCols - 1) / PanelCols
+	pb := &PackedB{K: k, N: n, exps: noExps, bf: make([]uint32, panels*k*bf16Words)}
+	for pn := 0; pn < panels; pn++ {
+		j0 := pn * PanelCols
+		w := min(PanelCols, n-j0)
+		for p := 0; p < k; p++ {
+			dst := pb.bf[(pn*k+p)*bf16Words:][:bf16Words]
+			for j, h := range b[p*n+j0:][:w] {
+				if j < bf16Words {
+					dst[j] = uint32(h)
+				} else {
+					dst[j-bf16Words] |= uint32(h) << 16
+				}
+			}
+		}
+	}
+	return pb
+}
+
+// packPairs builds a BF16 pack from rows of bfloat16 bits: row returns row
+// p of the k×n matrix, narrowed into scratch (n values) if it has to be.
+// Rows go two at a time, the full panels through the vector routine and a
+// ragged last one (every panel, without a SIMD level) through the Go loop:
+// each word is its two values flushed as expRange.flush says, the even row
+// in the low half.
+func packPairs(k, n int, row func(p int, scratch []uint16) []uint16) *PackedB {
+	panels, kp := (n+PanelCols-1)/PanelCols, padK(k)
+	pb := &PackedB{K: k, N: n, BF16: true, exps: noExps, pairs: make([]uint32, panels*kp/2*PanelCols)}
+	if n == 0 {
+		return pb
+	}
+	vec := 0 // panels the vector routine takes
+	if simdLevel != levelGeneric {
+		vec = n / PanelCols
+	}
+	// The vector routine's running exponent minima (less one) and maxima.
+	var lohi [32]uint32
+	for i := range lohi[:16] {
+		lohi[i] = math.MaxUint32
+	}
+	// Two rows to narrow into, and the zero row an odd k's last row pairs with.
+	scratch := make([]uint16, 3*n)
+	stride := kp / 2 * PanelCols // words from a pair-row to the same one in the next panel
+	for p := 0; p < k; p += 2 {
+		lo, hi := row(p, scratch[:n]), scratch[2*n:]
+		if p+1 < k {
+			hi = row(p+1, scratch[n:2*n])
+		}
+		dst := pb.pairs[p/2*PanelCols:]
+		switch {
+		case vec > 0 && simdLevel >= levelAVX512:
+			pairRows16(&dst[0], &lo[0], &hi[0], vec, 4*stride, &lohi)
+		case vec > 0:
+			pairRows8(&dst[0], &lo[0], &hi[0], vec, 4*stride, &lohi)
+		}
+		for pn := vec; pn < panels; pn++ {
+			j0 := pn * PanelCols
+			for j := range dst[pn*stride:][:min(PanelCols, n-j0)] {
+				dst[pn*stride+j] = uint32(pb.exps.flush(lo[j0+j])) | uint32(pb.exps.flush(hi[j0+j]))<<16
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		if v := lohi[i]; v != math.MaxUint32 {
+			pb.exps.lo = min(pb.exps.lo, uint8(v+1))
+		}
+		pb.exps.hi = max(pb.exps.hi, uint8(lohi[16+i]))
+	}
+	return pb
+}
+
+// flush returns the bfloat16 h as a BF16 pack stores it — a denormal as a
+// zero of its sign, which is how TMUL reads it — and widens r over its
+// exponent unless it is then zero.
+func (r *expRange) flush(h uint16) uint16 {
+	if h&0x7f80 == 0 {
+		return h & 0x8000
+	}
+	e := uint8(h >> 7)
+	r.lo, r.hi = min(r.lo, e), max(r.hi, e)
+	return h
 }
 
 // PackBTrans packs B given as its transpose: bT is row-major n×k (each row

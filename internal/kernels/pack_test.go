@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -254,5 +255,52 @@ func TestPackedBBytesAndPanels(t *testing.T) {
 	}
 	if runtime.GOMAXPROCS(0) < 1 {
 		t.Fatal("impossible")
+	}
+}
+
+// TestPackBBF16MatchesGoLoop holds the vector BF16 pack — from float32
+// weights (PackBBF16) and from their bfloat16 bits (PackBBF16Bits) — to the
+// Go loop bit for bit, pairs and exponent range, over odd K, ragged N and
+// every special a weight can be: signed zeros, denormals (and values that
+// round to one), infinities, quiet and signalling NaNs, and values that
+// round up to Inf. The FP32 pack of the bits must be PackB's. Under
+// -simd it runs at every level.
+func TestPackBBF16MatchesGoLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	snan := math.Float32frombits(0x7f800001)
+	specials := []float32{0, negZero, denormal, -denormal, 1e-39, -1.17e-38, inf, -inf, nan, snan,
+		math.MaxFloat32, -math.MaxFloat32, 1e30, 3e-38}
+	shapes := []struct{ k, n int }{{1, 1}, {1, 15}, {2, 16}, {3, 17}, {7, 33}, {33, 48}, {64, 97}, {65, 256}, {31, 1024}, {0, 5}, {4, 0}}
+	for _, s := range shapes {
+		for _, sp := range [][]float32{nil, specials, specials[:6], {inf}} {
+			b := randMat(r, s.k*s.n)
+			if sp != nil {
+				sprinkle(r, b, sp...)
+			}
+			want := packInto(s.k, s.n, b, s.n, 1, true)
+			bits := make([]uint16, len(b))
+			NarrowBF16(bits, b)
+			for name, got := range map[string]*PackedB{"PackBBF16": PackBBF16(s.k, s.n, b), "PackBBF16Bits": PackBBF16Bits(s.k, s.n, bits)} {
+				if got.exps != want.exps {
+					t.Errorf("%dx%d specials %v: %s exponent range %+v, Go loop %+v", s.k, s.n, sp, name, got.exps, want.exps)
+				}
+				if len(got.pairs) != len(want.pairs) || got.data != nil || got.bf != nil || !got.BF16 {
+					t.Fatalf("%dx%d: %s storage differs from the Go loop's", s.k, s.n, name)
+				}
+				for i := range want.pairs {
+					if got.pairs[i] != want.pairs[i] {
+						t.Errorf("%dx%d specials %v: %s word %d is %#08x, Go loop %#08x", s.k, s.n, sp, name, i, got.pairs[i], want.pairs[i])
+						break
+					}
+				}
+			}
+			widened := make([]float32, len(bits))
+			for i, h := range bits {
+				widened[i] = math.Float32frombits(uint32(h) << 16)
+			}
+			if fp32, ref := PackBBits(s.k, s.n, bits), PackB(s.k, s.n, widened); ref.bf != nil && !slices.Equal(fp32.bf, ref.bf) {
+				t.Errorf("%dx%d specials %v: PackBBits differs from PackB of the widened bits", s.k, s.n, sp)
+			}
+		}
 	}
 }

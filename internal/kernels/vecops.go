@@ -56,6 +56,28 @@ func AddGo(dst, src []float32) {
 	}
 }
 
+// Mul multiplies dst by src elementwise in place (the SwiGLU gate times
+// its up projection): one IEEE multiply per element, so every way gives
+// the same bits.
+func Mul(dst, src []float32) {
+	n := vecPrefix(len(dst))
+	switch {
+	case n >= 16 && simdLevel >= levelAVX512:
+		n &^= 15
+		mulVec16(&dst[0], &src[:n][0], n)
+	case n > 0:
+		mulVec(&dst[0], &src[:n][0], n)
+	}
+	MulGo(dst[n:], src[n:])
+}
+
+// MulGo is Mul's portable loop.
+func MulGo(dst, src []float32) {
+	for i := range dst {
+		dst[i] *= src[i]
+	}
+}
+
 // AddBias adds bias elementwise to x in place.
 func AddBias(x, bias []float32) { Add(x, bias) }
 
@@ -76,6 +98,25 @@ func RoundBF16Into(dst, src []float32) []float32 {
 func RoundBF16IntoGo(dst, src []float32) {
 	for i, v := range src[:len(dst)] {
 		dst[i] = tensor.RoundBF16(v)
+	}
+}
+
+// NarrowBF16 writes src rounded to bfloat16 (tensor.ToBF16: nearest even,
+// NaNs quieted) into dst as bits, len(dst) values: the upper halves of
+// RoundBF16Into's results.
+func NarrowBF16(dst []uint16, src []float32) {
+	n := 0
+	if simdLevel != levelGeneric {
+		n = len(dst) &^ 15
+	}
+	switch {
+	case n > 0 && simdLevel >= levelAVX512:
+		narrowBF16(&dst[0], &src[:n][0], n)
+	case n > 0:
+		narrowBF16x8(&dst[0], &src[:n][0], n)
+	}
+	for i, v := range src[n:len(dst)] {
+		dst[n+i] = uint16(tensor.ToBF16(v))
 	}
 }
 

@@ -9,6 +9,15 @@ func reluVec(x *float32, n int)
 //go:noescape
 func addVec(dst, src *float32, n int)
 
+// mulVec is Mul's AVX2 routine; mulVec16 its AVX-512 one, n a multiple of
+// sixteen.
+//
+//go:noescape
+func mulVec(dst, src *float32, n int)
+
+//go:noescape
+func mulVec16(dst, src *float32, n int)
+
 // roundBF16Vec also folds the rounded values' magnitudes into lohi (see
 // the routine).
 //

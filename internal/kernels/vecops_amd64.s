@@ -41,6 +41,42 @@ add:
 	VZEROUPPER
 	RET
 
+// func mulVec(dst, src *float32, n int)
+TEXT ·mulVec(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+
+mul:
+	VMOVUPS (DI), Y0
+	VMULPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     mul
+	VZEROUPPER
+	RET
+
+// func mulVec16(dst, src *float32, n int)
+TEXT ·mulVec16(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $4, CX
+
+mul16:
+	VMOVUPS (DI), Z0
+	VMULPS  (SI), Z0, Z0
+	VMOVUPS Z0, (DI)
+	ADDQ    $64, DI
+	ADDQ    $64, SI
+	DECQ    CX
+	JNZ     mul16
+	VZEROUPPER
+	RET
+
 // func roundBF16Vec(dst, src *float32, n int, lohi *[16]uint32)
 // tensor.RoundBF16 on integer lanes: bits + 0x7fff + (bits>>16 & 1), low
 // half cleared; NaN lanes (VCMPPS unordered) take the truncated bits with

@@ -5,8 +5,10 @@ package kernels
 // No vector routines on this architecture: detectSIMD reports no level, so
 // vecops.go never reaches these.
 
-func reluVec(x *float32, n int)       { panic("kernels: no SIMD level") }
-func addVec(dst, src *float32, n int) { panic("kernels: no SIMD level") }
+func reluVec(x *float32, n int)         { panic("kernels: no SIMD level") }
+func addVec(dst, src *float32, n int)   { panic("kernels: no SIMD level") }
+func mulVec(dst, src *float32, n int)   { panic("kernels: no SIMD level") }
+func mulVec16(dst, src *float32, n int) { panic("kernels: no SIMD level") }
 
 func roundBF16Vec(dst, src *float32, n int, lohi *[16]uint32) { panic("kernels: no SIMD level") }
 
@@ -46,3 +48,14 @@ func siluVec(x *float32, n int)                             { panic("kernels: no
 func layerNormVec(dst, x, gain, bias *float32, n int, eps float32) { panic("kernels: no SIMD level") }
 func rmsNormVec(dst, x, gain *float32, n int, eps float32)         { panic("kernels: no SIMD level") }
 func exp32Vec(dst, src *float32, n int)                            { panic("kernels: no SIMD level") }
+
+func narrowBF16x8(dst *uint16, src *float32, n int) { panic("kernels: no SIMD level") }
+func narrowBF16(dst *uint16, src *float32, n int)   { panic("kernels: no SIMD level") }
+
+func pairRows16(dst *uint32, lo, hi *uint16, panels, dstStride int, lohi *[32]uint32) {
+	panic("kernels: no SIMD level")
+}
+
+func pairRows8(dst *uint32, lo, hi *uint16, panels, dstStride int, lohi *[32]uint32) {
+	panic("kernels: no SIMD level")
+}

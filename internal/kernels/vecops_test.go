@@ -79,6 +79,11 @@ func TestVecOpsMatchGoLoopsQuick(t *testing.T) {
 		Add(got, src)
 		ok = sameBits(t, "Add", seed, want, got) && ok
 
+		want, got = clone(x), clone(x)
+		MulGo(want, src)
+		Mul(got, src)
+		ok = sameBits(t, "Mul", seed, want, got) && ok
+
 		want, got = make([]float32, c.n), c.slice(c.n)
 		RoundBF16IntoGo(want, x)
 		RoundBF16Into(got, x)
@@ -86,6 +91,15 @@ func TestVecOpsMatchGoLoopsQuick(t *testing.T) {
 		inPlace := clone(x)
 		RoundBF16Into(inPlace, inPlace)
 		ok = sameBits(t, "RoundBF16Into in place", seed, want, inPlace) && ok
+		narrow := make([]uint16, c.n)
+		NarrowBF16(narrow, x)
+		for i, h := range narrow {
+			if h != uint16(tensor.ToBF16(x[i])) {
+				t.Errorf("NarrowBF16 seed %d: element %d of %d is %#04x, tensor.ToBF16 %#04x", seed, i, c.n, h, tensor.ToBF16(x[i]))
+				ok = false
+				break
+			}
+		}
 		// The BF16 GEMMs' rounding pass: the same values, the padding
 		// zeroed, and the exponent range fmaExact is asked about.
 		padded := c.slice(padK(c.n))
