@@ -22,9 +22,9 @@ type buildSplit struct {
 	NewWeightsS float64 `json:"new_weights_s"`
 	StreamS     float64 `json:"stream_s"`
 	RoundS      float64 `json:"round_s"`
-	// PackS is, per tier, engine.New over fresh weights on a pool of
-	// GOMAXPROCS workers: the packs that tier reads, the tied head's
-	// included (for int8, QuantizeAll and the tied head).
+	// PackS is, per tier, engine.New over fresh weights, given a pool of
+	// GOMAXPROCS workers as the benchmark does: the packs that tier reads,
+	// the tied head's included (for int8, QuantizeAll and the tied head).
 	PackS map[string]float64 `json:"pack_s"`
 }
 
@@ -37,9 +37,17 @@ func measureBuild(reps int) (buildSplit, error) {
 	linear := cfg.Layers * (2*d*d + 2*d*kv + 2*d*dff)
 	values := make([]float32, linear+(cfg.Vocab+cfg.MaxSeq)*d)
 	bits := make([]uint16, linear)
-	var err error
+	var err error // the first build error: a later build must not clear it
+	keep := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
 	fs := []func(){
-		func() { _, err = engine.NewWeights(cfg, 42, tensor.BF16) },
+		func() {
+			_, e := engine.NewWeights(cfg, 42, tensor.BF16)
+			keep(e)
+		},
 		func() {
 			rng := rand.New(rand.NewSource(42))
 			for i := range values {
@@ -56,16 +64,22 @@ func measureBuild(reps int) (buildSplit, error) {
 	fresh := make([]*engine.Weights, len(tiers))
 	for i, k := range tiers {
 		fs = append(fs, func() {
+			if fresh[i] == nil {
+				return // its NewWeights failed, and err holds why
+			}
 			if k == engine.KernelInt8 {
 				fresh[i].QuantizeAll()
 			}
-			_, err = engine.New(fresh[i], engine.Options{Kernel: k, Pool: pool})
+			_, e := engine.New(fresh[i], engine.Options{Kernel: k, Pool: pool})
+			keep(e)
 			fresh[i] = nil
 		})
 	}
 	prep := func(i int) {
-		if i >= 3 && err == nil {
-			fresh[i-3], err = engine.NewWeights(cfg, 42, tensor.BF16)
+		if i >= 3 {
+			var e error
+			fresh[i-3], e = engine.NewWeights(cfg, 42, tensor.BF16)
+			keep(e)
 		}
 	}
 	times := interleave(reps, prep, fs...)

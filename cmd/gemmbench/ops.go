@@ -31,17 +31,16 @@ type opSet struct {
 	softmax   func(x []float32)
 	norm      func(dst, x, gain, bias []float32, eps float32)
 	mul       func(dst, src []float32)
-	packBF16  func(k, n int, b []float32) *kernels.PackedB
 }
 
 var (
 	goOps = opSet{kernels.ReLUGo, kernels.AddGo, kernels.RoundBF16IntoGo,
 		kernels.DotRowsGo, kernels.AccumRowsGo, kernels.SoftmaxGo, kernels.LayerNormGo,
-		kernels.MulGo, kernels.PackBBF16Go}
+		kernels.MulGo}
 	simdOps = opSet{kernels.ReLU, kernels.Add,
 		func(dst, src []float32) { kernels.RoundBF16Into(dst, src) },
 		kernels.DotRows, kernels.AccumRows, kernels.Softmax, kernels.LayerNorm,
-		kernels.Mul, kernels.PackBBF16}
+		kernels.Mul}
 )
 
 // opRate is one way of running one op: seconds per call (median, spread)
@@ -267,15 +266,16 @@ func opSweep(h hostBlock, reps int) []opPoint {
 	elementwise("mul", func(int) { copy(dst, src) }, func(ops opSet) { ops.mul(dst, up) })
 
 	// Packing the bench model's FFN weight for the tile tiers, as engine
-	// construction does once per linear: float32 in, bfloat16 pairs out.
+	// construction does once per linear: the Go loop over float32 weights,
+	// and as shipped from a BF16 model's 16-bit store (PackBBF16Bits, what
+	// engine.New runs). Each side's bytes are what it reads and writes.
 	{
 		k, n := cfg.DModel, cfg.DFF
-		b := randMat(rng, k*n)
-		pack := func(ops opSet) func() { return func() { ops.packBF16(k, n, b) } }
-		t := interleave(reps, nil, pack(goOps), pack(simdOps))
-		bytes := float64(6 * k * n)
+		b, bits := randMat(rng, k*n), make([]uint16, k*n)
+		kernels.NarrowBF16(bits, b)
+		t := interleave(reps, nil, func() { kernels.PackBBF16Go(k, n, b) }, func() { kernels.PackBBF16Bits(k, n, bits) })
 		add(opPoint{Op: "pack-bf16", Shape: fmt.Sprintf("%d × %d", k, n),
-			GoLoop: h.opRate(t[0], 1, bytes), SIMD: h.opRate(t[1], 1, bytes)})
+			GoLoop: h.opRate(t[0], 1, float64(6*k*n)), SIMD: h.opRate(t[1], 1, float64(4*k*n))})
 	}
 	return pts
 }

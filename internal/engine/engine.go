@@ -40,8 +40,8 @@ type Engine struct {
 
 // New returns an engine over the given weights. The INT8 kernel requires
 // quantized shadows (Weights.QuantizeAll). The weights are panel-packed
-// once here (shared Weights pack once), on the engine's pool, and a
-// persistent worker pool is attached for the parallel kernel tiers.
+// once here (shared Weights pack once) and a persistent worker pool is
+// attached for the parallel kernel tiers.
 func New(w *Weights, opts Options) (*Engine, error) {
 	if w == nil {
 		return nil, fmt.Errorf("engine: nil weights")
@@ -53,7 +53,7 @@ func New(w *Weights, opts Options) (*Engine, error) {
 	if pool == nil && (opts.Kernel == KernelParallel || opts.Kernel == KernelTileBF16Parallel) {
 		pool = kernels.NewPool(0)
 	}
-	w.ensurePacked(opts.Kernel, pool)
+	w.ensurePacked(opts.Kernel)
 	e := &Engine{cfg: w.Config, w: w, opts: opts, pool: pool, blocks: blockLists{m: map[int]*freeList[kvBlock]{}},
 		scale: float32(1 / math.Sqrt(float64(w.Config.HeadDim())))}
 	e.arenas.pool.New = func() any { return new(arena) }

@@ -120,32 +120,23 @@ func (l *Linear) packFor(k Kernel) *kernels.PackedB {
 	}
 }
 
-// packer returns the job that builds the pack the kernel tier reads, or
-// nil when there is none to build.
-func (l *Linear) packer(k Kernel) func() {
-	switch k {
-	case KernelTileBF16, KernelTileBF16Parallel:
-		if l.pbf16 == nil {
-			return func() {
-				if l.w16 != nil {
-					l.pbf16 = kernels.PackBBF16Bits(l.In, l.Out, l.w16)
-				} else {
-					l.pbf16 = kernels.PackBBF16(l.In, l.Out, l.w32)
-				}
-			}
+// pack builds the pack the kernel tier reads, if it has one and it is not
+// built yet.
+func (l *Linear) pack(k Kernel) {
+	switch {
+	case (k == KernelTileBF16 || k == KernelTileBF16Parallel) && l.pbf16 == nil:
+		if l.w16 != nil {
+			l.pbf16 = kernels.PackBBF16Bits(l.In, l.Out, l.w16)
+		} else {
+			l.pbf16 = kernels.PackBBF16(l.In, l.Out, l.w32)
 		}
-	case KernelBlocked, KernelParallel:
-		if l.pf32 == nil {
-			return func() {
-				if l.w16 != nil {
-					l.pf32 = kernels.PackBBits(l.In, l.Out, l.w16)
-				} else {
-					l.pf32 = kernels.PackB(l.In, l.Out, l.w32)
-				}
-			}
+	case (k == KernelBlocked || k == KernelParallel) && l.pf32 == nil:
+		if l.w16 != nil {
+			l.pf32 = kernels.PackBBits(l.In, l.Out, l.w16)
+		} else {
+			l.pf32 = kernels.PackB(l.In, l.Out, l.w32)
 		}
 	}
-	return nil
 }
 
 // LayerWeights holds one decoder block's parameters.
@@ -175,40 +166,22 @@ type Weights struct {
 // ensurePacked builds the panel-packed weight shadows the given kernel
 // tier consumes: BF16 pre-rounded packs for the tile tiers, FP32 packs for
 // the blocked/parallel tiers, and (for OPT) an FP32 pack of the transposed
-// token embedding used as the tied logits head by every tier. The packs
-// are the parts of one Run on pool, largest first (serially when pool is
-// nil). Packing runs once per precision class — repeat calls and engines
-// sharing one Weights are no-ops — and is guarded by a mutex so
-// concurrent engine construction is safe.
-func (w *Weights) ensurePacked(k Kernel, pool *kernels.Pool) {
+// token embedding used as the tied logits head by every tier. Packing runs
+// once per precision class — repeat calls and engines sharing one Weights
+// are no-ops — and is guarded by a mutex so concurrent engine construction
+// is safe.
+func (w *Weights) ensurePacked(k Kernel) {
 	w.packMu.Lock()
 	defer w.packMu.Unlock()
-	var jobs packJobs
 	for _, l := range w.linears() {
-		if f := l.packer(k); f != nil {
-			jobs = append(jobs, packJob{l.In * l.Out, f})
-		}
+		l.pack(k)
 	}
 	if w.Config.Family == model.OPT && w.tiedHead == nil {
 		// The tied head is computed in FP32 by every kernel tier, so its
 		// pack is always FP32.
-		d, vocab := w.Config.DModel, w.Config.Vocab
-		jobs = append(jobs, packJob{d * vocab, func() { w.tiedHead = kernels.PackBTrans(d, vocab, w.TokenEmb) }})
+		w.tiedHead = kernels.PackBTrans(w.Config.DModel, w.Config.Vocab, w.TokenEmb)
 	}
-	slices.SortStableFunc(jobs, func(a, b packJob) int { return b.size - a.size })
-	pool.Run(jobs, len(jobs))
 }
-
-// packJob builds one pack of size weights.
-type packJob struct {
-	size int
-	run  func()
-}
-
-// packJobs runs one pack per part.
-type packJobs []packJob
-
-func (j packJobs) RunPart(part, _ int) { j[part].run() }
 
 // NewWeights initializes deterministic random weights at the scale typical
 // of trained transformers (N(0, 0.02)), optionally rounding to BF16 so the

@@ -139,14 +139,7 @@ func packInto(k, n int, b []float32, rowStep, colStep int, round bool) *PackedB 
 			case round:
 				dst := pb.pairs[(pn*kp/2+p/2)*PanelCols:][:w]
 				for j := range dst {
-					h := uint32(tensor.ToBF16(src[j*colStep]))
-					if h&0x7f80 == 0 {
-						h &= 0x8000 // a denormal reads as zero
-					}
-					if e := uint8(h >> 7); h&0x7fff != 0 {
-						pb.exps.lo, pb.exps.hi = min(pb.exps.lo, e), max(pb.exps.hi, e)
-					}
-					dst[j] |= h << (16 * (p % 2))
+					dst[j] |= uint32(pb.exps.flush(uint16(tensor.ToBF16(src[j*colStep])))) << (16 * (p % 2))
 				}
 			case narrow:
 				dst := pb.bf[row*bf16Words : (row+1)*bf16Words]
@@ -180,13 +173,10 @@ func PackB(k, n int, b []float32) *PackedB {
 // PackBBF16 packs B pre-rounded to bfloat16, the load-time conversion an
 // AMX pipeline performs once instead of per GEMM call: each pair of rows is
 // narrowed with NarrowBF16 and interleaved by packPairs. It is bit for bit
-// PackBBF16Go, the Go loop it runs as on hosts without a SIMD level.
+// PackBBF16Go.
 func PackBBF16(k, n int, b []float32) *PackedB {
 	if len(b) < k*n {
 		panic(fmt.Sprintf("kernels: PackBBF16 %dx%d: slice too short (%d)", k, n, len(b)))
-	}
-	if simdLevel == levelGeneric {
-		return packInto(k, n, b, n, 1, true)
 	}
 	return packPairs(k, n, func(p int, scratch []uint16) []uint16 {
 		NarrowBF16(scratch, b[p*n:(p+1)*n])
