@@ -39,13 +39,17 @@ bench-build:
 # weighted-V, ReLU, adds, bf16 rounding) have amd64 routines at three
 # levels (AVX2, AVX-512, AMX tiles) and portable Go loops. Keep the ones a host never
 # selects from rotting: run the kernels tests — the op differentials
-# included — at every level (-simd is clamped to what the runner has, so
-# on a narrower host the upper runs repeat the widest one it supports), and
-# build + vet (asmdecl included) for an architecture that has no routines
-# (every .s symbol needs its !amd64 stub).
+# included — and the engine's golden tokens and logits hashes at every
+# level (-simd is clamped to what the runner has, so on a narrower host the
+# upper runs repeat the widest one it supports), and build + vet (asmdecl
+# included) for an architecture that has no routines (every .s symbol
+# needs its !amd64 stub).
 kernels-portable:
 	for level in generic avx2 avx512 amx; do \
 		$(GO) test -count=1 ./internal/kernels/ -args -simd=$$level || exit 1; \
+		$(GO) test -count=1 ./internal/engine/ \
+			-run 'TestGoldenTokens|TestConcurrentTiersMatchGoldens|TestSpeculativeBitIdenticalOnAllTiers' \
+			-args -simd=$$level || exit 1; \
 	done
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/kernels/

@@ -24,7 +24,7 @@ type buildSplit struct {
 	RoundS      float64 `json:"round_s"`
 	// PackS is, per tier, engine.New over fresh weights, given a pool of
 	// GOMAXPROCS workers as the benchmark does: the packs that tier reads,
-	// the tied head's included (for int8, QuantizeAll and the tied head).
+	// the tied head's included.
 	PackS map[string]float64 `json:"pack_s"`
 }
 
@@ -60,15 +60,12 @@ func measureBuild(reps int) (buildSplit, error) {
 		},
 	}
 	tiers := []engine.Kernel{engine.KernelBlocked, engine.KernelParallel, engine.KernelTileBF16,
-		engine.KernelTileBF16Parallel, engine.KernelInt8}
+		engine.KernelTileBF16Parallel}
 	fresh := make([]*engine.Weights, len(tiers))
 	for i, k := range tiers {
 		fs = append(fs, func() {
 			if fresh[i] == nil {
 				return // its NewWeights failed, and err holds why
-			}
-			if k == engine.KernelInt8 {
-				fresh[i].QuantizeAll()
 			}
 			_, e := engine.New(fresh[i], engine.Options{Kernel: k, Pool: pool})
 			keep(e)

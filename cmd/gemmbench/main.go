@@ -131,7 +131,7 @@ func runSpec(jsonPath string, short bool) error {
 	promptLen := 16
 	reps := 2
 	tiers := []engine.Kernel{engine.KernelBlocked, engine.KernelParallel,
-		engine.KernelTileBF16, engine.KernelTileBF16Parallel, engine.KernelInt8}
+		engine.KernelTileBF16, engine.KernelTileBF16Parallel}
 	if short {
 		cfg.Layers, cfg.DModel, cfg.DFF = 6, 192, 768
 		batches = []int{1, 2}
@@ -168,10 +168,6 @@ func runSpec(jsonPath string, short bool) error {
 		dw, err := engine.NewWeights(dcfg, 43, tensor.BF16)
 		if err != nil {
 			return err
-		}
-		if kern == engine.KernelInt8 {
-			tw.QuantizeAll()
-			dw.QuantizeAll()
 		}
 		target, err := engine.New(tw, engine.Options{Kernel: kern, Pool: pool})
 		if err != nil {

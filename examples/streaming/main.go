@@ -1,9 +1,9 @@
 // Streaming: drive the functional engine through its token-streaming API
 // — the delivery mode interactive services use, where TTFT (§II-C) is the
 // time until the first streamed token appears. Tokens decode to printable
-// text live, and a perplexity evaluation compares the FP32, AMX-style
-// BF16, and INT8 execution paths on the same sequence (the accuracy side
-// of the paper's BF16/INT8 hardware story).
+// text live, and a perplexity evaluation compares the FP32 and AMX-style
+// BF16 execution paths on the same sequence (the accuracy side of the
+// paper's BF16 hardware story).
 //
 // Run with: go run ./examples/streaming
 package main
@@ -53,7 +53,7 @@ func main() {
 	// Perplexity across numeric paths on the same sequence.
 	fmt.Println("== perplexity across execution paths (same weights) ==")
 	seq := append(append([]int{}, prompt...), out[0]...)
-	for _, k := range []engine.Kernel{engine.KernelBlocked, engine.KernelTileBF16, engine.KernelInt8} {
+	for _, k := range []engine.Kernel{engine.KernelBlocked, engine.KernelTileBF16} {
 		e2, err := core.TinyEngine("opt", k)
 		if err != nil {
 			log.Fatal(err)
@@ -65,6 +65,6 @@ func main() {
 		fmt.Printf("%-22s perplexity %.3f (avg logprob %.3f over %d tokens)\n",
 			k, res.Perplexity, res.AvgLogProb, res.Tokens)
 	}
-	fmt.Println("\nBF16 and INT8 paths track the FP32 reference closely — the accuracy")
-	fmt.Println("precondition for the paper's AMX-BF16/INT8 performance results.")
+	fmt.Println("\nThe BF16 path tracks the FP32 reference closely — the accuracy")
+	fmt.Println("precondition for the paper's AMX-BF16 performance results.")
 }

@@ -179,9 +179,6 @@ func TinyEngineWith(f model.Family, opts engine.Options) (*engine.Engine, error)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Kernel == engine.KernelInt8 {
-		w.QuantizeAll()
-	}
 	return engine.New(w, opts)
 }
 

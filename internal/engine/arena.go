@@ -25,11 +25,10 @@ type arena struct {
 	logits []float32 // [batch, vocab] — never [rows, vocab]: multi-row passes ask row by row
 	scores []float32 // [parts, scoreLen] attention scores, one strip per pool part
 	kt     []float32 // [parts, 16·headDim] one transposed key group per pool part
-	xq     []int8    // [seqRows, max(d,dff)] one sequence's int8 activations
 	next   []int     // [batch] sampled tokens, reused view
 
-	rows, batch, seqRows, ctxCap int
-	scoreLen                     int // a strip: min(seqRows, attnTile) rows of ctxCap
+	rows, batch, ctxCap int
+	scoreLen            int // a strip: min(seqRows, attnTile) rows of ctxCap
 
 	job  kernels.PackedJob
 	attn attnJob
@@ -61,10 +60,6 @@ func (ar *arena) ensure(e *Engine, batch, seqRows, ctxCap int) {
 		ar.batch = batch
 		ar.logits = make([]float32, batch*e.cfg.Vocab)
 		ar.next = make([]int, batch)
-	}
-	if seqRows > ar.seqRows && e.opts.Kernel == KernelInt8 {
-		ar.seqRows = seqRows
-		ar.xq = make([]int8, seqRows*max(d, dff))
 	}
 	ar.ctxCap = max(ar.ctxCap, ctxCap)
 	if n := min(seqRows, attnTile) * ar.ctxCap; n > ar.scoreLen {

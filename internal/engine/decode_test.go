@@ -20,9 +20,6 @@ func tinyEngineOpts(t testing.TB, f model.Family, opts Options) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Kernel == KernelInt8 {
-		w.QuantizeAll()
-	}
 	e, err := New(w, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +102,7 @@ func (a passTrace) diff(b passTrace) string {
 // prompt rows ∈ {1,5,32}. The reference is the same engine running the
 // sequence by itself (B = 1, one block per layer, one prefill pass); what
 // those bits are is pinned by the kernel oracles (kernels/pack_test.go)
-// and testdata/golden_tokens.json. (The INT8 tier
-// keeps one activation scale per sequence's row block, so a chunked or
-// resumed prefill is a different quantization there; it is held to fused
-// == per-sequence only.)
+// and testdata/golden_tokens.json.
 func TestFusedDecodeMatchesPerSeq(t *testing.T) {
 	const steps, maxSeq = 3, 36
 	shapes := [][2]int{{1, 1}, {1, 5}, {1, 32}, {3, 1}, {3, 5}, {3, 32}, {4, 1}, {4, 5}, {4, 32}}
@@ -152,9 +146,6 @@ func TestFusedDecodeMatchesPerSeq(t *testing.T) {
 					}
 					s := session(B)
 					check("fused", s, func() ([]int, error) { return e.Prefill(s, prompts) })
-					if k == KernelInt8 {
-						continue
-					}
 					s = session(B)
 					check("chunked", s, func() ([]int, error) { return e.PrefillChunked(s, prompts, 3, nil) })
 					if rows > 1 {
@@ -268,7 +259,6 @@ func TestPrefillAllocsDoNotScaleWithDepth(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				w.QuantizeAll()
 				e, err := New(w, Options{Kernel: k})
 				if err != nil {
 					t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/model"
-	"repro/internal/tensor"
 )
 
 var errMaxNew = errors.New("engine: maxNew must be positive")
@@ -38,16 +37,16 @@ type Engine struct {
 	arenas freeList[arena] // and arenas, for new sessions to reuse
 }
 
-// New returns an engine over the given weights. The INT8 kernel requires
-// quantized shadows (Weights.QuantizeAll). The weights are panel-packed
-// once here (shared Weights pack once) and a persistent worker pool is
-// attached for the parallel kernel tiers.
+// New returns an engine over the given weights on one of the four kernel
+// tiers (any other Kernel is an error). The weights are panel-packed once
+// here (shared Weights pack once) and a persistent worker pool is attached
+// for the parallel kernel tiers.
 func New(w *Weights, opts Options) (*Engine, error) {
 	if w == nil {
 		return nil, fmt.Errorf("engine: nil weights")
 	}
-	if opts.Kernel == KernelInt8 && w.Layers[0].Wq.Q == nil {
-		return nil, fmt.Errorf("engine: %s kernel requires quantized weights (call QuantizeAll)", opts.Kernel)
+	if opts.Kernel < KernelBlocked || opts.Kernel > KernelTileBF16Parallel {
+		return nil, fmt.Errorf("engine: unknown kernel tier %s", opts.Kernel)
 	}
 	pool := opts.Pool
 	if pool == nil && (opts.Kernel == KernelParallel || opts.Kernel == KernelTileBF16Parallel) {
@@ -136,23 +135,11 @@ func (s *Session) KVBytes() int64 {
 }
 
 // linear computes out = x·W (+bias) for the m rows of x ([m, l.In]
-// row-major; out holds m·l.Out values) on the configured kernel tier: the
-// packed GEMM over the tier's FP32 or BF16 pack, or the INT8 kernel over
-// the quantized shadow. Scratch comes from the arena, so no tier
-// allocates. The INT8 tier quantizes activations with one scale per
-// sequence's block of seqRows rows (one row in decode, the chunk in
-// prefill), so a sequence's numbers do not depend on what it is batched
-// with.
-func (e *Engine) linear(ar *arena, m, seqRows int, x []float32, l *Linear, out []float32) {
-	if e.opts.Kernel == KernelInt8 {
-		xq := ar.xq[:seqRows*l.In]
-		for r := 0; r < m; r += seqRows {
-			xs := tensor.QuantizeInt8Into(xq, x[r*l.In:(r+seqRows)*l.In])
-			kernels.GemmInt8(seqRows, l.Out, l.In, xq, xs, l.Q, l.QScale, out[r*l.Out:(r+seqRows)*l.Out])
-		}
-	} else {
-		kernels.GemmPackedPooled(e.pool, &ar.job, m, x, l.packFor(e.opts.Kernel), out)
-	}
+// row-major; out holds m·l.Out values) with the packed GEMM over the
+// tier's FP32 or BF16 pack. Scratch comes from the arena, so no tier
+// allocates.
+func (e *Engine) linear(ar *arena, m int, x []float32, l *Linear, out []float32) {
+	kernels.GemmPackedPooled(e.pool, &ar.job, m, x, l.packFor(e.opts.Kernel), out)
 	if l.Bias != nil {
 		for i := 0; i < m; i++ {
 			kernels.AddBias(out[i*l.Out:(i+1)*l.Out], l.Bias)
@@ -284,9 +271,9 @@ func (e *Engine) forward(s *Session, B, rows, startPos int) {
 		// Attention block.
 		e.normRows(m, h, x, lw.AttnNormGain, lw.AttnNormBias)
 		clk.lap(ClassNorm)
-		e.linear(ar, m, rows, h, &lw.Wq, ar.q)
-		e.linear(ar, m, rows, h, &lw.Wk, ar.k)
-		e.linear(ar, m, rows, h, &lw.Wv, ar.v)
+		e.linear(ar, m, h, &lw.Wq, ar.q)
+		e.linear(ar, m, h, &lw.Wk, ar.k)
+		e.linear(ar, m, h, &lw.Wv, ar.v)
 		clk.lap(ClassLinear)
 		if e.rope != nil {
 			for r := 0; r < m; r++ {
@@ -306,7 +293,7 @@ func (e *Engine) forward(s *Session, B, rows, startPos int) {
 		clk.lap(ClassKVWrite)
 		e.attention(ar, caches, layer, rows, startPos)
 		clk.lap(ClassAttention)
-		e.linear(ar, m, rows, ar.att, &lw.Wo, ar.proj)
+		e.linear(ar, m, ar.att, &lw.Wo, ar.proj)
 		clk.lap(ClassLinear)
 		kernels.Add(x, ar.proj[:m*d])
 		clk.lap(ClassResidual)
@@ -316,19 +303,19 @@ func (e *Engine) forward(s *Session, B, rows, startPos int) {
 		clk.lap(ClassNorm)
 		if e.cfg.Family == model.LLaMA2 {
 			gate, up := ar.gate[:m*dff], ar.up[:m*dff]
-			e.linear(ar, m, rows, h, &lw.WGate, gate)
-			e.linear(ar, m, rows, h, &lw.W1, up)
+			e.linear(ar, m, h, &lw.WGate, gate)
+			e.linear(ar, m, h, &lw.W1, up)
 			clk.lap(ClassLinear)
 			kernels.SiLU(gate)
 			kernels.Mul(gate, up)
 			clk.lap(ClassActivation)
-			e.linear(ar, m, rows, gate, &lw.W2, ar.proj)
+			e.linear(ar, m, gate, &lw.W2, ar.proj)
 		} else {
-			e.linear(ar, m, rows, h, &lw.W1, ar.up)
+			e.linear(ar, m, h, &lw.W1, ar.up)
 			clk.lap(ClassLinear)
 			kernels.ReLU(ar.up[:m*dff])
 			clk.lap(ClassActivation)
-			e.linear(ar, m, rows, ar.up, &lw.W2, ar.proj)
+			e.linear(ar, m, ar.up, &lw.W2, ar.proj)
 		}
 		clk.lap(ClassLinear)
 		kernels.Add(x, ar.proj[:m*d])
@@ -350,7 +337,7 @@ func (e *Engine) logits(s *Session, x []float32) []float32 {
 	if e.cfg.Family == model.OPT { // tied head: logits = TokenEmb · h
 		kernels.GemmPackedPooled(e.pool, &ar.job, m, h, e.w.tiedHead, out)
 	} else {
-		e.linear(ar, m, 1, h, &e.w.LMHead, out)
+		e.linear(ar, m, h, &e.w.LMHead, out)
 	}
 	s.clock.lap(ClassLinear)
 	return out

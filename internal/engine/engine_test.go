@@ -95,7 +95,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 }
 
 // TestKernelTiersAgree: every GEMM tier must generate the same greedy
-// tokens as the blocked FP32 reference on a tiny model (BF16/INT8 paths
+// tokens as the blocked FP32 reference on a tiny model (BF16 paths
 // perturb logits but argmax should be stable at this scale).
 func TestKernelTiersAgree(t *testing.T) {
 	ref := tinyEngine(t, model.LLaMA2, KernelBlocked)
@@ -157,19 +157,17 @@ func TestLogitsCloseAcrossPrecisions(t *testing.T) {
 	}
 }
 
-func TestInt8PathRuns(t *testing.T) {
-	e := tinyEngine(t, model.OPT, KernelInt8)
-	out, _, err := e.Generate([][]int{prompt(e, 8, 11)}, 4)
+// TestNewRejectsUnknownTier: a Kernel outside the four tiers has no pack,
+// so New refuses it rather than leave the first forward pass a nil one.
+func TestNewRejectsUnknownTier(t *testing.T) {
+	w, err := NewWeights(model.Tiny(model.OPT), 1, tensor.FP32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out[0]) != 4 {
-		t.Fatal("int8 generation wrong length")
-	}
-	// INT8 without quantized shadows must be rejected.
-	w, _ := NewWeights(model.Tiny(model.OPT), 1, tensor.FP32)
-	if _, err := New(w, Options{Kernel: KernelInt8}); err == nil {
-		t.Error("int8 engine without shadows must fail")
+	for _, k := range []Kernel{Kernel(4), Kernel(-1)} {
+		if _, err := New(w, Options{Kernel: k}); err == nil {
+			t.Errorf("New accepted %s", k)
+		}
 	}
 }
 
@@ -327,7 +325,7 @@ func TestKernelString(t *testing.T) {
 	names := map[Kernel]string{
 		KernelBlocked: "blocked-fp32", KernelParallel: "parallel-fp32",
 		KernelTileBF16: "tile-bf16", KernelTileBF16Parallel: "parallel-tile-bf16",
-		KernelInt8: "int8",
+		Kernel(4): "kernel(4)",
 	}
 	for k, want := range names {
 		if k.String() != want {

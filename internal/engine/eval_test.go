@@ -57,16 +57,15 @@ func TestPerplexityGreedyLowest(t *testing.T) {
 	}
 }
 
-// TestPerplexityAcrossPrecisions: BF16-tile and INT8 execution must keep
-// perplexity close to the FP32 reference — the accuracy check behind the
-// quantization performance claims.
+// TestPerplexityAcrossPrecisions: BF16-tile execution must keep perplexity
+// close to the FP32 reference — the accuracy check behind the BF16
+// performance claims.
 func TestPerplexityAcrossPrecisions(t *testing.T) {
 	cfg := model.Tiny(model.OPT)
 	w, err := NewWeights(cfg, 42, tensor.FP32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.QuantizeAll()
 	seq := prompt(&Engine{cfg: cfg, w: w}, 16, 84)
 	ppl := func(k Kernel) float64 {
 		e, err := New(w, Options{Kernel: k})
@@ -79,13 +78,10 @@ func TestPerplexityAcrossPrecisions(t *testing.T) {
 		}
 		return res.Perplexity
 	}
-	ref := ppl(KernelBlocked)
-	for _, k := range []Kernel{KernelTileBF16, KernelInt8} {
-		got := ppl(k)
-		if rel := math.Abs(got-ref) / ref; rel > 0.05 {
-			t.Errorf("%s perplexity %.2f deviates %.1f%% from fp32 %.2f",
-				k, got, rel*100, ref)
-		}
+	ref, got := ppl(KernelBlocked), ppl(KernelTileBF16)
+	if rel := math.Abs(got-ref) / ref; rel > 0.05 {
+		t.Errorf("%s perplexity %.2f deviates %.1f%% from fp32 %.2f",
+			KernelTileBF16, got, rel*100, ref)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // allKernelTiers is the tier axis of every configuration-matrix test in
 // this package.
 var allKernelTiers = []Kernel{KernelBlocked, KernelParallel, KernelTileBF16,
-	KernelTileBF16Parallel, KernelInt8}
+	KernelTileBF16Parallel}
 
 func TestSpeculativeBitIdenticalOnAllTiers(t *testing.T) {
 	cfg := model.Tiny(model.OPT)
@@ -25,14 +25,12 @@ func TestSpeculativeBitIdenticalOnAllTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw.QuantizeAll() // the int8 tier needs the INT8 shadow
 	dcfg := cfg
 	dcfg.Layers = 1
 	dw, err := NewWeights(dcfg, 7, tensor.BF16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.QuantizeAll()
 
 	const maxNew, lookahead = 12, 3
 	for _, kern := range allKernelTiers {

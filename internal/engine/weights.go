@@ -4,11 +4,11 @@
 // the architectural variants of both model families the paper evaluates
 // (OPT: LayerNorm/ReLU/learned positions/biases; LLaMA-2: RMSNorm/SwiGLU/
 // RoPE/grouped-query attention) and the numeric paths of the studied
-// hardware (FP32 reference, AMX-style BF16 tiles, INT8). Every entry point
-// — prefill (whole, chunked or resumed), decode, speculative verification,
-// eval — is the same forward pass, with one linear path per
-// numeric path (the packed GEMM, or the INT8 kernel) and one attention
-// path (softmax over the KV cache's contiguous runs).
+// hardware (FP32 reference, AMX-style BF16 tiles). Every entry point —
+// prefill (whole, chunked or resumed), decode, speculative verification,
+// eval — is the same forward pass, with one linear path (the packed GEMM
+// over the tier's FP32 or BF16 pack) and one attention path (softmax over
+// the KV cache's contiguous runs).
 //
 // The engine is the laptop-scale substitute for running IPEX on Xeon
 // silicon: it exercises the same dataflow the performance model prices.
@@ -26,10 +26,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Kernel selects the numeric path of the linear layers (FP32, AMX-style
-// BF16, INT8) and, for the packed-GEMM paths, whether an engine built
-// without Options.Pool gets a private worker pool. The names are those of
-// the kernels each tier first ran on.
+// Kernel selects the numeric path of the linear layers (FP32 or AMX-style
+// BF16) and whether an engine built without Options.Pool gets a private
+// worker pool: two numerics × {serial, pooled}. The names are those of the
+// kernels each tier first ran on.
 type Kernel int
 
 const (
@@ -44,8 +44,6 @@ const (
 	KernelTileBF16
 	// KernelTileBF16Parallel is KernelTileBF16 split over a worker pool.
 	KernelTileBF16Parallel
-	// KernelInt8 uses INT8 weights with VNNI-style int32 accumulation.
-	KernelInt8
 )
 
 // String returns the kernel name.
@@ -59,27 +57,22 @@ func (k Kernel) String() string {
 		return "tile-bf16"
 	case KernelTileBF16Parallel:
 		return "parallel-tile-bf16"
-	case KernelInt8:
-		return "int8"
 	default:
 		return fmt.Sprintf("kernel(%d)", int(k))
 	}
 }
 
+// bf16 reports whether the tier runs TMUL numerics over the BF16 pack.
+func (k Kernel) bf16() bool { return k == KernelTileBF16 || k == KernelTileBF16Parallel }
+
 // Linear is one weight matrix W (In rows, Out columns, so that Y = X·W)
-// with optional bias and an optional INT8 shadow for the quantized path.
-// The weights are held once, in the model's dtype: float32, or a BF16
-// model's bfloat16 bits. Every tier derives its layout from that one
-// store — the panel packs built at engine construction
-// (Weights.ensurePacked) and the INT8 shadow (Quantize).
+// with optional bias. The weights are held once, in the model's dtype:
+// float32, or a BF16 model's bfloat16 bits. Every tier derives its layout
+// from that one store: the panel packs built at engine construction
+// (Weights.ensurePacked).
 type Linear struct {
 	In, Out int
 	Bias    []float32 // nil for bias-free families
-	// Q is the INT8 shadow, populated by Quantize, stored transposed
-	// ([Out, In]: row j holds output j's weights along K), the layout
-	// kernels.GemmInt8 reads.
-	Q      []int8
-	QScale float32
 
 	w32 []float32 // an FP32 model's weights, row-major [In, Out]
 	w16 []uint16  // a BF16 model's, as bfloat16 bits (w32 is then nil)
@@ -92,45 +85,24 @@ type Linear struct {
 // only).
 func (l *Linear) held() bool { return l.w32 != nil || l.w16 != nil }
 
-// Quantize populates the INT8 shadow representation.
-func (l *Linear) Quantize() {
-	wt := make([]float32, l.In*l.Out) // W transposed
-	for p := 0; p < l.In; p++ {
-		for j := 0; j < l.Out; j++ {
-			if l.w16 != nil {
-				wt[j*l.In+p] = math.Float32frombits(uint32(l.w16[p*l.Out+j]) << 16)
-			} else {
-				wt[j*l.In+p] = l.w32[p*l.Out+j]
-			}
-		}
-	}
-	l.Q, l.QScale = tensor.QuantizeInt8(wt)
-}
-
-// packFor returns the packed shadow matching the kernel tier's numerics,
-// or nil when the tier has none (INT8).
+// packFor returns the pack matching the kernel tier's numerics.
 func (l *Linear) packFor(k Kernel) *kernels.PackedB {
-	switch k {
-	case KernelTileBF16, KernelTileBF16Parallel:
+	if k.bf16() {
 		return l.pbf16
-	case KernelBlocked, KernelParallel:
-		return l.pf32
-	default:
-		return nil
 	}
+	return l.pf32
 }
 
-// pack builds the pack the kernel tier reads, if it has one and it is not
-// built yet.
+// pack builds the pack the kernel tier reads, if it is not built yet.
 func (l *Linear) pack(k Kernel) {
 	switch {
-	case (k == KernelTileBF16 || k == KernelTileBF16Parallel) && l.pbf16 == nil:
+	case k.bf16() && l.pbf16 == nil:
 		if l.w16 != nil {
 			l.pbf16 = kernels.PackBBF16Bits(l.In, l.Out, l.w16)
 		} else {
 			l.pbf16 = kernels.PackBBF16(l.In, l.Out, l.w32)
 		}
-	case (k == KernelBlocked || k == KernelParallel) && l.pf32 == nil:
+	case !k.bf16() && l.pf32 == nil:
 		if l.w16 != nil {
 			l.pf32 = kernels.PackBBits(l.In, l.Out, l.w16)
 		} else {
@@ -274,11 +246,4 @@ func (w *Weights) linears() []*Linear {
 		ls = append(ls, &lw.Wq, &lw.Wk, &lw.Wv, &lw.Wo, &lw.W1, &lw.WGate, &lw.W2)
 	}
 	return slices.DeleteFunc(append(ls, &w.LMHead), func(l *Linear) bool { return !l.held() })
-}
-
-// QuantizeAll populates INT8 shadows on every linear layer.
-func (w *Weights) QuantizeAll() {
-	for _, l := range w.linears() {
-		l.Quantize()
-	}
 }

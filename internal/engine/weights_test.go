@@ -10,13 +10,12 @@ import (
 	"repro/internal/kernels"
 )
 
-// linearBytes is what a model's linear layers hold — their weight store,
-// every pack built from it and the INT8 shadow — against their
-// parameter count.
+// linearBytes is what a model's linear layers hold — their weight store
+// and every pack built from it — against their parameter count.
 func linearBytes(w *Weights) (bytes, params int64) {
 	for _, l := range w.linears() {
 		params += int64(l.In * l.Out)
-		bytes += int64(4*len(l.w32)+2*len(l.w16)) + int64(len(l.Q))
+		bytes += int64(4*len(l.w32) + 2*len(l.w16))
 		for _, pb := range []*kernels.PackedB{l.pf32, l.pbf16} {
 			if pb != nil {
 				bytes += pb.Bytes()
@@ -27,18 +26,15 @@ func linearBytes(w *Weights) (bytes, params int64) {
 }
 
 // TestBF16ModelHoldsFourBytesPerParam: a BF16 model keeps its linear
-// weights once, in 16 bits, so with what any one tier builds from them (a
-// pack, or the INT8 shadow) it holds at most 4 bytes per parameter — 6
-// when an FP32 copy sat beside the pack.
+// weights once, in 16 bits, so with the pack any one tier builds from them
+// it holds at most 4 bytes per parameter — 6 when an FP32 copy sat beside
+// the pack.
 func TestBF16ModelHoldsFourBytesPerParam(t *testing.T) {
 	fam := goldenFamilies[0] // the benchmark's model
-	for _, k := range []Kernel{KernelTileBF16Parallel, KernelBlocked, KernelInt8} {
+	for _, k := range []Kernel{KernelTileBF16Parallel, KernelBlocked} {
 		w, err := NewWeights(fam.cfg, 42, fam.dt)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if k == KernelInt8 {
-			w.QuantizeAll()
 		}
 		pool := kernels.NewPool(2)
 		if _, err := New(w, Options{Kernel: k, Pool: pool}); err != nil {
@@ -55,26 +51,19 @@ func TestBF16ModelHoldsFourBytesPerParam(t *testing.T) {
 	}
 }
 
-// TestConcurrentTiersMatchGoldens builds all five tiers at once over one
-// Weights (run it under -race): the packs of two precisions, each built on
-// its engine's pool, and the tied head must come out as a serial build's.
-// The packed tiers are held to their golden tokens and logits hash, the
-// INT8 tier to an engine built alone over separate weights.
+// TestConcurrentTiersMatchGoldens builds all four tiers at once over one
+// Weights (run it under -race): the packs of two precisions and the tied
+// head must come out as a serial build's, each tier's tokens and logits
+// hash its golden's.
 func TestConcurrentTiersMatchGoldens(t *testing.T) {
 	fam := goldenFamilies[0]
-	weights := func() *Weights {
-		w, err := NewWeights(fam.cfg, 42, fam.dt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.QuantizeAll()
-		return w
+	w, err := NewWeights(fam.cfg, 42, fam.dt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w := weights()
-	tiers := []Kernel{KernelBlocked, KernelParallel, KernelTileBF16, KernelTileBF16Parallel, KernelInt8}
-	engines := make([]*Engine, len(tiers))
+	engines := make([]*Engine, len(allKernelTiers))
 	var wg sync.WaitGroup
-	for i, k := range tiers {
+	for i, k := range allKernelTiers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -89,36 +78,22 @@ func TestConcurrentTiersMatchGoldens(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	alone, err := New(weights(), Options{Kernel: KernelInt8})
-	if err != nil {
-		t.Fatal(err)
-	}
 	golden := readGolden(t)
 	for i, e := range engines {
 		prompts := make([][]int, goldenBatch)
 		for b := range prompts {
 			prompts[b] = prompt(e, goldenPrompt, int64(100+b))
 		}
-		newTokens := goldenNew
-		if tiers[i] == KernelInt8 {
-			// Its own reference, so any shape will do: a short one, as
-			// its Go loop is slow under -race.
-			prompts, newTokens = [][]int{prompts[0][:8]}, 4
+		got := generateOn(t, e, e.NewSession(goldenBatch, goldenPrompt+goldenNew), prompts, goldenNew)
+		numerics := "fp32"
+		if allKernelTiers[i].bf16() {
+			numerics = "bf16"
 		}
-		got := generateOn(t, e, e.NewSession(len(prompts), len(prompts[0])+newTokens), prompts, newTokens)
-		var want goldenEntry
-		switch tiers[i] {
-		case KernelInt8:
-			want = generateOn(t, alone, alone.NewSession(len(prompts), len(prompts[0])+newTokens), prompts, newTokens)
-		case KernelTileBF16, KernelTileBF16Parallel:
-			want = golden[fmt.Sprintf("%s/bf16/flash=false", fam.name)]
-		default:
-			want = golden[fmt.Sprintf("%s/fp32/flash=false", fam.name)]
-		}
+		want := golden[fmt.Sprintf("%s/%s/flash=false", fam.name, numerics)]
 		if !reflect.DeepEqual(got.Tokens, want.Tokens) {
-			t.Errorf("%s: tokens differ\n got %v\nwant %v", tiers[i], got.Tokens, want.Tokens)
+			t.Errorf("%s: tokens differ\n got %v\nwant %v", allKernelTiers[i], got.Tokens, want.Tokens)
 		} else if runtime.GOARCH == "amd64" && got.LogitsFNV != want.LogitsFNV {
-			t.Errorf("%s: final logits hash %s, want %s", tiers[i], got.LogitsFNV, want.LogitsFNV)
+			t.Errorf("%s: final logits hash %s, want %s", allKernelTiers[i], got.LogitsFNV, want.LogitsFNV)
 		}
 	}
 }

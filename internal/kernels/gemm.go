@@ -1,8 +1,7 @@
 // Package kernels implements the compute kernels of the functional
-// inference engine. There is one linear path per numeric path: the
-// panel-packed GEMM (pack.go; an AVX2 micro-kernel on amd64, a Go loop
-// elsewhere, split over a persistent Pool) with FP32 or BF16 numerics, and
-// an INT8 kernel with VNNI-style int32 accumulate. GemmNaive and the serial
+// inference engine. There is one linear path: the panel-packed GEMM
+// (pack.go; an AVX2 micro-kernel on amd64, a Go loop elsewhere, split over
+// a persistent Pool) with FP32 or BF16 numerics. GemmNaive and the serial
 // AMX-emulating GemmTileBF16 are the FP32 and BF16 oracles the packed
 // kernel is held to bit for bit. Around them sit the attention, pointwise
 // and normalization operators of a decoder-only transformer.

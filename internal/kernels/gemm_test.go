@@ -65,91 +65,6 @@ func TestGemmTileBF16MatchesBF16Reference(t *testing.T) {
 	}
 }
 
-func TestGemmInt8MatchesDequantizedNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	m, n, k := 24, 18, 40
-	a, b := randMat(r, m*k), randMat(r, k*n)
-	aq, sa := tensor.QuantizeInt8(a)
-	bq, sb := tensor.QuantizeInt8(b)
-	ad := tensor.DequantizeInt8(aq, sa)
-	bd := tensor.DequantizeInt8(bq, sb)
-	want := make([]float32, m*n)
-	GemmNaive(m, n, k, ad, bd, want)
-	got := make([]float32, m*n)
-	GemmInt8(m, n, k, aq, sa, transposeInt8(k, n, bq), sb, got)
-	if d := maxAbsDiff(want, got); d > 1e-3 {
-		t.Errorf("int8 gemm diff %g", d)
-	}
-}
-
-// gemmInt8RowMajor is GemmInt8 over a row-major k×n Bq, walking it down
-// its columns: the oracle the transposed layout is held to.
-func gemmInt8RowMajor(m, n, k int, aq []int8, scaleA float32, bq []int8, scaleB float32, c []float32) {
-	scale := scaleA * scaleB
-	for i := 0; i < m; i++ {
-		arow := aq[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			var sum int32
-			for p := 0; p < k; p++ {
-				sum += int32(arow[p]) * int32(bq[p*n+j])
-			}
-			c[i*n+j] = float32(sum) * scale
-		}
-	}
-}
-
-// transposeInt8 returns the row-major k×n b as n×k.
-func transposeInt8(k, n int, b []int8) []int8 {
-	t := make([]int8, k*n)
-	for p := 0; p < k; p++ {
-		for j := 0; j < n; j++ {
-			t[j*k+p] = b[p*n+j]
-		}
-	}
-	return t
-}
-
-// TestGemmInt8MatchesRowMajorLoop holds GemmInt8 over the transposed
-// weight to the row-major loop bit for bit, on ragged shapes and with the
-// extremes -128 and 127 in both operands (sums that overflow int32 wrap
-// alike either way).
-func TestGemmInt8MatchesRowMajorLoop(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	randInt8 := func(n int) []int8 {
-		q := make([]int8, n)
-		for i := range q {
-			switch r.Intn(8) {
-			case 0:
-				q[i] = -128
-			case 1:
-				q[i] = 127
-			default:
-				q[i] = int8(r.Intn(256) - 128)
-			}
-		}
-		return q
-	}
-	for _, s := range []struct{ m, n, k int }{{1, 1, 1}, {1, 17, 33}, {3, 5, 7}, {4, 97, 64}, {5, 31, 130}, {2, 3, 1 << 17}} {
-		aq, bq := randInt8(s.m*s.k), randInt8(s.k*s.n)
-		want, got := make([]float32, s.m*s.n), make([]float32, s.m*s.n)
-		gemmInt8RowMajor(s.m, s.n, s.k, aq, 0.5, bq, 0.25, want)
-		GemmInt8(s.m, s.n, s.k, aq, 0.5, transposeInt8(s.k, s.n, bq), 0.25, got)
-		if i, ok := bitsEqual(want, got); !ok {
-			t.Errorf("shape %+v: GemmInt8 differs from the row-major loop at %d: %v vs %v", s, i, got[i], want[i])
-		}
-	}
-	all := make([]int8, 1<<17) // 2^17 · (-128)² = 2^31: the sum wraps
-	for i := range all {
-		all[i] = -128
-	}
-	want, got := make([]float32, 1), make([]float32, 1)
-	gemmInt8RowMajor(1, 1, len(all), all, 1, all, 1, want)
-	GemmInt8(1, 1, len(all), all, 1, all, 1, got)
-	if want[0] != got[0] {
-		t.Errorf("wrapping sum: got %v, want %v", got[0], want[0])
-	}
-}
-
 func TestGemmLinearityProperty(t *testing.T) {
 	// Property: GEMM is linear in A — (αA)·B == α(A·B).
 	r := rand.New(rand.NewSource(8))

@@ -104,9 +104,10 @@ func TestPackBTransMatchesPackB(t *testing.T) {
 }
 
 func TestGemmPackedPooledMatchesSerialBitForBit(t *testing.T) {
-	// Both split regimes (rows when m >= workers, column panels when
-	// m < workers) must reproduce the serial kernel exactly, for FP32 and
-	// BF16 packs, across worker counts.
+	// Both split regimes (rows when every worker gets a register tile of
+	// them, column panels otherwise) must reproduce the serial kernel
+	// exactly, for FP32 and BF16 packs, across worker counts. No inline
+	// threshold: at the default one every shape here runs inline.
 	r := rand.New(rand.NewSource(15))
 	for _, workers := range []int{1, 2, 3, 8} {
 		p := NewPool(workers)
@@ -123,7 +124,7 @@ func TestGemmPackedPooledMatchesSerialBitForBit(t *testing.T) {
 				want := make([]float32, s.m*s.n)
 				got := make([]float32, s.m*s.n)
 				GemmPacked(s.m, a, pb, want)
-				GemmPackedPooled(p, &job, s.m, a, pb, got)
+				gemmPackedPooled(p, &job, s.m, a, pb, got, 0)
 				if i, ok := bitsEqual(want, got); !ok {
 					t.Errorf("shape %+v workers=%d bf16=%v: pooled differs at %d",
 						s, workers, bf16, i)
@@ -131,6 +132,54 @@ func TestGemmPackedPooledMatchesSerialBitForBit(t *testing.T) {
 			}
 		}
 		p.Close()
+	}
+}
+
+// TestGemmPackedOverConcatenatedColumns: one GEMM over the pack of
+// [W_a | W_b] gives, column for column, the bits of the two GEMMs over
+// W_a's and W_b's own packs — serial, and split over a pool (by column
+// panels, or by rows where the level splits M = 32 and 128 so) — for FP32
+// and BF16 packs, at decode and prefill M,
+// with W_a's 200 columns ending inside a panel, and with W_b at the scale
+// of W_a or far below it (a wider exponent range than either half's).
+// Under -simd it runs at every level.
+func TestGemmPackedOverConcatenatedColumns(t *testing.T) {
+	const k, na, nb = 100, 200, 56
+	r := rand.New(rand.NewSource(23))
+	p := NewPool(3)
+	defer p.Close()
+	var job PackedJob
+	for _, scaleB := range []float32{1, 0x1p-20} {
+		wa, wb := randMat(r, k*na), randMat(r, k*nb)
+		w := make([]float32, 0, k*(na+nb))
+		for row := 0; row < k; row++ {
+			for j := range nb {
+				wb[row*nb+j] *= scaleB
+			}
+			w = append(append(w, wa[row*na:(row+1)*na]...), wb[row*nb:(row+1)*nb]...)
+		}
+		for _, pack := range []func(k, n int, b []float32) *PackedB{PackB, PackBBF16} {
+			pa, pbb, pab := pack(k, na, wa), pack(k, nb, wb), pack(k, na+nb, w)
+			for _, m := range []int{1, 4, 32, 128} {
+				a := randMat(r, m*k)
+				ca, cb := make([]float32, m*na), make([]float32, m*nb)
+				GemmPacked(m, a, pa, ca)
+				GemmPacked(m, a, pbb, cb)
+				want := make([]float32, 0, m*(na+nb))
+				for i := 0; i < m; i++ {
+					want = append(append(want, ca[i*na:(i+1)*na]...), cb[i*nb:(i+1)*nb]...)
+				}
+				serial, pooled := make([]float32, m*(na+nb)), make([]float32, m*(na+nb))
+				GemmPacked(m, a, pab, serial)
+				gemmPackedPooled(p, &job, m, a, pab, pooled, 0)
+				for name, got := range map[string][]float32{"serial": serial, "pooled": pooled} {
+					if i, ok := bitsEqual(want, got); !ok {
+						t.Errorf("bf16=%v scaleB=%g m=%d %s: column %d of row %d is %v, the separate GEMMs' %v",
+							pab.BF16, scaleB, m, name, i%(na+nb), i/(na+nb), got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -81,39 +81,3 @@ func flushDenormal(x float32) float32 {
 func tmulStep(acc, a, w float32) float32 {
 	return flushDenormal(float32(float64(acc) + float64(a)*float64(w)))
 }
-
-// GemmInt8 computes C = scaleA·scaleB·(Aq·Bq) emulating the AMX INT8 path
-// (TDPBSSD): int8×int8 products accumulate into int32 tiles, then a single
-// dequantization scales to FP32. Bq is given as its transpose bqT, n×k (row
-// j is column j of B): the layout a weight is quantized into once, so that
-// every output is a dot product of two rows read along K. int32 addition
-// wraps the same in any order, so the sums are exact whatever the order.
-func GemmInt8(m, n, k int, aq []int8, scaleA float32, bqT []int8, scaleB float32, c []float32) {
-	if len(aq) < m*k || len(bqT) < k*n || len(c) < m*n {
-		panic("kernels: GemmInt8: slices too short")
-	}
-	scale := scaleA * scaleB
-	for i := 0; i < m; i++ {
-		arow := aq[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			c[i*n+j] = float32(dotInt8(arow, bqT[j*k:(j+1)*k])) * scale
-		}
-	}
-}
-
-// dotInt8 is Σ a[p]·b[p] in int32 over len(a) values, in four partial sums.
-func dotInt8(a, b []int8) int32 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 int32
-	p := 0
-	for ; p+4 <= len(a); p += 4 {
-		s0 += int32(a[p]) * int32(b[p])
-		s1 += int32(a[p+1]) * int32(b[p+1])
-		s2 += int32(a[p+2]) * int32(b[p+2])
-		s3 += int32(a[p+3]) * int32(b[p+3])
-	}
-	for ; p < len(a); p++ {
-		s0 += int32(a[p]) * int32(b[p])
-	}
-	return s0 + s1 + s2 + s3
-}

@@ -1,7 +1,7 @@
 // Package tensor provides the numeric foundation for the functional
-// inference engine: data types (FP32, BF16, FP16 sizing, INT8), a software
-// implementation of bfloat16 with round-to-nearest-even semantics matching
-// Intel AMX tile inputs, and symmetric INT8 quantization.
+// inference engine: data types (FP32, BF16; FP16 and INT8 for sizing) and
+// a software implementation of bfloat16 with round-to-nearest-even
+// semantics matching Intel AMX tile inputs.
 package tensor
 
 import "fmt"
